@@ -91,6 +91,9 @@ class HotEntry:
         pure-fd route).
     segments:
         Precomputed zero-copy body views for the buffered/vectored path.
+    parts:
+        The full body as the response's one ``(head, offset, length)``
+        part, precomputed so a plain hit allocates nothing for it.
     validated_at:
         ``time.monotonic()`` of the last successful freshness check.
     hits:
@@ -112,6 +115,10 @@ class HotEntry:
     segments: Sequence = ()
     validated_at: float = 0.0
     hits: int = field(default=0, repr=False)
+    parts: Sequence = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.parts = ((b"", 0, self.content_length),)
 
     def header(self, keep_alive: bool) -> bytes:
         """The 200 header block for the given connection disposition."""

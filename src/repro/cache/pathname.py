@@ -165,6 +165,16 @@ class PathnameCache:
         self._cache.put(uri, entry)
         return entry
 
+    def lookup_cached(self, uri: str) -> Optional[PathnameEntry]:
+        """Return the cached translation for ``uri``, or ``None`` on a miss.
+
+        The non-loading lookup of the AMPED main loop: it never translates
+        and never calls ``stat`` (a miss goes to a helper instead), but it
+        records the hit or miss like :meth:`lookup` does, so the hit rate
+        means the same thing on every architecture.
+        """
+        return self._cache.get(uri)
+
     def insert(self, entry: PathnameEntry) -> None:
         """Insert a translation produced elsewhere (e.g. by a helper process).
 

@@ -58,10 +58,10 @@ from typing import TYPE_CHECKING, Optional, Protocol
 from repro.core.event_loop import EVENT_READ, EVENT_WRITE
 from repro.core.pipeline import StaticContent
 from repro.core.send_path import (
-    BufferedSendPath,
     ResponseCork,
+    SendPath,
     choose_send_path,
-    sendfile_available,
+    wire_segments,
 )
 from repro.core.streaming import ResponseSource, StreamingSendPath
 from repro.http.errors import HTTPError
@@ -577,7 +577,7 @@ class Connection:
             keep_alive=self._keep_alive,
         ).raw
         self.driver.store.stats.responses_ok += 1
-        self._start_send(BufferedSendPath([header, body]))
+        self._start_send(SendPath([header, body], self.driver.store))
 
     # -- streaming ------------------------------------------------------------------
 
@@ -841,20 +841,20 @@ class Connection:
     def _batch_pipelined(self) -> None:
         """Merge immediately-ready pipelined hot hits into the current sender.
 
-        A pipelined burst of cached responses used to pay one ``sendmsg``
-        per tiny response even under ``TCP_CORK``.  When the response that
-        just started synchronously is on the buffered path, peel further
-        complete plain-GET requests off the parser remainder, look them up
-        in the hot-response cache, and append each precomposed hit's header
-        and body views to the in-flight vector — the whole burst then
-        leaves through a single vectored write.  Any doubt (fast-probe
-        decline, hot miss, a sendfile-backed hit, cold content, a close
-        disposition) stops the merge, and the unconsumed requests take the
-        normal drain loop exactly as before — batching changes syscall
-        count, never bytes.
+        A pipelined burst of cached responses used to pay one send-path
+        round per tiny response even under ``TCP_CORK``.  Instead, peel
+        further complete plain-GET requests off the parser remainder, look
+        them up in the hot-response cache, and append each precomposed
+        hit's segments (buffers or file windows alike) to the in-flight
+        sender — a buffered burst then leaves through a single vectored
+        write.  Any doubt (fast-probe decline, hot miss, cold content, a
+        close disposition) stops the merge, and the unconsumed requests
+        take the normal drain loop exactly as before — batching changes
+        syscall count, never bytes.
         """
         sender = self._sender
-        if type(sender) is not BufferedSendPath:
+        if not isinstance(sender, SendPath):
+            # A stream's end is not known yet: nothing can queue behind it.
             return
         config = self.driver.config
         if not (config.hot_cache and getattr(config, "fast_parse", False)):
@@ -878,15 +878,6 @@ class Connection:
             content = store.hot_lookup(fast.target, keep_alive)
             if content is None:
                 return
-            if (
-                content.file_handle is not None
-                and config.zero_copy
-                and sendfile_available()
-            ):
-                # This hit would transmit via sendfile; it cannot ride a
-                # buffered vector.  Leave the request for the normal loop.
-                content.release(store)
-                return
             if content.content_length > 0:
                 ready = getattr(self.driver, "hot_content_ready", None)
                 if ready is not None and not ready(content):
@@ -902,7 +893,7 @@ class Connection:
             stats.hot_batched += 1
             self.requests_served += 1
             self._keep_alive = keep_alive
-            sender.extend([content.header, *content.segments])
+            sender.extend(wire_segments(content, config=config, stats=stats))
             self._batch_contents.append(content)
 
     def _release_batch(self) -> None:
@@ -931,7 +922,7 @@ class Connection:
             builder=self.driver.store.header_builder,
             keep_alive=self._keep_alive,
         )
-        self._start_send(BufferedSendPath([payload]))
+        self._start_send(SendPath([payload], self.driver.store))
 
     # -- lifecycle ------------------------------------------------------------------------
 

@@ -18,7 +18,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.cache.hot_response import HotEntry, HotResponseCache
 from repro.cache.mapped_file import (
@@ -38,16 +38,12 @@ from repro.cache.response_header import ResponseHeaderCache
 from repro.core.config import ServerConfig
 from repro.core.send_path import sendfile_available, window_views
 from repro.http.mime import guess_mime_type
-from repro.http.request import RANGE_UNSATISFIABLE, HTTPRequest, parse_ranges
+from repro.http.planner import plan_response
+from repro.http.request import HTTPRequest
 from repro.http.response import (
     ResponseHeaderBuilder,
     content_range,
     content_range_unsatisfied,
-    if_match_matches,
-    if_modified_since_matches,
-    if_none_match_matches,
-    if_range_matches,
-    if_unmodified_since_matches,
     multipart_boundary,
     multipart_part_head,
     multipart_trailer,
@@ -150,61 +146,43 @@ class ServerStats:
         return dict(vars(self))
 
 
-@dataclass(frozen=True)
-class RangePart:
-    """One body part of a ``multipart/byteranges`` 206 response.
-
-    Attributes
-    ----------
-    head:
-        The part's framing bytes — delimiter, per-part ``Content-Type``
-        and ``Content-Range`` headers, blank line — transmitted verbatim
-        before the file window.
-    offset, length:
-        The file-byte window this part carries.
-    """
-
-    head: bytes
-    offset: int
-    length: int
-
-
 @dataclass
 class StaticContent:
     """Everything needed to transmit one static response.
+
+    A body is always an ordered list of *parts* plus a trailer; the plain
+    200/206 is the one-part case with an empty head and an empty trailer,
+    a ``multipart/byteranges`` 206 has one part per window, and a bodyless
+    answer (HEAD, 304, 412, 416) has none.
 
     Attributes
     ----------
     header:
         The encoded response header (already aligned per Section 5.5).
     segments:
-        Body segments in transmission order; each is ``bytes`` or a
-        ``memoryview`` over a mapped chunk (zero copy).
+        The complete wire body as buffers in transmission order — part
+        heads, file bytes (``bytes`` or zero-copy ``memoryview`` slices of
+        mapped chunks), trailer.  Empty when the body exists only as file
+        windows over ``file_handle`` (pure zero-copy).
     chunks:
         Mapped chunks pinned for this response; the connection releases them
         when transmission finishes or the connection dies.
     content_length:
-        Total body length in bytes.
+        Total body length in bytes (part heads + file windows + trailer).
     status:
         HTTP status code of the response.
     file_handle:
         A pinned open descriptor for the served file, present when the
         zero-copy (``sendfile``) send path may be used.  ``segments`` stays
         populated as the buffered fallback (and, in AMPED, as the substrate
-        for the memory-residency test); a connection picks exactly one of
+        for the memory-residency test); a sender picks exactly one of
         the two mechanisms per response.
-    body_offset:
-        First file byte of the transmitted body window.  0 for full
-        responses; a satisfied single-range (206) response sets it to the
-        range's first-byte position, and every send mechanism (``sendfile``
-        offsets, sliced chunk views, the buffered fallback) transmits
-        exactly ``(body_offset, content_length)``.
     parts:
-        For a ``multipart/byteranges`` 206: the ordered
-        :class:`RangePart` sequence.  ``content_length`` then counts the
-        whole framed body (part heads + file windows + trailer), and the
-        zero-copy path iterates one ``sendfile`` window per part instead
-        of reading ``body_offset``.
+        The ordered ``(head, offset, length)`` triples: ``head`` is the
+        framing transmitted verbatim before the file window
+        ``(offset, length)`` — empty except in a multipart body, where it
+        is the delimiter plus the part's ``Content-Type``/``Content-Range``
+        block.
     trailer:
         The closing multipart delimiter, transmitted after the final part.
     """
@@ -215,25 +193,13 @@ class StaticContent:
     content_length: int = 0
     status: int = 200
     file_handle: Optional[CachedFD] = None
-    body_offset: int = 0
-    parts: Sequence[RangePart] = ()
+    parts: Sequence[tuple[bytes, int, int]] = ()
     trailer: bytes = b""
 
     @property
     def total_length(self) -> int:
         """Header plus body length."""
         return len(self.header) + self.content_length
-
-    @property
-    def is_multipart(self) -> bool:
-        """True for a ``multipart/byteranges`` response."""
-        return bool(self.parts)
-
-    def body_windows(self) -> list[tuple[int, int]]:
-        """The file-byte windows this response transmits, in order."""
-        if self.parts:
-            return [(part.offset, part.length) for part in self.parts]
-        return [(self.body_offset, self.content_length)]
 
     def warm_window(self) -> tuple[int, int]:
         """The single file-byte span covering every transmitted window.
@@ -244,10 +210,24 @@ class StaticContent:
         completion callback) is the right trade for the rare multi-range
         cold case.
         """
-        windows = self.body_windows()
-        start = min(offset for offset, _ in windows)
-        end = max(offset + length for offset, length in windows)
+        start = min(offset for _, offset, _ in self.parts)
+        end = max(offset + length for _, offset, length in self.parts)
         return start, end - start
+
+    def window_buffers(self, offset: int, length: int) -> list:
+        """The file window ``(offset, length)`` as byte buffers.
+
+        The one "window to bytes" route of the degraded paths (a
+        ``sendfile`` fallback mid-transfer, a failed warm): views over the
+        response's pinned chunks when it has them — AMPED already made
+        those resident — else one positional read through
+        :meth:`ContentStore.read_file_range`, which may come up short when
+        the file shrank.
+        """
+        if self.chunks:
+            covering = _covering_chunks(self.chunks, offset, length)
+            return _chunk_views(covering, offset, length)
+        return [ContentStore.read_file_range(self.file_handle.path, offset, length)]
 
     def release(self, store: "ContentStore") -> None:
         """Return pinned chunks to the mapped-file cache.  Idempotent.
@@ -263,6 +243,35 @@ class StaticContent:
         handle, self.file_handle = self.file_handle, None
         if handle is not None:
             store.release_fd(handle)
+
+
+def _covering_chunks(
+    chunks: Sequence[MappedChunk], offset: int, length: int
+) -> list[MappedChunk]:
+    """The chunks of ``chunks`` the window ``(offset, length)`` intersects.
+
+    In file order, each once: a hot entry pins the whole file, and a
+    multipart response lists a chunk once per window that touches it.
+    """
+    end = offset + length
+    covering = {
+        chunk.offset: chunk
+        for chunk in chunks
+        if chunk.offset < end and chunk.offset + chunk.length > offset
+    }
+    return [covering[start] for start in sorted(covering)]
+
+
+def _chunk_views(covering: Sequence[MappedChunk], offset: int, length: int) -> list:
+    """Zero-copy views of the window ``(offset, length)`` over ``covering``.
+
+    ``covering`` are the (contiguous) chunks intersecting the window; the
+    first and last views are trimmed to the window's edges.
+    """
+    if not covering:
+        return []
+    views = [chunk.view() for chunk in covering]
+    return window_views(views, offset - covering[0].offset, length)
 
 
 class ContentStore:
@@ -416,8 +425,7 @@ class ContentStore:
         if self.pathname_cache is None:
             return None
         with self._maybe_lock():
-            entry = self.pathname_cache.lookup(uri, revalidate=False) if uri in self.pathname_cache else None
-        return entry
+            return self.pathname_cache.lookup_cached(uri)
 
     def store_translation(self, entry: PathnameEntry) -> None:
         """Insert a translation produced by a helper into the cache."""
@@ -466,192 +474,130 @@ class ContentStore:
         all; AMPED keeps the chunks because they are the substrate of its
         ``mincore`` residency test and helper page-warming.
 
-        Conditional headers (RFC 7232) are evaluated in the §6 precedence
-        order against the entry's strong entity-tag and mtime —
-        ``If-Match`` then ``If-Unmodified-Since`` (412 on failure),
-        ``If-None-Match`` (304) which when present suppresses
-        ``If-Modified-Since`` entirely.  A ``Range`` header (RFC 7233)
-        narrows the body to one ``(offset, length)`` window for a plain
-        206, or to a ``multipart/byteranges`` 206 when several ranges are
-        satisfiable; unsatisfiable ranges answer 416 with ``Content-Range:
-        bytes */<size>``, and shapes this server must ignore (invalid
-        specs, a failed ``If-Range`` precondition) degrade to the full 200.
+        What to answer — 200, 206 (plain or ``multipart/byteranges``),
+        304, 412 or 416 — is decided by
+        :func:`repro.http.planner.plan_response` against the entry's
+        strong entity-tag and mtime; :meth:`_assemble` turns the plan into
+        bytes.  :meth:`hot_lookup` runs the same two steps, so the paths
+        agree by construction.
         """
         if keep_alive is None:
             keep_alive = request.keep_alive and self.config.keep_alive
-
+        status, windows = 200, None
         # The conditional and range headers apply to GET and HEAD only;
         # other methods (a POST to a static path) must ignore them.
-        conditional = request.method in ("GET", "HEAD")
-        if conditional:
-            answer = self._evaluate_conditionals(request, entry, keep_alive)
-            if answer is not None:
-                return answer
-
-        windows = (
-            self._resolve_ranges(request, entry.size, entry.mtime, entry.etag)
-            if conditional
-            else None
+        if request.method in ("GET", "HEAD"):
+            status, windows = plan_response(
+                size=entry.size,
+                mtime=entry.mtime,
+                etag=entry.etag,
+                if_match=request.if_match,
+                if_unmodified_since=request.if_unmodified_since,
+                if_none_match=request.if_none_match,
+                if_modified_since=request.if_modified_since,
+                range_header=request.range_header,
+                if_range=request.if_range,
+            )
+        return self._assemble(
+            status,
+            windows,
+            entry.filesystem_path,
+            entry.size,
+            entry.mtime,
+            entry.etag,
+            keep_alive,
+            request.is_head,
+            cached_header=lambda status: (
+                self._response_header(entry, keep_alive)
+                if status == 200
+                else self._not_modified_header(entry, keep_alive)
+            ),
+            pin_windows=lambda parts: self._pin_windows(entry, parts, map_body),
         )
-        if windows is RANGE_UNSATISFIABLE:
-            self.stats.range_unsatisfiable += 1
-            return StaticContent(
-                header=self._range_unsatisfiable_header(
-                    entry.filesystem_path, entry.size, entry.mtime, keep_alive
-                ),
-                segments=(),
-                content_length=0,
-                status=416,
-            )
-        if windows is not None and len(windows) > 1:
-            return self._build_multipart(
-                request, entry, windows, keep_alive, map_body=map_body
-            )
 
-        if windows is None:
-            header = self._response_header(entry, keep_alive)
-            offset, length, status = 0, entry.size, 200
+    def _assemble(
+        self,
+        status: int,
+        windows: Optional[Sequence[tuple[int, int]]],
+        path: str,
+        size: int,
+        mtime: float,
+        etag: str,
+        keep_alive: bool,
+        head: bool,
+        *,
+        cached_header: Callable[[int], bytes],
+        pin_windows: Callable[[Sequence[tuple[bytes, int, int]]], tuple],
+    ) -> StaticContent:
+        """Turn a ``plan_response`` verdict into a transmittable response.
+
+        Shared by the slow path and the hot-cache read-side hit; the two
+        differ only in what they inject.  ``cached_header(status)`` yields
+        the precomposable 200/304 header (header cache vs the hot entry's
+        variants).  ``pin_windows(parts)`` pins what the parts' file windows
+        need and returns ``(file_handle, chunks, bodies)`` — ``bodies``
+        holds one buffer list per window, or is ``None`` when the windows
+        exist only on the descriptor (acquire from the fd/mmap caches vs
+        slice the entry's already-pinned resources).  The validator-only
+        headers (412/416) and the client-shaped ones (206) are built fresh
+        with the shared builder, and every status counter is bumped here.
+        """
+        parts: Sequence[tuple[bytes, int, int]] = ()
+        trailer = b""
+        total = 0
+        if status == 200:
+            header = cached_header(200)
+            parts = ((b"", 0, size),)
+            total = size
         else:
-            # A single satisfiable window — whether from single-range
-            # syntax or a multi-range set with one survivor — collapses to
-            # the ordinary 206.
-            offset, length = windows[0]
-            status = 206
-            self.stats.range_responses += 1
-            header = self._range_header(
-                entry.filesystem_path,
-                entry.size,
-                entry.mtime,
-                entry.etag,
-                offset,
-                length,
-                keep_alive,
-            )
-
-        if request.is_head:
+            # Under the store lock: MT workers reach this from both paths.
+            with self._maybe_lock():
+                if status == 206:
+                    self.stats.range_responses += 1
+                    header, parts, trailer, total = self._frame_ranges(
+                        path, size, mtime, etag, windows, keep_alive
+                    )
+                elif status == 304:
+                    self.stats.not_modified_responses += 1
+                    header = cached_header(304)
+                elif status == 412:
+                    self.stats.precondition_failed += 1
+                    header = self._validator_header(
+                        412, path, mtime, keep_alive, etag=etag
+                    )
+                else:
+                    self.stats.range_unsatisfiable += 1
+                    header = self._validator_header(
+                        416,
+                        path,
+                        mtime,
+                        keep_alive,
+                        extra_headers={"Content-Range": content_range_unsatisfied(size)},
+                    )
+        if head or not parts:
             return StaticContent(header=header, segments=(), content_length=0, status=status)
-
-        handle = self._acquire_fd(entry)
-
-        if self.mmap_cache is not None and (map_body or handle is None):
-            try:
-                chunks = self._acquire_chunks(entry, offset, length)
-            except BaseException:
-                if handle is not None:
-                    self.release_fd(handle)
-                raise
-            segments = self._chunk_window_segments(chunks, offset, length)
-            return StaticContent(
-                header=header,
-                segments=segments,
-                chunks=chunks,
-                content_length=length,
-                status=status,
-                file_handle=handle,
-                body_offset=offset,
-            )
-
-        if handle is not None:
-            # Pure zero-copy: no user-space body buffering at all.  The
-            # buffered fallback (sendfile unsupported for this socket) reads
-            # the window lazily at degradation time.
-            return StaticContent(
-                header=header,
-                segments=(),
-                content_length=length,
-                status=status,
-                file_handle=handle,
-                body_offset=offset,
-            )
-
-        data = self.read_file_range(entry.filesystem_path, offset, length)
+        handle, chunks, bodies = pin_windows(parts)
+        segments: Sequence = ()
+        if bodies is not None:
+            segments = []
+            for (part_head, _, _), body in zip(parts, bodies):
+                if part_head:
+                    segments.append(part_head)
+                segments.extend(body)
+            if trailer:
+                segments.append(trailer)
         return StaticContent(
             header=header,
-            segments=[data],
-            content_length=len(data),
+            segments=segments,
+            chunks=chunks,
+            content_length=total,
             status=status,
-            body_offset=offset,
+            file_handle=handle,
+            parts=parts,
+            trailer=trailer,
         )
 
-    def _evaluate_conditionals(
-        self, request: HTTPRequest, entry: PathnameEntry, keep_alive: bool
-    ) -> Optional[StaticContent]:
-        """Apply the RFC 7232 preconditions; a non-``None`` result is final.
-
-        §6 evaluation order, against the validators minted at translation
-        time: ``If-Match`` first (strong ETag comparison; failure is 412),
-        then — only when ``If-Match`` is absent — ``If-Unmodified-Since``
-        (412), then ``If-None-Match`` (weak comparison; a match is a 304
-        for the GET/HEAD methods this path serves), and only when
-        ``If-None-Match`` is absent, ``If-Modified-Since``.  A request
-        whose preconditions all pass returns ``None`` and proceeds to the
-        range/body logic.
-        """
-        etag = entry.etag
-        if_match = request.if_match
-        if if_match:
-            if not if_match_matches(if_match, etag):
-                return self._precondition_failed(entry, keep_alive)
-        else:
-            unmodified_since = request.if_unmodified_since
-            if unmodified_since and not if_unmodified_since_matches(
-                unmodified_since, entry.mtime
-            ):
-                return self._precondition_failed(entry, keep_alive)
-        if_none_match = request.if_none_match
-        if if_none_match:
-            if if_none_match_matches(if_none_match, etag):
-                return self._not_modified(entry, keep_alive)
-            # A failed If-None-Match suppresses If-Modified-Since (§3.3):
-            # the client's tag is stale, so the full response must follow
-            # even when the date alone would have said 304.
-            return None
-        modified_since = request.if_modified_since
-        if modified_since and if_modified_since_matches(modified_since, entry.mtime):
-            return self._not_modified(entry, keep_alive)
-        return None
-
-    def _not_modified(self, entry: PathnameEntry, keep_alive: bool) -> StaticContent:
-        self.stats.not_modified_responses += 1
-        return StaticContent(
-            header=self._not_modified_header(entry, keep_alive),
-            segments=(),
-            content_length=0,
-            status=304,
-        )
-
-    def _precondition_failed(
-        self, entry: PathnameEntry, keep_alive: bool
-    ) -> StaticContent:
-        self.stats.precondition_failed += 1
-        return StaticContent(
-            header=self._precondition_failed_header(
-                entry.filesystem_path, entry.mtime, entry.etag, keep_alive
-            ),
-            segments=(),
-            content_length=0,
-            status=412,
-        )
-
-    def _resolve_ranges(
-        self, request: HTTPRequest, size: int, mtime: float, etag: str
-    ):
-        """Resolve ``request``'s Range header against ``(size, mtime, etag)``.
-
-        Returns ``None`` (serve the full representation — no Range header,
-        an ignorable spec, or a failed ``If-Range`` precondition), a list
-        of ``(offset, length)`` windows (one entry: plain 206; several:
-        ``multipart/byteranges``), or :data:`RANGE_UNSATISFIABLE`.
-        """
-        value = request.range_header
-        if not value:
-            return None
-        if_range = request.if_range
-        if if_range and not if_range_matches(if_range, mtime, etag):
-            return None
-        return parse_ranges(value, size)
-
-    def _plan_multipart(
+    def _frame_ranges(
         self,
         path: str,
         size: int,
@@ -659,128 +605,90 @@ class ContentStore:
         etag: str,
         windows: Sequence[tuple[int, int]],
         keep_alive: bool,
-    ) -> tuple[bytes, list[RangePart], bytes, int]:
-        """Frame a ``multipart/byteranges`` response for ``windows``.
+    ) -> tuple[bytes, Sequence[tuple[bytes, int, int]], bytes, int]:
+        """Frame a 206 for ``windows``: ``(header, parts, trailer, total)``.
 
-        Returns ``(header, parts, trailer, total_body_length)``.  The
-        boundary is deterministic in the file's validator and the window
-        list, and the header/part bytes are built with the shared builder —
-        so the slow path and the hot-cache read-side hit produce
-        byte-identical multipart responses, the same parity contract every
-        other response shape already honours.  Built fresh per response
-        (never cached): window sets are client-chosen and unbounded.
+        One window — whether from single-range syntax or a multi-range set
+        with one survivor — is the ordinary 206: ``Content-Range`` in the
+        header, one part with no framing.  Several become
+        ``multipart/byteranges``; the boundary is deterministic in the
+        file's validator and the window list, so the same request is
+        byte-identical on every path and architecture.  Built fresh per
+        response (never cached): range shapes are client-chosen and
+        unbounded, so precomposing them would let a client balloon a cache.
         """
         content_type = guess_mime_type(path)
-        boundary = multipart_boundary(etag, windows)
-        parts: list[RangePart] = []
+        parts: list[tuple[bytes, int, int]] = []
+        trailer = b""
         total = 0
-        for index, (offset, length) in enumerate(windows):
-            head = multipart_part_head(
-                boundary, content_type, offset, length, size, first=index == 0
-            )
-            parts.append(RangePart(head=head, offset=offset, length=length))
-            total += len(head) + length
-        trailer = multipart_trailer(boundary)
-        total += len(trailer)
+        extra_headers = None
+        if len(windows) == 1:
+            offset, length = windows[0]
+            parts.append((b"", offset, length))
+            total = length
+            extra_headers = {"Content-Range": content_range(offset, length, size)}
+        else:
+            self.stats.range_multipart_responses += 1
+            boundary = multipart_boundary(etag, windows)
+            for index, (offset, length) in enumerate(windows):
+                part_head = multipart_part_head(
+                    boundary, content_type, offset, length, size, first=index == 0
+                )
+                parts.append((part_head, offset, length))
+                total += len(part_head) + length
+            trailer = multipart_trailer(boundary)
+            total += len(trailer)
+            content_type = f"multipart/byteranges; boundary={boundary}"
         header = self.header_builder.build(
             206,
             content_length=total,
-            content_type=f"multipart/byteranges; boundary={boundary}",
+            content_type=content_type,
             last_modified=mtime,
             etag=etag,
             keep_alive=keep_alive,
             cache_max_age=self._cache_max_age,
+            extra_headers=extra_headers,
         ).raw
         return header, parts, trailer, total
 
-    def _build_multipart(
-        self,
-        request: HTTPRequest,
-        entry: PathnameEntry,
-        windows: Sequence[tuple[int, int]],
-        keep_alive: bool,
-        *,
-        map_body: bool,
-    ) -> StaticContent:
-        """Build the ``multipart/byteranges`` 206 for several windows.
+    def _pin_windows(
+        self, entry: PathnameEntry, parts: Sequence[tuple[bytes, int, int]], map_body: bool
+    ) -> tuple:
+        """The slow path's body source: the descriptor and chunk caches.
 
-        Mirrors the single-window body routes: pinned mapped chunks per
-        window (the buffered/vectored path, with the part framing
-        interleaved into the segment vector), a pinned descriptor driving
-        one ``sendfile`` window per part, or positional buffered reads
-        when neither cache applies.
+        Pinned mapped chunks per window (the buffered/vectored path — a
+        window pins only the chunks it intersects, so a small range over a
+        large file maps, warms and residency-tests just that slice), a
+        pinned descriptor alone (pure zero-copy: no user-space body
+        buffering at all; a degraded send reads the window lazily), or
+        positional buffered reads when neither cache applies.
         """
-        self.stats.range_responses += 1
-        self.stats.range_multipart_responses += 1
-        header, parts, trailer, total = self._plan_multipart(
-            entry.filesystem_path,
-            entry.size,
-            entry.mtime,
-            entry.etag,
-            windows,
-            keep_alive,
-        )
-        if request.is_head:
-            return StaticContent(header=header, segments=(), content_length=0, status=206)
-
         handle = self._acquire_fd(entry)
-
         if self.mmap_cache is not None and (map_body or handle is None):
             chunks: list[MappedChunk] = []
-            segments: list = []
+            bodies = []
             try:
-                for part in parts:
-                    part_chunks = self._acquire_chunks(entry, part.offset, part.length)
-                    chunks.extend(part_chunks)
-                    segments.append(part.head)
-                    segments.extend(
-                        self._chunk_window_segments(part_chunks, part.offset, part.length)
-                    )
+                for _, offset, length in parts:
+                    covering = self._acquire_chunks(entry, offset, length)
+                    chunks.extend(covering)
+                    bodies.append(_chunk_views(covering, offset, length))
             except BaseException:
+                bodies.clear()  # views first: they keep the mappings exported
                 for chunk in chunks:
                     self.release_chunk(chunk)
                 if handle is not None:
                     self.release_fd(handle)
                 raise
-            segments.append(trailer)
-            return StaticContent(
-                header=header,
-                segments=segments,
-                chunks=chunks,
-                content_length=total,
-                status=206,
-                file_handle=handle,
-                parts=parts,
-                trailer=trailer,
-            )
-
+            return handle, chunks, bodies
         if handle is not None:
-            # Pure zero-copy: one sendfile window per part; the buffered
-            # fallback reads each window lazily at degradation time.
-            return StaticContent(
-                header=header,
-                segments=(),
-                content_length=total,
-                status=206,
-                file_handle=handle,
-                parts=parts,
-                trailer=trailer,
-            )
-
-        segments = []
-        for part in parts:
-            segments.append(part.head)
-            segments.append(
-                self.read_file_range(entry.filesystem_path, part.offset, part.length)
-            )
-        segments.append(trailer)
-        return StaticContent(
-            header=header,
-            segments=segments,
-            content_length=total,
-            status=206,
-            parts=parts,
-            trailer=trailer,
+            return handle, (), None
+        return (
+            None,
+            (),
+            [
+                [self.read_file_range(entry.filesystem_path, offset, length)]
+                for _, offset, length in parts
+            ],
         )
 
     def _acquire_fd(self, entry: PathnameEntry) -> Optional[CachedFD]:
@@ -827,8 +735,8 @@ class ContentStore:
             cache_max_age=self._cache_max_age,
         ).raw
 
-    def _not_modified_header(self, entry, keep_alive: bool) -> bytes:
-        """Build the 304 header for ``entry`` (Pathname or hot entry shape).
+    def _not_modified_header(self, entry: PathnameEntry, keep_alive: bool) -> bytes:
+        """Build the 304 header for ``entry``.
 
         Built fresh (not cached per request): conditional requests take
         the full path only on a hot miss, and the hot-response cache
@@ -836,72 +744,28 @@ class ContentStore:
         bytes agree everywhere.  RFC 7232 §4.1: the 304 carries the same
         validators the 200 would have — ``Last-Modified`` and ``ETag``.
         """
-        path = getattr(entry, "filesystem_path", None) or entry.path
-        return self.header_builder.build(
-            304,
-            content_length=0,
-            content_type=guess_mime_type(path),
-            last_modified=entry.mtime,
-            keep_alive=keep_alive,
-            etag=entry.etag,
-        ).raw
+        return self._validator_header(
+            304, entry.filesystem_path, entry.mtime, keep_alive, etag=entry.etag
+        )
 
-    def _range_header(
-        self,
-        path: str,
-        size: int,
-        mtime: float,
-        etag: str,
-        offset: int,
-        length: int,
-        keep_alive: bool,
+    def _validator_header(
+        self, status: int, path: str, mtime: float, keep_alive: bool, **fields
     ) -> bytes:
-        """Build the 206 header for a satisfied ``(offset, length)`` window.
+        """A bodyless 304/412/416 header carrying the current validators.
 
-        Built fresh per response: range shapes are client-chosen and
-        unbounded, so precomposing them would let a client balloon the
-        header cache.  The slow path and the hot-cache read-side hit both
-        use this method, so the bytes agree everywhere.
+        The 412 (RFC 7232 §4.2) repeats the validators so a client whose
+        stored tag failed the precondition can resynchronize without an
+        extra GET; the 416 carries ``Content-Range: bytes */N`` (RFC 7233
+        §4.4) in place of the entity-tag.  None of them is stamped with
+        the freshness lifetime.
         """
         return self.header_builder.build(
-            206,
-            content_length=length,
-            content_type=guess_mime_type(path),
-            last_modified=mtime,
-            keep_alive=keep_alive,
-            etag=etag,
-            cache_max_age=self._cache_max_age,
-            extra_headers={"Content-Range": content_range(offset, length, size)},
-        ).raw
-
-    def _precondition_failed_header(
-        self, path: str, mtime: float, etag: str, keep_alive: bool
-    ) -> bytes:
-        """Build the 412 header (RFC 7232 §4.2): bodyless, current validators.
-
-        The validators ride along so a client whose stored tag failed the
-        precondition can resynchronize without an extra GET.
-        """
-        return self.header_builder.build(
-            412,
+            status,
             content_length=0,
             content_type=guess_mime_type(path),
             last_modified=mtime,
             keep_alive=keep_alive,
-            etag=etag,
-        ).raw
-
-    def _range_unsatisfiable_header(
-        self, path: str, size: int, mtime: float, keep_alive: bool
-    ) -> bytes:
-        """Build the 416 header (RFC 7233 §4.4: ``Content-Range: bytes */N``)."""
-        return self.header_builder.build(
-            416,
-            content_length=0,
-            content_type=guess_mime_type(path),
-            last_modified=mtime,
-            keep_alive=keep_alive,
-            extra_headers={"Content-Range": content_range_unsatisfied(size)},
+            **fields,
         ).raw
 
     # -- the single-lookup hot path --------------------------------------------
@@ -928,15 +792,16 @@ class ContentStore:
         then runs the full pipeline, whose successful result re-populates
         the cache via :meth:`hot_insert`.
 
-        Conditional headers are answered against the entry's cached
-        validators in the same RFC 7232 §6 precedence order as
-        :meth:`build_response` — the cheapest possible response, a
-        precomposed bodyless 304, without re-translation or a header
-        build.  A ``Range`` header turns a hit into the *range-aware
-        read-side hit*: the windows are validated against the entry's
-        cached size, a 206 (plain or ``multipart/byteranges``) or 416
-        header is built fresh, and the body is sliced over the entry's
-        already-pinned descriptor/chunks — no translation, no
+        A plain GET (no conditional, no ``Range``, not HEAD) is answered
+        straight from the entry: its own pins guarantee the descriptor and
+        chunks are alive and off their caches' free lists, so the
+        per-request pin is a bare refcount increment — no cache probe, no
+        allocation beyond the response container itself.  Anything else is
+        planned against the entry's cached validators by the same
+        :func:`~repro.http.planner.plan_response` the slow path calls and
+        assembled by the same :meth:`_assemble`: a precomposed bodyless
+        304, a fresh 206/412/416 header, and body windows sliced over the
+        entry's already-pinned descriptor/chunks — no translation, no
         descriptor-cache probe, no re-``stat``.
         """
         if self.hot_cache is None:
@@ -947,207 +812,78 @@ class ContentStore:
                 self.stats.hot_misses += 1
                 return None
             self.stats.hot_hits += 1
-            # RFC 7232 §6 precedence, mirroring _evaluate_conditionals.
-            if if_match:
-                if not if_match_matches(if_match, entry.etag):
-                    self.stats.precondition_failed += 1
-                    return StaticContent(
-                        header=self._precondition_failed_header(
-                            entry.path, entry.mtime, entry.etag, keep_alive
-                        ),
-                        segments=(),
-                        content_length=0,
-                        status=412,
-                    )
-            elif if_unmodified_since and not if_unmodified_since_matches(
-                if_unmodified_since, entry.mtime
+            if not (
+                head
+                or range_header
+                or if_none_match
+                or if_modified_since
+                or if_match
+                or if_unmodified_since
             ):
-                self.stats.precondition_failed += 1
+                handle = entry.file_handle
+                if handle is not None:
+                    handle.refcount += 1
+                for chunk in entry.chunks:
+                    chunk.refcount += 1
                 return StaticContent(
-                    header=self._precondition_failed_header(
-                        entry.path, entry.mtime, entry.etag, keep_alive
-                    ),
-                    segments=(),
-                    content_length=0,
-                    status=412,
+                    header=entry.header(keep_alive),
+                    segments=entry.segments,
+                    chunks=entry.chunks,
+                    content_length=entry.content_length,
+                    file_handle=handle,
+                    parts=entry.parts,
                 )
-            not_modified = False
-            if if_none_match:
-                not_modified = if_none_match_matches(if_none_match, entry.etag)
-            elif if_modified_since:
-                not_modified = if_modified_since_matches(if_modified_since, entry.mtime)
-            if not_modified:
-                self.stats.not_modified_responses += 1
-                return StaticContent(
-                    header=entry.header_not_modified(keep_alive),
-                    segments=(),
-                    content_length=0,
-                    status=304,
-                )
-            windows = None
-            if range_header and (
-                not if_range or if_range_matches(if_range, entry.mtime, entry.etag)
-            ):
-                windows = parse_ranges(range_header, entry.size)
-                if windows is RANGE_UNSATISFIABLE:
-                    self.stats.range_unsatisfiable += 1
-                    return StaticContent(
-                        header=self._range_unsatisfiable_header(
-                            entry.path, entry.size, entry.mtime, keep_alive
-                        ),
-                        segments=(),
-                        content_length=0,
-                        status=416,
-                    )
-            if head:
-                if windows is None:
-                    header = entry.header(keep_alive)
-                    status = 200
-                else:
-                    status = 206
-                    self.stats.range_responses += 1
-                    if len(windows) > 1:
-                        self.stats.range_multipart_responses += 1
-                        header, _, _, _ = self._plan_multipart(
-                            entry.path,
-                            entry.size,
-                            entry.mtime,
-                            entry.etag,
-                            windows,
-                            keep_alive,
-                        )
-                    else:
-                        offset, length = windows[0]
-                        header = self._range_header(
-                            entry.path,
-                            entry.size,
-                            entry.mtime,
-                            entry.etag,
-                            offset,
-                            length,
-                            keep_alive,
-                        )
-                return StaticContent(
-                    header=header, segments=(), content_length=0, status=status
-                )
-            return self._pin_hot_entry(entry, keep_alive, windows=windows)
-
-    def _pin_hot_entry(
-        self,
-        entry: HotEntry,
-        keep_alive: bool,
-        windows: Optional[Sequence[tuple[int, int]]] = None,
-    ) -> StaticContent:
-        """Build a transmittable response from a hot entry.
-
-        The entry's own pins guarantee the descriptor and chunks are alive
-        and off their caches' free lists, so the per-request pin is a bare
-        refcount increment — no cache probe, no allocation beyond the
-        response container itself.  With ``windows`` the response is the
-        206 slice over the same pinned resources: chunk-backed bodies pin
-        (and residency-test, and release) only the chunks each window
-        intersects — exactly like the slow path's windowed acquisition —
-        while fd-backed bodies carry ``os.sendfile`` offsets (one window
-        per part in the multipart case).
-        """
-        handle = entry.file_handle
-        if handle is not None:
-            handle.refcount += 1
-        if windows is None:
-            for chunk in entry.chunks:
-                chunk.refcount += 1
-            return StaticContent(
-                header=entry.header(keep_alive),
-                segments=entry.segments,
-                chunks=entry.chunks,
-                content_length=entry.content_length,
-                file_handle=handle,
+            status, windows = plan_response(
+                size=entry.size,
+                mtime=entry.mtime,
+                etag=entry.etag,
+                if_match=if_match,
+                if_unmodified_since=if_unmodified_since,
+                if_none_match=if_none_match,
+                if_modified_since=if_modified_since,
+                range_header=range_header,
+                if_range=if_range,
             )
-        self.stats.range_responses += 1
-        if len(windows) > 1:
-            return self._pin_hot_multipart(entry, keep_alive, windows, handle)
-        offset, length = windows[0]
-        chunks = self._intersecting_entry_chunks(entry, offset, length)
-        for chunk in chunks:
-            chunk.refcount += 1
-        return StaticContent(
-            header=self._range_header(
+            return self._assemble(
+                status,
+                windows,
                 entry.path,
                 entry.size,
                 entry.mtime,
                 entry.etag,
-                offset,
-                length,
                 keep_alive,
-            ),
-            segments=self._chunk_window_segments(chunks, offset, length),
-            chunks=chunks,
-            content_length=length,
-            status=206,
-            file_handle=handle,
-            body_offset=offset,
-        )
+                head,
+                cached_header=lambda status: (
+                    entry.header(keep_alive)
+                    if status == 200
+                    else entry.header_not_modified(keep_alive)
+                ),
+                pin_windows=lambda parts: self._pin_hot_windows(entry, parts),
+            )
 
     @staticmethod
-    def _intersecting_entry_chunks(
-        entry: HotEntry, offset: int, length: int
-    ) -> tuple[MappedChunk, ...]:
-        end = offset + length
-        return tuple(
-            chunk
-            for chunk in entry.chunks
-            if chunk.offset < end and chunk.offset + chunk.length > offset
-        )
+    def _pin_hot_windows(entry: HotEntry, parts: Sequence[tuple[bytes, int, int]]) -> tuple:
+        """The hot path's body source: the entry's own pinned resources.
 
-    def _pin_hot_multipart(
-        self,
-        entry: HotEntry,
-        keep_alive: bool,
-        windows: Sequence[tuple[int, int]],
-        handle: Optional[CachedFD],
-    ) -> StaticContent:
-        """The multipart flavour of the range-aware read-side hit.
-
-        Same plan as the slow path's :meth:`_build_multipart` (so the
-        bytes agree), but every body window is a slice over the entry's
-        already-pinned chunks or descriptor.
+        Chunk-backed bodies pin (and residency-test, and release) only the
+        chunks each window intersects — exactly like the slow path's
+        windowed acquisition — while fd-backed bodies carry the windows as
+        ``sendfile`` offsets over the entry's descriptor.
         """
-        self.stats.range_multipart_responses += 1
-        header, parts, trailer, total = self._plan_multipart(
-            entry.path, entry.size, entry.mtime, entry.etag, windows, keep_alive
-        )
+        handle = entry.file_handle
+        if handle is not None:
+            handle.refcount += 1
         if not entry.chunks:
-            return StaticContent(
-                header=header,
-                segments=(),
-                content_length=total,
-                status=206,
-                file_handle=handle,
-                parts=parts,
-                trailer=trailer,
-            )
+            return handle, (), None
         chunks: list[MappedChunk] = []
-        segments: list = []
-        for part in parts:
-            part_chunks = self._intersecting_entry_chunks(entry, part.offset, part.length)
-            for chunk in part_chunks:
+        bodies = []
+        for _, offset, length in parts:
+            covering = _covering_chunks(entry.chunks, offset, length)
+            for chunk in covering:
                 chunk.refcount += 1
-            chunks.extend(part_chunks)
-            segments.append(part.head)
-            segments.extend(
-                self._chunk_window_segments(part_chunks, part.offset, part.length)
-            )
-        segments.append(trailer)
-        return StaticContent(
-            header=header,
-            segments=segments,
-            chunks=chunks,
-            content_length=total,
-            status=206,
-            file_handle=handle,
-            parts=parts,
-            trailer=trailer,
-        )
+            chunks.extend(covering)
+            bodies.append(_chunk_views(covering, offset, length))
+        return handle, chunks, bodies
 
     def hot_insert(
         self, request: HTTPRequest, entry: PathnameEntry, content: StaticContent
@@ -1227,20 +963,6 @@ class ContentStore:
                 for i in range(first, last + 1)
             ]
 
-    @staticmethod
-    def _chunk_window_segments(
-        chunks: Sequence[MappedChunk], offset: int, length: int
-    ) -> list:
-        """Body segments for the ``(offset, length)`` window over ``chunks``.
-
-        ``chunks`` are the (contiguous) chunks intersecting the window; the
-        first and last views are trimmed to the window's edges.
-        """
-        if not chunks:
-            return []
-        views = [chunk.view() for chunk in chunks]
-        return window_views(views, offset - chunks[0].offset, length)
-
     def release_chunk(self, chunk: MappedChunk) -> None:
         """Return a pinned chunk to the mapped-file cache (or unmap it)."""
         if self.mmap_cache is None or chunk.key not in self.mmap_cache._chunks:
@@ -1280,7 +1002,7 @@ class ContentStore:
             # predictor records every window it was asked about).
             results = [
                 self.fd_resident(content.file_handle, length, offset=offset)
-                for offset, length in content.body_windows()
+                for _, offset, length in content.parts
                 if length > 0
             ]
             return all(results)

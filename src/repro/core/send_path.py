@@ -1,29 +1,24 @@
-"""Response transmission strategies: buffered/vectored writes and sendfile.
+"""Response transmission: one segment sender, vectored writes plus sendfile.
 
 The Flash paper attributes a large share of SPED/AMPED throughput to
 eliminating data copies on the response path.  This module implements that
-layer as two interchangeable *send paths* the connection state machine
-drives one non-blocking step at a time:
-
-:class:`BufferedSendPath`
-    The portable path: a list of byte buffers (response header, body
-    segments) written with ``socket.sendmsg`` — a writev-style vectored
-    write that coalesces header and body into one system call — falling
-    back to plain ``send`` where ``sendmsg`` does not exist.
-
-:class:`SendfileSendPath`
-    The zero-copy path: headers go out via the buffered machinery, then the
-    body is transmitted with ``os.sendfile`` directly from the cached open
-    file descriptor, so file data never crosses into user space at all.
-    ``sendfile`` failures that mean "not supported here" degrade gracefully
-    to the buffered path mid-transfer, resuming at the exact byte offset
-    already reached.
+layer as a single sender, :class:`SendPath`, which every architecture
+drives one non-blocking step at a time over an ordered *segment list*:
+byte buffers (headers, multipart framing, mapped-chunk views) leave through
+``socket.sendmsg`` — a writev-style vectored write that coalesces header
+and body into one system call — and file windows leave through
+``os.sendfile`` directly from the cached open descriptor, so file data
+never crosses into user space at all.  ``sendfile`` failures that mean
+"not supported here" degrade gracefully mid-transfer: the rest of that one
+window is replaced by buffered bytes, resuming at the exact byte offset
+already reached.
 
 Send-state contract
 -------------------
 
-Both paths share the same tiny send-state contract, which is what the
-connection state machine programs against:
+What the connection state machine and the blocking handler program
+against (:class:`~repro.core.streaming.StreamingSendPath` honours the same
+contract over a producer):
 
 ``send(sock) -> int``
     Transmit as much as the socket accepts *right now* and return the byte
@@ -35,31 +30,19 @@ connection state machine programs against:
     mechanism) has been handed to the kernel.
 ``under_delivered -> bool``
     True when fewer body bytes than the header promised were delivered
-    (only possible on the sendfile path, when the file shrank mid-transfer
-    and the fallback could not cover the rest).  The owner must then close
-    the connection instead of reusing it — another response on the same
-    connection would desynchronize keep-alive framing.
+    (the file shrank mid-transfer and the fallback could not cover the
+    rest).  The owner must then close the connection instead of reusing it
+    — another response on the same connection would desynchronize
+    keep-alive framing.
 ``release()``
     Drop all buffer views so pinned mapped chunks can be unmapped; the
-    descriptor behind a sendfile response is *not* closed here (its
-    refcount is owned by the FileDescriptorCache).
+    descriptor behind a file window is *not* closed here (its refcount is
+    owned by the FileDescriptorCache).
 
 Short writes, ``EAGAIN`` and client disconnects are the callers' three
 interesting cases; the first two are absorbed here (progress is
 remembered), the third surfaces as the usual
 ``ConnectionError``/``OSError`` for the connection to handle.
-
-Fallback-offset semantics
--------------------------
-
-When ``sendfile`` degrades mid-transfer (unsupported fd/socket pair, or
-EOF before the promised count), the buffered fallback must resume at the
-*exact body byte* already on the wire: :class:`SendfileSendPath` tracks
-``body_bytes_sent = offset - start`` and slices that many bytes off the
-front of the fallback buffers before constructing the replacement
-:class:`BufferedSendPath`.  Bytes are therefore never duplicated or
-skipped across the degradation, and a response is byte-identical whichever
-mechanism (or mixture) delivered it.
 
 Pipelined-response batching
 ---------------------------
@@ -77,7 +60,7 @@ from __future__ import annotations
 import errno
 import os
 import socket
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 #: Cap on buffers per vectored write; IOV_MAX is at least 16 everywhere and
 #: 1024 on Linux — 64 covers a header plus every chunk of the largest files.
@@ -207,37 +190,57 @@ class ResponseCork:
             pass
 
 
-class BufferedSendPath:
-    """Transmit a sequence of byte buffers with vectored non-blocking writes."""
+class SendPath:
+    """Transmit an ordered segment list with non-blocking writes.
 
-    #: Label used in logs/stats to identify the strategy.
-    kind = "buffered"
+    A segment is one of two kinds, told apart by type:
 
-    #: Whether fewer body bytes than promised were delivered (see
-    #: :attr:`SendfileSendPath.under_delivered`; never happens here, the
-    #: buffers *are* the promise).
-    under_delivered = False
+    * a byte buffer (``bytes``, ``bytearray`` or ``memoryview``) — response
+      headers, multipart framing, mapped-chunk views, CGI output;
+    * a file window, the tuple ``(content, offset, length)`` — ``length``
+      bytes at ``offset`` of the descriptor ``content.file_handle`` pins,
+      transmitted zero-copy with ``os.sendfile``.
 
-    def __init__(self, buffers: Sequence, flags: int = 0) -> None:
-        self._buffers = [memoryview(buf) for buf in buffers if len(buf)]
+    Consecutive buffers leave in one ``sendmsg`` (at most ``_MAX_IOV`` per
+    call, with ``MSG_MORE`` when a file window follows so header and body
+    still travel as one segment stream); each window is an iterated
+    ``sendfile`` of at most ``_MAX_SENDFILE`` bytes per call.  A plain
+    200/206 is ``[header, window]``; a ``multipart/byteranges`` 206 is
+    ``[header, head, window, head, window, ..., trailer]``; a buffered
+    response is all buffers.  One cursor (segment index plus bytes into
+    that segment) remembers progress across ``EAGAIN`` and short writes.
+
+    Parameters
+    ----------
+    segments:
+        The segments in transmission order; empty ones are dropped.
+    store:
+        The :class:`~repro.core.pipeline.ContentStore` whose
+        ``sendfile_fallbacks`` counter records a degradation.  Only
+        consulted on that rare path, so senders that never carry a file
+        window (error pages, CGI output) may omit it.
+    """
+
+    __slots__ = ("_segments", "_index", "_offset", "_store", "_degraded", "under_delivered")
+
+    def __init__(self, segments: Sequence, store=None) -> None:
+        self._segments = _live(segments)
         self._index = 0
         self._offset = 0
-        self._flags = flags
+        self._store = store
+        #: The response whose window last degraded: the latch that makes a
+        #: response degrading several windows count as one fallback.
+        self._degraded = None
+        #: True when a window ended short of its promised length (the file
+        #: shrank mid-transfer and the fallback could not cover the rest).
+        #: The header already promised those bytes, so the owner must close
+        #: the connection rather than reuse it.
+        self.under_delivered = False
 
     @property
     def done(self) -> bool:
-        """True once every buffer is fully transmitted."""
-        return self._index >= len(self._buffers)
-
-    @property
-    def remaining(self) -> int:
-        """Bytes not yet handed to the kernel."""
-        total = 0
-        for position in range(self._index, len(self._buffers)):
-            total += len(self._buffers[position])
-            if position == self._index:
-                total -= self._offset
-        return total
+        """True once every segment is fully handed to the kernel."""
+        return self._index >= len(self._segments)
 
     def send(self, sock: socket.socket) -> int:
         """Write as much as the socket accepts now; returns bytes written.
@@ -247,30 +250,74 @@ class BufferedSendPath:
         propagate to the caller.
         """
         total = 0
-        while self._index < len(self._buffers):
-            try:
+        try:
+            while self._index < len(self._segments):
                 sent = self._send_step(sock)
-            except (BlockingIOError, InterruptedError):
-                break
-            if sent == 0:
-                break
-            total += sent
-            self._advance(sent)
+                if sent == 0:
+                    break
+                total += sent
+        except (BlockingIOError, InterruptedError):
+            pass
         return total
 
-    # repro-lint: allow[RL001] -- sock is the connection's socket, already O_NONBLOCK (accept path): send returns EAGAIN instead of blocking
+    # The sendfile in_fd is a regular file: the call copies from the page
+    # cache and returns EAGAIN on a full socket; a cold page blocks the
+    # process exactly as the paper describes, which is why AMPED gates
+    # transmission on the residency test first.
+    # repro-lint: allow[RL001] -- sock is the connection's socket, already O_NONBLOCK (accept path; MT/MP: socket timeout): send returns EAGAIN instead of blocking
     def _send_step(self, sock: socket.socket) -> int:
-        head = self._buffers[self._index][self._offset:]
-        if _HAS_SENDMSG and self._index + 1 < len(self._buffers):
-            # Coalesce header and body segments into one writev-style call.
-            iov = [head, *self._buffers[self._index + 1 : self._index + _MAX_IOV]]
-            return sock.sendmsg(iov, (), self._flags)
-        return sock.send(head, self._flags)
+        """One system call of progress from the cursor; 0 = nothing moved."""
+        segments = self._segments
+        segment = segments[self._index]
+        if type(segment) is tuple:
+            content, start, length = segment
+            done = self._offset
+            try:
+                sent = os.sendfile(
+                    sock.fileno(),
+                    content.file_handle.fd,
+                    start + done,
+                    min(length - done, _MAX_SENDFILE),
+                )
+            except OSError as exc:
+                if exc.errno not in SENDFILE_FALLBACK_ERRNOS:
+                    raise
+                sent = 0
+            if sent:
+                if done + sent >= length:
+                    self._index += 1
+                    self._offset = 0
+                else:
+                    self._offset = done + sent
+                return sent
+            # Unsupported fd/socket pair, or EOF before the promised count
+            # (file truncated underneath us): finish this window buffered —
+            # or fail deterministically — instead of spinning on sendfile.
+            self._degrade(content, start + done, length - done)
+            if self._index >= len(segments):
+                return 0
+        index = self._index
+        head = segments[index]
+        if self._offset:
+            head = memoryview(head)[self._offset :]
+        # Coalesce the run of buffers up to the next file window into one
+        # writev-style call.
+        end = index + 1
+        limit = min(len(segments), index + _MAX_IOV)
+        while end < limit and type(segments[end]) is not tuple:
+            end += 1
+        flags = _MSG_MORE if end < len(segments) and type(segments[end]) is tuple else 0
+        if end - index > 1 and _HAS_SENDMSG:
+            sent = sock.sendmsg([head, *segments[index + 1 : end]], (), flags)
+        else:
+            sent = sock.send(head, flags)
+        self._advance(sent)
+        return sent
 
     def _advance(self, sent: int) -> None:
+        segments = self._segments
         while sent > 0:
-            current = self._buffers[self._index]
-            left_in_buffer = len(current) - self._offset
+            left_in_buffer = len(segments[self._index]) - self._offset
             if sent >= left_in_buffer:
                 sent -= left_in_buffer
                 self._index += 1
@@ -279,364 +326,88 @@ class BufferedSendPath:
                 self._offset += sent
                 sent = 0
 
-    def extend(self, buffers: Sequence) -> None:
-        """Append another response's buffers to this in-flight write.
+    def _degrade(self, content, offset: int, remaining: int) -> None:
+        """Replace the rest of the current window with buffered bytes.
 
-        The substrate of pipelined-hot-hit batching: when several cached
-        responses are ready in the same event-loop tick, their header and
-        body buffers are merged into one vector so the whole burst leaves
-        through a single ``sendmsg`` instead of one syscall per tiny
-        response.  Appending never disturbs transmission progress — the
-        cursor (`_index`/`_offset`) only ever points at bytes not yet
-        handed to the kernel.
+        ``offset`` is the exact file byte ``sendfile`` reached, so bytes
+        are never duplicated or skipped across the degradation.  The
+        replacement comes from :meth:`StaticContent.window_buffers` — the
+        response's pinned chunk views, else one positional read.
         """
-        self._buffers.extend(memoryview(buf) for buf in buffers if len(buf))
+        if content is not self._degraded:
+            self._degraded = content
+            with self._store.stats_lock():
+                self._store.stats.sendfile_fallbacks += 1
+        buffers = _live(content.window_buffers(offset, remaining))
+        if sum(len(buf) for buf in buffers) < remaining:
+            # The promised framing is already broken; transmitting anything
+            # past the truncation point would only desynchronize further.
+            self.under_delivered = True
+            self._segments[self._index :] = buffers
+        else:
+            self._segments[self._index : self._index + 1] = buffers
+        self._offset = 0
+
+    def extend(self, segments: Sequence) -> None:
+        """Append more segments (of either kind) to this in-flight write.
+
+        The substrate of pipelined-hot-hit batching and of the streaming
+        path's frame-at-a-time refill.  Appending never disturbs progress —
+        the cursor only ever points at bytes not yet handed to the kernel
+        — and a finished sender drops what it already sent first, so a
+        long-lived stream does not accumulate its history.
+        """
+        if self._index >= len(self._segments):
+            self._segments = []
+            self._index = 0
+        self._segments.extend(_live(segments))
 
     def release(self) -> None:
-        """Drop all buffer views (lets mapped chunks be unmapped)."""
-        self._buffers = []
+        """Drop all segments (lets mapped chunks be unmapped).
+
+        The descriptor behind a file window is *not* closed here: its pin
+        belongs to the response, which the owner releases next.
+        """
+        self._segments = []
         self._index = 0
         self._offset = 0
 
-    # -- ResponseSource-protocol conformance ----------------------------------
-    # Fixed-length bodies are complete before the first byte leaves, so the
-    # flow-control half of the unified protocol (see
-    # :mod:`repro.core.streaming`) is trivial here: there is no producer to
-    # pause, and ``close`` is ``release``.
 
-    def pause(self) -> None:
-        """No producer behind a fixed-length body: nothing to pause."""
-
-    def resume(self) -> None:
-        """No producer behind a fixed-length body: nothing to resume."""
-
-    def close(self) -> None:
-        """Protocol alias of :meth:`release`."""
-        self.release()
+def _live(segments: Sequence) -> list:
+    """``segments`` without the empty ones (a 0-byte write reads as EAGAIN)."""
+    return [
+        segment
+        for segment in segments
+        if (segment[2] if type(segment) is tuple else len(segment))
+    ]
 
 
-def choose_send_path(content, *, store, config, stats):
-    """Pick the send path for a static response: zero-copy when possible.
+def wire_segments(content, *, config, stats) -> list:
+    """The :class:`SendPath` segments of one static response.
 
-    The single decision point shared by the slow pipeline and the
-    hot-response fast path (both hand it a
-    :class:`~repro.core.pipeline.StaticContent`): responses with a pinned
-    open descriptor go out via ``os.sendfile``; everything else (CGI, HEAD,
-    304, errors, platforms without ``sendfile``, descriptor-cache misses)
-    takes the buffered vectored-write path.  Range (206) responses carry a
-    non-zero ``body_offset``; both mechanisms transmit exactly the
-    ``(body_offset, content_length)`` window.  ``multipart/byteranges``
-    responses become a :class:`MultipartSendfileSendPath` — one iterated
-    ``sendfile`` window per part, framing bytes buffered between them.
+    Responses with a pinned open descriptor go out as file windows (one
+    per body part, its framing buffered before it) when zero-copy is
+    enabled and the platform has ``sendfile`` — counted here as
+    ``sendfile_responses``; everything else (HEAD, 304,
+    errors, descriptor-cache misses) is the header plus the response's
+    buffered body segments.  Both shapes carry exactly the same bytes.
     """
-    if (
-        content.file_handle is not None
-        and config.zero_copy
-        and sendfile_available()
-    ):
-        stats.sendfile_responses += 1
-        path = content.file_handle.path
-
-        def on_fallback():
-            stats.sendfile_fallbacks += 1
-
-        if content.is_multipart:
-            return MultipartSendfileSendPath(
-                content.header,
-                content.parts,
-                content.trailer,
-                content.file_handle.fd,
-                read_range=lambda offset, count: store.read_file_range(
-                    path, offset, count
-                ),
-                on_fallback=on_fallback,
-            )
-        segments = list(content.segments)
-        offset = content.body_offset
-        count = content.content_length
-
-        def fallback_body():
-            # The mapped-chunk views double as the fallback buffers (they
-            # are already sliced to the response window); with the mmap
-            # cache disabled the body was never read, so read the window
-            # now (degradation is the rare path).
-            return segments if segments else [store.read_file_range(path, offset, count)]
-
-        return SendfileSendPath(
-            [content.header],
-            content.file_handle.fd,
-            count,
-            offset=offset,
-            fallback_factory=fallback_body,
-            on_fallback=on_fallback,
-        )
-    return BufferedSendPath([content.header, *content.segments])
+    if content.file_handle is None or not config.zero_copy or not sendfile_available():
+        return [content.header, *content.segments]
+    stats.sendfile_responses += 1
+    segments = [content.header]
+    for head, offset, length in content.parts:
+        segments.append(head)
+        segments.append((content, offset, length))
+    segments.append(content.trailer)
+    return segments
 
 
-class SendfileSendPath:
-    """Transmit headers buffered, then the body zero-copy via ``os.sendfile``.
+def choose_send_path(content, *, store, config, stats) -> SendPath:
+    """Build the sender for a static response: zero-copy when possible.
 
-    Parameters
-    ----------
-    header_buffers:
-        Buffers to send before the file body (the response header).
-    fd:
-        Open file descriptor to transmit from; owned by the caller (the
-        content store's descriptor cache) and must stay open until ``done``.
-    count:
-        Number of body bytes to send, starting at ``offset``.
-    offset:
-        Starting byte offset within the file.
-    fallback_factory:
-        Zero-argument callable returning the full body as a list of byte
-        buffers, used if ``sendfile`` turns out to be unsupported for this
-        fd/socket pair.  Only invoked on degradation, so the buffered copy
-        is never materialized on the happy path.
-    on_fallback:
-        Optional callable invoked once if the path degrades (stats hook).
+    The single constructor shared by the slow pipeline, the hot-response
+    fast path and the blocking (MT/MP) handler — all hand it a
+    :class:`~repro.core.pipeline.StaticContent`.
     """
-
-    kind = "sendfile"
-
-    def __init__(
-        self,
-        header_buffers: Sequence,
-        fd: int,
-        count: int,
-        offset: int = 0,
-        fallback_factory: Optional[Callable[[], Sequence]] = None,
-        on_fallback: Optional[Callable[[], None]] = None,
-    ) -> None:
-        # MSG_MORE keeps the header in the kernel until the first sendfile
-        # payload follows, so header and body still leave as one segment
-        # stream even though they travel through two system calls.
-        self._headers = BufferedSendPath(header_buffers, flags=_MSG_MORE)
-        self._fd = fd
-        self._start = offset
-        self._offset = offset
-        self._remaining = count
-        self._fallback_factory = fallback_factory
-        self._on_fallback = on_fallback
-        self._fallback: Optional[BufferedSendPath] = None
-        self.fell_back = False
-        #: True when the transfer ended short of ``count`` body bytes (the
-        #: file shrank mid-transfer and the fallback could not cover the
-        #: rest).  The response header already promised ``count`` bytes, so
-        #: the owner must close the connection rather than reuse it —
-        #: keep-alive framing would otherwise desynchronize.
-        self.under_delivered = False
-
-    @property
-    def done(self) -> bool:
-        """True once header and body (via either mechanism) are fully out."""
-        if self._fallback is not None:
-            return self._headers.done and self._fallback.done
-        return self._headers.done and self._remaining <= 0
-
-    @property
-    def body_bytes_sent(self) -> int:
-        """Body bytes transmitted so far via ``sendfile`` (pre-fallback)."""
-        return self._offset - self._start
-
-    def send(self, sock: socket.socket) -> int:
-        """Advance the response; returns bytes written this call."""
-        total = self._headers.send(sock)
-        if not self._headers.done:
-            return total
-        if self._fallback is not None:
-            return total + self._fallback.send(sock)
-        while self._remaining > 0:
-            try:
-                sent = os.sendfile(
-                    sock.fileno(), self._fd, self._offset,
-                    min(self._remaining, _MAX_SENDFILE),
-                )
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError as exc:
-                if exc.errno in SENDFILE_FALLBACK_ERRNOS:
-                    self._degrade()
-                    return total + self._fallback.send(sock)
-                raise
-            if sent == 0:
-                # EOF before the expected count (file truncated underneath
-                # us): degrade so the buffered path can finish — or fail —
-                # deterministically instead of spinning on sendfile.
-                self._degrade()
-                return total + self._fallback.send(sock)
-            self._offset += sent
-            self._remaining -= sent
-            total += sent
-        return total
-
-    def _degrade(self) -> None:
-        self.fell_back = True
-        if self._on_fallback is not None:
-            self._on_fallback()
-        buffers = list(self._fallback_factory()) if self._fallback_factory else []
-        # Resume exactly where sendfile stopped: skip the body bytes that
-        # already reached the socket.
-        skip = self.body_bytes_sent
-        resumed: list[memoryview] = []
-        for buf in buffers:
-            view = memoryview(buf)
-            if skip >= len(view):
-                skip -= len(view)
-                continue
-            resumed.append(view[skip:] if skip else view)
-            skip = 0
-        if sum(len(view) for view in resumed) < self._remaining:
-            self.under_delivered = True
-        self._fallback = BufferedSendPath(resumed)
-        self._remaining = 0
-
-    def release(self) -> None:
-        """Drop buffered views; the fd itself is released by the owner."""
-        self._headers.release()
-        if self._fallback is not None:
-            self._fallback.release()
-            self._fallback = None
-
-    # -- ResponseSource-protocol conformance ----------------------------------
-    # Fixed-length bodies are complete before the first byte leaves, so the
-    # flow-control half of the unified protocol (see
-    # :mod:`repro.core.streaming`) is trivial here: there is no producer to
-    # pause, and ``close`` is ``release``.
-
-    def pause(self) -> None:
-        """No producer behind a fixed-length body: nothing to pause."""
-
-    def resume(self) -> None:
-        """No producer behind a fixed-length body: nothing to resume."""
-
-    def close(self) -> None:
-        """Protocol alias of :meth:`release`."""
-        self.release()
-
-
-class MultipartSendfileSendPath:
-    """Transmit a ``multipart/byteranges`` 206 zero-copy, window by window.
-
-    The response interleaves small framing buffers (the HTTP header, each
-    part's delimiter + ``Content-Range`` block, the closing delimiter) with
-    arbitrary file windows.  Each part becomes one :class:`SendfileSendPath`
-    stage — its framing rides as the stage's header buffers (the first
-    stage also carries the HTTP response header), its window is an iterated
-    ``os.sendfile`` at the part's offset, and its degradation fallback is a
-    positional read of exactly that window — followed by one buffered stage
-    for the trailer.  Stages run strictly in sequence, so the byte stream
-    is identical to the buffered path's interleaved segment vector.
-
-    Parameters
-    ----------
-    header:
-        The encoded HTTP response header.
-    parts:
-        The ordered part sequence (``head``/``offset``/``length`` each).
-    trailer:
-        The closing multipart delimiter.
-    fd:
-        Open descriptor to transmit windows from; owned by the caller.
-    read_range:
-        ``(offset, length) -> bytes`` positional reader used when a window
-        must degrade to the buffered path.
-    on_fallback:
-        Optional stats hook, invoked at most once per response no matter
-        how many windows degrade.
-    """
-
-    kind = "sendfile"
-
-    def __init__(
-        self,
-        header: bytes,
-        parts: Sequence,
-        trailer: bytes,
-        fd: int,
-        read_range: Callable[[int, int], Sequence],
-        on_fallback: Optional[Callable[[], None]] = None,
-    ) -> None:
-        self._fell_back = False
-
-        def stage_fallback() -> None:
-            # Latch: a response that degrades several windows is still one
-            # degraded response in the stats.
-            if not self._fell_back:
-                self._fell_back = True
-                if on_fallback is not None:
-                    on_fallback()
-
-        self._stages: list = []
-        for index, part in enumerate(parts):
-            headers = [header, part.head] if index == 0 else [part.head]
-            self._stages.append(
-                SendfileSendPath(
-                    headers,
-                    fd,
-                    part.length,
-                    offset=part.offset,
-                    fallback_factory=(
-                        lambda offset=part.offset, length=part.length: [
-                            read_range(offset, length)
-                        ]
-                    ),
-                    on_fallback=stage_fallback,
-                )
-            )
-        self._stages.append(BufferedSendPath([trailer] if parts else [header, trailer]))
-        self._current = 0
-
-    @property
-    def fell_back(self) -> bool:
-        """True once any window degraded to the buffered path."""
-        return self._fell_back
-
-    @property
-    def done(self) -> bool:
-        """True once every stage (framing and windows) is fully out."""
-        return self._current >= len(self._stages)
-
-    @property
-    def under_delivered(self) -> bool:
-        """True when any window came up short of its promised length."""
-        return any(getattr(stage, "under_delivered", False) for stage in self._stages)
-
-    def send(self, sock: socket.socket) -> int:
-        """Advance the response; returns bytes written this call."""
-        total = 0
-        while self._current < len(self._stages):
-            stage = self._stages[self._current]
-            sent = stage.send(sock)
-            total += sent
-            if not stage.done:
-                break
-            self._current += 1
-            if stage.under_delivered:
-                # The promised framing is already broken; transmitting the
-                # remaining parts would only desynchronize further.
-                self._current = len(self._stages)
-                break
-        return total
-
-    def release(self) -> None:
-        """Drop every stage's buffered views; the fd is owner-released."""
-        for stage in self._stages:
-            stage.release()
-        self._stages = []
-        self._current = 0
-
-    # -- ResponseSource-protocol conformance ----------------------------------
-    # Fixed-length bodies are complete before the first byte leaves, so the
-    # flow-control half of the unified protocol (see
-    # :mod:`repro.core.streaming`) is trivial here: there is no producer to
-    # pause, and ``close`` is ``release``.
-
-    def pause(self) -> None:
-        """No producer behind a fixed-length body: nothing to pause."""
-
-    def resume(self) -> None:
-        """No producer behind a fixed-length body: nothing to resume."""
-
-    def close(self) -> None:
-        """Protocol alias of :meth:`release`."""
-        self.release()
+    return SendPath(wire_segments(content, config=config, stats=stats), store)

@@ -635,52 +635,32 @@ class FlashServer(BaseEventDrivenServer):
                 # known-cold file, trading the non-blocking invariant for
                 # availability on the (helper-failure) rare path.
                 self.store.stats.sendfile_warm_degradations += 1
-                expected = content.content_length
-                status = content.status
-                header = content.header
-                parts = tuple(content.parts)
-                trailer = content.trailer
-                offset = content.body_offset
-                content.release(self.store)
                 segments = []
-                read = 0
                 try:
-                    if parts:
-                        # Multipart: re-read each window positionally and
-                        # re-interleave the part framing.
-                        for part in parts:
-                            data = self.store.read_file_range(
-                                entry.filesystem_path, part.offset, part.length
-                            )
-                            segments.extend([part.head, data])
-                            read += len(part.head) + len(data)
-                        segments.append(trailer)
-                        read += len(trailer)
-                    else:
-                        data = self.store.read_file_range(
-                            entry.filesystem_path, offset, expected
-                        )
-                        segments.append(data)
-                        read = len(data)
+                    for head, offset, length in content.parts:
+                        segments.append(head)
+                        segments.extend(content.window_buffers(offset, length))
+                    segments.append(content.trailer)
                 except OSError as exc:
                     callback(None, exc)
                     return
-                if read != expected:
+                finally:
+                    content.release(self.store)
+                if sum(len(segment) for segment in segments) != content.content_length:
                     # The file changed size since the header promised
-                    # ``expected`` bytes; serving the mismatched body would
-                    # desynchronize keep-alive framing (the buffered path
-                    # has no under_delivered escape hatch).  Fail this
+                    # ``content_length`` bytes; serving the mismatched body
+                    # would desynchronize keep-alive framing (a buffered
+                    # body has no under_delivered escape hatch).  Fail this
                     # request; pathname revalidation repairs the next one.
                     callback(None, HTTPError("file changed during warming", status=500))
                     return
                 degraded = StaticContent(
-                    header=header,
+                    header=content.header,
                     segments=segments,
-                    content_length=read,
-                    status=status,
-                    body_offset=offset,
-                    parts=parts,
-                    trailer=trailer,
+                    content_length=content.content_length,
+                    status=content.status,
+                    parts=content.parts,
+                    trailer=content.trailer,
                 )
                 callback(degraded, None)
                 return

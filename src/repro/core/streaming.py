@@ -34,12 +34,12 @@ keeps going.  This module is the protocol that mediates the two.
     when new data arrives after a ``WOULD_BLOCK``.  Blocking-architecture
     callers never bind; they drive :meth:`ResponseSource.wait` instead.
 
-Fixed-length bodies satisfy the same protocol through
-:class:`ContentSource` (and the legacy send paths gained no-op
-``pause``/``resume`` and ``close`` aliases), so every response shape the
-server produces now goes through one surface; the fixed-length paths
-keep their specialized senders purely as a zero-copy fast path with
-byte-identical output.
+Fixed-length bodies (a ``StaticContent``) do not go through a source:
+their bytes are complete before the first one leaves, so
+:func:`repro.core.send_path.choose_send_path` hands them straight to the
+segment sender.  The streaming path shares that sender's vector writer —
+a stream is the same cursor over byte buffers, refilled one framed segment
+at a time.
 
 Framing
 -------
@@ -60,6 +60,8 @@ from __future__ import annotations
 
 import socket
 from typing import Callable, Iterable, Iterator, Optional, Union
+
+from repro.core.send_path import SendPath
 
 
 class _Sentinel:
@@ -180,55 +182,6 @@ class IterableSource(ResponseSource):
                 closer()
 
 
-class ContentSource(ResponseSource):
-    """Adapt a fixed-length ``StaticContent`` body to the source protocol.
-
-    The port of the pre-existing response shapes onto the unified
-    protocol: the same ``(body_offset, content_length)`` window (or
-    multipart stage sequence) the specialized senders transmit, exposed
-    one buffer at a time.  Byte-identity with the legacy senders is
-    asserted by tests; the zero-copy senders remain the production fast
-    path for these shapes, chosen exactly as before.
-    """
-
-    def __init__(self, content, store=None) -> None:
-        super().__init__()
-        self._content = content
-        self._store = store
-        self._segments = list(content_segments(content))
-        self._position = 0
-
-    def next_segment(self) -> Segment:
-        if self._position >= len(self._segments):
-            return END_OF_STREAM
-        segment = self._segments[self._position]
-        self._position += 1
-        return segment
-
-    def close(self) -> None:
-        self._segments = []
-        content, self._content = self._content, None
-        if content is not None and self._store is not None:
-            content.release(self._store)
-
-
-def content_segments(content) -> Iterator:
-    """Yield the exact wire bytes of a ``StaticContent`` after its header.
-
-    ``content.segments`` are already the complete wire body: the
-    pipeline slices range (206) windows before constructing the content
-    (``body_offset`` is the *file* offset the sendfile path reads from,
-    not an offset into the segments), and multipart bodies carry their
-    part framing and trailer interleaved into the segment vector.
-    Content built with ``map_body=False`` (fd-only, no user-space
-    buffers) is not representable here; such responses stay on the
-    sendfile path.
-    """
-    for segment in content.segments:
-        if len(segment):
-            yield memoryview(segment)
-
-
 #: Chunked-framing terminator: the zero-size chunk plus final CRLF.
 CHUNKED_TERMINATOR = b"0\r\n\r\n"
 
@@ -257,8 +210,6 @@ class StreamingSendPath:
     an idle SSE subscriber costs no loop wakeups.
     """
 
-    kind = "streaming"
-
     def __init__(
         self,
         header,
@@ -268,9 +219,8 @@ class StreamingSendPath:
         on_pause: Optional[Callable[[], None]] = None,
         on_resume: Optional[Callable[[], None]] = None,
     ) -> None:
-        self._buffers: list[memoryview] = []
-        if header is not None and len(header):
-            self._buffers.append(memoryview(header))
+        #: The frame buffer: the header, then one framed segment at a time.
+        self._writer = SendPath([header])
         self._source: Optional[ResponseSource] = source
         self._chunked = chunked
         self._on_pause = on_pause
@@ -284,7 +234,7 @@ class StreamingSendPath:
     @property
     def done(self) -> bool:
         """True once the terminator (or final raw segment) is on the wire."""
-        return self._source_done and not self._buffers
+        return self._source_done and self._writer.done
 
     @property
     def paused(self) -> bool:
@@ -294,7 +244,7 @@ class StreamingSendPath:
     @property
     def waiting_on_source(self) -> bool:
         """Nothing buffered and the source has nothing yet: park the writer."""
-        return not self._buffers and not self._source_done
+        return self._writer.done and not self._source_done
 
     # -- transmission ----------------------------------------------------------
 
@@ -305,43 +255,19 @@ class StreamingSendPath:
         stalled socket never drags more segments out of the producer.
         """
         total = 0
+        writer = self._writer
         while True:
-            if not self._buffers:
+            if writer.done:
                 self._maybe_resume()
                 if not self._refill():
                     break
-            try:
-                sent = self._send_step(sock)
-            except (BlockingIOError, InterruptedError):
-                self._maybe_pause()
-                return total
-            if sent == 0:
-                self._maybe_pause()
-                return total
-            total += sent
-            self._advance(sent)
-            if self._buffers:
-                # Short write: the socket buffer is full.
+            total += writer.send(sock)
+            if not writer.done:
+                # EAGAIN or a short write: the socket buffer is full.
                 self._maybe_pause()
                 return total
         self._maybe_resume()
         return total
-
-    # repro-lint: allow[RL001] -- sock is the connection's socket, already O_NONBLOCK: sendmsg returns EAGAIN instead of blocking
-    def _send_step(self, sock: socket.socket) -> int:
-        if len(self._buffers) > 1 and hasattr(sock, "sendmsg"):
-            return sock.sendmsg(self._buffers)
-        return sock.send(self._buffers[0])
-
-    def _advance(self, sent: int) -> None:
-        while sent > 0:
-            head = self._buffers[0]
-            if sent >= len(head):
-                sent -= len(head)
-                del self._buffers[0]
-            else:
-                self._buffers[0] = head[sent:]
-                sent = 0
 
     def _refill(self) -> bool:
         """Pull the next segment into the frame buffer.  False = nothing."""
@@ -359,15 +285,12 @@ class StreamingSendPath:
                     # and force the owner to close instead of reusing.
                     self.under_delivered = True
                 elif self._chunked:
-                    self._buffers.append(memoryview(CHUNKED_TERMINATOR))
+                    self._writer.extend([CHUNKED_TERMINATOR])
                     return True
                 return False
             if not len(segment):
                 continue  # an empty chunk would terminate the framing early
-            if self._chunked:
-                self._buffers.extend(memoryview(b) for b in chunk_frame(segment))
-            else:
-                self._buffers.append(memoryview(segment))
+            self._writer.extend(chunk_frame(segment) if self._chunked else [segment])
             return True
 
     # -- backpressure edges ----------------------------------------------------
@@ -397,7 +320,7 @@ class StreamingSendPath:
         Marks the stream finished so ``done`` reports True afterwards —
         the same post-release contract the fixed-length send paths keep.
         """
-        self._buffers = []
+        self._writer.release()
         self._source_done = True
         source, self._source = self._source, None
         if source is not None:
@@ -406,12 +329,10 @@ class StreamingSendPath:
 
 __all__ = [
     "CHUNKED_TERMINATOR",
-    "ContentSource",
     "END_OF_STREAM",
     "IterableSource",
     "ResponseSource",
     "StreamingSendPath",
     "WOULD_BLOCK",
     "chunk_frame",
-    "content_segments",
 ]

@@ -37,7 +37,6 @@ for callers whose hot-cache lookup misses.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.http.errors import (
@@ -94,7 +93,7 @@ _CGI_PREFIX = b"/cgi-bin/"
 #: definitively unsupported (as opposed to "need more bytes", which is None).
 FAST_MISS = object()
 
-#: Sentinel returned by :func:`parse_range`/:func:`parse_ranges` when the
+#: Sentinel returned by :func:`parse_ranges` when the
 #: Range header is syntactically valid but no requested byte lies inside the
 #: representation (RFC 7233 §4.4): the response must be a 416 with
 #: ``Content-Range: bytes */<size>``.
@@ -235,28 +234,6 @@ def _coalesce_windows(windows: list[tuple[int, int]]) -> list[tuple[int, int]]:
                 coalesced.append((offset, length))
         windows = coalesced
     return windows
-
-
-def parse_range(value: str, size: int):
-    """Deprecated single-window shim over :func:`parse_ranges`.
-
-    The pipeline serves multi-range sets through ``multipart/byteranges``,
-    so every production caller migrated to :func:`parse_ranges`; this shim
-    survives one release for out-of-tree callers and rejects (``None``)
-    any set it cannot express as one ``(offset, length)`` window.
-    """
-    warnings.warn(
-        "parse_range() is deprecated; call parse_ranges(), which returns "
-        "the full coalesced window list",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if value and "," in value:
-        return None
-    windows = parse_ranges(value, size)
-    if windows is None or windows is RANGE_UNSATISFIABLE:
-        return windows
-    return windows[0]
 
 
 class FastRequest:

@@ -20,10 +20,11 @@ configuration knobs:
   ``header_timeout`` budget applies — each ``recv`` gets the remaining
   budget, so a slowloris client dribbling single bytes cannot extend it —
   and expiry answers ``408 Request Timeout``;
-* transmission runs under ``write_stall_timeout``: ``sendall`` treats its
-  timeout as a bound on the whole call (Python ≥ 3.5 semantics), and the
-  ``sendfile`` loop waits for buffer space at most that long per window —
-  both close the connection on expiry.
+* transmission runs under ``write_stall_timeout``: static responses go
+  through the shared segment sender, whose driver here waits for buffer
+  space at most that long whenever a step moves no byte (progress-based,
+  as in the event-driven builds); the streamed shapes' ``sendall`` treats
+  the timeout as a bound on the whole call — both close on expiry.
 
 ``<= 0`` disables the corresponding deadline, exactly as in the
 event-driven builds.
@@ -31,7 +32,6 @@ event-driven builds.
 
 from __future__ import annotations
 
-import os
 import select
 import socket
 import struct
@@ -41,7 +41,7 @@ from typing import Callable, Optional
 from repro.cgi.runner import CGIRunner
 from repro.core.config import ServerConfig
 from repro.core.pipeline import ContentStore, StaticContent
-from repro.core.send_path import SENDFILE_FALLBACK_ERRNOS, sendfile_available
+from repro.core.send_path import choose_send_path, sendfile_available
 from repro.core.sse import SSEHub
 from repro.core.streaming import (
     CHUNKED_TERMINATOR,
@@ -181,6 +181,11 @@ def handle_client(
                 sock.settimeout(write_timeout)
                 _send_error(sock, store, 408, "request header timeout")
                 return served
+            except OSError:
+                # The peer reset the connection while a head was being
+                # read: a closed connection, not a reason to unwind the
+                # worker that serves everyone else.
+                return served
 
             request = parser.request
             leftover = parser.remainder
@@ -244,7 +249,7 @@ def handle_client(
                         # probe, exactly like the event-driven builds.
                         store.hot_insert(request, entry, content)
                     try:
-                        _send_content(sock, store, content)
+                        _send_static(sock, store, config, content)
                     finally:
                         content.release(store)
                 with store.stats_lock():
@@ -254,9 +259,9 @@ def handle_client(
                 if not keep_alive:
                     return served
             except socket.timeout:
-                # No byte moved within the write-stall budget (sendall
-                # bounds the whole transfer; the sendfile loop bounds each
-                # wait for buffer space): reap the stalled reader.
+                # No byte moved within the write-stall budget (the static
+                # driver bounds each wait for buffer space; sendall bounds
+                # the whole call): reap the stalled reader.
                 # Abortively — an orderly close would leave the kernel
                 # background-flushing the send buffer to a peer that is
                 # not reading.
@@ -319,76 +324,39 @@ def _lookup_hot(
     )
 
 
-def _send_content(sock: socket.socket, store: ContentStore, content: StaticContent) -> None:
-    """Transmit one static response, zero-copy when a descriptor is pinned.
-
-    ``os.sendfile`` is driven directly with explicit offsets: unlike
-    ``socket.sendfile`` it never seeks the descriptor, so MT workers can
-    serve the same cached descriptor concurrently (the fd's file position
-    is shared state).  ``sock.settimeout`` puts the fd in non-blocking
-    mode, so a full send buffer surfaces as ``BlockingIOError`` and is
-    waited out with ``select`` bounded by the socket timeout.
-
-    A ``multipart/byteranges`` response alternates buffered part framing
-    with one positional ``sendfile`` window per part — the blocking-worker
-    mirror of the event-driven builds' iterated-window send path.
-    """
-    if content.file_handle is not None and sendfile_available():
-        with store.stats_lock():
-            store.stats.sendfile_responses += 1
-        if content.is_multipart:
-            _send_all(sock, store, [content.header])
-            for part in content.parts:
-                _send_all(sock, store, [part.head])
-                _sendfile_blocking(sock, store, content, part.offset, part.length)
-            _send_all(sock, store, [content.trailer])
-            return
-        _send_all(sock, store, [content.header])
-        _sendfile_blocking(
-            sock, store, content, content.body_offset, content.content_length
-        )
-        return
-    _send_all(sock, store, [content.header, *content.segments])
-
-
-def _sendfile_blocking(
-    sock: socket.socket,
-    store: ContentStore,
-    content: StaticContent,
-    offset: int,
-    remaining: int,
+def _send_static(
+    sock: socket.socket, store: ContentStore, config: ServerConfig, content: StaticContent
 ) -> None:
-    fd = content.file_handle.fd
-    timeout = sock.gettimeout()
-    while remaining > 0:
-        try:
-            sent = os.sendfile(sock.fileno(), fd, offset, remaining)
-        except (BlockingIOError, InterruptedError):
-            _, writable, _ = select.select([], [sock], [], timeout)
-            if not writable:
-                raise socket.timeout("timed out waiting for send-buffer space")
-            continue
-        except OSError as exc:
-            if exc.errno not in SENDFILE_FALLBACK_ERRNOS:
-                raise
-            # sendfile unsupported for this fd/socket pair: finish the
-            # response buffered, resuming at the exact offset reached.
-            with store.stats_lock():
-                store.stats.sendfile_fallbacks += 1
-            _send_all(sock, store, [os.pread(fd, remaining, offset)])
-            return
-        if sent == 0:
-            # EOF before the expected count: the file shrank underneath us.
-            # The declared Content-Length can no longer be honoured, so the
-            # connection must die — continuing would desynchronize the
-            # client's HTTP framing on a keep-alive socket.
-            raise ConnectionError(
-                f"file shrank during sendfile: {remaining} bytes undelivered"
-            )
-        offset += sent
-        remaining -= sent
-        with store.stats_lock():
-            store.stats.bytes_sent += sent
+    """Transmit one static response through the shared segment sender.
+
+    The blocking driver of :func:`repro.core.send_path.choose_send_path`:
+    the same sender the event-driven builds step from their loop, stepped
+    here until done.  ``sock.settimeout`` leaves the descriptor
+    non-blocking, so a full send buffer ends a step early; a step that
+    moved nothing waits for writability, bounded by the socket timeout
+    (the write-stall budget).  ``sendfile`` is driven with explicit
+    offsets and never seeks, so MT workers can serve the same cached
+    descriptor concurrently.
+    """
+    with store.stats_lock():
+        sender = choose_send_path(content, store=store, config=config, stats=store.stats)
+    try:
+        while not sender.done:
+            sent = sender.send(sock)
+            if sent:
+                with store.stats_lock():
+                    store.stats.bytes_sent += sent
+            elif not sender.done:
+                _, writable, _ = select.select([], [sock], [], sock.gettimeout())
+                if not writable:
+                    raise socket.timeout("timed out waiting for send-buffer space")
+        if sender.under_delivered:
+            # The file shrank underneath us: the declared Content-Length
+            # can no longer be honoured, so the connection must die —
+            # continuing would desynchronize the client's HTTP framing.
+            raise ConnectionError("file shrank during transmission")
+    finally:
+        sender.release()
 
 
 def _send_all(sock: socket.socket, store: ContentStore, buffers) -> None:

@@ -8,13 +8,16 @@ transfer with ``EBADF``, or silently corrupt it if the fd number got
 reused in between.
 """
 
+import contextlib
 import os
 import socket
+import types
 
 import pytest
 
 from repro.cache.mapped_file import FileDescriptorCache
-from repro.core.send_path import SendfileSendPath, sendfile_available
+from repro.core.pipeline import ServerStats, StaticContent
+from repro.core.send_path import SendPath, sendfile_available
 
 
 @pytest.fixture
@@ -131,7 +134,11 @@ class TestEvictionNeverClosesPinned:
         right.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
         left.setblocking(False)
         try:
-            sender = SendfileSendPath([b"HDR"], handle.fd, len(body))
+            content = StaticContent(header=b"HDR", segments=(), file_handle=handle)
+            store = types.SimpleNamespace(
+                stats=ServerStats(), stats_lock=contextlib.nullcontext
+            )
+            sender = SendPath([content.header, (content, 0, len(body))], store)
             received = bytearray()
             right.settimeout(1.0)
             while not sender.done:
@@ -149,7 +156,7 @@ class TestEvictionNeverClosesPinned:
             while len(received) < len(body) + 3:
                 received.extend(right.recv(65536))
             assert bytes(received) == b"HDR" + body
-            assert not sender.fell_back
+            assert store.stats.sendfile_fallbacks == 0
         finally:
             left.close()
             right.close()

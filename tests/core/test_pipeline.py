@@ -51,8 +51,10 @@ class TestTranslation:
     def test_translate_cached_only_misses_return_none(self, docroot):
         store = ContentStore(ServerConfig(document_root=docroot))
         assert store.translate_cached_only("/index.html") is None
+        assert (store.pathname_cache.misses, store.pathname_cache.hits) == (1, 0)
         store.translate("/index.html")
         assert store.translate_cached_only("/index.html") is not None
+        assert (store.pathname_cache.misses, store.pathname_cache.hits) == (2, 1)
 
     def test_store_translation_populates_cache(self, docroot):
         store = ContentStore(ServerConfig(document_root=docroot))

@@ -1,4 +1,4 @@
-"""Tests for the response send paths: buffered/vectored and zero-copy.
+"""Tests for the one response sender: vectored buffers and file windows.
 
 Covers the contract the connection state machine relies on: short writes
 and ``EAGAIN`` preserve progress, a mid-transfer client disconnect
@@ -10,12 +10,18 @@ sequential requests through the zero-copy path on one connection,
 exercising the per-response offset bookkeeping.
 """
 
+import contextlib
 import errno
 import os
 import socket
+import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.cache.mapped_file import CachedFD
 
 from repro.core.config import ServerConfig
 from repro.core.connection import (
@@ -25,12 +31,9 @@ from repro.core.connection import (
     Connection,
 )
 from repro.core.event_loop import EventLoop
-from repro.core.pipeline import ContentStore
-from repro.core.send_path import (
-    BufferedSendPath,
-    SendfileSendPath,
-    sendfile_available,
-)
+from repro.core.pipeline import ContentStore, ServerStats, StaticContent
+from repro.core.send_path import SendPath, choose_send_path, sendfile_available
+from repro.servers.blocking import _send_static
 
 requires_sendfile = pytest.mark.skipif(
     not sendfile_available(), reason="os.sendfile not available"
@@ -74,10 +77,55 @@ def drain(sock, expected, deadline=5.0):
     return bytes(received)
 
 
-class TestBufferedSendPath:
+class Store:
+    """The two things a degrading sender asks of its store."""
+
+    def __init__(self):
+        self.stats = ServerStats()
+
+    def stats_lock(self):
+        return contextlib.nullcontext()
+
+
+def file_content(fd, path, parts=(), header=b"", trailer=b""):
+    """A fd-backed response transmitting from ``fd``; a degraded window
+    re-reads ``path`` (usually, but not always, the same file)."""
+    return StaticContent(
+        header=header,
+        segments=(),
+        file_handle=CachedFD(path=str(path), fd=fd),
+        parts=parts,
+        trailer=trailer,
+    )
+
+
+def window_sender(fd, path, offset, length, header=b""):
+    """The plain 200/206 shape: ``header`` then one file window."""
+    content = file_content(fd, path)
+    return SendPath([header, (content, offset, length)], Store())
+
+
+def fallbacks(sender):
+    """How many degraded responses ``sender`` has reported to its store."""
+    return sender._store.stats.sendfile_fallbacks
+
+
+def pump(sender, left, right, expected_length, deadline=10.0):
+    """Drive ``sender`` to completion against a draining peer."""
+    received = bytearray()
+    end = time.monotonic() + deadline
+    while not sender.done and time.monotonic() < end:
+        sender.send(left)
+        received.extend(drain(right, 1, deadline=0.2))
+    assert sender.done
+    received.extend(drain(right, expected_length - len(received), deadline=1.0))
+    return bytes(received)
+
+
+class TestBufferSegments:
     def test_single_buffer_round_trip(self, pair):
         left, right = pair
-        sender = BufferedSendPath([b"hello world"])
+        sender = SendPath([b"hello world"])
         sent = sender.send(left)
         assert sent == len(b"hello world")
         assert sender.done
@@ -86,42 +134,37 @@ class TestBufferedSendPath:
     def test_vectored_buffers_byte_identical(self, pair):
         left, right = pair
         parts = [b"HTTP/1.1 200 OK\r\n\r\n", b"abc" * 1000, b"", b"tail"]
-        sender = BufferedSendPath(parts)
+        sender = SendPath(parts)
         total = sender.send(left)
         expected = b"".join(parts)
         assert total == len(expected)
         assert sender.done
         assert drain(right, total) == expected
 
+    def test_more_buffers_than_one_iov(self, pair):
+        """A run longer than the per-call vector cap still goes out whole."""
+        left, right = pair
+        parts = [bytes([65 + index % 26]) * 3 for index in range(200)]
+        sender = SendPath(parts)
+        assert pump(sender, left, right, 600) == b"".join(parts)
+
     def test_short_writes_preserve_progress(self, tiny_buffer_pair):
         left, right = tiny_buffer_pair
         payload = os.urandom(256 * 1024)
-        sender = BufferedSendPath([b"header:", payload])
+        sender = SendPath([b"header:", payload])
         expected = b"header:" + payload
-        received = bytearray()
-        deadline = time.monotonic() + 10.0
-        while not sender.done and time.monotonic() < deadline:
-            sender.send(left)          # fills the socket buffer, then EAGAIN
-            received.extend(drain(right, 1, deadline=0.2))
-        assert sender.done
-        received.extend(drain(right, len(expected) - len(received)))
-        assert bytes(received) == expected
-
-    def test_remaining_counts_unsent_bytes(self):
-        sender = BufferedSendPath([b"12345", b"678"])
-        assert sender.remaining == 8
-        sender._advance(6)
-        assert sender.remaining == 2
+        assert pump(sender, left, right, len(expected)) == expected
 
     def test_release_drops_views(self, pair):
-        left, _ = pair
-        sender = BufferedSendPath([bytearray(b"xyz")])
+        backing = bytearray(b"xyz")
+        sender = SendPath([memoryview(backing)])
         sender.release()
         assert sender.done
+        backing.extend(b"!")  # would raise BufferError while a view is exported
 
 
 @requires_sendfile
-class TestSendfileSendPath:
+class TestFileWindowSegments:
     def test_header_then_file_byte_identical(self, pair, tmp_path):
         left, right = pair
         body = os.urandom(64 * 1024)
@@ -129,16 +172,38 @@ class TestSendfileSendPath:
         path.write_bytes(body)
         fd = os.open(path, os.O_RDONLY)
         try:
-            sender = SendfileSendPath([b"HDR:"], fd, len(body))
-            received = bytearray()
-            deadline = time.monotonic() + 10.0
-            while not sender.done and time.monotonic() < deadline:
-                sender.send(left)
-                received.extend(drain(right, 1, deadline=0.2))
-            assert sender.done
-            assert not sender.fell_back
-            received.extend(drain(right, 4 + len(body) - len(received)))
-            assert bytes(received) == b"HDR:" + body
+            sender = window_sender(fd, path, 0, len(body), header=b"HDR:")
+            assert pump(sender, left, right, 4 + len(body)) == b"HDR:" + body
+            assert fallbacks(sender) == 0
+        finally:
+            os.close(fd)
+
+    def test_offset_window_byte_identical(self, pair, tmp_path):
+        left, right = pair
+        payload = bytes(range(256)) * 64
+        path = tmp_path / "w.bin"
+        path.write_bytes(payload)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            sender = window_sender(fd, path, 500, 1000, header=b"HDR")
+            assert pump(sender, left, right, 1003) == b"HDR" + payload[500:1500]
+        finally:
+            os.close(fd)
+
+    def test_multipart_shape_interleaves_framing_and_windows(self, pair, tmp_path):
+        left, right = pair
+        payload = bytes(range(256)) * 64
+        path = tmp_path / "w.bin"
+        path.write_bytes(payload)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            content = file_content(fd, path)
+            sender = SendPath(
+                [b"HDR", b"--a", (content, 10, 20), b"--b", (content, 9000, 300), b"--end"],
+                Store(),
+            )
+            expected = b"HDR--a" + payload[10:30] + b"--b" + payload[9000:9300] + b"--end"
+            assert pump(sender, left, right, len(expected)) == expected
         finally:
             os.close(fd)
 
@@ -150,21 +215,14 @@ class TestSendfileSendPath:
         path.write_bytes(body)
         fd = os.open(path, os.O_RDONLY)
         try:
-            sender = SendfileSendPath([], fd, len(body))
+            sender = window_sender(fd, path, 0, len(body))
             first = sender.send(left)     # runs into EAGAIN well before done
             assert 0 < first < len(body)
             assert not sender.done
-            assert sender.body_bytes_sent == first
             again = sender.send(left)     # buffer still full: no progress
             assert again == 0
-            received = bytearray(drain(right, first))
-            deadline = time.monotonic() + 10.0
-            while not sender.done and time.monotonic() < deadline:
-                sender.send(left)
-                received.extend(drain(right, 1, deadline=0.2))
-            assert sender.done
-            received.extend(drain(right, len(body) - len(received)))
-            assert bytes(received) == body
+            received = drain(right, first)
+            assert received + pump(sender, left, right, len(body) - first) == body
         finally:
             os.close(fd)
 
@@ -175,7 +233,7 @@ class TestSendfileSendPath:
         path.write_bytes(body)
         fd = os.open(path, os.O_RDONLY)
         try:
-            sender = SendfileSendPath([], fd, len(body))
+            sender = window_sender(fd, path, 0, len(body))
             sender.send(left)
             right.close()
             with pytest.raises(OSError) as excinfo:
@@ -193,57 +251,57 @@ class TestSendfileSendPath:
         """sendfile from a non-mmappable fd degrades to the buffered path."""
         left, right = pair
         body = b"fallback body " * 512
+        path = tmp_path / "body.bin"
+        path.write_bytes(body)
         # A socket as in_fd makes sendfile fail with EINVAL/ENOTSOCK.
         bad_in, bad_peer = socket.socketpair()
-        fallbacks = []
         try:
-            sender = SendfileSendPath(
-                [b"HDR:"],
-                bad_in.fileno(),
-                len(body),
-                fallback_factory=lambda: [body],
-                on_fallback=lambda: fallbacks.append(True),
-            )
-            received = bytearray()
-            deadline = time.monotonic() + 10.0
-            while not sender.done and time.monotonic() < deadline:
-                sender.send(left)
-                received.extend(drain(right, 1, deadline=0.2))
-            assert sender.done
-            assert sender.fell_back
-            assert fallbacks == [True]
-            received.extend(drain(right, 4 + len(body) - len(received)))
-            assert bytes(received) == b"HDR:" + body
+            sender = window_sender(bad_in.fileno(), path, 0, len(body), header=b"HDR:")
+            assert pump(sender, left, right, 4 + len(body)) == b"HDR:" + body
+            assert fallbacks(sender) == 1
+            assert not sender.under_delivered
         finally:
             bad_in.close()
             bad_peer.close()
+
+    def test_window_fallback_resumes_inside_window(self, pair, tmp_path):
+        """Degrading an offset window reads exactly that window."""
+        left, right = pair
+        payload = bytes(range(256)) * 64
+        path = tmp_path / "w.bin"
+        path.write_bytes(payload)
+        # An fd sendfile cannot serve: a pipe in place of the file.
+        read_end, write_end = os.pipe()
+        try:
+            sender = window_sender(read_end, path, 500, 1000, header=b"HDR")
+            assert pump(sender, left, right, 1003) == b"HDR" + payload[500:1500]
+            assert fallbacks(sender) == 1
+            assert not sender.under_delivered
+        finally:
+            os.close(read_end)
+            os.close(write_end)
 
     def test_fallback_resumes_at_exact_offset(self, tiny_buffer_pair, tmp_path):
         """Degrading mid-transfer must not resend or skip body bytes."""
         left, right = tiny_buffer_pair
         body = os.urandom(256 * 1024)
-        path = tmp_path / "shrink.bin"
-        path.write_bytes(body)
-        fd = os.open(path, os.O_RDONLY)
+        shrinking = tmp_path / "shrink.bin"
+        shrinking.write_bytes(body)
+        intact = tmp_path / "intact.bin"
+        intact.write_bytes(body)
+        fd = os.open(shrinking, os.O_RDONLY)
         try:
-            sender = SendfileSendPath(
-                [], fd, len(body), fallback_factory=lambda: [body]
-            )
+            # Transmit from the file about to shrink; re-read the intact copy.
+            sender = window_sender(fd, intact, 0, len(body))
             sent = sender.send(left)          # partial transfer, then EAGAIN
             assert 0 < sent < len(body)
             # Truncate the file under the transfer: sendfile now reports EOF
             # (returns 0) and the sender must finish from the fallback
-            # buffers, resuming exactly at body_bytes_sent.
-            os.truncate(path, sender.body_bytes_sent)
-            received = bytearray(drain(right, sent))
-            deadline = time.monotonic() + 10.0
-            while not sender.done and time.monotonic() < deadline:
-                sender.send(left)
-                received.extend(drain(right, 1, deadline=0.2))
-            assert sender.done
-            assert sender.fell_back
-            received.extend(drain(right, len(body) - len(received)))
-            assert bytes(received) == body
+            # read, resuming exactly at the byte reached.
+            os.truncate(shrinking, sent)
+            received = drain(right, sent)
+            assert received + pump(sender, left, right, len(body) - sent) == body
+            assert fallbacks(sender) == 1
             # The fallback covered every promised byte, so the connection
             # may be kept alive.
             assert not sender.under_delivered
@@ -258,25 +316,39 @@ class TestSendfileSendPath:
         path.write_bytes(body)
         fd = os.open(path, os.O_RDONLY)
         try:
-            # The fallback can only produce the (now truncated) file, so
+            # The fallback can only re-read the (now truncated) file, so
             # the promised count is impossible to honour.
-            sender = SendfileSendPath(
-                [], fd, len(body),
-                fallback_factory=lambda: [path.read_bytes()],
-            )
+            content = file_content(fd, path)
+            sender = SendPath([(content, 0, len(body)), b"after"], Store())
             sent = sender.send(left)
             assert 0 < sent < len(body)
-            os.truncate(path, sender.body_bytes_sent)
-            received = bytearray(drain(right, sent))
-            deadline = time.monotonic() + 10.0
-            while not sender.done and time.monotonic() < deadline:
-                sender.send(left)
-                received.extend(drain(right, 1, deadline=0.2))
-            assert sender.done
-            assert sender.fell_back
+            os.truncate(path, sent)
+            received = drain(right, sent)
+            received += pump(sender, left, right, 0)
+            assert fallbacks(sender) == 1
             assert sender.under_delivered
+            # Nothing past the truncation point: not even the buffer queued
+            # behind the short window.
+            assert received == body[:sent]
         finally:
             os.close(fd)
+
+    def test_several_degraded_windows_count_one_fallback(self, pair, tmp_path):
+        left, right = pair
+        payload = bytes(range(256)) * 8
+        path = tmp_path / "w.bin"
+        path.write_bytes(payload)
+        read_end, write_end = os.pipe()
+        try:
+            content = file_content(read_end, path)
+            store = Store()
+            sender = SendPath([b"H", (content, 0, 10), b"-", (content, 100, 10)], store)
+            expected = b"H" + payload[:10] + b"-" + payload[100:110]
+            assert pump(sender, left, right, len(expected)) == expected
+            assert store.stats.sendfile_fallbacks == 1
+        finally:
+            os.close(read_end)
+            os.close(write_end)
 
 
 # -- connection-level coverage ---------------------------------------------------
@@ -626,10 +698,10 @@ class TestWindowViews:
         assert bytes(view) == b"X456"  # a view, not a copy
 
 
-class TestBufferedExtend:
+class TestExtend:
     def test_extend_appends_after_partial_send(self, pair):
         left, right = pair
-        path = BufferedSendPath([b"first-"])
+        path = SendPath([b"first-"])
         assert path.send(left) == 6
         path.extend([b"second-", b"", b"third"])
         while not path.done:
@@ -638,7 +710,7 @@ class TestBufferedExtend:
 
     def test_extend_revives_done_path(self, pair):
         left, right = pair
-        path = BufferedSendPath([b"one"])
+        path = SendPath([b"one"])
         while not path.done:
             path.send(left)
         assert path.done
@@ -648,49 +720,175 @@ class TestBufferedExtend:
             path.send(left)
         assert drain(right, 6) == b"onetwo"
 
-
-class TestSendfileWindow:
     @requires_sendfile
-    def test_offset_window_byte_identical(self, pair, tmp_path):
-        left, right = pair
-        payload = bytes(range(256)) * 64
-        file_path = tmp_path / "w.bin"
-        file_path.write_bytes(payload)
-        fd = os.open(file_path, os.O_RDONLY)
+    def test_extend_with_file_windows_mid_window(self, tiny_buffer_pair, tmp_path):
+        """Segments of either kind append behind a half-sent file window."""
+        left, right = tiny_buffer_pair
+        body = os.urandom(128 * 1024)
+        path = tmp_path / "body.bin"
+        path.write_bytes(body)
+        fd = os.open(path, os.O_RDONLY)
         try:
-            path = SendfileSendPath([b"HDR"], fd, 1000, offset=500)
-            while not path.done:
-                path.send(left)
+            content = file_content(fd, path)
+            sender = SendPath([b"H1", (content, 0, len(body))], Store())
+            sent = sender.send(left)
+            assert 2 < sent < 2 + len(body)
+            sender.extend([b"H2", (content, 100, 50), b"", (content, 0, 0)])
+            expected = b"H1" + body + b"H2" + body[100:150]
+            received = drain(right, sent)
+            assert received + pump(sender, left, right, len(expected) - sent) == expected
         finally:
             os.close(fd)
-        assert drain(right, 1003) == b"HDR" + payload[500:1500]
 
-    @requires_sendfile
-    def test_window_fallback_resumes_inside_window(self, tmp_path):
-        """Degrading mid-window must resume at the window byte reached."""
-        payload = bytes(range(256)) * 64
-        file_path = tmp_path / "w.bin"
-        file_path.write_bytes(payload)
-        # An fd sendfile cannot serve: a pipe in place of the file.
-        read_end, write_end = os.pipe()
+
+# -- generated schedules -----------------------------------------------------------
+
+FILE_BYTES = bytes((index * 131 + index // 251) % 256 for index in range(48 * 1024))
+
+small_bytes = st.binary(min_size=0, max_size=40)
+file_window = st.tuples(
+    st.integers(0, len(FILE_BYTES) - 1), st.integers(0, 20 * 1024)
+).map(lambda w: (w[0], min(w[1], len(FILE_BYTES) - w[0])))
+response_shape = st.fixed_dictionaries(
+    {
+        "header": st.binary(min_size=1, max_size=60),
+        # One part with an empty head is the plain 200/206; several parts
+        # with heads are multipart; empty heads make adjacent windows.
+        "parts": st.lists(st.tuples(small_bytes, file_window), min_size=0, max_size=4),
+        "trailer": small_bytes,
+        # The byte (counted over everything sendfile moved) at which
+        # sendfile stops working, and how it fails there.
+        "fail_at": st.none() | st.integers(0, 40 * 1024),
+        "fail_mode": st.sampled_from(["einval", "eof"]),
+        # How much of the file the fallback read can still see.
+        "readable": st.none() | st.integers(0, len(FILE_BYTES)),
+    }
+)
+
+
+def expected_wire(shape):
+    """Reference: the bytes that must arrive, and whether they end short."""
+    readable = FILE_BYTES if shape["readable"] is None else FILE_BYTES[: shape["readable"]]
+    out = bytearray(shape["header"])
+    moved = 0
+    for head, (offset, length) in shape["parts"]:
+        out += head
+        zero_copy = length
+        if shape["fail_at"] is not None:
+            zero_copy = max(0, min(length, shape["fail_at"] - moved))
+        out += FILE_BYTES[offset : offset + zero_copy]
+        moved += zero_copy
+        if zero_copy < length:
+            rest = readable[offset + zero_copy : offset + length]
+            out += rest
+            if len(rest) < length - zero_copy:
+                return bytes(out), True
+    out += shape["trailer"]
+    return bytes(out), False
+
+
+@requires_sendfile
+class TestGeneratedSchedules:
+    """Random segment lists, a tiny send buffer and a sendfile that stops
+    working at a generated byte: the wire carries exactly the reference
+    bytes, or ends at the truncation point with ``under_delivered`` set."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        source = tmp_path / "source.bin"
+        source.write_bytes(FILE_BYTES)
+        fd = os.open(source, os.O_RDONLY)
+        yield fd, tmp_path
+        os.close(fd)
+
+    def transmit(self, shape, files, monkeypatch, blocking):
+        fd, directory = files
+        readable = directory / "readable.bin"
+        readable.write_bytes(
+            FILE_BYTES if shape["readable"] is None else FILE_BYTES[: shape["readable"]]
+        )
+        content = file_content(
+            fd,
+            readable,
+            parts=[(head, offset, length) for head, (offset, length) in shape["parts"]],
+            header=shape["header"],
+            trailer=shape["trailer"],
+        )
+        real_sendfile = os.sendfile
+        moved = 0
+
+        def flaky_sendfile(out_fd, in_fd, offset, count):
+            nonlocal moved
+            if shape["fail_at"] is not None:
+                left = shape["fail_at"] - moved
+                if left <= 0:
+                    if shape["fail_mode"] == "einval":
+                        raise OSError(errno.EINVAL, "injected")
+                    return 0
+                count = min(count, left)
+            sent = real_sendfile(out_fd, in_fd, offset, count)
+            moved += sent
+            return sent
+
+        monkeypatch.setattr(os, "sendfile", flaky_sendfile)
+        store = Store()
+        config = ServerConfig(document_root=str(directory), port=0)
         left, right = socket.socketpair()
-        left.setblocking(False)
+        left.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        received = bytearray()
         try:
-            window = payload[500:1500]
-            path = SendfileSendPath(
-                [b"HDR"],
-                read_end,
-                1000,
-                offset=500,
-                fallback_factory=lambda: [window],
-            )
-            while not path.done:
-                path.send(left)
-            assert path.fell_back
-            assert not path.under_delivered
-            assert drain(right, 1003) == b"HDR" + window
+            if blocking:
+                left.settimeout(5.0)
+                reader = threading.Thread(
+                    target=lambda: received.extend(recv_until_eof(right)), daemon=True
+                )
+                reader.start()
+                try:
+                    _send_static(left, store, config, content)
+                    under_delivered = False
+                except ConnectionError:
+                    under_delivered = True
+                left.shutdown(socket.SHUT_WR)
+                reader.join(timeout=5.0)
+                assert not reader.is_alive()
+            else:
+                left.setblocking(False)
+                sender = choose_send_path(
+                    content, store=store, config=config, stats=store.stats
+                )
+                received.extend(pump(sender, left, right, 0))
+                under_delivered = sender.under_delivered
+                sender.release()
+                left.shutdown(socket.SHUT_WR)
+                received.extend(recv_until_eof(right))
         finally:
-            os.close(read_end)
-            os.close(write_end)
+            monkeypatch.undo()
             left.close()
             right.close()
+        return bytes(received), under_delivered, store.stats.sendfile_fallbacks
+
+    @pytest.mark.parametrize("blocking", [False, True], ids=["event", "blocking"])
+    @given(shape=response_shape)
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_wire_matches_reference(self, files, monkeypatch, blocking, shape):
+        expected, short = expected_wire(shape)
+        received, under_delivered, fallbacks = self.transmit(
+            shape, files, monkeypatch, blocking
+        )
+        assert received == expected
+        assert under_delivered == short
+        assert fallbacks <= 1
+
+
+def recv_until_eof(sock, deadline=5.0):
+    sock.settimeout(deadline)
+    received = bytearray()
+    while True:
+        data = sock.recv(65536)
+        if not data:
+            return bytes(received)
+        received.extend(data)

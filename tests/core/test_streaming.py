@@ -3,10 +3,8 @@
 Covers the chunked framing contract (non-empty chunks only, the
 ``0\\r\\n\\r\\n`` terminator, suppression on mid-stream failure), the
 backpressure edges (a stalled socket pauses the source exactly once per
-stall, the flushing send resumes it), parking (``waiting_on_source``
-when the producer momentarily has nothing), and the ``ContentSource``
-port of the fixed-length response shapes — whose concatenated segments
-must be byte-identical to what the specialized senders transmit.
+stall, the flushing send resumes it) and parking (``waiting_on_source``
+when the producer momentarily has nothing).
 """
 
 import os
@@ -15,11 +13,8 @@ import time
 
 import pytest
 
-from repro.core.config import ServerConfig
-from repro.core.pipeline import ContentStore
 from repro.core.streaming import (
     CHUNKED_TERMINATOR,
-    ContentSource,
     END_OF_STREAM,
     IterableSource,
     ResponseSource,
@@ -27,7 +22,6 @@ from repro.core.streaming import (
     WOULD_BLOCK,
     chunk_frame,
 )
-from repro.http.request import HTTPRequest
 
 
 @pytest.fixture
@@ -63,12 +57,6 @@ def drain(sock, expected, deadline=5.0):
             break
         received.extend(data)
     return bytes(received)
-
-
-def get_request(uri, version="HTTP/1.1", headers=None):
-    return HTTPRequest(
-        method="GET", uri=uri, path=uri, version=version, headers=headers or {}
-    )
 
 
 class ScriptedSource(ResponseSource):
@@ -251,79 +239,3 @@ class TestStreamingSendPath:
         sender.release()
         assert source.closed
         assert sender.done
-
-
-@pytest.fixture
-def store(tmp_path):
-    (tmp_path / "page.html").write_bytes(b"0123456789" * 400)
-    config = ServerConfig(document_root=str(tmp_path), port=0)
-    content_store = ContentStore(config)
-    yield content_store
-    content_store.close()
-
-
-class TestContentSourceByteIdentity:
-    """The protocol port of fixed-length shapes reproduces their bodies."""
-
-    def build(self, store, headers=None):
-        request = get_request("/page.html", headers=headers)
-        entry = store.translate("/page.html")
-        return store.build_response(request, entry)
-
-    def collect(self, content):
-        source = ContentSource(content)
-        out = bytearray()
-        while True:
-            segment = source.next_segment()
-            if segment is END_OF_STREAM:
-                return bytes(out)
-            out.extend(segment)
-
-    def test_full_response_body(self, store):
-        content = self.build(store)
-        assert self.collect(content) == b"0123456789" * 400
-        content.release(store)
-
-    def test_single_range_window(self, store):
-        content = self.build(store, headers={"range": "bytes=10-29"})
-        assert content.status == 206
-        assert self.collect(content) == (b"0123456789" * 400)[10:30]
-        content.release(store)
-
-    def test_multipart_ranges_match_specialized_sender(self, store):
-        content = self.build(store, headers={"range": "bytes=0-9,100-199"})
-        assert content.status == 206
-        assert getattr(content, "is_multipart", False)
-        body = self.collect(content)
-        # The exact framing the multipart sender transmits: part heads,
-        # file windows, trailer, in order.
-        expected = bytearray()
-        for part in content.parts:
-            expected.extend(part.head)
-            expected.extend((b"0123456789" * 400)[part.offset:part.offset + part.length])
-        expected.extend(content.trailer)
-        assert body == bytes(expected)
-        assert len(body) == content.content_length
-        content.release(store)
-
-    def test_content_source_streams_chunked_identically(self, store, pair):
-        """End to end: a fixed body pushed through the streaming path is the
-        same byte sequence, merely reframed."""
-        left, right = pair
-        content = self.build(store)
-        sender = StreamingSendPath(b"", ContentSource(content), chunked=False)
-        received = bytearray()
-        deadline = time.monotonic() + 5.0
-        while not sender.done and time.monotonic() < deadline:
-            sender.send(left)
-            received.extend(drain(right, 1, deadline=0.05))
-        received.extend(drain(right, 1 << 20, deadline=0.2))
-        assert bytes(received) == b"0123456789" * 400
-        content.release(store)
-
-    def test_close_releases_content(self, store):
-        content = self.build(store)
-        source = ContentSource(content, store=store)
-        source.close()
-        source.close()                       # idempotent
-        assert source.next_segment() is END_OF_STREAM

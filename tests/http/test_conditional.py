@@ -12,7 +12,6 @@ import pytest
 from repro.http.request import (
     MAX_RANGE_PARTS,
     RANGE_UNSATISFIABLE,
-    parse_range,
     parse_ranges,
 )
 from repro.http.response import (
@@ -194,15 +193,6 @@ class TestParseRanges:
     def test_trailing_and_empty_elements_tolerated(self):
         # 0-9 and 10-19 touch, so the tolerated list also coalesces.
         assert parse_ranges("bytes=0-9,,10-19,", self.SIZE) == [(0, 20)]
-
-    def test_deprecated_parse_range_warns_but_keeps_contract(self):
-        # The legacy single-window shim must warn yet keep its contract.
-        with pytest.warns(DeprecationWarning):
-            assert parse_range("bytes=0-9,10-19", self.SIZE) is None
-        with pytest.warns(DeprecationWarning):
-            assert parse_range("bytes=0-9", self.SIZE) == (0, 10)
-        with pytest.warns(DeprecationWarning):
-            assert parse_range("bytes=9999-", self.SIZE) is RANGE_UNSATISFIABLE
 
 
 class TestMultipartFraming:

@@ -480,25 +480,3 @@ class TestParseRange:
             assert offset == first
             assert length >= 1
             assert offset + length <= size
-
-
-class TestParseRangeDeprecationShim:
-    """The legacy single-window entry point warns but still answers."""
-
-    def test_warns_and_delegates(self):
-        from repro.http.request import parse_range
-
-        with pytest.warns(DeprecationWarning, match="parse_ranges"):
-            assert parse_range("bytes=0-1023", 4096) == (0, 1024)
-
-    def test_multi_range_still_degrades_to_full(self):
-        from repro.http.request import parse_range
-
-        with pytest.warns(DeprecationWarning):
-            assert parse_range("bytes=0-1,5-9", 4096) is None
-
-    def test_unsatisfiable_passthrough(self):
-        from repro.http.request import RANGE_UNSATISFIABLE, parse_range
-
-        with pytest.warns(DeprecationWarning):
-            assert parse_range("bytes=9999-", 100) is RANGE_UNSATISFIABLE

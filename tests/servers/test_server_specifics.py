@@ -1,6 +1,9 @@
 """Architecture-specific behaviour of the functional servers."""
 
 import os
+import socket
+import struct
+import time
 
 import pytest
 
@@ -21,18 +24,28 @@ def docroot(tmp_path):
 class TestFlashServerAMPED:
     def test_helper_dispatch_on_pathname_miss(self, docroot):
         """The first request for a URI misses the pathname cache and must go
-        through a translation helper; repeats hit the cache and do not."""
-        server = FlashServer(ServerConfig(document_root=docroot, port=0, num_helpers=2))
+        through a translation helper; repeats hit the cache and do not.
+        The pathname cache counts both outcomes (it used to report a 1.0
+        hit rate on AMPED because the cold probe was never counted)."""
+        # hot_cache off: a repeat must reach the pathname cache at all.
+        server = FlashServer(
+            ServerConfig(document_root=docroot, port=0, num_helpers=2, hot_cache=False)
+        )
         server.start()
         try:
             fetch(*server.address, "/index.html")
             after_first = server.stats.helper_dispatches
+            pathname_first = server.store.cache_stats()["pathname"]
             fetch(*server.address, "/index.html")
             after_second = server.stats.helper_dispatches
+            pathname_second = server.store.cache_stats()["pathname"]
         finally:
             server.stop()
         assert after_first >= 1
         assert after_second == after_first
+        assert (pathname_first["misses"], pathname_first["hits"]) == (1, 0)
+        assert (pathname_second["misses"], pathname_second["hits"]) == (1, 1)
+        assert pathname_second["hit_rate"] == 0.5
 
     def test_read_helper_used_when_content_not_resident(self, docroot):
         """A pessimistic residency oracle forces the AMPED read-helper path."""
@@ -144,3 +157,26 @@ class TestMPServer:
             server.stop()
         # Stats are consolidated from worker processes at shutdown via IPC.
         assert server.stats.requests >= 4
+
+
+class TestBlockingWorkersSurviveReset:
+    """A peer RST while a request head is being read closes that one
+    connection; it used to raise ``ConnectionResetError`` out of
+    ``handle_client`` and kill the (only) worker thread/process."""
+
+    @pytest.mark.parametrize("server_cls", [MTServer, MPServer])
+    def test_reset_mid_head_does_not_kill_the_worker(self, docroot, server_cls):
+        if server_cls is MPServer and not hasattr(os, "fork"):
+            pytest.skip("MP server requires fork")
+        server = server_cls(ServerConfig(document_root=docroot, port=0, num_workers=1))
+        server.start()
+        try:
+            rude = socket.create_connection(server.address)
+            rude.sendall(b"GET /index.ht")             # half a request line
+            time.sleep(0.2)                            # let the worker block in recv
+            rude.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            rude.close()                               # RST, not FIN
+            response = fetch(*server.address, "/index.html", timeout=5.0)
+        finally:
+            server.stop()
+        assert response.status == 200
