@@ -14,10 +14,12 @@ fast-path parser produces without any decoding), and each
 
 * the validated translated filesystem path with the size/mtime it was
   validated against;
-* precomputed response-header blocks — 200 and 304 variants, each in
-  keep-alive and close flavours — built by the same
-  :class:`~repro.http.response.ResponseHeaderBuilder` the slow path uses,
-  so the bytes are identical;
+* response-header blocks — 200 and 304 variants, each in keep-alive and
+  close flavours.  An entry is born holding only the 200 header its
+  inserting request was answered with; the owner composes each other
+  variant the first time a hit asks for it, through the slow path's own
+  header code, so the bytes are identical and a response that is never
+  hit again costs no header it did not send;
 * the pinned cached descriptor (zero-copy ``sendfile`` transmission)
   and/or the pinned mapped chunks with their precomputed body views
   (buffered/vectored transmission).
@@ -80,9 +82,10 @@ class HotEntry:
     content_length:
         Body length in bytes (equals ``size``).
     header_keep, header_close:
-        Precomposed 200 header blocks for the two connection dispositions.
+        The 200 header blocks for the two connection dispositions, or
+        ``None`` until composed.
     header_304_keep, header_304_close:
-        Precomposed 304 (Not Modified) header blocks.
+        The 304 (Not Modified) header blocks, likewise.
     file_handle:
         The pinned :class:`~repro.cache.mapped_file.CachedFD`, when the
         zero-copy path may transmit this entry (``None`` otherwise).
@@ -105,10 +108,10 @@ class HotEntry:
     size: int
     mtime: float
     content_length: int
-    header_keep: bytes
-    header_close: bytes
-    header_304_keep: bytes
-    header_304_close: bytes
+    header_keep: Optional[bytes] = None
+    header_close: Optional[bytes] = None
+    header_304_keep: Optional[bytes] = None
+    header_304_close: Optional[bytes] = None
     etag: str = ""
     file_handle: Optional[object] = None
     chunks: Sequence = ()
@@ -120,13 +123,23 @@ class HotEntry:
     def __post_init__(self) -> None:
         self.parts = ((b"", 0, self.content_length),)
 
-    def header(self, keep_alive: bool) -> bytes:
-        """The 200 header block for the given connection disposition."""
-        return self.header_keep if keep_alive else self.header_close
+    def header(self, status: int, keep_alive: bool) -> Optional[bytes]:
+        """The 200 or 304 header block for the given connection
+        disposition; ``None`` when that variant is not composed yet."""
+        return getattr(self, _HEADER_FIELDS[status, keep_alive])
 
-    def header_not_modified(self, keep_alive: bool) -> bytes:
-        """The 304 header block for the given connection disposition."""
-        return self.header_304_keep if keep_alive else self.header_304_close
+    def file_header(self, status: int, keep_alive: bool, header: bytes) -> None:
+        """Keep ``header`` as the 200 or 304 variant for the disposition."""
+        setattr(self, _HEADER_FIELDS[status, keep_alive], header)
+
+
+#: Which :class:`HotEntry` field holds the header for ``(status, keep_alive)``.
+_HEADER_FIELDS = {
+    (200, True): "header_keep",
+    (200, False): "header_close",
+    (304, True): "header_304_keep",
+    (304, False): "header_304_close",
+}
 
 
 class HotResponseCache:

@@ -20,7 +20,7 @@ needing its own invalidation mechanism, Section 5.3).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.cache.lru import LRUCache
@@ -31,7 +31,7 @@ from repro.http.response import make_etag
 DEFAULT_MAX_ENTRIES = 6000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathnameEntry:
     """A cached URL-to-file translation.
 
@@ -50,6 +50,14 @@ class PathnameEntry:
         the second ingredient of the strong entity-tag minted at
         translation time.  ``0`` (legacy constructors) falls back to a
         value derived from ``mtime``.
+    etag:
+        The strong entity-tag for the file state this entry validated,
+        minted once at construction from ``(size, mtime_ns)`` — see
+        :func:`repro.http.response.make_etag`.  Every translation site
+        records ``st_mtime_ns``, so the tag is identical no matter which
+        architecture (or helper) performed the translation; the
+        float-derived fallback only serves tests that construct entries
+        by hand.
     """
 
     uri: str
@@ -57,20 +65,22 @@ class PathnameEntry:
     size: int
     mtime: float
     mtime_ns: int = 0
+    etag: str = field(init=False, compare=False)
 
-    @property
-    def etag(self) -> str:
-        """The strong entity-tag for the file state this entry validated.
-
-        Minted from ``(size, mtime_ns)`` — see
-        :func:`repro.http.response.make_etag`.  Every translation site
-        records ``st_mtime_ns``, so the tag is identical no matter which
-        architecture (or helper) performed the translation; the
-        float-derived fallback only serves tests that construct entries
-        by hand.
-        """
+    def __post_init__(self) -> None:
         mtime_ns = self.mtime_ns or int(self.mtime * 1_000_000_000)
-        return make_etag(self.size, mtime_ns)
+        object.__setattr__(self, "etag", make_etag(self.size, mtime_ns))
+
+    @classmethod
+    def from_stat(cls, uri: str, path: str, stat: os.stat_result) -> "PathnameEntry":
+        """The entry for ``uri`` -> ``path`` as ``stat`` found the file."""
+        return cls(
+            uri=uri,
+            filesystem_path=path,
+            size=stat.st_size,
+            mtime=stat.st_mtime,
+            mtime_ns=stat.st_mtime_ns,
+        )
 
 
 class PathnameCache:
@@ -80,9 +90,9 @@ class PathnameCache:
     ----------
     translate:
         The (potentially blocking) translation function, typically
-        :func:`repro.http.uri.translate_path` bound to a document root, or a
-        helper-process proxy in the AMPED server.  It must return the
-        translated absolute path.
+        :func:`repro.http.uri.resolve_path` bound to a document root.  It
+        must return the translated absolute path and the ``stat`` result it
+        validated the file with.
     max_entries:
         Capacity of the cache.
     on_invalidate:
@@ -93,7 +103,7 @@ class PathnameCache:
 
     def __init__(
         self,
-        translate: Callable[[str], str],
+        translate: Callable[[str], tuple[str, os.stat_result]],
         max_entries: int = DEFAULT_MAX_ENTRIES,
         on_invalidate: Optional[Callable[[str, PathnameEntry], None]] = None,
     ):
@@ -153,15 +163,7 @@ class PathnameCache:
             if self._on_invalidate is not None:
                 self._on_invalidate(uri, entry)
 
-        path = self._translate(uri)
-        stat = os.stat(path)
-        entry = PathnameEntry(
-            uri=uri,
-            filesystem_path=path,
-            size=stat.st_size,
-            mtime=stat.st_mtime,
-            mtime_ns=stat.st_mtime_ns,
-        )
+        entry = PathnameEntry.from_stat(uri, *self._translate(uri))
         self._cache.put(uri, entry)
         return entry
 

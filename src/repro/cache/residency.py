@@ -21,13 +21,17 @@ This module provides three interchangeable testers:
 Every tester also answers the *fd-backed* residency query
 (``file_resident``) used by the zero-copy send path: a ``sendfile``
 response never maps the file, so there is no :class:`MappedChunk` to hand
-to ``is_resident``.  ``MincoreResidencyTester`` probes by building a
-*transient* private mapping of the descriptor — ``mmap`` itself faults no
-pages in, so ``mincore`` over the fresh mapping reports the true buffer
-cache state — and unmapping it immediately.  Where that is impossible it
-returns ``None`` ("cannot tell"), and the caller falls back to the clock
-predictor, which tracks fd-backed files with the same synthetic chunk keys
-the mapped path uses.
+to ``is_resident``.  ``MincoreResidencyTester`` answers a window of up to
+``NOWAIT_PROBE_BYTES`` with one ``preadv(RWF_NOWAIT)`` into a scratch
+buffer: the kernel copies only pages that are cached and up to date and
+never waits for I/O, so a full-length read *is* residency.  Larger windows
+(and kernels or filesystems without ``RWF_NOWAIT``) build a *transient*
+private mapping of the descriptor — ``mmap`` itself faults no pages in, so
+``mincore`` over the fresh mapping reports the buffer cache state — and
+unmap it immediately.  Where that too is impossible it returns ``None``
+("cannot tell"), and the caller falls back to the clock predictor, which
+tracks fd-backed files with the same synthetic chunk keys the mapped path
+uses.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from __future__ import annotations
 import ctypes
 import ctypes.util
 import mmap
+import os
 from typing import Optional, Protocol, TYPE_CHECKING
 
 from repro.cache.lru import LRUList
@@ -83,6 +88,17 @@ def _load_libc_mincore():
 
 _LIBC_MINCORE = _load_libc_mincore()
 _PAGE_SIZE = mmap.PAGESIZE
+
+#: Largest fd-backed window probed with ``preadv(RWF_NOWAIT)``.  The probe
+#: copies the window, so it is for the small files that dominate request
+#: counts; past this a mapping plus ``mincore`` (no copy) is the cheaper
+#: question.
+NOWAIT_PROBE_BYTES = 64 * 1024
+
+#: Where the probe's bytes land.  Never read, so every caller (MT workers
+#: included) may scribble over it at once.
+_NOWAIT_SCRATCH = memoryview(bytearray(NOWAIT_PROBE_BYTES))
+_RWF_NOWAIT = getattr(os, "RWF_NOWAIT", None) if hasattr(os, "preadv") else None
 
 
 def _mincore_over_buffer(data, length: int) -> Optional[bool]:
@@ -144,21 +160,37 @@ class MincoreResidencyTester:
     def file_resident(
         self, fd: int, length: int, path: str = "", offset: int = 0
     ) -> Optional[bool]:
-        """Probe residency of an fd-backed window via a transient mapping.
+        """Probe residency of an fd-backed window of the file itself.
 
-        Creating the mapping faults no pages in (``ACCESS_COPY`` only
-        reserves address space), so ``mincore`` over it reflects the OS
-        buffer cache state of the file itself; the mapping is dropped
-        before returning.  The mapping starts at ``offset`` rounded down
-        to the allocation granularity (``mmap`` requires it), so a range
-        probe inspects only its own window plus at most one page of
-        lead-in.  Returns ``None`` when the probe is impossible (no
-        ``mincore``, unmappable descriptor, empty range) so the caller can
-        fall back to the clock predictor.
+        A window that fits the scratch buffer is read with
+        ``preadv(RWF_NOWAIT)``: one system call that returns only bytes
+        already cached and up to date and raises ``BlockingIOError``
+        rather than wait — stricter than ``mincore``, which also counts
+        pages still being read in.  A short count means part of the window
+        is missing (or past end of file): not resident.
+
+        Anything else takes a transient mapping: creating it faults no
+        pages in (``ACCESS_COPY`` only reserves address space), so
+        ``mincore`` over it reflects the OS buffer cache state of the file
+        itself; the mapping is dropped before returning.  The mapping
+        starts at ``offset`` rounded down to the allocation granularity
+        (``mmap`` requires it), so a range probe inspects only its own
+        window plus at most one page of lead-in.  Returns ``None`` when
+        the probe is impossible (no ``mincore``, unmappable descriptor,
+        empty range) so the caller can fall back to the clock predictor.
         """
         self.calls += 1
         if length <= 0:
             return True
+        if _RWF_NOWAIT is not None and length <= NOWAIT_PROBE_BYTES and fd >= 0:
+            try:
+                # Never waits for the disk: cached bytes, or EAGAIN.
+                got = os.preadv(fd, [_NOWAIT_SCRATCH[:length]], offset, _RWF_NOWAIT)
+                return got == length
+            except BlockingIOError:
+                return False
+            except OSError:
+                pass  # EOPNOTSUPP and kin: this file cannot answer that way
         if _LIBC_MINCORE is None or fd < 0:
             # No reachable mincore — or a negative descriptor, which mmap
             # would silently turn into an *anonymous* mapping (probing

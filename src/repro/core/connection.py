@@ -38,12 +38,20 @@ hashed timer wheel, keyed by what the connection is waiting for:
 ``idle``
     Armed between complete keep-alive exchanges.  Expiry closes silently.
 ``write``
-    Armed while a response is being transmitted; reset whenever ``send``
-    moves at least one byte (progress, not mere writability).  Expiry
-    flushes the cork, releases every pinned resource and closes.
+    Armed once a response is left unfinished by the write that started it
+    (most fit the socket buffer and are gone within the tick, under
+    whatever budget was already counting); reset whenever ``send`` moves
+    at least one byte (progress, not mere writability).  Expiry flushes
+    the cork, releases every pinned resource and closes.
 
 No deadline is armed in ``WAIT_DISK``: the peer is not the party being
 waited on there, and helper latency is the server's own business.
+
+The selector and the timer wheel are touched only on a real phase change:
+the socket moves to write interest when a write would block, and leaves
+the selector when a helper (or CGI program) was actually dispatched.  A
+request answered within one loop tick — a hot hit, or a miss whose
+translation and file are cached — changes neither.
 """
 
 from __future__ import annotations
@@ -103,8 +111,15 @@ class ConnectionDriver(Protocol):
         """Resolve ``uri`` to a PathnameEntry; callback(entry, error)."""
         ...
 
-    def prepare_content_async(self, request: HTTPRequest, entry, callback) -> None:
-        """Build the response and make it memory resident; callback(content, error)."""
+    def prepare_content_async(
+        self, request: HTTPRequest, entry, callback, keep_alive: Optional[bool] = None
+    ) -> None:
+        """Build the response and make it memory resident; callback(content, error).
+
+        ``keep_alive`` is the disposition the connection settled on for
+        this response (it knows about drain; the request alone does not)
+        and goes to ``build_response`` unchanged.
+        """
         ...
 
     def handle_cgi_async(self, request: HTTPRequest, callback) -> None:
@@ -463,28 +478,29 @@ class Connection:
         if sse_path and request.path == sse_path:
             self._start_sse(request)
             return
+        # Park first, dispatch, then look: the dispatch completes inside the
+        # call unless a helper or CGI program really took it (SPED always
+        # translates inline; AMPED does for a cached translation of a
+        # resident file), and the state has then moved on.
         if request.is_cgi:
-            self._set_interest(0)
             self.state = STATE_WAIT_DISK
-            # No socket deadline while parked on disk/CGI: the peer is not
-            # the party being waited on.  _start_send re-arms on completion.
-            self._arm_deadline(None)
             self.driver.store.stats.cgi_requests += 1
             self.driver.handle_cgi_async(request, self._on_cgi_done)
         else:
             if not hot_consulted and self._try_hot_request(request):
                 return
-            self._set_interest(0)
             self.state = STATE_WAIT_DISK
-            self._arm_deadline(None)
             self.driver.translate_async(request.path, self._on_translated)
-        # Cork-aware latency bound: the dispatch above may have completed
-        # synchronously (cache hits advance state immediately).  If this
-        # request genuinely parked on disk, earlier corked responses must
-        # not sit in the kernel for up to the 200 ms cork timer while the
-        # disk seeks — flush them now; _start_send re-corks later if yet
-        # more pipelined requests are buffered behind the disk-bound one.
         if self.state == STATE_WAIT_DISK:
+            # Genuinely parked: stop watching the socket and the clock (the
+            # peer is not the party being waited on; _start_send re-arms on
+            # completion).  Cork-aware latency bound: earlier corked
+            # responses must not sit in the kernel for up to the 200 ms
+            # cork timer while the disk seeks — flush them now; _start_send
+            # re-corks later if yet more pipelined requests are buffered
+            # behind the disk-bound one.
+            self._set_interest(0)
+            self._arm_deadline(None)
             self._cork.flush()
 
     def _try_hot_request(self, request: HTTPRequest) -> bool:
@@ -534,7 +550,9 @@ class Connection:
             self._send_http_error(error)
             return
         self._entry = entry
-        self.driver.prepare_content_async(self.request, entry, self._on_content_ready)
+        self.driver.prepare_content_async(
+            self.request, entry, self._on_content_ready, keep_alive=self._keep_alive
+        )
 
     def _on_content_ready(self, content: Optional[StaticContent], error) -> None:
         if self.state == STATE_CLOSED:
@@ -689,9 +707,6 @@ class Connection:
     def _start_send(self, sender) -> None:
         self._sender = sender
         self.state = STATE_SEND_RESPONSE
-        # Progress-based write-stall budget: rearmed by every send that
-        # moves at least one byte, never by mere writability.
-        self._arm_deadline("write")
         # A pipelined request is already buffered behind this response, so
         # another response will follow immediately: cork the socket so the
         # two (or more) leave the kernel as full segments instead of one
@@ -700,13 +715,13 @@ class Connection:
         if self._keep_alive and self.parser.remainder:
             if self._cork.hold():
                 self.driver.store.stats.corked_responses += 1
-        self._set_interest(EVENT_WRITE)
         if self._finishing:
             # Called from inside the pipelined drain loop: that loop
             # transmits the response itself — writing here would recurse
             # back through _finish_response, one stack level per pipelined
             # request, and a long burst would overflow the stack.  (The
             # loop also batches, so merging here would double up.)
+            self._await_writable()
             return
         # Merge any immediately-ready pipelined hot hits into this sender
         # before the optimistic write, so a burst that arrived in one
@@ -721,6 +736,28 @@ class Connection:
             self._do_write()
         except OSError as exc:
             self._absorb_disconnect(exc)
+            return
+        # Most responses are gone by now (and the drain loop has put the
+        # connection wherever it belongs next).  Only one the socket would
+        # not take whole starts costing selector and timer-wheel work; a
+        # parked stream has chosen its own interest and owes no deadline.
+        if (
+            self.state == STATE_SEND_RESPONSE
+            and self._sender is not None
+            and not self._stream_parked
+        ):
+            self._await_writable()
+
+    def _await_writable(self) -> None:
+        """Watch for writability under the write-stall budget.
+
+        The budget is progress-based: rearmed by every send that moves at
+        least one byte (see :meth:`_do_write`), never by mere writability,
+        so a budget some progress already armed is left counting.
+        """
+        if self._deadline_kind != "write":
+            self._arm_deadline("write")
+        self._set_interest(EVENT_WRITE)
 
     def _do_write(self) -> None:
         sender = self._sender

@@ -52,7 +52,7 @@ from typing import Callable, Optional
 
 from repro.cache.pathname import PathnameEntry
 from repro.core.event_loop import EVENT_READ
-from repro.http.uri import translate_path
+from repro.http.uri import resolve_path
 
 logger = logging.getLogger(__name__)
 
@@ -156,12 +156,11 @@ def perform_helper_operation(request: HelperRequest) -> HelperReply:
     """
     try:
         if request.op == OP_TRANSLATE:
-            path = translate_path(
+            path, stat = resolve_path(
                 request.uri,
                 document_root=request.document_root,
                 user_dirs=request.user_dirs,
             )
-            stat = os.stat(path)
             return HelperReply(
                 seq=request.seq,
                 op=request.op,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import errno
 import functools
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -48,15 +47,15 @@ from repro.http.response import (
     multipart_part_head,
     multipart_trailer,
 )
-from repro.http.uri import translate_path
+from repro.http.uri import resolve_path
 
 #: How long (seconds) a *resident* fd-probe verdict may be reused for the
-#: same cached descriptor before re-probing.  The mincore probe was always
+#: same cached descriptor before re-probing.  The probe was always
 #: advisory — pages can be evicted between probe and sendfile regardless —
 #: so a short reuse window widens that pre-existing race only marginally
-#: while removing an mmap+mincore+munmap syscall triple per request from
-#: the hot fully-cached path.  Cold verdicts are never cached: every cold
-#: request must trigger warming.
+#: while removing the probe's system call (several, for a window too large
+#: for the one-call probe) per request from the hot fully-cached path.
+#: Cold verdicts are never cached: every cold request must trigger warming.
 FD_RESIDENT_PROBE_TTL = 0.1
 
 
@@ -185,6 +184,10 @@ class StaticContent:
         block.
     trailer:
         The closing multipart delimiter, transmitted after the final part.
+    keep_alive:
+        The connection disposition ``header`` announces, recorded where
+        the header is composed; :meth:`ContentStore.hot_insert` files the
+        header under it.
     """
 
     header: bytes
@@ -195,6 +198,7 @@ class StaticContent:
     file_handle: Optional[CachedFD] = None
     parts: Sequence[tuple[bytes, int, int]] = ()
     trailer: bytes = b""
+    keep_alive: bool = False
 
     @property
     def total_length(self) -> int:
@@ -309,17 +313,16 @@ class ContentStore:
         # sections and re-enter through the public release methods.
         self._lock = threading.RLock() if thread_safe else None
 
-        translate = functools.partial(
-            translate_path,
+        self._translate_uncached = functools.partial(
+            resolve_path,
             document_root=config.document_root,
             user_dirs=config.user_dirs,
         )
-        self._translate_uncached = translate
 
         self.pathname_cache: Optional[PathnameCache] = None
         if config.enable_pathname_cache:
             self.pathname_cache = PathnameCache(
-                lambda uri: translate(uri),
+                self._translate_uncached,
                 max_entries=config.pathname_cache_entries,
                 on_invalidate=self._on_pathname_invalidated,
             )
@@ -439,15 +442,7 @@ class ContentStore:
     # miss-path fallback, runs the stat inline on the loop.
     # repro-lint: allow[RL001] -- intentional SPED blocking point (paper §3.1): helpers own this in AMPED
     def _translate_direct(self, uri: str) -> PathnameEntry:
-        path = self._translate_uncached(uri)
-        stat = os.stat(path)
-        return PathnameEntry(
-            uri=uri,
-            filesystem_path=path,
-            size=stat.st_size,
-            mtime=stat.st_mtime,
-            mtime_ns=stat.st_mtime_ns,
-        )
+        return PathnameEntry.from_stat(uri, *self._translate_uncached(uri))
 
     # -- response construction -------------------------------------------------
 
@@ -507,11 +502,6 @@ class ContentStore:
             entry.etag,
             keep_alive,
             request.is_head,
-            cached_header=lambda status: (
-                self._response_header(entry, keep_alive)
-                if status == 200
-                else self._not_modified_header(entry, keep_alive)
-            ),
             pin_windows=lambda parts: self._pin_windows(entry, parts, map_body),
         )
 
@@ -526,27 +516,28 @@ class ContentStore:
         keep_alive: bool,
         head: bool,
         *,
-        cached_header: Callable[[int], bytes],
+        hot: Optional[HotEntry] = None,
         pin_windows: Callable[[Sequence[tuple[bytes, int, int]]], tuple],
     ) -> StaticContent:
         """Turn a ``plan_response`` verdict into a transmittable response.
 
         Shared by the slow path and the hot-cache read-side hit; the two
-        differ only in what they inject.  ``cached_header(status)`` yields
-        the precomposable 200/304 header (header cache vs the hot entry's
-        variants).  ``pin_windows(parts)`` pins what the parts' file windows
-        need and returns ``(file_handle, chunks, bodies)`` — ``bodies``
-        holds one buffer list per window, or is ``None`` when the windows
-        exist only on the descriptor (acquire from the fd/mmap caches vs
-        slice the entry's already-pinned resources).  The validator-only
-        headers (412/416) and the client-shaped ones (206) are built fresh
-        with the shared builder, and every status counter is bumped here.
+        differ only in what they inject.  ``hot`` is the hit entry, whose
+        200/304 header variants answer before anything is composed (see
+        :meth:`_variant_header`).  ``pin_windows(parts)`` pins what the
+        parts' file windows need and returns ``(file_handle, chunks,
+        bodies)`` — ``bodies`` holds one buffer list per window, or is
+        ``None`` when the windows exist only on the descriptor (acquire
+        from the fd/mmap caches vs slice the entry's already-pinned
+        resources).  The validator-only headers (412/416) and the
+        client-shaped ones (206) are built fresh with the shared builder,
+        and every status counter is bumped here.
         """
         parts: Sequence[tuple[bytes, int, int]] = ()
         trailer = b""
         total = 0
         if status == 200:
-            header = cached_header(200)
+            header = self._variant_header(200, path, size, mtime, etag, keep_alive, hot)
             parts = ((b"", 0, size),)
             total = size
         else:
@@ -559,7 +550,9 @@ class ContentStore:
                     )
                 elif status == 304:
                     self.stats.not_modified_responses += 1
-                    header = cached_header(304)
+                    header = self._variant_header(
+                        304, path, size, mtime, etag, keep_alive, hot
+                    )
                 elif status == 412:
                     self.stats.precondition_failed += 1
                     header = self._validator_header(
@@ -575,7 +568,13 @@ class ContentStore:
                         extra_headers={"Content-Range": content_range_unsatisfied(size)},
                     )
         if head or not parts:
-            return StaticContent(header=header, segments=(), content_length=0, status=status)
+            return StaticContent(
+                header=header,
+                segments=(),
+                content_length=0,
+                status=status,
+                keep_alive=keep_alive,
+            )
         handle, chunks, bodies = pin_windows(parts)
         segments: Sequence = ()
         if bodies is not None:
@@ -595,6 +594,7 @@ class ContentStore:
             file_handle=handle,
             parts=parts,
             trailer=trailer,
+            keep_alive=keep_alive,
         )
 
     def _frame_ranges(
@@ -713,40 +713,71 @@ class ContentStore:
         with self._maybe_lock():
             self.fd_cache.release(handle)
 
-    def _response_header(self, entry: PathnameEntry, keep_alive: bool) -> bytes:
+    def _variant_header(
+        self,
+        status: int,
+        path: str,
+        size: int,
+        mtime: float,
+        etag: str,
+        keep_alive: bool,
+        hot: Optional[HotEntry] = None,
+    ) -> bytes:
+        """The 200 or 304 header: the two statuses a hot entry keeps.
+
+        The slow path (``hot`` is ``None``) composes it.  A hot hit takes
+        the entry's variant for this status and disposition; one no hit
+        has asked for yet is composed here — by the code the slow path
+        runs, so the bytes agree by construction — and filed on the entry.
+        """
+        if hot is not None:
+            header = hot.header(status, keep_alive)
+            if header is not None:
+                return header
+        if status == 200:
+            header = self._response_header(path, size, mtime, etag, keep_alive)
+        else:
+            header = self._not_modified_header(path, mtime, etag, keep_alive)
+        if hot is not None:
+            hot.file_header(status, keep_alive, header)
+        return header
+
+    def _response_header(
+        self, path: str, size: int, mtime: float, etag: str, keep_alive: bool
+    ) -> bytes:
         if self.header_cache is not None:
             with self._maybe_lock():
                 return self.header_cache.get(
-                    entry.filesystem_path,
-                    entry.size,
-                    entry.mtime,
+                    path,
+                    size,
+                    mtime,
                     keep_alive=keep_alive,
-                    etag=entry.etag,
+                    etag=etag,
                     cache_max_age=self._cache_max_age,
                 ).raw
         return self.header_builder.build(
             200,
-            content_length=entry.size,
-            content_type=guess_mime_type(entry.filesystem_path),
-            last_modified=entry.mtime,
+            content_length=size,
+            content_type=guess_mime_type(path),
+            last_modified=mtime,
             keep_alive=keep_alive,
-            etag=entry.etag,
+            etag=etag,
             accept_ranges=True,
             cache_max_age=self._cache_max_age,
         ).raw
 
-    def _not_modified_header(self, entry: PathnameEntry, keep_alive: bool) -> bytes:
-        """Build the 304 header for ``entry``.
+    def _not_modified_header(
+        self, path: str, mtime: float, etag: str, keep_alive: bool
+    ) -> bytes:
+        """Build the 304 header for a file's current validators.
 
-        Built fresh (not cached per request): conditional requests take
-        the full path only on a hot miss, and the hot-response cache
-        precomposes its own 304 variants with this same method, so the
-        bytes agree everywhere.  RFC 7232 §4.1: the 304 carries the same
-        validators the 200 would have — ``Last-Modified`` and ``ETag``.
+        Built fresh (the header cache holds 200s only): conditional
+        requests take the full path only on a hot miss, and a hot entry
+        keeps the 304 variants it has served.  RFC 7232 §4.1: the 304
+        carries the same validators the 200 would have — ``Last-Modified``
+        and ``ETag``.
         """
-        return self._validator_header(
-            304, entry.filesystem_path, entry.mtime, keep_alive, etag=entry.etag
-        )
+        return self._validator_header(304, path, mtime, keep_alive, etag=etag)
 
     def _validator_header(
         self, status: int, path: str, mtime: float, keep_alive: bool, **fields
@@ -799,7 +830,7 @@ class ContentStore:
         allocation beyond the response container itself.  Anything else is
         planned against the entry's cached validators by the same
         :func:`~repro.http.planner.plan_response` the slow path calls and
-        assembled by the same :meth:`_assemble`: a precomposed bodyless
+        assembled by the same :meth:`_assemble`: the entry's bodyless
         304, a fresh 206/412/416 header, and body windows sliced over the
         entry's already-pinned descriptor/chunks — no translation, no
         descriptor-cache probe, no re-``stat``.
@@ -825,13 +856,19 @@ class ContentStore:
                     handle.refcount += 1
                 for chunk in entry.chunks:
                     chunk.refcount += 1
+                header = entry.header_keep if keep_alive else entry.header_close
+                if header is None:
+                    header = self._variant_header(
+                        200, entry.path, entry.size, entry.mtime, entry.etag, keep_alive, entry
+                    )
                 return StaticContent(
-                    header=entry.header(keep_alive),
+                    header=header,
                     segments=entry.segments,
                     chunks=entry.chunks,
                     content_length=entry.content_length,
                     file_handle=handle,
                     parts=entry.parts,
+                    keep_alive=keep_alive,
                 )
             status, windows = plan_response(
                 size=entry.size,
@@ -853,11 +890,7 @@ class ContentStore:
                 entry.etag,
                 keep_alive,
                 head,
-                cached_header=lambda status: (
-                    entry.header(keep_alive)
-                    if status == 200
-                    else entry.header_not_modified(keep_alive)
-                ),
+                hot=entry,
                 pin_windows=lambda parts: self._pin_hot_windows(entry, parts),
             )
 
@@ -888,13 +921,17 @@ class ContentStore:
     def hot_insert(
         self, request: HTTPRequest, entry: PathnameEntry, content: StaticContent
     ) -> bool:
-        """Precompose and cache the hot response for ``request``'s raw target.
+        """Cache ``content`` as the hot response for ``request``'s raw target.
 
         Called after a successful slow-path build.  Only the common
         cacheable shape is admitted: a plain static ``GET`` whose response
         has pinned transmission resources (a descriptor and/or mapped
         chunks) to reuse.  Everything else simply keeps taking the full
-        pipeline.  Returns True when an entry was (re)inserted.
+        pipeline.  The entry starts with the one header ``content`` was
+        answered with; most entries are evicted before a second hit, so
+        the other variants wait for the hit that wants them
+        (:meth:`_variant_header`).  Returns True when an entry was
+        (re)inserted.
         """
         if self.hot_cache is None or content.status != 200:
             return False
@@ -924,14 +961,11 @@ class ContentStore:
                 mtime=entry.mtime,
                 etag=entry.etag,
                 content_length=content.content_length,
-                header_keep=self._response_header(entry, True),
-                header_close=self._response_header(entry, False),
-                header_304_keep=self._not_modified_header(entry, True),
-                header_304_close=self._not_modified_header(entry, False),
                 file_handle=handle,
                 chunks=tuple(content.chunks),
                 segments=tuple(content.segments),
             )
+            hot_entry.file_header(200, content.keep_alive, content.header)
             admitted = self.hot_cache.insert(hot_entry)
         if admitted:
             self.stats.hot_insertions += 1
@@ -980,7 +1014,7 @@ class ContentStore:
 
         Mapped bodies are tested chunk by chunk as before.  Fd-backed
         (pure zero-copy) bodies have no mapping to test, so the query goes
-        through :meth:`fd_resident` — a transient-map ``mincore`` probe
+        through :meth:`fd_resident` — a probe of the descriptor itself
         with a clock-predictor fallback.  When the residency test is
         disabled the content is treated as resident, which is exactly the
         behaviour of the Flash-SPED build.

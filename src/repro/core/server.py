@@ -280,10 +280,12 @@ class BaseEventDrivenServer:
             return
         callback(entry, None)
 
-    def prepare_content_async(self, request: HTTPRequest, entry, callback) -> None:
+    def prepare_content_async(
+        self, request: HTTPRequest, entry, callback, keep_alive: Optional[bool] = None
+    ) -> None:
         """Build the response inline (SPED behaviour: page faults may block)."""
         try:
-            content = self.store.build_response(request, entry)
+            content = self.store.build_response(request, entry, keep_alive=keep_alive)
         except (HTTPError, OSError) as exc:
             callback(None, exc)
             return
@@ -535,7 +537,9 @@ class FlashServer(BaseEventDrivenServer):
 
         self.helpers.submit(request, on_reply)
 
-    def prepare_content_async(self, request: HTTPRequest, entry, callback) -> None:
+    def prepare_content_async(
+        self, request: HTTPRequest, entry, callback, keep_alive: Optional[bool] = None
+    ) -> None:
         """Build the response; warm non-resident content through a helper.
 
         Two warming routes, chosen by how the body will be transmitted:
@@ -558,7 +562,9 @@ class FlashServer(BaseEventDrivenServer):
             and not request.is_head
         )
         try:
-            content = self.store.build_response(request, entry, map_body=not fd_route)
+            content = self.store.build_response(
+                request, entry, keep_alive=keep_alive, map_body=not fd_route
+            )
         except (HTTPError, OSError) as exc:
             callback(None, exc)
             return

@@ -17,7 +17,9 @@ can quantify the cost of *not* doing it (the Zeus anomaly in Figure 7).
 from __future__ import annotations
 
 import email.utils
+import functools
 import hashlib
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -32,9 +34,38 @@ DEFAULT_ALIGNMENT = 32
 SERVER_NAME = "Flash-repro/1.0"
 
 
+#: Distinct seconds whose formatted date is remembered.  A header names
+#: three (now, the file's mtime, now + max-age), so the working set is the
+#: docroot's distinct mtime seconds plus two per wall-clock second.
+DATE_MEMO_SECONDS = 1024
+
+
 def http_date(timestamp: float | None = None) -> str:
-    """Format ``timestamp`` (seconds since epoch) as an RFC 1123 date."""
-    return email.utils.formatdate(timestamp, usegmt=True)
+    """Format ``timestamp`` (seconds since epoch) as an RFC 1123 date.
+
+    Byte-identical to ``email.utils.formatdate(timestamp, usegmt=True)``,
+    but each whole second is formatted once: an HTTP date has one-second
+    resolution, and a header carries up to three of them.  ``None`` means
+    now.
+    """
+    if timestamp is None:
+        timestamp = time.time()
+    # The second the serializer lands on (see serialized_timestamp): the
+    # fraction rounds half-even to a microsecond first, and a carry (or,
+    # before the epoch, a borrow) moves the whole part.
+    fraction, whole = math.modf(timestamp)
+    second = int(whole)
+    micros = round(fraction * 1e6)
+    if micros >= 1_000_000:
+        second += 1
+    elif micros < 0:
+        second -= 1
+    return _format_second(second)
+
+
+@functools.lru_cache(maxsize=DATE_MEMO_SECONDS)
+def _format_second(second: int) -> str:
+    return email.utils.formatdate(second, usegmt=True)
 
 
 def serialized_timestamp(mtime: float) -> float:

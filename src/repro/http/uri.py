@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import posixpath
+from stat import S_ISDIR, S_ISREG
 from urllib.parse import unquote
 
 from repro.http.errors import BadRequestError, ForbiddenError, NotFoundError
@@ -73,20 +74,23 @@ def normalize_uri(uri: str) -> str:
     return normalized
 
 
-def translate_path(
+def resolve_path(
     uri: str,
     document_root: str,
     *,
     index_file: str = INDEX_FILE,
     user_dirs: dict[str, str] | None = None,
-) -> str:
-    """Translate a normalized request URI into an absolute filesystem path.
+) -> tuple[str, os.stat_result]:
+    """Translate a normalized request URI into ``(path, stat_result)``.
 
     This performs the potentially blocking "Find file" step: the returned
     path is checked for existence and readability, directory requests are
     resolved to their index file, and home-directory URIs (``/~user/...``)
     are mapped through ``user_dirs`` exactly as the paper's
-    ``/~bob`` -> ``/home/users/bob/public_html/index.html`` example.
+    ``/~bob`` -> ``/home/users/bob/public_html/index.html`` example.  One
+    ``stat`` (a second only for a directory's index file) answers
+    existence and type, and is returned because every caller wants the
+    size and mtime it holds.
 
     Parameters
     ----------
@@ -107,31 +111,45 @@ def translate_path(
         If the translated path does not exist.
     ForbiddenError
         If the path exists but is not a readable regular file, or the URI
-        attempts to escape the document root.
+        attempts to escape its base directory (the document root, or the
+        user's directory for a ``/~user`` URI).
     """
     path = normalize_uri(uri)
+    base = document_root
     if user_dirs and path.startswith("/~"):
-        rest = path[2:]
-        user, _, tail = rest.partition("/")
+        user, _, path = path[2:].partition("/")
         base = user_dirs.get(user)
         if base is None:
             raise NotFoundError(f"no such user directory: ~{user}")
-        candidate = os.path.join(base, tail.lstrip("/"))
-    else:
-        candidate = os.path.join(document_root, path.lstrip("/"))
+    base = os.path.normpath(base)
+    candidate = os.path.normpath(os.path.join(base, path.lstrip("/")))
+    if not (candidate == base or candidate.startswith(base + os.sep)):
+        raise ForbiddenError("translated path escapes its base directory")
 
-    candidate = os.path.normpath(candidate)
-    root = os.path.normpath(document_root)
-    if user_dirs is None and not (candidate == root or candidate.startswith(root + os.sep)):
-        raise ForbiddenError("translated path escapes document root")
-
-    if os.path.isdir(candidate):
-        candidate = os.path.join(candidate, index_file)
-
-    if not os.path.exists(candidate):
-        raise NotFoundError(f"file not found: {uri}")
-    if not os.path.isfile(candidate):
+    try:
+        stat = os.stat(candidate)
+        if S_ISDIR(stat.st_mode):
+            candidate = os.path.join(candidate, index_file)
+            stat = os.stat(candidate)
+    except OSError:
+        # Whatever keeps stat from reaching the file (missing, a file used
+        # as a directory, an unsearchable parent) reads as "not there".
+        raise NotFoundError(f"file not found: {uri}") from None
+    if not S_ISREG(stat.st_mode):
         raise ForbiddenError(f"not a regular file: {uri}")
     if not os.access(candidate, os.R_OK):
         raise ForbiddenError(f"permission denied: {uri}")
-    return candidate
+    return candidate, stat
+
+
+def translate_path(
+    uri: str,
+    document_root: str,
+    *,
+    index_file: str = INDEX_FILE,
+    user_dirs: dict[str, str] | None = None,
+) -> str:
+    """The path half of :func:`resolve_path` (same checks, same errors)."""
+    return resolve_path(
+        uri, document_root, index_file=index_file, user_dirs=user_dirs
+    )[0]

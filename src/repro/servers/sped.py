@@ -50,13 +50,17 @@ class SPEDServer(BaseEventDrivenServer):
         self.store.config = config
         self._skip_residency_test = True
 
-    def prepare_content_async(self, request: HTTPRequest, entry, callback) -> None:
+    def prepare_content_async(
+        self, request: HTTPRequest, entry, callback, keep_alive: Optional[bool] = None
+    ) -> None:
         # With the zero-copy path active, SPED transmits straight from the
         # cached descriptor and never consults the mapping (it does no
         # residency test), so skip pinning mapped chunks for the response.
         map_body = not (self.config.zero_copy and sendfile_available())
         try:
-            content = self.store.build_response(request, entry, map_body=map_body)
+            content = self.store.build_response(
+                request, entry, keep_alive=keep_alive, map_body=map_body
+            )
         except OSError as exc:
             callback(None, exc)
             return

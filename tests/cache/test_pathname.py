@@ -6,7 +6,7 @@ import pytest
 
 from repro.cache.pathname import PathnameCache, PathnameEntry
 from repro.http.errors import NotFoundError
-from repro.http.uri import translate_path
+from repro.http.uri import resolve_path
 
 
 @pytest.fixture
@@ -17,7 +17,7 @@ def docroot(tmp_path):
 
 
 def make_cache(docroot, **kwargs):
-    return PathnameCache(lambda uri: translate_path(uri, docroot), **kwargs)
+    return PathnameCache(lambda uri: resolve_path(uri, docroot), **kwargs)
 
 
 class TestLookup:
@@ -68,7 +68,7 @@ class TestRevalidation:
     def test_changed_file_invalidates_and_refreshes(self, docroot):
         invalidated = []
         cache = PathnameCache(
-            lambda uri: translate_path(uri, docroot),
+            lambda uri: resolve_path(uri, docroot),
             on_invalidate=lambda uri, entry: invalidated.append(uri),
         )
         entry = cache.lookup("/a.txt")
@@ -85,7 +85,7 @@ class TestRevalidation:
     def test_unchanged_file_not_invalidated(self, docroot):
         invalidated = []
         cache = PathnameCache(
-            lambda uri: translate_path(uri, docroot),
+            lambda uri: resolve_path(uri, docroot),
             on_invalidate=lambda uri, entry: invalidated.append(uri),
         )
         cache.lookup("/a.txt")
@@ -113,7 +113,7 @@ class TestExplicitInvalidation:
     def test_invalidate_notifies_dependents(self, docroot):
         invalidated = []
         cache = PathnameCache(
-            lambda uri: translate_path(uri, docroot),
+            lambda uri: resolve_path(uri, docroot),
             on_invalidate=lambda uri, entry: invalidated.append((uri, entry.filesystem_path)),
         )
         cache.lookup("/a.txt")

@@ -1,5 +1,9 @@
 """Unit tests for memory-residency testing (paper Section 5.7)."""
 
+import errno
+import mmap
+import os
+
 import pytest
 
 from repro.cache.mapped_file import MappedFileCache
@@ -47,6 +51,100 @@ class TestMincoreResidencyTester:
         assert optimistic.is_resident(chunk) is True
         assert pessimistic.is_resident(chunk) is False
         assert optimistic.fallback_answers == 1
+
+
+@pytest.fixture
+def synced_fd(tmp_path):
+    """A descriptor on a file whose pages are clean, so DONTNEED can drop them."""
+    path = tmp_path / "synced.bin"
+    path.write_bytes(os.urandom(256 * 1024))
+    fd = os.open(path, os.O_RDWR)
+    os.fsync(fd)
+    yield fd
+    os.close(fd)
+
+
+def count_mmaps(monkeypatch):
+    """Count the mapping objects the residency module creates from here on."""
+    created = []
+    real = mmap.mmap
+
+    def counting(*args, **kwargs):
+        created.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", counting)
+    return created
+
+
+class TestFileResident:
+    """The fd-backed probe: ``preadv(RWF_NOWAIT)`` for windows the scratch
+    buffer holds, a transient mapping plus ``mincore`` for the rest."""
+
+    def test_follows_the_page_cache(self, synced_fd):
+        tester = MincoreResidencyTester()
+        assert tester.file_resident(synced_fd, 2048) is True
+        os.posix_fadvise(synced_fd, 0, 0, os.POSIX_FADV_DONTNEED)
+        if tester.file_resident(synced_fd, 2048) is not False:
+            pytest.skip("POSIX_FADV_DONTNEED does not evict on this filesystem")
+        # A window elsewhere in the file is just as cold; reading one
+        # window warms that window (and whatever readahead adds), and the
+        # probe of it turns true again.
+        assert tester.file_resident(synced_fd, 4096, offset=128 * 1024) is False
+        os.pread(synced_fd, 2048, 0)
+        assert tester.file_resident(synced_fd, 2048) is True
+
+    def test_small_window_creates_no_mapping(self, synced_fd, monkeypatch):
+        import repro.cache.residency as residency_module
+
+        if residency_module._RWF_NOWAIT is None:
+            pytest.skip("no preadv(RWF_NOWAIT) on this platform")
+        created = count_mmaps(monkeypatch)
+        tester = MincoreResidencyTester()
+        limit = residency_module.NOWAIT_PROBE_BYTES
+        assert tester.file_resident(synced_fd, limit) is True
+        assert tester.file_resident(synced_fd, 100, offset=limit + 7) is True
+        assert created == []
+        assert tester.fallback_answers == 0
+
+    def test_window_past_the_scratch_buffer_takes_mincore(self, synced_fd, monkeypatch):
+        import repro.cache.residency as residency_module
+
+        created = count_mmaps(monkeypatch)
+        tester = MincoreResidencyTester()
+        verdict = tester.file_resident(synced_fd, residency_module.NOWAIT_PROBE_BYTES + 1)
+        assert len(created) == 1
+        assert verdict is True
+
+    def test_unsupported_nowait_falls_back_to_mincore(self, synced_fd, monkeypatch):
+        import repro.cache.residency as residency_module
+
+        if residency_module._RWF_NOWAIT is None:
+            pytest.skip("no preadv(RWF_NOWAIT) on this platform")
+
+        def refuse(*_args):
+            raise OSError(errno.EOPNOTSUPP, "injected: RWF_NOWAIT unsupported here")
+
+        monkeypatch.setattr(os, "preadv", refuse)
+        created = count_mmaps(monkeypatch)
+        tester = MincoreResidencyTester()
+        assert tester.file_resident(synced_fd, 2048) is True
+        assert len(created) == 1
+        # With mincore unreachable too, the answer is "cannot tell" and the
+        # caller's clock predictor takes over, as before.
+        monkeypatch.setattr(residency_module, "_LIBC_MINCORE", None)
+        assert tester.file_resident(synced_fd, 2048) is None
+        assert tester.fallback_answers == 1
+
+    def test_short_window_is_not_resident(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"x" * 100)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            # Asked about bytes the file does not have: never "resident".
+            assert MincoreResidencyTester().file_resident(fd, 4096) is not True
+        finally:
+            os.close(fd)
 
 
 class TestClockResidencyPredictor:

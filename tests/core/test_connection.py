@@ -49,8 +49,8 @@ class ScriptedDriver:
         else:
             callback(entry, None)
 
-    def prepare_content_async(self, request, entry, callback):
-        content = self.store.build_response(request, entry)
+    def prepare_content_async(self, request, entry, callback, keep_alive=None):
+        content = self.store.build_response(request, entry, keep_alive=keep_alive)
         callback(content, None)
 
     def handle_cgi_async(self, request, callback):

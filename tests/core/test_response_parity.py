@@ -6,8 +6,9 @@ one assembler, and every transmission shares one sender — so for any
 request the two paths must put the same bytes on the wire and move the
 same counters.  This checks that with generated requests instead of a
 hand-picked grid: method, conditional headers, ``Range``/``If-Range``,
-keep-alive, ``map_body`` and a ``sendfile`` that may refuse to work, sent
-the event-driven way (``choose_send_path`` stepped non-blocking) and the
+keep-alive (of the request, and of the one that inserted the hot entry —
+the entry composes its other header variants on first use), ``map_body``
+and a ``sendfile`` that may refuse to work, sent the event-driven way (``choose_send_path`` stepped non-blocking) and the
 MT/MP way (the blocking driver), with zero-copy on and off.
 """
 
@@ -121,6 +122,10 @@ def requests(draw, etag, mtime):
         "method": draw(st.sampled_from(["GET", "HEAD"])),
         "headers": {name: value for name, value in headers.items() if value is not None},
         "keep_alive": draw(st.booleans()),
+        # The hot entry is born holding one header, in the flavour of the
+        # request that inserted it; every other variant is composed by the
+        # first hit that wants it.
+        "primer_keep_alive": draw(st.booleans()),
         "map_body": draw(st.booleans()),
         "sendfile_works": draw(st.booleans()),
     }
@@ -159,8 +164,15 @@ def test_slow_and_hot_paths_agree(docroot, monkeypatch, zero_copy, blocking, dat
 
         # The hot entry comes from a plain GET built the same way.
         plain = HTTPRequest(method="GET", uri="/file.bin", path="/file.bin", version="HTTP/1.1")
-        primer = store.build_response(plain, entry, map_body=map_body)
+        primer_keep_alive = case["primer_keep_alive"]
+        primer = store.build_response(
+            plain, entry, keep_alive=primer_keep_alive, map_body=map_body
+        )
         assert store.hot_insert(plain, entry, primer)
+        hot_entry = store.hot_cache.lookup(b"/file.bin")
+        assert hot_entry.header(200, primer_keep_alive) == primer.header
+        assert hot_entry.header(200, not primer_keep_alive) is None
+        assert hot_entry.header(304, True) is None and hot_entry.header(304, False) is None
         primer.release(store)
 
         before = counters(store)
@@ -186,6 +198,10 @@ def test_slow_and_hot_paths_agree(docroot, monkeypatch, zero_copy, blocking, dat
         hot_bytes = transmit(hot, store, config, blocking)
         hot.release(store)
         hot_delta = delta(before, counters(store))
+        if hot.status in (200, 304):
+            # The variant the first hit composed is the one every later
+            # hit gets (206/412/416 headers are client-shaped: always fresh).
+            assert hot_entry.header(hot.status, keep_alive) == hot.header
 
         assert strip_date(hot_bytes) == strip_date(slow_bytes)
         assert hot_delta == slow_delta

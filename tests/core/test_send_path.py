@@ -371,8 +371,8 @@ class InlineDriver:
             return
         callback(entry, None)
 
-    def prepare_content_async(self, request, entry, callback):
-        callback(self.store.build_response(request, entry), None)
+    def prepare_content_async(self, request, entry, callback, keep_alive=None):
+        callback(self.store.build_response(request, entry, keep_alive=keep_alive), None)
 
     def handle_cgi_async(self, request, callback):
         callback(b"<html>cgi</html>", None)

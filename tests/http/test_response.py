@@ -1,9 +1,12 @@
 """Unit tests for response-header generation and byte-position alignment."""
 
+import email.utils
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.http.response import (
+    DATE_MEMO_SECONDS,
     DEFAULT_ALIGNMENT,
     ResponseHeaderBuilder,
     build_error_response,
@@ -18,6 +21,29 @@ class TestHttpDate:
 
     def test_current_time_formats(self):
         assert http_date().endswith("GMT")
+
+    # The serializer rounds half-even to the microsecond and only then
+    # floors to the second, so k + 0.9999995 is where a second is won or
+    # lost; the memo must key on the second the serializer lands on.
+    seconds = st.integers(-(2**31), 2**33)
+    fractions = st.floats(0, 1, exclude_max=True) | st.sampled_from(
+        [0.9999995, 0.9999995 - 1e-7, 0.9999995 + 1e-7, 0.4999995, 0.5, 0.0000005]
+    )
+
+    @given(second=seconds, fraction=fractions)
+    @settings(max_examples=500, deadline=None)
+    def test_memo_is_byte_identical_to_formatdate(self, second, fraction):
+        for timestamp in (second + fraction, float(second), second):
+            expected = email.utils.formatdate(timestamp, usegmt=True)
+            assert http_date(timestamp) == expected
+            assert http_date(timestamp) == expected  # served from the memo
+
+    def test_memo_survives_eviction(self):
+        first = [http_date(second + 0.25) for second in range(64)]
+        for second in range(1000, 1000 + 2 * DATE_MEMO_SECONDS):
+            http_date(second)
+        assert [http_date(second + 0.25) for second in range(64)] == first
+        assert first[1] == "Thu, 01 Jan 1970 00:00:01 GMT"
 
 
 class TestResponseHeaderBuilder:

@@ -193,3 +193,36 @@ class TestDrainSemantics:
                     probe.close()
         finally:
             server.stop()
+
+
+@pytest.mark.parametrize("arch", ("sped", "amped"))
+def test_slow_path_response_under_drain_says_close(arch, docroot):
+    """The last response under drain says ``Connection: close`` on the full
+    pipeline too, not only on a hot-cache hit: the connection's
+    drain-adjusted disposition — not the request's own — is what
+    ``build_response`` composes the header with."""
+    server = _make_server(arch, docroot, drain_timeout=10.0)
+    sock = None
+    try:
+        host = "%s:%d" % server.address
+        # A fresh connection keeps its header budget through the drain.
+        sock = socket.create_connection(server.address, timeout=5)
+        assert _wait_until(lambda: server.open_connections == 1)
+        server.request_drain()
+        assert _wait_until(lambda: server.draining)
+        # First request for this file: nothing is in the hot cache.
+        sock.sendall(
+            f"GET /small.txt HTTP/1.1\r\nHost: {host}\r\n"
+            "Connection: keep-alive\r\n\r\n".encode("latin-1")
+        )
+        (head, body), = _split_responses(_read_until_closed(sock))
+        assert head.startswith(b"HTTP/1.1 200")
+        assert body == b"drain-me"
+        assert b"connection: close" in head.lower()
+        assert b"keep-alive" not in head.lower()
+        assert server.stats.hot_hits == 0
+        assert server.drain(timeout=10.0)
+    finally:
+        if sock is not None:
+            sock.close()
+        server.stop()
