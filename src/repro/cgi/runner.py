@@ -50,7 +50,7 @@ from typing import Callable, Iterator, Optional, Union
 from repro.core.event_loop import EVENT_READ
 from repro.core.streaming import END_OF_STREAM, ResponseSource, WOULD_BLOCK
 from repro.http.errors import NotFoundError
-from repro.http.request import HTTPRequest
+from repro.http.request import CGI_PREFIX, HTTPRequest
 
 logger = logging.getLogger(__name__)
 
@@ -210,8 +210,6 @@ class CGIRunner:
     programs:
         Mapping of application name (the path component after
         ``/cgi-bin/``) to the application callable.
-    prefix:
-        URI prefix that identifies dynamic requests.
     mode:
         ``"thread"`` or ``"process"`` worker realization.
     stream_depth:
@@ -222,14 +220,12 @@ class CGIRunner:
     def __init__(
         self,
         programs: Optional[dict] = None,
-        prefix: str = "/cgi-bin/",
         mode: str = "thread",
         stream_depth: int = 8,
     ):
         if mode not in ("thread", "process"):
             raise ValueError("mode must be 'thread' or 'process'")
         self.programs: dict[str, CGIProgram] = dict(programs or {})
-        self.prefix = prefix
         self.mode = mode
         self.stream_depth = max(1, stream_depth)
         self._seq = 0
@@ -250,9 +246,9 @@ class CGIRunner:
 
     def program_name(self, request: HTTPRequest) -> str:
         """Extract the application name from a dynamic request path."""
-        if not request.path.startswith(self.prefix):
+        if not request.is_cgi:
             raise NotFoundError(f"not a CGI path: {request.path}")
-        name = request.path[len(self.prefix):].split("/", 1)[0]
+        name = request.path[len(CGI_PREFIX):].split("/", 1)[0]
         if not name or name not in self.programs:
             raise NotFoundError(f"no such CGI program: {name!r}")
         return name

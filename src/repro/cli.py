@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         "408 and closes (0 disables; default 15)",
     )
     serve.add_argument(
-        "--idle-timeout", type=float, default=None, metavar="SECONDS",
+        "--idle-timeout", type=float, default=30.0, metavar="SECONDS",
         help="keep-alive idle budget between requests (0 disables; "
         "default 30)",
     )
@@ -145,9 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 1)",
     )
     serve.add_argument(
-        "--sse-path", default="/sse", metavar="PATH",
-        help="request path of the built-in Server-Sent Events endpoint "
-        "(empty string disables it; default /sse)",
+        "--sse-path", default=None, metavar="PATH",
+        help="serve the built-in Server-Sent Events endpoint at this "
+        "request path, shadowing any docroot file of that name "
+        "(default: no endpoint)",
     )
     serve.add_argument(
         "--sse-heartbeat", type=float, default=0.0, metavar="SECONDS",

@@ -139,11 +139,6 @@ class ServerConfig:
     socket_io_size: int = 64 * 1024
     #: Whether persistent (keep-alive) connections are honoured.
     keep_alive: bool = True
-    #: Idle timeout, in seconds, after which a connection is reaped.
-    #: Retained as the legacy spelling of :attr:`idle_timeout`; the two are
-    #: kept in sync by ``__post_init__`` (``idle_timeout`` wins when both
-    #: are set).  ``<= 0`` disables idle reaping.
-    connection_timeout: float = 30.0
 
     # -- per-connection deadlines (slow-client hardening) ---------------------
     #: Budget, in seconds, from the arrival of a connection (or of the first
@@ -153,9 +148,8 @@ class ServerConfig:
     #: is answered ``408 Request Timeout``.  ``<= 0`` disables it.
     header_timeout: float = 15.0
     #: Seconds an idle keep-alive connection (between complete exchanges)
-    #: may sit before being reaped.  ``None`` aliases
-    #: :attr:`connection_timeout`; ``<= 0`` disables idle reaping.
-    idle_timeout: Optional[float] = None
+    #: may sit before being reaped.  ``<= 0`` disables idle reaping.
+    idle_timeout: float = 30.0
     #: Seconds a response transmission may go without moving any byte to
     #: the peer before the connection is reaped.  Reset on *progress*
     #: (bytes actually transmitted), not on mere writability, so a reader
@@ -192,9 +186,8 @@ class ServerConfig:
     reuse_port: bool = False
 
     # -- dynamic content ----------------------------------------------------
-    #: URI prefix that routes to CGI-style applications.
-    cgi_prefix: str = "/cgi-bin/"
-    #: Registered CGI applications: name -> callable (see :mod:`repro.cgi`).
+    #: Registered CGI applications: name -> callable (see :mod:`repro.cgi`),
+    #: served under ``/cgi-bin/<name>``.
     cgi_programs: dict = field(default_factory=dict)
 
     # -- streaming responses (chunked transfer, streaming CGI, SSE) ----------
@@ -203,9 +196,10 @@ class ServerConfig:
     #: the application blocks, which is how consumer-side backpressure
     #: reaches the child (see :mod:`repro.core.streaming`).
     cgi_stream_depth: int = 8
-    #: Path of the built-in Server-Sent Events endpoint.  ``None`` or ``""``
-    #: disables the endpoint entirely.
-    sse_path: Optional[str] = "/sse"
+    #: Path of the built-in Server-Sent Events endpoint.  ``None`` (the
+    #: default) or ``""`` disables the endpoint entirely: an enabled one
+    #: shadows whatever docroot file has the same path.
+    sse_path: Optional[str] = None
     #: Bound on each SSE subscriber's event queue: a stalled subscriber
     #: holds at most this many formatted events in the server's heap.
     sse_queue_limit: int = 64
@@ -258,15 +252,10 @@ class ServerConfig:
             raise ValueError("sse_queue_limit must be at least 1")
         if self.sse_policy not in ("drop", "disconnect"):
             raise ValueError("sse_policy must be 'drop' or 'disconnect'")
-        # Sync the idle-timeout aliases, then normalize every timeout so
-        # "disabled" has exactly one spelling (0.0): legacy callers that set
-        # connection_timeout keep working, new callers use idle_timeout, and
-        # a non-positive value means "no deadline" everywhere instead of the
-        # old ``call_later(0, ...)`` busy-loop.
-        if self.idle_timeout is None:
-            self.idle_timeout = self.connection_timeout
+        # Normalize every timeout so "disabled" has exactly one spelling
+        # (0.0): a non-positive value means "no deadline" everywhere instead
+        # of a ``call_later(0, ...)`` busy-loop.
         self.idle_timeout = max(0.0, self.idle_timeout)
-        self.connection_timeout = self.idle_timeout
         self.header_timeout = max(0.0, self.header_timeout)
         self.write_stall_timeout = max(0.0, self.write_stall_timeout)
         self.document_root = os.path.abspath(self.document_root)

@@ -59,19 +59,21 @@ from __future__ import annotations
 import errno
 import logging
 import socket
-import struct
 import time
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional, Protocol
 
+from repro.core import exchange
 from repro.core.event_loop import EVENT_READ, EVENT_WRITE
 from repro.core.pipeline import StaticContent
 from repro.core.send_path import (
     ResponseCork,
     SendPath,
     choose_send_path,
+    reset_on_close,
     wire_segments,
 )
-from repro.core.streaming import ResponseSource, StreamingSendPath
+from repro.core.streaming import ResponseSource
 from repro.http.errors import HTTPError
 from repro.http.request import (
     FAST_MISS,
@@ -80,10 +82,12 @@ from repro.http.request import (
     RequestParser,
     probe_fast_request,
 )
-from repro.http.response import build_error_response
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.config import ServerConfig
+    from repro.core.event_loop import EventLoop
     from repro.core.pipeline import ContentStore
+    from repro.core.sse import SSEHub
 
 logger = logging.getLogger(__name__)
 
@@ -93,32 +97,40 @@ STATE_SEND_RESPONSE = "send_response"
 STATE_CLOSED = "closed"
 
 
+#: Which configured budget each deadline kind arms.
+_BUDGET = {
+    "header": attrgetter("header_timeout"),
+    "idle": attrgetter("idle_timeout"),
+    "write": attrgetter("write_stall_timeout"),
+}
+
+
 class ConnectionDriver(Protocol):
     """What a server must provide for :class:`Connection` to run.
 
-    The SPED build implements the ``*_async`` hooks by calling the callback
-    immediately (the operation runs inline and may block the whole server —
-    which is exactly SPED's weakness on disk-bound workloads); the AMPED
-    build dispatches them to helpers and invokes the callback from the event
-    loop when the completion notification arrives.
+    Every member is required and read as a plain attribute — a driver
+    (or a test fake) that lacks one fails at the first use, not silently
+    through a default.  The SPED build implements the ``*_async`` hooks by
+    calling the callback before returning (the operation runs inline and
+    may block the whole server — which is exactly SPED's weakness on
+    disk-bound workloads); the AMPED build dispatches them to helpers and
+    invokes the callback from the event loop when the completion
+    notification arrives.
     """
 
-    loop: object
+    loop: "EventLoop"  # its ``wheel`` carries the connection's deadline
     store: "ContentStore"
-    config: object
+    config: "ServerConfig"  # the three budgets and the hot-path toggles
+    draining: bool  # True once the server is shutting down gracefully
+    sse_hub: Optional["SSEHub"]  # ``None`` when the endpoint is disabled
 
-    def translate_async(self, uri: str, callback) -> None:
-        """Resolve ``uri`` to a PathnameEntry; callback(entry, error)."""
-        ...
+    def respond_async(self, request: HTTPRequest, keep_alive: bool, callback) -> None:
+        """Produce the static response for a hot-cache miss; callback(content, error).
 
-    def prepare_content_async(
-        self, request: HTTPRequest, entry, callback, keep_alive: Optional[bool] = None
-    ) -> None:
-        """Build the response and make it memory resident; callback(content, error).
-
-        ``keep_alive`` is the disposition the connection settled on for
-        this response (it knows about drain; the request alone does not)
-        and goes to ``build_response`` unchanged.
+        Translate, build (with ``keep_alive``, the disposition the
+        connection settled on — it knows about drain; the request alone
+        does not), make the body memory resident, and file the result in
+        the hot cache.
         """
         ...
 
@@ -132,8 +144,7 @@ class ConnectionDriver(Protocol):
         The AMPED build uses this to keep its non-blocking invariant on the
         fast path: cold content is rejected and the request retakes the
         full pipeline (which warms it through a helper).  SPED transmits
-        unconditionally.  Optional — drivers without the hook are treated
-        as always-ready.
+        unconditionally.
         """
         ...
 
@@ -153,7 +164,6 @@ class Connection:
         "parser",
         "request",
         "content",
-        "_entry",
         "_sender",
         "_batch_contents",
         "_cork",
@@ -183,11 +193,10 @@ class Connection:
         self.state = STATE_READ_REQUEST
         self.parser = RequestParser(
             max_header_bytes=driver.config.max_header_bytes,
-            fast=getattr(driver.config, "fast_parse", False),
+            fast=driver.config.fast_parse,
         )
         self.request: Optional[HTTPRequest] = None
         self.content: Optional[StaticContent] = None
-        self._entry = None
         self._sender = None
         #: Responses whose buffers were merged into the current sender by
         #: the pipelined-hot-hit batch; their pins are released together
@@ -306,24 +315,15 @@ class Connection:
         deadline is disabled and nothing is armed.  O(1) either way — the
         handles live on the event loop's hashed timer wheel.
         """
-        wheel = getattr(self.driver.loop, "wheel", None)
+        wheel = self.driver.loop.wheel
         if self._deadline_handle is not None:
-            if wheel is not None:
-                wheel.cancel(self._deadline_handle)
+            wheel.cancel(self._deadline_handle)
             self._deadline_handle = None
         self._deadline_kind = kind
-        if kind is None or wheel is None:
+        if kind is None:
             return
-        config = self.driver.config
-        if kind == "header":
-            delay = getattr(config, "header_timeout", 0.0)
-        elif kind == "write":
-            delay = getattr(config, "write_stall_timeout", 0.0)
-        else:
-            delay = getattr(config, "idle_timeout", None)
-            if delay is None:
-                delay = getattr(config, "connection_timeout", 0.0)
-        if delay is None or delay <= 0:
+        delay = _BUDGET[kind](self.driver.config)
+        if delay <= 0:
             return
         self._deadline_handle = wheel.schedule(delay, self._on_deadline)
 
@@ -342,22 +342,11 @@ class Connection:
                 # slowloris peer that also refuses to *read* the 408 is
                 # still reaped by the write-stall budget, pins and all.
                 stats.timeouts_header += 1
-                self._send_error(408, "request header timeout", close_after=True)
+                self._send_error(408, "request header timeout")
                 return
             if kind == "write":
                 stats.timeouts_write_stall += 1
-                # Abortive close: an orderly close would leave the kernel
-                # background-flushing the send buffer to a peer that is not
-                # reading — megabytes the stalled reader keeps pinned long
-                # after the application forgot the connection.  RST frees
-                # that memory with the fd.
-                try:
-                    self.sock.setsockopt(
-                        socket.SOL_SOCKET, socket.SO_LINGER,
-                        struct.pack("ii", 1, 0),
-                    )
-                except OSError:
-                    pass
+                reset_on_close(self.sock)
             else:
                 stats.timeouts_idle += 1
             # close() flushes the cork and releases the sender, content and
@@ -384,7 +373,7 @@ class Connection:
         try:
             complete = self.parser.feed(data)
         except HTTPError as exc:
-            self._send_error(exc.status, exc.message, close_after=True)
+            self._send_error(exc.status, exc.message)
             return
         if complete:
             self._dispatch_parsed()
@@ -403,7 +392,7 @@ class Connection:
             # error response, never an exception in the event loop.
             request = self.parser.request
         except HTTPError as exc:
-            self._send_error(exc.status, exc.message, close_after=True)
+            self._send_error(exc.status, exc.message)
             return
         # A fast-parsed request already consulted the hot cache (and missed
         # or was cold-rejected); _start_request must not probe it again.
@@ -417,22 +406,26 @@ class Connection:
         header build, no descriptor-cache probe.  Returns False (and leaves
         all state untouched) when the request must take the full pipeline.
         """
-        config = self.driver.config
-        if not config.hot_cache:
+        driver = self.driver
+        if not driver.config.hot_cache:
             return False
-        keep_alive = self._effective_keep_alive(fast.keep_alive)
-        content = self.driver.store.hot_lookup(fast.target, keep_alive)
+        keep_alive = exchange.disposition(
+            fast.keep_alive, driver.config, driver.draining, self.parser.remainder
+        )
+        content = driver.store.hot_lookup(fast.target, keep_alive)
         if content is None:
             return False
         if not self._hot_ready(content):
             return False
-        stats = self.driver.store.stats
+        stats = driver.store.stats
         stats.requests += 1
         stats.responses_ok += 1
         self.request = None
         self._keep_alive = keep_alive
         self.content = content
-        self._start_send(self._make_sender(content))
+        self._start_send(
+            choose_send_path(content, store=driver.store, config=driver.config, stats=stats)
+        )
         return True
 
     def _hot_ready(self, content: StaticContent) -> bool:
@@ -444,53 +437,45 @@ class Connection:
         Both full (200) and range (206) bodies are gated; bodyless answers
         (304, HEAD, 416) transmit unconditionally.
         """
-        if content.content_length == 0:
-            return True
-        ready = getattr(self.driver, "hot_content_ready", None)
-        if ready is None or ready(content):
+        if content.content_length == 0 or self.driver.hot_content_ready(content):
             return True
         self.driver.store.stats.hot_cold_fallbacks += 1
         content.release(self.driver.store)
         return False
 
-    def _effective_keep_alive(self, requested: bool) -> bool:
-        """The keep-alive disposition for the request being dispatched.
-
-        During drain a response may stay keep-alive only while further
-        pipelined bytes are buffered behind it — in-flight pipelined
-        requests complete — and the last buffered response carries
-        ``Connection: close`` so a well-behaved client moves elsewhere.
-        """
-        keep_alive = bool(requested and self.driver.config.keep_alive)
-        if (
-            keep_alive
-            and getattr(self.driver, "draining", False)
-            and not self.parser.remainder
-        ):
-            keep_alive = False
-        return keep_alive
-
     def _start_request(self, request: HTTPRequest, hot_consulted: bool = False) -> None:
+        driver = self.driver
+        store, config = driver.store, driver.config
         self.request = request
-        self.driver.store.stats.requests += 1
-        self._keep_alive = self._effective_keep_alive(request.keep_alive)
-        sse_path = getattr(self.driver.config, "sse_path", None)
-        if sse_path and request.path == sse_path:
-            self._start_sse(request)
+        self._keep_alive = exchange.disposition(
+            request.keep_alive, config, driver.draining, self.parser.remainder
+        )
+        route = exchange.route(store, config, request)
+        if route is exchange.ROUTE_SSE:
+            try:
+                sender = exchange.sse_sender(store, driver.sse_hub, request)
+            except HTTPError as exc:
+                self._send_failure(exc)
+                return
+            self._keep_alive = False
+            sender.source.bind(self._on_source_ready)
+            self._start_send(sender)
             return
         # Park first, dispatch, then look: the dispatch completes inside the
         # call unless a helper or CGI program really took it (SPED always
-        # translates inline; AMPED does for a cached translation of a
+        # responds inline; AMPED does for a cached translation of a
         # resident file), and the state has then moved on.
-        if request.is_cgi:
+        if route is exchange.ROUTE_CGI:
             self.state = STATE_WAIT_DISK
-            self.driver.store.stats.cgi_requests += 1
-            self.driver.handle_cgi_async(request, self._on_cgi_done)
+            driver.handle_cgi_async(request, self._on_cgi_done)
         else:
-            if not hot_consulted and self._try_hot_request(request):
-                return
+            if not hot_consulted:
+                content = exchange.hot_consult(store, config, request, self._keep_alive)
+                if content is not None and self._hot_ready(content):
+                    self._on_content_ready(content, None)
+                    return
             self.state = STATE_WAIT_DISK
-            self.driver.translate_async(request.path, self._on_translated)
+            driver.respond_async(request, self._keep_alive, self._on_content_ready)
         if self.state == STATE_WAIT_DISK:
             # Genuinely parked: stop watching the socket and the clock (the
             # peer is not the party being waited on; _start_send re-arms on
@@ -503,74 +488,20 @@ class Connection:
             self._arm_deadline(None)
             self._cork.flush()
 
-    def _try_hot_request(self, request: HTTPRequest) -> bool:
-        """Hot-cache consult for a fully parsed request (fast probe missed
-        or fast parsing is disabled).
-
-        GET and HEAD are eligible — the entry reproduces exactly what
-        ``build_response`` would return for them, including the RFC 7232
-        conditional answers (a precomposed 304 for a matching
-        ``If-None-Match``/``If-Modified-Since``, a 412 for a failed
-        ``If-Match``/``If-Unmodified-Since``, in §6 precedence order) and
-        the 206/416 answers to a ``Range`` header (the range-aware
-        read-side hit: the windows — one, or several as
-        ``multipart/byteranges`` — are served from the entry's pinned
-        descriptor/chunks without retaking translation).  The raw request
-        URI is the key, so any spelling the fast probe declines (escapes,
-        dot segments) simply misses and takes the full path.
-        """
-        if not self.driver.config.hot_cache or request.method not in ("GET", "HEAD"):
-            return False
-        content = self.driver.store.hot_lookup(
-            request.uri.encode("latin-1"),
-            self._keep_alive,
-            head=request.is_head,
-            if_modified_since=request.if_modified_since,
-            if_none_match=request.if_none_match,
-            if_match=request.if_match,
-            if_unmodified_since=request.if_unmodified_since,
-            range_header=request.range_header,
-            if_range=request.if_range,
-        )
-        if content is None:
-            return False
-        if not self._hot_ready(content):
-            return False
-        self.driver.store.stats.responses_ok += 1
-        self.content = content
-        self._start_send(self._make_sender(content))
-        return True
-
-    # -- translation / content callbacks -------------------------------------------
-
-    def _on_translated(self, entry, error) -> None:
-        if self.state == STATE_CLOSED:
-            return
-        if error is not None:
-            self._send_http_error(error)
-            return
-        self._entry = entry
-        self.driver.prepare_content_async(
-            self.request, entry, self._on_content_ready, keep_alive=self._keep_alive
-        )
+    # -- completion callbacks ------------------------------------------------------
 
     def _on_content_ready(self, content: Optional[StaticContent], error) -> None:
         if self.state == STATE_CLOSED:
             if content is not None:
                 content.release(self.driver.store)
             return
-        entry, self._entry = self._entry, None
         if error is not None:
-            self._send_http_error(error)
+            self._send_failure(error)
             return
         self.content = content
-        self.driver.store.stats.responses_ok += 1
-        if entry is not None and self.request is not None:
-            # Populate the single-lookup hot path: the next request for
-            # this raw target skips translation, header build and the
-            # descriptor probe entirely (refused shapes are a no-op).
-            self.driver.store.hot_insert(self.request, entry, content)
-        self._start_send(self._make_sender(content))
+        self._start_send(
+            exchange.static_sender(self.driver.store, self.driver.config, content)
+        )
 
     def _on_cgi_done(self, body, error) -> None:
         if self.state == STATE_CLOSED:
@@ -580,85 +511,18 @@ class Connection:
                 body.close()
             return
         if error is not None:
-            self._send_http_error(error)
+            self._send_failure(error)
             return
         if isinstance(body, ResponseSource):
             # Streaming application: the body length is unknown up front,
             # so the response goes out through the streaming send path.
-            self.driver.store.stats.responses_ok += 1
-            self.start_streaming(body, content_type="text/html")
-            return
-        header = self.driver.store.header_builder.build(
-            200,
-            content_length=len(body),
-            content_type="text/html",
-            keep_alive=self._keep_alive,
-        ).raw
-        self.driver.store.stats.responses_ok += 1
-        self._start_send(SendPath([header, body], self.driver.store))
+            body.bind(self._on_source_ready)
+        sender, self._keep_alive = exchange.cgi_sender(
+            self.driver.store, self.request, body, self._keep_alive
+        )
+        self._start_send(sender)
 
     # -- streaming ------------------------------------------------------------------
-
-    def _start_sse(self, request: HTTPRequest) -> None:
-        """Subscribe this connection to the server's SSE hub."""
-        hub = getattr(self.driver, "sse_hub", None)
-        if hub is None or request.method not in ("GET", "HEAD"):
-            self._send_error(404, "no event stream here", close_after=False)
-            return
-        stats = self.driver.store.stats
-        subscriber = hub.subscribe()
-        stats.sse_connections += 1
-        stats.responses_ok += 1
-        # An event stream has no natural end: the connection is spent once
-        # the subscription finishes (hub close, disconnect policy, reap).
-        self._keep_alive = False
-        self.start_streaming(
-            subscriber,
-            content_type="text/event-stream",
-            cache_control="no-store",
-        )
-
-    def start_streaming(
-        self,
-        source: ResponseSource,
-        *,
-        status: int = 200,
-        content_type: str = "text/html",
-        cache_control: Optional[str] = None,
-    ) -> None:
-        """Transmit a response produced incrementally by ``source``.
-
-        HTTP/1.1 consumers get ``Transfer-Encoding: chunked`` framing and
-        may keep the connection alive afterwards; HTTP/1.0 consumers get
-        the close-delimited fallback (the connection close is the framing,
-        so keep-alive is off regardless of the request's preference).
-        """
-        request = self.request
-        chunked = bool(request is not None and request.version == "HTTP/1.1")
-        if not chunked:
-            self._keep_alive = False
-        stats = self.driver.store.stats
-        stats.streamed_responses += 1
-        if chunked:
-            stats.chunked_responses += 1
-        header = self.driver.store.header_builder.build_stream(
-            status,
-            content_type=content_type,
-            chunked=chunked,
-            keep_alive=self._keep_alive,
-            cache_control=cache_control,
-        ).raw
-        source.bind(self._on_source_ready)
-        self._start_send(StreamingSendPath(
-            header,
-            source,
-            chunked=chunked,
-            on_pause=self._on_stream_pause,
-        ))
-
-    def _on_stream_pause(self) -> None:
-        """Send-buffer pressure paused the producing source (one edge)."""
-        self.driver.store.stats.backpressure_pauses += 1
 
     def _on_source_ready(self) -> None:
         """Source callback: data arrived for a (possibly parked) stream.
@@ -695,15 +559,6 @@ class Connection:
 
     # -- sending --------------------------------------------------------------------
 
-    def _make_sender(self, content: StaticContent):
-        """Pick the send path for ``content`` (see ``choose_send_path``)."""
-        return choose_send_path(
-            content,
-            store=self.driver.store,
-            config=self.driver.config,
-            stats=self.driver.store.stats,
-        )
-
     def _start_send(self, sender) -> None:
         self._sender = sender
         self.state = STATE_SEND_RESPONSE
@@ -716,11 +571,11 @@ class Connection:
             if self._cork.hold():
                 self.driver.store.stats.corked_responses += 1
         if self._finishing:
-            # Called from inside the pipelined drain loop: that loop
+            # Called from inside _finish_response: _do_write's loop
             # transmits the response itself — writing here would recurse
-            # back through _finish_response, one stack level per pipelined
-            # request, and a long burst would overflow the stack.  (The
-            # loop also batches, so merging here would double up.)
+            # back through it, one stack level per pipelined request, and a
+            # long burst would overflow the stack.  (_finish_response also
+            # batches, so merging here would double up.)
             self._await_writable()
             return
         # Merge any immediately-ready pipelined hot hits into this sender
@@ -760,120 +615,99 @@ class Connection:
         self._set_interest(EVENT_WRITE)
 
     def _do_write(self) -> None:
-        sender = self._sender
-        if sender is None:
-            return
-        sent = sender.send(self.sock)
-        if sent:
-            self.last_activity = time.monotonic()
-            self.bytes_sent += sent
-            self.driver.store.stats.bytes_sent += sent
-        if sender.done:
-            self._finish_response()
-            return
-        if sent:
-            # Bytes moved but the response is not finished: the peer made
-            # progress, so the write-stall budget restarts.  (No progress
-            # leaves the armed deadline counting down.)
-            self._arm_deadline("write")
-        if (
-            not self._stream_parked
-            and self.state == STATE_SEND_RESPONSE
-            and getattr(sender, "waiting_on_source", False)
-        ):
-            self._park_stream()
-
-    def _finish_response(self) -> None:
-        """Epilogue of a transmitted response, plus the pipelined drain loop.
+        """Transmit what the socket takes now; chain pipelined responses.
 
         Any number of pipelined requests may complete synchronously behind
-        the finished response (cache hits — above all hot-cache hits —
-        never leave the event-loop tick).  Each iteration finishes one
-        response, starts the next buffered request, and transmits its
-        response inline; iterating instead of recursing through
+        a finished response (cache hits — above all hot-cache hits — never
+        leave the event-loop tick).  Each iteration transmits one response
+        and, once it is out, lets :meth:`_finish_response` start the next
+        buffered request; iterating here instead of recursing through
         ``_start_send → _do_write → _finish_response`` keeps the stack flat
         no matter how many requests a client packs into one segment.
         """
-        self._finishing = True
-        try:
-            while True:
-                self.requests_served += 1
-                # Release the sender before the content: the buffered path
-                # holds memoryviews over mapped chunks, which must be
-                # dropped before the cache may unmap them.
-                if self._sender is not None:
-                    if self._sender.under_delivered:
-                        # The body came up short of the promised
-                        # Content-Length (file shrank mid-transfer): the
-                        # connection's framing is broken, so it must not be
-                        # reused.
-                        self._keep_alive = False
-                    self._sender.release()
-                    self._sender = None
-                if self.content is not None:
-                    self.content.release(self.driver.store)
-                    self.content = None
-                self._release_batch()
-                if not self._keep_alive:
-                    self.close()
-                    return
-                if not self.parser.remainder and getattr(
-                    self.driver, "draining", False
-                ):
-                    # Drain began while this (pre-drain, keep-alive
-                    # flavored) response was in flight and nothing further
-                    # is buffered: going idle now would leave the
-                    # connection for the drain deadline to force-close.
-                    self.close()
-                    return
-                remainder = self.parser.remainder
-                self.parser.reset()
-                self.request = None
-                self.state = STATE_READ_REQUEST
-                self._set_interest(EVENT_READ)
-                # Buffered pipelined bytes mean a request head is already in
-                # flight (header budget); an empty buffer means the exchange
-                # is complete and the keep-alive idle budget applies.
-                self._arm_deadline("header" if remainder else "idle")
-                if remainder:
-                    # Pipelined request already buffered: parse it without
-                    # waiting for the socket to become readable again.
-                    try:
-                        if self.parser.feed(remainder):
-                            self._dispatch_parsed()
-                    except HTTPError as exc:
-                        self._send_error(exc.status, exc.message, close_after=True)
-                if self.state == STATE_READ_REQUEST:
-                    # Pipeline drained: no complete request is buffered, so
-                    # nothing follows immediately and the batched responses
-                    # must flush.  (A pipelined request that parked on disk
-                    # flushed the cork already, inside _start_request — the
-                    # cork-aware latency bound.)
-                    self._cork.flush()
-                    return
-                if self.state != STATE_SEND_RESPONSE or self._sender is None:
-                    # WAIT_DISK (the helper/CGI completion re-enters later,
-                    # with _finishing clear) or CLOSED.
-                    return
-                # The next response started synchronously: merge any
-                # further immediately-ready hot hits into its vector, then
-                # transmit here and loop to finish it.  OSErrors propagate
-                # to the same absorb points that guard _do_write.
-                self._batch_pipelined()
-                sent = self._sender.send(self.sock)
+        while True:
+            sender = self._sender
+            if sender is None:
+                return
+            sent = sender.send(self.sock)
+            if sent:
+                self.last_activity = time.monotonic()
+                self.bytes_sent += sent
+                self.driver.store.stats.bytes_sent += sent
+            if not sender.done:
                 if sent:
-                    self.last_activity = time.monotonic()
-                    self.bytes_sent += sent
-                    self.driver.store.stats.bytes_sent += sent
-                if not self._sender.done:
-                    # Socket buffer full: the event loop resumes the
-                    # transfer when the socket selects writable.  Bytes
-                    # moved, so the write-stall budget restarts.
-                    if sent:
-                        self._arm_deadline("write")
-                    return
-        finally:
-            self._finishing = False
+                    # Bytes moved but the response is not finished: the
+                    # peer made progress, so the write-stall budget
+                    # restarts.  (No progress leaves the armed deadline
+                    # counting down.)
+                    self._arm_deadline("write")
+                if (
+                    not self._stream_parked
+                    and self.state == STATE_SEND_RESPONSE
+                    and getattr(sender, "waiting_on_source", False)
+                ):
+                    self._park_stream()
+                return
+            if not self._finish_response():
+                return
+
+    def _finish_response(self) -> bool:
+        """Epilogue of a transmitted response; start the next buffered request.
+
+        Returns True when that request's response started synchronously —
+        its sender is in place and :meth:`_do_write` transmits it next.
+        """
+        self.requests_served += 1
+        if self._sender is not None and self._sender.under_delivered:
+            # The body came up short of the promised Content-Length (file
+            # shrank mid-transfer): the connection's framing is broken, so
+            # it must not be reused.
+            self._keep_alive = False
+        self._release_response()
+        remainder = self.parser.remainder
+        if not self._keep_alive or (self.driver.draining and not remainder):
+            # The second case: drain began while this (pre-drain,
+            # keep-alive flavored) response was in flight and nothing
+            # further is buffered — going idle now would leave the
+            # connection for the drain deadline to force-close.
+            self.close()
+            return False
+        self.parser.reset()
+        self.request = None
+        self.state = STATE_READ_REQUEST
+        self._set_interest(EVENT_READ)
+        # Buffered pipelined bytes mean a request head is already in flight
+        # (header budget); an empty buffer means the exchange is complete
+        # and the keep-alive idle budget applies.
+        self._arm_deadline("header" if remainder else "idle")
+        if remainder:
+            # Pipelined request already buffered: parse it without waiting
+            # for the socket to become readable again.  _finishing tells
+            # _start_send that _do_write's loop transmits the response.
+            self._finishing = True
+            try:
+                if self.parser.feed(remainder):
+                    self._dispatch_parsed()
+            except HTTPError as exc:
+                self._send_error(exc.status, exc.message)
+            finally:
+                self._finishing = False
+        if self.state == STATE_READ_REQUEST:
+            # Pipeline drained: no complete request is buffered, so nothing
+            # follows immediately and the batched responses must flush.  (A
+            # pipelined request that parked on disk flushed the cork
+            # already, inside _start_request — the cork-aware latency
+            # bound.)
+            self._cork.flush()
+            return False
+        if self.state != STATE_SEND_RESPONSE or self._sender is None:
+            # WAIT_DISK (the helper/CGI completion re-enters later) or
+            # CLOSED.
+            return False
+        # The next response started synchronously: merge any further
+        # immediately-ready hot hits into its vector before it leaves.
+        self._batch_pipelined()
+        return True
 
     def _batch_pipelined(self) -> None:
         """Merge immediately-ready pipelined hot hits into the current sender.
@@ -893,35 +727,33 @@ class Connection:
         if not isinstance(sender, SendPath):
             # A stream's end is not known yet: nothing can queue behind it.
             return
-        config = self.driver.config
-        if not (config.hot_cache and getattr(config, "fast_parse", False)):
+        driver = self.driver
+        config = driver.config
+        if not (config.hot_cache and config.fast_parse):
             return
-        store = self.driver.store
+        store = driver.store
         stats = store.stats
         while self._keep_alive and self.parser.remainder:
             probed = probe_fast_request(self.parser.remainder)
             if probed is None or probed is FAST_MISS:
                 return
             fast, header_end = probed
-            keep_alive = bool(fast.keep_alive and config.keep_alive)
-            if (
-                keep_alive
-                and getattr(self.driver, "draining", False)
-                and not self.parser.remainder[header_end:]
-            ):
-                # Last buffered pipelined request during drain: its
-                # response must carry ``Connection: close``.
-                keep_alive = False
+            # More buffered = bytes past this request's head: the last
+            # buffered pipelined request during drain says ``close``.
+            keep_alive = exchange.disposition(
+                fast.keep_alive,
+                config,
+                driver.draining,
+                len(self.parser.remainder) > header_end,
+            )
             content = store.hot_lookup(fast.target, keep_alive)
             if content is None:
                 return
-            if content.content_length > 0:
-                ready = getattr(self.driver, "hot_content_ready", None)
-                if ready is not None and not ready(content):
-                    # Cold content: the normal loop will re-consult the
-                    # cache and retake the full (warming) pipeline.
-                    content.release(store)
-                    return
+            if content.content_length > 0 and not driver.hot_content_ready(content):
+                # Cold content: the normal loop will re-consult the cache
+                # and retake the full (warming) pipeline.
+                content.release(store)
+                return
             # Commit: consume the request and merge the response.
             self.parser.remainder = self.parser.remainder[header_end:]
             stats.requests += 1
@@ -933,33 +765,36 @@ class Connection:
             sender.extend(wire_segments(content, config=config, stats=stats))
             self._batch_contents.append(content)
 
-    def _release_batch(self) -> None:
-        """Release every response batched into the just-finished sender."""
-        if not self._batch_contents:
-            return
-        batch, self._batch_contents = self._batch_contents, []
-        for content in batch:
-            content.release(self.driver.store)
+    def _release_response(self) -> None:
+        """Release the sender, then the response, then everything batched into it.
+
+        In that order: the buffered path holds memoryviews over mapped
+        chunks, which must be dropped before the cache may unmap them.
+        """
+        if self._sender is not None:
+            self._sender.release()
+            self._sender = None
+        if self.content is not None:
+            self.content.release(self.driver.store)
+            self.content = None
+        if self._batch_contents:
+            batch, self._batch_contents = self._batch_contents, []
+            for content in batch:
+                content.release(self.driver.store)
 
     # -- errors ------------------------------------------------------------------------
 
-    def _send_http_error(self, error: Exception) -> None:
-        if isinstance(error, HTTPError):
-            self._send_error(error.status, error.message, close_after=not self._keep_alive)
-        else:
-            self._send_error(500, str(error), close_after=True)
-
-    def _send_error(self, status: int, message: str, close_after: bool) -> None:
-        self.driver.store.stats.responses_error += 1
-        if close_after:
-            self._keep_alive = False
-        payload = build_error_response(
-            status,
-            message,
-            builder=self.driver.store.header_builder,
-            keep_alive=self._keep_alive,
+    def _send_failure(self, error: Exception) -> None:
+        """Answer an exception from planning (see ``exchange.failure_sender``)."""
+        sender, self._keep_alive = exchange.failure_sender(
+            self.driver.store, error, self._keep_alive
         )
-        self._start_send(SendPath([payload], self.driver.store))
+        self._start_send(sender)
+
+    def _send_error(self, status: int, message: str) -> None:
+        """Answer a request that never parsed (or timed out); then close."""
+        self._keep_alive = False
+        self._start_send(exchange.error_sender(self.driver.store, status, message, False))
 
     # -- lifecycle ------------------------------------------------------------------------
 
@@ -971,15 +806,7 @@ class Connection:
         self._arm_deadline(None)
         # Pop any held cork so batched bytes flush ahead of the FIN.
         self._cork.flush()
-        # Drop buffered views before releasing the chunks they point into,
-        # otherwise the mapped-file cache cannot unmap them.
-        if self._sender is not None:
-            self._sender.release()
-            self._sender = None
-        if self.content is not None:
-            self.content.release(self.driver.store)
-            self.content = None
-        self._release_batch()
+        self._release_response()
         self.driver.loop.unregister(self.sock)
         try:
             self.sock.close()

@@ -1168,7 +1168,7 @@ class ContentStore:
     def _maybe_lock(self):
         if self._lock is not None:
             return self._lock
-        return _NullContext()
+        return _NULL_CONTEXT
 
     def stats_lock(self):
         """Context manager guarding :attr:`stats` updates from worker threads.
@@ -1246,3 +1246,8 @@ class _NullContext:
 
     def __exit__(self, *exc):
         return False
+
+
+#: Stateless, so one instance serves every unlocked section: taking the
+#: "lock" on a single-threaded build allocates nothing.
+_NULL_CONTEXT = _NullContext()

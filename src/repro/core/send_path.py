@@ -60,6 +60,7 @@ from __future__ import annotations
 import errno
 import os
 import socket
+import struct
 from typing import Sequence
 
 #: Cap on buffers per vectored write; IOV_MAX is at least 16 everywhere and
@@ -135,6 +136,20 @@ _TCP_CORK = getattr(socket, "TCP_CORK", 0)
 def cork_available() -> bool:
     """Whether this platform offers ``TCP_CORK`` batching."""
     return bool(_TCP_CORK)
+
+
+def reset_on_close(sock: socket.socket) -> None:
+    """Make the coming ``close`` abortive (RST): the write-stall reaping.
+
+    An orderly close would leave the kernel background-flushing the send
+    buffer to a peer that is not reading — megabytes the stalled reader
+    keeps pinned long after the application forgot the connection.  RST
+    frees that memory with the fd.
+    """
+    try:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    except OSError:
+        pass
 
 
 class ResponseCork:

@@ -13,9 +13,13 @@ blocking work runs:
   tests memory residency and, when pages are missing, ships a read
   (page-warming) operation to a helper.  The main loop never performs
   blocking disk work itself.
-* :class:`repro.servers.sped.SPEDServer` overrides the same hooks to run the
-  operations inline — faithful to SPED, including its weakness: a disk miss
-  stalls every connection.
+* :class:`repro.servers.sped.SPEDServer` implements the same hook by running
+  the operations inline — faithful to SPED, including its weakness: a disk
+  miss stalls every connection.
+
+:class:`ListeningServer`, :func:`open_listener` and
+:func:`build_services` are what every architecture's server object shares,
+the MT and MP builds included.
 """
 
 from __future__ import annotations
@@ -51,87 +55,82 @@ from repro.http.errors import HTTPError, NotFoundError
 from repro.http.request import HTTPRequest
 from repro.testing.faults import faults
 
+logger = logging.getLogger(__name__)
+
 #: Fallback resume delay for an accept pause that nothing will unblock: a
 #: pause taken with zero open connections (descriptor pressure from outside
 #: the connection table) has no close event to ride, so a timer retries.
-logger = logging.getLogger(__name__)
-
 ACCEPT_RETRY_INTERVAL = 1.0
 
 
-class BaseEventDrivenServer:
-    """Shared machinery of the event-driven (SPED and AMPED) builds."""
+def open_listener(config: ServerConfig, *, timeout: float) -> socket.socket:
+    """Create, bind and listen on the socket ``config`` describes.
 
-    #: Architecture label used in logs, experiments and ``create_server``.
-    architecture = "event-driven"
+    ``timeout`` is the accept timeout: ``0`` makes the listener non-blocking
+    (the event loop reports readiness); the MT/MP workers use a short
+    positive one so they notice shutdown without needing signals.
+    """
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    if config.reuse_port:
+        if not hasattr(socket, "SO_REUSEPORT"):
+            raise RuntimeError("SO_REUSEPORT is not available on this platform")
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+    sock.bind((config.host, config.port))
+    sock.listen(config.listen_backlog)
+    if timeout > 0:
+        sock.settimeout(timeout)
+    else:
+        sock.setblocking(False)
+    return sock
 
-    def __init__(
-        self,
-        config: ServerConfig,
-        residency_tester: Optional[ResidencyTester] = None,
-    ):
-        self.config = config
-        self.loop = EventLoop(backend=config.io_backend)
-        self.store = ContentStore(config, residency_tester=residency_tester)
-        self.cgi_runner = CGIRunner(
-            config.cgi_programs,
-            prefix=config.cgi_prefix,
-            stream_depth=config.cgi_stream_depth,
+
+def build_services(
+    config: ServerConfig, store: ContentStore
+) -> tuple[CGIRunner, Optional[SSEHub], AdmissionController]:
+    """The CGI runner, SSE hub and admission controller of one server
+    (of one worker process, in the MP build).
+
+    The hub exists only when ``sse_path`` is set; its heartbeat ticker,
+    when enabled, is a plain daemon thread publishing through the
+    thread-safe ``publish``.  An event a stalled subscriber's bounded queue
+    sheds is counted on whichever thread published it, under the store's
+    stats lock — the null context outside the MT build, where this one
+    counter trades exactness for not dragging a lock onto every publish.
+    """
+    cgi_runner = CGIRunner(config.cgi_programs, stream_depth=config.cgi_stream_depth)
+    sse_hub = None
+    if config.sse_path:
+
+        def count_drop() -> None:
+            with store.stats_lock():
+                store.stats.sse_dropped_events += 1
+
+        sse_hub = SSEHub(
+            queue_limit=config.sse_queue_limit, policy=config.sse_policy, on_drop=count_drop
         )
-        self.cgi_runner.register(self.loop)
-        #: Pub/sub hub behind the built-in SSE endpoint.  Its notify channel
-        #: rides the event loop (subscriber ready-callbacks run on the loop
-        #: thread); its heartbeat ticker, when enabled, is a plain daemon
-        #: thread publishing through the thread-safe ``publish``.
-        self.sse_hub: Optional[SSEHub] = None
-        if config.sse_path:
-            self.sse_hub = SSEHub(
-                queue_limit=config.sse_queue_limit,
-                policy=config.sse_policy,
-                on_drop=self._on_sse_drop,
-            )
-            self.sse_hub.register(self.loop)
-            self.sse_hub.start_ticker(config.sse_heartbeat)
-        self._listen_sock: Optional[socket.socket] = None
-        self._connections: set[Connection] = set()
-        self._stop_event = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._bound = threading.Event()
-        self._closed = False
-        self.admission = AdmissionController(
-            max_connections=config.max_connections,
-            resume_fraction=config.admission_resume,
-            retry_after=config.retry_after,
-        )
-        #: Accept-pause state for the fd-exhaustion guard: while paused the
-        #: listener is unregistered from the loop (a level-triggered backend
-        #: would otherwise spin on the forever-readable listener) and it is
-        #: re-registered once connections drain below the pause-time count.
-        self._accept_paused = False
-        self._paused_at_count = 0
-        self._pause_generation = 0
-        #: Drain state (SIGTERM/SIGINT graceful shutdown).
-        self._draining = False
-        self._drain_generation = 0
+        sse_hub.start_ticker(config.sse_heartbeat)
+    admission = AdmissionController(
+        max_connections=config.max_connections,
+        resume_fraction=config.admission_resume,
+        retry_after=config.retry_after,
+    )
+    return cgi_runner, sse_hub, admission
 
-    # -- binding and addresses ---------------------------------------------------
+
+class ListeningServer:
+    """What every architecture's server object shares with its callers:
+    the listening socket, its address, and ``with server:`` as start/stop."""
+
+    #: The listener's accept timeout (see :func:`open_listener`).
+    accept_timeout = 0.2
+    config: ServerConfig
+    _listen_sock: Optional[socket.socket] = None
 
     def bind(self) -> None:
-        """Create and register the listening socket.  Idempotent."""
-        if self._listen_sock is not None:
-            return
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        if self.config.reuse_port:
-            if not hasattr(socket, "SO_REUSEPORT"):
-                raise RuntimeError("SO_REUSEPORT is not available on this platform")
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        sock.bind((self.config.host, self.config.port))
-        sock.listen(self.config.listen_backlog)
-        sock.setblocking(False)
-        self._listen_sock = sock
-        self.loop.register(sock, EVENT_READ, self._on_accept_ready)
-        self._bound.set()
+        """Create the listening socket.  Idempotent."""
+        if self._listen_sock is None:
+            self._listen_sock = open_listener(self.config, timeout=self.accept_timeout)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -144,6 +143,58 @@ class BaseEventDrivenServer:
     def port(self) -> int:
         """Bound TCP port (useful when the config asked for an ephemeral port)."""
         return self.address[1]
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
+
+
+class BaseEventDrivenServer(ListeningServer):
+    """Shared machinery of the event-driven (SPED and AMPED) builds."""
+
+    #: Architecture label used in logs, experiments and ``create_server``.
+    architecture = "event-driven"
+    accept_timeout = 0  # non-blocking: the loop reports the listener readable
+
+    def __init__(
+        self,
+        config: ServerConfig,
+        residency_tester: Optional[ResidencyTester] = None,
+    ):
+        self.config = config
+        self.loop = EventLoop(backend=config.io_backend)
+        self.store = ContentStore(config, residency_tester=residency_tester)
+        self.cgi_runner, self.sse_hub, self.admission = build_services(config, self.store)
+        # Completions and SSE notifies ride the event loop, so response and
+        # subscriber ready-callbacks run on the loop thread.
+        self.cgi_runner.register(self.loop)
+        if self.sse_hub is not None:
+            self.sse_hub.register(self.loop)
+        self._connections: set[Connection] = set()
+        self._stop_event = threading.Event()
+        self._thread: Optional[threading.Thread] = None
+        self._closed = False
+        #: Accept-pause state for the fd-exhaustion guard: while paused the
+        #: listener is unregistered from the loop (a level-triggered backend
+        #: would otherwise spin on the forever-readable listener) and it is
+        #: re-registered once connections drain below the pause-time count.
+        self._accept_paused = False
+        self._paused_at_count = 0
+        self._pause_generation = 0
+        #: Whether the server is in drain mode (SIGTERM/SIGINT graceful
+        #: shutdown); every connection reads it when it settles keep-alive.
+        self.draining = False
+        self._drain_generation = 0
+
+    # -- binding and addresses ---------------------------------------------------
+
+    def bind(self) -> None:
+        """Create and register the listening socket.  Idempotent."""
+        if self._listen_sock is None:
+            super().bind()
+            self.loop.register(self._listen_sock, EVENT_READ, self._on_accept_ready)
 
     @property
     def stats(self) -> ServerStats:
@@ -212,16 +263,6 @@ class BaseEventDrivenServer:
             pass
         logger.exception("unhandled error in %s (absorbed; loop continues)", where)
 
-    def _on_sse_drop(self) -> None:
-        """Hub overflow hook: a stalled subscriber's bounded queue shed one.
-
-        Runs on whichever thread published the event (the heartbeat ticker,
-        usually).  The event-driven builds keep all other stats on the loop
-        thread; this one counter trades exactness for not dragging a lock
-        onto every publish, same as the MT build's documented stats slop.
-        """
-        self.store.stats.sse_dropped_events += 1
-
     def _on_fd_exhaustion(self) -> None:
         """Survive accept-time EMFILE/ENFILE: shed one arrival, pause accepts."""
         self.store.stats.fd_exhaustion_events += 1
@@ -235,7 +276,7 @@ class BaseEventDrivenServer:
         without the pause an EMFILE storm becomes a 100% CPU spin of
         failing accepts.
         """
-        if self._accept_paused or self._draining or self._listen_sock is None:
+        if self._accept_paused or self.draining or self._listen_sock is None:
             return
         self._accept_paused = True
         self._paused_at_count = len(self._connections)
@@ -262,34 +303,14 @@ class BaseEventDrivenServer:
             return
         self._accept_paused = False
         self._pause_generation += 1
-        if self._listen_sock is not None and not self._draining:
+        if self._listen_sock is not None and not self.draining:
             self.loop.register(self._listen_sock, EVENT_READ, self._on_accept_ready)
 
     # -- driver hooks (overridden per architecture) -----------------------------------
 
-    def translate_async(self, uri: str, callback) -> None:
-        """Resolve a pathname inline (SPED behaviour: may block the loop)."""
-        self.store.stats.blocking_translations += 1
-        try:
-            entry = self.store.translate(uri)
-        except HTTPError as exc:
-            callback(None, exc)
-            return
-        except OSError as exc:
-            callback(None, NotFoundError(str(exc)))
-            return
-        callback(entry, None)
-
-    def prepare_content_async(
-        self, request: HTTPRequest, entry, callback, keep_alive: Optional[bool] = None
-    ) -> None:
-        """Build the response inline (SPED behaviour: page faults may block)."""
-        try:
-            content = self.store.build_response(request, entry, keep_alive=keep_alive)
-        except (HTTPError, OSError) as exc:
-            callback(None, exc)
-            return
-        callback(content, None)
+    def respond_async(self, request: HTTPRequest, keep_alive: bool, callback) -> None:
+        """Produce the static response for a hot-cache miss (per architecture)."""
+        raise NotImplementedError
 
     def handle_cgi_async(self, request: HTTPRequest, callback) -> None:
         """Forward a dynamic request to its persistent CGI application."""
@@ -314,15 +335,10 @@ class BaseEventDrivenServer:
                 open_count
             ):
                 self._resume_accepting()
-        if self._draining and not self._connections:
+        if self.draining and not self._connections:
             self._finish_drain()
 
     # -- graceful drain ---------------------------------------------------------------
-
-    @property
-    def draining(self) -> bool:
-        """Whether the server is in drain mode (stopping gracefully)."""
-        return self._draining
 
     def request_drain(self) -> None:
         """Enter drain mode: stop accepting, finish in-flight responses.
@@ -338,9 +354,9 @@ class BaseEventDrivenServer:
 
     def _begin_drain(self) -> None:
         try:
-            if self._draining or self._closed:
+            if self.draining or self._closed:
                 return
-            self._draining = True
+            self.draining = True
             # Closing the listener (not merely unregistering it) removes
             # this process from the kernel's SO_REUSEPORT hash, so in a
             # shard fleet new arrivals immediately redistribute to the
@@ -379,7 +395,7 @@ class BaseEventDrivenServer:
     def _drain_expired(self, generation: int) -> None:
         """Drain deadline: force-close the stragglers still in flight."""
         try:
-            if generation != self._drain_generation or not self._draining:
+            if generation != self._drain_generation or not self.draining:
                 return
             for connection in list(self._connections):
                 self.store.stats.drain_forced_closes += 1
@@ -389,7 +405,7 @@ class BaseEventDrivenServer:
 
     def _finish_drain(self) -> None:
         """All connections drained: stop the loop so run_forever returns."""
-        if not self._draining:
+        if not self.draining:
             return
         self._drain_generation += 1
         self._stop_event.set()
@@ -464,20 +480,6 @@ class BaseEventDrivenServer:
         self.store.close()
         self.loop.close()
 
-    def __enter__(self) -> "BaseEventDrivenServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    # Idle-connection reaping lives in the per-connection deadline system
-    # now: every Connection arms header/idle/write-stall deadlines on the
-    # event loop's hashed timer wheel (see repro.core.connection), which
-    # replaced the periodic full-sweep reaper this class used to run — the
-    # sweep cost O(connections) per pass, reset its clock on readiness
-    # rather than progress (so slow clients dodged it), and busy-looped
-    # when the timeout was configured to 0.
-
 
 class FlashServer(BaseEventDrivenServer):
     """The Flash web server: AMPED with aggressive caching (paper Section 5).
@@ -512,14 +514,15 @@ class FlashServer(BaseEventDrivenServer):
 
     # -- AMPED driver hooks ----------------------------------------------------------
 
-    def translate_async(self, uri: str, callback) -> None:
-        """Use the pathname cache; ship misses to a translation helper."""
+    def respond_async(self, request: HTTPRequest, keep_alive: bool, callback) -> None:
+        """Translate from the pathname cache, or on a helper; then prepare."""
+        uri = request.path
         entry = self.store.translate_cached_only(uri)
         if entry is not None:
-            callback(entry, None)
+            self._prepare_content(request, entry, keep_alive, callback)
             return
         self.store.stats.helper_dispatches += 1
-        request = HelperRequest(
+        helper_request = HelperRequest(
             seq=0,
             op=OP_TRANSLATE,
             uri=uri,
@@ -533,13 +536,11 @@ class FlashServer(BaseEventDrivenServer):
                 return
             entry = translation_entry_from_reply(uri, reply)
             self.store.store_translation(entry)
-            callback(entry, None)
+            self._prepare_content(request, entry, keep_alive, callback)
 
-        self.helpers.submit(request, on_reply)
+        self.helpers.submit(helper_request, on_reply)
 
-    def prepare_content_async(
-        self, request: HTTPRequest, entry, callback, keep_alive: Optional[bool] = None
-    ) -> None:
+    def _prepare_content(self, request: HTTPRequest, entry, keep_alive: bool, callback) -> None:
         """Build the response; warm non-resident content through a helper.
 
         Two warming routes, chosen by how the body will be transmitted:
@@ -551,7 +552,16 @@ class FlashServer(BaseEventDrivenServer):
           descriptor and cold files go to an ``OP_WARM`` helper
           (``posix_fadvise(WILLNEED)`` + bounded read-touch), so the
           zero-copy fast path never pays map/touch/unmap work at all.
+
+        A response that is ready to transmit is filed in the hot cache on
+        its way to ``callback`` (refused shapes are a no-op).
         """
+
+        def done(content: Optional[StaticContent], error) -> None:
+            if error is None:
+                self.store.hot_insert(request, entry, content)
+            callback(content, error)
+
         # With warming enabled the zero-copy response needs no mapped
         # chunks: the fd residency probe replaces the chunk mincore test
         # and the warm helper replaces the page-touch helper.
@@ -579,12 +589,12 @@ class FlashServer(BaseEventDrivenServer):
             if self.config.helper_warming and not self.store.content_resident(content):
                 self.store.stats.helper_dispatches += 1
                 self.store.stats.blocking_reads += 1
-                self._warm_fd_async(entry, content, callback)
+                self._warm_fd_async(entry, content, done)
                 return
-            callback(content, None)
+            done(content, None)
             return
         if self.store.content_resident(content):
-            callback(content, None)
+            done(content, None)
             return
         # The requested file is (partly) not in memory: instruct a helper to
         # bring it in, then transmit without risk of blocking (paper §3.4).
@@ -606,7 +616,7 @@ class FlashServer(BaseEventDrivenServer):
                 content.release(self.store)
                 callback(None, _reply_to_error(reply))
                 return
-            callback(content, None)
+            done(content, None)
 
         self.helpers.submit(helper_request, on_reply)
 

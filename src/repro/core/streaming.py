@@ -221,7 +221,9 @@ class StreamingSendPath:
     ) -> None:
         #: The frame buffer: the header, then one framed segment at a time.
         self._writer = SendPath([header])
-        self._source: Optional[ResponseSource] = source
+        #: The producer; ``None`` once released.  Owners read it to bind
+        #: a ready-callback or to wait on a stream that has run dry.
+        self.source: Optional[ResponseSource] = source
         self._chunked = chunked
         self._on_pause = on_pause
         self._on_resume = on_resume
@@ -271,15 +273,15 @@ class StreamingSendPath:
 
     def _refill(self) -> bool:
         """Pull the next segment into the frame buffer.  False = nothing."""
-        if self._source_done or self._source is None:
+        if self._source_done or self.source is None:
             return False
         while True:
-            segment = self._source.next_segment()
+            segment = self.source.next_segment()
             if segment is WOULD_BLOCK:
                 return False
             if segment is END_OF_STREAM:
                 self._source_done = True
-                if self._source.failed:
+                if self.source.failed:
                     # The header already promised a body we cannot finish:
                     # suppress the terminator so truncation is unambiguous,
                     # and force the owner to close instead of reusing.
@@ -296,10 +298,10 @@ class StreamingSendPath:
     # -- backpressure edges ----------------------------------------------------
 
     def _maybe_pause(self) -> None:
-        if self._paused or self._source is None or self._source_done:
+        if self._paused or self.source is None or self._source_done:
             return
         self._paused = True
-        self._source.pause()
+        self.source.pause()
         if self._on_pause is not None:
             self._on_pause()
 
@@ -307,8 +309,8 @@ class StreamingSendPath:
         if not self._paused:
             return
         self._paused = False
-        if self._source is not None:
-            self._source.resume()
+        if self.source is not None:
+            self.source.resume()
         if self._on_resume is not None:
             self._on_resume()
 
@@ -322,7 +324,7 @@ class StreamingSendPath:
         """
         self._writer.release()
         self._source_done = True
-        source, self._source = self._source, None
+        source, self.source = self.source, None
         if source is not None:
             source.close()
 

@@ -86,8 +86,10 @@ _SLOW_HEADER_NAMES = frozenset(
 #: back to the full parser, which handles them exactly as before.
 _SLOW_TARGET_MARKS = (b"?", b"%", b"#", b" ", b"\\", b"\x00", b"//", b"/.")
 
-#: Dynamic-content prefix; matches :attr:`HTTPRequest.is_cgi`.
-_CGI_PREFIX = b"/cgi-bin/"
+#: Path prefix that routes to CGI-style applications — the one spelling
+#: :attr:`HTTPRequest.is_cgi`, the fast probe and ``CGIRunner`` all use.
+CGI_PREFIX = "/cgi-bin/"
+_CGI_PREFIX_BYTES = CGI_PREFIX.encode("latin-1")
 
 #: Sentinel returned by :func:`probe_fast_request` when the request shape is
 #: definitively unsupported (as opposed to "need more bytes", which is None).
@@ -311,7 +313,7 @@ def probe_fast_request(data):
     for mark in _SLOW_TARGET_MARKS:
         if mark in target:
             return FAST_MISS
-    if target.startswith(_CGI_PREFIX):
+    if target.startswith(_CGI_PREFIX_BYTES):
         return FAST_MISS
 
     # Walk the header lines with C-level finds.  Every line must be a
@@ -397,7 +399,7 @@ class HTTPRequest:
     @property
     def is_cgi(self) -> bool:
         """True when the request targets the dynamic-content prefix."""
-        return self.path.startswith("/cgi-bin/")
+        return self.path.startswith(CGI_PREFIX)
 
     @property
     def if_modified_since(self) -> str | None:

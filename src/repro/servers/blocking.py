@@ -6,9 +6,12 @@ read the request, find the file, send the response header, then the data,
 possibly looping for keep-alive.  Overlap between connections comes from the
 operating system scheduling other workers whenever this one blocks.
 
-The handler reuses the exact same pipeline (:class:`ContentStore`) as the
-event-driven builds so that the only difference between architectures is the
-concurrency strategy, per the paper's methodology.
+The handler is a transport: every per-request decision is made by
+:mod:`repro.core.exchange`, the same functions the event-driven builds'
+``Connection`` calls — so the only difference between architectures is the
+concurrency strategy, per the paper's methodology.  What lives here is the
+I/O: reading a request head under its deadlines, and :func:`_drive`, which
+steps whatever sender the exchange produced until it is done.
 
 The slow-client deadlines the event-driven builds arm on their timer wheel
 are honoured here with phase-based socket timeouts driven by the same
@@ -20,40 +23,47 @@ configuration knobs:
   ``header_timeout`` budget applies — each ``recv`` gets the remaining
   budget, so a slowloris client dribbling single bytes cannot extend it —
   and expiry answers ``408 Request Timeout``;
-* transmission runs under ``write_stall_timeout``: static responses go
-  through the shared segment sender, whose driver here waits for buffer
-  space at most that long whenever a step moves no byte (progress-based,
-  as in the event-driven builds); the streamed shapes' ``sendall`` treats
-  the timeout as a bound on the whole call — both close on expiry.
+* transmission runs under ``write_stall_timeout``: every response, static
+  or streamed, goes through a shared sender, and :func:`_drive` waits for
+  buffer space at most that long whenever a step moves no byte
+  (progress-based, as in the event-driven builds) and closes on expiry.
 
 ``<= 0`` disables the corresponding deadline, exactly as in the
 event-driven builds.
+
+:func:`serve_connections` is the accept loop around the handler, shared by
+the MT worker threads and the MP worker processes.
 """
 
 from __future__ import annotations
 
+import errno
 import select
 import socket
-import struct
 import time
 from typing import Callable, Optional
 
 from repro.cgi.runner import CGIRunner
+from repro.core import exchange
+from repro.core.admission import (
+    ACCEPT_BACKOFF_INITIAL,
+    ACCEPT_BACKOFF_MAX,
+    ACCEPT_RESOURCE,
+    ACCEPT_TRANSIENT,
+    AdmissionController,
+    classify_accept_error,
+)
 from repro.core.config import ServerConfig
 from repro.core.pipeline import ContentStore, StaticContent
-from repro.core.send_path import choose_send_path, sendfile_available
+from repro.core.send_path import reset_on_close
 from repro.core.sse import SSEHub
-from repro.core.streaming import (
-    CHUNKED_TERMINATOR,
-    END_OF_STREAM,
-    WOULD_BLOCK,
-    chunk_frame,
-)
+from repro.core.streaming import IterableSource
 from repro.http.errors import HTTPError
 from repro.http.request import RequestParser
-from repro.http.response import build_error_response
+from repro.testing.faults import faults
 
-#: While a ``drain_check`` is supplied, idle keep-alive waits poll in
+#: While a ``drain_check`` is supplied, waits that no peer progress ends (an
+#: idle keep-alive connection, an event stream with nothing to say) poll in
 #: quanta of this many seconds so a blocking worker notices a drain
 #: promptly instead of after a full ``idle_timeout``.
 DRAIN_POLL_INTERVAL = 0.2
@@ -142,16 +152,9 @@ def handle_client(
                         try:
                             data = sock.recv(config.socket_io_size)
                         except socket.timeout:
-                            if drain_check is not None and (
-                                idle_deadline is None
-                                or time.monotonic() < idle_deadline
-                            ):
-                                # A poll quantum expired, not the idle
-                                # budget: re-check drain and keep waiting.
-                                continue
-                            with store.stats_lock():
-                                store.stats.timeouts_idle += 1
-                            return served
+                            # A poll quantum or the idle budget expired:
+                            # the top of the loop tells which.
+                            continue
                         if not data:
                             return served
                         reading_head = True
@@ -169,119 +172,63 @@ def handle_client(
                     if not data:
                         return served
                     complete = parser.feed(data)
+                request, failure = parser.request, None
             except HTTPError as exc:
-                sock.settimeout(write_timeout)
-                _send_error(sock, store, exc.status, exc.message)
-                return served
+                request, failure = None, exc
             except socket.timeout:
                 # Mid-parse expiry: the partial head is answered 408, like
                 # the event-driven builds' header-deadline expiry.
                 with store.stats_lock():
                     store.stats.timeouts_header += 1
-                sock.settimeout(write_timeout)
-                _send_error(sock, store, 408, "request header timeout")
-                return served
+                request, failure = None, HTTPError("request header timeout", status=408)
             except OSError:
                 # The peer reset the connection while a head was being
                 # read: a closed connection, not a reason to unwind the
                 # worker that serves everyone else.
                 return served
 
-            request = parser.request
+            # A request that never parsed is answered and the connection
+            # closed; one that did gets the shared keep-alive/drain rule.
             leftover = parser.remainder
-            with store.stats_lock():
-                store.stats.requests += 1
-            keep_alive = bool(request.keep_alive and config.keep_alive)
-            if keep_alive and drain_check is not None and drain_check() and not leftover:
-                # Draining and nothing further is buffered: this response is
-                # the connection's last, and it says so.  (Buffered
-                # pipelined requests keep the connection alive until the
-                # last of them — in-flight work completes.)
-                keep_alive = False
+            draining = drain_check is not None and drain_check()
+            keep_alive = request is not None and exchange.disposition(
+                request.keep_alive, config, draining, leftover
+            )
+            sender = content = None
+            if failure is None:
+                try:
+                    sender, keep_alive, content = _plan(
+                        store, config, request, keep_alive, cgi_runner, sse_hub
+                    )
+                except Exception as exc:  # noqa: BLE001 - answered: HTTPError as itself, anything else 500 + close
+                    failure = exc
+            if failure is not None:
+                sender, keep_alive = exchange.failure_sender(store, failure, keep_alive)
 
             sock.settimeout(write_timeout)
             try:
-                if config.sse_path and request.path == config.sse_path:
-                    if sse_hub is None or request.method not in ("GET", "HEAD"):
-                        raise HTTPError("no event stream here", status=404)
-                    _serve_sse(sock, store, sse_hub, request, drain_check)
-                    # An event stream has no natural end: the connection is
-                    # spent once the subscription finishes.
-                    return served + 1
-                if request.is_cgi:
-                    with store.stats_lock():
-                        store.stats.cgi_requests += 1
-                    if cgi_runner is None:
-                        raise HTTPError("dynamic content disabled", status=503)
-                    body = cgi_runner.run(request)
-                    if isinstance(body, (bytes, bytearray, memoryview)):
-                        header = store.header_builder.build(
-                            200,
-                            content_length=len(body),
-                            content_type="text/html",
-                            keep_alive=keep_alive,
-                        ).raw
-                        _send_all(sock, store, [header, body])
-                    else:
-                        # Streaming application: chunks flow out as the
-                        # worker produces them, through the bounded queue
-                        # that paces the application (see repro.cgi.runner).
-                        keep_alive = _serve_stream(
-                            sock, store, request, body, keep_alive
-                        )
-                else:
-                    content = _lookup_hot(store, config, request, keep_alive)
-                    if content is None:
-                        with store.stats_lock():
-                            store.stats.blocking_translations += 1
-                        entry = store.translate(request.path)
-                        # Like SPED, the blocking workers run no residency
-                        # test, so when the response will go out via
-                        # sendfile there is no reason to pin mapped chunks
-                        # for it.
-                        map_body = not (config.zero_copy and sendfile_available())
-                        content = store.build_response(
-                            request, entry, keep_alive=keep_alive, map_body=map_body
-                        )
-                        # Populate the single-lookup hot path: the next
-                        # repeat GET (in this worker/process) skips
-                        # translation, header build and the descriptor
-                        # probe, exactly like the event-driven builds.
-                        store.hot_insert(request, entry, content)
-                    try:
-                        _send_static(sock, store, config, content)
-                    finally:
+                try:
+                    _drive(sock, store, sender, drain_check)
+                finally:
+                    # After the sender (released by _drive): the buffered
+                    # path holds memoryviews over the content's chunks.
+                    if content is not None:
                         content.release(store)
-                with store.stats_lock():
-                    store.stats.responses_ok += 1
-            except HTTPError as exc:
-                _send_error(sock, store, exc.status, exc.message, keep_alive=keep_alive)
-                if not keep_alive:
-                    return served
             except socket.timeout:
-                # No byte moved within the write-stall budget (the static
-                # driver bounds each wait for buffer space; sendall bounds
-                # the whole call): reap the stalled reader.
-                # Abortively — an orderly close would leave the kernel
-                # background-flushing the send buffer to a peer that is
-                # not reading.
+                # No byte moved within the write-stall budget: reap the
+                # stalled reader, abortively.
                 with store.stats_lock():
                     store.stats.timeouts_write_stall += 1
-                try:
-                    sock.setsockopt(
-                        socket.SOL_SOCKET, socket.SO_LINGER,
-                        struct.pack("ii", 1, 0),
-                    )
-                except OSError:
-                    pass
+                reset_on_close(sock)
                 return served
             except OSError:
+                # The peer went away mid-response, or the response came
+                # up short of its promised length (see _drive).
                 return served
 
-            served += 1
-            if not keep_alive:
-                return served
-            if max_requests is not None and served >= max_requests:
+            if failure is None or keep_alive:
+                served += 1
+            if not keep_alive or served == max_requests:
                 return served
     finally:
         with store.stats_lock():
@@ -292,201 +239,171 @@ def handle_client(
             pass
 
 
-def _lookup_hot(
+def _plan(
     store: ContentStore,
     config: ServerConfig,
     request,
     keep_alive: bool,
-) -> Optional[StaticContent]:
-    """The blocking-handler side of the single-lookup hot path.
+    cgi_runner: Optional[CGIRunner],
+    sse_hub: Optional[SSEHub],
+) -> tuple[object, bool, Optional[StaticContent]]:
+    """Decide the answer to ``request``, synchronously.
 
-    MP and MT workers used to pay the three-probe slow path for every
-    repeat GET (so the fig11 ablation said nothing about them); this gives
-    them the same one-probe fast path as the event-driven builds, gated on
-    the same ``hot_cache`` toggle and byte-identical by construction (the
-    entries precompose their headers with the shared builder).  Workers
-    transmit hot hits unconditionally, like SPED: the blocking
-    architectures run no residency test — a cold page simply blocks this
-    worker, which is exactly their concurrency model.
+    Returns ``(sender, keep_alive, content)``: the sender to drive, the
+    disposition after it, and the static response to release once it is
+    out (if any).  Whatever this raises, ``exchange.failure_sender``
+    answers.
     """
-    if not config.hot_cache or request.method not in ("GET", "HEAD"):
-        return None
-    return store.hot_lookup(
-        request.uri.encode("latin-1"),
-        keep_alive,
-        head=request.is_head,
-        if_modified_since=request.if_modified_since,
-        if_none_match=request.if_none_match,
-        if_match=request.if_match,
-        if_unmodified_since=request.if_unmodified_since,
-        range_header=request.range_header,
-        if_range=request.if_range,
-    )
+    route = exchange.route(store, config, request)
+    if route is exchange.ROUTE_SSE:
+        return exchange.sse_sender(store, sse_hub, request), False, None
+    if route is exchange.ROUTE_CGI:
+        if cgi_runner is None:
+            raise HTTPError("dynamic content disabled", status=503)
+        body = cgi_runner.run(request)
+        if not isinstance(body, (bytes, bytearray, memoryview)):
+            # Streaming application: each pull blocks this worker until
+            # the program produces, through the bounded queue that paces
+            # the application (see repro.cgi.runner).
+            body = IterableSource(body)
+        sender, keep_alive = exchange.cgi_sender(store, request, body, keep_alive)
+        return sender, keep_alive, None
+    # Workers transmit hot hits unconditionally, like SPED: they run no
+    # residency test — a cold page simply blocks this worker, which is
+    # exactly their concurrency model.
+    content = exchange.hot_consult(store, config, request, keep_alive)
+    if content is None:
+        content = exchange.static_miss(store, config, request, keep_alive)
+    return exchange.static_sender(store, config, content), keep_alive, content
 
 
-def _send_static(
-    sock: socket.socket, store: ContentStore, config: ServerConfig, content: StaticContent
+def _drive(
+    sock: socket.socket,
+    store: ContentStore,
+    sender,
+    drain_check: Optional[Callable[[], bool]] = None,
 ) -> None:
-    """Transmit one static response through the shared segment sender.
+    """Step any sender until it is done, then release it.
 
-    The blocking driver of :func:`repro.core.send_path.choose_send_path`:
-    the same sender the event-driven builds step from their loop, stepped
-    here until done.  ``sock.settimeout`` leaves the descriptor
-    non-blocking, so a full send buffer ends a step early; a step that
-    moved nothing waits for writability, bounded by the socket timeout
-    (the write-stall budget).  ``sendfile`` is driven with explicit
-    offsets and never seeks, so MT workers can serve the same cached
-    descriptor concurrently.
+    The blocking driver of the send-state contract: the same senders the
+    event-driven builds step from their loop (:class:`SendPath`,
+    :class:`StreamingSendPath`), stepped here.  ``sock.settimeout`` leaves
+    the descriptor non-blocking, so a full send buffer ends a step early;
+    a step that moved nothing waits for writability, bounded by the socket
+    timeout (the write-stall budget: ``socket.timeout`` on expiry).
+    ``sendfile`` is driven with explicit offsets and never seeks, so MT
+    workers can serve the same cached descriptor concurrently.
+
+    A stream whose source has run dry (an SSE subscriber with no event
+    yet) is not a stalled reader and owes no write budget: the worker
+    blocks in the source's ``wait`` instead, in quanta of
+    ``DRAIN_POLL_INTERVAL`` so that it notices a drain (ends the stream
+    gracefully) and a departed peer (EOF on a peek) promptly.
+
+    A response that came up short of what its header promised (the file
+    shrank underneath us, a producer failed mid-stream) raises
+    ``ConnectionError``: the connection must die — continuing would
+    desynchronize the client's HTTP framing.
     """
-    with store.stats_lock():
-        sender = choose_send_path(content, store=store, config=config, stats=store.stats)
     try:
         while not sender.done:
             sent = sender.send(sock)
             if sent:
                 with store.stats_lock():
                     store.stats.bytes_sent += sent
-            elif not sender.done:
+            elif sender.done:
+                break
+            elif getattr(sender, "waiting_on_source", False):
+                if drain_check is not None and drain_check():
+                    # Graceful drain: queued backlog still delivers, then
+                    # the sender sees END_OF_STREAM and sends the terminator.
+                    sender.source.end_stream()
+                elif not sender.source.wait(DRAIN_POLL_INTERVAL):
+                    readable, _, _ = select.select([sock], [], [], 0)
+                    if readable and not sock.recv(1, socket.MSG_PEEK):
+                        return
+            else:
                 _, writable, _ = select.select([], [sock], [], sock.gettimeout())
                 if not writable:
                     raise socket.timeout("timed out waiting for send-buffer space")
         if sender.under_delivered:
-            # The file shrank underneath us: the declared Content-Length
-            # can no longer be honoured, so the connection must die —
-            # continuing would desynchronize the client's HTTP framing.
-            raise ConnectionError("file shrank during transmission")
+            raise ConnectionError("response ended short of its promised length")
     finally:
         sender.release()
 
 
-def _send_all(sock: socket.socket, store: ContentStore, buffers) -> None:
-    for buffer in buffers:
-        if not len(buffer):
+def _send_static(
+    sock: socket.socket, store: ContentStore, config: ServerConfig, content: StaticContent
+) -> None:
+    """Transmit one static response the way a worker does, start to finish."""
+    _drive(sock, store, exchange.static_sender(store, config, content))
+
+
+def serve_connections(
+    listen_sock: socket.socket,
+    store: ContentStore,
+    config: ServerConfig,
+    cgi_runner: CGIRunner,
+    sse_hub: Optional[SSEHub],
+    admission: AdmissionController,
+    open_connections,
+    stop_event,
+    drain_event,
+) -> None:
+    """Accept and serve connections one at a time until shutdown or drain.
+
+    The body of an MT worker thread and of an MP worker process.  The two
+    differ in what ``open_connections`` counts with — ``count()``,
+    ``enter(sock)`` and ``leave(sock)`` over a locked set of sockets (MT)
+    or a cross-process shared integer (MP) — which backs the admission
+    bound either way.  The listener carries a short accept timeout so the
+    loop notices ``stop_event``/``drain_event`` without needing signals.
+    """
+    backoff = ACCEPT_BACKOFF_INITIAL
+    while not stop_event.is_set() and not drain_event.is_set():
+        try:
+            if faults.take("accept_emfile"):
+                raise OSError(errno.EMFILE, "injected fd exhaustion")
+            client_sock, _address = listen_sock.accept()
+        except socket.timeout:
             continue
-        sock.sendall(buffer)
-        with store.stats_lock():
-            store.stats.bytes_sent += len(buffer)
-
-
-def _serve_stream(
-    sock: socket.socket,
-    store: ContentStore,
-    request,
-    chunks,
-    keep_alive: bool,
-    content_type: str = "text/html",
-) -> bool:
-    """Transmit a streamed (unknown-length) response with blocking writes.
-
-    HTTP/1.1 gets chunked framing (keep-alive preserved); HTTP/1.0 gets
-    the close-delimited fallback.  Returns the connection's keep-alive
-    disposition afterwards: False when close-delimited framing or a
-    mid-stream producer failure (the truncation is the error signal —
-    the header already left, so no error response is possible) spent it.
-    Write-stall expiry (``socket.timeout``) propagates to the caller's
-    reaping handler like any other response.
-    """
-    chunked = request.version == "HTTP/1.1"
-    if not chunked:
-        keep_alive = False
-    with store.stats_lock():
-        store.stats.streamed_responses += 1
-        if chunked:
-            store.stats.chunked_responses += 1
-    header = store.header_builder.build_stream(
-        200, content_type=content_type, chunked=chunked, keep_alive=keep_alive
-    ).raw
-    _send_all(sock, store, [header])
-    try:
-        for chunk in chunks:
-            if not len(chunk):
+        except OSError as exc:
+            kind = classify_accept_error(exc)
+            if kind == ACCEPT_TRANSIENT:
+                # The arrival aborted (or a signal landed): the next one
+                # may be fine, retry immediately.
                 continue
-            _send_all(sock, store, chunk_frame(chunk) if chunked else [chunk])
-        if chunked:
-            _send_all(sock, store, [CHUNKED_TERMINATOR])
-        return keep_alive
-    except RuntimeError:
-        # Producer failed mid-stream: suppress the terminator so the
-        # client sees unambiguous truncation, and spend the connection.
-        return False
-    finally:
-        closer = getattr(chunks, "close", None)
-        if closer is not None:
-            closer()
-
-
-def _serve_sse(
-    sock: socket.socket,
-    store: ContentStore,
-    hub: SSEHub,
-    request,
-    drain_check: Optional[Callable[[], bool]],
-) -> None:
-    """Drive one SSE subscription to its end with blocking writes.
-
-    The worker thread blocks in :meth:`SSESubscriber.wait` between
-    events, in quanta of ``DRAIN_POLL_INTERVAL`` so it notices a drain
-    (ends the stream gracefully) and a departed peer (EOF on a peek)
-    promptly.  The subscriber queue stays bounded by the hub's overflow
-    policy the whole time — a slow consumer here blocks only its own
-    worker, which is exactly the MT/MP concurrency model.
-    """
-    subscriber = hub.subscribe()
-    chunked = request.version == "HTTP/1.1"
-    with store.stats_lock():
-        store.stats.sse_connections += 1
-        store.stats.streamed_responses += 1
-        if chunked:
-            store.stats.chunked_responses += 1
-        store.stats.responses_ok += 1
-    try:
-        header = store.header_builder.build_stream(
-            200,
-            content_type="text/event-stream",
-            chunked=chunked,
-            keep_alive=False,
-            cache_control="no-store",
-        ).raw
-        _send_all(sock, store, [header])
-        while True:
-            segment = subscriber.next_segment()
-            if segment is END_OF_STREAM:
-                if chunked:
-                    _send_all(sock, store, [CHUNKED_TERMINATOR])
-                return
-            if segment is WOULD_BLOCK:
-                if drain_check is not None and drain_check():
-                    # Graceful drain: queued backlog still delivers, then
-                    # the loop sees END_OF_STREAM and sends the terminator.
-                    subscriber.end_stream()
-                    continue
-                if not subscriber.wait(DRAIN_POLL_INTERVAL):
-                    readable, _, _ = select.select([sock], [], [], 0)
-                    if readable:
-                        probe = sock.recv(1, socket.MSG_PEEK)
-                        if not probe:
-                            return
+            if kind == ACCEPT_RESOURCE:
+                # Out of descriptors (or buffers): retrying immediately
+                # cannot succeed and used to busy-spin the worker (or end
+                # it).  Shed one backlogged arrival through the sentinel
+                # reserve, then back off exponentially (woken early by
+                # shutdown) until something drains.
+                with store.stats_lock():
+                    store.stats.fd_exhaustion_events += 1
+                admission.shed_one_pending(listen_sock)
+                stop_event.wait(backoff)
+                backoff = min(backoff * 2, ACCEPT_BACKOFF_MAX)
                 continue
-            _send_all(sock, store, chunk_frame(segment) if chunked else [segment])
-    finally:
-        subscriber.close()
-
-
-def _send_error(
-    sock: socket.socket,
-    store: ContentStore,
-    status: int,
-    message: str,
-    keep_alive: bool = False,
-) -> None:
-    with store.stats_lock():
-        store.stats.responses_error += 1
-    payload = build_error_response(
-        status, message, builder=store.header_builder, keep_alive=keep_alive
-    )
-    try:
-        sock.sendall(payload)
-        with store.stats_lock():
-            store.stats.bytes_sent += len(payload)
-    except OSError:
-        pass
+            # Fatal (EBADF and friends): the listener is gone, which is
+            # the normal shutdown race — this worker is done.
+            return
+        backoff = ACCEPT_BACKOFF_INITIAL
+        if not admission.admit(open_connections.count()):
+            with store.stats_lock():
+                store.stats.connections_accepted += 1
+                store.stats.connections_shed += 1
+            admission.shed(client_sock)
+            continue
+        open_connections.enter(client_sock)
+        try:
+            handle_client(
+                client_sock,
+                store,
+                config,
+                cgi_runner,
+                drain_check=drain_event.is_set,
+                sse_hub=sse_hub,
+            )
+        finally:
+            open_connections.leave(client_sock)

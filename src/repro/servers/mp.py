@@ -16,30 +16,43 @@ Apache's pre-forking model on UNIX.
 
 from __future__ import annotations
 
-import errno
 import multiprocessing
 import os
 import socket
 import time
 from typing import Optional
 
-from repro.cgi.runner import CGIRunner
-from repro.core.admission import (
-    ACCEPT_BACKOFF_INITIAL,
-    ACCEPT_BACKOFF_MAX,
-    ACCEPT_RESOURCE,
-    ACCEPT_TRANSIENT,
-    AdmissionController,
-    classify_accept_error,
-)
 from repro.core.config import ServerConfig
 from repro.core.pipeline import ContentStore, ServerStats
-from repro.core.sse import SSEHub
-from repro.servers.blocking import handle_client
-from repro.testing.faults import faults
+from repro.core.server import ListeningServer, build_services
+from repro.servers.blocking import serve_connections
 
 
-class MPServer:
+class _SharedCount:
+    """MP's open-connection counter: one integer shared by every worker.
+
+    Workers update it under the ``Value``'s lock around each served
+    connection, so every worker's (per-process) admission controller sees
+    the fleet-wide total.
+    """
+
+    def __init__(self, value) -> None:
+        self._value = value
+
+    def count(self) -> int:
+        with self._value.get_lock():
+            return self._value.value
+
+    def enter(self, _sock: socket.socket) -> None:
+        with self._value.get_lock():
+            self._value.value += 1
+
+    def leave(self, _sock: socket.socket) -> None:
+        with self._value.get_lock():
+            self._value.value -= 1
+
+
+class MPServer(ListeningServer):
     """Flash-MP: one worker process per concurrently served request."""
 
     architecture = "mp"
@@ -48,7 +61,6 @@ class MPServer:
         self.config = config
         #: Per-worker configuration with the scaled-down caches the paper uses.
         self.worker_config = config.per_process_scaled(config.num_workers)
-        self._listen_sock: Optional[socket.socket] = None
         self._processes: list = []
         self._context = multiprocessing.get_context(
             "fork" if hasattr(os, "fork") else "spawn"
@@ -56,42 +68,10 @@ class MPServer:
         self._stop_event = self._context.Event()
         self._drain_event = self._context.Event()
         self._stats_queue = self._context.Queue()
-        #: Cross-process open-connection count backing admission control:
-        #: workers increment under the Value's lock around each served
-        #: connection, so every worker's (per-process) controller sees the
-        #: fleet-wide total.
+        #: Cross-process open-connection count backing admission control.
         self._open_count = self._context.Value("i", 0)
         self._collected_stats = ServerStats()
         self._closed = False
-
-    # -- binding -----------------------------------------------------------------
-
-    def bind(self) -> None:
-        """Create the pre-fork listening socket.  Idempotent."""
-        if self._listen_sock is not None:
-            return
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        if self.config.reuse_port:
-            if not hasattr(socket, "SO_REUSEPORT"):
-                raise RuntimeError("SO_REUSEPORT is not available on this platform")
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        sock.bind((self.config.host, self.config.port))
-        sock.listen(self.config.listen_backlog)
-        sock.settimeout(0.2)
-        self._listen_sock = sock
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The (host, port) the server is bound to."""
-        if self._listen_sock is None:
-            raise RuntimeError("server is not bound yet")
-        return self._listen_sock.getsockname()[:2]
-
-    @property
-    def port(self) -> int:
-        """Bound TCP port."""
-        return self.address[1]
 
     # -- running ------------------------------------------------------------------
 
@@ -128,8 +108,7 @@ class MPServer:
     @property
     def open_connections(self) -> int:
         """Number of connections currently being served by workers."""
-        with self._open_count.get_lock():
-            return self._open_count.value
+        return _SharedCount(self._open_count).count()
 
     def request_drain(self) -> None:
         """Enter drain mode (signal-safe): workers stop accepting, finish
@@ -206,12 +185,6 @@ class MPServer:
             worker_stats = ServerStats(**snapshot)
             self._collected_stats = self._collected_stats.merge(worker_stats)
 
-    def __enter__(self) -> "MPServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
 
 def _mp_worker_main(
     listen_sock, worker_config, stop_event, drain_event, stats_queue, open_count
@@ -226,76 +199,22 @@ def _mp_worker_main(
     ``open_count``, so ``max_connections`` bounds the whole server.
     """
     store = ContentStore(worker_config)
-    cgi_runner = CGIRunner(
-        worker_config.cgi_programs,
-        prefix=worker_config.cgi_prefix,
-        stream_depth=worker_config.cgi_stream_depth,
-    )
-    # Per-process SSE hub: each worker owns its own subscriber set, matching
-    # the MP architecture's replicated per-process state.  Events published
-    # by one worker's ticker reach only that worker's subscribers.
-    sse_hub: Optional[SSEHub] = None
-    if worker_config.sse_path:
-        sse_hub = SSEHub(
-            queue_limit=worker_config.sse_queue_limit,
-            policy=worker_config.sse_policy,
-            on_drop=lambda: _count_sse_drop(store),
-        )
-        sse_hub.start_ticker(worker_config.sse_heartbeat)
-    admission = AdmissionController(
-        max_connections=worker_config.max_connections,
-        resume_fraction=worker_config.admission_resume,
-        retry_after=worker_config.retry_after,
-    )
-    backoff = ACCEPT_BACKOFF_INITIAL
+    # Per-process services: each worker owns its own SSE subscriber set,
+    # matching the MP architecture's replicated per-process state — events
+    # published by one worker's ticker reach only that worker's subscribers.
+    cgi_runner, sse_hub, admission = build_services(worker_config, store)
     try:
-        while not stop_event.is_set() and not drain_event.is_set():
-            try:
-                if faults.take("accept_emfile"):
-                    raise OSError(errno.EMFILE, "injected fd exhaustion")
-                client_sock, _address = listen_sock.accept()
-            except socket.timeout:
-                continue
-            except OSError as exc:
-                kind = classify_accept_error(exc)
-                if kind == ACCEPT_TRANSIENT:
-                    # The arrival aborted (or a signal landed): retry now.
-                    continue
-                if kind == ACCEPT_RESOURCE:
-                    # Out of descriptors: retrying immediately cannot
-                    # succeed and used to end the worker (or, with a bare
-                    # ``continue``, busy-spin it).  Shed one backlogged
-                    # arrival through the sentinel reserve and back off
-                    # exponentially until something drains.
-                    store.stats.fd_exhaustion_events += 1
-                    admission.shed_one_pending(listen_sock)
-                    stop_event.wait(backoff)
-                    backoff = min(backoff * 2, ACCEPT_BACKOFF_MAX)
-                    continue
-                # Fatal: the listener is gone (shutdown race) — worker done.
-                break
-            backoff = ACCEPT_BACKOFF_INITIAL
-            with open_count.get_lock():
-                current = open_count.value
-            if not admission.admit(current):
-                store.stats.connections_accepted += 1
-                store.stats.connections_shed += 1
-                admission.shed(client_sock)
-                continue
-            with open_count.get_lock():
-                open_count.value += 1
-            try:
-                handle_client(
-                    client_sock,
-                    store,
-                    worker_config,
-                    cgi_runner,
-                    drain_check=drain_event.is_set,
-                    sse_hub=sse_hub,
-                )
-            finally:
-                with open_count.get_lock():
-                    open_count.value -= 1
+        serve_connections(
+            listen_sock,
+            store,
+            worker_config,
+            cgi_runner,
+            sse_hub,
+            admission,
+            _SharedCount(open_count),
+            stop_event,
+            drain_event,
+        )
     finally:
         if sse_hub is not None:
             sse_hub.shutdown()
@@ -306,9 +225,3 @@ def _mp_worker_main(
         admission.close()
         cgi_runner.shutdown()
         store.close()
-
-
-def _count_sse_drop(store: ContentStore) -> None:
-    """Count a discarded SSE event for one worker's private stats."""
-    with store.stats_lock():
-        store.stats.sse_dropped_events += 1

@@ -14,29 +14,45 @@ the kernel shares it for real MT servers.
 
 from __future__ import annotations
 
-import errno
 import socket
 import threading
 import time
 from typing import Optional
 
-from repro.cgi.runner import CGIRunner
-from repro.core.admission import (
-    ACCEPT_BACKOFF_INITIAL,
-    ACCEPT_BACKOFF_MAX,
-    ACCEPT_RESOURCE,
-    ACCEPT_TRANSIENT,
-    AdmissionController,
-    classify_accept_error,
-)
 from repro.core.config import ServerConfig
 from repro.core.pipeline import ContentStore, ServerStats
-from repro.core.sse import SSEHub
-from repro.servers.blocking import handle_client
-from repro.testing.faults import faults
+from repro.core.server import ListeningServer, build_services
+from repro.servers.blocking import serve_connections
 
 
-class MTServer:
+class _ActiveSockets:
+    """MT's open-connection counter: the sockets its workers are serving.
+
+    Backs both the admission count and the drain-deadline force-close.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._sockets: set[socket.socket] = set()
+
+    def count(self) -> int:
+        with self._lock:
+            return len(self._sockets)
+
+    def enter(self, sock: socket.socket) -> None:
+        with self._lock:
+            self._sockets.add(sock)
+
+    def leave(self, sock: socket.socket) -> None:
+        with self._lock:
+            self._sockets.discard(sock)
+
+    def snapshot(self) -> list[socket.socket]:
+        with self._lock:
+            return list(self._sockets)
+
+
+class MTServer(ListeningServer):
     """Flash-MT: one worker thread per concurrently served request."""
 
     architecture = "mt"
@@ -44,68 +60,15 @@ class MTServer:
     def __init__(self, config: ServerConfig):
         self.config = config
         self.store = ContentStore(config, thread_safe=True)
-        self.cgi_runner = CGIRunner(
-            config.cgi_programs,
-            prefix=config.cgi_prefix,
-            stream_depth=config.cgi_stream_depth,
-        )
-        #: SSE hub shared by every worker thread: ``publish`` is
-        #: thread-safe, subscribers are driven by the worker serving the
-        #: subscription, and the drop counter goes through the store lock.
-        self.sse_hub: Optional[SSEHub] = None
-        if config.sse_path:
-            self.sse_hub = SSEHub(
-                queue_limit=config.sse_queue_limit,
-                policy=config.sse_policy,
-                on_drop=self._on_sse_drop,
-            )
-            self.sse_hub.start_ticker(config.sse_heartbeat)
-        self._listen_sock: Optional[socket.socket] = None
+        #: Shared by every worker thread.  The SSE hub's ``publish`` is
+        #: thread-safe and its subscribers are driven by the worker serving
+        #: the subscription; the admission controller is locked internally.
+        self.cgi_runner, self.sse_hub, self.admission = build_services(config, self.store)
         self._threads: list[threading.Thread] = []
         self._stop_event = threading.Event()
         self._drain_event = threading.Event()
         self._closed = False
-        #: One controller shared by every worker thread (it is locked
-        #: internally); the in-flight connection sockets back both the
-        #: admission count and the drain-deadline force-close.
-        self.admission = AdmissionController(
-            max_connections=config.max_connections,
-            resume_fraction=config.admission_resume,
-            retry_after=config.retry_after,
-        )
-        self._active_lock = threading.Lock()
-        self._active: set[socket.socket] = set()
-
-    # -- binding --------------------------------------------------------------
-
-    def bind(self) -> None:
-        """Create the shared listening socket.  Idempotent."""
-        if self._listen_sock is not None:
-            return
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        if self.config.reuse_port:
-            if not hasattr(socket, "SO_REUSEPORT"):
-                raise RuntimeError("SO_REUSEPORT is not available on this platform")
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        sock.bind((self.config.host, self.config.port))
-        sock.listen(self.config.listen_backlog)
-        # A short accept timeout lets worker threads notice shutdown without
-        # needing signals; it does not affect steady-state behaviour.
-        sock.settimeout(0.2)
-        self._listen_sock = sock
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The (host, port) the server is bound to."""
-        if self._listen_sock is None:
-            raise RuntimeError("server is not bound yet")
-        return self._listen_sock.getsockname()[:2]
-
-    @property
-    def port(self) -> int:
-        """Bound TCP port."""
-        return self.address[1]
+        self._active = _ActiveSockets()
 
     @property
     def stats(self) -> ServerStats:
@@ -119,69 +82,26 @@ class MTServer:
         if self._threads:
             return self
         self.bind()
+        worker_args = (
+            self._listen_sock,
+            self.store,
+            self.config,
+            self.cgi_runner,
+            self.sse_hub,
+            self.admission,
+            self._active,
+            self._stop_event,
+            self._drain_event,
+        )
         self._threads = [
-            threading.Thread(target=self._worker_main, name=f"mt-worker-{i}", daemon=True)
+            threading.Thread(
+                target=serve_connections, args=worker_args, name=f"mt-worker-{i}", daemon=True
+            )
             for i in range(self.config.num_workers)
         ]
         for thread in self._threads:
             thread.start()
         return self
-
-    def _worker_main(self) -> None:
-        listen_sock = self._listen_sock
-        assert listen_sock is not None
-        backoff = ACCEPT_BACKOFF_INITIAL
-        while not self._stop_event.is_set() and not self._drain_event.is_set():
-            try:
-                if faults.take("accept_emfile"):
-                    raise OSError(errno.EMFILE, "injected fd exhaustion")
-                client_sock, _address = listen_sock.accept()
-            except socket.timeout:
-                continue
-            except OSError as exc:
-                kind = classify_accept_error(exc)
-                if kind == ACCEPT_TRANSIENT:
-                    # The arrival aborted (or a signal landed): the next one
-                    # may be fine, retry immediately.
-                    continue
-                if kind == ACCEPT_RESOURCE:
-                    # Out of descriptors (or buffers): retrying immediately
-                    # cannot succeed and used to busy-spin this thread.
-                    # Shed one backlogged arrival through the sentinel
-                    # reserve, then back off exponentially (woken early by
-                    # shutdown) until something drains.
-                    with self.store.stats_lock():
-                        self.store.stats.fd_exhaustion_events += 1
-                    self.admission.shed_one_pending(listen_sock)
-                    self._stop_event.wait(backoff)
-                    backoff = min(backoff * 2, ACCEPT_BACKOFF_MAX)
-                    continue
-                # Fatal (EBADF and friends): the listener is gone, which is
-                # the normal shutdown race — this worker is done.
-                return
-            backoff = ACCEPT_BACKOFF_INITIAL
-            with self._active_lock:
-                open_count = len(self._active)
-            if not self.admission.admit(open_count):
-                with self.store.stats_lock():
-                    self.store.stats.connections_accepted += 1
-                    self.store.stats.connections_shed += 1
-                self.admission.shed(client_sock)
-                continue
-            with self._active_lock:
-                self._active.add(client_sock)
-            try:
-                handle_client(
-                    client_sock,
-                    self.store,
-                    self.config,
-                    self.cgi_runner,
-                    drain_check=self._drain_event.is_set,
-                    sse_hub=self.sse_hub,
-                )
-            finally:
-                with self._active_lock:
-                    self._active.discard(client_sock)
 
     # -- graceful drain ---------------------------------------------------------
 
@@ -193,13 +113,7 @@ class MTServer:
     @property
     def open_connections(self) -> int:
         """Number of connections currently being served by workers."""
-        with self._active_lock:
-            return len(self._active)
-
-    def _on_sse_drop(self) -> None:
-        """Hub overflow hook: count the shed event under the store lock."""
-        with self.store.stats_lock():
-            self.store.stats.sse_dropped_events += 1
+        return self._active.count()
 
     def request_drain(self) -> None:
         """Enter drain mode (signal-safe): workers stop accepting, finish
@@ -224,13 +138,13 @@ class MTServer:
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
         stragglers = [thread for thread in self._threads if thread.is_alive()]
         if stragglers:
-            with self._active_lock:
-                for client in list(self._active):
+            for client in self._active.snapshot():
+                with self.store.stats_lock():
                     self.store.stats.drain_forced_closes += 1
-                    try:
-                        client.shutdown(socket.SHUT_RDWR)
-                    except OSError:
-                        pass
+                try:
+                    client.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
             for thread in stragglers:
                 thread.join(timeout=1.0)
         self._threads = [thread for thread in self._threads if thread.is_alive()]
@@ -258,9 +172,3 @@ class MTServer:
             self.sse_hub = None
         self.cgi_runner.shutdown()
         self.store.close()
-
-    def __enter__(self) -> "MTServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

@@ -11,24 +11,21 @@ disk-bound workloads (Figures 9 and 10).
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.cache.residency import ResidencyTester
-from repro.core.config import ServerConfig
+from repro.core import exchange
 from repro.core.helpers import advise_willneed
 from repro.core.pipeline import ContentStore
-from repro.core.send_path import sendfile_available
 from repro.core.server import BaseEventDrivenServer
+from repro.http.errors import HTTPError
 from repro.http.request import HTTPRequest
 
 
 class SPEDServer(BaseEventDrivenServer):
     """Flash-SPED: the shared code base with inline (blocking) disk operations.
 
-    The base class already implements the inline driver hooks, so this class
-    only fixes the architecture label and disables the memory-residency test
-    (SPED transmits mapped data directly; the paper attributes Flash's small
-    deficit on fully cached workloads to the residency test AMPED must do).
+    This class fixes the architecture label and answers a hot-cache miss
+    inline, with no memory-residency test (SPED transmits mapped data
+    directly; the paper attributes Flash's small deficit on fully cached
+    workloads to the residency test AMPED must do).
 
     The single-lookup hot path applies to SPED in its purest form: the base
     ``hot_content_ready`` hook accepts every hot-response-cache hit without
@@ -39,33 +36,16 @@ class SPEDServer(BaseEventDrivenServer):
 
     architecture = "sped"
 
-    def __init__(
-        self,
-        config: ServerConfig,
-        residency_tester: Optional[ResidencyTester] = None,
-    ):
-        super().__init__(config, residency_tester=residency_tester)
-        # SPED never checks residency: it simply touches the pages and takes
-        # the page fault (blocking the whole process) if they are missing.
-        self.store.config = config
-        self._skip_residency_test = True
-
-    def prepare_content_async(
-        self, request: HTTPRequest, entry, callback, keep_alive: Optional[bool] = None
-    ) -> None:
-        # With the zero-copy path active, SPED transmits straight from the
-        # cached descriptor and never consults the mapping (it does no
-        # residency test), so skip pinning mapped chunks for the response.
-        map_body = not (self.config.zero_copy and sendfile_available())
+    def respond_async(self, request: HTTPRequest, keep_alive: bool, callback) -> None:
+        """Translate, build and touch inline (may block the whole server)."""
         try:
-            content = self.store.build_response(
-                request, entry, keep_alive=keep_alive, map_body=map_body
-            )
-        except OSError as exc:
+            content = exchange.static_miss(self.store, self.config, request, keep_alive)
+        except (HTTPError, OSError) as exc:
             callback(None, exc)
             return
-        # Touch the data inline.  If it is not in memory, this blocks the
-        # whole server while the disk read completes — SPED's defining cost.
+        # SPED never checks residency: it simply touches the data inline.
+        # If it is not in memory, this blocks the whole server while the
+        # disk read completes — SPED's defining cost.
         # When the response will go out via sendfile the kernel pages the
         # file in during transmission (still blocking this process on a
         # miss, which is faithful SPED behaviour), so pre-touching the

@@ -56,7 +56,7 @@ class TestParser:
     def test_serve_timeout_and_caching_knobs(self):
         args = build_parser().parse_args(["serve", "--root", "/tmp/www"])
         assert args.header_timeout == 15.0
-        assert args.idle_timeout is None
+        assert args.idle_timeout == 30.0
         assert args.write_stall_timeout == 30.0
         assert args.cache_max_age == 0
         args = build_parser().parse_args(

@@ -35,26 +35,24 @@ class TestValidation:
 
 
 class TestTimeoutKnobs:
-    def test_idle_timeout_defaults_to_connection_timeout(self):
-        config = ServerConfig(connection_timeout=12.5)
-        assert config.idle_timeout == 12.5
-
-    def test_idle_timeout_overrides_and_syncs_legacy_spelling(self):
-        config = ServerConfig(connection_timeout=30.0, idle_timeout=7.0)
-        assert config.idle_timeout == 7.0
-        assert config.connection_timeout == 7.0  # the two names stay aliased
+    @pytest.mark.parametrize("name", ["connection_timeout", "cgi_prefix"])
+    def test_removed_options_are_rejected(self, name):
+        """``connection_timeout`` was an alias of ``idle_timeout`` and
+        ``cgi_prefix`` only ever worked at ``/cgi-bin/``: setting either is
+        an error now, not a silent no-op."""
+        with pytest.raises(TypeError):
+            ServerConfig(**{name: "/cgi-bin/"})
 
     @pytest.mark.parametrize("value", [0, -1, -30.0])
     def test_nonpositive_timeouts_normalize_to_disabled(self, value):
         """``<= 0`` means *disabled* — the regression where 0 made the old
         sweep reaper treat every connection as instantly expired."""
         config = ServerConfig(
-            connection_timeout=value,
+            idle_timeout=value,
             header_timeout=value,
             write_stall_timeout=value,
         )
         assert config.idle_timeout == 0.0
-        assert config.connection_timeout == 0.0
         assert config.header_timeout == 0.0
         assert config.write_stall_timeout == 0.0
 

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.core import exchange
 from repro.core.config import ServerConfig
 from repro.core.connection import (
     STATE_CLOSED,
@@ -35,23 +36,28 @@ class ScriptedDriver:
         self.pending = []              # deferred (callback, args) pairs
         self.closed_connections = []
         self.cgi_bodies = {}
+        self.draining = False
+        self.sse_hub = None
 
     # -- driver hooks -----------------------------------------------------------
 
-    def translate_async(self, uri, callback):
+    def defers(self, uri):
+        """Whether the response for ``uri`` completes later, like a helper's."""
+        return self.defer_disk
+
+    def respond_async(self, request, keep_alive, callback):
         try:
-            entry = self.store.translate(uri)
+            content = exchange.static_miss(self.store, self.config, request, keep_alive)
         except Exception as exc:  # noqa: BLE001 - propagate as error argument
             callback(None, exc)
             return
-        if self.defer_disk:
-            self.pending.append((callback, (entry, None)))
+        if self.defers(request.path):
+            self.pending.append((callback, (content, None)))
         else:
-            callback(entry, None)
+            callback(content, None)
 
-    def prepare_content_async(self, request, entry, callback, keep_alive=None):
-        content = self.store.build_response(request, entry, keep_alive=keep_alive)
-        callback(content, None)
+    def hot_content_ready(self, content):
+        return True
 
     def handle_cgi_async(self, request, callback):
         body = self.cgi_bodies.get(request.path)
@@ -274,19 +280,8 @@ class SelectiveDeferDriver(ScriptedDriver):
     """Defers translation only for paths containing 'cold' — so a pipelined
     burst can mix an instant cache-hit response with a disk-bound one."""
 
-    def __init__(self, docroot):
-        super().__init__(docroot, defer_disk=False)
-
-    def translate_async(self, uri, callback):
-        try:
-            entry = self.store.translate(uri)
-        except Exception as exc:  # noqa: BLE001 - propagate as error argument
-            callback(None, exc)
-            return
-        if "cold" in uri:
-            self.pending.append((callback, (entry, None)))
-        else:
-            callback(entry, None)
+    def defers(self, uri):
+        return "cold" in uri
 
 
 class TestCorkLatencyBound:
@@ -477,11 +472,11 @@ class TestDeadlines:
         client.close()
 
     def test_disabled_timeouts_schedule_nothing(self, docroot):
-        """``connection_timeout=0`` (and friends) must disable reaping —
+        """``idle_timeout=0`` (and friends) must disable reaping —
         the regression where 0 turned the reaper into a busy loop that
         closed every connection instantly."""
         driver = ScriptedDriver(
-            docroot, connection_timeout=0,
+            docroot, idle_timeout=0,
             header_timeout=0, write_stall_timeout=0,
         )
         assert driver.config.idle_timeout == 0.0

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.cache.mapped_file import CachedFD
 
+from repro.core import exchange
 from repro.core.config import ServerConfig
 from repro.core.connection import (
     STATE_CLOSED,
@@ -362,17 +363,19 @@ class InlineDriver:
         self.loop = EventLoop()
         self.store = ContentStore(self.config)
         self.closed = []
+        self.draining = False
+        self.sse_hub = None
 
-    def translate_async(self, uri, callback):
+    def respond_async(self, request, keep_alive, callback):
         try:
-            entry = self.store.translate(uri)
+            content = exchange.static_miss(self.store, self.config, request, keep_alive)
         except Exception as exc:  # noqa: BLE001 - propagate as error argument
             callback(None, exc)
             return
-        callback(entry, None)
+        callback(content, None)
 
-    def prepare_content_async(self, request, entry, callback, keep_alive=None):
-        callback(self.store.build_response(request, entry, keep_alive=keep_alive), None)
+    def hot_content_ready(self, content):
+        return True
 
     def handle_cgi_async(self, request, callback):
         callback(b"<html>cgi</html>", None)
@@ -585,6 +588,8 @@ class TestSendPathsByteIdentical:
         import repro.core.send_path as send_path_module
 
         monkeypatch.setattr(send_path_module, "sendfile_available", lambda: False)
+        # ... to whoever decides whether the body must be mapped, too.
+        monkeypatch.setattr(exchange, "sendfile_available", lambda: False)
         raw = self.fetch_raw(docroot, b"/small.txt", zero_copy=True)
         assert parse_http(raw)[1] == b"tiny body"
 

@@ -15,7 +15,7 @@ from repro.servers.blocking import handle_client
 def site(tmp_path):
     (tmp_path / "index.html").write_bytes(b"<html>blocking</html>")
     (tmp_path / "data.bin").write_bytes(b"d" * 50_000)
-    config = ServerConfig(document_root=str(tmp_path), port=0, connection_timeout=2.0)
+    config = ServerConfig(document_root=str(tmp_path), port=0, idle_timeout=2.0)
     store = ContentStore(config)
     yield config, store
     store.close()

@@ -25,8 +25,6 @@ from repro.cache.residency import SimulatedResidencyOracle
 from repro.client.simple import fetch
 from repro.core.config import ServerConfig
 from repro.core.server import FlashServer
-from repro.servers.mp import MPServer
-from repro.servers.mt import MTServer
 from repro.servers.sped import SPEDServer
 
 # Patterned so any mis-sliced window is detected byte for byte; large
@@ -263,30 +261,6 @@ class TestAmpedColdMultipart:
         assert server.stats.sendfile_warm_degradations == 0
 
 
-class TestBlockingArchitecturesMultipart:
-    @pytest.mark.parametrize("server_cls", [MTServer, MPServer])
-    @pytest.mark.parametrize("zero_copy", [True, False])
-    def test_workers_serve_multipart(self, docroot, server_cls, zero_copy):
-        server = server_cls(config_for(docroot, num_workers=2, zero_copy=zero_copy))
-        server.start()
-        try:
-            import time
-            deadline = time.monotonic() + 5.0
-            response = None
-            while time.monotonic() < deadline:
-                try:
-                    response = get_ranges(server.address, "0-9,65530-65545")
-                    break
-                except OSError:
-                    time.sleep(0.05)
-        finally:
-            server.stop()
-        assert response is not None
-        assert response.status == 206
-        assert parse_multipart(response) == expected_parts([(0, 10), (65530, 16)])
-        assert server.stats.range_multipart_responses >= 1
-
-
 class TestPreconditionsBeatMultipart:
     """RFC 7232 §6 audit (PR 8): a failed ``If-Match`` or
     ``If-Unmodified-Since`` answers 412 even when the request also carries
@@ -320,33 +294,6 @@ class TestPreconditionsBeatMultipart:
             assert response.status == 412
             # The 412 carries current validators, never multipart framing.
             assert response.headers["etag"] == full.headers["etag"]
-            assert "multipart" not in response.headers.get("content-type", "")
-
-    @pytest.mark.parametrize("server_cls", [MTServer, MPServer])
-    def test_blocking_workers_agree(self, docroot, server_cls):
-        server = server_cls(config_for(docroot, num_workers=2))
-        server.start()
-        try:
-            import time
-            deadline = time.monotonic() + 5.0
-            cold = None
-            while time.monotonic() < deadline:
-                try:
-                    cold = get_ranges(
-                        server.address, "0-9,100-199", **{"If-Match": '"stale-1"'}
-                    )
-                    break
-                except OSError:
-                    time.sleep(0.05)
-            fetch(*server.address, "/big.bin")
-            hot = get_ranges(
-                server.address, "0-9,100-199", **{"If-Match": '"stale-1"'}
-            )
-        finally:
-            server.stop()
-        assert cold is not None
-        for response in (cold, hot):
-            assert response.status == 412
             assert "multipart" not in response.headers.get("content-type", "")
 
     def test_passing_precondition_still_serves_multipart(self, docroot):
