@@ -7,7 +7,9 @@ The core package contains the pieces that Section 5 of the paper describes:
   optimizations for the Figure 11 breakdown experiment;
 * :mod:`repro.core.pipeline` — the architecture-independent request
   processing pipeline (Figure 1's steps) shared by all four server builds;
-* :mod:`repro.core.connection` — the per-connection state machine used by
+* :mod:`repro.core.session` — the socket-free connection lifecycle
+  (parsing, deadlines, keep-alive) every build shares;
+* :mod:`repro.core.connection` — its adapter onto the event loop, used by
   the event-driven (SPED and AMPED) builds;
 * :mod:`repro.core.helpers` — the helper pool and IPC protocol that makes
   the architecture *asymmetric*: potentially blocking disk operations are

@@ -23,35 +23,16 @@ States
 ``CLOSED``
     The connection is finished and its resources are released.
 
-Deadlines
+Lifecycle
 ---------
 
-Every connection carries at most one armed deadline on the event loop's
-hashed timer wheel, keyed by what the connection is waiting for:
-
-``header``
-    Armed at accept (and again when the first byte of a keep-alive
-    follow-up request arrives): an *absolute* budget to a complete request
-    head.  Deliberately not reset when bytes trickle in — that reset is
-    exactly what made a one-byte-per-interval slowloris client immortal.
-    Expiry answers ``408 Request Timeout`` with ``Connection: close``.
-``idle``
-    Armed between complete keep-alive exchanges.  Expiry closes silently.
-``write``
-    Armed once a response is left unfinished by the write that started it
-    (most fit the socket buffer and are gone within the tick, under
-    whatever budget was already counting); reset whenever ``send`` moves
-    at least one byte (progress, not mere writability).  Expiry flushes
-    the cork, releases every pinned resource and closes.
-
-No deadline is armed in ``WAIT_DISK``: the peer is not the party being
-waited on there, and helper latency is the server's own business.
-
-The selector and the timer wheel are touched only on a real phase change:
-the socket moves to write interest when a write would block, and leaves
-the selector when a helper (or CGI program) was actually dispatched.  A
-request answered within one loop tick — a hot hit, or a miss whose
-translation and file are cached — changes neither.
+Parsing, deadlines and keep-alive are the connection's
+:class:`~repro.core.session.Session`'s (``core/session.py``); this class is
+its event-loop adapter.  Every callback (readiness, the deadline on the
+loop's timer wheel, a source becoming ready, a helper or CGI completion)
+does its work, transmits, and only then applies the selector interest and
+the session's deadline once: a hot hit, or a pipelined burst answered
+within the tick, costs no selector call and one wheel schedule.
 """
 
 from __future__ import annotations
@@ -60,7 +41,7 @@ import errno
 import logging
 import socket
 import time
-from operator import attrgetter
+from functools import partial
 from typing import TYPE_CHECKING, Optional, Protocol
 
 from repro.core import exchange
@@ -70,18 +51,14 @@ from repro.core.send_path import (
     ResponseCork,
     SendPath,
     choose_send_path,
+    peek_peer,
     reset_on_close,
     wire_segments,
 )
+from repro.core.session import ANSWER_408, CLOSE, NEXT, RESET, Session
 from repro.core.streaming import ResponseSource
 from repro.http.errors import HTTPError
-from repro.http.request import (
-    FAST_MISS,
-    FastRequest,
-    HTTPRequest,
-    RequestParser,
-    probe_fast_request,
-)
+from repro.http.request import FAST_MISS, FastRequest, HTTPRequest, probe_fast_request
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.config import ServerConfig
@@ -95,14 +72,6 @@ STATE_READ_REQUEST = "read_request"
 STATE_WAIT_DISK = "wait_disk"
 STATE_SEND_RESPONSE = "send_response"
 STATE_CLOSED = "closed"
-
-
-#: Which configured budget each deadline kind arms.
-_BUDGET = {
-    "header": attrgetter("header_timeout"),
-    "idle": attrgetter("idle_timeout"),
-    "write": attrgetter("write_stall_timeout"),
-}
 
 
 class ConnectionDriver(Protocol):
@@ -161,21 +130,18 @@ class Connection:
         "address",
         "driver",
         "state",
-        "parser",
+        "session",
         "request",
         "content",
         "_sender",
         "_batch_contents",
         "_cork",
         "_interest",
-        "_keep_alive",
-        "_finishing",
+        "_want",
         "_stream_parked",
+        "_busy",
         "_deadline_handle",
-        "_deadline_kind",
-        "last_activity",
-        "requests_served",
-        "bytes_sent",
+        "_armed",
     )
 
     def __init__(self, sock: socket.socket, address, driver: ConnectionDriver):
@@ -191,10 +157,10 @@ class Connection:
         self.address = address
         self.driver = driver
         self.state = STATE_READ_REQUEST
-        self.parser = RequestParser(
-            max_header_bytes=driver.config.max_header_bytes,
-            fast=driver.config.fast_parse,
-        )
+        config = driver.config
+        # The header budget starts at accept: a peer that connects and
+        # never produces a complete request head is answered 408.
+        self.session = Session(config, time.monotonic(), fast=config.fast_parse)
         self.request: Optional[HTTPRequest] = None
         self.content: Optional[StaticContent] = None
         self._sender = None
@@ -202,68 +168,109 @@ class Connection:
         #: the pipelined-hot-hit batch; their pins are released together
         #: with the primary response once the combined write finishes.
         self._batch_contents: list[StaticContent] = []
-        self._cork = ResponseCork(sock, enabled=driver.config.cork_responses)
+        self._cork = ResponseCork(sock, enabled=config.cork_responses)
+        #: Selector interest as registered, and as wanted once the running
+        #: callback settles (see :meth:`_apply`).
         self._interest = 0
-        self._keep_alive = False
-        self._finishing = False
+        self._want = EVENT_READ
         self._stream_parked = False
+        #: True while a callback's step runs (see :meth:`_run`).
+        self._busy = False
+        #: The wheel handle, and the session deadline it was scheduled for.
         self._deadline_handle = None
-        self._deadline_kind = None
-        self.last_activity = time.monotonic()
-        self.requests_served = 0
-        self.bytes_sent = 0
-        self._set_interest(EVENT_READ)
-        # The header budget starts at accept: a peer that connects and
-        # never produces a complete request head is answered 408.
-        self._arm_deadline("header")
+        self._armed = None
+        self._apply()
 
-    # -- readiness callbacks ----------------------------------------------------
+    # -- callbacks --------------------------------------------------------------
 
     def on_ready(self, _fileobj, mask: int) -> None:
         """Event-loop callback: advance the state machine.
 
-        ``last_activity`` is *not* touched here: a readiness event proves
-        nothing about the peer (a writable socket stays writable while the
-        client reads nothing at all).  The clock advances only where bytes
-        actually move — in ``_do_read`` and in the senders' progress
-        accounting — so the deadlines measure peer progress, not kernel
-        readiness.
+        Readiness proves nothing about the peer (a socket stays writable
+        while the client reads nothing), so no deadline moves here — only
+        where bytes do.
         """
         try:
-            try:
-                if mask & EVENT_READ and self.state == STATE_READ_REQUEST:
-                    self._do_read()
-                elif mask & EVENT_READ and self.state == STATE_SEND_RESPONSE \
-                        and self._stream_parked:
-                    # A parked stream keeps read interest purely to notice
-                    # the peer going away (mid-stream close or reset).
-                    self._probe_peer()
-                if mask & EVENT_WRITE and self.state == STATE_SEND_RESPONSE:
-                    self._do_write()
-            except OSError as exc:
-                self._absorb_disconnect(exc)
+            self._run(self._on_readable if mask & EVENT_READ else None)
         except Exception:
             self._absorb_callback_crash("on_ready")
 
-    def _probe_peer(self) -> None:
-        """Peek the socket of a parked stream for EOF/reset.
+    def _on_readable(self) -> None:
+        if self.state == STATE_READ_REQUEST:
+            self._do_read()
+        elif self._stream_parked:
+            # A parked stream keeps read interest purely to notice the peer
+            # going away, releasing the subscription (and, for CGI,
+            # cancelling the child) promptly.
+            data = peek_peer(self.sock)
+            if data == b"":
+                self.close()
+            elif data:
+                # An early pipelined request, left for the parser after the
+                # stream: stop watching, or a level-triggered backend spins.
+                self._want = 0
 
-        An idle SSE subscriber owes the server nothing, so the write-side
-        deadline is disarmed while parked — this probe is what notices the
-        client hanging up, releasing the subscription (and, for CGI
-        streams, cancelling the child) promptly instead of on the next
-        failed write.  Actual bytes (an early pipelined request) are left
-        in the kernel buffer for the post-stream parser; read interest is
-        dropped then so a level-triggered backend does not spin.
+    def _on_deadline(self) -> None:
+        """Wheel callback: the session's deadline ran out without progress."""
+        try:
+            if self.state != STATE_CLOSED:
+                self._run(self._expire)
+        except Exception:
+            self._absorb_callback_crash("_on_deadline")
+
+    def _expire(self) -> None:
+        action = self.session.expire(self.driver.store)
+        if action is ANSWER_408:
+            # Mid-parse expiry.  The 408 goes out under the write budget, so
+            # a slowloris peer that also refuses to *read* it is still
+            # reaped by the write stall, pins and all.
+            self._send_failure(HTTPError("request header timeout", status=408))
+            return
+        if action is RESET:
+            reset_on_close(self.sock)
+        # close() flushes the cork and releases the sender, content and
+        # batch pins — the full mid-send teardown contract.
+        self.close()
+
+    def _on_source_ready(self) -> None:
+        """Source callback: data arrived for a (possibly parked) stream.
+
+        Runs on the event-loop thread — the CGI runner and the SSE hub
+        both route cross-thread arrivals through loop-registered wakeup
+        channels before notifying.
         """
         try:
-            data = self.sock.recv(1, socket.MSG_PEEK)
-        except (BlockingIOError, InterruptedError):
+            if self.state == STATE_SEND_RESPONSE and self._sender is not None:
+                self._stream_parked = False
+                self._run(None)
+        except Exception:
+            self._absorb_callback_crash("_on_source_ready")
+
+    def _run(self, step, *args) -> None:
+        """Run one callback's ``step``; the outermost callback then settles.
+
+        Settling transmits what the socket takes and applies interest and
+        deadline once (:meth:`_apply`).  A completion arriving inline inside
+        another callback's step (SPED answers a miss before
+        ``respond_async`` returns) only runs its step: intermediate phases
+        never reach the selector or the wheel, and a pipelined burst never
+        recurses — :meth:`_do_write` iterates.
+        """
+        if self._busy:
+            if step is not None:
+                step(*args)
             return
-        if not data:
-            self.close()
-            return
-        self._set_interest(self._interest & ~EVENT_READ)
+        self._busy = True
+        try:
+            if step is not None:
+                step(*args)
+            if self.state == STATE_SEND_RESPONSE and not self._stream_parked:
+                self._do_write()
+        except OSError as exc:
+            self._absorb_disconnect(exc)
+        finally:
+            self._busy = False
+        self._apply()
 
     def _absorb_callback_crash(self, where: str) -> None:
         """Crash barrier for loop callbacks (lint rule RL005).
@@ -287,13 +294,12 @@ class Connection:
     def _absorb_disconnect(self, exc: OSError) -> None:
         """Close the connection on a peer failure; re-raise anything else.
 
-        The single classification point for socket errors, used by
-        :meth:`on_ready` and by every place the state machine writes to
-        the socket *outside* a readiness callback — the optimistic write
-        in :meth:`_start_send` runs on helper/CGI completion paths, and
-        without this guard a client that disconnected while its request
-        was being prepared would propagate ``BrokenPipeError`` into the
-        event loop and kill the server.
+        The single classification point for socket errors: every socket
+        call a callback makes runs inside :meth:`_run`, including the
+        writes that follow helper/CGI completions — without this guard a
+        client that disconnected while its request was being prepared
+        would propagate ``BrokenPipeError`` into the event loop and kill
+        the server.
         """
         if isinstance(exc, ConnectionError) or exc.errno in (
             errno.ECONNRESET,
@@ -303,57 +309,6 @@ class Connection:
             self.close()
             return
         raise exc
-
-    # -- deadlines ----------------------------------------------------------------
-
-    def _arm_deadline(self, kind: Optional[str]) -> None:
-        """Arm (or, with ``None``, clear) this connection's single deadline.
-
-        ``kind`` selects the configured budget: ``"header"`` →
-        ``header_timeout``, ``"idle"`` → ``idle_timeout``, ``"write"`` →
-        ``write_stall_timeout``.  A non-positive budget means that
-        deadline is disabled and nothing is armed.  O(1) either way — the
-        handles live on the event loop's hashed timer wheel.
-        """
-        wheel = self.driver.loop.wheel
-        if self._deadline_handle is not None:
-            wheel.cancel(self._deadline_handle)
-            self._deadline_handle = None
-        self._deadline_kind = kind
-        if kind is None:
-            return
-        delay = _BUDGET[kind](self.driver.config)
-        if delay <= 0:
-            return
-        self._deadline_handle = wheel.schedule(delay, self._on_deadline)
-
-    def _on_deadline(self) -> None:
-        """Wheel callback: the armed budget ran out without progress."""
-        try:
-            if self.state == STATE_CLOSED:
-                return
-            kind = self._deadline_kind
-            self._deadline_handle = None
-            self._deadline_kind = None
-            stats = self.driver.store.stats
-            if kind == "header" and self.state == STATE_READ_REQUEST:
-                # Mid-parse expiry: answer 408 and close.  _send_error goes
-                # through _start_send, which arms a write deadline — so a
-                # slowloris peer that also refuses to *read* the 408 is
-                # still reaped by the write-stall budget, pins and all.
-                stats.timeouts_header += 1
-                self._send_error(408, "request header timeout")
-                return
-            if kind == "write":
-                stats.timeouts_write_stall += 1
-                reset_on_close(self.sock)
-            else:
-                stats.timeouts_idle += 1
-            # close() flushes the cork and releases the sender, content and
-            # batch pins — the full mid-send teardown contract.
-            self.close()
-        except Exception:
-            self._absorb_callback_crash("_on_deadline")
 
     # -- reading and parsing ------------------------------------------------------
 
@@ -365,22 +320,18 @@ class Connection:
         if not data:
             self.close()
             return
-        self.last_activity = time.monotonic()
-        if self._deadline_kind == "idle":
-            # First byte of a keep-alive follow-up request: the idle wait
-            # is over and the header budget starts now.
-            self._arm_deadline("header")
         try:
-            complete = self.parser.feed(data)
+            complete = self.session.received(data, time.monotonic())
         except HTTPError as exc:
-            self._send_error(exc.status, exc.message)
+            self._send_failure(exc)
             return
         if complete:
             self._dispatch_parsed()
 
     def _dispatch_parsed(self) -> None:
         """Route a complete request: hot path first, full pipeline otherwise."""
-        fast = self.parser.fast_request
+        parser = self.session.parser
+        fast = parser.fast_request
         if fast is not None:
             self.driver.store.stats.fast_parses += 1
             if self._try_hot_fast(fast):
@@ -390,9 +341,9 @@ class Connection:
             # hot lookup missed.  The probe only accepts shapes the full
             # parser accepts, but a parse failure here must still become an
             # error response, never an exception in the event loop.
-            request = self.parser.request
+            request = parser.request
         except HTTPError as exc:
-            self._send_error(exc.status, exc.message)
+            self._send_failure(exc)
             return
         # A fast-parsed request already consulted the hot cache (and missed
         # or was cold-rejected); _start_request must not probe it again.
@@ -409,9 +360,7 @@ class Connection:
         driver = self.driver
         if not driver.config.hot_cache:
             return False
-        keep_alive = exchange.disposition(
-            fast.keep_alive, driver.config, driver.draining, self.parser.remainder
-        )
+        keep_alive = self.session.disposition(fast.keep_alive, driver.draining)
         content = driver.store.hot_lookup(fast.target, keep_alive)
         if content is None:
             return False
@@ -421,7 +370,7 @@ class Connection:
         stats.requests += 1
         stats.responses_ok += 1
         self.request = None
-        self._keep_alive = keep_alive
+        self.session.keep_alive = keep_alive
         self.content = content
         self._start_send(
             choose_send_path(content, store=driver.store, config=driver.config, stats=stats)
@@ -445,11 +394,9 @@ class Connection:
 
     def _start_request(self, request: HTTPRequest, hot_consulted: bool = False) -> None:
         driver = self.driver
-        store, config = driver.store, driver.config
+        store, config, session = driver.store, driver.config, self.session
         self.request = request
-        self._keep_alive = exchange.disposition(
-            request.keep_alive, config, driver.draining, self.parser.remainder
-        )
+        session.keep_alive = session.disposition(request.keep_alive, driver.draining)
         route = exchange.route(store, config, request)
         if route is exchange.ROUTE_SSE:
             try:
@@ -457,7 +404,7 @@ class Connection:
             except HTTPError as exc:
                 self._send_failure(exc)
                 return
-            self._keep_alive = False
+            session.keep_alive = False
             sender.source.bind(self._on_source_ready)
             self._start_send(sender)
             return
@@ -467,28 +414,28 @@ class Connection:
         # resident file), and the state has then moved on.
         if route is exchange.ROUTE_CGI:
             self.state = STATE_WAIT_DISK
-            driver.handle_cgi_async(request, self._on_cgi_done)
+            driver.handle_cgi_async(request, partial(self._run, self._on_cgi_done))
         else:
             if not hot_consulted:
-                content = exchange.hot_consult(store, config, request, self._keep_alive)
+                content = exchange.hot_consult(store, config, request, session.keep_alive)
                 if content is not None and self._hot_ready(content):
                     self._on_content_ready(content, None)
                     return
             self.state = STATE_WAIT_DISK
-            driver.respond_async(request, self._keep_alive, self._on_content_ready)
+            driver.respond_async(
+                request, session.keep_alive, partial(self._run, self._on_content_ready)
+            )
         if self.state == STATE_WAIT_DISK:
-            # Genuinely parked: stop watching the socket and the clock (the
-            # peer is not the party being waited on; _start_send re-arms on
-            # completion).  Cork-aware latency bound: earlier corked
-            # responses must not sit in the kernel for up to the 200 ms
-            # cork timer while the disk seeks — flush them now; _start_send
-            # re-corks later if yet more pipelined requests are buffered
-            # behind the disk-bound one.
-            self._set_interest(0)
-            self._arm_deadline(None)
+            # Genuinely parked: no interest, no deadline.  Cork-aware
+            # latency bound: earlier corked responses must not sit in the
+            # kernel for up to the 200 ms cork timer while the disk seeks —
+            # flush them now; _start_send re-corks later if yet more
+            # pipelined requests are buffered behind the disk-bound one.
+            self._want = 0
+            session.waiting()
             self._cork.flush()
 
-    # -- completion callbacks ------------------------------------------------------
+    # -- completions ------------------------------------------------------------------
 
     def _on_content_ready(self, content: Optional[StaticContent], error) -> None:
         if self.state == STATE_CLOSED:
@@ -517,49 +464,15 @@ class Connection:
             # Streaming application: the body length is unknown up front,
             # so the response goes out through the streaming send path.
             body.bind(self._on_source_ready)
-        sender, self._keep_alive = exchange.cgi_sender(
-            self.driver.store, self.request, body, self._keep_alive
+        sender, self.session.keep_alive = exchange.cgi_sender(
+            self.driver.store, self.request, body, self.session.keep_alive
         )
         self._start_send(sender)
-
-    # -- streaming ------------------------------------------------------------------
-
-    def _on_source_ready(self) -> None:
-        """Source callback: data arrived for a (possibly parked) stream.
-
-        Runs on the event-loop thread — the CGI runner and the SSE hub
-        both route cross-thread arrivals through loop-registered wakeup
-        channels before notifying.
-        """
-        try:
-            if self.state != STATE_SEND_RESPONSE or self._sender is None:
-                return
-            if self._stream_parked:
-                self._stream_parked = False
-                self._set_interest(EVENT_WRITE)
-                self._arm_deadline("write")
-            try:
-                self._do_write()
-            except OSError as exc:
-                self._absorb_disconnect(exc)
-        except Exception:
-            self._absorb_callback_crash("_on_source_ready")
-
-    def _park_stream(self) -> None:
-        """Nothing to send until the source produces: stop write-watching.
-
-        Keeps read interest so a peer close/reset is noticed promptly
-        (see :meth:`_probe_peer`) and disarms the write-stall budget — an
-        idle subscriber is not a stalled reader; it is owed nothing.  The
-        drain deadline still bounds the stream's total grace on shutdown.
-        """
-        self._stream_parked = True
-        self._set_interest(EVENT_READ)
-        self._arm_deadline(None)
 
     # -- sending --------------------------------------------------------------------
 
     def _start_send(self, sender) -> None:
+        """Put ``sender`` in place; the settling callback transmits it."""
         self._sender = sender
         self.state = STATE_SEND_RESPONSE
         # A pipelined request is already buffered behind this response, so
@@ -567,63 +480,33 @@ class Connection:
         # two (or more) leave the kernel as full segments instead of one
         # short segment per response.  The cork pops in _finish_response
         # once the pipeline drains.
-        if self._keep_alive and self.parser.remainder:
+        if self.session.keep_alive and self.session.parser.remainder:
             if self._cork.hold():
                 self.driver.store.stats.corked_responses += 1
-        if self._finishing:
-            # Called from inside _finish_response: _do_write's loop
-            # transmits the response itself — writing here would recurse
-            # back through it, one stack level per pipelined request, and a
-            # long burst would overflow the stack.  (_finish_response also
-            # batches, so merging here would double up.)
-            self._await_writable()
-            return
         # Merge any immediately-ready pipelined hot hits into this sender
-        # before the optimistic write, so a burst that arrived in one
-        # segment leaves in one vectored write as well.
+        # before it is written, so a burst that arrived in one segment
+        # leaves in one vectored write as well.
         self._batch_pipelined()
-        # Optimistically try to write immediately; most responses fit in the
-        # socket buffer, so this saves a full select round trip per request.
-        # This call frequently runs from helper/CGI completion callbacks
-        # rather than from on_ready, so peer disconnects must be absorbed
-        # here — they cannot be allowed to unwind into the event loop.
-        try:
-            self._do_write()
-        except OSError as exc:
-            self._absorb_disconnect(exc)
-            return
-        # Most responses are gone by now (and the drain loop has put the
-        # connection wherever it belongs next).  Only one the socket would
-        # not take whole starts costing selector and timer-wheel work; a
-        # parked stream has chosen its own interest and owes no deadline.
-        if (
-            self.state == STATE_SEND_RESPONSE
-            and self._sender is not None
-            and not self._stream_parked
-        ):
-            self._await_writable()
 
-    def _await_writable(self) -> None:
-        """Watch for writability under the write-stall budget.
+    def _park_stream(self) -> None:
+        """Nothing to send until the source produces: stop write-watching.
 
-        The budget is progress-based: rearmed by every send that moves at
-        least one byte (see :meth:`_do_write`), never by mere writability,
-        so a budget some progress already armed is left counting.
+        Read interest stays, so a peer close/reset is noticed promptly (see
+        :meth:`_on_readable`); no deadline runs, but the drain deadline
+        still bounds the stream's grace on shutdown.
         """
-        if self._deadline_kind != "write":
-            self._arm_deadline("write")
-        self._set_interest(EVENT_WRITE)
+        self._stream_parked = True
+        self._want = EVENT_READ
+        self.session.waiting()
 
     def _do_write(self) -> None:
         """Transmit what the socket takes now; chain pipelined responses.
 
         Any number of pipelined requests may complete synchronously behind
-        a finished response (cache hits — above all hot-cache hits — never
-        leave the event-loop tick).  Each iteration transmits one response
-        and, once it is out, lets :meth:`_finish_response` start the next
-        buffered request; iterating here instead of recursing through
-        ``_start_send → _do_write → _finish_response`` keeps the stack flat
-        no matter how many requests a client packs into one segment.
+        a finished response (hot-cache hits never leave the tick).  Each
+        iteration transmits one response and lets :meth:`_finish_response`
+        start the next; iterating instead of recursing keeps the stack flat
+        however many requests a client packs into one segment.
         """
         while True:
             sender = self._sender
@@ -631,22 +514,15 @@ class Connection:
                 return
             sent = sender.send(self.sock)
             if sent:
-                self.last_activity = time.monotonic()
-                self.bytes_sent += sent
                 self.driver.store.stats.bytes_sent += sent
             if not sender.done:
-                if sent:
-                    # Bytes moved but the response is not finished: the
-                    # peer made progress, so the write-stall budget
-                    # restarts.  (No progress leaves the armed deadline
-                    # counting down.)
-                    self._arm_deadline("write")
-                if (
-                    not self._stream_parked
-                    and self.state == STATE_SEND_RESPONSE
-                    and getattr(sender, "waiting_on_source", False)
-                ):
+                if sender.waiting_on_source:
                     self._park_stream()
+                else:
+                    # The socket would not take it all: watch writability
+                    # under the write budget (restarted by progress only).
+                    self._want = EVENT_WRITE
+                    self.session.writing(time.monotonic(), sent > 0)
                 return
             if not self._finish_response():
                 return
@@ -657,41 +533,24 @@ class Connection:
         Returns True when that request's response started synchronously —
         its sender is in place and :meth:`_do_write` transmits it next.
         """
-        self.requests_served += 1
-        if self._sender is not None and self._sender.under_delivered:
-            # The body came up short of the promised Content-Length (file
-            # shrank mid-transfer): the connection's framing is broken, so
-            # it must not be reused.
-            self._keep_alive = False
+        under_delivered = self._sender.under_delivered
         self._release_response()
-        remainder = self.parser.remainder
-        if not self._keep_alive or (self.driver.draining and not remainder):
-            # The second case: drain began while this (pre-drain,
-            # keep-alive flavored) response was in flight and nothing
-            # further is buffered — going idle now would leave the
-            # connection for the drain deadline to force-close.
+        self.request = None
+        session = self.session
+        step = session.finish(under_delivered, self.driver.draining, time.monotonic())
+        if step is CLOSE:
             self.close()
             return False
-        self.parser.reset()
-        self.request = None
         self.state = STATE_READ_REQUEST
-        self._set_interest(EVENT_READ)
-        # Buffered pipelined bytes mean a request head is already in flight
-        # (header budget); an empty buffer means the exchange is complete
-        # and the keep-alive idle budget applies.
-        self._arm_deadline("header" if remainder else "idle")
-        if remainder:
+        self._want = EVENT_READ
+        if step is NEXT:
             # Pipelined request already buffered: parse it without waiting
-            # for the socket to become readable again.  _finishing tells
-            # _start_send that _do_write's loop transmits the response.
-            self._finishing = True
+            # for the socket to become readable again.
             try:
-                if self.parser.feed(remainder):
+                if session.feed_buffered():
                     self._dispatch_parsed()
             except HTTPError as exc:
-                self._send_error(exc.status, exc.message)
-            finally:
-                self._finishing = False
+                self._send_failure(exc)
         if self.state == STATE_READ_REQUEST:
             # Pipeline drained: no complete request is buffered, so nothing
             # follows immediately and the batched responses must flush.  (A
@@ -700,14 +559,9 @@ class Connection:
             # bound.)
             self._cork.flush()
             return False
-        if self.state != STATE_SEND_RESPONSE or self._sender is None:
-            # WAIT_DISK (the helper/CGI completion re-enters later) or
-            # CLOSED.
-            return False
-        # The next response started synchronously: merge any further
-        # immediately-ready hot hits into its vector before it leaves.
-        self._batch_pipelined()
-        return True
+        # WAIT_DISK (the completion re-enters later), CLOSED, or the next
+        # response is in place.
+        return self.state == STATE_SEND_RESPONSE
 
     def _batch_pipelined(self) -> None:
         """Merge immediately-ready pipelined hot hits into the current sender.
@@ -733,19 +587,15 @@ class Connection:
             return
         store = driver.store
         stats = store.stats
-        while self._keep_alive and self.parser.remainder:
-            probed = probe_fast_request(self.parser.remainder)
+        session = self.session
+        while session.keep_alive and session.parser.remainder:
+            probed = probe_fast_request(session.parser.remainder)
             if probed is None or probed is FAST_MISS:
                 return
             fast, header_end = probed
             # More buffered = bytes past this request's head: the last
             # buffered pipelined request during drain says ``close``.
-            keep_alive = exchange.disposition(
-                fast.keep_alive,
-                config,
-                driver.draining,
-                len(self.parser.remainder) > header_end,
-            )
+            keep_alive = session.disposition(fast.keep_alive, driver.draining, header_end)
             content = store.hot_lookup(fast.target, keep_alive)
             if content is None:
                 return
@@ -755,13 +605,11 @@ class Connection:
                 content.release(store)
                 return
             # Commit: consume the request and merge the response.
-            self.parser.remainder = self.parser.remainder[header_end:]
+            session.batched(header_end, keep_alive)
             stats.requests += 1
             stats.responses_ok += 1
             stats.fast_parses += 1
             stats.hot_batched += 1
-            self.requests_served += 1
-            self._keep_alive = keep_alive
             sender.extend(wire_segments(content, config=config, stats=stats))
             self._batch_contents.append(content)
 
@@ -785,16 +633,15 @@ class Connection:
     # -- errors ------------------------------------------------------------------------
 
     def _send_failure(self, error: Exception) -> None:
-        """Answer an exception from planning (see ``exchange.failure_sender``)."""
-        sender, self._keep_alive = exchange.failure_sender(
-            self.driver.store, error, self._keep_alive
+        """Answer an exception (see ``exchange.failure_sender``).
+
+        A head that never parsed (or timed out) has no disposition yet —
+        ``session.keep_alive`` is False — so its answer closes.
+        """
+        sender, self.session.keep_alive = exchange.failure_sender(
+            self.driver.store, error, self.session.keep_alive
         )
         self._start_send(sender)
-
-    def _send_error(self, status: int, message: str) -> None:
-        """Answer a request that never parsed (or timed out); then close."""
-        self._keep_alive = False
-        self._start_send(exchange.error_sender(self.driver.store, status, message, False))
 
     # -- lifecycle ------------------------------------------------------------------------
 
@@ -803,7 +650,7 @@ class Connection:
         if self.state == STATE_CLOSED:
             return
         self.state = STATE_CLOSED
-        self._arm_deadline(None)
+        self.driver.loop.wheel.cancel(self._deadline_handle)
         # Pop any held cork so batched bytes flush ahead of the FIN.
         self._cork.flush()
         self._release_response()
@@ -823,37 +670,39 @@ class Connection:
     def drain_idle(self) -> bool:
         """Whether this connection may be closed immediately at drain start.
 
-        True only for a keep-alive connection parked *between* complete
-        exchanges (the ``idle`` deadline is the armed kind exactly then):
-        the peer is owed nothing.  A fresh connection that has not produced
-        a request yet keeps its header budget — its first response will
-        carry ``Connection: close`` — and anything mid-request or
-        mid-response runs to completion under the drain deadline.
+        Only between complete exchanges (``Session.idle``): the peer is
+        owed nothing.  A fresh connection keeps its header budget — its
+        first response will carry ``Connection: close`` — and anything
+        mid-request or mid-response runs on under the drain deadline.
         """
-        return self.state == STATE_READ_REQUEST and self._deadline_kind == "idle"
-
-    def idle_for(self, now: Optional[float] = None) -> float:
-        """Seconds since a byte last moved on this connection.
-
-        Readiness events do not count: a socket can select readable or
-        writable forever while the peer makes no progress at all, and it
-        was exactly that conflation that let slow clients dodge the old
-        sweep-based reaper.
-        """
-        return (now or time.monotonic()) - self.last_activity
+        return self.session.idle
 
     # -- internals ----------------------------------------------------------------------
 
-    def _set_interest(self, events: int) -> None:
+    def _apply(self) -> None:
+        """Carry the wanted interest and the session's deadline out.
+
+        Once per callback (see :meth:`_run`); the selector and the wheel
+        are touched only when what is wanted changed since the last time.
+        """
         if self.state == STATE_CLOSED:
             return
-        loop = self.driver.loop
-        if events == self._interest:
-            return
-        if events == 0:
-            loop.unregister(self.sock)
-        elif self._interest == 0:
-            loop.register(self.sock, events, self.on_ready)
-        else:
-            loop.modify(self.sock, events, self.on_ready)
-        self._interest = events
+        events = self._want
+        if events != self._interest:
+            loop = self.driver.loop
+            if events == 0:
+                loop.unregister(self.sock)
+            elif self._interest == 0:
+                loop.register(self.sock, events, self.on_ready)
+            else:
+                loop.modify(self.sock, events, self.on_ready)
+            self._interest = events
+        deadline = self.session.deadline
+        if deadline is not self._armed:
+            self._armed = deadline
+            wheel = self.driver.loop.wheel
+            wheel.cancel(self._deadline_handle)
+            self._deadline_handle = None
+            if deadline is not None:
+                now = time.monotonic()
+                self._deadline_handle = wheel.schedule(deadline[1] - now, self._on_deadline, now)

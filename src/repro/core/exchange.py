@@ -9,10 +9,10 @@ concurrency strategy is the only variable (Section 6).  Everything between
 loop, ``servers.blocking.handle_client`` in a worker) call the same ones.
 ``docs/ARCHITECTURE.md`` tabulates decision → function → caller.
 
-No socket and no event loop is touched here.  What stays with each
-transport is the part that *is* I/O: reading the request head under its
-deadlines (timer wheel vs socket timeouts) and waiting for readiness
-(selector vs ``select`` in a worker).  Counters move under
+No socket and no event loop is touched here; the connection's lifecycle
+around an exchange (parsing, deadlines, keep-alive) is
+:mod:`repro.core.session`'s, and each transport keeps only the I/O:
+timer wheel vs socket timeouts, selector vs ``select``.  Counters move under
 ``store.stats_lock()`` — the store lock in the MT build, the null context
 everywhere else — so every architecture counts an exchange the same way.
 

@@ -38,6 +38,10 @@ contract over a producer):
     Drop all buffer views so pinned mapped chunks can be unmapped; the
     descriptor behind a file window is *not* closed here (its refcount is
     owned by the FileDescriptorCache).
+``waiting_on_source -> bool``
+    True while a streamed response has flushed everything and its
+    producer has nothing yet: the owner parks instead of waiting for
+    writability, and no write budget runs.  Always False here.
 
 Short writes, ``EAGAIN`` and client disconnects are the callers' three
 interesting cases; the first two are absorbed here (progress is
@@ -59,6 +63,7 @@ from __future__ import annotations
 
 import errno
 import os
+import select
 import socket
 import struct
 from typing import Sequence
@@ -152,6 +157,22 @@ def reset_on_close(sock: socket.socket) -> None:
         pass
 
 
+# repro-lint: allow[RL001] -- the peek runs only after poll reports the socket readable: recv returns at once (MT/MP sockets carry a timeout that would otherwise wait first)
+def peek_peer(sock: socket.socket):
+    """Peek at a parked stream's peer: ``None`` while silent, ``b""`` once
+    it closed, else its first byte (left in the kernel buffer for the
+    parser after the stream).  An idle stream owes no write budget, so
+    this is what notices a client hanging up; a reset raises."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    if not poller.poll(0):
+        return None
+    try:
+        return sock.recv(1, socket.MSG_PEEK)
+    except (BlockingIOError, InterruptedError):
+        return None
+
+
 class ResponseCork:
     """Batches back-to-back pipelined responses with ``TCP_CORK``.
 
@@ -237,6 +258,9 @@ class SendPath:
     """
 
     __slots__ = ("_segments", "_index", "_offset", "_store", "_degraded", "under_delivered")
+
+    #: A fixed segment list never waits on a producer (send-state contract).
+    waiting_on_source = False
 
     def __init__(self, segments: Sequence, store=None) -> None:
         self._segments = _live(segments)

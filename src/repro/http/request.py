@@ -108,6 +108,13 @@ RANGE_UNSATISFIABLE = object()
 #: choice production servers make (RFC 7233 §6.1 explicitly sanctions it).
 MAX_RANGE_PARTS = 32
 
+#: Cap on a request body's ``Content-Length``.  Nothing here accepts large
+#: uploads (bodies only reach CGI programs), and a body is held in memory
+#: until complete: past the cap the request is answered ``413`` and the
+#: connection closed, instead of waiting for (and buffering) whatever
+#: length a client cares to claim.
+MAX_BODY_BYTES = 1 << 20
+
 #: Internal sentinel: one spec inside a byte-range-set was syntactically
 #: invalid, which invalidates the whole header (RFC 7233 §3.1).
 _RANGE_INVALID = object()
@@ -566,6 +573,8 @@ class RequestParser:
                 raise BadRequestError("invalid Content-Length") from exc
             if self._body_needed < 0:
                 raise BadRequestError("negative Content-Length")
+            if self._body_needed > MAX_BODY_BYTES:
+                raise RequestTooLargeError(f"request body exceeds {MAX_BODY_BYTES} bytes")
         if self._body_needed:
             self._buffer = bytearray(rest)
             self._consume_body()
@@ -573,16 +582,20 @@ class RequestParser:
             self.remainder = rest
 
     def _consume_body(self) -> None:
+        """Complete the body once all of it is buffered.
+
+        Feeds accumulate in the ``bytearray`` parse buffer (amortised
+        linear); the body is copied out once, so a body arriving in many
+        small pieces costs no more than one arriving whole.
+        """
+        needed = self._body_needed
+        if len(self._buffer) < needed:
+            return
         assert self._request is not None
-        take = min(self._body_needed, len(self._buffer))
-        self._request.body += bytes(self._buffer[:take])
-        self._body_needed -= take
-        leftover = bytes(self._buffer[take:])
+        self._request.body = bytes(self._buffer[:needed])
+        self.remainder = bytes(self._buffer[needed:])
         self._buffer = bytearray()
-        if self._body_needed == 0:
-            self.remainder = leftover
-        else:
-            self._buffer = bytearray(leftover)
+        self._body_needed = 0
 
     @staticmethod
     def _parse_header_block(block: bytes) -> HTTPRequest:

@@ -139,7 +139,7 @@ class TestRequestResponseCycle:
         client.sendall(b"GET /index.html HTTP/1.1\r\nHost: h\r\n\r\n")
         second = pump(driver, connection, client)
         assert b"200 OK" in second
-        assert connection.requests_served == 2
+        assert connection.session.served == 2
         connection.close()
         client.close()
 
@@ -256,13 +256,6 @@ class TestLifecycleBookkeeping:
         connection.close()
         connection.close()
         assert driver.closed_connections == [connection]
-        client.close()
-
-    def test_idle_for_tracks_activity(self, docroot):
-        driver = ScriptedDriver(docroot)
-        connection, client = make_connection(driver)
-        assert connection.idle_for(connection.last_activity + 5.0) == pytest.approx(5.0)
-        connection.close()
         client.close()
 
     def test_stats_updated_per_request(self, docroot):
@@ -457,7 +450,7 @@ class TestDeadlines:
         self.spin(driver, connection, client,
                   until=lambda buf: bool(driver.pending), timeout=2.0)
         assert connection.state == STATE_WAIT_DISK
-        assert connection._deadline_kind is None
+        assert connection.session.deadline is None
         # Far past every configured budget: still parked, still open.
         self.spin(driver, connection, client, until=lambda buf: False, timeout=0.5)
         assert connection.state == STATE_WAIT_DISK
@@ -505,7 +498,7 @@ class TestDeadlines:
         connection, client = make_connection(driver)
         client.sendall(b"GET /index.html HTTP/1.1\r\nHost: h\r\n\r\n")
         pump(driver, connection, client)
-        assert connection._deadline_kind == "idle"
+        assert connection.session.idle
         client.sendall(b"GET /ind")  # follow-up head starts... and stalls
         received = self.spin(
             driver, connection, client,

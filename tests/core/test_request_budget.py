@@ -7,7 +7,9 @@ expensive callees wrapped on the server's own objects: header builds, date
 formatting, mapping objects, selector calls and timer-wheel arms.  The
 budgets are the cold path's contract — a miss composes the one header it
 sends, probes residency without building a mapping, and touches the
-selector only when a write would block or a helper was dispatched.
+selector only when a write would block or a helper was dispatched — and
+the lifecycle's: interest and deadline are applied once per callback, so
+a pipelined burst answered within one tick costs what one request does.
 """
 
 import email.utils
@@ -150,8 +152,10 @@ def test_hot_hit_and_synchronous_miss_leave_the_selector_alone(server, monkeypat
             assert budget.selector == 0
             assert budget.header_builds == 0
             assert budget.formatdate == 0
-            # The header budget on the first byte, the idle budget after.
-            assert budget.schedules == 2
+            # The header budget starts on the first byte and the idle
+            # budget replaces it within the same tick: only the idle one
+            # reaches the wheel.
+            assert budget.schedules == 1
         assert server.stats.hot_hits == 3
         # A spelling the hot cache has not seen, of a path the pathname
         # cache has: a miss that completes without leaving the loop tick.
@@ -164,7 +168,7 @@ def test_hot_hit_and_synchronous_miss_leave_the_selector_alone(server, monkeypat
         assert server.stats.helper_dispatches == dispatches
         assert budget.selector == 0
         assert budget.mmaps == 0
-        assert budget.schedules == 2
+        assert budget.schedules == 1
     finally:
         client.close()
 
@@ -208,3 +212,35 @@ def test_other_variants_are_built_once_on_first_use(server, monkeypatch):
             client.close()
     assert server.stats.hot_hits == 4
     assert server.stats.hot_insertions == 1
+
+
+def test_pipelined_conditional_burst_applies_interest_and_deadline_once(server, monkeypatch):
+    client = connect(server)
+    try:
+        first = exchange(server, client, get("/a.txt"))
+        etag = next(
+            line.split(b": ", 1)[1]
+            for line in first.split(b"\r\n")
+            if line.startswith(b"ETag: ")
+        ).decode("latin-1")
+        exchange(server, client, get("/a.txt", f"If-None-Match: {etag}"))  # compose the 304
+        budget = Budget(server, monkeypatch)
+        # Ten conditionals in one segment: each leaves the fast probe and is
+        # answered 304 from the hot cache within the tick that read them.
+        client.sendall(get("/a.txt", f"If-None-Match: {etag}") * 10)
+        received = bytearray()
+        for _ in range(2000):
+            server.loop.run_once(0.005)
+            try:
+                received += client.recv(1 << 16)
+            except BlockingIOError:
+                pass
+            if received.count(b"HTTP/1.1 304") == 10:
+                break
+        assert received.count(b"HTTP/1.1 304") == 10
+        assert budget.selector == 0
+        # The burst's header budget and the idle budget after it; the nine
+        # header budgets in between never reach the wheel.
+        assert budget.schedules <= 2
+    finally:
+        client.close()

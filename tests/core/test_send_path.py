@@ -506,7 +506,7 @@ class TestConnectionZeroCopy:
                 def pump():
                     received.extend(drain(right, 1, deadline=0.05))
                     return (
-                        connection.requests_served == index
+                        connection.session.served == index
                         and connection.state == STATE_READ_REQUEST
                     )
 

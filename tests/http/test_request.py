@@ -9,7 +9,7 @@ from repro.http.errors import (
     RequestTooLargeError,
     VersionNotSupportedError,
 )
-from repro.http.request import HTTPRequest, RequestParser
+from repro.http.request import MAX_BODY_BYTES, HTTPRequest, RequestParser
 
 
 def parse(raw: bytes) -> HTTPRequest:
@@ -126,6 +126,36 @@ class TestErrors:
     def test_non_numeric_content_length(self):
         with pytest.raises(BadRequestError):
             parse(b"POST / HTTP/1.0\r\nContent-Length: ten\r\n\r\n")
+
+    def test_body_of_exactly_the_cap_is_accepted(self):
+        parser = RequestParser()
+        head = b"POST /cgi-bin/x HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % MAX_BODY_BYTES
+        assert parser.feed(head + b"b" * MAX_BODY_BYTES + b"GET")
+        assert len(parser.request.body) == MAX_BODY_BYTES
+        assert isinstance(parser.request.body, bytes)
+        assert parser.remainder == b"GET"
+
+    def test_body_over_the_cap_is_413_before_any_body_arrives(self):
+        parser = RequestParser()
+        with pytest.raises(RequestTooLargeError) as info:
+            parser.feed(
+                b"POST /cgi-bin/x HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1)
+            )
+        assert info.value.status == 413
+        with pytest.raises(RequestTooLargeError):
+            parse(b"POST / HTTP/1.0\r\nContent-Length: 99999999999999\r\n\r\n")
+
+    def test_capped_body_fed_in_small_pieces_is_whole(self):
+        parser = RequestParser()
+        body = bytes(range(256)) * (MAX_BODY_BYTES // 256)
+        assert not parser.feed(b"POST /x HTTP/1.0\r\nContent-Length: %d\r\n\r\n" % len(body))
+        pieces = [body[offset : offset + 1024] for offset in range(0, len(body), 1024)]
+        for piece in pieces[:-1]:
+            assert not parser.feed(piece)
+        assert parser.feed(pieces[-1] + b"NEXT")
+        assert parser.request.body == body
+        assert isinstance(parser.request.body, bytes)
+        assert parser.remainder == b"NEXT"
 
     def test_oversized_header_rejected(self):
         parser = RequestParser(max_header_bytes=128)

@@ -21,15 +21,13 @@ def site(tmp_path):
     store.close()
 
 
-def run_handler(config, store, client_actions, cgi_runner=None, max_requests=None):
+def run_handler(config, store, client_actions, cgi_runner=None):
     """Run handle_client on one end of a socketpair, the test script on the other."""
     server_side, client_side = socket.socketpair()
     served = {}
 
     def server():
-        served["count"] = handle_client(
-            server_side, store, config, cgi_runner, max_requests=max_requests
-        )
+        served["count"] = handle_client(server_side, store, config, cgi_runner)
 
     thread = threading.Thread(target=server)
     thread.start()
@@ -88,21 +86,6 @@ class TestHandleClient:
         served, _ = run_handler(config, store, actions)
         assert served == 3
 
-    def test_max_requests_cap(self, site):
-        config, store = site
-
-        def actions(sock):
-            sock.sendall(
-                b"GET /index.html HTTP/1.1\r\nHost: h\r\n\r\n"
-                b"GET /index.html HTTP/1.1\r\nHost: h\r\n\r\n"
-                b"GET /index.html HTTP/1.1\r\nHost: h\r\n\r\n"
-            )
-            return recv_until_closed(sock)
-
-        served, response = run_handler(config, store, actions, max_requests=2)
-        assert served == 2
-        assert response.count(b"200 OK") == 2
-
     def test_not_found_on_keep_alive_connection(self, site):
         config, store = site
 
@@ -129,7 +112,8 @@ class TestHandleClient:
             return recv_until_closed(sock)
 
         served, response = run_handler(config, store, actions)
-        assert served == 0
+        # The error answer finished the connection's one exchange.
+        assert served == 1
         assert response[:12] in (b"HTTP/1.1 400", b"HTTP/1.1 501")
 
     def test_client_disconnect_mid_request(self, site):

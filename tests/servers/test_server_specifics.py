@@ -180,3 +180,34 @@ class TestBlockingWorkersSurviveReset:
         finally:
             server.stop()
         assert response.status == 200
+
+
+class TestOversizedBodyRefused:
+    """A claimed body past ``MAX_BODY_BYTES`` is answered 413 at once and
+    the connection closed, on either transport; the server used to wait
+    for (and buffer) whatever length the client claimed."""
+
+    @pytest.mark.parametrize("server_cls", [SPEDServer, MTServer], ids=["sped", "mt"])
+    def test_oversized_post_gets_413_and_close(self, docroot, server_cls):
+        server = server_cls(ServerConfig(document_root=docroot, port=0, num_workers=1))
+        server.start()
+        try:
+            client = socket.create_connection(server.address, timeout=5.0)
+            client.sendall(
+                b"POST /cgi-bin/upload HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: 99999999999999\r\n\r\n"
+            )
+            received = bytearray()
+            while True:
+                data = client.recv(65536)
+                if not data:
+                    break
+                received.extend(data)
+            client.close()
+            head = bytes(received).split(b"\r\n\r\n", 1)[0]
+            assert head.startswith(b"HTTP/1.1 413")
+            assert b"Connection: close" in head
+            # The server is unharmed.
+            assert fetch(*server.address, "/index.html").status == 200
+        finally:
+            server.stop()
