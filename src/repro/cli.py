@@ -85,11 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(posix_fadvise WILLNEED + helper read-touch)",
     )
     serve.add_argument(
-        "--no-cork",
-        action="store_true",
-        help="disable TCP_CORK batching of pipelined keep-alive responses",
-    )
-    serve.add_argument(
         "--no-hot-cache",
         action="store_true",
         help="disable the unified hot-response cache (single-lookup fast "
@@ -299,7 +294,7 @@ def _format_summary(stats) -> str:
         f"{stats.range_responses} partial "
         f"({stats.range_multipart_responses} multipart), "
         f"{stats.range_unsatisfiable} range-unsatisfiable); "
-        f"hot hits: {stats.hot_hits}, batched: {stats.hot_batched}; "
+        f"hot hits: {stats.hot_hits}; "
         f"timeouts: {stats.timeouts_header} header, "
         f"{stats.timeouts_idle} idle, "
         f"{stats.timeouts_write_stall} write-stall; "
@@ -336,7 +331,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         io_backend=args.io_backend,
         zero_copy=not args.no_zero_copy,
         helper_warming=not args.no_warming,
-        cork_responses=not args.no_cork,
         hot_cache=not args.no_hot_cache,
         fast_parse=not args.no_fast_parse,
         header_timeout=args.header_timeout,
@@ -430,12 +424,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if hasattr(server, "loop"):
         send_path = "zero-copy (sendfile)" if config.zero_copy else "buffered"
         warming = "on" if (config.zero_copy and config.helper_warming) else "off"
-        cork = "on" if config.cork_responses else "off"
         hot = "on" if config.hot_cache else "off"
         fast = "on" if config.fast_parse else "off"
         print(
             f"io backend: {server.loop.backend_name}; send path: {send_path}; "
-            f"fd warming: {warming}; cork batching: {cork}; "
+            f"fd warming: {warming}; "
             f"hot cache: {hot}; fast parse: {fast}"
         )
     print("press Ctrl-C (or send SIGTERM) to drain and stop")

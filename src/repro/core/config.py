@@ -91,11 +91,6 @@ class ServerConfig:
     #: read-touch; SPED issues the ``fadvise`` hint inline (faithful SPED
     #: still blocks on a miss).  Toggling this never changes response bytes.
     helper_warming: bool = True
-    #: Batch back-to-back pipelined keep-alive responses with ``TCP_CORK``
-    #: (uncorked when the pipeline drains) so consecutive small responses
-    #: leave as full segments instead of one segment per response.  A no-op
-    #: on platforms without ``TCP_CORK``; never changes response bytes.
-    cork_responses: bool = True
 
     # -- single-lookup hot path ----------------------------------------------
     #: Serve repeated static GETs from the unified hot-response cache: one

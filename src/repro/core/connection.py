@@ -18,8 +18,8 @@ States
     socket is not watched for readiness while we wait (AMPED/CGI only —
     SPED performs these inline and never enters this state).
 ``SEND_RESPONSE``
-    Transmit the response header and body with non-blocking writes,
-    handling partial writes and full send buffers.
+    The answer is in the output queue: transmit it with non-blocking
+    writes, handling partial writes and full send buffers.
 ``CLOSED``
     The connection is finished and its resources are released.
 
@@ -33,6 +33,12 @@ loop's timer wheel, a source becoming ready, a helper or CGI completion)
 does its work, transmits, and only then applies the selector interest and
 the session's deadline once: a hot hit, or a pipelined burst answered
 within the tick, costs no selector call and one wheel schedule.
+
+The connection's one output queue is ``_sender``: while the session's hold
+rule says so, the next pipelined request is answered into it before
+anything is sent.  While queued bytes are unsent, interest and deadline
+follow the queue — write interest under the write budget, whatever the
+request's state — and once it drains the session's intent applies.
 """
 
 from __future__ import annotations
@@ -47,18 +53,11 @@ from typing import TYPE_CHECKING, Optional, Protocol
 from repro.core import exchange
 from repro.core.event_loop import EVENT_READ, EVENT_WRITE
 from repro.core.pipeline import StaticContent
-from repro.core.send_path import (
-    ResponseCork,
-    SendPath,
-    choose_send_path,
-    peek_peer,
-    reset_on_close,
-    wire_segments,
-)
+from repro.core.send_path import SendPath, choose_send_path, peek_peer, reset_on_close
 from repro.core.session import ANSWER_408, CLOSE, NEXT, RESET, Session
 from repro.core.streaming import ResponseSource
 from repro.http.errors import HTTPError
-from repro.http.request import FAST_MISS, FastRequest, HTTPRequest, probe_fast_request
+from repro.http.request import FastRequest, HTTPRequest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.config import ServerConfig
@@ -132,10 +131,8 @@ class Connection:
         "state",
         "session",
         "request",
-        "content",
         "_sender",
-        "_batch_contents",
-        "_cork",
+        "_stream",
         "_interest",
         "_want",
         "_stream_parked",
@@ -162,13 +159,10 @@ class Connection:
         # never produces a complete request head is answered 408.
         self.session = Session(config, time.monotonic(), fast=config.fast_parse)
         self.request: Optional[HTTPRequest] = None
-        self.content: Optional[StaticContent] = None
+        #: The output queue (a ``SendPath``), or a stream's sender.
         self._sender = None
-        #: Responses whose buffers were merged into the current sender by
-        #: the pipelined-hot-hit batch; their pins are released together
-        #: with the primary response once the combined write finishes.
-        self._batch_contents: list[StaticContent] = []
-        self._cork = ResponseCork(sock, enabled=config.cork_responses)
+        #: A stream waiting for the queue ahead of it to drain.
+        self._stream = None
         #: Selector interest as registered, and as wanted once the running
         #: callback settles (see :meth:`_apply`).
         self._interest = 0
@@ -228,8 +222,8 @@ class Connection:
             return
         if action is RESET:
             reset_on_close(self.sock)
-        # close() flushes the cork and releases the sender, content and
-        # batch pins — the full mid-send teardown contract.
+        # close() releases the queue, the responses queued in it and any
+        # waiting stream — the full mid-send teardown contract.
         self.close()
 
     def _on_source_ready(self) -> None:
@@ -264,7 +258,7 @@ class Connection:
         try:
             if step is not None:
                 step(*args)
-            if self.state == STATE_SEND_RESPONSE and not self._stream_parked:
+            if self._sender is not None and not self._stream_parked:
                 self._do_write()
         except OSError as exc:
             self._absorb_disconnect(exc)
@@ -371,10 +365,8 @@ class Connection:
         stats.responses_ok += 1
         self.request = None
         self.session.keep_alive = keep_alive
-        self.content = content
-        self._start_send(
-            choose_send_path(content, store=driver.store, config=driver.config, stats=stats)
-        )
+        sender = choose_send_path(content, store=driver.store, config=driver.config, stats=stats)
+        self._start_send(sender.pin(content))
         return True
 
     def _hot_ready(self, content: StaticContent) -> bool:
@@ -426,14 +418,12 @@ class Connection:
                 request, session.keep_alive, partial(self._run, self._on_content_ready)
             )
         if self.state == STATE_WAIT_DISK:
-            # Genuinely parked: no interest, no deadline.  Cork-aware
-            # latency bound: earlier corked responses must not sit in the
-            # kernel for up to the 200 ms cork timer while the disk seeks —
-            # flush them now; _start_send re-corks later if yet more
-            # pipelined requests are buffered behind the disk-bound one.
+            # Genuinely parked: no interest, no deadline.  What is queued
+            # ahead of it still goes out under the write budget, which
+            # only progress restarts (_do_write; drained() once it is out).
             self._want = 0
-            session.waiting()
-            self._cork.flush()
+            if self._sender is None:
+                session.waiting()
 
     # -- completions ------------------------------------------------------------------
 
@@ -445,9 +435,8 @@ class Connection:
         if error is not None:
             self._send_failure(error)
             return
-        self.content = content
         self._start_send(
-            exchange.static_sender(self.driver.store, self.driver.config, content)
+            exchange.static_sender(self.driver.store, self.driver.config, content).pin(content)
         )
 
     def _on_cgi_done(self, body, error) -> None:
@@ -472,21 +461,16 @@ class Connection:
     # -- sending --------------------------------------------------------------------
 
     def _start_send(self, sender) -> None:
-        """Put ``sender`` in place; the settling callback transmits it."""
-        self._sender = sender
+        """Queue ``sender``'s answer; the settling callback transmits it."""
+        queue = self._sender
+        if queue is None:
+            self._sender = sender
+        elif type(sender) is SendPath:
+            queue.extend(sender)
+        else:
+            # A stream's end is unknown: it runs once the queue has drained.
+            self._stream = sender
         self.state = STATE_SEND_RESPONSE
-        # A pipelined request is already buffered behind this response, so
-        # another response will follow immediately: cork the socket so the
-        # two (or more) leave the kernel as full segments instead of one
-        # short segment per response.  The cork pops in _finish_response
-        # once the pipeline drains.
-        if self.session.keep_alive and self.session.parser.remainder:
-            if self._cork.hold():
-                self.driver.store.stats.corked_responses += 1
-        # Merge any immediately-ready pipelined hot hits into this sender
-        # before it is written, so a burst that arrived in one segment
-        # leaves in one vectored write as well.
-        self._batch_pipelined()
 
     def _park_stream(self) -> None:
         """Nothing to send until the source produces: stop write-watching.
@@ -500,44 +484,69 @@ class Connection:
         self.session.waiting()
 
     def _do_write(self) -> None:
-        """Transmit what the socket takes now; chain pipelined responses.
+        """Answer buffered requests into the queue, then transmit it.
 
-        Any number of pipelined requests may complete synchronously behind
-        a finished response (hot-cache hits never leave the tick).  Each
-        iteration transmits one response and lets :meth:`_finish_response`
-        start the next; iterating instead of recursing keeps the stack flat
-        however many requests a client packs into one segment.
+        Any number of pipelined requests may be answered synchronously
+        (hot-cache hits never leave the tick): while the session's hold
+        rule says so, the next one is parsed and dispatched and its answer
+        joins the queue.  Then the queue goes out, and once it has drained
+        :meth:`_finish_response` carries on.  Iterating instead of
+        recursing keeps the stack flat however many requests a client
+        packs into one segment.
         """
+        session = self.session
         while True:
-            sender = self._sender
-            if sender is None:
+            queue = self._sender
+            if queue is None:
                 return
-            sent = sender.send(self.sock)
+            if self.state == STATE_SEND_RESPONSE and session.hold(self._stream or queue):
+                self._next_request()
+                continue
+            sent = queue.send(self.sock)
             if sent:
                 self.driver.store.stats.bytes_sent += sent
-            if not sender.done:
-                if sender.waiting_on_source:
+            if not queue.done:
+                if queue.waiting_on_source:
                     self._park_stream()
                 else:
                     # The socket would not take it all: watch writability
                     # under the write budget (restarted by progress only).
                     self._want = EVENT_WRITE
-                    self.session.writing(time.monotonic(), sent > 0)
+                    session.writing(time.monotonic(), sent > 0)
                 return
             if not self._finish_response():
                 return
 
-    def _finish_response(self) -> bool:
-        """Epilogue of a transmitted response; start the next buffered request.
+    def _next_request(self) -> None:
+        """Parse the buffered pipelined bytes; dispatch a complete request."""
+        self.state = STATE_READ_REQUEST
+        try:
+            if self.session.feed_buffered():
+                self._dispatch_parsed()
+        except HTTPError as exc:
+            self._send_failure(exc)
 
-        Returns True when that request's response started synchronously —
-        its sender is in place and :meth:`_do_write` transmits it next.
+    def _finish_response(self) -> bool:
+        """The queue drained: release it and carry on.
+
+        Returns True when another sender is in place — a waiting stream,
+        or the next request's answer — for :meth:`_do_write` to transmit.
         """
-        under_delivered = self._sender.under_delivered
+        if self._sender.under_delivered:
+            # Nothing queued behind a short window may follow it.
+            self.close()
+            return False
+        stream, self._stream = self._stream, None
         self._release_response()
-        self.request = None
         session = self.session
-        step = session.finish(under_delivered, self.driver.draining, time.monotonic())
+        if stream is not None or self.state != STATE_SEND_RESPONSE:
+            # Drained ahead of a stream, a parked request or a partial head.
+            session.drained(time.monotonic())
+            self._sender = stream
+            self._want = EVENT_READ if self.state == STATE_READ_REQUEST else 0
+            return stream is not None
+        self.request = None
+        step = session.finish(False, self.driver.draining, time.monotonic())
         if step is CLOSE:
             self.close()
             return False
@@ -546,89 +555,17 @@ class Connection:
         if step is NEXT:
             # Pipelined request already buffered: parse it without waiting
             # for the socket to become readable again.
-            try:
-                if session.feed_buffered():
-                    self._dispatch_parsed()
-            except HTTPError as exc:
-                self._send_failure(exc)
-        if self.state == STATE_READ_REQUEST:
-            # Pipeline drained: no complete request is buffered, so nothing
-            # follows immediately and the batched responses must flush.  (A
-            # pipelined request that parked on disk flushed the cork
-            # already, inside _start_request — the cork-aware latency
-            # bound.)
-            self._cork.flush()
-            return False
-        # WAIT_DISK (the completion re-enters later), CLOSED, or the next
-        # response is in place.
+            self._next_request()
+        # WAIT_DISK (the completion re-enters later), READ_REQUEST, CLOSED,
+        # or the next response is in place.
         return self.state == STATE_SEND_RESPONSE
 
-    def _batch_pipelined(self) -> None:
-        """Merge immediately-ready pipelined hot hits into the current sender.
-
-        A pipelined burst of cached responses used to pay one send-path
-        round per tiny response even under ``TCP_CORK``.  Instead, peel
-        further complete plain-GET requests off the parser remainder, look
-        them up in the hot-response cache, and append each precomposed
-        hit's segments (buffers or file windows alike) to the in-flight
-        sender — a buffered burst then leaves through a single vectored
-        write.  Any doubt (fast-probe decline, hot miss, cold content, a
-        close disposition) stops the merge, and the unconsumed requests
-        take the normal drain loop exactly as before — batching changes
-        syscall count, never bytes.
-        """
-        sender = self._sender
-        if not isinstance(sender, SendPath):
-            # A stream's end is not known yet: nothing can queue behind it.
-            return
-        driver = self.driver
-        config = driver.config
-        if not (config.hot_cache and config.fast_parse):
-            return
-        store = driver.store
-        stats = store.stats
-        session = self.session
-        while session.keep_alive and session.parser.remainder:
-            probed = probe_fast_request(session.parser.remainder)
-            if probed is None or probed is FAST_MISS:
-                return
-            fast, header_end = probed
-            # More buffered = bytes past this request's head: the last
-            # buffered pipelined request during drain says ``close``.
-            keep_alive = session.disposition(fast.keep_alive, driver.draining, header_end)
-            content = store.hot_lookup(fast.target, keep_alive)
-            if content is None:
-                return
-            if content.content_length > 0 and not driver.hot_content_ready(content):
-                # Cold content: the normal loop will re-consult the cache
-                # and retake the full (warming) pipeline.
-                content.release(store)
-                return
-            # Commit: consume the request and merge the response.
-            session.batched(header_end, keep_alive)
-            stats.requests += 1
-            stats.responses_ok += 1
-            stats.fast_parses += 1
-            stats.hot_batched += 1
-            sender.extend(wire_segments(content, config=config, stats=stats))
-            self._batch_contents.append(content)
-
     def _release_response(self) -> None:
-        """Release the sender, then the response, then everything batched into it.
-
-        In that order: the buffered path holds memoryviews over mapped
-        chunks, which must be dropped before the cache may unmap them.
-        """
-        if self._sender is not None:
-            self._sender.release()
-            self._sender = None
-        if self.content is not None:
-            self.content.release(self.driver.store)
-            self.content = None
-        if self._batch_contents:
-            batch, self._batch_contents = self._batch_contents, []
-            for content in batch:
-                content.release(self.driver.store)
+        """Release the queue, with every response queued in it, and any stream."""
+        for sender in (self._sender, self._stream):
+            if sender is not None:
+                sender.release()
+        self._sender = self._stream = None
 
     # -- errors ------------------------------------------------------------------------
 
@@ -651,8 +588,6 @@ class Connection:
             return
         self.state = STATE_CLOSED
         self.driver.loop.wheel.cancel(self._deadline_handle)
-        # Pop any held cork so batched bytes flush ahead of the FIN.
-        self._cork.flush()
         self._release_response()
         self.driver.loop.unregister(self.sock)
         try:

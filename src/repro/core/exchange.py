@@ -16,10 +16,9 @@ timer wheel vs socket timeouts, selector vs ``select``.  Counters move under
 ``store.stats_lock()`` — the store lock in the MT build, the null context
 everywhere else — so every architecture counts an exchange the same way.
 
-The raw-target hit of the fast probe (``Connection._try_hot_fast`` and the
-pipelined batch) does not come through here: it has no parsed request to
-decide anything about, and calls ``store.hot_lookup(target, keep_alive)``
-directly.
+The raw-target hit of the fast probe (``Connection._try_hot_fast``) does
+not come through here: it has no parsed request to decide anything about,
+and calls ``store.hot_lookup(target, keep_alive)`` directly.
 """
 
 from __future__ import annotations

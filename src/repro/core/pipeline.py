@@ -83,7 +83,6 @@ class ServerStats:
     sendfile_fallbacks: int = 0
     sendfile_warms: int = 0
     sendfile_warm_degradations: int = 0
-    corked_responses: int = 0
     hot_hits: int = 0
     hot_misses: int = 0
     hot_insertions: int = 0
@@ -94,7 +93,6 @@ class ServerStats:
     range_unsatisfiable: int = 0
     range_multipart_responses: int = 0
     precondition_failed: int = 0
-    hot_batched: int = 0
     #: Connections reaped by the per-connection deadline system, by which
     #: budget expired: the absolute request-head budget (answered 408), the
     #: keep-alive idle budget, and the progress-based write-stall budget.

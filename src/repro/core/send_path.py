@@ -48,15 +48,14 @@ interesting cases; the first two are absorbed here (progress is
 remembered), the third surfaces as the usual
 ``ConnectionError``/``OSError`` for the connection to handle.
 
-Pipelined-response batching
----------------------------
+Output queue
+------------
 
-:class:`ResponseCork` batches back-to-back keep-alive responses with
-``TCP_CORK``: while the connection still has pipelined requests buffered,
-the cork holds partial segments in the kernel so consecutive small
-responses leave the NIC as full TCP segments; when the pipeline drains the
-cork is popped and everything flushes.  Corking changes segmentation only
-— the byte stream is identical with it on or off.
+Every connection, on every architecture, has one output queue: a
+:class:`SendPath` to which pipelined answers are appended while
+:meth:`~repro.core.session.Session.hold` says so, so a burst of buffered
+answers leaves in one vectored write.  Queuing changes the syscall count,
+never the bytes.
 """
 
 from __future__ import annotations
@@ -97,6 +96,11 @@ _HAS_SENDMSG = hasattr(socket.socket, "sendmsg")
 #: a tiny header-only segment (TCP_NODELAY is set on every connection).
 _MSG_MORE = getattr(socket, "MSG_MORE", 0)
 
+#: The output queue's bound: pipelined answers stop joining a queue once
+#: this many of its bytes are unsent (file windows count by length), so a
+#: burst pins at most this much plus one response.
+QUEUE_BYTES = 256 * 1024
+
 
 def sendfile_available() -> bool:
     """Whether this platform offers ``os.sendfile`` at all."""
@@ -133,16 +137,6 @@ def window_views(buffers: Sequence, offset: int, length: int) -> list:
     return views
 
 
-#: ``TCP_CORK`` constant (Linux).  0 means the platform has no cork and
-#: :class:`ResponseCork` degrades to a no-op.
-_TCP_CORK = getattr(socket, "TCP_CORK", 0)
-
-
-def cork_available() -> bool:
-    """Whether this platform offers ``TCP_CORK`` batching."""
-    return bool(_TCP_CORK)
-
-
 def reset_on_close(sock: socket.socket) -> None:
     """Make the coming ``close`` abortive (RST): the write-stall reaping.
 
@@ -171,59 +165,6 @@ def peek_peer(sock: socket.socket):
         return sock.recv(1, socket.MSG_PEEK)
     except (BlockingIOError, InterruptedError):
         return None
-
-
-class ResponseCork:
-    """Batches back-to-back pipelined responses with ``TCP_CORK``.
-
-    With ``TCP_NODELAY`` set (every connection sets it), each response's
-    final short segment goes out immediately; for a pipelined burst of
-    small responses that means one undersized TCP segment per response.
-    Holding the cork across the burst lets the kernel pack consecutive
-    responses into full segments, and popping it on queue drain flushes
-    whatever remains — the kernel's 200 ms cork timer bounds the damage if
-    the owner ever forgets.
-
-    The class is idempotent and failure-silent: ``hold``/``flush`` track
-    state so redundant ``setsockopt`` calls are skipped, any ``OSError``
-    (e.g. the peer already disconnected) is swallowed, and on platforms
-    without ``TCP_CORK`` every method is a no-op.  Corking never changes
-    the bytes of a response, only how they are segmented on the wire.
-    """
-
-    __slots__ = ("_sock", "_held", "_enabled")
-
-    def __init__(self, sock: socket.socket, enabled: bool = True) -> None:
-        self._sock = sock
-        self._held = False
-        self._enabled = enabled and cork_available()
-
-    @property
-    def held(self) -> bool:
-        """True while the cork is in (responses are being batched)."""
-        return self._held
-
-    def hold(self) -> bool:
-        """Cork the socket; returns True if the cork is (now) in."""
-        if not self._enabled:
-            return False
-        if not self._held:
-            try:
-                self._sock.setsockopt(socket.IPPROTO_TCP, _TCP_CORK, 1)
-            except OSError:
-                return False
-            self._held = True
-        return True
-
-    def flush(self) -> None:
-        """Pop the cork, flushing any batched partial segment.  Idempotent."""
-        if not self._held:
-            return
-        self._held = False
-        try:
-            self._sock.setsockopt(socket.IPPROTO_TCP, _TCP_CORK, 0)
-        except OSError:
-            pass
 
 
 class SendPath:
@@ -257,13 +198,15 @@ class SendPath:
         window (error pages, CGI output) may omit it.
     """
 
-    __slots__ = ("_segments", "_index", "_offset", "_store", "_degraded", "under_delivered")
+    __slots__ = (
+        "_segments", "_index", "_offset", "_store", "_degraded", "under_delivered", "unsent", "pins"
+    )
 
     #: A fixed segment list never waits on a producer (send-state contract).
     waiting_on_source = False
 
     def __init__(self, segments: Sequence, store=None) -> None:
-        self._segments = _live(segments)
+        self._segments = []
         self._index = 0
         self._offset = 0
         self._store = store
@@ -275,6 +218,12 @@ class SendPath:
         #: The header already promised those bytes, so the owner must close
         #: the connection rather than reuse it.
         self.under_delivered = False
+        #: Bytes not yet handed to the kernel, file windows by length: what
+        #: the output queue's bound (:data:`QUEUE_BYTES`) is measured in.
+        self.unsent = 0
+        #: The responses released with this sender (see :meth:`pin`).
+        self.pins: list = []
+        self.extend(segments)
 
     @property
     def done(self) -> bool:
@@ -297,6 +246,7 @@ class SendPath:
                 total += sent
         except (BlockingIOError, InterruptedError):
             pass
+        self.unsent -= total
         return total
 
     # The sendfile in_fd is a regular file: the call copies from the page
@@ -387,29 +337,54 @@ class SendPath:
             self._segments[self._index : self._index + 1] = buffers
         self._offset = 0
 
-    def extend(self, segments: Sequence) -> None:
-        """Append more segments (of either kind) to this in-flight write.
+    def extend(self, segments) -> None:
+        """Append segments (of either kind), or a fresh SendPath's answer.
 
-        The substrate of pipelined-hot-hit batching and of the streaming
-        path's frame-at-a-time refill.  Appending never disturbs progress —
-        the cursor only ever points at bytes not yet handed to the kernel
-        — and a finished sender drops what it already sent first, so a
-        long-lived stream does not accumulate its history.
+        The output queue's append and the streaming path's frame-at-a-time
+        refill.  Appending never disturbs progress — the cursor only ever
+        points at bytes not yet handed to the kernel — and a finished
+        sender drops what it already sent first, so a long-lived stream
+        does not accumulate its history.  Nothing joins a sender whose
+        window came up short: the framing behind it is already broken.
         """
         if self._index >= len(self._segments):
             self._segments = []
             self._index = 0
-        self._segments.extend(_live(segments))
+        if type(segments) is SendPath:
+            self.pins += segments.pins
+            segments = segments._segments
+        if self.under_delivered:
+            return
+        for segment in segments:
+            size = segment[2] if type(segment) is tuple else len(segment)
+            if size:  # a 0-byte write reads as EAGAIN
+                self._segments.append(segment)
+                self.unsent += size
+
+    def pin(self, content) -> "SendPath":
+        """Release ``content`` (a static response) with this sender; returns it.
+
+        An answer's pins travel with its segments into an output queue, and
+        outlive the answer there until the whole queue is released.
+        """
+        self.pins.append(content)
+        return self
 
     def release(self) -> None:
-        """Drop all segments (lets mapped chunks be unmapped).
+        """Drop all segments, then release every pinned response.
 
-        The descriptor behind a file window is *not* closed here: its pin
-        belongs to the response, which the owner releases next.
+        In that order: the buffered path holds memoryviews over mapped
+        chunks, which must be dropped before the cache may unmap them.  A
+        descriptor is never closed here: its refcount belongs to the
+        FileDescriptorCache.
         """
         self._segments = []
         self._index = 0
         self._offset = 0
+        self.unsent = 0
+        pins, self.pins = self.pins, []
+        for content in pins:
+            content.release(self._store)
 
 
 def _live(segments: Sequence) -> list:

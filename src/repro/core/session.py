@@ -25,13 +25,13 @@ disables its kind:
 ``idle``
     Between keep-alive exchanges (``idle_timeout``).  Expiry closes.
 ``write``
-    A response the socket would not take whole (``write_stall_timeout``),
-    restarted only when a send moves bytes — progress, not writability.
-    Expiry closes abortively (RST), so the kernel stops flushing a send
-    buffer to a peer that reads nothing.
+    Queued bytes the socket would not take whole (``write_stall_timeout``),
+    restarted only when a send moves bytes — progress, not writability —
+    whatever the request's state.  Expiry closes abortively (RST), so the
+    kernel stops flushing a send buffer to a peer that reads nothing.
 
-Nothing is armed while the connection waits on disk or a CGI program, or
-while a stream is parked on its source: the peer owes nothing then.
+Nothing else is armed while the connection waits on disk or a CGI program,
+or while a stream is parked on its source: the peer owes nothing then.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Optional
 
 from repro.core import exchange
+from repro.core.send_path import QUEUE_BYTES, SendPath
 from repro.http.request import RequestParser
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -75,7 +76,7 @@ class Session:
         self.config = config
         #: The connection's one parser, ``reset()`` between requests.
         self.parser = RequestParser(max_header_bytes=config.max_header_bytes, fast=fast)
-        #: Exchanges finished on this connection (batched hot hits included).
+        #: Exchanges finished on this connection (queued answers included).
         self.served = 0
         #: Whether the connection stays open after the response in flight:
         #: the committed :meth:`disposition`, lowered by answers that must
@@ -100,21 +101,30 @@ class Session:
             self._arm(HEADER, now)
         return self.parser.feed(data)
 
-    def disposition(self, requested: bool, draining: bool, consumed: int = 0) -> bool:
-        """``exchange.disposition`` over this session's buffer (not committed).
+    def disposition(self, requested: bool, draining: bool) -> bool:
+        """``exchange.disposition`` over this session's buffer (not committed)."""
+        return exchange.disposition(requested, self.config, draining, bool(self.parser.remainder))
 
-        More buffered means bytes past the first ``consumed`` of the parser
-        remainder: the pipelined batch peeks a head before consuming it.
+    def hold(self, queue) -> bool:
+        """The hold rule: is the next buffered request answered into ``queue``?
+
+        While the answer just queued is a finite :class:`SendPath`, the
+        connection stays open with a pipelined request buffered, and fewer
+        than :data:`QUEUE_BYTES` are unsent: the exchange is then finished
+        and the adapter parses the buffered bytes.  Otherwise the queue
+        goes out, and :meth:`finish` (or :meth:`drained`) follows.
         """
-        more = len(self.parser.remainder) > consumed
-        return exchange.disposition(requested, self.config, draining, more)
-
-    def batched(self, header_end: int, keep_alive: bool) -> None:
-        """A pipelined hot hit joined the response in flight: consume its
-        head, commit its disposition, count it served."""
-        self.parser.remainder = self.parser.remainder[header_end:]
-        self.keep_alive = keep_alive
+        if not (
+            self.keep_alive
+            and self.parser.remainder
+            and type(queue) is SendPath
+            and not queue.under_delivered
+            and queue.unsent < QUEUE_BYTES
+        ):
+            return False
         self.served += 1
+        self.keep_alive = False
+        return True
 
     def writing(self, now: float, progressed: bool) -> None:
         """A response is left unfinished: the write budget runs, restarted
@@ -125,6 +135,15 @@ class Session:
     def waiting(self) -> None:
         """Waiting on disk, a CGI program or a parked stream: no deadline."""
         self.deadline = None
+
+    def drained(self, now: float) -> None:
+        """The queue drained ahead of an open exchange: a partial head
+        starts its header budget, as behind a finished response; a parked
+        request or a stream waits under none."""
+        if self.parser.complete:
+            self.deadline = None
+        else:
+            self._arm(HEADER, now)
 
     def remaining(self, now: float) -> Optional[float]:
         """Seconds left on the deadline (``<= 0`` once due); ``None`` if none."""
@@ -147,7 +166,7 @@ class Session:
             return RESET
 
     def finish(self, under_delivered: bool, draining: bool, now: float) -> str:
-        """The response went out: :data:`CLOSE`, :data:`NEXT` or :data:`IDLE`.
+        """The queue drained behind the answer: :data:`CLOSE`, :data:`NEXT` or :data:`IDLE`.
 
         Close when the body came up short (the framing is broken), when
         the disposition said so, or under drain with nothing buffered
@@ -171,7 +190,8 @@ class Session:
         return IDLE
 
     def feed_buffered(self) -> bool:
-        """Parse the pipelined bytes :meth:`finish` left; True if a request is complete."""
+        """Parse the pipelined bytes :meth:`finish` or :meth:`hold` left;
+        True if a request is complete."""
         buffered = self.parser.remainder
         self.parser.reset()
         return self.parser.feed(buffered)

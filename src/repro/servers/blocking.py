@@ -12,7 +12,10 @@ per-request decision is :mod:`repro.core.exchange`'s — what the
 event-driven ``Connection`` drives too, so the architectures differ only in
 concurrency, per the paper's methodology.  What lives here is the I/O:
 ``recv`` under a socket timeout set to the session's remaining deadline,
-and :func:`_drive`, which steps the sender until it is done.
+and :func:`_drive`, which steps the sender until it is done.  Answers are
+planned into one output queue while the session's hold rule says so, and
+the queue is driven out once: a pipelined burst of buffered answers leaves
+in one vectored write, as it does from the event-driven builds.
 
 :func:`serve_connections` is the accept loop around the handler, shared by
 the MT worker threads and the MP worker processes.
@@ -76,6 +79,7 @@ def handle_client(
     with store.stats_lock():
         store.stats.connections_accepted += 1
     session = Session(config, time.monotonic())
+    queue = None
     try:
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -85,6 +89,11 @@ def handle_client(
         while True:
             try:
                 complete = step is NEXT and session.feed_buffered()
+                if not complete and queue is not None:
+                    # Only a partial head is left: what is queued goes first.
+                    if not _transmit(sock, store, session, queue, drain_check):
+                        return session.served
+                    queue = None
                 while not complete:
                     wait = session.remaining(time.monotonic())
                     if session.idle and drain_check is not None:
@@ -118,41 +127,32 @@ def handle_client(
                 return session.served
 
             draining = drain_check is not None and drain_check()
-            sender = content = None
             if failure is None:
                 session.keep_alive = session.disposition(request.keep_alive, draining)
                 try:
-                    sender, content = _plan(store, config, request, session, cgi_runner, sse_hub)
+                    route = exchange.route(store, config, request)
+                    if route is not exchange.ROUTE_STATIC and queue is not None:
+                        # A program or a stream runs behind an empty queue.
+                        if not _transmit(sock, store, session, queue, drain_check):
+                            return session.served
+                        queue = None
+                    answer = _plan(store, config, request, route, session, cgi_runner, sse_hub)
                 except Exception as exc:  # noqa: BLE001 - answered: HTTPError as itself, anything else 500 + close
                     failure = exc
             if failure is not None:
-                sender, session.keep_alive = exchange.failure_sender(
+                answer, session.keep_alive = exchange.failure_sender(
                     store, failure, session.keep_alive
                 )
-
-            now = time.monotonic()
-            session.writing(now, False)
-            # Each send waits for buffer space at most this long, and one
-            # that returns moved bytes: the budget restarts on progress.
-            sock.settimeout(session.remaining(now))
-            try:
-                try:
-                    _drive(sock, store, sender, drain_check)
-                finally:
-                    # After the sender (released by _drive): the buffered
-                    # path holds memoryviews over the content's chunks.
-                    if content is not None:
-                        content.release(store)
-            except socket.timeout:
-                # No byte moved within the write budget: reap the stalled
-                # reader, abortively.
-                session.expire(store)
-                reset_on_close(sock)
+            if queue is None:
+                queue = answer
+            else:
+                queue.extend(answer)
+            if session.hold(queue):
+                step = NEXT
+                continue
+            if not _transmit(sock, store, session, queue, drain_check):
                 return session.served
-            except OSError:
-                # The peer went away mid-response, or the response came
-                # up short of its promised length (see _drive).
-                return session.served
+            queue = None
             step = session.finish(False, draining, time.monotonic())
             if step is CLOSE:
                 return session.served
@@ -169,21 +169,20 @@ def _plan(
     store: ContentStore,
     config: ServerConfig,
     request,
+    route: str,
     session: Session,
     cgi_runner: Optional[CGIRunner],
     sse_hub: Optional[SSEHub],
-) -> tuple[object, Optional[StaticContent]]:
-    """Decide the answer to ``request``, synchronously.
+):
+    """Decide the answer to ``request`` on ``route``, synchronously.
 
-    Returns ``(sender, content)``: the sender to drive and the static
-    response to release once it is out (if any); an answer that must
-    close lowers ``session.keep_alive``.  Whatever this raises,
-    ``exchange.failure_sender`` answers.
+    Returns the sender to queue (a static response is pinned to it); an
+    answer that must close lowers ``session.keep_alive``.  Whatever this
+    raises, ``exchange.failure_sender`` answers.
     """
-    route = exchange.route(store, config, request)
     if route is exchange.ROUTE_SSE:
         session.keep_alive = False
-        return exchange.sse_sender(store, sse_hub, request), None
+        return exchange.sse_sender(store, sse_hub, request)
     if route is exchange.ROUTE_CGI:
         if cgi_runner is None:
             raise HTTPError("dynamic content disabled", status=503)
@@ -194,14 +193,40 @@ def _plan(
             # the application (see repro.cgi.runner).
             body = IterableSource(body)
         sender, session.keep_alive = exchange.cgi_sender(store, request, body, session.keep_alive)
-        return sender, None
+        return sender
     # Workers transmit hot hits unconditionally, like SPED: they run no
     # residency test — a cold page simply blocks this worker, which is
     # exactly their concurrency model.
     content = exchange.hot_consult(store, config, request, session.keep_alive)
     if content is None:
         content = exchange.static_miss(store, config, request, session.keep_alive)
-    return exchange.static_sender(store, config, content), content
+    return exchange.static_sender(store, config, content).pin(content)
+
+
+def _transmit(
+    sock: socket.socket, store: ContentStore, session: Session, queue, drain_check
+) -> bool:
+    """Drive the queue out under the write budget (``_drive`` releases it,
+    with every response queued in it); False when the connection is done."""
+    now = time.monotonic()
+    session.writing(now, False)
+    # Each send waits for buffer space at most this long, and one that
+    # returns moved bytes: the budget restarts on progress.
+    sock.settimeout(session.remaining(now))
+    try:
+        _drive(sock, store, queue, drain_check)
+    except socket.timeout:
+        # No byte moved within the write budget: reap the stalled reader,
+        # abortively.
+        session.expire(store)
+        reset_on_close(sock)
+        return False
+    except OSError:
+        # The peer went away mid-response, or a response came up short of
+        # its promised length (see _drive).
+        return False
+    session.drained(time.monotonic())
+    return True
 
 
 def _drive(

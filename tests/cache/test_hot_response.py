@@ -231,9 +231,9 @@ class TestContentStoreIntegration:
         assert content.content_length == 0
         assert content.segments == ()
         assert content.file_handle is None
-        assert content.header == store.build_response(
-            get_request("/page.html"), entry
-        ).header
+        built = store.build_response(get_request("/page.html"), entry)
+        assert content.header == built.header
+        built.release(store)  # its pins would outlive the module otherwise
 
     def test_if_modified_since_serves_precomposed_304(self, store):
         entry = build_and_insert(store)

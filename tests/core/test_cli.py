@@ -33,13 +33,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--root", "x", "--architecture", "iis"])
 
-    def test_serve_warming_and_cork_toggles(self):
+    def test_serve_warming_toggle(self):
         args = build_parser().parse_args(["serve", "--root", "/tmp/www"])
-        assert not args.no_warming and not args.no_cork
-        args = build_parser().parse_args(
-            ["serve", "--root", "/tmp/www", "--no-warming", "--no-cork"]
-        )
-        assert args.no_warming and args.no_cork
+        assert not args.no_warming
+        args = build_parser().parse_args(["serve", "--root", "/tmp/www", "--no-warming"])
+        assert args.no_warming
 
     def test_loadgen_arguments(self):
         args = build_parser().parse_args(

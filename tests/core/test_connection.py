@@ -20,8 +20,9 @@ from repro.core.connection import (
     STATE_WAIT_DISK,
     Connection,
 )
-from repro.core.event_loop import EventLoop
+from repro.core.event_loop import EVENT_WRITE, EventLoop
 from repro.core.pipeline import ContentStore, StaticContent
+from repro.core.session import WRITE
 from repro.http.errors import NotFoundError
 
 
@@ -277,64 +278,92 @@ class SelectiveDeferDriver(ScriptedDriver):
         return "cold" in uri
 
 
-class TestCorkLatencyBound:
-    """A pipelined request that parks on disk must not leave earlier corked
-    responses held in the kernel for the duration of the disk wait."""
+def get(path, close=False):
+    lines = [f"GET {path} HTTP/1.1", "Host: h"] + (["Connection: close"] if close else [])
+    return ("\r\n".join(lines) + "\r\n\r\n").encode()
 
-    @staticmethod
-    def tcp_connection(driver):
-        """TCP_CORK needs a real TCP socket (socketpairs are AF_UNIX)."""
-        listener = socket.socket()
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        client = socket.create_connection(listener.getsockname())
-        server_side, _ = listener.accept()
-        listener.close()
-        connection = Connection(server_side, ("test", 0), driver)
-        client.settimeout(5.0)
-        return connection, client
 
-    def test_cork_flushed_when_pipelined_request_waits_on_disk(self, tmp_path):
-        from repro.core.send_path import cork_available
+def bodies(raw):
+    """The bodies of a stream of Content-Length framed responses."""
+    found = []
+    while raw:
+        head, _, raw = raw.partition(b"\r\n\r\n")
+        length = int(head.split(b"Content-Length: ", 1)[1].split(b"\r\n", 1)[0])
+        found.append(raw[:length])
+        raw = raw[length:]
+    return found
 
-        if not cork_available():
-            pytest.skip("platform has no TCP_CORK")
+
+class TestOutputQueue:
+    """What is queued ahead of a parked request, or behind a reader that
+    stopped, is bounded by the write budget — not by the disk."""
+
+    def test_parked_request_does_not_hold_back_the_queue(self, tmp_path):
+        big = bytes(range(256)) * 1024                      # 256 KiB
+        (tmp_path / "big.bin").write_bytes(big)
         (tmp_path / "cold.bin").write_bytes(b"C" * 2048)
-        driver = SelectiveDeferDriver(str(tmp_path))
         (tmp_path / "index.html").write_bytes(b"<html>fast</html>")
-        connection, client = self.tcp_connection(driver)
+        driver = SelectiveDeferDriver(str(tmp_path))
+        server_side, client = socket.socketpair()
+        server_side.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        connection = Connection(server_side, ("test", 0), driver)
+        client.settimeout(0.01)
+        received = bytearray()
+
+        def turn():
+            driver.loop.run_once(timeout=0.01)
+            try:
+                received.extend(client.recv(1 << 16))
+            except socket.timeout:
+                pass
+
         try:
-            client.sendall(
-                b"GET /index.html HTTP/1.1\r\nHost: h\r\n\r\n"
-                b"GET /cold.bin HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n"
-            )
+            client.sendall(get("/big.bin") + get("/cold.bin") + get("/index.html", close=True))
             deadline = time.monotonic() + 5.0
             while not driver.pending and time.monotonic() < deadline:
-                driver.loop.run_once(timeout=0.05)
-            # The cold request is parked on (deferred) disk I/O...
-            assert driver.pending
+                turn()
+            # The cold request is parked on (deferred) disk I/O while most of
+            # the first answer is still queued: the connection writes, under
+            # the write budget, whatever the request's state.
             assert connection.state == STATE_WAIT_DISK
-            # ...and the cork was explicitly popped when it parked, so the
-            # first (corked) response is not stuck behind the disk wait.
-            assert connection._cork.held is False
-            assert driver.store.stats.corked_responses >= 1
-            first = client.recv(65536)
-            assert b"<html>fast</html>" in first
-            # Completing the disk operation finishes the pipeline normally.
+            assert connection._interest == EVENT_WRITE
+            assert connection.session.deadline[0] == WRITE
+            while len(received) < len(big) and time.monotonic() < deadline:
+                turn()
+            assert received.endswith(big)                   # before the disk completes
             driver.flush_pending()
-            received = bytearray(first)
-            while b"C" * 2048 not in received:
-                driver.loop.run_once(timeout=0.05)
-                try:
-                    data = client.recv(65536)
-                except socket.timeout:
-                    continue
+            while connection.state != STATE_CLOSED and time.monotonic() < deadline:
+                turn()
+            while True:
+                data = client.recv(1 << 16)
                 if not data:
                     break
                 received.extend(data)
-            assert b"C" * 2048 in received
+            assert bodies(bytes(received)) == [big, b"C" * 2048, b"<html>fast</html>"]
         finally:
             connection.close()
+            client.close()
+
+    def test_stalled_reader_is_reaped_with_everything_queued(self, tmp_path):
+        (tmp_path / "page.bin").write_bytes(b"P" * 65536)
+        driver = ScriptedDriver(str(tmp_path), write_stall_timeout=0.2)
+        connection, client = make_connection(driver)
+        connection.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        try:
+            client.sendall(get("/page.bin") * 8)            # and never read
+            for _ in range(5):
+                driver.loop.run_once(timeout=0.01)
+            queued = list(connection._sender.pins)
+            assert len(queued) > 1
+            deadline = time.monotonic() + 3.0
+            while connection.state != STATE_CLOSED and time.monotonic() < deadline:
+                driver.loop.run_once(timeout=0.02)
+            assert connection.state == STATE_CLOSED
+            assert driver.store.stats.timeouts_write_stall == 1
+            # Every queued response's pins went with the connection.
+            assert connection._sender is None
+            assert all(content.file_handle is None for content in queued)
+        finally:
             client.close()
 
 

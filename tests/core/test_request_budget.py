@@ -10,16 +10,30 @@ sends, probes residency without building a mapping, and touches the
 selector only when a write would block or a helper was dispatched — and
 the lifecycle's: interest and deadline are applied once per callback, so
 a pipelined burst answered within one tick costs what one request does.
+
+The ledger at the end counts the server socket's writes (``send``,
+``sendmsg``, ``os.sendfile``) and options (``setsockopt``) for pipelined
+bursts on both transports — the blocking one is ``handle_client`` on a TCP
+pair — which the one output queue per connection bounds.
 """
 
+import contextlib
 import email.utils
 import mmap
+import os
+import re
 import socket
+import threading
+import time
+import types
 
 import pytest
 
 from repro.core.config import ServerConfig
+from repro.core.pipeline import ContentStore
+from repro.core.send_path import QUEUE_BYTES, SendPath
 from repro.servers import create_server
+from repro.servers.blocking import handle_client
 
 BODY = b"b" * 2048
 
@@ -27,22 +41,34 @@ BODY = b"b" * 2048
 class Budget:
     """Call counts of the wrapped callees since the last :meth:`reset`."""
 
-    def __init__(self, server, monkeypatch):
+    def __init__(self, server, monkeypatch, fd=None):
         self.counts = {}
-        loop = server.loop
         self._wrap(monkeypatch, server.store.header_builder, "build", "header_builds")
         self._wrap(monkeypatch, email.utils, "formatdate", "formatdate")
-        self._wrap(monkeypatch, mmap, "mmap", "mmaps")
-        for name in ("register", "modify", "unregister"):
-            self._wrap(monkeypatch, loop, name, "selector")
-        self._wrap(monkeypatch, loop.wheel, "schedule", "schedules")
+        loop = getattr(server, "loop", None)  # the blocking transport has none
+        if loop is not None:
+            for name in ("register", "modify", "unregister"):
+                self._wrap(monkeypatch, loop, name, "selector")
+            self._wrap(monkeypatch, loop.wheel, "schedule", "schedules")
+        if fd is None:
+            self._wrap(monkeypatch, mmap, "mmap", "mmaps")
+        else:
+            # Bursts of buffered answers keep their mappings, which AMPED's
+            # residency test tells by ``isinstance(..., mmap.mmap)``: the
+            # class stays real.  Sockets take no attributes, so their
+            # methods are wrapped on the class, counted for ``fd`` only.
+            ours = lambda sock, *_: sock.fileno() == fd  # noqa: E731
+            for name in ("send", "sendmsg", "setsockopt"):
+                self._wrap(monkeypatch, socket.socket, name, name, ours)
+            self._wrap(monkeypatch, os, "sendfile", "sendfile", lambda out, *_: out == fd)
 
-    def _wrap(self, monkeypatch, owner, name, counter):
+    def _wrap(self, monkeypatch, owner, name, counter, counted=lambda *_: True):
         real = getattr(owner, name)
         self.counts.setdefault(counter, 0)
 
         def counting(*args, **kwargs):
-            self.counts[counter] += 1
+            if counted(*args):
+                self.counts[counter] += 1
             return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counting)
@@ -244,3 +270,124 @@ def test_pipelined_conditional_burst_applies_interest_and_deadline_once(server, 
         assert budget.schedules <= 2
     finally:
         client.close()
+
+
+# -- the ledger: pipelined bursts on both transports --------------------------
+
+
+@contextlib.contextmanager
+def transport(adapter, root, **overrides):
+    """A connected client of ``adapter`` (sped, amped or blocking).
+
+    Yields ``(owner, fd, turn, client)``: what :class:`Budget` wraps, the
+    server-side socket's descriptor, one turn of the server (a loop tick,
+    or a pause while the worker thread runs) and the non-blocking client.
+    """
+    config = ServerConfig(document_root=str(root), port=0, num_helpers=1, **overrides)
+    if adapter != "blocking":
+        server = create_server(adapter, config)
+        server.bind()
+        client = connect(server)
+        try:
+            (connection,) = server._connections
+            yield server, connection.sock.fileno(), lambda: server.loop.run_once(0.005), client
+        finally:
+            client.close()
+            server.close()
+        return
+    store = ContentStore(config)
+    listener = socket.create_server(("127.0.0.1", 0))
+    client = socket.create_connection(listener.getsockname())
+    server_side, _ = listener.accept()
+    listener.close()
+    client.setblocking(False)
+    worker = threading.Thread(target=handle_client, args=(server_side, store, config))
+    worker.start()
+    try:
+        owner = types.SimpleNamespace(store=store)
+        yield owner, server_side.fileno(), lambda: time.sleep(0.002), client
+    finally:
+        client.close()
+        worker.join(timeout=5.0)
+        store.close()
+    assert not worker.is_alive()
+
+
+def collect(turn, client, raw, status, count):
+    """Send ``raw``; turn the server until ``count`` whole ``status`` answers arrived."""
+    client.sendall(raw)
+    received = bytearray()
+    for _ in range(5000):
+        turn()
+        try:
+            received += client.recv(1 << 20)
+        except BlockingIOError:
+            pass
+        last = received.rfind(status)
+        if received.count(status) == count and response_complete(received[last:]):
+            return bytes(received)
+    raise AssertionError(f"{received.count(status)} of {count} answers arrived")
+
+
+#: Per burst shape: the request's extra header lines and the status line.
+SHAPES = {
+    "200": ((), b"HTTP/1.1 200 "),
+    "304": (("If-None-Match: {etag}",), b"HTTP/1.1 304 "),
+    "206": (("Range: bytes=0-99",), b"HTTP/1.1 206 "),
+}
+
+
+@pytest.mark.parametrize("zero_copy", [True, False], ids=["zero-copy", "buffered"])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("adapter", ["sped", "amped", "blocking"])
+def test_pipelined_burst_leaves_through_one_queue(adapter, shape, zero_copy, tmp_path, monkeypatch):
+    """Ten pipelined hot answers join one output queue: no ``TCP_CORK``,
+    one vectored write when every answer is buffered, and one write per
+    header plus one ``sendfile`` per window when zero-copy is on."""
+    (tmp_path / "a.txt").write_bytes(BODY)
+    lines, status = SHAPES[shape]
+    with transport(adapter, tmp_path, zero_copy=zero_copy) as (owner, fd, turn, client):
+        first = collect(turn, client, get("/a.txt"), b"HTTP/1.1 200 ", 1)
+        etag = re.search(rb"ETag: ([^\r]*)", first).group(1).decode("latin-1")
+        request = get("/a.txt", *(line.format(etag=etag) for line in lines))
+        collect(turn, client, request, status, 1)  # compose the shape's variant
+        budget = Budget(owner, monkeypatch, fd=fd)
+        burst = collect(turn, client, request * 10, status, 10)
+        counts = dict(budget.counts)
+        monkeypatch.undo()  # the teardown's own calls are not the burst's
+    assert burst.count(status) == 10
+    assert counts["setsockopt"] == 0
+    writes = counts["send"] + counts["sendmsg"]
+    if zero_copy and shape != "304":
+        assert writes <= 10 and counts["sendfile"] == 10
+    else:
+        assert writes == 1 and counts["sendfile"] == 0
+    if adapter != "blocking":
+        assert counts["selector"] == 0
+        assert counts["schedules"] <= 2
+
+
+@pytest.mark.parametrize("adapter", ["sped", "blocking"])
+def test_a_64k_burst_is_queued_in_bounded_slices(adapter, tmp_path, monkeypatch):
+    """One 64 KiB read of minimal pipelined GETs: every answer arrives, and
+    no queue ever holds more than ``QUEUE_BYTES`` plus one response unsent
+    (an unbounded merge once held all 3,449 in one sender)."""
+    (tmp_path / "a").write_bytes(b"a")
+    peak = [0]
+    real_extend = SendPath.extend
+
+    def extend(self, segments):
+        real_extend(self, segments)
+        peak[0] = max(peak[0], self.unsent)
+
+    request = b"GET /a HTTP/1.1\r\n\r\n"
+    count = (64 * 1024) // len(request)
+    with transport(adapter, tmp_path) as (_owner, _fd, turn, client):
+        collect(turn, client, request, b"HTTP/1.1 200 ", 1)  # populate the hot cache
+        monkeypatch.setattr(SendPath, "extend", extend)
+        burst = collect(turn, client, request * count, b"HTTP/1.1 200 ", count)
+    answers = re.sub(rb"Date: [^\r]*\r\n", b"", burst)
+    one = len(answers) // count
+    assert answers == answers[:one] * count
+    assert answers[:one].endswith(b"\r\n\r\na")
+    assert QUEUE_BYTES < peak[0] <= QUEUE_BYTES + len(burst) // count

@@ -428,8 +428,8 @@ class TestConnectionZeroCopy:
             # hit EAGAIN, the response is in flight, resources stay pinned
             # (one pin for the in-flight transfer, one held by the
             # hot-response cache that just learned this target).
-            assert connection.content is not None
-            assert connection.content.file_handle.refcount == 2
+            (content,) = connection._sender.pins
+            assert content.file_handle.refcount == 2
             assert driver.store.hot_cache is not None
             assert len(driver.store.hot_cache) == 1
             assert driver.store.stats.sendfile_responses == 1
@@ -447,7 +447,6 @@ class TestConnectionZeroCopy:
             assert body == expected
             # Response finished: every pinned resource was released and the
             # connection is ready for the next request.
-            assert connection.content is None
             assert connection._sender is None
             assert not connection.closed
         finally:
@@ -463,7 +462,7 @@ class TestConnectionZeroCopy:
             connection = Connection(left, ("test", 0), driver)
             self._request(right, b"/big.bin")
             run_until(driver, lambda: connection.state == STATE_SEND_RESPONSE)
-            content = connection.content
+            (content,) = connection._sender.pins
             right.close()
             run_until(driver, lambda: connection.state == STATE_CLOSED, deadline=10.0)
             assert driver.closed == [connection]
@@ -592,81 +591,6 @@ class TestSendPathsByteIdentical:
         monkeypatch.setattr(exchange, "sendfile_available", lambda: False)
         raw = self.fetch_raw(docroot, b"/small.txt", zero_copy=True)
         assert parse_http(raw)[1] == b"tiny body"
-
-
-class TestResponseCork:
-    @staticmethod
-    def tcp_pair():
-        """TCP_CORK is TCP-only, so cork tests need a real TCP pair."""
-        listener = socket.socket()
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        client = socket.create_connection(listener.getsockname())
-        server_side, _ = listener.accept()
-        listener.close()
-        return server_side, client
-
-    def test_hold_and_flush_idempotent(self):
-        from repro.core.send_path import ResponseCork, cork_available
-
-        left, right = self.tcp_pair()
-        try:
-            cork = ResponseCork(left, enabled=True)
-            held = cork.hold()
-            assert held == cork_available()
-            assert cork.held == held
-            assert cork.hold() == held            # idempotent
-            cork.flush()
-            assert not cork.held
-            cork.flush()                          # idempotent
-        finally:
-            left.close()
-            right.close()
-
-    def test_disabled_cork_is_noop(self):
-        from repro.core.send_path import ResponseCork
-
-        left, right = socket.socketpair()
-        try:
-            cork = ResponseCork(left, enabled=False)
-            assert cork.hold() is False
-            assert not cork.held
-            cork.flush()
-        finally:
-            left.close()
-            right.close()
-
-    def test_closed_socket_is_harmless(self):
-        from repro.core.send_path import ResponseCork
-
-        left, right = socket.socketpair()
-        cork = ResponseCork(left, enabled=True)
-        left.close()
-        right.close()
-        assert cork.hold() is False               # swallowed OSError
-        cork.flush()
-
-    def test_corked_bytes_still_arrive_on_flush(self):
-        from repro.core.send_path import ResponseCork, cork_available
-
-        if not cork_available():
-            pytest.skip("TCP_CORK not available")
-        # A real TCP pair: cork, write a partial segment, uncork, observe it.
-        server_side, client = self.tcp_pair()
-        try:
-            cork = ResponseCork(server_side, enabled=True)
-            assert cork.hold()
-            server_side.sendall(b"first")
-            server_side.sendall(b"second")
-            cork.flush()
-            client.settimeout(2.0)
-            received = b""
-            while len(received) < 11:
-                received += client.recv(64)
-            assert received == b"firstsecond"
-        finally:
-            client.close()
-            server_side.close()
 
 
 class TestWindowViews:

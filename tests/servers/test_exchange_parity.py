@@ -163,12 +163,13 @@ KINDS = (
 )
 
 
-@pytest.fixture(scope="module")
-def transports(tmp_path_factory):
+@pytest.fixture(scope="module", params=[True, False], ids=["zero-copy", "buffered"])
+def transports(request, tmp_path_factory):
+    """Buffered mode is where the output queue coalesces answers."""
     root = tmp_path_factory.mktemp("differential")
     (root / "file.bin").write_bytes(BODY)
     (root / "small.txt").write_bytes(b"tiny")
-    servers = {arch: start(arch, str(root)) for arch in ARCHS}
+    servers = {arch: start(arch, str(root), zero_copy=request.param) for arch in ARCHS}
     etag = fetch(*servers["sped"].address, "/file.bin").headers["etag"]
     yield servers, etag
     for server in servers.values():
