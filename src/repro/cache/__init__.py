@@ -18,8 +18,8 @@ entries hold the validated translation, precomposed header variants and
 pinned body resources — the single-lookup fast path for repeated static
 GETs.
 
-:mod:`repro.cache.residency` provides the memory-residency test (``mincore``)
-and the feedback-based clock heuristic fallback described in Section 5.7.
+:mod:`repro.cache.residency` provides the Section 5.7 memory-residency test:
+``mincore`` over mapped chunks, ``preadv(RWF_NOWAIT)`` over descriptor windows.
 :mod:`repro.cache.lru` provides the generic LRU machinery shared by all of
 the above and by the simulator's OS buffer cache.
 """
@@ -29,7 +29,6 @@ from repro.cache.lru import LRUCache, LRUList
 from repro.cache.mapped_file import ChunkKey, MappedFileCache, MappedChunk
 from repro.cache.pathname import PathnameCache, PathnameEntry
 from repro.cache.residency import (
-    ClockResidencyPredictor,
     MincoreResidencyTester,
     ResidencyTester,
     SimulatedResidencyOracle,
@@ -49,6 +48,5 @@ __all__ = [
     "ChunkKey",
     "ResidencyTester",
     "MincoreResidencyTester",
-    "ClockResidencyPredictor",
     "SimulatedResidencyOracle",
 ]

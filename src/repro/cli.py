@@ -79,12 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the sendfile zero-copy send path (use buffered writes)",
     )
     serve.add_argument(
-        "--no-warming",
-        action="store_true",
-        help="disable sendfile-aware warming of cold fd-backed responses "
-        "(posix_fadvise WILLNEED + helper read-touch)",
-    )
-    serve.add_argument(
         "--no-hot-cache",
         action="store_true",
         help="disable the unified hot-response cache (single-lookup fast "
@@ -330,7 +324,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         num_workers=args.workers,
         io_backend=args.io_backend,
         zero_copy=not args.no_zero_copy,
-        helper_warming=not args.no_warming,
         hot_cache=not args.no_hot_cache,
         fast_parse=not args.no_fast_parse,
         header_timeout=args.header_timeout,
@@ -423,12 +416,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"{args.architecture} server serving {config.document_root} on http://{host}:{port}/")
     if hasattr(server, "loop"):
         send_path = "zero-copy (sendfile)" if config.zero_copy else "buffered"
-        warming = "on" if (config.zero_copy and config.helper_warming) else "off"
         hot = "on" if config.hot_cache else "off"
         fast = "on" if config.fast_parse else "off"
         print(
             f"io backend: {server.loop.backend_name}; send path: {send_path}; "
-            f"fd warming: {warming}; "
             f"hot cache: {hot}; fast parse: {fast}"
         )
     print("press Ctrl-C (or send SIGTERM) to drain and stop")

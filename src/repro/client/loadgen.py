@@ -246,11 +246,17 @@ class _SimClient:
         #: for; closed-loop: ``None`` (latency is measured from send start).
         self._scheduled: Optional[float] = None
         self._sent_at = 0.0
+        #: Whether a request of this client counts in the generator's
+        #: ``in_flight`` (prepared, not yet answered, shed or failed).
+        self._in_flight = False
 
     # -- connection management -------------------------------------------------
 
     def start(self) -> None:
         """Open a connection and issue the first request (closed loop)."""
+        if not self.generator.can_issue():
+            self.state = self.DONE
+            return
         self._connect()
 
     def dispatch(self, scheduled: float) -> None:
@@ -310,6 +316,14 @@ class _SimClient:
         self._chunked = False
         self._status = 0
         self._sent_at = time.monotonic()
+        self._in_flight = True
+        self.generator.in_flight += 1
+
+    def _settle(self) -> None:
+        """The request in flight ended: answered, shed or failed."""
+        if self._in_flight:
+            self._in_flight = False
+            self.generator.in_flight -= 1
 
     # -- readiness handling ------------------------------------------------------
 
@@ -414,6 +428,7 @@ class _SimClient:
 
     def _complete_response(self, reconnect: bool) -> None:
         now = time.monotonic()
+        self._settle()
         if self._status == 503:
             # Admission shedding: not a completed request and not an
             # error — the server explicitly asked us to come back later.
@@ -444,6 +459,11 @@ class _SimClient:
             if reconnect:
                 self._close()
             self.generator.client_idle(self)
+            return
+        if not self.generator.can_issue():
+            # Closed loop: the rest of the budget is already on the wire.
+            self._close()
+            self.state = self.DONE
             return
         if self.generator.think_time > 0:
             self._close()
@@ -482,6 +502,7 @@ class _SimClient:
     # -- failure and teardown ---------------------------------------------------------
 
     def _fail(self) -> None:
+        self._settle()
         if self.generator.retry_resets and not self.generator.open_loop:
             # Chaos mode: a well-behaved client retries an idempotent GET
             # whose connection broke mid-exchange (a shard died under it)
@@ -508,7 +529,7 @@ class _SimClient:
             # the offered load beyond the schedule.
             self.generator.client_idle(self)
         else:
-            self._connect()
+            self.start()
 
     def _close(self) -> None:
         if self.sock is not None:
@@ -1202,6 +1223,8 @@ class LoadGenerator:
         self._request_cache: dict[tuple[str, bool, Optional[str]], bytes] = {}
         self.selector = selectors.DefaultSelector()
         self.total_requests = 0
+        #: Requests sent (or being sent) and not yet answered, shed or failed.
+        self.in_flight = 0
         self.total_bytes = 0
         self.total_errors = 0
         self.total_not_modified = 0
@@ -1351,6 +1374,18 @@ class LoadGenerator:
             return True
         return False
 
+    def can_issue(self) -> bool:
+        """Whether another request may go on the wire.
+
+        Requests in flight count against ``max_requests``, so the run never
+        sends past its budget: the server answers exactly the requests the
+        generator reads (a failed one frees its slot for a replacement).
+        """
+        if self.max_requests is not None:
+            if self.total_requests + self.in_flight >= self.max_requests:
+                return False
+        return not self.finished()
+
     def schedule_restart(self, client: _SimClient, delay: float) -> None:
         """Re-start ``client`` after ``delay`` seconds (think-time emulation)."""
         self._restarts.append((time.monotonic() + delay, client))
@@ -1373,7 +1408,7 @@ class LoadGenerator:
         stay registered for readability so a server-side close is noticed
         while they wait.
         """
-        if self._backlog and not self.finished():
+        if self._backlog and self.can_issue():
             self._dispatch(client, self._backlog.popleft())
             return
         client.state = _SimClient.IDLE
@@ -1401,7 +1436,7 @@ class LoadGenerator:
             self._next_arrival = self._start_time + next(self._arrivals)
         if len(self._backlog) > self.max_backlog:
             self.max_backlog = len(self._backlog)
-        while self._backlog and self._idle and not self.finished():
+        while self._backlog and self._idle and self.can_issue():
             client = self._idle.pop()
             client._unregister()
             self._dispatch(client, self._backlog.popleft())
@@ -1490,7 +1525,7 @@ class LoadGenerator:
             self._restarts = [item for item in self._restarts if item[0] > now]
             for _, client in due:
                 if not self.finished():
-                    client._connect()
+                    client.start()
         if self._calls:
             calls = [item for item in self._calls if item[0] <= now]
             self._calls = [item for item in self._calls if item[0] > now]

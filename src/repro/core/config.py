@@ -81,16 +81,11 @@ class ServerConfig:
     #: Dynamic (CGI) responses and platforms without ``sendfile`` always use
     #: the buffered path, as does any response whose file cannot be opened.
     zero_copy: bool = True
-    #: Open-descriptor cache capacity for the zero-copy send path.
+    #: Open-descriptor cache capacity for the zero-copy send path.  Also
+    #: the hot-response cache's entry bound under zero-copy: there each
+    #: entry pins a descriptor, and pinned descriptors are exempt from
+    #: this cache's eviction.
     fd_cache_entries: int = 128
-    #: Warm cold fd-backed (sendfile) responses before transmission instead
-    #: of letting ``sendfile`` fault the pages in on the main loop's time.
-    #: AMPED probes residency on the bare descriptor (``mincore`` over a
-    #: transient map, clock-predictor fallback) and ships cold files to a
-    #: helper, which issues ``posix_fadvise(WILLNEED)`` plus a bounded
-    #: read-touch; SPED issues the ``fadvise`` hint inline (faithful SPED
-    #: still blocks on a miss).  Toggling this never changes response bytes.
-    helper_warming: bool = True
 
     # -- single-lookup hot path ----------------------------------------------
     #: Serve repeated static GETs from the unified hot-response cache: one
@@ -98,14 +93,10 @@ class ServerConfig:
     #: validated path, precomposed headers and pinned body resources,
     #: retiring the pathname/header/fd triple-lookup chain from the hot
     #: path.  Never changes response bytes; misses and ineligible requests
-    #: take the full pipeline exactly as before.
+    #: take the full pipeline exactly as before.  Under zero-copy, entries are
+    #: bounded by ``fd_cache_entries``; the bytes they pin through mapped
+    #: chunks share ``mmap_cache_bytes``.
     hot_cache: bool = True
-    #: Hot-response cache capacity (entries; each pins one descriptor and
-    #: the mapped chunks of one file).  Because pinned resources are exempt
-    #: from the fd/mmap caches' own eviction, the effective limit is
-    #: clamped to ``fd_cache_entries`` when zero-copy is active, and the
-    #: bytes pinned through mapped chunks share ``mmap_cache_bytes``.
-    hot_cache_entries: int = 1024
     #: Seconds a hot entry's freshness verdict is trusted before the next
     #: hit re-``stat``\s the file; 0 revalidates on every hit.
     hot_cache_revalidate: float = 1.0
@@ -118,16 +109,10 @@ class ServerConfig:
     # -- protocol / optimization details ------------------------------------
     #: Byte-position alignment of response headers (Section 5.5); 0 disables.
     header_alignment: int = DEFAULT_ALIGNMENT
-    #: Perform memory-residency tests before sending mapped data (Section 5.7).
+    #: Perform memory-residency tests before sending file data (Section 5.7):
+    #: ``mincore`` over mapped chunks, ``preadv(RWF_NOWAIT)`` over descriptor
+    #: windows (see :mod:`repro.cache.residency`).
     enable_residency_test: bool = True
-    #: How residency is determined: ``"mincore"`` uses the real system call
-    #: (with an optimistic fallback where unavailable); ``"clock"`` uses the
-    #: feedback-based clock predictor the paper sketches for operating
-    #: systems without ``mincore``; ``"optimistic"`` assumes everything is
-    #: resident (SPED-like fast path).
-    residency_mode: str = "mincore"
-    #: Initial file-cache estimate for the clock predictor, in bytes.
-    clock_cache_estimate: int = 64 * 1024 * 1024
     #: Maximum request-header size accepted.
     max_header_bytes: int = 16 * 1024
     #: Socket send/receive chunk used by the event-driven writers.
@@ -218,8 +203,6 @@ class ServerConfig:
             raise ValueError("num_workers must be at least 1")
         if self.helper_mode not in ("thread", "process"):
             raise ValueError("helper_mode must be 'thread' or 'process'")
-        if self.residency_mode not in ("mincore", "clock", "optimistic"):
-            raise ValueError("residency_mode must be 'mincore', 'clock' or 'optimistic'")
         if self.mmap_chunk_size <= 0:
             raise ValueError("mmap_chunk_size must be positive")
         if self.io_backend != "auto" and self.io_backend not in KNOWN_BACKENDS:
@@ -228,8 +211,6 @@ class ServerConfig:
             )
         if self.fd_cache_entries < 0:
             raise ValueError("fd_cache_entries must be non-negative")
-        if self.hot_cache_entries < 1:
-            raise ValueError("hot_cache_entries must be at least 1")
         if self.hot_cache_revalidate < 0:
             raise ValueError("hot_cache_revalidate must be non-negative")
         if self.cache_max_age < 0:

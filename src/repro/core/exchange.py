@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.config import ServerConfig
 from repro.core.pipeline import ContentStore, StaticContent
-from repro.core.send_path import SendPath, choose_send_path, sendfile_available
+from repro.core.send_path import SendPath, choose_send_path
 from repro.core.streaming import ResponseSource, StreamingSendPath
 from repro.http.errors import HTTPError, NotFoundError
 from repro.http.request import HTTPRequest
@@ -92,9 +92,7 @@ def hot_consult(
     )
 
 
-def static_miss(
-    store: ContentStore, config: ServerConfig, request: HTTPRequest, keep_alive: bool
-) -> StaticContent:
+def static_miss(store: ContentStore, request: HTTPRequest, keep_alive: bool) -> StaticContent:
     """Translate, build and cache a static response, inline.
 
     May block on disk — which is SPED's defining cost and the MT/MP
@@ -112,11 +110,7 @@ def static_miss(
         entry = store.translate(request.path)
     except OSError as exc:
         raise NotFoundError(str(exc))
-    # Nobody who answers inline tests residency, so with the zero-copy
-    # path active the response leaves straight from the cached descriptor
-    # and never consults the mapping: skip pinning mapped chunks for it.
-    map_body = not (config.zero_copy and sendfile_available())
-    content = store.build_response(request, entry, keep_alive=keep_alive, map_body=map_body)
+    content = store.build_response(request, entry, keep_alive=keep_alive)
     store.hot_insert(request, entry, content)
     return content
 

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro.cache.hot_response import HotEntry, HotResponseCache
+from repro.cache.hot_response import DEFAULT_MAX_ENTRIES, HotEntry, HotResponseCache
 from repro.cache.mapped_file import (
     CachedFD,
     FileDescriptorCache,
@@ -27,12 +27,7 @@ from repro.cache.mapped_file import (
     MappedFileCache,
 )
 from repro.cache.pathname import PathnameCache, PathnameEntry
-from repro.cache.residency import (
-    ClockResidencyPredictor,
-    MincoreResidencyTester,
-    ResidencyTester,
-    SimulatedResidencyOracle,
-)
+from repro.cache.residency import MincoreResidencyTester, ResidencyTester
 from repro.cache.response_header import ResponseHeaderCache
 from repro.core.config import ServerConfig
 from repro.core.send_path import sendfile_available, window_views
@@ -53,8 +48,8 @@ from repro.http.uri import resolve_path
 #: same cached descriptor before re-probing.  The probe was always
 #: advisory — pages can be evicted between probe and sendfile regardless —
 #: so a short reuse window widens that pre-existing race only marginally
-#: while removing the probe's system call (several, for a window too large
-#: for the one-call probe) per request from the hot fully-cached path.
+#: while removing the probe's system call (and its copy of the window)
+#: per request from the hot fully-cached path.
 #: Cold verdicts are never cached: every cold request must trigger warming.
 FD_RESIDENT_PROBE_TTL = 0.1
 
@@ -305,7 +300,7 @@ class ContentStore:
         self._cache_max_age: Optional[int] = (
             config.cache_max_age if config.cache_max_age > 0 else None
         )
-        self.residency_tester = residency_tester or self._default_residency_tester(config)
+        self.residency_tester = residency_tester or MincoreResidencyTester()
         # Reentrant: cache-invalidation hooks (pathname revalidation ->
         # fd/mmap invalidate -> hot-cache release) run inside locked
         # sections and re-enter through the public release methods.
@@ -354,15 +349,16 @@ class ContentStore:
         if config.hot_cache:
             # Hot entries pin the resources they precompose, and pinned
             # resources are exempt from their owning caches' eviction — so
-            # the hot cache must respect those caches' budgets itself:
-            # entry count clamps to the descriptor budget when zero-copy
-            # will pin an fd per entry, and chunk-pinning entries share the
+            # the hot cache must respect those caches' budgets itself: under
+            # zero-copy, one entry per descriptor the fd cache may hold (each
+            # entry pins an fd); buffered entries pin no descriptor and keep
+            # the cache's own entry bound.  Chunk-pinning entries share the
             # mapped-file byte budget.
-            max_entries = config.hot_cache_entries
-            if config.zero_copy and sendfile_available():
-                max_entries = min(max_entries, max(1, config.fd_cache_entries))
+            pins_fd = config.zero_copy and sendfile_available()
             self.hot_cache = HotResponseCache(
-                max_entries=max_entries,
+                max_entries=(
+                    max(1, config.fd_cache_entries) if pins_fd else DEFAULT_MAX_ENTRIES
+                ),
                 max_pinned_bytes=(
                     config.mmap_cache_bytes if self.mmap_cache is not None else 0
                 ),
@@ -377,30 +373,7 @@ class ContentStore:
             if self.mmap_cache is not None:
                 self.mmap_cache.on_invalidate = self.hot_cache.invalidate_path
 
-        #: Lazily built clock predictor used as the fallback when the
-        #: configured tester cannot answer fd-backed residency queries
-        #: (e.g. ``mincore`` unreachable): Section 5.7's "predict instead
-        #: of ask" strategy applied to the zero-copy path.
-        self._fd_clock: Optional[ClockResidencyPredictor] = None
-
         self.stats = ServerStats()
-
-    @staticmethod
-    def _default_residency_tester(config: ServerConfig) -> ResidencyTester:
-        """Build the residency tester named by ``config.residency_mode``.
-
-        Section 5.7 of the paper: ``mincore`` where available, a
-        feedback-based clock predictor where it is not, and (for SPED-style
-        configurations) no test at all — everything is assumed resident.
-        """
-        if config.residency_mode == "clock":
-            return ClockResidencyPredictor(
-                estimated_cache_bytes=config.clock_cache_estimate,
-                fd_chunk_bytes=config.mmap_chunk_size,
-            )
-        if config.residency_mode == "optimistic":
-            return SimulatedResidencyOracle(default_resident=True)
-        return MincoreResidencyTester()
 
     # -- pathname translation (the "Find file" step) --------------------------
 
@@ -450,7 +423,7 @@ class ContentStore:
         entry: PathnameEntry,
         *,
         keep_alive: Optional[bool] = None,
-        map_body: bool = True,
+        map_body: Optional[bool] = None,
     ) -> StaticContent:
         """Build the full static response for ``entry``.
 
@@ -460,12 +433,13 @@ class ContentStore:
         requests get the header only.
 
         When zero-copy is enabled a pinned open descriptor rides along for
-        the ``sendfile`` send path.  ``map_body=False`` lets a caller that
-        will definitely transmit via ``sendfile`` — and does not test memory
-        residency, i.e. SPED — skip pinning mapped chunks entirely, so the
+        the ``sendfile`` send path.  ``map_body`` defaults to mapping the
+        body only when ``sendfile`` will not send it (zero-copy off, or no
+        ``sendfile``): a zero-copy response pins no mapped chunks, so the
         request performs no map, no touch and no user-space body work at
-        all; AMPED keeps the chunks because they are the substrate of its
-        ``mincore`` residency test and helper page-warming.
+        all.  Its residency is asked of the descriptor (:meth:`fd_resident`)
+        and warmed with ``OP_WARM``; a mapped body keeps the paper's chunk
+        ``mincore`` and ``OP_READ``.
 
         What to answer — 200, 206 (plain or ``multipart/byteranges``),
         304, 412 or 416 — is decided by
@@ -476,6 +450,8 @@ class ContentStore:
         """
         if keep_alive is None:
             keep_alive = request.keep_alive and self.config.keep_alive
+        if map_body is None:
+            map_body = not (self.config.zero_copy and sendfile_available())
         status, windows = 200, None
         # The conditional and range headers apply to GET and HEAD only;
         # other methods (a POST to a static path) must ignore them.
@@ -1008,52 +984,41 @@ class ContentStore:
     # -- residency and blocking I/O ------------------------------------------
 
     def content_resident(self, content: StaticContent) -> bool:
-        """Test (via ``mincore``) whether ``content``'s body is memory resident.
+        """Whether ``content``'s body is memory resident (Section 5.7).
 
-        Mapped bodies are tested chunk by chunk as before.  Fd-backed
+        Mapped bodies are tested chunk by chunk with ``mincore``.  Fd-backed
         (pure zero-copy) bodies have no mapping to test, so the query goes
-        through :meth:`fd_resident` — a probe of the descriptor itself
-        with a clock-predictor fallback.  When the residency test is
-        disabled the content is treated as resident, which is exactly the
-        behaviour of the Flash-SPED build.
+        through :meth:`fd_resident` — a probe of the descriptor itself.
+        Either stops at the first cold chunk or window.  When the residency
+        test is disabled the content is treated as resident, which is
+        exactly the behaviour of the Flash-SPED build.
         """
         if not self.config.enable_residency_test:
             return True
         if content.chunks:
-            # Every chunk is tested (no short-circuit): mincore inspects the
-            # whole mapping, and the clock predictor must record every chunk
-            # it was asked about so its later predictions cover the whole file.
-            results = [self.mmap_cache.is_resident(chunk) for chunk in content.chunks]
-            return all(results)
-        if content.file_handle is not None and content.content_length > 0:
+            for chunk in content.chunks:
+                if not self.mmap_cache.is_resident(chunk):
+                    return False
+        elif content.file_handle is not None:
             # Probe exactly the transmitted windows: a range far into the
             # file must not pass because the head is warm, and a tail
             # range must not fail (and re-warm forever) because of a cold
-            # head it will never transmit.  A multipart response probes
-            # one window per part (no short-circuit, so the clock
-            # predictor records every window it was asked about).
-            results = [
-                self.fd_resident(content.file_handle, length, offset=offset)
-                for _, offset, length in content.parts
-                if length > 0
-            ]
-            return all(results)
+            # head it will never transmit.
+            for _, offset, length in content.parts:
+                if length > 0 and not self.fd_resident(content.file_handle, length, offset):
+                    return False
         return True
 
     def fd_resident(self, handle: CachedFD, length: int, offset: int = 0) -> bool:
         """Residency of an fd-backed response-body window (no mapping).
 
-        Asks the configured tester's ``file_resident`` first; a ``None``
-        answer ("cannot tell" — typically no reachable ``mincore``) falls
-        back to a dedicated clock predictor so the AMPED build still avoids
-        blocking ``sendfile`` transmissions on platforms without the call.
-
-        Resident verdicts are remembered on the descriptor for
-        ``FD_RESIDENT_PROBE_TTL`` seconds, so a hot file served in a burst
-        pays one probe per window instead of one per request.  The cached
-        verdict records the byte interval it covered: probes are
-        window-scoped, and a warm range must not vouch for bytes it never
-        inspected (nor the other way around).
+        Asks the residency tester's ``file_resident``.  Resident verdicts
+        are remembered on the descriptor for ``FD_RESIDENT_PROBE_TTL``
+        seconds, so a hot file served in a burst pays one probe per window
+        instead of one per request.  The cached verdict records the byte
+        interval it covered: probes are window-scoped, and a warm range
+        must not vouch for bytes it never inspected (nor the other way
+        around).
         """
         now = time.monotonic()
         end = offset + length
@@ -1063,7 +1028,9 @@ class ContentStore:
             and end <= handle.resident_probe_end
         ):
             return True
-        resident = self._fd_resident_probe(handle, length, offset)
+        resident = self.residency_tester.file_resident(
+            handle.fd, length, path=handle.path, offset=offset
+        )
         if resident:
             start = offset
             if (
@@ -1079,23 +1046,6 @@ class ContentStore:
             handle.resident_probe_end = end
             handle.resident_probe_expiry = now + FD_RESIDENT_PROBE_TTL
         return resident
-
-    def _fd_resident_probe(self, handle: CachedFD, length: int, offset: int = 0) -> bool:
-        probe = getattr(self.residency_tester, "file_resident", None)
-        if probe is not None:
-            verdict = probe(handle.fd, length, path=handle.path, offset=offset)
-            if verdict is not None:
-                return bool(verdict)
-        if self._fd_clock is None:
-            self._fd_clock = ClockResidencyPredictor(
-                estimated_cache_bytes=self.config.clock_cache_estimate,
-                fd_chunk_bytes=self.config.mmap_chunk_size,
-            )
-        return bool(
-            self._fd_clock.file_resident(
-                handle.fd, length, path=handle.path, offset=offset
-            )
-        )
 
     # The paper's documented disk-blocking step: helpers call this off-loop
     # (OP_READ); SPED calls it inline, which is exactly the architectural

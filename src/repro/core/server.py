@@ -49,7 +49,6 @@ from repro.core.helpers import (
     translation_entry_from_reply,
 )
 from repro.core.pipeline import ContentStore, ServerStats, StaticContent
-from repro.core.send_path import sendfile_available
 from repro.core.sse import SSEHub
 from repro.http.errors import HTTPError, NotFoundError
 from repro.http.request import HTTPRequest
@@ -543,15 +542,15 @@ class FlashServer(BaseEventDrivenServer):
     def _prepare_content(self, request: HTTPRequest, entry, keep_alive: bool, callback) -> None:
         """Build the response; warm non-resident content through a helper.
 
-        Two warming routes, chosen by how the body will be transmitted:
+        The warming route follows from how the body will be transmitted:
 
         * mapped bodies keep the paper's original path — chunk-level
           ``mincore`` then an ``OP_READ`` helper that touches the pages;
-        * fd-backed (``sendfile``) bodies skip mapping entirely when
-          ``helper_warming`` is enabled: residency is probed on the bare
-          descriptor and cold files go to an ``OP_WARM`` helper
-          (``posix_fadvise(WILLNEED)`` + bounded read-touch), so the
-          zero-copy fast path never pays map/touch/unmap work at all.
+        * fd-backed (``sendfile``) bodies are never mapped: residency is
+          probed on the bare descriptor and cold windows go to an
+          ``OP_WARM`` helper (``posix_fadvise(WILLNEED)`` + bounded
+          read-touch), so the zero-copy path never pays map/touch/unmap
+          work at all.
 
         A response that is ready to transmit is filed in the hot cache on
         its way to ``callback`` (refused shapes are a no-op).
@@ -562,36 +561,10 @@ class FlashServer(BaseEventDrivenServer):
                 self.store.hot_insert(request, entry, content)
             callback(content, error)
 
-        # With warming enabled the zero-copy response needs no mapped
-        # chunks: the fd residency probe replaces the chunk mincore test
-        # and the warm helper replaces the page-touch helper.
-        fd_route = (
-            self.config.zero_copy
-            and self.config.helper_warming
-            and sendfile_available()
-            and not request.is_head
-        )
         try:
-            content = self.store.build_response(
-                request, entry, keep_alive=keep_alive, map_body=not fd_route
-            )
+            content = self.store.build_response(request, entry, keep_alive=keep_alive)
         except (HTTPError, OSError) as exc:
             callback(None, exc)
-            return
-        if content.file_handle is not None and not content.chunks:
-            # Fd-backed (chunkless) response — also reachable with warming
-            # disabled when the mmap cache is off.  Residency can only be
-            # probed on the bare descriptor and warmed via OP_WARM, so with
-            # ``helper_warming`` off we keep the pre-warming behaviour:
-            # transmit optimistically, exactly like the no-chunk case
-            # always did (sendfile pages the file in, blocking this
-            # process — the configuration asked for it).
-            if self.config.helper_warming and not self.store.content_resident(content):
-                self.store.stats.helper_dispatches += 1
-                self.store.stats.blocking_reads += 1
-                self._warm_fd_async(entry, content, done)
-                return
-            done(content, None)
             return
         if self.store.content_resident(content):
             done(content, None)
@@ -602,6 +575,9 @@ class FlashServer(BaseEventDrivenServer):
         # not pay (or wait for) a whole-file read.
         self.store.stats.helper_dispatches += 1
         self.store.stats.blocking_reads += 1
+        if not content.chunks:
+            self._warm_fd_async(entry, content, done)
+            return
         warm_offset, warm_length = content.warm_window()
         helper_request = HelperRequest(
             seq=0,

@@ -372,7 +372,8 @@ class HTTPRequest:
     headers:
         Header fields with lower-cased names.
     body:
-        Request body bytes (only populated for POST with Content-Length).
+        Request body bytes, framed by ``Content-Length`` on any method
+        (static routes discard it).
     """
 
     method: str
@@ -565,21 +566,36 @@ class RequestParser:
         self._buffer = bytearray()
         self._request = self._parse_header_block(header_block)
         self._headers_done = True
-        content_length = self._request.headers.get("content-length")
-        if self._request.method == "POST" and content_length:
-            try:
-                self._body_needed = int(content_length)
-            except ValueError as exc:
-                raise BadRequestError("invalid Content-Length") from exc
-            if self._body_needed < 0:
-                raise BadRequestError("negative Content-Length")
-            if self._body_needed > MAX_BODY_BYTES:
-                raise RequestTooLargeError(f"request body exceeds {MAX_BODY_BYTES} bytes")
+        self._body_needed = self._body_length(self._request.headers)
         if self._body_needed:
             self._buffer = bytearray(rest)
             self._consume_body()
         else:
             self.remainder = rest
+
+    @staticmethod
+    def _body_length(headers: dict[str, str]) -> int:
+        """The body length a head announces, on any method (RFC 7230 §3.3.3).
+
+        A body is framed whatever the method, so its bytes are never read as
+        the next pipelined request.  ``Transfer-Encoding`` is not
+        implemented (501), and beside ``Content-Length`` it is a framing
+        conflict (400); ``Content-Length`` must be ``1*DIGIT``.  Each of
+        these errors closes the connection: the request boundary is lost.
+        """
+        content_length = headers.get("content-length")
+        if "transfer-encoding" in headers:
+            if content_length is not None:
+                raise BadRequestError("both Transfer-Encoding and Content-Length")
+            raise NotImplementedError_("Transfer-Encoding is not implemented")
+        if content_length is None:
+            return 0
+        if not (content_length.isascii() and content_length.isdigit()):
+            raise BadRequestError("invalid Content-Length")
+        length = int(content_length)
+        if length > MAX_BODY_BYTES:
+            raise RequestTooLargeError(f"request body exceeds {MAX_BODY_BYTES} bytes")
+        return length
 
     def _consume_body(self) -> None:
         """Complete the body once all of it is buffered.
@@ -637,6 +653,8 @@ class RequestParser:
             name = name.strip().lower()
             if not name:
                 raise BadRequestError(f"empty header name: {raw!r}")
+            if name == "content-length" and name in headers:
+                raise BadRequestError("repeated Content-Length")
             headers[name] = value.strip()
             last_name = name
 

@@ -199,7 +199,7 @@ def _plan(
     # exactly their concurrency model.
     content = exchange.hot_consult(store, config, request, session.keep_alive)
     if content is None:
-        content = exchange.static_miss(store, config, request, session.keep_alive)
+        content = exchange.static_miss(store, request, session.keep_alive)
     return exchange.static_sender(store, config, content).pin(content)
 
 

@@ -39,22 +39,19 @@ class SPEDServer(BaseEventDrivenServer):
     def respond_async(self, request: HTTPRequest, keep_alive: bool, callback) -> None:
         """Translate, build and touch inline (may block the whole server)."""
         try:
-            content = exchange.static_miss(self.store, self.config, request, keep_alive)
+            content = exchange.static_miss(self.store, request, keep_alive)
         except (HTTPError, OSError) as exc:
             callback(None, exc)
             return
         # SPED never checks residency: it simply touches the data inline.
         # If it is not in memory, this blocks the whole server while the
-        # disk read completes — SPED's defining cost.
-        # When the response will go out via sendfile the kernel pages the
-        # file in during transmission (still blocking this process on a
-        # miss, which is faithful SPED behaviour), so pre-touching the
-        # mapping would only add a redundant pass over the data.
-        if content.chunks and not (
-            self.config.zero_copy and content.file_handle is not None
-        ):
+        # disk read completes — SPED's defining cost.  A sendfile body has
+        # no chunks: the kernel pages the file in during transmission
+        # (still blocking this process on a miss, which is faithful SPED
+        # behaviour).
+        if content.chunks:
             ContentStore.touch_chunks(content.chunks)
-        elif content.file_handle is not None and self.config.helper_warming:
+        elif content.file_handle is not None:
             # SPED has no helpers, but posix_fadvise(WILLNEED) returns
             # immediately after queueing readahead, so the hint is safe on
             # the main loop: a cold sendfile that follows overlaps with the

@@ -10,9 +10,10 @@ import os
 
 import pytest
 
-from repro.cache.hot_response import HotEntry, HotResponseCache
+from repro.cache.hot_response import DEFAULT_MAX_ENTRIES, HotEntry, HotResponseCache
 from repro.core.config import ServerConfig
 from repro.core.pipeline import ContentStore
+from repro.core.send_path import sendfile_available
 from repro.http.request import HTTPRequest
 from repro.http.response import http_date
 
@@ -320,38 +321,40 @@ class TestContentStoreIntegration:
 
 
 class TestBudgetClamping:
+    @pytest.mark.skipif(not sendfile_available(), reason="needs os.sendfile")
     def test_hot_entries_clamped_to_fd_budget_under_zero_copy(self, tmp_path):
-        (tmp_path / "page.html").write_bytes(b"x")
+        """Under zero-copy each entry pins a descriptor: one entry per
+        descriptor the fd cache may hold."""
         store = ContentStore(
-            ServerConfig(
-                document_root=str(tmp_path),
-                port=0,
-                fd_cache_entries=4,
-                hot_cache_entries=1024,
-            )
+            ServerConfig(document_root=str(tmp_path), port=0, fd_cache_entries=4)
         )
         try:
-            from repro.core.send_path import sendfile_available
-
-            expected = 4 if sendfile_available() else 1024
-            assert store.hot_cache.max_entries == expected
+            assert store.hot_cache.max_entries == 4
             assert store.hot_cache.max_pinned_bytes == store.config.mmap_cache_bytes
         finally:
             store.close()
 
     def test_no_clamp_without_zero_copy(self, tmp_path):
-        (tmp_path / "page.html").write_bytes(b"x")
+        """Buffered entries pin chunks, not descriptors: the fd budget does
+        not bound them; the bytes they pin share the mapped-file budget."""
         store = ContentStore(
             ServerConfig(
-                document_root=str(tmp_path),
-                port=0,
-                zero_copy=False,
-                fd_cache_entries=4,
-                hot_cache_entries=1024,
+                document_root=str(tmp_path), port=0, zero_copy=False, fd_cache_entries=4
             )
         )
         try:
-            assert store.hot_cache.max_entries == 1024
+            assert store.hot_cache.max_entries == DEFAULT_MAX_ENTRIES
+            assert store.hot_cache.max_pinned_bytes == store.config.mmap_cache_bytes
+        finally:
+            store.close()
+
+    @pytest.mark.skipif(not sendfile_available(), reason="needs os.sendfile")
+    def test_empty_fd_budget_keeps_one_entry(self, tmp_path):
+        store = ContentStore(
+            ServerConfig(document_root=str(tmp_path), port=0, fd_cache_entries=0)
+        )
+        try:
+            assert store.hot_cache.max_entries == 1
         finally:
             store.close()
 

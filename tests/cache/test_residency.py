@@ -3,15 +3,12 @@
 import errno
 import mmap
 import os
+import time
 
 import pytest
 
 from repro.cache.mapped_file import MappedFileCache
-from repro.cache.residency import (
-    ClockResidencyPredictor,
-    MincoreResidencyTester,
-    SimulatedResidencyOracle,
-)
+from repro.cache.residency import MincoreResidencyTester, SimulatedResidencyOracle
 
 
 @pytest.fixture
@@ -42,26 +39,69 @@ class TestMincoreResidencyTester:
         assert MincoreResidencyTester().is_resident(chunk)
         cache.release(chunk)
 
-    def test_fallback_answer_configurable(self, chunk, monkeypatch):
+    def test_unreachable_mincore_counts_as_resident(self, chunk, monkeypatch):
         import repro.cache.residency as residency_module
 
         monkeypatch.setattr(residency_module, "_LIBC_MINCORE", None)
-        optimistic = MincoreResidencyTester(optimistic_fallback=True)
-        pessimistic = MincoreResidencyTester(optimistic_fallback=False)
-        assert optimistic.is_resident(chunk) is True
-        assert pessimistic.is_resident(chunk) is False
-        assert optimistic.fallback_answers == 1
+        tester = MincoreResidencyTester()
+        assert tester.is_resident(chunk) is True
+        assert tester.fallback_answers == 1
 
 
 @pytest.fixture
 def synced_fd(tmp_path):
-    """A descriptor on a file whose pages are clean, so DONTNEED can drop them."""
+    """A descriptor on a clean 256 KiB file."""
     path = tmp_path / "synced.bin"
     path.write_bytes(os.urandom(256 * 1024))
     fd = os.open(path, os.O_RDWR)
     os.fsync(fd)
     yield fd
     os.close(fd)
+
+
+def probes_cold(tester, fd, length, offset=0, attempts=50):
+    """Evict ``fd``'s pages, then probe the window: True once the probe
+    reports it cold, False if it ever calls a cold window resident.
+
+    Eviction is judged page by page with ``mincore`` over a mapping, which
+    starts no I/O; the test skips when DONTNEED never empties the window
+    (it can miss pages the kernel still holds in per-CPU batches, hence
+    the retries).  The NOWAIT probe itself starts readahead, and a fast
+    device may complete a one-page read before the probe looks: a true
+    answer, told apart from a wrong one by the pages now being present.
+    When every round ends that way, that is the outcome.
+    """
+    import repro.cache.residency as residency_module
+
+    pages = range(offset - offset % mmap.PAGESIZE, offset + length, mmap.PAGESIZE)
+    evicted = refilled = False
+    for _ in range(attempts):
+        os.posix_fadvise(fd, 0, 0, os.POSIX_FADV_DONTNEED)
+        if any(residency_module._mapped_resident(fd, 1, page) is not False for page in pages):
+            time.sleep(0.02)
+            continue
+        evicted = True
+        if tester.file_resident(fd, length, offset=offset) is False:
+            return True
+        if residency_module._mapped_resident(fd, length, offset) is not True:
+            return False  # resident by the probe's word only
+        refilled = True
+    if not evicted:
+        pytest.skip("POSIX_FADV_DONTNEED does not evict on this filesystem")
+    return refilled
+
+
+def count_preadv(monkeypatch):
+    """Record the offset of every ``os.preadv`` call from here on."""
+    offsets = []
+    real = os.preadv
+
+    def counting(fd, buffers, offset, *flags):
+        offsets.append(offset)
+        return real(fd, buffers, offset, *flags)
+
+    monkeypatch.setattr(os, "preadv", counting)
+    return offsets
 
 
 def count_mmaps(monkeypatch):
@@ -78,21 +118,8 @@ def count_mmaps(monkeypatch):
 
 
 class TestFileResident:
-    """The fd-backed probe: ``preadv(RWF_NOWAIT)`` for windows the scratch
-    buffer holds, a transient mapping plus ``mincore`` for the rest."""
-
-    def test_follows_the_page_cache(self, synced_fd):
-        tester = MincoreResidencyTester()
-        assert tester.file_resident(synced_fd, 2048) is True
-        os.posix_fadvise(synced_fd, 0, 0, os.POSIX_FADV_DONTNEED)
-        if tester.file_resident(synced_fd, 2048) is not False:
-            pytest.skip("POSIX_FADV_DONTNEED does not evict on this filesystem")
-        # A window elsewhere in the file is just as cold; reading one
-        # window warms that window (and whatever readahead adds), and the
-        # probe of it turns true again.
-        assert tester.file_resident(synced_fd, 4096, offset=128 * 1024) is False
-        os.pread(synced_fd, 2048, 0)
-        assert tester.file_resident(synced_fd, 2048) is True
+    """The fd-backed probe: ``preadv(RWF_NOWAIT)`` for every window, a
+    transient mapping plus ``mincore`` only where the file refuses it."""
 
     def test_small_window_creates_no_mapping(self, synced_fd, monkeypatch):
         import repro.cache.residency as residency_module
@@ -107,14 +134,56 @@ class TestFileResident:
         assert created == []
         assert tester.fallback_answers == 0
 
-    def test_window_past_the_scratch_buffer_takes_mincore(self, synced_fd, monkeypatch):
+    def test_window_past_the_scratch_buffer_creates_no_mapping(self, synced_fd, monkeypatch):
         import repro.cache.residency as residency_module
 
+        if residency_module._RWF_NOWAIT is None:
+            pytest.skip("no preadv(RWF_NOWAIT) on this platform")
         created = count_mmaps(monkeypatch)
+        calls = count_preadv(monkeypatch)
         tester = MincoreResidencyTester()
-        verdict = tester.file_resident(synced_fd, residency_module.NOWAIT_PROBE_BYTES + 1)
-        assert len(created) == 1
-        assert verdict is True
+        size = os.fstat(synced_fd).st_size
+        assert tester.file_resident(synced_fd, residency_module.NOWAIT_PROBE_BYTES + 1) is True
+        assert tester.file_resident(synced_fd, size) is True
+        assert tester.file_resident(synced_fd, 100_000, offset=size - 100_000) is True
+        assert calls == [0, 0, size - 100_000]  # one system call per window
+        assert created == []
+        assert tester.fallback_answers == 0
+
+    def test_window_spanning_several_calls(self, synced_fd, monkeypatch):
+        import repro.cache.residency as residency_module
+
+        if residency_module._RWF_NOWAIT is None:
+            pytest.skip("no preadv(RWF_NOWAIT) on this platform")
+        monkeypatch.setattr(residency_module, "_NOWAIT_SLICES_PER_CALL", 1)
+        calls = count_preadv(monkeypatch)
+        tester = MincoreResidencyTester()
+        size = os.fstat(synced_fd).st_size
+        step = residency_module.NOWAIT_PROBE_BYTES
+        assert tester.file_resident(synced_fd, size) is True
+        assert calls == list(range(0, size, step))
+        # The last call comes up short: past the end of the file.
+        assert tester.file_resident(synced_fd, size + 1) is False
+
+    @pytest.mark.parametrize("size", [4096, 256 * 1024, 1024 * 1024])
+    def test_evicted_file_is_not_resident_until_read(self, tmp_path, size):
+        """Real eviction, no oracle: ``DONTNEED`` on a clean file turns
+        every window cold; one read of a window warms that window."""
+        path = tmp_path / "evict.bin"
+        path.write_bytes(os.urandom(size))
+        fd = os.open(path, os.O_RDWR)
+        half = size // 2
+        try:
+            os.fsync(fd)
+            tester = MincoreResidencyTester()
+            assert probes_cold(tester, fd, size)
+            assert probes_cold(tester, fd, size - half, offset=half)
+            os.pread(fd, size, 0)
+            assert tester.file_resident(fd, size) is True
+            assert tester.file_resident(fd, size - half, offset=half) is True
+            assert tester.fallback_answers == 0
+        finally:
+            os.close(fd)
 
     def test_unsupported_nowait_falls_back_to_mincore(self, synced_fd, monkeypatch):
         import repro.cache.residency as residency_module
@@ -130,10 +199,10 @@ class TestFileResident:
         tester = MincoreResidencyTester()
         assert tester.file_resident(synced_fd, 2048) is True
         assert len(created) == 1
-        # With mincore unreachable too, the answer is "cannot tell" and the
-        # caller's clock predictor takes over, as before.
+        # With mincore unreachable too, no probe can answer: the window
+        # counts as resident, the same rule chunks follow.
         monkeypatch.setattr(residency_module, "_LIBC_MINCORE", None)
-        assert tester.file_resident(synced_fd, 2048) is None
+        assert tester.file_resident(synced_fd, 2048) is True
         assert tester.fallback_answers == 1
 
     def test_short_window_is_not_resident(self, tmp_path):
@@ -142,58 +211,18 @@ class TestFileResident:
         fd = os.open(path, os.O_RDONLY)
         try:
             # Asked about bytes the file does not have: never "resident".
-            assert MincoreResidencyTester().file_resident(fd, 4096) is not True
+            assert MincoreResidencyTester().file_resident(fd, 4096) is False
         finally:
             os.close(fd)
 
-
-class TestClockResidencyPredictor:
-    def test_first_touch_predicted_not_resident(self, chunk):
-        predictor = ClockResidencyPredictor(estimated_cache_bytes=1 << 20)
-        assert predictor.is_resident(chunk) is False
-
-    def test_second_touch_predicted_resident(self, chunk):
-        predictor = ClockResidencyPredictor(estimated_cache_bytes=1 << 20)
-        predictor.is_resident(chunk)
-        assert predictor.is_resident(chunk) is True
-
-    def test_fault_feedback_shrinks_estimate(self, chunk):
-        predictor = ClockResidencyPredictor(estimated_cache_bytes=8 << 20)
-        before = predictor.estimated_cache_bytes
-        predictor.record_fault(chunk)
-        assert predictor.estimated_cache_bytes < before
-        assert predictor.faults == 1
-
-    def test_idle_feedback_grows_estimate(self, chunk):
-        predictor = ClockResidencyPredictor(estimated_cache_bytes=1 << 20)
-        before = predictor.estimated_cache_bytes
-        predictor.record_idle_capacity()
-        assert predictor.estimated_cache_bytes > before
-
-    def test_estimate_never_below_minimum(self, chunk):
-        predictor = ClockResidencyPredictor(
-            estimated_cache_bytes=2 << 20, min_cache_bytes=1 << 20
-        )
-        for _ in range(100):
-            predictor.record_fault(chunk)
-        assert predictor.estimated_cache_bytes >= 1 << 20
-
-    def test_small_estimate_evicts_tracking(self, tmp_path):
-        # With an estimate smaller than one chunk, nothing stays "resident".
-        path = tmp_path / "big.bin"
-        path.write_bytes(b"y" * 65536)
-        cache = MappedFileCache()
-        chunk = cache.acquire(str(path))
-        predictor = ClockResidencyPredictor(
-            estimated_cache_bytes=1024, min_cache_bytes=512
-        )
-        predictor.is_resident(chunk)
-        assert predictor.is_resident(chunk) is False
-        cache.release(chunk)
-
-    def test_invalid_estimate_rejected(self):
-        with pytest.raises(ValueError):
-            ClockResidencyPredictor(estimated_cache_bytes=0)
+    def test_negative_descriptor_is_never_mapped(self, monkeypatch):
+        # mmap would turn fd -1 into an anonymous mapping: no probe runs,
+        # and the window counts as resident.
+        created = count_mmaps(monkeypatch)
+        tester = MincoreResidencyTester()
+        assert tester.file_resident(-1, 4096) is True
+        assert created == []
+        assert tester.fallback_answers == 1
 
 
 class TestSimulatedResidencyOracle:

@@ -284,6 +284,32 @@ class TestConditionalFraction:
         assert server.stats.not_modified_responses == result.not_modified
         assert result.to_dict()["not_modified"] == result.not_modified
 
+
+class TestRequestBudget:
+    def test_requests_in_flight_count_against_the_budget(self):
+        generator = LoadGenerator(("127.0.0.1", 1), "/", max_requests=3)
+        generator.total_requests, generator.in_flight = 1, 2
+        assert not generator.can_issue()
+        generator.in_flight = 1
+        assert generator.can_issue()
+
+    def test_server_answers_exactly_the_budget(self, tmp_path):
+        """More clients than requests: none may send past ``max_requests``,
+        so the server counts exactly what the generator read."""
+        (tmp_path / "f.bin").write_bytes(b"x" * 512)
+        server = FlashServer(ServerConfig(document_root=str(tmp_path), port=0))
+        server.start()
+        try:
+            generator = LoadGenerator(
+                server.address, "/f.bin", num_clients=8, max_requests=5, duration=10.0
+            )
+            result = generator.run()
+        finally:
+            server.stop()
+        assert result.errors == 0
+        assert result.requests_completed == 5
+        assert server.stats.requests == 5
+
     def test_combined_mixes_stay_exact(self):
         """range_fraction must not be diluted by conditional_fraction:
         the range accumulator advances every request and carries collided

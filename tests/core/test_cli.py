@@ -33,12 +33,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--root", "x", "--architecture", "iis"])
 
-    def test_serve_warming_toggle(self):
-        args = build_parser().parse_args(["serve", "--root", "/tmp/www"])
-        assert not args.no_warming
-        args = build_parser().parse_args(["serve", "--root", "/tmp/www", "--no-warming"])
-        assert args.no_warming
-
     def test_loadgen_arguments(self):
         args = build_parser().parse_args(
             ["loadgen", "--port", "8080", "--path", "/a", "--path", "/b", "--clients", "4"]

@@ -1,9 +1,12 @@
 """Unit tests for server configuration."""
 
+import argparse
+import dataclasses
 import os
 
 import pytest
 
+from repro.cli import build_parser
 from repro.core.config import ServerConfig
 
 
@@ -34,12 +37,83 @@ class TestValidation:
             ServerConfig(**kwargs)
 
 
+#: Every ``ServerConfig`` field.  Adding or removing a knob is a one-line
+#: diff here, so it shows up in review.
+CONFIG_FIELDS = {
+    "document_root", "host", "port", "listen_backlog",
+    "num_helpers", "num_workers", "helper_mode",
+    "enable_pathname_cache", "enable_header_cache", "enable_mmap_cache",
+    "pathname_cache_entries", "mmap_cache_bytes", "mmap_chunk_size",
+    "header_cache_entries",
+    "io_backend", "zero_copy", "fd_cache_entries",
+    "hot_cache", "hot_cache_revalidate", "fast_parse",
+    "header_alignment", "enable_residency_test", "max_header_bytes",
+    "socket_io_size", "keep_alive",
+    "header_timeout", "idle_timeout", "write_stall_timeout", "cache_max_age",
+    "max_connections", "admission_resume", "retry_after", "drain_timeout",
+    "reuse_port",
+    "cgi_programs", "cgi_stream_depth",
+    "sse_path", "sse_queue_limit", "sse_policy", "sse_heartbeat",
+    "user_dirs",
+}
+
+#: Every option string of ``repro serve``, under the same rule.
+SERVE_OPTIONS = {
+    "-h", "--help", "--root", "--architecture", "--host", "--port",
+    "--helpers", "--workers", "--no-caches", "--io-backend",
+    "--no-zero-copy", "--no-hot-cache", "--no-fast-parse",
+    "--header-timeout", "--idle-timeout", "--write-stall-timeout",
+    "--cache-max-age", "--shards", "--max-connections", "--drain-timeout",
+    "--retry-after", "--sse-path", "--sse-heartbeat", "--sse-queue-limit",
+    "--sse-policy", "--cgi-stream-depth",
+}
+
+
+def serve_parser() -> argparse.ArgumentParser:
+    (subparsers,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return subparsers.choices["serve"]
+
+
+class TestKnobLedger:
+    def test_config_fields(self):
+        assert {field.name for field in dataclasses.fields(ServerConfig)} == CONFIG_FIELDS
+
+    def test_serve_options(self):
+        options = {
+            option for action in serve_parser()._actions for option in action.option_strings
+        }
+        assert options == SERVE_OPTIONS
+
+    def test_removed_serve_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "--root", "www", "--no-warming"])
+        assert exit_info.value.code == 2
+        assert "--no-warming" in capsys.readouterr().err
+
+
 class TestTimeoutKnobs:
-    @pytest.mark.parametrize("name", ["connection_timeout", "cgi_prefix"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "connection_timeout",
+            "cgi_prefix",
+            "residency_mode",
+            "clock_cache_estimate",
+            "helper_warming",
+            "hot_cache_entries",
+        ],
+    )
     def test_removed_options_are_rejected(self, name):
         """``connection_timeout`` was an alias of ``idle_timeout`` and
-        ``cgi_prefix`` only ever worked at ``/cgi-bin/``: setting either is
-        an error now, not a silent no-op."""
+        ``cgi_prefix`` only ever worked at ``/cgi-bin/``.  The residency
+        question and the warming route follow from the send mechanism, not
+        from ``residency_mode``/``clock_cache_estimate``/``helper_warming``,
+        and the hot cache's entry bound is ``fd_cache_entries``.  Setting
+        any of them is an error now, not a silent no-op."""
         with pytest.raises(TypeError):
             ServerConfig(**{name: "/cgi-bin/"})
 

@@ -48,7 +48,7 @@ class ScriptedDriver:
 
     def respond_async(self, request, keep_alive, callback):
         try:
-            content = exchange.static_miss(self.store, self.config, request, keep_alive)
+            content = exchange.static_miss(self.store, request, keep_alive)
         except Exception as exc:  # noqa: BLE001 - propagate as error argument
             callback(None, exc)
             return

@@ -159,7 +159,7 @@ def test_hot_consult_answers_what_the_slow_path_answered(store):
     config = store.config
     request = get()
     assert exchange.hot_consult(store, config, request, True) is None
-    slow = exchange.static_miss(store, config, request, True)
+    slow = exchange.static_miss(store, request, True)
     hot = exchange.hot_consult(store, config, request, True)
     assert hot is not None and hot.header == slow.header
     # Parsed shapes are planned against the entry: a Range is a 206 hit.
@@ -180,10 +180,10 @@ def test_static_miss_maps_a_translate_failure_to_404(store, monkeypatch):
         raise PermissionError("no such luck")
 
     with pytest.raises(NotFoundError):
-        exchange.static_miss(store, store.config, get("/ghost.bin"), True)
+        exchange.static_miss(store, get("/ghost.bin"), True)
     monkeypatch.setattr(store, "translate", refuse)
     with pytest.raises(NotFoundError, match="no such luck"):
-        exchange.static_miss(store, store.config, get(), True)
+        exchange.static_miss(store, get(), True)
     assert store.stats.blocking_translations == 2
 
 
@@ -193,7 +193,7 @@ def test_static_miss_leaves_a_build_failure_an_oserror(store, monkeypatch):
 
     monkeypatch.setattr(store, "build_response", fail)
     with pytest.raises(OSError, match="Input/output error") as excinfo:
-        exchange.static_miss(store, store.config, get(), True)
+        exchange.static_miss(store, get(), True)
     assert not isinstance(excinfo.value, HTTPError)
 
 

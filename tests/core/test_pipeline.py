@@ -80,7 +80,7 @@ class TestBuildResponse:
         store = ContentStore(ServerConfig(document_root=docroot))
         request = parse(b"GET /big.bin HTTP/1.0\r\n\r\n")
         entry = store.translate("/big.bin")
-        content = store.build_response(request, entry)
+        content = store.build_response(request, entry, map_body=True)
         assert content.content_length == 200_000
         assert sum(len(seg) for seg in content.segments) == 200_000
         assert len(content.chunks) == store.mmap_cache.chunk_count(200_000)
@@ -197,7 +197,7 @@ class TestResidencyIntegration:
         store = ContentStore(ServerConfig(document_root=docroot))
         entry = store.translate("/big.bin")
         request = parse(b"GET /big.bin HTTP/1.0\r\n\r\n")
-        content = store.build_response(request, entry)
+        content = store.build_response(request, entry, map_body=True)
         assert ContentStore.touch_chunks(content.chunks) == 200_000
         content.release(store)
         store.close()

@@ -29,9 +29,10 @@ import types
 
 import pytest
 
+import repro.cache.residency as residency
 from repro.core.config import ServerConfig
 from repro.core.pipeline import ContentStore
-from repro.core.send_path import QUEUE_BYTES, SendPath
+from repro.core.send_path import QUEUE_BYTES, SendPath, sendfile_available
 from repro.servers import create_server
 from repro.servers.blocking import handle_client
 
@@ -270,6 +271,33 @@ def test_pipelined_conditional_burst_applies_interest_and_deadline_once(server, 
         assert budget.schedules <= 2
     finally:
         client.close()
+
+
+@pytest.mark.skipif(
+    residency._RWF_NOWAIT is None or not sendfile_available(),
+    reason="needs sendfile and preadv(RWF_NOWAIT)",
+)
+def test_amped_cold_large_get_maps_nothing(tmp_path, monkeypatch):
+    """A 256 KiB window is four times the probe's scratch buffer: residency
+    is still one ``preadv(RWF_NOWAIT)``, not a transient mapping."""
+    body = os.urandom(256 * 1024)
+    (tmp_path / "large.bin").write_bytes(body)
+    config = ServerConfig(document_root=str(tmp_path), port=0, num_helpers=1)
+    server = create_server("amped", config)
+    server.bind()
+    try:
+        client = connect(server)
+        try:
+            budget = Budget(server, monkeypatch)
+            response = exchange(server, client, get("/large.bin"))
+            assert response.startswith(b"HTTP/1.1 200") and response.endswith(body)
+            assert budget.mmaps == 0
+            assert budget.header_builds == 1
+            assert server.stats.sendfile_responses == 1
+        finally:
+            client.close()
+    finally:
+        server.close()
 
 
 # -- the ledger: pipelined bursts on both transports --------------------------

@@ -1,18 +1,13 @@
-"""Tests for the configurable residency-testing modes (paper Section 5.7).
+"""The residency tester a store and a Flash server use (paper Section 5.7).
 
-Flash normally uses ``mincore``; on systems without it, a feedback-based
-clock predictor can stand in; SPED-style configurations skip the test
-entirely.  These tests check that the configuration selects the right
-mechanism and that the Flash server still serves correctly with each.
+Flash uses ``mincore`` over mapped chunks and ``preadv(RWF_NOWAIT)`` over
+descriptor windows — one tester, no configuration; tests and the
+simulator substitute a scripted oracle.
 """
 
 import pytest
 
-from repro.cache.residency import (
-    ClockResidencyPredictor,
-    MincoreResidencyTester,
-    SimulatedResidencyOracle,
-)
+from repro.cache.residency import MincoreResidencyTester, SimulatedResidencyOracle
 from repro.client.simple import fetch
 from repro.core.config import ServerConfig
 from repro.core.pipeline import ContentStore
@@ -26,39 +21,22 @@ def docroot(tmp_path):
     return str(tmp_path)
 
 
-class TestConfigSelection:
+class TestTesterSelection:
     def test_default_is_mincore(self, docroot):
         store = ContentStore(ServerConfig(document_root=docroot))
         assert isinstance(store.residency_tester, MincoreResidencyTester)
+        assert store.mmap_cache.residency_tester is store.residency_tester
 
-    def test_clock_mode(self, docroot):
-        config = ServerConfig(
-            document_root=docroot, residency_mode="clock", clock_cache_estimate=8 << 20
-        )
-        store = ContentStore(config)
-        assert isinstance(store.residency_tester, ClockResidencyPredictor)
-        assert store.residency_tester.estimated_cache_bytes == 8 << 20
-
-    def test_optimistic_mode(self, docroot):
-        config = ServerConfig(document_root=docroot, residency_mode="optimistic")
-        store = ContentStore(config)
-        assert isinstance(store.residency_tester, SimulatedResidencyOracle)
-
-    def test_invalid_mode_rejected(self, docroot):
-        with pytest.raises(ValueError):
-            ServerConfig(document_root=docroot, residency_mode="psychic")
-
-    def test_explicit_tester_overrides_config(self, docroot):
+    def test_explicit_tester_overrides_default(self, docroot):
         oracle = SimulatedResidencyOracle(default_resident=True)
-        config = ServerConfig(document_root=docroot, residency_mode="clock")
-        store = ContentStore(config, residency_tester=oracle)
+        store = ContentStore(ServerConfig(document_root=docroot), residency_tester=oracle)
         assert store.residency_tester is oracle
 
 
-class TestFlashServerWithEachMode:
-    @pytest.mark.parametrize("mode", ["mincore", "clock", "optimistic"])
-    def test_serves_correctly(self, docroot, mode):
-        config = ServerConfig(document_root=docroot, port=0, residency_mode=mode)
+class TestFlashServerWithDefaultTester:
+    @pytest.mark.parametrize("zero_copy", [True, False])
+    def test_serves_correctly(self, docroot, zero_copy):
+        config = ServerConfig(document_root=docroot, port=0, zero_copy=zero_copy)
         server = FlashServer(config)
         server.start()
         try:
@@ -67,31 +45,4 @@ class TestFlashServerWithEachMode:
         finally:
             server.stop()
         assert small.status == 200 and small.body == b"<html>residency</html>"
-        assert large.status == 200 and len(large.body) == 120_000
-
-    def test_clock_mode_first_access_goes_through_helper(self, docroot):
-        """The clock predictor reports a never-seen chunk as non-resident, so
-        the first request for a large file must take the read-helper path."""
-        config = ServerConfig(document_root=docroot, port=0, residency_mode="clock")
-        server = FlashServer(config)
-        server.start()
-        try:
-            fetch(*server.address, "/blob.bin")
-            first_reads = server.stats.blocking_reads
-            fetch(*server.address, "/blob.bin")
-            second_reads = server.stats.blocking_reads
-        finally:
-            server.stop()
-        assert first_reads >= 1
-        # The second access is predicted resident: no further helper read.
-        assert second_reads == first_reads
-
-    def test_optimistic_mode_never_uses_read_helpers(self, docroot):
-        config = ServerConfig(document_root=docroot, port=0, residency_mode="optimistic")
-        server = FlashServer(config)
-        server.start()
-        try:
-            fetch(*server.address, "/blob.bin")
-        finally:
-            server.stop()
-        assert server.stats.blocking_reads == 0
+        assert large.status == 200 and large.body == b"r" * 120_000

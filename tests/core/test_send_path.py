@@ -368,7 +368,7 @@ class InlineDriver:
 
     def respond_async(self, request, keep_alive, callback):
         try:
-            content = exchange.static_miss(self.store, self.config, request, keep_alive)
+            content = exchange.static_miss(self.store, request, keep_alive)
         except Exception as exc:  # noqa: BLE001 - propagate as error argument
             callback(None, exc)
             return
@@ -584,11 +584,12 @@ class TestSendPathsByteIdentical:
 
     def test_sendfile_unavailable_falls_back(self, docroot, monkeypatch):
         """With sendfile reported missing the zero-copy config still works."""
+        import repro.core.pipeline as pipeline_module
         import repro.core.send_path as send_path_module
 
         monkeypatch.setattr(send_path_module, "sendfile_available", lambda: False)
         # ... to whoever decides whether the body must be mapped, too.
-        monkeypatch.setattr(exchange, "sendfile_available", lambda: False)
+        monkeypatch.setattr(pipeline_module, "sendfile_available", lambda: False)
         raw = self.fetch_raw(docroot, b"/small.txt", zero_copy=True)
         assert parse_http(raw)[1] == b"tiny body"
 

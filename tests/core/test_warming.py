@@ -1,22 +1,17 @@
 """Tests for sendfile-aware warming: the OP_WARM helper operation and the
 fd-backed residency queries that decide when it is dispatched.
 
-The mincore transient-map probe's *answer* depends on the host's page
-cache, so tests assert its contract (True/False/None, no side effects on
-the descriptor) rather than a particular verdict; the clock predictor and
-the scripted oracle are deterministic and are asserted exactly.
+The real probe's *answer* depends on the host's page cache, so tests here
+assert its contract (a bool, no side effects on the descriptor) rather
+than a particular verdict — ``tests/cache/test_residency.py`` evicts files
+for real; the scripted oracle is deterministic and is asserted exactly.
 """
 
 import os
 
 import pytest
 
-from repro.cache.residency import (
-    FD_TRACKING_CHUNK,
-    ClockResidencyPredictor,
-    MincoreResidencyTester,
-    SimulatedResidencyOracle,
-)
+from repro.cache.residency import MincoreResidencyTester, SimulatedResidencyOracle
 from repro.core.config import ServerConfig
 from repro.core.helpers import (
     OP_WARM,
@@ -106,57 +101,21 @@ class TestWarmOperation:
 
 
 class TestFdResidencyProbes:
-    def test_mincore_probe_contract(self, datafile):
+    def test_probe_contract(self, datafile):
         tester = MincoreResidencyTester()
         fd = os.open(datafile, os.O_RDONLY)
         try:
             verdict = tester.file_resident(fd, os.path.getsize(datafile), path=datafile)
-            assert verdict in (True, False, None)
-            if not tester.available:
-                assert verdict is None
-            # The probe's transient mapping was released and the fd usable.
+            assert verdict in (True, False)
+            # The probe moved no file offset and left the fd usable.
+            assert os.lseek(fd, 0, os.SEEK_CUR) == 0
             os.fstat(fd)
         finally:
             os.close(fd)
 
-    def test_mincore_probe_empty_range(self, datafile):
+    def test_probe_empty_range(self, datafile):
         tester = MincoreResidencyTester()
         assert tester.file_resident(-1, 0, path=datafile) is True
-
-    def test_mincore_probe_bad_fd_answers_none(self):
-        # A bad descriptor cannot be mapped, so the probe must answer
-        # "cannot tell" (None) — never a confident True.
-        tester = MincoreResidencyTester()
-        assert tester.file_resident(-1, 4096, path="x") is None
-
-    def test_clock_predictor_learns_fd_files(self):
-        clock = ClockResidencyPredictor(estimated_cache_bytes=10 * FD_TRACKING_CHUNK)
-        length = 3 * FD_TRACKING_CHUNK
-        # Never seen: predicted cold, and the query itself records the file.
-        assert clock.file_resident(-1, length, path="/a") is False
-        # Seen recently: predicted resident.
-        assert clock.file_resident(-1, length, path="/a") is True
-        # Push it out of the estimated cache with other files.
-        for index in range(8):
-            clock.file_resident(-1, length, path=f"/other{index}")
-        assert clock.file_resident(-1, length, path="/a") is False
-
-    def test_clock_predictor_tracks_mapped_and_fd_uniformly(self, datafile):
-        """A file served via mmap then via sendfile shares clock entries."""
-        from repro.cache.mapped_file import MappedFileCache
-
-        clock = ClockResidencyPredictor(estimated_cache_bytes=64 * FD_TRACKING_CHUNK)
-        cache = MappedFileCache(
-            chunk_size=FD_TRACKING_CHUNK, residency_tester=clock
-        )
-        chunks = cache.acquire_file(datafile)
-        for chunk in chunks:
-            clock.is_resident(chunk)          # record via the mapped route
-        for chunk in chunks:
-            cache.release(chunk)
-        size = os.path.getsize(datafile)
-        assert clock.file_resident(-1, size, path=datafile) is True
-        cache.clear()
 
     def test_oracle_answers_fd_queries(self, datafile):
         oracle = SimulatedResidencyOracle(default_resident=False)
@@ -166,15 +125,6 @@ class TestFdResidencyProbes:
 
 
 class TestContentStoreFdResidency:
-    class _UndecidedTester:
-        """A tester whose fd probe always answers ``None`` (cannot tell)."""
-
-        def is_resident(self, chunk):
-            return True
-
-        def file_resident(self, fd, length, path="", offset=0):
-            return None
-
     def _store(self, docroot, tester):
         config = ServerConfig(document_root=docroot, port=0)
         return ContentStore(config, residency_tester=tester)
@@ -186,19 +136,6 @@ class TestContentStoreFdResidency:
             assert store.fd_resident(handle, 100) is False
             store.residency_tester.mark_resident(datafile)
             assert store.fd_resident(handle, 100) is True
-        finally:
-            store.release_fd(handle)
-            store.close()
-
-    def test_undecided_probe_falls_back_to_clock(self, tmp_path, datafile):
-        store = self._store(str(tmp_path), self._UndecidedTester())
-        handle = store.fd_cache.acquire(datafile)
-        try:
-            # First query: the fallback clock has never seen the file.
-            assert store.fd_resident(handle, 4096) is False
-            assert store._fd_clock is not None
-            # The clock recorded it; an immediate repeat predicts resident.
-            assert store.fd_resident(handle, 4096) is True
         finally:
             store.release_fd(handle)
             store.close()

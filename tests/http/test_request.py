@@ -157,6 +157,44 @@ class TestErrors:
         assert isinstance(parser.request.body, bytes)
         assert parser.remainder == b"NEXT"
 
+    @pytest.mark.parametrize("method", ["GET", "HEAD", "POST"])
+    def test_body_is_framed_on_every_method(self, method):
+        """A GET's body must not become the next pipelined request."""
+        smuggled = b"GET /secret HTTP/1.1\r\n\r\n"
+        parser = RequestParser()
+        head = b"%s /a HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (
+            method.encode(),
+            len(smuggled),
+        )
+        assert parser.feed(head + smuggled + b"NEXT")
+        assert parser.request.body == smuggled
+        assert parser.remainder == b"NEXT"
+
+    @pytest.mark.parametrize(
+        "value", ["+10", "1_0", " 1 0", "0x10", "1e3", "", "5, 5", "\xb2"]
+    )
+    def test_content_length_must_be_digits(self, value):
+        raw = b"GET / HTTP/1.1\r\nContent-Length: " + value.encode("latin-1") + b"\r\n\r\n"
+        with pytest.raises(BadRequestError):
+            parse(raw + b"x" * 16)
+
+    def test_repeated_content_length_rejected(self):
+        with pytest.raises(BadRequestError):
+            parse(b"POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc")
+
+    def test_transfer_encoding_not_implemented(self):
+        with pytest.raises(NotImplementedError_) as info:
+            parse(b"POST /cgi-bin/x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n")
+        assert info.value.status == 501
+
+    def test_transfer_encoding_with_content_length_rejected(self):
+        with pytest.raises(BadRequestError) as info:
+            parse(
+                b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
+                b"Content-Length: 5\r\n\r\n0\r\n\r\n"
+            )
+        assert info.value.status == 400
+
     def test_oversized_header_rejected(self):
         parser = RequestParser(max_header_bytes=128)
         with pytest.raises(RequestTooLargeError):

@@ -1,29 +1,41 @@
 """AMPED helper warming for fd-backed (sendfile) responses.
 
-Three behaviours from the issue, plus the toggling contract:
+The warming route follows from the send mechanism — ``OP_WARM`` on the
+descriptor for a ``sendfile`` body, ``OP_READ`` over the chunks for a
+mapped one:
 
-* a cold-file request is dispatched to a warm helper before transmission;
+* a cold-file request is dispatched to a warm helper before transmission,
+  whether the oracle says so or the file was really evicted;
 * a warm-file request bypasses the helpers entirely;
+* a hot entry whose file was evicted is rejected and re-warmed;
 * a helper failure mid-warm degrades to the buffered path (the client
   still receives the complete response);
-* warming never changes response bytes — pipelined responses are
-  byte-identical with it on or off.
+* the route never changes response bytes — pipelined responses are
+  byte-identical with zero-copy on or off.
 """
 
+import mmap
 import os
 import re
 import socket
+import time
 
 import pytest
 
+import repro.cache.residency as residency_module
 from repro.cache.residency import SimulatedResidencyOracle
 from repro.client.simple import fetch
 from repro.core.config import ServerConfig
+from repro.core.pipeline import FD_RESIDENT_PROBE_TTL
 from repro.core.send_path import sendfile_available
 from repro.core.server import FlashServer
+from repro.http.request import RequestParser
 
 requires_sendfile = pytest.mark.skipif(
     not sendfile_available(), reason="os.sendfile not available"
+)
+requires_nowait = pytest.mark.skipif(
+    residency_module._RWF_NOWAIT is None, reason="no preadv(RWF_NOWAIT)"
 )
 
 BODY_SIZE = 200 * 1024
@@ -125,14 +137,11 @@ class TestWarmDispatch:
         assert response.status == 500
         assert server.stats.sendfile_warm_degradations >= 1
 
-    def test_warming_off_with_mmap_off_never_dispatches_warm(self, docroot):
-        """With the mmap cache disabled the response is fd-backed and
-        chunkless even though warming is off; the --no-warming contract
-        still holds: no warm dispatch, optimistic transmission."""
+    def test_mmap_cache_off_still_warms_the_descriptor(self, docroot):
+        """With the mmap cache disabled the response is fd-backed either
+        way: a cold one is warmed with OP_WARM like any sendfile body."""
         oracle = SimulatedResidencyOracle(default_resident=False)
-        server = flash(
-            docroot, oracle, helper_warming=False, enable_mmap_cache=False
-        )
+        server = flash(docroot, oracle, enable_mmap_cache=False)
         server.start()
         try:
             response = fetch(*server.address, "/cold.bin")
@@ -140,16 +149,15 @@ class TestWarmDispatch:
             server.stop()
         assert response.status == 200
         assert len(response.body) == BODY_SIZE
-        assert server.stats.sendfile_warms == 0
-        assert server.stats.blocking_reads == 0
+        assert server.stats.sendfile_warms == 1
+        assert server.stats.blocking_reads == 1
         assert server.stats.sendfile_responses >= 1
 
-    def test_warming_disabled_uses_mapped_route(self, docroot):
-        """With ``helper_warming`` off the old chunk route handles cold
-        content: chunks are pinned, residency is tested on the mapping and
-        an OP_READ helper touches the pages."""
+    def test_buffered_body_uses_mapped_route(self, docroot):
+        """Without zero-copy the body is mapped chunks: residency is tested
+        on the mapping and an OP_READ helper touches the pages."""
         oracle = SimulatedResidencyOracle(default_resident=False)
-        server = flash(docroot, oracle, helper_warming=False)
+        server = flash(docroot, oracle, zero_copy=False)
         server.start()
         try:
             response = fetch(*server.address, "/cold.bin")
@@ -159,6 +167,83 @@ class TestWarmDispatch:
         assert len(response.body) == BODY_SIZE
         assert server.stats.sendfile_warms == 0
         assert server.stats.blocking_reads >= 1
+
+
+def evict(path, attempts=50):
+    """Drop ``path``'s pages from the page cache until ``mincore`` (which
+    starts no I/O) shows none of them; False when the filesystem keeps
+    them.  DONTNEED can miss pages still held in per-CPU batches, hence
+    the retries."""
+    fd = os.open(path, os.O_RDWR)
+    try:
+        os.fsync(fd)
+        pages = range(0, os.fstat(fd).st_size, mmap.PAGESIZE)
+        for _ in range(attempts):
+            os.posix_fadvise(fd, 0, 0, os.POSIX_FADV_DONTNEED)
+            if all(residency_module._mapped_resident(fd, 1, page) is False for page in pages):
+                return True
+            time.sleep(0.02)
+        return False
+    finally:
+        os.close(fd)
+
+
+@requires_sendfile
+@requires_nowait
+class TestRealEviction:
+    """The default tester against a really evicted file: no oracle."""
+
+    SIZE = 256 * 1024
+
+    @pytest.fixture
+    def evictable(self, tmp_path):
+        body = os.urandom(self.SIZE)
+        (tmp_path / "evict.bin").write_bytes(body)
+        return str(tmp_path), str(tmp_path / "evict.bin"), body
+
+    def test_evicted_file_is_warmed_through_op_warm(self, evictable):
+        docroot, path, body = evictable
+        server = FlashServer(ServerConfig(document_root=docroot, port=0, num_helpers=2))
+        server.start()
+        try:
+            if not evict(path):
+                pytest.skip("POSIX_FADV_DONTNEED does not evict on this filesystem")
+            response = fetch(*server.address, "/evict.bin")
+        finally:
+            server.stop()
+        assert response.status == 200
+        assert response.body == body
+        assert server.stats.sendfile_warms == 1
+        assert server.stats.sendfile_warm_degradations == 0
+
+    def test_evicted_hot_entry_is_rejected(self, evictable):
+        """A hot entry whose file is evicted after its descriptor's
+        resident verdict expired is rejected and re-warmed.  The entry is
+        filed before the server starts: a file that went out through
+        ``sendfile`` keeps its pages referenced (DONTNEED cannot drop them)
+        for as long as the kernel holds the transmitted buffers."""
+        docroot, path, body = evictable
+        server = FlashServer(ServerConfig(document_root=docroot, port=0, num_helpers=2))
+        store = server.store
+        parser = RequestParser()
+        parser.feed(b"GET /evict.bin HTTP/1.1\r\nHost: x\r\n\r\n")
+        entry = store.translate("/evict.bin")
+        content = store.build_response(parser.request, entry)
+        assert store.hot_insert(parser.request, entry, content)
+        assert store.content_resident(content)  # a verdict cached for the TTL
+        content.release(store)
+        time.sleep(FD_RESIDENT_PROBE_TTL * 1.5)
+        if not evict(path):
+            server.close()
+            pytest.skip("POSIX_FADV_DONTNEED does not evict on this filesystem")
+        server.start()
+        try:
+            response = fetch(*server.address, "/evict.bin")
+        finally:
+            server.stop()
+        assert response.body == body
+        assert server.stats.hot_hits == 1
+        assert server.stats.hot_cold_fallbacks == 1
 
 
 PIPELINE = (
@@ -187,15 +272,16 @@ def pipelined_bytes(address):
 
 
 class TestTogglesAreByteIdentical:
-    def test_warming_on_and_off(self, docroot):
-        """Warming on and off produce identical pipelined bytes."""
+    def test_zero_copy_on_and_off(self, docroot):
+        """Both warming routes — OP_WARM before sendfile, OP_READ before a
+        buffered send — produce identical pipelined bytes."""
         streams = {}
-        for warming in (True, False):
+        for zero_copy in (True, False):
             oracle = SimulatedResidencyOracle(default_resident=False)
-            server = flash(docroot, oracle, helper_warming=warming)
+            server = flash(docroot, oracle, zero_copy=zero_copy)
             server.start()
             try:
-                streams[warming] = pipelined_bytes(server.address)
+                streams[zero_copy] = pipelined_bytes(server.address)
             finally:
                 server.stop()
         assert len(streams[True]) > 2 * BODY_SIZE          # sanity: real bodies

@@ -8,7 +8,7 @@ Covers the tentpole's contract from the issue:
   window, and fd-cache invalidation of a pinned entry drops it;
 * AMPED's non-blocking invariant survives the fast path: content that went
   cold is rejected by ``hot_content_ready`` and re-warmed via helpers;
-* the hot-cache × zero-copy × warming toggle grid (and fast-parse on/off)
+* the hot-cache × zero-copy toggle grid (and fast-parse on/off)
   produces byte-identical responses;
 * conditional GETs are answered with the precomposed 304 variants.
 """
@@ -257,36 +257,34 @@ PIPELINE = (
 
 
 class TestTogglesAreByteIdentical:
-    def test_hot_zero_copy_warming_grid(self, docroot):
-        """All hot-cache x zero-copy x warming combinations (plus fast-parse
-        off for the extremes) produce byte-identical response streams."""
+    def test_hot_zero_copy_grid(self, docroot):
+        """All hot-cache x zero-copy combinations (plus fast-parse off for
+        the extremes) produce byte-identical response streams.  Zero-copy
+        also picks the warming route: OP_WARM on the descriptor, or OP_READ
+        over the mapped chunks."""
         streams = {}
         combos = [
-            (hot, zero_copy, warming, True)
-            for hot in (True, False)
-            for zero_copy in (True, False)
-            for warming in (True, False)
-        ] + [(True, True, True, False), (False, True, True, False)]
-        for hot, zero_copy, warming, fast in combos:
+            (hot, zero_copy, True) for hot in (True, False) for zero_copy in (True, False)
+        ] + [(True, True, False), (False, True, False)]
+        for hot, zero_copy, fast in combos:
             oracle = SimulatedResidencyOracle(default_resident=False)
             server = FlashServer(
                 config_for(
                     docroot,
                     hot_cache=hot,
                     zero_copy=zero_copy,
-                    helper_warming=warming,
                     fast_parse=fast,
                 ),
                 residency_tester=oracle,
             )
             server.start()
             try:
-                streams[(hot, zero_copy, warming, fast)] = normalize(
+                streams[(hot, zero_copy, fast)] = normalize(
                     raw_exchange(server.address, PIPELINE)
                 )
             finally:
                 server.stop()
-        reference = streams[(True, True, True, True)]
+        reference = streams[(True, True, True)]
         assert reference.count(b"HTTP/1.1 200 OK") == 4
         assert len(reference) > 2 * COLD_SIZE
         for combo, stream in streams.items():

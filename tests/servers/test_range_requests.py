@@ -13,7 +13,7 @@ Covers the tentpole's contract from the issue:
 * the hot-response cache serves range GETs as read-side hits over the
   entry's pinned resources (no re-translation);
 * the 206/416/If-Range grid is byte-identical across hot-cache ×
-  zero-copy × warming (body slices verified against the file bytes);
+  zero-copy (body slices verified against the file bytes);
 * a keep-alive connection can interleave range and full GETs;
 * MP and MT reach hot-path parity (``hot_hits > 0``) under the same grid.
 """
@@ -390,7 +390,7 @@ class TestKeepAliveInterleaving:
 class TestToggleByteIdentity:
     def test_range_grid_byte_identical_across_toggles(self, docroot):
         """The same interleaved range workload produces identical bytes for
-        every hot-cache x zero-copy x warming combination."""
+        every hot-cache x zero-copy combination."""
         payload = b"".join(
             [
                 request_lines("/big.bin"),
@@ -404,25 +404,19 @@ class TestToggleByteIdentity:
         streams = {}
         for hot in (True, False):
             for zero_copy in (True, False):
-                for warming in (True, False):
-                    oracle = SimulatedResidencyOracle(default_resident=False)
-                    server = FlashServer(
-                        config_for(
-                            docroot,
-                            hot_cache=hot,
-                            zero_copy=zero_copy,
-                            helper_warming=warming,
-                        ),
-                        residency_tester=oracle,
+                oracle = SimulatedResidencyOracle(default_resident=False)
+                server = FlashServer(
+                    config_for(docroot, hot_cache=hot, zero_copy=zero_copy),
+                    residency_tester=oracle,
+                )
+                server.start()
+                try:
+                    streams[(hot, zero_copy)] = normalize(
+                        raw_exchange(server.address, payload)
                     )
-                    server.start()
-                    try:
-                        streams[(hot, zero_copy, warming)] = normalize(
-                            raw_exchange(server.address, payload)
-                        )
-                    finally:
-                        server.stop()
-        reference = streams[(True, True, True)]
+                finally:
+                    server.stop()
+        reference = streams[(True, True)]
         # Three single-window 206s plus the multipart one for "0-1,5-9".
         assert reference.count(b"HTTP/1.1 206 Partial Content") == 4
         assert reference.count(b"multipart/byteranges; boundary=") == 1
