@@ -443,66 +443,45 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_loadgen(args: argparse.Namespace) -> int:
     """Run the load generator (single- or multi-process) and print its summary."""
     paths = args.path or ["/"]
-    if args.workers > 1:
-        if args.think_time:
-            print("--think-time is a single-process knob; drop it or use "
-                  "--workers 1", file=sys.stderr)
-            return 2
-        coordinator = LoadCoordinator(
-            (args.host, args.port),
-            paths,
-            workers=args.workers,
-            num_clients=args.clients,
-            duration=args.duration,
-            keep_alive=not args.no_keep_alive,
-            range_fraction=args.range_fraction,
-            range_spec=args.range_bytes,
-            conditional_fraction=args.conditional_fraction,
-            slow_writers=args.slow_writers,
-            slow_readers=args.slow_readers,
-            flood_connections=args.connection_flood,
-            sse_clients=args.sse_clients,
-            sse_path=args.sse_path,
-            chunked_fraction=args.chunked_fraction,
-            chunked_path=args.chunked_path,
-            retry_backoff=args.retry_backoff,
-            retry_resets=args.retry_resets,
-            dribble_bytes=args.dribble_bytes,
-            dribble_interval=args.dribble_interval,
-            arrival_rate=args.arrival_rate,
-            seed=args.seed,
-            pin_cpus=args.pin_cpus,
-        )
-        cluster = coordinator.run()
-        result = cluster.merged
-        payload = cluster.to_dict()
-    else:
-        generator = LoadGenerator(
-            (args.host, args.port),
-            paths,
-            num_clients=args.clients,
-            duration=args.duration,
-            keep_alive=not args.no_keep_alive,
-            think_time=args.think_time,
-            range_fraction=args.range_fraction,
-            range_spec=args.range_bytes,
-            conditional_fraction=args.conditional_fraction,
-            slow_writers=args.slow_writers,
-            slow_readers=args.slow_readers,
-            flood_connections=args.connection_flood,
-            sse_clients=args.sse_clients,
-            sse_path=args.sse_path,
-            chunked_fraction=args.chunked_fraction,
-            chunked_path=args.chunked_path,
-            retry_backoff=args.retry_backoff,
-            retry_resets=args.retry_resets,
-            dribble_bytes=args.dribble_bytes,
-            dribble_interval=args.dribble_interval,
-            arrival_rate=args.arrival_rate,
-            seed=args.seed,
-        )
-        result = generator.run()
-        payload = result.to_dict()
+    options = dict(
+        num_clients=args.clients,
+        duration=args.duration,
+        keep_alive=not args.no_keep_alive,
+        range_fraction=args.range_fraction,
+        range_spec=args.range_bytes,
+        conditional_fraction=args.conditional_fraction,
+        slow_writers=args.slow_writers,
+        slow_readers=args.slow_readers,
+        flood_connections=args.connection_flood,
+        sse_clients=args.sse_clients,
+        sse_path=args.sse_path,
+        chunked_fraction=args.chunked_fraction,
+        chunked_path=args.chunked_path,
+        retry_backoff=args.retry_backoff,
+        retry_resets=args.retry_resets,
+        dribble_bytes=args.dribble_bytes,
+        dribble_interval=args.dribble_interval,
+        arrival_rate=args.arrival_rate,
+        seed=args.seed,
+    )
+    address = (args.host, args.port)
+    if args.workers > 1 and args.think_time:
+        print("loadgen: --think-time is a single-process knob; drop it or use "
+              "--workers 1", file=sys.stderr)
+        return 2
+    try:
+        if args.workers > 1:
+            runner = LoadCoordinator(
+                address, paths, workers=args.workers, pin_cpus=args.pin_cpus, **options
+            )
+        else:
+            runner = LoadGenerator(address, paths, think_time=args.think_time, **options)
+    except ValueError as error:
+        print(f"loadgen: {error}", file=sys.stderr)
+        return 2
+    outcome = runner.run()
+    payload = outcome.to_dict()
+    result = outcome.merged if args.workers > 1 else outcome
     if args.workers > 1:
         print(f"workers:            {args.workers}"
               f"{' (pinned)' if args.pin_cpus else ''}")

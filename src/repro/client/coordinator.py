@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from repro.client.latency import LatencyHistogram, derive_worker_seed
-from repro.client.loadgen import LoadGenerator, LoadResult
+from repro.client.loadgen import LoadGenerator, LoadResult, add_counters
 
 __all__ = ["LoadCoordinator", "ClusterResult", "WorkerSpec", "merge_results"]
 
@@ -47,26 +47,10 @@ class WorkerSpec:
     worker_index: int
     address: tuple[str, int]
     paths: Union[str, Sequence[str]]
-    num_clients: int
-    keep_alive: bool
-    duration: Optional[float]
-    max_requests: Optional[int]
-    range_fraction: float
-    range_spec: str
-    conditional_fraction: float
-    slow_writers: int
-    slow_readers: int
-    flood_connections: int
-    sse_clients: int
-    sse_path: str
-    chunked_fraction: float
-    chunked_path: str
-    retry_backoff: float
-    retry_resets: bool
-    dribble_bytes: int
-    dribble_interval: float
-    arrival_rate: Optional[float]
-    seed: int
+    #: The worker's :class:`LoadGenerator` keywords: the coordinator's,
+    #: with ``max_requests``, ``arrival_rate`` and ``seed`` replaced by this
+    #: worker's share.
+    options: dict
     cpu: Optional[int]
 
 
@@ -77,31 +61,7 @@ def _run_worker(spec: WorkerSpec, queue) -> None:
             os.sched_setaffinity(0, {spec.cpu})
         except OSError:
             pass  # affinity is an optimization, never a failure
-    generator = LoadGenerator(
-        spec.address,
-        list(spec.paths) if not isinstance(spec.paths, str) else spec.paths,
-        num_clients=spec.num_clients,
-        keep_alive=spec.keep_alive,
-        duration=spec.duration,
-        max_requests=spec.max_requests,
-        range_fraction=spec.range_fraction,
-        range_spec=spec.range_spec,
-        conditional_fraction=spec.conditional_fraction,
-        slow_writers=spec.slow_writers,
-        slow_readers=spec.slow_readers,
-        flood_connections=spec.flood_connections,
-        sse_clients=spec.sse_clients,
-        sse_path=spec.sse_path,
-        chunked_fraction=spec.chunked_fraction,
-        chunked_path=spec.chunked_path,
-        retry_backoff=spec.retry_backoff,
-        retry_resets=spec.retry_resets,
-        dribble_bytes=spec.dribble_bytes,
-        dribble_interval=spec.dribble_interval,
-        arrival_rate=spec.arrival_rate,
-        seed=spec.seed,
-    )
-    result = generator.run()
+    result = LoadGenerator(spec.address, spec.paths, **spec.options).run()
     queue.put((spec.worker_index, result))
 
 
@@ -114,21 +74,8 @@ def merge_results(results: Sequence[LoadResult]) -> LoadResult:
     """
     merged = LoadResult()
     merged.latency = LatencyHistogram.merged(r.latency for r in results)
+    add_counters(merged, results)
     for result in results:
-        merged.requests_completed += result.requests_completed
-        merged.bytes_received += result.bytes_received
-        merged.errors += result.errors
-        merged.connects += result.connects
-        merged.not_modified += result.not_modified
-        merged.responses_2xx += result.responses_2xx
-        merged.responses_206 += result.responses_206
-        merged.reaped += result.reaped
-        merged.rejected_408 += result.rejected_408
-        merged.rejected_503 += result.rejected_503
-        merged.retries += result.retries
-        merged.connection_resets += result.connection_resets
-        merged.chunked_responses += result.chunked_responses
-        merged.sse_events += result.sse_events
         merged.dispatched += result.dispatched
         merged.lateness_sum += result.lateness_sum
         merged.lateness_max = max(merged.lateness_max, result.lateness_max)
@@ -162,17 +109,18 @@ class ClusterResult:
 class LoadCoordinator:
     """Spawn ``workers`` load-generator processes and merge their results.
 
-    Parameters mirror :class:`~repro.client.loadgen.LoadGenerator`, with
-    the cluster-level additions:
+    Every keyword besides the two below is a
+    :class:`~repro.client.loadgen.LoadGenerator` keyword, forwarded to each
+    worker unchanged and validated by the generator itself.
+    ``num_clients``, ``slow_writers`` / ``slow_readers``,
+    ``flood_connections`` and ``sse_clients`` are therefore *per worker*;
+    ``arrival_rate`` and ``max_requests`` are cluster totals split evenly
+    across workers, and worker ``i`` runs on
+    ``derive_worker_seed(seed, i)``.  ``think_time`` is refused: it is a
+    single-process knob.
 
     workers:
-        Number of worker processes.  ``num_clients``, ``slow_writers`` /
-        ``slow_readers``, ``flood_connections`` and ``sse_clients`` are
-        *per worker*;
-        ``arrival_rate`` and ``max_requests`` are cluster totals split
-        evenly across workers.
-    seed:
-        Base seed; worker ``i`` runs on ``derive_worker_seed(seed, i)``.
+        Number of worker processes.
     pin_cpus:
         Pin worker ``i`` to allowed-CPU ``i % len(allowed)`` via
         ``os.sched_setaffinity`` (best effort; silently skipped where the
@@ -185,61 +133,33 @@ class LoadCoordinator:
         paths: Union[str, Sequence[str]],
         *,
         workers: int = 2,
-        num_clients: int = 8,
-        keep_alive: bool = True,
-        duration: Optional[float] = None,
-        max_requests: Optional[int] = None,
-        range_fraction: float = 0.0,
-        range_spec: str = "0-1023",
-        conditional_fraction: float = 0.0,
-        slow_writers: int = 0,
-        slow_readers: int = 0,
-        flood_connections: int = 0,
-        sse_clients: int = 0,
-        sse_path: str = "/sse",
-        chunked_fraction: float = 0.0,
-        chunked_path: str = "/cgi-bin/stream",
-        retry_backoff: float = 0.05,
-        retry_resets: bool = False,
-        dribble_bytes: int = 1,
-        dribble_interval: float = 0.5,
-        arrival_rate: Optional[float] = None,
-        seed: int = 0,
         pin_cpus: bool = False,
+        **options,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if duration is None and max_requests is None:
-            raise ValueError("specify duration, max_requests or both")
         if callable(paths):
             raise TypeError(
                 "multi-process load needs picklable paths: pass a string or a "
                 "sequence of strings, not a callable"
             )
+        if "think_time" in options:
+            raise TypeError(
+                "think_time is a single-process knob; drop it or run one "
+                "LoadGenerator"
+            )
         self.address = address
         self.paths = paths if isinstance(paths, str) else list(paths)
         self.workers = workers
-        self.num_clients = num_clients
-        self.keep_alive = keep_alive
-        self.duration = duration
-        self.max_requests = max_requests
-        self.range_fraction = range_fraction
-        self.range_spec = range_spec
-        self.conditional_fraction = conditional_fraction
-        self.slow_writers = slow_writers
-        self.slow_readers = slow_readers
-        self.flood_connections = flood_connections
-        self.sse_clients = sse_clients
-        self.sse_path = sse_path
-        self.chunked_fraction = chunked_fraction
-        self.chunked_path = chunked_path
-        self.retry_backoff = retry_backoff
-        self.retry_resets = retry_resets
-        self.dribble_bytes = dribble_bytes
-        self.dribble_interval = dribble_interval
-        self.arrival_rate = arrival_rate
-        self.seed = seed
         self.pin_cpus = pin_cpus
+        self.options = options
+        # The generator checks the options once, here in the parent, and
+        # reads back the values the split needs (defaults included).
+        plan = LoadGenerator(address, self.paths, **options)
+        self.duration = plan.duration
+        self.max_requests = plan.max_requests
+        self.arrival_rate = plan.arrival_rate
+        self.seed = plan.seed
 
     # -- planning ----------------------------------------------------------------
 
@@ -271,26 +191,12 @@ class LoadCoordinator:
                 worker_index=index,
                 address=self.address,
                 paths=self.paths,
-                num_clients=self.num_clients,
-                keep_alive=self.keep_alive,
-                duration=self.duration,
-                max_requests=request_shares[index],
-                range_fraction=self.range_fraction,
-                range_spec=self.range_spec,
-                conditional_fraction=self.conditional_fraction,
-                slow_writers=self.slow_writers,
-                slow_readers=self.slow_readers,
-                flood_connections=self.flood_connections,
-                sse_clients=self.sse_clients,
-                sse_path=self.sse_path,
-                chunked_fraction=self.chunked_fraction,
-                chunked_path=self.chunked_path,
-                retry_backoff=self.retry_backoff,
-                retry_resets=self.retry_resets,
-                dribble_bytes=self.dribble_bytes,
-                dribble_interval=self.dribble_interval,
-                arrival_rate=per_worker_rate,
-                seed=derive_worker_seed(self.seed, index),
+                options={
+                    **self.options,
+                    "max_requests": request_shares[index],
+                    "arrival_rate": per_worker_rate,
+                    "seed": derive_worker_seed(self.seed, index),
+                },
                 cpu=cpus[index],
             )
             for index in range(self.workers)
@@ -343,5 +249,5 @@ class LoadCoordinator:
             per_worker=per_worker,
             workers=self.workers,
             seed=self.seed,
-            worker_seeds=[spec.seed for spec in specs],
+            worker_seeds=[spec.options["seed"] for spec in specs],
         )

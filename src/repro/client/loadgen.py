@@ -16,6 +16,11 @@ slowloris writers and stalled readers alongside the real load, so the
 slow-client-hardening benchmarks can measure whether the server's
 progress-based deadlines keep the fast clients' throughput intact while
 the attackers are being reaped.
+
+Every client kind is one :class:`_Client` — the socket, its counters,
+connecting, selector registration, closing and the readiness dispatch —
+plus its own reactions: the regular client, the slowloris writer, the
+stalled reader, the connection flooder and the SSE subscriber.
 """
 
 from __future__ import annotations
@@ -24,13 +29,20 @@ import selectors
 import socket
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Optional
 
 from repro.client.latency import LatencyHistogram, exponential_arrivals
+from repro.client.simple import HTTPResponse, parse_head, walk_chunks
 
 _READ = selectors.EVENT_READ
 _WRITE = selectors.EVENT_WRITE
+
+#: Client states: connected (or waiting on a timer to reconnect), parked
+#: in the open-loop pool, finished for the rest of the run.
+ACTIVE = "active"
+IDLE = "idle"
+DONE = "done"
 
 
 @dataclass
@@ -68,29 +80,24 @@ class ClientResult:
     sse_events: int = 0
 
 
+def add_counters(total: ClientResult, results: Iterable[ClientResult]) -> None:
+    """Add every :class:`ClientResult` counter of ``results`` into ``total``."""
+    for result in results:
+        for counter in fields(ClientResult):
+            name = counter.name
+            setattr(total, name, getattr(total, name) + getattr(result, name))
+
+
 @dataclass
-class LoadResult:
-    """Aggregate outcome of one load-generation run.
+class LoadResult(ClientResult):
+    """Aggregate outcome of one load-generation run: the sum of every
+    client's counters, plus the run-wide measurements.
 
     ``bandwidth_mbps`` and ``request_rate`` are the quantities plotted on
     the paper's figures (output bandwidth in megabits/second and connection
     rate in requests/second).
     """
 
-    requests_completed: int = 0
-    bytes_received: int = 0
-    errors: int = 0
-    connects: int = 0
-    not_modified: int = 0
-    responses_2xx: int = 0
-    responses_206: int = 0
-    reaped: int = 0
-    rejected_408: int = 0
-    rejected_503: int = 0
-    retries: int = 0
-    connection_resets: int = 0
-    chunked_responses: int = 0
-    sse_events: int = 0
     elapsed: float = 0.0
     per_client: list = field(default_factory=list)
     #: Per-request latency distribution (seconds recorded; read in ms).
@@ -122,21 +129,18 @@ class LoadResult:
         return self.requests_completed / self.elapsed
 
     def to_dict(self) -> dict:
-        """Plain-dict summary for logging and experiment tables."""
+        """Plain-dict summary for logging and experiment tables.
+
+        ``connects`` is a per-client diagnostic and stays out of the
+        summary, whose key set is pinned.
+        """
+        counters = {
+            counter.name: getattr(self, counter.name)
+            for counter in fields(ClientResult)
+            if counter.name != "connects"
+        }
         return {
-            "requests_completed": self.requests_completed,
-            "bytes_received": self.bytes_received,
-            "errors": self.errors,
-            "not_modified": self.not_modified,
-            "responses_2xx": self.responses_2xx,
-            "responses_206": self.responses_206,
-            "reaped": self.reaped,
-            "rejected_408": self.rejected_408,
-            "rejected_503": self.rejected_503,
-            "retries": self.retries,
-            "connection_resets": self.connection_resets,
-            "chunked_responses": self.chunked_responses,
-            "sse_events": self.sse_events,
+            **counters,
             "elapsed": self.elapsed,
             "bandwidth_mbps": self.bandwidth_mbps,
             "request_rate": self.request_rate,
@@ -148,65 +152,132 @@ class LoadResult:
         }
 
 
-def _chunked_end(buffer, start: int) -> Optional[int]:
-    """Offset one past a complete ``Transfer-Encoding: chunked`` body.
+class _Client:
+    """One simulated connection on the generator's selector.
 
-    Walks the chunk framing in ``buffer`` from ``start``; returns ``None``
-    while the terminating zero-size chunk has not fully arrived.  The
-    servers under test never emit trailers, so the terminator is exactly
-    ``0\\r\\n\\r\\n``.
+    The base owns the socket, the per-client counters, connecting,
+    selector (un)registration, sending the pending request bytes, closing
+    and the readiness dispatch.  Each behaviour supplies its reactions:
+    :meth:`_begin` once a connect is under way, :meth:`on_readable`,
+    :meth:`_sent` once the request is on the wire, :meth:`_refused` and
+    :meth:`_broken`.
     """
-    position = start
-    while True:
-        line_end = buffer.find(b"\r\n", position)
-        if line_end < 0:
-            return None
-        size_token = bytes(buffer[position:line_end]).split(b";", 1)[0].strip()
+
+    #: ``SO_RCVBUF`` requested before connecting (0 keeps the default).
+    RCVBUF = 0
+
+    def __init__(self, generator: "LoadGenerator"):
+        self.generator = generator
+        self.result = ClientResult()
+        self.sock: Optional[socket.socket] = None
+        self.state = DONE
+        self._registered_events = 0
+        self._send_buffer = b""
+
+    def start(self) -> None:
+        """Connect and begin this behaviour's exchange."""
+        if self._connect():
+            self._begin()
+        else:
+            self._refused()
+
+    def _begin(self) -> None:
+        raise NotImplementedError
+
+    def _connect(self) -> bool:
+        """Open a non-blocking connection to the server under test.
+
+        False when the connect failed outright (refused, out of
+        descriptors); the socket is closed again by then.
+        """
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setblocking(False)
         try:
-            size = int(size_token, 16)
-        except ValueError:
-            # Malformed framing never completes; the server close surfaces
-            # it as an error through the normal EOF path.
-            return None
-        position = line_end + 2
-        if size == 0:
-            return position + 2 if len(buffer) >= position + 2 else None
-        if len(buffer) < position + size + 2:
-            return None
-        position += size + 2
-
-
-def _dechunk_available(buffer: bytearray, state: dict) -> bytes:
-    """Incrementally strip chunk framing from a growing receive buffer.
-
-    ``state`` carries ``position`` (the scan cursor into ``buffer``) and
-    ``done`` across calls; returns whatever complete chunk payloads became
-    available since the previous call.
-    """
-    payload = bytearray()
-    while not state.get("done"):
-        position = state.get("position", 0)
-        line_end = buffer.find(b"\r\n", position)
-        if line_end < 0:
-            break
-        size_token = bytes(buffer[position:line_end]).split(b";", 1)[0].strip()
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self.RCVBUF:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, self.RCVBUF)
+        except OSError:
+            pass
+        self.sock = sock
+        self.result.connects += 1
+        self.state = ACTIVE
         try:
-            size = int(size_token, 16)
-        except ValueError:
-            state["done"] = True
-            break
-        data_start = line_end + 2
-        if size == 0:
-            state["done"] = True
-            break
-        if len(buffer) < data_start + size + 2:
-            break
-        payload += buffer[data_start : data_start + size]
-        state["position"] = data_start + size + 2
-    return bytes(payload)
+            sock.connect(self.generator.address)
+        except BlockingIOError:
+            pass
+        except OSError:
+            self._close()
+            return False
+        return True
+
+    def _refused(self) -> None:
+        """The connect failed outright: count it and stop."""
+        self.result.errors += 1
+        self.state = DONE
+
+    def _broken(self) -> None:
+        """The connection broke, or the server's bytes did not parse."""
+        raise NotImplementedError
+
+    # -- readiness ---------------------------------------------------------------
+
+    def on_ready(self, mask: int) -> None:
+        """Hand selector readiness to this behaviour's reactions."""
+        try:
+            if mask & _WRITE:
+                self.on_writable()
+            if mask & _READ and self.sock is not None:
+                self.on_readable()
+        except BlockingIOError:
+            pass
+        except (OSError, ValueError):
+            self._broken()
+
+    def on_writable(self) -> None:
+        """Send the pending request bytes, then :meth:`_sent`."""
+        assert self.sock is not None
+        while self._send_buffer:
+            self._send_buffer = self._send_buffer[self.sock.send(self._send_buffer):]
+        self._sent()
+
+    def _sent(self) -> None:
+        """The request is on the wire: listen for the answer."""
+        self._register(_READ)
+
+    def on_readable(self) -> None:
+        """The socket has bytes, or the server closed it."""
+
+    # -- teardown and selector plumbing -----------------------------------------
+
+    def _close(self) -> None:
+        if self.sock is not None:
+            self._unregister()
+            try:
+                self.sock.close()
+            except OSError:
+                pass
+            self.sock = None
+
+    def _register(self, events: int) -> None:
+        if self.sock is None:
+            return
+        selector = self.generator.selector
+        if self._registered_events == 0:
+            selector.register(self.sock, events, self)
+        elif events != self._registered_events:
+            selector.modify(self.sock, events, self)
+        self._registered_events = events
+
+    def _unregister(self) -> None:
+        if self.sock is not None and self._registered_events:
+            try:
+                self.generator.selector.unregister(self.sock)
+            except (KeyError, ValueError):
+                pass
+        self._registered_events = 0
 
 
-class _SimClient:
+class _SimClient(_Client):
     """State machine for one simulated HTTP client.
 
     Two operating modes, decided by the generator:
@@ -221,27 +292,14 @@ class _SimClient:
     schedule, not the server, decides when requests happen.
     """
 
-    CONNECTING = "connecting"
-    SENDING = "sending"
-    RECEIVING = "receiving"
-    IDLE = "idle"
-    DONE = "done"
-
-    def __init__(self, generator: "LoadGenerator", client_id: int):
-        self.generator = generator
-        self.client_id = client_id
-        self.result = ClientResult()
-        self.sock: Optional[socket.socket] = None
-        self.state = self.DONE
-        self._send_buffer = b""
+    def __init__(self, generator: "LoadGenerator"):
+        super().__init__(generator)
         self._recv_buffer = bytearray()
-        self._expected_length: Optional[int] = None
-        self._header_parsed = False
-        self._body_start = 0
-        self._chunked = False
-        self._registered_events = 0
+        self._head: Optional[HTTPResponse] = None
+        #: Where the unexamined body starts: the body's first byte, or the
+        #: first chunk not yet complete of a chunked body.
+        self._body_at = 0
         self._path = ""
-        self._status = 0
         #: Open-loop: the arrival time this in-flight request was scheduled
         #: for; closed-loop: ``None`` (latency is measured from send start).
         self._scheduled: Optional[float] = None
@@ -250,14 +308,12 @@ class _SimClient:
         #: ``in_flight`` (prepared, not yet answered, shed or failed).
         self._in_flight = False
 
-    # -- connection management -------------------------------------------------
-
     def start(self) -> None:
         """Open a connection and issue the first request (closed loop)."""
         if not self.generator.can_issue():
-            self.state = self.DONE
+            self.state = DONE
             return
-        self._connect()
+        self._issue()
 
     def dispatch(self, scheduled: float) -> None:
         """Issue one request for the arrival scheduled at ``scheduled``.
@@ -266,33 +322,18 @@ class _SimClient:
         one survives, otherwise connects fresh.
         """
         self._scheduled = scheduled
-        if self.sock is None:
-            self._connect()
-            return
-        self._prepare_request()
-        self.state = self.SENDING
-        self._register(_WRITE)
-        self._do_send()
+        self._issue()
 
-    def _connect(self) -> None:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setblocking(False)
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass
-        self.sock = sock
-        self.result.connects += 1
-        self.state = self.CONNECTING
-        try:
-            sock.connect(self.generator.address)
-        except BlockingIOError:
-            pass
-        except OSError:
-            self._fail()
+    def _issue(self) -> None:
+        """Send the next request, connecting first when no connection survives."""
+        fresh = self.sock is None
+        if fresh and not self._connect():
+            self._broken()
             return
         self._prepare_request()
         self._register(_WRITE)
+        if not fresh:
+            self.on_ready(_WRITE)
 
     def _prepare_request(self) -> None:
         shape = self.generator.next_request_shape()
@@ -302,19 +343,17 @@ class _SimClient:
             # Transfer-Encoding: chunked and no Content-Length.
             path = self.generator.chunked_path
             etag = None
-            ranged = False
         else:
             path = self.generator.next_path()
             etag = self.generator.captured_etag(path) if shape == "conditional" else None
-            ranged = shape == "ranged"
         self._path = path
-        self._send_buffer = self.generator.request_bytes(path, ranged=ranged, etag=etag)
+        self._send_buffer = self.generator.request_bytes(
+            path, ranged=shape == "ranged", etag=etag
+        )
         self._recv_buffer = bytearray()
-        self._expected_length = None
-        self._header_parsed = False
-        self._body_start = 0
-        self._chunked = False
-        self._status = 0
+        self._head = None
+        self._body_at = 0
+        self.state = ACTIVE
         self._sent_at = time.monotonic()
         self._in_flight = True
         self.generator.in_flight += 1
@@ -325,19 +364,28 @@ class _SimClient:
             self._in_flight = False
             self.generator.in_flight -= 1
 
-    # -- readiness handling ------------------------------------------------------
+    # -- reactions ---------------------------------------------------------------
 
-    def on_ready(self, mask: int) -> None:
-        try:
-            if mask & _READ and self.state == self.IDLE:
-                self._drain_idle()
+    def on_readable(self) -> None:
+        assert self.sock is not None
+        if self.state == IDLE:
+            self._drain_idle()
+            return
+        while True:
+            data = self.sock.recv(65536)
+            if not data:
+                # Server closed the connection; if we already had the full
+                # response this is just "Connection: close" semantics.
+                if self._response_complete():
+                    self._complete_response(reconnect=True)
+                else:
+                    self._broken()
                 return
-            if mask & _WRITE and self.state in (self.CONNECTING, self.SENDING):
-                self._do_send()
-            if mask & _READ and self.state == self.RECEIVING:
-                self._do_recv()
-        except (ConnectionError, OSError):
-            self._fail()
+            self._recv_buffer.extend(data)
+            self.result.bytes_received += len(data)
+            if self._response_complete():
+                self._complete_response(reconnect=not self.generator.keep_alive)
+                return
 
     def _drain_idle(self) -> None:
         """Readability while parked: the server closed (or broke) the
@@ -346,105 +394,49 @@ class _SimClient:
         no request was in flight."""
         assert self.sock is not None
         try:
-            data = self.sock.recv(4096)
-        except (BlockingIOError, InterruptedError):
+            if self.sock.recv(4096):
+                return
+        except BlockingIOError:
             return
         except OSError:
-            data = b""
-        if not data:
-            self._close()
-
-    def _do_send(self) -> None:
-        assert self.sock is not None
-        self.state = self.SENDING
-        while self._send_buffer:
-            try:
-                sent = self.sock.send(self._send_buffer)
-            except (BlockingIOError, InterruptedError):
-                return
-            self._send_buffer = self._send_buffer[sent:]
-        self.state = self.RECEIVING
-        self._register(_READ)
-
-    def _do_recv(self) -> None:
-        assert self.sock is not None
-        while True:
-            try:
-                data = self.sock.recv(65536)
-            except (BlockingIOError, InterruptedError):
-                return
-            if not data:
-                # Server closed the connection; if we already had the full
-                # response this is just "Connection: close" semantics.
-                if self._header_parsed and self._response_complete():
-                    self._complete_response(reconnect=True)
-                else:
-                    self._fail()
-                return
-            self._recv_buffer.extend(data)
-            self.result.bytes_received += len(data)
-            self.generator.total_bytes += len(data)
-            if not self._header_parsed:
-                self._try_parse_header()
-            if self._header_parsed and self._response_complete():
-                self._complete_response(reconnect=not self.generator.keep_alive)
-                return
-
-    def _try_parse_header(self) -> None:
-        end = self._recv_buffer.find(b"\r\n\r\n")
-        if end < 0:
-            return
-        header = bytes(self._recv_buffer[:end]).decode("latin-1", "replace")
-        self._header_parsed = True
-        self._body_start = end + 4
-        self._expected_length = 0
-        lines = header.split("\r\n")
-        status_parts = lines[0].split(" ", 2)
-        try:
-            self._status = int(status_parts[1]) if len(status_parts) > 1 else 0
-        except ValueError:
-            self._status = 0
-        for line in lines[1:]:
-            lowered = line.lower()
-            if lowered.startswith("content-length:"):
-                try:
-                    self._expected_length = int(line.split(":", 1)[1].strip())
-                except ValueError:
-                    self._expected_length = 0
-            elif lowered.startswith("transfer-encoding:") and "chunked" in lowered:
-                self._chunked = True
-                self._expected_length = None
-            elif lowered.startswith("etag:"):
-                # Remember the validator so later conditional requests can
-                # replay it as If-None-Match.
-                self.generator.record_etag(self._path, line.split(":", 1)[1].strip())
+            pass
+        self._close()
 
     def _response_complete(self) -> bool:
-        if self._chunked:
-            return _chunked_end(self._recv_buffer, self._body_start) is not None
-        if self._expected_length is None:
-            return False
-        return len(self._recv_buffer) - self._body_start >= self._expected_length
+        """Whether the buffered response is whole; parses its head first."""
+        if self._head is None:
+            parsed = parse_head(self._recv_buffer)
+            if parsed is None:
+                return False
+            self._head, self._body_at = parsed
+            # Remember the validator so later conditional requests can
+            # replay it as If-None-Match.
+            self.generator.record_etag(self._path, self._head.headers.get("etag", ""))
+        if self._head.chunked:
+            self._body_at, _, done = walk_chunks(self._recv_buffer, self._body_at)
+            return done
+        return len(self._recv_buffer) - self._body_at >= self._head.content_length
 
     def _complete_response(self, reconnect: bool) -> None:
         now = time.monotonic()
         self._settle()
-        if self._status == 503:
+        assert self._head is not None
+        status = self._head.status
+        if status == 503:
             # Admission shedding: not a completed request and not an
             # error — the server explicitly asked us to come back later.
             self._rejected()
             return
         self.result.requests_completed += 1
         self.generator.total_requests += 1
-        if self._chunked:
+        if self._head.chunked:
             self.result.chunked_responses += 1
-        if 200 <= self._status < 300:
+        if 200 <= status < 300:
             self.result.responses_2xx += 1
-            if self._status == 206:
+            if status == 206:
                 self.result.responses_206 += 1
-        elif self._status == 304:
+        elif status == 304:
             self.result.not_modified += 1
-            self.generator.total_not_modified += 1
         # Open loop: latency includes time spent queued past the scheduled
         # arrival, so overload surfaces as queueing delay.  Closed loop:
         # time from send start (connect included for fresh connections).
@@ -453,7 +445,7 @@ class _SimClient:
         self._scheduled = None
         if self.generator.finished():
             self._close()
-            self.state = self.DONE
+            self.state = DONE
             return
         if self.generator.open_loop:
             if reconnect:
@@ -463,20 +455,15 @@ class _SimClient:
         if not self.generator.can_issue():
             # Closed loop: the rest of the budget is already on the wire.
             self._close()
-            self.state = self.DONE
+            self.state = DONE
             return
         if self.generator.think_time > 0:
             self._close()
-            self.generator.schedule_restart(self, self.generator.think_time)
+            self.generator.schedule_call(self.generator.think_time, self.start)
             return
-        if reconnect or self.sock is None:
+        if reconnect:
             self._close()
-            self._connect()
-        else:
-            self._prepare_request()
-            self.state = self.SENDING
-            self._register(_WRITE)
-            self._do_send()
+        self._issue()
 
     def _rejected(self) -> None:
         """The server shed this request with a 503.
@@ -489,286 +476,165 @@ class _SimClient:
         so the shed is only counted.
         """
         self.result.rejected_503 += 1
-        self._close()
-        self._scheduled = None
-        if self.generator.finished():
-            self.state = self.DONE
-        elif self.generator.open_loop:
-            self.generator.client_idle(self)
-        else:
-            self.result.retries += 1
-            self.generator.schedule_restart(self, self.generator.retry_backoff)
+        self._back_off(retry=True)
 
-    # -- failure and teardown ---------------------------------------------------------
-
-    def _fail(self) -> None:
-        self._settle()
-        if self.generator.retry_resets and not self.generator.open_loop:
+    def _broken(self) -> None:
+        """The connection was refused, broke mid-exchange, or answered
+        bytes that do not parse."""
+        chaos = self.generator.retry_resets and not self.generator.open_loop
+        if chaos:
             # Chaos mode: a well-behaved client retries an idempotent GET
             # whose connection broke mid-exchange (a shard died under it)
             # instead of recording a hard failure.  The reset is still
             # counted so availability reports can see the churn.
             self.result.connection_resets += 1
-            self._close()
-            self._scheduled = None
-            if self.generator.finished():
-                self.state = self.DONE
-            else:
-                self.result.retries += 1
-                self.generator.schedule_restart(self, self.generator.retry_backoff)
-            return
-        self.result.errors += 1
-        self.generator.total_errors += 1
+        else:
+            self.result.errors += 1
+        self._back_off(retry=chaos)
+
+    def _back_off(self, retry: bool) -> None:
+        """The request in flight ended unanswered: close the connection.
+
+        Open loop: the scheduled arrival is consumed (counted, not
+        retried: retrying would inflate the offered load beyond the
+        schedule), and the client goes back to the pool.  Closed loop:
+        start again after ``retry_backoff`` — paced, so a dead server
+        cannot turn reconnects into a busy loop — counted as a retry if
+        ``retry``.
+        """
+        self._settle()
         self._close()
         self._scheduled = None
         if self.generator.finished():
-            self.state = self.DONE
+            self.state = DONE
         elif self.generator.open_loop:
-            # The scheduled arrival this request represented is consumed
-            # (counted as an error, not retried): retrying would inflate
-            # the offered load beyond the schedule.
             self.generator.client_idle(self)
         else:
-            self.start()
-
-    def _close(self) -> None:
-        if self.sock is not None:
-            self._unregister()
-            try:
-                self.sock.close()
-            except OSError:
-                pass
-            self.sock = None
-
-    # -- selector plumbing ---------------------------------------------------------------
-
-    def _register(self, events: int) -> None:
-        if self.sock is None:
-            return
-        selector = self.generator.selector
-        if self._registered_events == 0:
-            selector.register(self.sock, events, self)
-        elif events != self._registered_events:
-            selector.modify(self.sock, events, self)
-        self._registered_events = events
-
-    def _unregister(self) -> None:
-        if self.sock is not None and self._registered_events:
-            try:
-                self.generator.selector.unregister(self.sock)
-            except (KeyError, ValueError):
-                pass
-        self._registered_events = 0
+            if retry:
+                self.result.retries += 1
+            self.generator.schedule_call(self.generator.retry_backoff, self.start)
 
 
-class _SlowClient:
+class _SlowClient(_Client):
     """A deliberately misbehaving client attached alongside the real load.
 
-    Two modes, matching the two resource-holding attacks the server's
-    per-connection deadlines defend against:
-
-    ``writer``
-        A slowloris: connects and dribbles an incomplete request head
-        ``dribble_bytes`` at a time every ``dribble_interval`` seconds,
-        never terminating it.  A hardened server answers ``408`` when its
-        header budget expires and closes; the client counts the 408
-        (``rejected_408``) and the close (``reaped``), then reconnects.
-
-    ``reader``
-        A stalled reader: shrinks its receive buffer, sends one complete
-        GET from the workload, then drains the response at only
-        ``dribble_bytes`` per interval — far slower than the server
-        sends, so the server's transmit stalls.  A hardened server reaps
-        it when its write-stall budget expires; the client counts the
-        close and reconnects.
-
-    Slow clients never contribute to ``requests_completed``; their job is
-    to *hold server resources* so the run shows whether the fast clients'
-    throughput survives their presence.
+    Its two kinds, :class:`_SlowWriter` and :class:`_SlowReader`, match the
+    two resource-holding attacks the server's per-connection deadlines
+    defend against.  Slow clients never contribute to
+    ``requests_completed``; their job is to *hold server resources* so the
+    run shows whether the fast clients' throughput survives their
+    presence.  Each paced :meth:`_step` moves ``dribble_bytes`` every
+    ``dribble_interval`` seconds.
     """
 
-    WRITER = "writer"
-    READER = "reader"
-    DONE = _SimClient.DONE
+    def _pace(self) -> None:
+        """Run one :meth:`_step` on this connection after ``dribble_interval``."""
+        sock = self.sock
 
-    def __init__(self, generator: "LoadGenerator", client_id: int, mode: str):
-        self.generator = generator
-        self.client_id = client_id
-        self.mode = mode
-        self.result = ClientResult()
-        self.sock: Optional[socket.socket] = None
-        self.state = self.DONE
-        self._registered_events = 0
-        self._script = b""
-        self._position = 0
-        self._saw_408 = False
-
-    def start(self) -> None:
-        self._connect()
-
-    def _connect(self) -> None:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setblocking(False)
-        if self.mode == self.READER:
-            # A tiny receive buffer makes the kernel push back on the
-            # server's send almost immediately, so the stall is visible
-            # even for moderate response sizes.
+        def step() -> None:
+            if self.sock is not sock:
+                return  # reaped since; the reconnect paces itself
             try:
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                alive = self._step()
+            except BlockingIOError:
+                alive = True
             except OSError:
-                pass
-        self.sock = sock
-        self.result.connects += 1
-        self._saw_408 = False
-        self._position = 0
-        self.state = self.mode
-        try:
-            sock.connect(self.generator.address)
-        except BlockingIOError:
-            pass
-        except OSError:
-            self.result.errors += 1
-            self._close()
-            self.state = self.DONE
-            return
-        host = "%s:%d" % self.generator.address
-        if self.mode == self.WRITER:
-            # An incomplete head: no terminating blank line, and short
-            # enough to stay under any header-size limit, so the only
-            # thing that can end it is the server's header deadline.
-            self._script = (
-                f"GET / HTTP/1.1\r\nHost: {host}\r\nX-Slowloris: "
-            ).encode("latin-1") + b"a" * 512
-            # Watch for the 408 (and the close that follows it).
-            self._register(_READ)
-            self.generator.schedule_call(
-                self.generator.dribble_interval, self._dribble
-            )
-        else:
-            path = self.generator.next_path()
-            self._script = self.generator.request_bytes(path)
-            # Send the complete request as soon as the connect finishes,
-            # then switch to timer-paced dribble reads.
-            self._register(_WRITE)
+                alive = False
+            if alive:
+                self._pace()
+            else:
+                self._broken()
 
-    # -- readiness and timers ---------------------------------------------------
+        self.generator.schedule_call(self.generator.dribble_interval, step)
 
-    def on_ready(self, mask: int) -> None:
-        if self.sock is None:
-            return
-        if mask & _WRITE and self.mode == self.READER:
-            try:
-                while self._position < len(self._script):
-                    self._position += self.sock.send(self._script[self._position:])
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                self._reaped()
-                return
-            # Request fully sent: stop listening (a genuinely stalled
-            # reader ignores readability) and start the slow drain.
-            self._unregister()
-            self.generator.schedule_call(
-                self.generator.dribble_interval, self._dribble
-            )
-            return
-        if mask & _READ and self.mode == self.WRITER:
-            try:
-                data = self.sock.recv(4096)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                self._reaped()
-                return
-            if not data:
-                self._reaped()
-                return
-            if not self._saw_408 and b" 408 " in data:
-                self._saw_408 = True
-                self.result.rejected_408 += 1
+    def _step(self) -> bool:
+        """One paced step; False when the server has ended the connection."""
+        raise NotImplementedError
 
-    def _dribble(self) -> None:
-        """One paced step: a few head bytes out, or a few body bytes in."""
-        if self.sock is None or self.state == self.DONE:
-            return
-        if self.generator.finished():
-            return
-        if self.mode == self.WRITER:
-            chunk = self._script[
-                self._position : self._position + self.generator.dribble_bytes
-            ]
-            if chunk:
-                try:
-                    self._position += self.sock.send(chunk)
-                except (BlockingIOError, InterruptedError):
-                    pass
-                except OSError:
-                    self._reaped()
-                    return
-        else:
-            # recv alone would hide an abortive reap for minutes: the
-            # kernel serves the already-buffered bytes before surfacing
-            # the reset, and at this drain rate the buffer lasts ages.
-            # SO_ERROR reports the pending reset immediately.
-            try:
-                error = self.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
-            except OSError:
-                error = 1
-            if error:
-                self._reaped()
-                return
-            try:
-                data = self.sock.recv(self.generator.dribble_bytes)
-            except (BlockingIOError, InterruptedError):
-                data = None
-            except OSError:
-                self._reaped()
-                return
-            if data == b"":
-                self._reaped()
-                return
-        self.generator.schedule_call(self.generator.dribble_interval, self._dribble)
-
-    def _reaped(self) -> None:
+    def _broken(self) -> None:
         """The server ended the connection: count it and come back for more."""
         self.result.reaped += 1
         self._close()
         if self.generator.finished():
-            self.state = self.DONE
+            self.state = DONE
         else:
-            self._connect()
-
-    # -- teardown and selector plumbing (mirrors _SimClient) --------------------
-
-    def _close(self) -> None:
-        if self.sock is not None:
-            self._unregister()
-            try:
-                self.sock.close()
-            except OSError:
-                pass
-            self.sock = None
-
-    def _register(self, events: int) -> None:
-        if self.sock is None:
-            return
-        selector = self.generator.selector
-        if self._registered_events == 0:
-            selector.register(self.sock, events, self)
-        elif events != self._registered_events:
-            selector.modify(self.sock, events, self)
-        self._registered_events = events
-
-    def _unregister(self) -> None:
-        if self.sock is not None and self._registered_events:
-            try:
-                self.generator.selector.unregister(self.sock)
-            except (KeyError, ValueError):
-                pass
-        self._registered_events = 0
+            self.start()
 
 
-class _FloodClient:
+class _SlowWriter(_SlowClient):
+    """A slowloris: connects and dribbles an incomplete request head
+    ``dribble_bytes`` at a time every ``dribble_interval`` seconds, never
+    terminating it.  A hardened server answers ``408`` when its header
+    budget expires and closes; the client counts the 408
+    (``rejected_408``) and the close (``reaped``), then reconnects."""
+
+    def _begin(self) -> None:
+        host = "%s:%d" % self.generator.address
+        # An incomplete head: no terminating blank line, and short enough
+        # to stay under any header-size limit, so the only thing that can
+        # end it is the server's header deadline.
+        self._send_buffer = (
+            f"GET / HTTP/1.1\r\nHost: {host}\r\nX-Slowloris: "
+        ).encode("latin-1") + b"a" * 512
+        self._saw_408 = False
+        # Watch for the 408 (and the close that follows it).
+        self._register(_READ)
+        self._pace()
+
+    def on_readable(self) -> None:
+        assert self.sock is not None
+        data = self.sock.recv(4096)
+        if not data:
+            self._broken()
+        elif not self._saw_408 and b" 408 " in data:
+            self._saw_408 = True
+            self.result.rejected_408 += 1
+
+    def _step(self) -> bool:
+        assert self.sock is not None
+        chunk = self._send_buffer[: self.generator.dribble_bytes]
+        if chunk:
+            self._send_buffer = self._send_buffer[self.sock.send(chunk):]
+        return True
+
+
+class _SlowReader(_SlowClient):
+    """A stalled reader: shrinks its receive buffer, sends one complete
+    GET from the workload, then drains the response at only
+    ``dribble_bytes`` per interval — far slower than the server sends, so
+    the server's transmit stalls.  A hardened server reaps it when its
+    write-stall budget expires; the client counts the close and
+    reconnects."""
+
+    #: A tiny receive buffer makes the kernel push back on the server's
+    #: send almost immediately, so the stall is visible even for moderate
+    #: response sizes.
+    RCVBUF = 4096
+
+    def _begin(self) -> None:
+        self._send_buffer = self.generator.request_bytes(self.generator.next_path())
+        # Send the complete request as soon as the connect finishes, then
+        # switch to timer-paced dribble reads.
+        self._register(_WRITE)
+
+    def _sent(self) -> None:
+        # Request fully sent: stop listening (a genuinely stalled reader
+        # ignores readability) and start the slow drain.
+        self._unregister()
+        self._pace()
+
+    def _step(self) -> bool:
+        assert self.sock is not None
+        # recv alone would hide an abortive reap for minutes: the kernel
+        # serves the already-buffered bytes before surfacing the reset,
+        # and at this drain rate the buffer lasts ages.  SO_ERROR reports
+        # the pending reset immediately.
+        if self.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR):
+            return False
+        return self.sock.recv(self.generator.dribble_bytes) != b""
+
+
+class _FloodClient(_Client):
     """A connection flooder attached alongside the real load.
 
     Models the overload attack the admission-control benchmarks defend
@@ -786,111 +652,36 @@ class _FloodClient:
     whether well-behaved clients still get served.
     """
 
-    DONE = _SimClient.DONE
-    FLOODING = "flooding"
-
-    def __init__(self, generator: "LoadGenerator", client_id: int):
-        self.generator = generator
-        self.client_id = client_id
-        self.result = ClientResult()
-        self.sock: Optional[socket.socket] = None
-        self.state = self.DONE
-        self._registered_events = 0
+    def _begin(self) -> None:
         self._saw_503 = False
-
-    def start(self) -> None:
-        self._connect()
-
-    def _connect(self) -> None:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setblocking(False)
-        self.sock = sock
-        self.result.connects += 1
-        self._saw_503 = False
-        self.state = self.FLOODING
-        try:
-            sock.connect(self.generator.address)
-        except BlockingIOError:
-            pass
-        except OSError:
-            # Connect refused outright (listen queue gone, fd pressure on
-            # our own side, ...): pace the retry so a dead server does not
-            # turn the flooder into a busy loop.
-            self.result.errors += 1
-            self._close()
-            self._retry_later()
-            return
         # Hold the connection and watch for the server's verdict: either
         # a 503 + close (admission shedding) or a bare close (fd guard).
         self._register(_READ)
 
-    def on_ready(self, mask: int) -> None:
-        if self.sock is None or not mask & _READ:
-            return
-        try:
-            data = self.sock.recv(4096)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            self._shed()
-            return
+    def _refused(self) -> None:
+        # Connect refused outright (listen queue gone, fd pressure on our
+        # own side, ...): pace the retry so a dead server does not turn
+        # the flooder into a busy loop.
+        self.result.errors += 1
+        self.generator.schedule_call(self.generator.dribble_interval, self.start)
+
+    def on_readable(self) -> None:
+        assert self.sock is not None
+        data = self.sock.recv(4096)
         if not data:
-            self._shed()
-            return
-        if not self._saw_503 and b" 503 " in data:
+            self._broken()
+        elif not self._saw_503 and b" 503 " in data:
             self._saw_503 = True
             self.result.rejected_503 += 1
 
-    def _shed(self) -> None:
+    def _broken(self) -> None:
         """The server ended the held connection: count it, flood again."""
         self.result.reaped += 1
         self._close()
-        self._retry_later()
-
-    def _retry_later(self) -> None:
-        if self.generator.finished():
-            self.state = self.DONE
-            return
-        self.generator.schedule_call(self.generator.dribble_interval, self._reflood)
-
-    def _reflood(self) -> None:
-        if self.state != self.DONE and self.sock is None:
-            if self.generator.finished():
-                self.state = self.DONE
-            else:
-                self._connect()
-
-    # -- teardown and selector plumbing (mirrors _SimClient) --------------------
-
-    def _close(self) -> None:
-        if self.sock is not None:
-            self._unregister()
-            try:
-                self.sock.close()
-            except OSError:
-                pass
-            self.sock = None
-
-    def _register(self, events: int) -> None:
-        if self.sock is None:
-            return
-        selector = self.generator.selector
-        if self._registered_events == 0:
-            selector.register(self.sock, events, self)
-        elif events != self._registered_events:
-            selector.modify(self.sock, events, self)
-        self._registered_events = events
-
-    def _unregister(self) -> None:
-        if self.sock is not None and self._registered_events:
-            try:
-                self.generator.selector.unregister(self.sock)
-            except (KeyError, ValueError):
-                pass
-        self._registered_events = 0
+        self.generator.schedule_call(self.generator.dribble_interval, self.start)
 
 
-class _SSEClient:
+class _SSEClient(_Client):
     """A mostly-idle Server-Sent Events subscriber alongside the real load.
 
     Subscribes to the server's event-stream endpoint once and then just
@@ -903,43 +694,7 @@ class _SSEClient:
     the rest of the run.
     """
 
-    DONE = _SimClient.DONE
-    SUBSCRIBING = "subscribing"
-    SUBSCRIBED = "subscribed"
-
-    def __init__(self, generator: "LoadGenerator", client_id: int):
-        self.generator = generator
-        self.client_id = client_id
-        self.result = ClientResult()
-        self.sock: Optional[socket.socket] = None
-        self.state = self.DONE
-        self._registered_events = 0
-        self._send_buffer = b""
-        self._recv_buffer = bytearray()
-        self._header_parsed = False
-        self._chunked = False
-        self._status = 0
-        self._decode_state: dict = {}
-        self._event_buffer = bytearray()
-
-    def start(self) -> None:
-        self._connect()
-
-    def _connect(self) -> None:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setblocking(False)
-        self.sock = sock
-        self.result.connects += 1
-        self.state = self.SUBSCRIBING
-        try:
-            sock.connect(self.generator.address)
-        except BlockingIOError:
-            pass
-        except OSError:
-            self.result.errors += 1
-            self._close()
-            self.state = self.DONE
-            return
+    def _begin(self) -> None:
         host = "%s:%d" % self.generator.address
         self._send_buffer = (
             f"GET {self.generator.sse_path} HTTP/1.1\r\n"
@@ -948,77 +703,47 @@ class _SSEClient:
             "Connection: keep-alive\r\n"
             "\r\n"
         ).encode("latin-1")
+        self._recv_buffer = bytearray()
+        self._event_buffer = bytearray()
+        #: Whether the stream is chunked; ``None`` until the head arrived.
+        self._chunked: Optional[bool] = None
         self._register(_WRITE)
 
-    def on_ready(self, mask: int) -> None:
-        if self.sock is None:
-            return
-        try:
-            if mask & _WRITE and self.state == self.SUBSCRIBING:
-                while self._send_buffer:
-                    self._send_buffer = self._send_buffer[
-                        self.sock.send(self._send_buffer):
-                    ]
-                self.state = self.SUBSCRIBED
-                self._register(_READ)
-            if mask & _READ and self.state == self.SUBSCRIBED:
-                self._do_recv()
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            self._ended()
-
-    def _do_recv(self) -> None:
+    def on_readable(self) -> None:
         assert self.sock is not None
         while True:
-            try:
-                data = self.sock.recv(65536)
-            except (BlockingIOError, InterruptedError):
-                return
+            data = self.sock.recv(65536)
             if not data:
-                self._ended()
+                self._broken()
                 return
             self.result.bytes_received += len(data)
-            self.generator.total_bytes += len(data)
             self._recv_buffer.extend(data)
-            if not self._header_parsed:
-                if not self._parse_header():
+            if self._chunked is None:
+                parsed = parse_head(self._recv_buffer)
+                if parsed is None:
                     continue
+                head, body_start = parsed
+                if head.status != 200:
+                    # No event stream here (endpoint disabled, or a shed):
+                    # that is an error for a subscriber.
+                    self.result.errors += 1
+                    self._broken()
+                    return
+                del self._recv_buffer[:body_start]
+                self._chunked = head.chunked
             self._consume_events()
-
-    def _parse_header(self) -> bool:
-        end = self._recv_buffer.find(b"\r\n\r\n")
-        if end < 0:
-            return False
-        header = bytes(self._recv_buffer[:end]).decode("latin-1", "replace")
-        lines = header.split("\r\n")
-        status_parts = lines[0].split(" ", 2)
-        try:
-            self._status = int(status_parts[1]) if len(status_parts) > 1 else 0
-        except ValueError:
-            self._status = 0
-        self._chunked = any(
-            line.lower().startswith("transfer-encoding:") and "chunked" in line.lower()
-            for line in lines[1:]
-        )
-        self._header_parsed = True
-        # The decode cursor scans the retained buffer from the body on.
-        del self._recv_buffer[: end + 4]
-        self._decode_state = {"position": 0}
-        if self._status != 200:
-            # No event stream here (endpoint disabled, or a shed): that is
-            # an error for a subscriber.
-            self.result.errors += 1
-            self._ended()
-            return False
-        return True
 
     def _consume_events(self) -> None:
         if self._chunked:
-            payload = _dechunk_available(self._recv_buffer, self._decode_state)
+            try:
+                consumed, payload, _ = walk_chunks(self._recv_buffer, 0)
+            except ValueError:
+                # Unparseable framing: an error, then ``_broken`` via on_ready.
+                self.result.errors += 1
+                raise
         else:
-            payload = bytes(self._recv_buffer[self._decode_state.get("position", 0):])
-            self._decode_state["position"] = len(self._recv_buffer)
+            consumed, payload = len(self._recv_buffer), bytes(self._recv_buffer)
+        del self._recv_buffer[:consumed]
         if not payload:
             return
         self._event_buffer.extend(payload)
@@ -1031,40 +756,11 @@ class _SSEClient:
             if any(line.startswith(b"data:") for line in block.split(b"\n")):
                 self.result.sse_events += 1
 
-    def _ended(self) -> None:
+    def _broken(self) -> None:
         """The server ended the subscription (drain, reap, or disconnect
         policy): the idle subscriber does not resubscribe."""
         self._close()
-        self.state = self.DONE
-
-    # -- teardown and selector plumbing (mirrors _SimClient) --------------------
-
-    def _close(self) -> None:
-        if self.sock is not None:
-            self._unregister()
-            try:
-                self.sock.close()
-            except OSError:
-                pass
-            self.sock = None
-
-    def _register(self, events: int) -> None:
-        if self.sock is None:
-            return
-        selector = self.generator.selector
-        if self._registered_events == 0:
-            selector.register(self.sock, events, self)
-        elif events != self._registered_events:
-            selector.modify(self.sock, events, self)
-        self._registered_events = events
-
-    def _unregister(self) -> None:
-        if self.sock is not None and self._registered_events:
-            try:
-                self.generator.selector.unregister(self.sock)
-            except (KeyError, ValueError):
-                pass
-        self._registered_events = 0
+        self.state = DONE
 
 
 class LoadGenerator:
@@ -1221,13 +917,12 @@ class LoadGenerator:
         self._etags: dict[str, str] = {}
         self._next_path = self._make_path_source(paths)
         self._request_cache: dict[tuple[str, bool, Optional[str]], bytes] = {}
-        self.selector = selectors.DefaultSelector()
+        #: Opened by :meth:`run`, so a generator that never runs holds no
+        #: descriptor.
+        self.selector: Optional[selectors.BaseSelector] = None
         self.total_requests = 0
         #: Requests sent (or being sent) and not yet answered, shed or failed.
         self.in_flight = 0
-        self.total_bytes = 0
-        self.total_errors = 0
-        self.total_not_modified = 0
         self.latency = LatencyHistogram()
         self.dispatched = 0
         self.lateness_sum = 0.0
@@ -1241,8 +936,7 @@ class LoadGenerator:
         self._next_arrival: Optional[float] = None
         self._start_time = 0.0
         self._deadline: Optional[float] = None
-        self._restarts: list[tuple[float, _SimClient]] = []
-        self._calls: list[tuple[float, Callable[[], None]]] = []
+        self._timers: list[tuple[float, Callable[[], None]]] = []
 
     @staticmethod
     def _make_path_source(paths) -> Callable[[], str]:
@@ -1268,27 +962,12 @@ class LoadGenerator:
         """The next request path for whichever client asks."""
         return self._next_path()
 
-    def next_is_ranged(self) -> bool:
-        """Whether the next request should carry the Range header.
-
-        Error-diffusion on :attr:`range_fraction`: deterministic (the
-        benchmarks need repeatable mixes without an RNG) and exact over any
-        window — a 0.25 mix issues precisely every 4th request ranged.
-        """
-        if self.range_fraction <= 0.0:
-            return False
-        self._range_debt += self.range_fraction
-        if self._range_debt >= 1.0:
-            self._range_debt -= 1.0
-            return True
-        return False
-
     def next_is_conditional(self) -> bool:
         """Whether the next request should be a conditional revalidation.
 
-        Same error-diffusion scheme as :meth:`next_is_ranged`, on its own
-        accumulator, so the two mixes interleave deterministically and
-        independently.
+        Error diffusion on :attr:`conditional_fraction`: deterministic (the
+        benchmarks need repeatable mixes without an RNG) and exact over any
+        window — a 0.25 mix revalidates precisely every 4th request.
         """
         if self.conditional_fraction <= 0.0:
             return False
@@ -1299,10 +978,12 @@ class LoadGenerator:
         return False
 
     def next_request_shape(self) -> str:
-        """Decide the next request's shape: conditional, ranged or plain.
+        """Decide the next request's shape: conditional, ranged, chunked or plain.
 
-        A request carries at most one special header, so when both mixes
-        are active their slots must not collide.  The conditional
+        Each mix runs the error diffusion of :meth:`next_is_conditional`
+        on its own accumulator.  A request carries at most one special
+        header, so when both mixes are active their slots must not
+        collide.  The conditional
         accumulator wins a collision, but the range accumulator still
         *advances* on every request and simply carries its debt to the
         next free slot — both fractions therefore converge to their exact
@@ -1386,17 +1067,14 @@ class LoadGenerator:
                 return False
         return not self.finished()
 
-    def schedule_restart(self, client: _SimClient, delay: float) -> None:
-        """Re-start ``client`` after ``delay`` seconds (think-time emulation)."""
-        self._restarts.append((time.monotonic() + delay, client))
-
     def schedule_call(self, delay: float, callback: Callable[[], None]) -> None:
-        """Run ``callback`` after ``delay`` seconds of loop time.
+        """Run ``callback`` after ``delay`` seconds of loop time, unless the
+        run has finished by then.
 
-        The generic timer the misbehaving clients pace their dribbles
-        with; fired from the same place as think-time restarts.
+        The one timer: think-time restarts, retry back-offs, reflooding and
+        the misbehaving clients' dribbles all go through it.
         """
-        self._calls.append((time.monotonic() + delay, callback))
+        self._timers.append((time.monotonic() + delay, callback))
 
     # -- open-loop dispatching ---------------------------------------------------
 
@@ -1411,7 +1089,7 @@ class LoadGenerator:
         if self._backlog and self.can_issue():
             self._dispatch(client, self._backlog.popleft())
             return
-        client.state = _SimClient.IDLE
+        client.state = IDLE
         self._idle.append(client)
         if client.sock is not None:
             client._register(_READ)
@@ -1453,24 +1131,22 @@ class LoadGenerator:
         self._start_time = start
         if self.duration is not None:
             self._deadline = start + self.duration
-        clients = [_SimClient(self, i) for i in range(self.num_clients)]
-        slow = [
-            _SlowClient(self, i, _SlowClient.WRITER) for i in range(self.slow_writers)
-        ] + [
-            _SlowClient(self, i, _SlowClient.READER) for i in range(self.slow_readers)
-        ] + [
-            _FloodClient(self, i) for i in range(self.flood_connections)
-        ] + [
-            _SSEClient(self, i) for i in range(self.sse_clients)
+        self.selector = selectors.DefaultSelector()
+        clients = [_SimClient(self) for _ in range(self.num_clients)]
+        others: list[_Client] = [
+            *(_SlowWriter(self) for _ in range(self.slow_writers)),
+            *(_SlowReader(self) for _ in range(self.slow_readers)),
+            *(_FloodClient(self) for _ in range(self.flood_connections)),
+            *(_SSEClient(self) for _ in range(self.sse_clients)),
         ]
-        everyone = clients + slow
+        everyone = clients + others
         if self.open_loop:
             # Clients start parked; the arrival schedule decides when each
             # first connects.
             for client in clients:
-                client.state = _SimClient.IDLE
+                client.state = IDLE
                 self._idle.append(client)
-            for client in slow:
+            for client in others:
                 client.start()
         else:
             for client in everyone:
@@ -1480,8 +1156,8 @@ class LoadGenerator:
             self._fire_timers()
             if self.open_loop:
                 self._pump_open_loop()
-            active = any(client.state != _SimClient.DONE for client in everyone)
-            if not active and not self._restarts and not self._calls:
+            active = any(client.state != DONE for client in everyone)
+            if not active and not self._timers:
                 break
             events = self.selector.select(timeout=self._poll_timeout())
             for key, mask in events:
@@ -1501,33 +1177,14 @@ class LoadGenerator:
             lateness_max=self.lateness_max,
             max_backlog=self.max_backlog,
         )
-        for client in everyone:
-            result.requests_completed += client.result.requests_completed
-            result.bytes_received += client.result.bytes_received
-            result.errors += client.result.errors
-            result.connects += client.result.connects
-            result.not_modified += client.result.not_modified
-            result.responses_2xx += client.result.responses_2xx
-            result.responses_206 += client.result.responses_206
-            result.reaped += client.result.reaped
-            result.rejected_408 += client.result.rejected_408
-            result.rejected_503 += client.result.rejected_503
-            result.retries += client.result.retries
-            result.connection_resets += client.result.connection_resets
-            result.chunked_responses += client.result.chunked_responses
-            result.sse_events += client.result.sse_events
+        add_counters(result, result.per_client)
         return result
 
     def _fire_timers(self) -> None:
         now = time.monotonic()
-        if self._restarts:
-            due = [item for item in self._restarts if item[0] <= now]
-            self._restarts = [item for item in self._restarts if item[0] > now]
-            for _, client in due:
+        due = [callback for when, callback in self._timers if when <= now]
+        if due:
+            self._timers = [item for item in self._timers if item[0] > now]
+            for callback in due:
                 if not self.finished():
-                    client.start()
-        if self._calls:
-            calls = [item for item in self._calls if item[0] <= now]
-            self._calls = [item for item in self._calls if item[0] > now]
-            for _, callback in calls:
-                callback()
+                    callback()

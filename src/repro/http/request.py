@@ -37,6 +37,7 @@ for callers whose hot-cache lookup misses.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from repro.http.errors import (
@@ -56,6 +57,10 @@ SUPPORTED_VERSIONS = ("HTTP/0.9", "HTTP/1.0", "HTTP/1.1")
 #: Default cap on the size of a request header block, matching the defensive
 #: limits production servers of the era used (Apache: 8 KB per line).
 DEFAULT_MAX_HEADER_BYTES = 16 * 1024
+
+#: The end of a head: its first empty line, CRLF or bare LF.  One C-level
+#: scan; the ``\r`` ending the last header line is trimmed separately.
+_HEAD_END = re.compile(rb"\n\r?\n")
 
 #: Largest header block the fast probe will examine; bigger requests are
 #: unusual enough that the full parser should look at them anyway.
@@ -336,7 +341,8 @@ def probe_fast_request(data):
         if first == 0x20 or first == 0x09:  # folded header: full parser's job
             return FAST_MISS
         colon = data.find(b":", position, line_end)
-        if colon <= position:
+        if colon <= position or data[colon - 1] in (0x20, 0x09):
+            # No name, or whitespace before the colon (the full parser's 400).
             return FAST_MISS
         name = bytes(data[position:colon]).strip().lower()
         if not name or name in _SLOW_HEADER_NAMES or name.startswith(b"if-"):
@@ -550,19 +556,18 @@ class RequestParser:
         return self.complete
 
     def _try_parse_headers(self) -> None:
-        end = self._buffer.find(b"\r\n\r\n")
-        sep_len = 4
-        if end < 0:
-            end = self._buffer.find(b"\n\n")
-            sep_len = 2
-        if end < 0:
+        match = _HEAD_END.search(self._buffer)
+        if match is None:
             if len(self._buffer) > self.max_header_bytes:
                 raise RequestTooLargeError(
                     f"request header exceeds {self.max_header_bytes} bytes"
                 )
             return
+        end = match.start()
+        if end and self._buffer[end - 1] == 0x0D:
+            end -= 1
         header_block = bytes(self._buffer[:end])
-        rest = bytes(self._buffer[end + sep_len:])
+        rest = bytes(self._buffer[match.end():])
         self._buffer = bytearray()
         self._request = self._parse_header_block(header_block)
         self._headers_done = True
@@ -650,6 +655,9 @@ class RequestParser:
             if ":" not in raw:
                 raise BadRequestError(f"malformed header line: {raw!r}")
             name, _, value = raw.partition(":")
+            if name[-1:] in (" ", "\t"):
+                # RFC 7230 §3.2.4: no whitespace between name and colon.
+                raise BadRequestError(f"whitespace before colon: {raw!r}")
             name = name.strip().lower()
             if not name:
                 raise BadRequestError(f"empty header name: {raw!r}")

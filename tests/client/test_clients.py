@@ -1,8 +1,13 @@
 """Unit and integration tests for the HTTP clients (simple + load generator)."""
 
+import socket
+from dataclasses import fields
+
 import pytest
 
-from repro.client.loadgen import LoadGenerator, LoadResult
+from repro.client import loadgen
+from repro.client.coordinator import merge_results
+from repro.client.loadgen import ClientResult, LoadGenerator, LoadResult
 from repro.client.simple import HTTPResponse, fetch, parse_response
 from repro.core.config import ServerConfig
 from repro.core.server import FlashServer
@@ -59,6 +64,52 @@ class TestLoadResult:
         summary = result.to_dict()["latency"]
         assert summary["count"] == 1
         assert summary["p99_ms"] == pytest.approx(2.0)
+
+
+class TestCounterSums:
+    """Summing is field-driven: a counter added to ``ClientResult`` later is
+    summed by ``run()`` and ``merge_results`` with no other edit."""
+
+    @staticmethod
+    def numbered(result, factor=1):
+        for value, counter in enumerate(fields(ClientResult), 1):
+            setattr(result, counter.name, factor * value)
+        return result
+
+    def test_run_sums_every_client_field(self, monkeypatch):
+        def start(client):
+            self.numbered(client.result)
+            client.state = loadgen.DONE
+
+        monkeypatch.setattr(loadgen._SimClient, "start", start)
+        result = LoadGenerator(("127.0.0.1", 1), "/", num_clients=3, duration=5.0).run()
+        assert len(result.per_client) == 3
+        for value, counter in enumerate(fields(ClientResult), 1):
+            assert getattr(result, counter.name) == 3 * value, counter.name
+
+    def test_merge_sums_every_client_field(self):
+        merged = merge_results([self.numbered(LoadResult(), f) for f in (1, 2, 3)])
+        for value, counter in enumerate(fields(ClientResult), 1):
+            assert getattr(merged, counter.name) == 6 * value, counter.name
+
+
+class TestFailurePacing:
+    def test_closed_port_reconnects_are_paced(self):
+        """A refused closed-loop connect comes back after ``retry_backoff``,
+        not at once: 2 clients over 0.5 s make about 2 x 10 attempts."""
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        result = LoadGenerator(
+            ("127.0.0.1", port), "/", num_clients=2, duration=0.5, retry_backoff=0.05
+        ).run()
+        assert 2 <= result.connects <= 30
+        # Each refusal is an error, not a retry; at most one connect per
+        # client can still be pending when the run ends.
+        assert result.connects - 2 <= result.errors <= result.connects
+        assert result.retries == 0
+        assert result.requests_completed == 0
 
 
 class TestLoadGeneratorConfig:
@@ -177,14 +228,14 @@ class TestRangeFraction:
         generator = LoadGenerator(
             ("127.0.0.1", 1), "/", max_requests=1, range_fraction=0.25
         )
-        mix = [generator.next_is_ranged() for _ in range(100)]
+        mix = [generator.next_request_shape() == "ranged" for _ in range(100)]
         assert sum(mix) == 25
         # Deterministic interleave: exactly every 4th request is ranged.
         assert all(mix[i] == (i % 4 == 3) for i in range(100))
 
     def test_zero_fraction_never_ranges(self):
         generator = LoadGenerator(("127.0.0.1", 1), "/", max_requests=1)
-        assert not any(generator.next_is_ranged() for _ in range(50))
+        assert "ranged" not in {generator.next_request_shape() for _ in range(50)}
 
     def test_ranged_request_bytes_carry_header(self):
         generator = LoadGenerator(

@@ -50,18 +50,20 @@ class TestPlanning:
 
     def test_seeds_derive_from_base_and_index(self):
         specs = self._coordinator(seed=99).worker_specs()
-        assert [spec.seed for spec in specs] == [
+        assert [spec.options["seed"] for spec in specs] == [
             derive_worker_seed(99, index) for index in range(4)
         ]
-        assert len({spec.seed for spec in specs}) == 4
+        assert len({spec.options["seed"] for spec in specs}) == 4
 
     def test_arrival_rate_split_evenly(self):
         specs = self._coordinator(arrival_rate=1000.0).worker_specs()
-        assert all(spec.arrival_rate == pytest.approx(250.0) for spec in specs)
+        assert all(
+            spec.options["arrival_rate"] == pytest.approx(250.0) for spec in specs
+        )
 
     def test_max_requests_split_exactly(self):
         specs = self._coordinator(workers=3, duration=None, max_requests=100).worker_specs()
-        shares = [spec.max_requests for spec in specs]
+        shares = [spec.options["max_requests"] for spec in specs]
         assert sum(shares) == 100
         assert max(shares) - min(shares) <= 1
 

@@ -1,67 +1,67 @@
 """Load-generator coverage for the streaming response shapes.
 
-Unit-level: the chunked-framing walkers the clients use to recognise a
-complete ``Transfer-Encoding: chunked`` body (``_chunked_end``) and to
-strip framing incrementally from a growing SSE buffer
-(``_dechunk_available``), plus the error-diffusion chunked mix.
+Unit-level: the one chunk walker (``walk_chunks``) both clients use — the
+regular client to recognise a complete ``Transfer-Encoding: chunked`` body,
+the SSE subscriber to strip framing incrementally from a growing buffer —
+plus the error-diffusion chunked mix.
 Live: a real server streams CGI chunks and SSE heartbeats to the real
 clients, and the per-shape counters survive the cluster merge.
 """
 
+import socket
+import threading
+
 import pytest
 
 from repro.client.coordinator import LoadCoordinator, merge_results
-from repro.client.loadgen import (
-    ClientResult,
-    LoadGenerator,
-    LoadResult,
-    _chunked_end,
-    _dechunk_available,
-)
+from repro.client.loadgen import ClientResult, LoadGenerator, LoadResult
+from repro.client.simple import walk_chunks
 from repro.core.config import ServerConfig
 from repro.servers import create_server
 
 
-class TestChunkedEnd:
+class TestWalkChunks:
     def test_complete_body_returns_offset_past_terminator(self):
         raw = bytearray(b"3\r\nabc\r\n0\r\n\r\n")
-        assert _chunked_end(raw, 0) == len(raw)
+        assert walk_chunks(raw, 0) == (len(raw), b"abc", True)
 
     def test_offset_relative_to_start(self):
         raw = bytearray(b"HEAD" + b"1\r\nx\r\n0\r\n\r\n")
-        assert _chunked_end(raw, 4) == len(raw)
+        assert walk_chunks(raw, 4) == (len(raw), b"x", True)
 
-    def test_incomplete_framings_return_none(self):
+    def test_incomplete_framings_are_not_done(self):
         for partial in (b"", b"3", b"3\r\n", b"3\r\nab", b"3\r\nabc\r\n",
                         b"3\r\nabc\r\n0\r\n"):
-            assert _chunked_end(bytearray(partial), 0) is None
+            position, _, done = walk_chunks(bytearray(partial), 0)
+            assert not done
+            # The cursor stops at the first chunk that has not fully arrived.
+            assert position == (8 if partial.startswith(b"3\r\nabc\r\n") else 0)
 
     def test_trailing_bytes_after_terminator_ignored(self):
         raw = bytearray(b"1\r\na\r\n0\r\n\r\nHTTP/1.1 200 ...")
-        assert _chunked_end(raw, 0) == len(b"1\r\na\r\n0\r\n\r\n")
+        assert walk_chunks(raw, 0) == (len(b"1\r\na\r\n0\r\n\r\n"), b"a", True)
 
-    def test_malformed_size_line_never_completes(self):
-        assert _chunked_end(bytearray(b"zz\r\nabc\r\n"), 0) is None
+    @pytest.mark.parametrize("size_line", [b"zz", b"-5"])
+    def test_malformed_size_line_raises(self, size_line):
+        with pytest.raises(ValueError):
+            walk_chunks(bytearray(size_line + b"\r\nabc\r\n"), 0)
 
-
-class TestDechunkAvailable:
     def test_incremental_payload_extraction(self):
-        buffer = bytearray()
-        state = {"position": 0}
-        buffer.extend(b"5\r\nhel")
-        assert _dechunk_available(buffer, state) == b""
+        buffer = bytearray(b"5\r\nhel")
+        position, payload, _ = walk_chunks(buffer, 0)
+        assert (position, payload) == (0, b"")
         buffer.extend(b"lo\r\n")
-        assert _dechunk_available(buffer, state) == b"hello"
+        position, payload, _ = walk_chunks(buffer, position)
+        assert payload == b"hello"
         buffer.extend(b"3\r\n!!!\r\n")
-        assert _dechunk_available(buffer, state) == b"!!!"
-        assert not state.get("done")
+        position, payload, done = walk_chunks(buffer, position)
+        assert (payload, done) == (b"!!!", False)
+        assert position == len(buffer)
 
     def test_terminator_marks_done(self):
         buffer = bytearray(b"2\r\nok\r\n0\r\n\r\n")
-        state = {"position": 0}
-        assert _dechunk_available(buffer, state) == b"ok"
-        assert state["done"]
-        assert _dechunk_available(buffer, state) == b""
+        assert walk_chunks(buffer, 0) == (len(buffer), b"ok", True)
+        assert walk_chunks(buffer, len(buffer)) == (len(buffer), b"", False)
 
 
 class TestChunkedMix:
@@ -144,6 +144,35 @@ class TestLiveStreamingLoad:
         # Two subscribers × a 50 ms heartbeat × 0.6 s: several events each.
         assert result.sse_events >= 4
 
+    def test_sse_subscriber_counts_malformed_framing(self):
+        # A stub that answers the subscription with an unparseable chunk
+        # size: the subscriber records one error and gives up.
+        listener = socket.create_server(("127.0.0.1", 0))
+        answered = threading.Event()
+
+        def answer():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(
+                    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n"
+                )
+                answered.wait(2.0)
+
+        thread = threading.Thread(target=answer, daemon=True)
+        thread.start()
+        try:
+            generator = LoadGenerator(
+                listener.getsockname(), "/", num_clients=0, sse_clients=1, duration=0.3
+            )
+            result = generator.run()
+        finally:
+            answered.set()
+            thread.join(2.0)
+            listener.close()
+        assert result.errors == 1
+        assert result.sse_events == 0
+
     def test_coordinator_threads_streaming_knobs(self, server):
         coordinator = LoadCoordinator(
             server.address,
@@ -155,10 +184,13 @@ class TestLiveStreamingLoad:
             sse_clients=1,
         )
         specs = coordinator.worker_specs()
-        assert all(spec.chunked_fraction == 0.5 for spec in specs)
-        assert all(spec.sse_clients == 1 for spec in specs)
-        assert all(spec.chunked_path == "/cgi-bin/stream" for spec in specs)
-        assert all(spec.sse_path == "/sse" for spec in specs)
+        workers = [
+            LoadGenerator(spec.address, spec.paths, **spec.options) for spec in specs
+        ]
+        assert all(worker.chunked_fraction == 0.5 for worker in workers)
+        assert all(worker.sse_clients == 1 for worker in workers)
+        assert all(worker.chunked_path == "/cgi-bin/stream" for worker in workers)
+        assert all(worker.sse_path == "/sse" for worker in workers)
 
 
 class TestMergeStreamingCounters:

@@ -205,7 +205,9 @@ class TestLoadgenCommand:
              "--duration", "0.2"]
         )
         assert cmd_loadgen(args) == 2
-        assert "single-process" in capsys.readouterr().err
+        error = capsys.readouterr().err
+        assert "single-process" in error
+        assert "--workers 1" in error
 
 
 class TestValidateBenchCommand:

@@ -2,11 +2,14 @@
 
 import argparse
 import dataclasses
+import inspect
 import os
 
 import pytest
 
 from repro.cli import build_parser
+from repro.client.coordinator import LoadCoordinator
+from repro.client.loadgen import LoadGenerator, LoadResult
 from repro.core.config import ServerConfig
 
 
@@ -69,13 +72,13 @@ SERVE_OPTIONS = {
 }
 
 
-def serve_parser() -> argparse.ArgumentParser:
+def subcommand_parser(name: str) -> argparse.ArgumentParser:
     (subparsers,) = [
         action
         for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     ]
-    return subparsers.choices["serve"]
+    return subparsers.choices[name]
 
 
 class TestKnobLedger:
@@ -84,7 +87,9 @@ class TestKnobLedger:
 
     def test_serve_options(self):
         options = {
-            option for action in serve_parser()._actions for option in action.option_strings
+            option
+            for action in subcommand_parser("serve")._actions
+            for option in action.option_strings
         }
         assert options == SERVE_OPTIONS
 
@@ -93,6 +98,86 @@ class TestKnobLedger:
             build_parser().parse_args(["serve", "--root", "www", "--no-warming"])
         assert exit_info.value.code == 2
         assert "--no-warming" in capsys.readouterr().err
+
+
+#: Every ``LoadGenerator`` keyword, under the same rule.
+LOADGEN_KEYWORDS = {
+    "num_clients", "keep_alive", "duration", "max_requests", "think_time",
+    "range_fraction", "range_spec", "conditional_fraction",
+    "slow_writers", "slow_readers", "flood_connections",
+    "sse_clients", "sse_path", "chunked_fraction", "chunked_path",
+    "retry_backoff", "retry_resets", "dribble_bytes", "dribble_interval",
+    "arrival_rate", "seed",
+}
+
+#: ``LoadCoordinator`` forwards the generator's keywords, except the
+#: single-process ``think_time``, and adds its own two.
+COORDINATOR_KEYWORDS = LOADGEN_KEYWORDS - {"think_time"} | {"workers", "pin_cpus"}
+
+#: Every option string of ``repro loadgen``.
+LOADGEN_OPTIONS = {
+    "-h", "--help", "--host", "--port", "--path", "--clients", "--duration",
+    "--no-keep-alive", "--think-time", "--range-fraction", "--range-bytes",
+    "--conditional-fraction", "--slow-writers", "--slow-readers",
+    "--sse-clients", "--sse-path", "--chunked-fraction", "--chunked-path",
+    "--connection-flood", "--retry-backoff", "--retry-resets",
+    "--dribble-bytes", "--dribble-interval", "--workers", "--pin-cpus",
+    "--arrival-rate", "--seed", "--json",
+}
+
+#: Every key of ``LoadResult.to_dict()`` (the ``loadgen --json`` payload).
+LOAD_RESULT_KEYS = {
+    "requests_completed", "bytes_received", "errors", "not_modified",
+    "responses_2xx", "responses_206", "reaped", "rejected_408",
+    "rejected_503", "retries", "connection_resets", "chunked_responses",
+    "sse_events", "elapsed", "bandwidth_mbps", "request_rate", "dispatched",
+    "lateness_sum", "lateness_max", "max_backlog", "latency",
+}
+
+
+class TestClientKnobLedger:
+    @staticmethod
+    def keyword_defaults(callable_):
+        return {
+            name: parameter.default
+            for name, parameter in inspect.signature(callable_).parameters.items()
+            if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+        }
+
+    def test_generator_keywords(self):
+        assert set(self.keyword_defaults(LoadGenerator)) == LOADGEN_KEYWORDS
+
+    def test_coordinator_keywords(self):
+        """The coordinator spells out only its own two keywords; the rest
+        are the generator's, accepted one by one at their defaults."""
+        defaults = self.keyword_defaults(LoadGenerator)
+        accepted = set(self.keyword_defaults(LoadCoordinator))
+        for name, default in defaults.items():
+            options = {"duration": 1.0}
+            options.setdefault(name, default)
+            try:
+                LoadCoordinator(("127.0.0.1", 1), "/", **options)
+            except TypeError:
+                continue
+            accepted.add(name)
+        assert accepted == COORDINATOR_KEYWORDS
+
+    def test_coordinator_refuses_think_time_and_unknown_keywords(self):
+        with pytest.raises(TypeError, match="single-process"):
+            LoadCoordinator(("127.0.0.1", 1), "/", duration=1.0, think_time=0.5)
+        with pytest.raises(TypeError):
+            LoadCoordinator(("127.0.0.1", 1), "/", duration=1.0, clients=4)
+
+    def test_loadgen_options(self):
+        options = {
+            option
+            for action in subcommand_parser("loadgen")._actions
+            for option in action.option_strings
+        }
+        assert options == LOADGEN_OPTIONS
+
+    def test_result_keys(self):
+        assert set(LoadResult().to_dict()) == LOAD_RESULT_KEYS
 
 
 class TestTimeoutKnobs:

@@ -6,7 +6,8 @@ the full parser — a fast accept can never change the method, target,
 connection disposition, remainder split, or mask an error the full parser
 would have raised.  These tests generate randomized request bytes (valid
 GETs, other methods, truncations, folded headers, bare-LF line endings,
-percent-escapes, query strings, conditional headers) and check the
+whitespace before a colon, percent-escapes, query strings, conditional
+headers) and check the
 invariant on every one.
 """
 
@@ -65,6 +66,8 @@ _HEADER_LINES = st.lists(
             "\tfolded-tab",
             "no-colon-line",
             "Empty-Value:",
+            "Host : bench",
+            "Connection\t: close",
         ]
     ),
     max_size=6,

@@ -84,3 +84,15 @@ def test_transfer_encoding_beside_content_length_is_400_and_close(server):
     assert statuses(stream) == [b"400"]
     assert b"Connection: close" in stream
     assert SECRET not in stream
+
+
+def test_bare_lf_head_then_crlf_head_get_two_answers(server):
+    """The head ends at its first empty line, CRLF or bare LF: a bare-LF
+    request followed by a CRLF one is two requests, not one malformed head."""
+    payload = (
+        b"GET /index.html HTTP/1.1\nHost: x\n\n"
+        b"GET /index.html HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+    )
+    stream = converse(server.address, payload)
+    assert statuses(stream) == [b"200", b"200"]
+    assert stream.count(INDEX) == 2
