@@ -7,7 +7,7 @@ and because it runs outside the server it can block on disk or compute for
 arbitrarily long without affecting the server.
 
 :class:`repro.cgi.runner.CGIRunner` reproduces that structure with
-persistent worker threads or processes, one per registered application.
+persistent worker threads, one per registered application.
 """
 
 from repro.cgi.runner import CGIProgram, CGIRequestData, CGIRunner

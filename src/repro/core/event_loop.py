@@ -4,9 +4,12 @@ A SPED server is a state machine that performs one basic step of a request
 at a time: in each iteration it waits for completed I/O events (new
 connection arrivals, completed file operations, client sockets with data or
 send-buffer space) and runs the corresponding step.  The AMPED build uses
-the same loop and additionally registers its helper IPC channels, so helper
-completions are observed exactly like any other I/O completion — which is
-the crux of the architecture (paper Section 3.4).
+the same loop, and helper completions are observed exactly like any other
+I/O completion — which is the crux of the architecture (paper Section 3.4):
+process-mode helpers through their registered pipes, and everything that
+finishes on another thread (thread-mode helpers, CGI workers, SSE
+publishers) by posting a callback with :meth:`EventLoop.call_soon`, whose
+wakeup socketpair the loop watches like any other descriptor.
 
 The *notification mechanism* behind the wait is pluggable: the loop drives
 one of the :mod:`repro.core.backends` implementations (``select``, ``poll``
@@ -22,7 +25,10 @@ timeouts.  It has no knowledge of HTTP.
 from __future__ import annotations
 
 import heapq
+import logging
+import socket
 import time
+from collections import deque
 from typing import Callable, Optional, Union
 
 from repro.core.backends import (
@@ -40,6 +46,8 @@ __all__ = [
     "add_dispatch_observer",
     "remove_dispatch_observer",
 ]
+
+logger = logging.getLogger(__name__)
 
 #: Observers called as ``observer(callback, elapsed_seconds)`` after every
 #: readiness-callback dispatch.  Empty in production; the runtime sanitizer
@@ -67,9 +75,9 @@ class EventLoop:
     """A single-threaded readiness-callback event loop.
 
     Callbacks are invoked as ``callback(fileobj, events)`` when their file
-    object becomes ready.  Deferred calls registered with :meth:`call_soon`
-    run at the start of the next iteration; timers registered with
-    :meth:`call_later` run once their deadline passes.
+    object becomes ready.  Deferred calls posted with :meth:`call_soon` —
+    from any thread — run on the loop thread in the next iteration; timers
+    registered with :meth:`call_later` run once their deadline passes.
 
     Parameters
     ----------
@@ -83,7 +91,18 @@ class EventLoop:
         if isinstance(backend, str):
             backend = create_backend(backend)
         self._backend = backend
-        self._pending: list[Callable[[], None]] = []
+        #: Deferred calls, appended by any thread and popped by the loop.
+        #: ``deque.append``/``popleft`` are atomic, so posting takes no lock
+        #: (it must not: ``request_drain`` posts from a signal handler that
+        #: runs on the loop thread).
+        self._pending: deque = deque()
+        self._closed = False
+        #: One byte per post wakes a blocked poll.  The read end is always
+        #: registered, so the backend never polls an empty set.
+        self._wake_recv, self._wake_send = socket.socketpair()
+        self._wake_recv.setblocking(False)
+        self._wake_send.setblocking(False)
+        self._backend.register(self._wake_recv, EVENT_READ, self._run_pending)
         self._timers: list[tuple[float, int, Callable[[], None]]] = []
         self._timer_seq = 0
         self._running = False
@@ -134,8 +153,44 @@ class EventLoop:
     # -- deferred work -------------------------------------------------------
 
     def call_soon(self, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` to run on the next loop iteration."""
+        """Run ``callback`` on the loop thread soon; safe from any thread.
+
+        The wake byte may fail to send only when the socket buffer is full,
+        which means a wake is already pending.  Posting to a closed loop is
+        a no-op.
+        """
+        if self._closed:
+            return
         self._pending.append(callback)
+        self._wake()
+
+    def _wake(self) -> None:
+        try:
+            self._wake_send.send(b"\0")
+        except OSError:
+            pass
+
+    def _run_pending(self, _fileobj, _mask) -> None:
+        """Run every posted callback, each behind its own crash barrier.
+
+        The wake bytes are drained *before* the deque is popped, so a post
+        that lands during the drain either is popped here or leaves its
+        byte behind to wake the next poll: nothing is stranded.
+        """
+        try:
+            while self._wake_recv.recv(4096):
+                pass
+        except OSError:  # BlockingIOError: drained
+            pass
+        pending = self._pending
+        while pending:
+            callback = pending.popleft()
+            try:
+                callback()
+            except Exception:
+                # Crash barrier (lint rule RL005): one faulty post must not
+                # skip the posts behind it or unwind the loop.
+                logger.exception("unhandled error in posted callback %r (absorbed)", callback)
 
     def call_later(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run after ``delay`` seconds."""
@@ -145,17 +200,15 @@ class EventLoop:
     # -- execution ------------------------------------------------------------
 
     def run_once(self, timeout: Optional[float] = None) -> int:
-        """Run one iteration: deferred calls, due timers, then one poll.
+        """Run one iteration: due timers, then one poll.
 
-        Returns the number of readiness events dispatched.  ``timeout``
+        Posted calls run inside the poll's dispatch, as the readiness
+        callback of the wakeup socket.  Returns the number of readiness
+        events dispatched (a wakeup counts as one).  ``timeout``
         bounds how long the poll may block; it is clamped down to the
         next timer deadline so timers fire on time.
         """
         self.iterations += 1
-
-        pending, self._pending = self._pending, []
-        for callback in pending:
-            callback()
 
         now = time.monotonic()
         while self._timers and self._timers[0][0] <= now:
@@ -171,17 +224,6 @@ class EventLoop:
             # Armed deadlines bound the poll to one wheel tick so expiries
             # fire within a tick of their nominal time.
             timeout = self.wheel.tick
-        if self._pending:
-            timeout = 0.0
-
-        if not len(self._backend):
-            if timeout:
-                # Nothing is registered, so there is nothing to poll on:
-                # sleeping *is* the wait here, bounded so a registration
-                # from another thread is noticed promptly.
-                # repro-lint: allow[RL001] -- idle loop with zero registered fds: no connection exists to stall
-                time.sleep(min(timeout, 0.05))
-            return 0
 
         events = self._backend.poll(timeout)
         if _dispatch_observers:
@@ -211,9 +253,17 @@ class EventLoop:
             self._running = False
 
     def stop(self) -> None:
-        """Ask :meth:`run_forever` to return after the current iteration."""
+        """Ask :meth:`run_forever` to return; wakes a blocked poll."""
         self._running = False
+        self._wake()
 
     def close(self) -> None:
-        """Release the underlying notification backend."""
+        """Release the wakeup socketpair and the notification backend."""
+        if self._closed:
+            return
+        self._closed = True
+        self._pending.clear()
+        self.unregister(self._wake_recv)
+        self._wake_recv.close()
+        self._wake_send.close()
         self._backend.close()

@@ -34,9 +34,10 @@ Two realizations are provided, selected by ``ServerConfig.helper_mode``:
     "can be implemented either as kernel threads within the main server
     process or as separate processes"; CPython threads release the GIL
     during disk reads, so they provide the same does-not-block-the-main-loop
-    property with far lower IPC cost.  Completions are signalled to the
-    event loop through a self-pipe (socketpair), keeping the observation
-    path identical: the main loop still learns of completions via ``select``.
+    property with far lower IPC cost.  A helper thread posts its completion
+    with :meth:`EventLoop.call_soon`, whose wakeup socketpair the loop
+    watches, so the observation path is unchanged: the main loop still
+    learns of completions via ``select``.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ import logging
 import multiprocessing
 import os
 import queue
-import socket
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from repro.cache.pathname import PathnameEntry
@@ -314,10 +315,11 @@ class HelperPool:
     The pool owns ``num_helpers`` helpers.  :meth:`submit` queues a request
     with its completion callback; idle helpers pick work up immediately and
     excess requests wait (the paper sizes the pool to "enough helpers to
-    keep the disk busy", not one per connection).  The event loop must call
-    :meth:`register` once; afterwards completions are delivered by the
+    keep the disk busy", not one per connection).  :meth:`register` binds
+    the pool to an event loop; afterwards completions are delivered by the
     loop's normal readiness dispatch and each callback runs in the main
-    process/thread — never concurrently with the event loop.
+    process/thread — never concurrently with the event loop.  An unbound
+    pool runs its operations but delivers no completions.
 
     Parameters
     ----------
@@ -379,15 +381,13 @@ class HelperPool:
         return request.seq
 
     def register(self, loop) -> None:
-        """Register the pool's completion channels with an event loop."""
+        """Bind the pool to an event loop that will run its completions.
+
+        Thread-mode helpers post to the loop; process-mode helper pipes are
+        registered with it.
+        """
         self._loop = loop
-        if self.mode == "thread":
-            loop.register(
-                self._wakeup_recv,
-                EVENT_READ,
-                lambda _fileobj, _mask: self.process_completions(),
-            )
-        else:
+        if self.mode == "process":
             for conn in self._parent_conns:
                 loop.register(
                     conn,
@@ -396,67 +396,11 @@ class HelperPool:
                 )
 
     def unregister(self, loop) -> None:
-        """Remove the pool's channels from an event loop."""
-        if self.mode == "thread":
-            loop.unregister(self._wakeup_recv)
-        else:
+        """Unbind the pool from an event loop."""
+        if self.mode == "process":
             for conn in self._parent_conns:
                 loop.unregister(conn)
         self._loop = None
-
-    def process_completions(self) -> int:
-        """Run callbacks for every completion available right now.
-
-        Thread mode only; process-mode completions are drained per pipe by
-        the event loop callback installed in :meth:`register`.  Returns the
-        number of completions processed.
-        """
-        try:
-            if self.mode != "thread":
-                return self.poll()
-            # Drain the wakeup bytes first so the loop does not spin.
-            try:
-                while self._wakeup_recv.recv(4096):
-                    pass
-            except (BlockingIOError, InterruptedError):
-                pass
-            processed = 0
-            while True:
-                try:
-                    reply = self._done_queue.get_nowait()
-                except queue.Empty:
-                    break
-                self._complete(reply)
-                processed += 1
-            return processed
-        except Exception:
-            # Crash barrier (lint rule RL005): this runs as a loop readiness
-            # callback, and an escaped exception would kill every connection.
-            logger.exception("unhandled error draining helper completions (absorbed)")
-            return 0
-
-    def poll(self) -> int:
-        """Check every completion channel without blocking (process mode)."""
-        if self.mode == "thread":
-            return self.process_completions()
-        processed = 0
-        for conn in list(self._parent_conns):
-            processed += self._drain_process(conn)
-        return processed
-
-    def wait_all(self, timeout: float = 10.0) -> None:
-        """Block until every outstanding operation has completed (tests only)."""
-        import time
-
-        deadline = time.monotonic() + timeout
-        while self.outstanding and time.monotonic() < deadline:
-            if self.mode == "thread":
-                self.process_completions()
-            else:
-                self.poll()
-            time.sleep(0.001)
-        if self.outstanding:
-            raise TimeoutError(f"{self.outstanding} helper operations still outstanding")
 
     def shutdown(self) -> None:
         """Stop all helpers and release IPC resources.  Idempotent."""
@@ -468,8 +412,6 @@ class HelperPool:
                 self._work_queue.put(HelperRequest(seq=0, op=OP_SHUTDOWN))
             for thread in self._threads:
                 thread.join(timeout=5.0)
-            self._wakeup_recv.close()
-            self._wakeup_send.close()
         else:
             for conn in self._parent_conns:
                 try:
@@ -486,18 +428,20 @@ class HelperPool:
     # -- completion plumbing ----------------------------------------------------
 
     def _complete(self, reply: HelperReply) -> None:
-        callback = self._callbacks.pop(reply.seq, None)
-        self.completed += 1
-        if callback is not None:
-            callback(reply)
+        try:
+            callback = self._callbacks.pop(reply.seq, None)
+            self.completed += 1
+            if callback is not None:
+                callback(reply)
+        except Exception:
+            # Crash barrier (lint rule RL005): this runs on the event loop,
+            # and an escaped exception would kill every connection.
+            logger.exception("unhandled error in helper completion (absorbed)")
 
     # -- thread mode -------------------------------------------------------------
 
     def _init_threads(self) -> None:
         self._work_queue: queue.Queue = queue.Queue()
-        self._done_queue: queue.Queue = queue.Queue()
-        self._wakeup_recv, self._wakeup_send = socket.socketpair()
-        self._wakeup_recv.setblocking(False)
         self._threads = [
             threading.Thread(target=self._thread_main, name=f"flash-helper-{i}", daemon=True)
             for i in range(self.num_helpers)
@@ -511,11 +455,9 @@ class HelperPool:
             if request.op == OP_SHUTDOWN:
                 return
             reply = perform_helper_operation(request)
-            self._done_queue.put(reply)
-            try:
-                self._wakeup_send.send(b"\0")
-            except OSError:
-                return
+            loop = self._loop
+            if loop is not None:
+                loop.call_soon(partial(self._complete, reply))
 
     # -- process mode -------------------------------------------------------------
 

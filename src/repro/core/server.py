@@ -85,10 +85,15 @@ def open_listener(config: ServerConfig, *, timeout: float) -> socket.socket:
 
 
 def build_services(
-    config: ServerConfig, store: ContentStore
+    config: ServerConfig, store: ContentStore, loop: Optional[EventLoop] = None
 ) -> tuple[CGIRunner, Optional[SSEHub], AdmissionController]:
     """The CGI runner, SSE hub and admission controller of one server
     (of one worker process, in the MP build).
+
+    An event-driven server passes its ``loop``: CGI completions and SSE
+    notifies are then posted to it, so response and subscriber
+    ready-callbacks run on the loop thread.  The blocking builds pass
+    none, and the runner and hub post nothing.
 
     The hub exists only when ``sse_path`` is set; its heartbeat ticker,
     when enabled, is a plain daemon thread publishing through the
@@ -97,7 +102,7 @@ def build_services(
     stats lock — the null context outside the MT build, where this one
     counter trades exactness for not dragging a lock onto every publish.
     """
-    cgi_runner = CGIRunner(config.cgi_programs, stream_depth=config.cgi_stream_depth)
+    cgi_runner = CGIRunner(config.cgi_programs, stream_depth=config.cgi_stream_depth, loop=loop)
     sse_hub = None
     if config.sse_path:
 
@@ -106,7 +111,10 @@ def build_services(
                 store.stats.sse_dropped_events += 1
 
         sse_hub = SSEHub(
-            queue_limit=config.sse_queue_limit, policy=config.sse_policy, on_drop=count_drop
+            queue_limit=config.sse_queue_limit,
+            policy=config.sse_policy,
+            on_drop=count_drop,
+            loop=loop,
         )
         sse_hub.start_ticker(config.sse_heartbeat)
     admission = AdmissionController(
@@ -165,12 +173,9 @@ class BaseEventDrivenServer(ListeningServer):
         self.config = config
         self.loop = EventLoop(backend=config.io_backend)
         self.store = ContentStore(config, residency_tester=residency_tester)
-        self.cgi_runner, self.sse_hub, self.admission = build_services(config, self.store)
-        # Completions and SSE notifies ride the event loop, so response and
-        # subscriber ready-callbacks run on the loop thread.
-        self.cgi_runner.register(self.loop)
-        if self.sse_hub is not None:
-            self.sse_hub.register(self.loop)
+        self.cgi_runner, self.sse_hub, self.admission = build_services(
+            config, self.store, self.loop
+        )
         self._connections: set[Connection] = set()
         self._stop_event = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -343,8 +348,9 @@ class BaseEventDrivenServer(ListeningServer):
         """Enter drain mode: stop accepting, finish in-flight responses.
 
         Safe to call from a signal handler or another thread: it only
-        appends to the loop's deferred-call list (a plain list append,
-        atomic under the GIL); all drain work runs on the loop thread.
+        posts to the loop's deferred-call queue (:meth:`EventLoop.call_soon`
+        takes no lock and wakes the poll); all drain work runs on the loop
+        thread.
         The event loop exits — and :meth:`run_forever` returns — once
         every in-flight response completes or ``drain_timeout`` expires,
         whichever comes first.
@@ -454,6 +460,7 @@ class BaseEventDrivenServer(ListeningServer):
     def stop(self, timeout: float = 5.0) -> None:
         """Stop the event loop and release all resources."""
         self._stop_event.set()
+        self.loop.stop()
         if self._thread is not None:
             self._thread.join(timeout=timeout)
             self._thread = None
@@ -472,8 +479,7 @@ class BaseEventDrivenServer(ListeningServer):
             self._listen_sock = None
         self.admission.close()
         if self.sse_hub is not None:
-            self.sse_hub.unregister(self.loop)
-            self.sse_hub.shutdown()
+            self.sse_hub.close()
             self.sse_hub = None
         self.cgi_runner.shutdown()
         self.store.close()

@@ -19,24 +19,22 @@ absorbs the publisher's output, under one of two configurable policies:
     is worse than a reconnect.
 
 Threading: ``publish`` may be called from any thread (the heartbeat
-ticker is a plain daemon thread in every architecture).  Event-driven
-consumers are notified through a loop-registered wakeup socketpair —
-the same idiom the CGI runner uses — so subscriber ready-callbacks
-always run on the loop thread.  Blocking-architecture consumers skip
-notification entirely and block in :meth:`SSESubscriber.wait`.
+ticker is a plain daemon thread in every architecture).  A hub bound to
+an event loop posts its dispatch with :meth:`EventLoop.call_soon` — the
+path helpers and CGI workers take too — so subscriber ready-callbacks
+always run on the loop thread.  Blocking-architecture consumers leave
+the hub unbound, skip notification entirely and block in
+:meth:`SSESubscriber.wait`.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-import socket
 import threading
 import time
 from collections import deque
 from typing import Callable, Optional
-
-from repro.core.event_loop import EVENT_READ
 
 logger = logging.getLogger(__name__)
 
@@ -154,13 +152,17 @@ class SSESubscriber(ResponseSource):
 
 
 class SSEHub:
-    """Fan-out point for SSE events, with optional loop/ticker plumbing."""
+    """Fan-out point for SSE events, with optional loop/ticker plumbing.
+
+    ``loop`` binds the hub at construction (the same as :meth:`register`).
+    """
 
     def __init__(
         self,
         queue_limit: int = 64,
         policy: str = "drop",
         on_drop: Optional[Callable[[], None]] = None,
+        loop=None,
     ) -> None:
         if policy not in ("drop", "disconnect"):
             raise ValueError("sse policy must be 'drop' or 'disconnect'")
@@ -170,9 +172,7 @@ class SSEHub:
         self._lock = threading.Lock()
         self._subscribers: set[SSESubscriber] = set()
         self._notify_pending: set[SSESubscriber] = set()
-        self._wakeup_recv, self._wakeup_send = socket.socketpair()
-        self._wakeup_recv.setblocking(False)
-        self._wakeup_send.setblocking(False)
+        self._loop = loop
         self._ticker: Optional[threading.Thread] = None
         self._ticker_stop = threading.Event()
         self._closed = False
@@ -206,19 +206,12 @@ class SSEHub:
                 event_id: Optional[str] = None) -> int:
         """Deliver one event to every subscriber; returns the fan-out count."""
         payload = format_sse_event(data, event=event, event_id=event_id)
-        notify: list[SSESubscriber] = []
         with self._lock:
             if self._closed:
                 return 0
             self.events_published += 1
             targets = list(self._subscribers)
-        for subscriber in targets:
-            if subscriber.enqueue(payload):
-                notify.append(subscriber)
-        if notify:
-            with self._lock:
-                self._notify_pending.update(notify)
-            self._poke()
+        self._notify([subscriber for subscriber in targets if subscriber.enqueue(payload)])
         return len(targets)
 
     def _count_drop(self) -> None:
@@ -226,44 +219,39 @@ class SSEHub:
         if self._on_drop is not None:
             self._on_drop()
 
-    def _poke(self) -> None:
-        try:
-            self._wakeup_send.send(b"\0")
-        except OSError:
-            pass
-
     # -- event-loop plumbing ---------------------------------------------------
 
     def register(self, loop) -> None:
-        """Register the notify channel so ready-callbacks run on the loop."""
-        loop.register(
-            self._wakeup_recv,
-            EVENT_READ,
-            lambda _fileobj, _mask: self.dispatch_notifications(),
-        )
+        """Bind the hub to a loop so ready-callbacks run on the loop thread."""
+        self._loop = loop
 
     def unregister(self, loop) -> None:
-        loop.unregister(self._wakeup_recv)
+        """Unbind the hub: later publishes notify nobody."""
+        self._loop = None
 
-    def dispatch_notifications(self) -> int:
+    def _notify(self, subscribers) -> None:
+        """Mark ``subscribers`` ready; post one dispatch per pending batch."""
+        loop = self._loop
+        if loop is None or not subscribers:
+            return
+        with self._lock:
+            post = not self._notify_pending
+            self._notify_pending.update(subscribers)
+        if post:
+            loop.call_soon(self._dispatch)
+
+    def _dispatch(self) -> None:
         """Fire the ready-callback of every subscriber with pending data."""
         try:
-            try:
-                while self._wakeup_recv.recv(4096):
-                    pass
-            except (BlockingIOError, InterruptedError):
-                pass
             with self._lock:
                 pending = list(self._notify_pending)
                 self._notify_pending.clear()
             for subscriber in pending:
                 subscriber.notify_ready()
-            return len(pending)
         except Exception:
-            # Crash barrier (lint rule RL005): runs as a loop readiness
+            # Crash barrier (lint rule RL005): runs as a posted loop
             # callback; a subscriber-callback bug must not kill the loop.
             logger.exception("unhandled error dispatching SSE notifies (absorbed)")
-            return 0
 
     # -- heartbeat ticker ------------------------------------------------------
 
@@ -272,7 +260,7 @@ class SSEHub:
 
         A plain daemon thread in every architecture: ``publish`` is
         thread-safe and event-driven consumers are reached through the
-        wakeup channel, so the loop never runs the ticker itself.
+        loop's ``call_soon``, so the loop never runs the ticker itself.
         """
         if interval <= 0 or self._ticker is not None:
             return
@@ -301,20 +289,13 @@ class SSEHub:
                 return
             self._closed = True
             subscribers = list(self._subscribers)
-            self._notify_pending.update(subscribers)
         self._ticker_stop.set()
         if self._ticker is not None:
             self._ticker.join(timeout=2.0)
             self._ticker = None
         for subscriber in subscribers:
             subscriber.end_stream()
-        self._poke()
-
-    def shutdown(self) -> None:
-        """Close the hub and its wakeup channel (after loop unregister)."""
-        self.close()
-        self._wakeup_recv.close()
-        self._wakeup_send.close()
+        self._notify(subscribers)
 
 
 __all__ = [

@@ -217,7 +217,7 @@ def _mp_worker_main(
         )
     finally:
         if sse_hub is not None:
-            sse_hub.shutdown()
+            sse_hub.close()
         try:
             stats_queue.put(store.stats.snapshot())
         except Exception:

@@ -168,7 +168,7 @@ class MTServer(ListeningServer):
             self._listen_sock = None
         self.admission.close()
         if self.sse_hub is not None:
-            self.sse_hub.shutdown()
+            self.sse_hub.close()
             self.sse_hub = None
         self.cgi_runner.shutdown()
         self.store.close()

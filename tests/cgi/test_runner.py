@@ -1,6 +1,5 @@
 """Unit tests for the persistent CGI application runner (paper Section 5.6)."""
 
-import os
 import time
 
 import pytest
@@ -151,16 +150,3 @@ class TestAsynchronousExecution:
         assert isinstance(results[0][1], RuntimeError)
         runner.shutdown()
         loop.close()
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="process workers require fork")
-class TestProcessWorkers:
-    def test_run_in_separate_process(self):
-        runner = CGIRunner({"hello": hello_app}, mode="process")
-        request = parse(b"GET /cgi-bin/hello?p=1 HTTP/1.0\r\n\r\n")
-        assert runner.run(request) == b"<html>hello p=1</html>"
-        runner.shutdown()
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            CGIRunner({}, mode="rpc")

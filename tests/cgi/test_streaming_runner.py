@@ -1,4 +1,4 @@
-"""Streaming CGI tests: bounded-queue backpressure in both worker modes.
+"""Streaming CGI tests: bounded-queue backpressure in both drives.
 
 A CGI application that returns a generator streams its chunks through a
 bounded per-request queue.  The synchronous drive (MP/MT builds) gets a
@@ -9,7 +9,6 @@ full queue — that blocking IS the backpressure — and a cancelled stream
 unblocks the producer so its ``finally`` blocks run.
 """
 
-import os
 import threading
 import time
 
@@ -230,50 +229,6 @@ class TestAsynchronousStreaming:
         # Cancel drains: the producer exits its put loop instead of finishing.
         time.sleep(0.2)
         assert len(blocked_at) < 1000
-        runner.unregister(loop)
-        runner.shutdown()
-        loop.close()
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="process workers require fork")
-class TestProcessWorkerStreaming:
-    def test_sync_stream_through_a_process(self):
-        runner = CGIRunner({"stream": counting_stream}, mode="process")
-        request = parse(b"GET /cgi-bin/stream?n=4 HTTP/1.0\r\n\r\n")
-        body = runner.run(request)
-        assert b"".join(body) == b"chunk-0;chunk-1;chunk-2;chunk-3;"
-        runner.shutdown()
-
-    def test_process_stream_error_propagates(self):
-        runner = CGIRunner({"bad": failing_stream}, mode="process")
-        request = parse(b"GET /cgi-bin/bad HTTP/1.0\r\n\r\n")
-        with pytest.raises(RuntimeError, match="CGI stream failed"):
-            list(runner.run(request))
-        runner.shutdown()
-
-    def test_async_stream_through_a_process(self):
-        loop = EventLoop()
-        runner = CGIRunner({"stream": counting_stream}, mode="process")
-        runner.register(loop)
-        results = []
-        request = parse(b"GET /cgi-bin/stream?n=3 HTTP/1.0\r\n\r\n")
-        runner.submit(request, lambda body, error: results.append((body, error)))
-        deadline = time.monotonic() + 10.0
-        while not results and time.monotonic() < deadline:
-            loop.run_once(timeout=0.05)
-        source, error = results[0]
-        assert error is None
-        collected = bytearray()
-        end = time.monotonic() + 10.0
-        while time.monotonic() < end:
-            segment = source.next_segment()
-            if segment is END_OF_STREAM:
-                break
-            if segment is WOULD_BLOCK:
-                loop.run_once(timeout=0.05)
-                continue
-            collected.extend(segment)
-        assert bytes(collected) == b"chunk-0;chunk-1;chunk-2;"
         runner.unregister(loop)
         runner.shutdown()
         loop.close()

@@ -1,10 +1,17 @@
 """Unit tests for the selectors-based event loop."""
 
+import logging
+import os
 import socket
 import threading
 import time
 
+import pytest
+
+from repro.cgi.runner import CGIRunner
 from repro.core.event_loop import EVENT_READ, EVENT_WRITE, EventLoop
+from repro.core.helpers import HelperPool
+from repro.core.sse import SSEHub
 
 
 class TestReadiness:
@@ -122,3 +129,117 @@ class TestRunForever:
         loop.run_once(timeout=0)
         assert loop.iterations == 2
         loop.close()
+
+
+class TestCrossThreadPosts:
+    """``call_soon`` is the one way back onto the loop from another thread."""
+
+    def test_every_post_from_many_threads_runs_exactly_once(self):
+        loop = EventLoop()
+        threads, posts = 8, 500
+        counts = [0] * (threads * posts)
+
+        def bump(index):
+            counts[index] += 1
+
+        def poster(base):
+            for offset in range(posts):
+                loop.call_soon(lambda index=base + offset: bump(index))
+
+        workers = [threading.Thread(target=poster, args=(n * posts,)) for n in range(threads)]
+        for worker in workers:
+            worker.start()
+        deadline = time.monotonic() + 10.0
+        while sum(counts) < len(counts) and time.monotonic() < deadline:
+            loop.run_once(timeout=0.05)
+        for worker in workers:
+            worker.join()
+        loop.run_once(timeout=0)
+        assert counts == [1] * len(counts)
+        loop.close()
+
+    def test_post_wakes_a_blocked_poll(self):
+        loop = EventLoop()
+        left, right = socket.socketpair()
+        loop.register(left, EVENT_READ, lambda sock, mask: None)  # idle: never readable
+        ran = []
+        poster = threading.Timer(0.1, lambda: loop.call_soon(lambda: ran.append(1)))
+        start = time.monotonic()
+        poster.start()
+        loop.run_once(timeout=5.0)
+        elapsed = time.monotonic() - start
+        poster.join()
+        assert ran == [1]
+        assert elapsed < 0.5
+        loop.unregister(left)
+        left.close()
+        right.close()
+        loop.close()
+
+    def test_stop_wakes_run_forever(self):
+        loop = EventLoop()
+        left, right = socket.socketpair()
+        loop.register(left, EVENT_READ, lambda sock, mask: None)  # idle: never readable
+        runner = threading.Thread(target=loop.run_forever, kwargs={"poll_interval": 5.0})
+        runner.start()
+        time.sleep(0.05)
+        start = time.monotonic()
+        loop.stop()
+        runner.join(timeout=5.0)
+        assert not runner.is_alive()
+        assert time.monotonic() - start < 0.5
+        loop.unregister(left)
+        left.close()
+        right.close()
+        loop.close()
+
+    def test_raising_post_is_logged_and_later_posts_still_run(self, caplog):
+        loop = EventLoop()
+        ran = []
+
+        def explode():
+            raise RuntimeError("posted callback bug")
+
+        loop.call_soon(lambda: ran.append("before"))
+        loop.call_soon(explode)
+        loop.call_soon(lambda: ran.append("after"))
+        with caplog.at_level(logging.ERROR, logger="repro.core.event_loop"):
+            loop.run_once(timeout=0)
+        assert ran == ["before", "after"]
+        assert "posted callback bug" in caplog.text
+        # The loop itself lives on.
+        loop.call_soon(lambda: ran.append("next"))
+        loop.run_once(timeout=0)
+        assert ran == ["before", "after", "next"]
+        loop.close()
+
+    def test_post_to_closed_loop_is_a_noop(self):
+        loop = EventLoop()
+        loop.close()
+        loop.call_soon(lambda: pytest.fail("a closed loop runs nothing"))
+        loop.stop()
+        loop.close()
+
+
+def _open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize(
+    "build, release",
+    [
+        (SSEHub, SSEHub.close),
+        (CGIRunner, CGIRunner.shutdown),
+        (lambda: HelperPool(num_helpers=2, mode="thread"), HelperPool.shutdown),
+    ],
+    ids=["sse-hub", "cgi-runner", "thread-helpers"],
+)
+def test_off_loop_services_open_no_descriptors(build, release):
+    """Only the loop owns a wakeup channel; the services that post to it own none."""
+    before = _open_descriptors()
+    service = build()
+    try:
+        assert _open_descriptors() == before
+    finally:
+        release(service)

@@ -279,7 +279,7 @@ def test_sse_sender_subscribes_or_refuses(store):
         sender.release()
         assert hub.subscriber_count == 0
     finally:
-        hub.shutdown()
+        hub.close()
 
 
 # -- one stream, two transports ------------------------------------------------------

@@ -1,6 +1,7 @@
 """Unit tests for the AMPED helper pool and IPC protocol."""
 
 import os
+import time
 
 import pytest
 
@@ -20,6 +21,25 @@ def docroot(tmp_path):
     (tmp_path / "index.html").write_text("<html>hi</html>")
     (tmp_path / "big.bin").write_bytes(b"b" * 100_000)
     return str(tmp_path)
+
+
+@pytest.fixture
+def loop():
+    loop = EventLoop()
+    yield loop
+    loop.close()
+
+
+def settle(pool, loop, timeout=10.0):
+    """Drive ``loop`` until every operation ``pool`` owes has completed.
+
+    Completions only ever arrive through the loop the pool is bound to —
+    the way the AMPED server (and the bench helper probe) observe them.
+    """
+    deadline = time.monotonic() + timeout
+    while pool.outstanding and time.monotonic() < deadline:
+        loop.run_once(timeout=0.05)
+    assert not pool.outstanding, f"{pool.outstanding} helper operations still outstanding"
 
 
 class TestPerformHelperOperation:
@@ -60,22 +80,22 @@ class TestPerformHelperOperation:
 
 
 class TestHelperPoolThreads:
-    def test_submit_and_wait(self, docroot):
+    def test_submit_and_wait(self, docroot, loop):
         pool = HelperPool(num_helpers=2, mode="thread")
+        pool.register(loop)
         replies = []
         for name in ("index.html", "big.bin"):
             pool.submit(
                 HelperRequest(seq=0, op=OP_TRANSLATE, uri=f"/{name}", document_root=docroot),
                 replies.append,
             )
-        pool.wait_all(timeout=5.0)
+        settle(pool, loop, timeout=5.0)
         assert len(replies) == 2
         assert all(reply.ok for reply in replies)
         assert pool.completed == 2
         pool.shutdown()
 
-    def test_completions_delivered_through_event_loop(self, docroot):
-        loop = EventLoop()
+    def test_completions_delivered_through_event_loop(self, docroot, loop):
         pool = HelperPool(num_helpers=1, mode="thread")
         pool.register(loop)
         replies = []
@@ -90,28 +110,29 @@ class TestHelperPoolThreads:
         assert replies and replies[0].ok
         pool.unregister(loop)
         pool.shutdown()
-        loop.close()
 
-    def test_errors_reported_not_raised(self, docroot):
+    def test_errors_reported_not_raised(self, docroot, loop):
         pool = HelperPool(num_helpers=1, mode="thread")
+        pool.register(loop)
         replies = []
         pool.submit(
             HelperRequest(seq=0, op=OP_TRANSLATE, uri="/missing", document_root=docroot),
             replies.append,
         )
-        pool.wait_all(timeout=5.0)
+        settle(pool, loop, timeout=5.0)
         assert replies and not replies[0].ok
         pool.shutdown()
 
-    def test_more_requests_than_helpers(self, docroot):
+    def test_more_requests_than_helpers(self, docroot, loop):
         pool = HelperPool(num_helpers=1, mode="thread")
+        pool.register(loop)
         replies = []
         for _ in range(10):
             pool.submit(
                 HelperRequest(seq=0, op=OP_READ, path=os.path.join(docroot, "big.bin")),
                 replies.append,
             )
-        pool.wait_all(timeout=10.0)
+        settle(pool, loop)
         assert len(replies) == 10
         pool.shutdown()
 
@@ -135,8 +156,9 @@ class TestHelperPoolThreads:
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="process helpers require fork")
 class TestHelperPoolProcesses:
-    def test_translate_via_process_helpers(self, docroot):
+    def test_translate_via_process_helpers(self, docroot, loop):
         pool = HelperPool(num_helpers=2, mode="process")
+        pool.register(loop)
         replies = []
         try:
             for _ in range(4):
@@ -146,14 +168,15 @@ class TestHelperPoolProcesses:
                     ),
                     replies.append,
                 )
-            pool.wait_all(timeout=10.0)
+            settle(pool, loop)
         finally:
             pool.shutdown()
         assert len(replies) == 4
         assert all(reply.ok for reply in replies)
 
-    def test_backlog_when_all_helpers_busy(self, docroot):
+    def test_backlog_when_all_helpers_busy(self, docroot, loop):
         pool = HelperPool(num_helpers=1, mode="process")
+        pool.register(loop)
         replies = []
         try:
             for _ in range(5):
@@ -161,7 +184,7 @@ class TestHelperPoolProcesses:
                     HelperRequest(seq=0, op=OP_READ, path=os.path.join(docroot, "big.bin")),
                     replies.append,
                 )
-            pool.wait_all(timeout=15.0)
+            settle(pool, loop, timeout=15.0)
         finally:
             pool.shutdown()
         assert len(replies) == 5
@@ -173,8 +196,8 @@ class TestProcessHelperDeath:
     pool degrades to the survivors."""
 
     @staticmethod
-    def crash_pool(num_helpers, monkeypatch):
-        """A process pool whose helpers exit hard inside OP_READ."""
+    def crash_pool(num_helpers, monkeypatch, loop):
+        """A process pool, bound to ``loop``, whose helpers exit hard inside OP_READ."""
         import repro.core.helpers as helpers_module
 
         def die(path, offset, length):
@@ -182,17 +205,19 @@ class TestProcessHelperDeath:
 
         # Patched before fork: the helper children inherit the crash.
         monkeypatch.setattr(helpers_module, "_touch_file_range", die)
-        return HelperPool(num_helpers=num_helpers, mode="process")
+        pool = HelperPool(num_helpers=num_helpers, mode="process")
+        pool.register(loop)
+        return pool
 
-    def test_death_synthesizes_failed_reply(self, docroot, monkeypatch):
-        pool = self.crash_pool(2, monkeypatch)
+    def test_death_synthesizes_failed_reply(self, docroot, monkeypatch, loop):
+        pool = self.crash_pool(2, monkeypatch, loop)
         replies = []
         try:
             pool.submit(
                 HelperRequest(seq=0, op=OP_READ, path=os.path.join(docroot, "big.bin")),
                 replies.append,
             )
-            pool.wait_all(timeout=10.0)
+            settle(pool, loop)
         finally:
             pool.shutdown()
         assert len(replies) == 1
@@ -200,15 +225,15 @@ class TestProcessHelperDeath:
         assert replies[0].error_type == "HelperDiedError"
         assert pool.helpers_died == 1
 
-    def test_pool_degrades_to_survivors(self, docroot, monkeypatch):
-        pool = self.crash_pool(2, monkeypatch)
+    def test_pool_degrades_to_survivors(self, docroot, monkeypatch, loop):
+        pool = self.crash_pool(2, monkeypatch, loop)
         replies = []
         try:
             pool.submit(
                 HelperRequest(seq=0, op=OP_READ, path=os.path.join(docroot, "big.bin")),
                 replies.append,
             )
-            pool.wait_all(timeout=10.0)
+            settle(pool, loop)
             # One helper is gone; translations still complete on the other.
             pool.submit(
                 HelperRequest(
@@ -216,7 +241,7 @@ class TestProcessHelperDeath:
                 ),
                 replies.append,
             )
-            pool.wait_all(timeout=10.0)
+            settle(pool, loop)
         finally:
             pool.shutdown()
         assert len(replies) == 2
@@ -224,15 +249,15 @@ class TestProcessHelperDeath:
         assert replies[1].ok
         assert pool.helpers_died == 1
 
-    def test_all_helpers_dead_fails_fast(self, docroot, monkeypatch):
-        pool = self.crash_pool(1, monkeypatch)
+    def test_all_helpers_dead_fails_fast(self, docroot, monkeypatch, loop):
+        pool = self.crash_pool(1, monkeypatch, loop)
         replies = []
         try:
             pool.submit(
                 HelperRequest(seq=0, op=OP_READ, path=os.path.join(docroot, "big.bin")),
                 replies.append,
             )
-            pool.wait_all(timeout=10.0)
+            settle(pool, loop)
             # No helpers remain: a new submission fails immediately instead
             # of waiting forever.
             pool.submit(
@@ -245,16 +270,12 @@ class TestProcessHelperDeath:
         assert all(not reply.ok for reply in replies)
         assert all(reply.error_type == "HelperDiedError" for reply in replies)
 
-    def test_death_observed_through_event_loop(self, docroot, monkeypatch):
+    def test_death_observed_through_event_loop(self, docroot, monkeypatch, loop):
         """The AMPED observation path: the dead helper's pipe EOF arrives
         as a readiness event and the completion runs from the loop."""
-        import time
-
-        pool = self.crash_pool(1, monkeypatch)
-        loop = EventLoop()
+        pool = self.crash_pool(1, monkeypatch, loop)
         replies = []
         try:
-            pool.register(loop)
             pool.submit(
                 HelperRequest(seq=0, op=OP_READ, path=os.path.join(docroot, "big.bin")),
                 replies.append,
@@ -264,7 +285,6 @@ class TestProcessHelperDeath:
                 loop.run_once(timeout=0.05)
         finally:
             pool.shutdown()
-            loop.close()
         assert len(replies) == 1
         assert replies[0].error_type == "HelperDiedError"
 

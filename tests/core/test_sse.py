@@ -9,10 +9,12 @@ heartbeat ticker, and the lifecycle (close is idempotent, a closed hub
 hands out already-ended subscriptions).
 """
 
+import threading
 import time
 
 import pytest
 
+from repro.core.event_loop import EventLoop
 from repro.core.sse import SSE_PREAMBLE, SSEHub, format_sse_event
 from repro.core.streaming import END_OF_STREAM, WOULD_BLOCK
 
@@ -48,7 +50,7 @@ class TestSubscriberBasics:
         subscriber = hub.subscribe()
         assert subscriber.next_segment() == SSE_PREAMBLE
         assert subscriber.next_segment() is WOULD_BLOCK
-        hub.shutdown()
+        hub.close()
 
     def test_publish_fans_out_to_every_subscriber(self):
         hub = SSEHub()
@@ -59,7 +61,7 @@ class TestSubscriberBasics:
             assert subscriber.next_segment() == SSE_PREAMBLE
             assert subscriber.next_segment() == b"data: one\n\n"
             assert subscriber.next_segment() is WOULD_BLOCK
-        hub.shutdown()
+        hub.close()
 
     def test_unsubscribe_stops_delivery(self):
         hub = SSEHub()
@@ -67,7 +69,7 @@ class TestSubscriberBasics:
         subscriber.close()
         assert hub.subscriber_count == 0
         assert hub.publish("gone") == 0
-        hub.shutdown()
+        hub.close()
 
     def test_events_deliver_in_order(self):
         hub = SSEHub()
@@ -79,7 +81,7 @@ class TestSubscriberBasics:
         assert got == [f"data: {i}\n\n".encode() for i in range(5)]
         assert sentinel is WOULD_BLOCK
         assert subscriber.events_delivered == 5
-        hub.shutdown()
+        hub.close()
 
     def test_wait_returns_when_event_arrives(self):
         hub = SSEHub()
@@ -90,7 +92,38 @@ class TestSubscriberBasics:
         hub.publish("now")
         assert subscriber.wait(timeout=1.0)
         assert subscriber.next_segment() == b"data: now\n\n"
-        hub.shutdown()
+        hub.close()
+
+
+class TestLoopBinding:
+    def test_publish_from_another_thread_notifies_on_the_loop_thread(self):
+        loop = EventLoop()
+        hub = SSEHub(loop=loop)
+        subscriber = hub.subscribe()
+        woken_on = []
+        subscriber.bind(lambda: woken_on.append(threading.get_ident()))
+        publisher = threading.Thread(target=lambda: [hub.publish(str(i)) for i in range(5)])
+        publisher.start()
+        publisher.join()
+        deadline = time.monotonic() + 5.0
+        while not woken_on and time.monotonic() < deadline:
+            loop.run_once(timeout=0.05)
+        # Five publishes, one pending batch: the dispatch was posted once.
+        assert woken_on == [threading.get_ident()]
+        hub.close()
+        loop.close()
+
+    def test_unbound_hub_posts_nothing(self):
+        loop = EventLoop()
+        hub = SSEHub(loop=loop)
+        hub.unregister(loop)
+        subscriber = hub.subscribe()
+        subscriber.bind(lambda: pytest.fail("an unbound hub must not notify"))
+        hub.publish("quiet")
+        assert loop.run_once(timeout=0) == 0
+        assert subscriber.pending == 1
+        hub.close()
+        loop.close()
 
 
 class TestDropPolicy:
@@ -107,7 +140,7 @@ class TestDropPolicy:
         assert got == [b"data: 2\n\n", b"data: 3\n\n", b"data: 4\n\n"]
         assert hub.events_dropped == 2
         assert len(drops) == 2
-        hub.shutdown()
+        hub.close()
 
     def test_subscriber_stays_connected_after_drops(self):
         hub = SSEHub(queue_limit=1, policy="drop")
@@ -119,7 +152,7 @@ class TestDropPolicy:
         assert subscriber.next_segment() is WOULD_BLOCK
         hub.publish("c")                               # still live
         assert subscriber.next_segment() == b"data: c\n\n"
-        hub.shutdown()
+        hub.close()
 
 
 class TestDisconnectPolicy:
@@ -134,7 +167,7 @@ class TestDisconnectPolicy:
         assert got == [b"data: a\n\n", b"data: b\n\n"]
         assert sentinel is END_OF_STREAM
         assert hub.events_dropped == 0
-        hub.shutdown()
+        hub.close()
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -158,13 +191,13 @@ class TestTicker:
         assert len(ticks) >= 2
         assert ticks[0].startswith(b"id: 0\nevent: tick\n")
         assert ticks[1].startswith(b"id: 1\nevent: tick\n")
-        hub.shutdown()
+        hub.close()
 
     def test_zero_interval_does_not_start_thread(self):
         hub = SSEHub()
         hub.start_ticker(0)
         assert hub._ticker is None
-        hub.shutdown()
+        hub.close()
 
 
 class TestLifecycle:
@@ -182,8 +215,6 @@ class TestLifecycle:
         hub = SSEHub()
         hub.close()
         hub.close()
-        hub.shutdown()
-        hub.shutdown()
 
     def test_subscribe_after_close_yields_ended_stream(self):
         hub = SSEHub()
@@ -200,7 +231,7 @@ class TestLifecycle:
         subscriber.close()
         subscriber.close()
         assert subscriber.pending == 0
-        hub.shutdown()
+        hub.close()
 
     def test_pause_suppresses_notify_wish(self):
         hub = SSEHub()
@@ -210,4 +241,4 @@ class TestLifecycle:
         assert not subscriber.enqueue(b"data: y\n\n")  # paused: queue absorbs
         subscriber.resume()
         assert subscriber.enqueue(b"data: z\n\n")
-        hub.shutdown()
+        hub.close()

@@ -8,11 +8,13 @@ for real; the scripted oracle is deterministic and is asserted exactly.
 """
 
 import os
+import time
 
 import pytest
 
 from repro.cache.residency import MincoreResidencyTester, SimulatedResidencyOracle
 from repro.core.config import ServerConfig
+from repro.core.event_loop import EventLoop
 from repro.core.helpers import (
     OP_WARM,
     HelperPool,
@@ -78,15 +80,20 @@ class TestWarmOperation:
         assert reply.error_type == "FileNotFoundError"
 
     def test_warm_through_helper_pool(self, datafile):
+        loop = EventLoop()
         pool = HelperPool(num_helpers=2, mode="thread")
+        pool.register(loop)
         replies = []
         try:
             pool.submit(
                 HelperRequest(seq=0, op=OP_WARM, path=datafile), replies.append
             )
-            pool.wait_all()
+            deadline = time.monotonic() + 10.0
+            while not replies and time.monotonic() < deadline:
+                loop.run_once(timeout=0.05)
         finally:
             pool.shutdown()
+            loop.close()
         assert len(replies) == 1 and replies[0].ok
         assert replies[0].bytes_touched == os.path.getsize(datafile)
 
