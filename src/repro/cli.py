@@ -312,9 +312,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     in-flight responses under ``--drain-timeout``, print the shutdown
     summary, exit 0.
     """
+    import contextlib
     import signal
-    import threading
-    import time
+
+    from repro.core.server import DRAIN_SIGNALS
 
     config = ServerConfig(
         document_root=args.root,
@@ -342,24 +343,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.no_caches:
         config = config.without_caches()
 
-    def _install_drain_handlers(handler):
-        # signal.signal returns the handler it replaced; keep it so the
+    @contextlib.contextmanager
+    def _drain_handlers(handler):
+        # signal.signal returns the handler it replaced; restore it so the
         # caller's handlers survive an in-process cmd_serve (tests embed
         # the CLI — a leaked handler would swallow later SIGTERMs).
-        saved = []
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                saved.append((sig, signal.signal(sig, handler)))
-            except ValueError:  # pragma: no cover - not on the main thread
-                pass
-        return saved
-
-    def _restore_drain_handlers(saved):
-        for sig, previous in saved:
-            try:
-                signal.signal(sig, previous)
-            except (ValueError, TypeError):  # pragma: no cover
-                pass
+        saved = [(sig, signal.signal(sig, handler)) for sig in DRAIN_SIGNALS]
+        try:
+            yield
+        finally:
+            for sig, previous in saved:
+                if previous is not None:  # None: installed outside Python
+                    signal.signal(sig, previous)
 
     if args.shards > 1:
         # Imported lazily: the single-server path must not require
@@ -372,22 +367,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # Handlers go in before the banner: a SIGTERM racing the startup
         # message must drain, not kill.  run_forever re-installs the same
         # behaviour on the main thread.
-        saved = _install_drain_handlers(lambda *_: supervisor.request_drain())
-        host, port = supervisor.address
-        print(
-            f"{args.architecture} fleet: {args.shards} shards sharing "
-            f"http://{host}:{port}/ via SO_REUSEPORT, serving "
-            f"{config.document_root}"
-        )
-        print("press Ctrl-C (or send SIGTERM) to drain and stop")
-        try:
-            code = supervisor.run_forever(install_signals=True)
-        except KeyboardInterrupt:
-            # A second Ctrl-C during the drain lands here: stop hard.
-            supervisor.stop()
-            code = 0
-        finally:
-            _restore_drain_handlers(saved)
+        with _drain_handlers(lambda *_: supervisor.request_drain()):
+            host, port = supervisor.address
+            print(
+                f"{args.architecture} fleet: {args.shards} shards sharing "
+                f"http://{host}:{port}/ via SO_REUSEPORT, serving "
+                f"{config.document_root}"
+            )
+            print("press Ctrl-C (or send SIGTERM) to drain and stop")
+            try:
+                code = supervisor.run_forever(install_signals=True)
+            except KeyboardInterrupt:
+                # A second Ctrl-C during the drain lands here: stop hard.
+                supervisor.stop()
+                code = 0
         print(
             f"\nfleet stopped: {supervisor.shard_deaths} shard deaths, "
             f"{supervisor.restarts} restarts"
@@ -396,12 +389,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return code
 
     server = create_server(args.architecture, config)
-    drain_started = threading.Event()
+    drain_started = False
 
     def _trigger_drain(_signum=None, _frame=None) -> None:
-        if drain_started.is_set():
+        # Runs in a signal handler: a flag store and request_drain take no
+        # lock the interrupted wait could hold.
+        nonlocal drain_started
+        if drain_started:
             return
-        drain_started.set()
+        drain_started = True
         print(
             f"\ndraining: waiting up to {config.drain_timeout:.1f}s "
             "for in-flight responses"
@@ -410,33 +406,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     # Handlers go in before the banner: a SIGTERM racing the startup
     # message must drain, not kill.
-    saved = _install_drain_handlers(_trigger_drain)
-    server.start()
-    host, port = server.address
-    print(f"{args.architecture} server serving {config.document_root} on http://{host}:{port}/")
-    if hasattr(server, "loop"):
-        send_path = "zero-copy (sendfile)" if config.zero_copy else "buffered"
-        hot = "on" if config.hot_cache else "off"
-        fast = "on" if config.fast_parse else "off"
-        print(
-            f"io backend: {server.loop.backend_name}; send path: {send_path}; "
-            f"hot cache: {hot}; fast parse: {fast}"
-        )
-    print("press Ctrl-C (or send SIGTERM) to drain and stop")
-    try:
-        while not drain_started.is_set():
-            time.sleep(0.2)
-    except KeyboardInterrupt:  # pragma: no cover - handler normally installed
-        _trigger_drain()
-    try:
-        if hasattr(server, "drain"):
-            server.drain()
-    finally:
-        _restore_drain_handlers(saved)
-        server.stop()
-        stats = getattr(server, "stats", None)
-        if stats is not None:
-            print(_format_summary(stats))
+    with _drain_handlers(_trigger_drain), contextlib.closing(server):
+        server.bind()
+        host, port = server.address
+        print(f"{args.architecture} server serving {config.document_root} on http://{host}:{port}/")
+        if hasattr(server, "loop"):
+            send_path = "zero-copy (sendfile)" if config.zero_copy else "buffered"
+            hot = "on" if config.hot_cache else "off"
+            fast = "on" if config.fast_parse else "off"
+            print(
+                f"io backend: {server.loop.backend_name}; send path: {send_path}; "
+                f"hot cache: {hot}; fast parse: {fast}"
+            )
+        print("press Ctrl-C (or send SIGTERM) to drain and stop")
+        server.run_forever()
+        print(_format_summary(server.stats))
     return 0
 
 

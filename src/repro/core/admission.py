@@ -2,8 +2,9 @@
 
 A front-end that cannot say *no* collapses exactly where the paper's
 architecture comparison stops measuring: past saturation.  Two distinct
-overload mechanisms live here, shared by the event-driven builds'
-accept-readiness handler and the MT/MP blocking accept loops:
+overload mechanisms live here, both run by :func:`accept_connection` —
+the one accept step that the event-driven builds' accept-readiness
+handler and the MT/MP blocking accept loop take alike:
 
 **Connection-count admission** (:meth:`AdmissionController.admit`).
 ``max_connections`` bounds concurrently open client connections.  Above
@@ -26,25 +27,34 @@ connection, sheds it cleanly (best-effort 503, then close), re-opens the
 sentinel, and tells the caller to **pause accepting** until established
 connections drain.
 
-:func:`classify_accept_error` is the shared triage for accept-loop
+:func:`classify_accept_error` is the shared triage for accept
 ``OSError``\\s — the MT/MP loops used to treat every error the same, which
 turned a persistent ``EMFILE`` into a busy-spin (transient errors must be
-retried immediately; resource exhaustion must back off; a closed listener
-must end the loop).
+retried immediately; resource exhaustion must back off; a closed or shut
+down listener must end the loop).  What differs per architecture is only
+the reaction to the step's outcome: the event loop ends its sweep when
+nothing is pending and pauses accept interest on exhaustion; a blocking
+worker backs off.
 """
 
 from __future__ import annotations
 
 import errno
 import os
+import select
 import socket
 import threading
-from typing import Optional
+from typing import Callable, Optional
+
+from repro.testing.faults import faults
 
 __all__ = [
     "AdmissionController",
+    "accept_connection",
     "classify_accept_error",
     "shed_response",
+    "ACCEPTED",
+    "ACCEPT_EMPTY",
     "ACCEPT_TRANSIENT",
     "ACCEPT_RESOURCE",
     "ACCEPT_FATAL",
@@ -57,6 +67,10 @@ __all__ = [
 #: failure, cap at MAX, reset on the first successful accept.
 ACCEPT_BACKOFF_INITIAL = 0.05
 ACCEPT_BACKOFF_MAX = 1.0
+
+#: Outcomes of :func:`accept_connection` besides the error classes below.
+ACCEPTED = "accepted"
+ACCEPT_EMPTY = "empty"
 
 #: Accept-error classes returned by :func:`classify_accept_error`.
 ACCEPT_TRANSIENT = "transient"
@@ -104,6 +118,47 @@ def classify_accept_error(exc: OSError) -> str:
     if code in _RESOURCE_ERRNOS:
         return ACCEPT_RESOURCE
     return ACCEPT_FATAL
+
+
+def accept_connection(listen_sock, store, admission, open_count: Callable[[], int]):
+    """The accept step of every build: ``(outcome, client_sock, address)``.
+
+    Only :data:`ACCEPTED` carries a socket to serve.  :data:`ACCEPT_EMPTY`:
+    nothing pending.  :data:`ACCEPT_TRANSIENT`: this arrival failed or was
+    shed with the 503; take the next.  :data:`ACCEPT_RESOURCE`: out of
+    descriptors, one backlogged arrival was shed through the sentinel; stop
+    accepting for a while.  :data:`ACCEPT_FATAL`: the listener is gone or
+    shut down.  ``connections_accepted``, ``connections_shed`` and
+    ``fd_exhaustion_events`` are counted here and nowhere else;
+    ``open_count()`` is read after the accept, when it is current.
+    """
+    try:
+        if faults.take("accept_emfile"):
+            # Injected fd exhaustion: behave exactly as if accept(2) itself
+            # had failed with EMFILE.
+            raise OSError(errno.EMFILE, "injected fd exhaustion")
+        client_sock, address = listen_sock.accept()
+    except (BlockingIOError, InterruptedError):
+        return ACCEPT_EMPTY, None, None
+    except OSError as exc:
+        kind = classify_accept_error(exc)
+        if kind == ACCEPT_RESOURCE:
+            with store.stats_lock():
+                store.stats.fd_exhaustion_events += 1
+            admission.shed_one_pending(listen_sock)
+        return kind, None, None
+    admitted = admission.admit(open_count())
+    with store.stats_lock():
+        store.stats.connections_accepted += 1
+        if not admitted:
+            store.stats.connections_shed += 1
+    if not admitted:
+        # Over the connection bound: answer the precomposed 503 and close,
+        # so the client learns immediately instead of timing out in the
+        # backlog.
+        admission.shed(client_sock)
+        return ACCEPT_TRANSIENT, None, None
+    return ACCEPTED, client_sock, address
 
 
 def shed_response(retry_after: int = 1) -> bytes:
@@ -241,7 +296,17 @@ class AdmissionController:
         re-open the sentinel.  Without this, the arrival would hang in
         the backlog until the client's own timeout — the silent failure
         mode admission control exists to prevent.
+
+        The MT/MP listener is blocking (and shared: its ``O_NONBLOCK`` is
+        not ours to toggle), so readiness is probed first: an empty backlog
+        must not block here.
         """
+        if listen_sock is None:
+            return
+        probe = select.poll()
+        probe.register(listen_sock, select.POLLIN)
+        if not probe.poll(0):
+            return
         with self._lock:
             if self._sentinel is not None:
                 try:
@@ -250,9 +315,8 @@ class AdmissionController:
                     pass
                 self._sentinel = None
             try:
-                if listen_sock is not None:
-                    pending, _address = listen_sock.accept()
-                    self.shed(pending)
+                pending, _address = listen_sock.accept()
+                self.shed(pending)
             except OSError:
                 pass
             finally:

@@ -17,14 +17,17 @@ blocking work runs:
   the operations inline — faithful to SPED, including its weakness: a disk
   miss stalls every connection.
 
-:class:`ListeningServer`, :func:`open_listener` and
-:func:`build_services` are what every architecture's server object shares,
-the MT and MP builds included.
+:class:`ListeningServer` (the lifecycle contract), :func:`open_listener`,
+:func:`build_services` and the drain-signal helpers are what every
+architecture's server object shares, the MT and MP builds included.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
+import select
+import signal
 import socket
 import threading
 from typing import Optional
@@ -34,8 +37,9 @@ from repro.cgi.runner import CGIRunner
 from repro.core.admission import (
     ACCEPT_RESOURCE,
     ACCEPT_TRANSIENT,
+    ACCEPTED,
     AdmissionController,
-    classify_accept_error,
+    accept_connection,
 )
 from repro.core.config import ServerConfig
 from repro.core.connection import Connection
@@ -52,7 +56,6 @@ from repro.core.pipeline import ContentStore, ServerStats, StaticContent
 from repro.core.sse import SSEHub
 from repro.http.errors import HTTPError, NotFoundError
 from repro.http.request import HTTPRequest
-from repro.testing.faults import faults
 
 logger = logging.getLogger(__name__)
 
@@ -62,12 +65,15 @@ logger = logging.getLogger(__name__)
 ACCEPT_RETRY_INTERVAL = 1.0
 
 
-def open_listener(config: ServerConfig, *, timeout: float) -> socket.socket:
+#: The signals that ask a server (or a shard fleet) to drain.
+DRAIN_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
+
+def open_listener(config: ServerConfig) -> socket.socket:
     """Create, bind and listen on the socket ``config`` describes.
 
-    ``timeout`` is the accept timeout: ``0`` makes the listener non-blocking
-    (the event loop reports readiness); the MT/MP workers use a short
-    positive one so they notice shutdown without needing signals.
+    It is blocking: MT/MP workers block in ``accept`` until an arrival or
+    until a drain shuts the listener down (:func:`wait_for_shutdown`).
     """
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -77,11 +83,38 @@ def open_listener(config: ServerConfig, *, timeout: float) -> socket.socket:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
     sock.bind((config.host, config.port))
     sock.listen(config.listen_backlog)
-    if timeout > 0:
-        sock.settimeout(timeout)
-    else:
-        sock.setblocking(False)
     return sock
+
+
+def wait_for_shutdown(listen_sock: socket.socket, timeout: Optional[float] = None) -> bool:
+    """Block until ``listen_sock`` is shut down, or ``timeout`` runs out.
+
+    A drain's ``shutdown(SHUT_RD)`` wakes every blocked ``accept`` with
+    ``EINVAL`` (a ``close`` would not), in forked workers too, and raises
+    ``POLLHUP``, which this waits for: it polls for no events, so
+    arrivals (``POLLIN``) do not end the wait.
+    """
+    poller = select.poll()
+    poller.register(listen_sock, 0)
+    return bool(poller.poll(None if timeout is None else timeout * 1000))
+
+
+@contextlib.contextmanager
+def drain_signals_blocked():
+    """Hold :data:`DRAIN_SIGNALS` pending across a fork: one that reaches
+    the child before it has set its own dispositions (and called
+    :func:`unblock_drain_signals`) is not lost to the parent's handler,
+    which the child starts out running."""
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, DRAIN_SIGNALS)
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
+def unblock_drain_signals() -> None:
+    """The child's half of :func:`drain_signals_blocked`: deliver what is pending."""
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, DRAIN_SIGNALS)
 
 
 def build_services(
@@ -126,18 +159,28 @@ def build_services(
 
 
 class ListeningServer:
-    """What every architecture's server object shares with its callers:
-    the listening socket, its address, and ``with server:`` as start/stop."""
+    """What every architecture's server object shares with its callers —
+    the listener, ``with server:`` as start/stop, and one lifecycle:
 
-    #: The listener's accept timeout (see :func:`open_listener`).
-    accept_timeout = 0.2
+    * ``start()`` binds, launches and returns at once; ``run_forever()``
+      binds, launches, and returns once a drain has completed;
+    * ``request_drain()`` is signal-safe (it takes no lock the wait in
+      ``run_forever`` holds); ``drain(timeout=None)`` requests one, waits,
+      forces stragglers at the deadline, and returns True once done;
+    * after ``stop(timeout)`` nothing is served; it ends in ``close()``;
+    * ``stats``, ``open_connections``, ``draining``, ``address``, ``port``.
+
+    Callers (``repro serve``, a shard) never ask which build they hold.
+    """
+
     config: ServerConfig
     _listen_sock: Optional[socket.socket] = None
+    _closed = False
 
     def bind(self) -> None:
         """Create the listening socket.  Idempotent."""
         if self._listen_sock is None:
-            self._listen_sock = open_listener(self.config, timeout=self.accept_timeout)
+            self._listen_sock = open_listener(self.config)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -151,6 +194,49 @@ class ListeningServer:
         """Bound TCP port (useful when the config asked for an ephemeral port)."""
         return self.address[1]
 
+    @property
+    def stats(self) -> ServerStats:
+        """Centralized request statistics (shared-state accounting, §4.2;
+        the MT build's workers update them under the store's lock)."""
+        return self.store.stats
+
+    def run_forever(self) -> None:
+        """Bind, launch, and return once a drain has completed.
+
+        The caller's thread waits for the drain to shut the listener down,
+        then in :meth:`drain`.
+        """
+        self.start()
+        if not self.draining:
+            wait_for_shutdown(self._listen_sock)
+        self.drain()
+
+    def drain(self, timeout: Optional[float] = None) -> bool:
+        """Request a drain and wait for it; True once the server wound down
+        (every connection finished or force-closed at ``drain_timeout``,
+        or ``timeout``).  :meth:`close` still releases the resources."""
+        self.request_drain()
+        return self._wind_down(self.config.drain_timeout if timeout is None else timeout)
+
+    def close(self) -> None:
+        """Release everything the server holds.  Idempotent."""
+        if self._closed:
+            return
+        self._closed = True
+        self._release()
+        if self._listen_sock is not None:
+            self._listen_sock.close()
+            self._listen_sock = None
+
+    def _release(self) -> None:
+        """What :meth:`close` frees besides the listener: the services."""
+        self.admission.close()
+        if self.sse_hub is not None:
+            self.sse_hub.close()
+            self.sse_hub = None
+        self.cgi_runner.shutdown()
+        self.store.close()
+
     def __enter__(self):
         return self.start()
 
@@ -163,7 +249,6 @@ class BaseEventDrivenServer(ListeningServer):
 
     #: Architecture label used in logs, experiments and ``create_server``.
     architecture = "event-driven"
-    accept_timeout = 0  # non-blocking: the loop reports the listener readable
 
     def __init__(
         self,
@@ -179,7 +264,6 @@ class BaseEventDrivenServer(ListeningServer):
         self._connections: set[Connection] = set()
         self._stop_event = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._closed = False
         #: Accept-pause state for the fd-exhaustion guard: while paused the
         #: listener is unregistered from the loop (a level-triggered backend
         #: would otherwise spin on the forever-readable listener) and it is
@@ -198,12 +282,9 @@ class BaseEventDrivenServer(ListeningServer):
         """Create and register the listening socket.  Idempotent."""
         if self._listen_sock is None:
             super().bind()
+            # Non-blocking: the loop reports the listener readable.
+            self._listen_sock.setblocking(False)
             self.loop.register(self._listen_sock, EVENT_READ, self._on_accept_ready)
-
-    @property
-    def stats(self) -> ServerStats:
-        """Centralized request statistics (shared-state accounting, §4.2)."""
-        return self.store.stats
 
     @property
     def open_connections(self) -> int:
@@ -218,37 +299,18 @@ class BaseEventDrivenServer(ListeningServer):
         try:
             assert self._listen_sock is not None
             while True:
-                if faults.take("accept_emfile"):
-                    # Injected fd exhaustion: behave exactly as if accept(2)
-                    # itself had failed with EMFILE.
-                    self._on_fd_exhaustion()
+                outcome, client_sock, address = accept_connection(
+                    self._listen_sock, self.store, self.admission, self._connections.__len__
+                )
+                if outcome is ACCEPTED:
+                    self._connections.add(Connection(client_sock, address, self))
+                elif outcome is not ACCEPT_TRANSIENT:
+                    # Out of descriptors: pause accept interest (the step
+                    # already shed one arrival).  Nothing pending, or the
+                    # listener is gone (the shutdown race): the sweep ends.
+                    if outcome is ACCEPT_RESOURCE:
+                        self._pause_accepting()
                     return
-                try:
-                    client_sock, address = self._listen_sock.accept()
-                except (BlockingIOError, InterruptedError):
-                    return
-                except OSError as exc:
-                    kind = classify_accept_error(exc)
-                    if kind == ACCEPT_TRANSIENT:
-                        # The arrival aborted between SYN and accept (or a
-                        # signal landed): the next pending connection may be
-                        # fine, keep draining the backlog.
-                        continue
-                    if kind == ACCEPT_RESOURCE:
-                        self._on_fd_exhaustion()
-                    # Fatal (EBADF and friends): the listener is gone, which
-                    # is the normal shutdown race — stop the accept sweep.
-                    return
-                self.store.stats.connections_accepted += 1
-                if not self.admission.admit(len(self._connections)):
-                    # Over the connection bound: answer the precomposed 503
-                    # and close, so the client learns immediately instead of
-                    # timing out in the backlog.
-                    self.store.stats.connections_shed += 1
-                    self.admission.shed(client_sock)
-                    continue
-                connection = Connection(client_sock, address, self)
-                self._connections.add(connection)
         except Exception:
             self._absorb_callback_crash("_on_accept_ready")
 
@@ -266,12 +328,6 @@ class BaseEventDrivenServer(ListeningServer):
         except Exception:  # stats are best-effort inside the barrier
             pass
         logger.exception("unhandled error in %s (absorbed; loop continues)", where)
-
-    def _on_fd_exhaustion(self) -> None:
-        """Survive accept-time EMFILE/ENFILE: shed one arrival, pause accepts."""
-        self.store.stats.fd_exhaustion_events += 1
-        self.admission.shed_one_pending(self._listen_sock)
-        self._pause_accepting()
 
     def _pause_accepting(self) -> None:
         """Drop accept interest until established connections drain.
@@ -351,8 +407,8 @@ class BaseEventDrivenServer(ListeningServer):
         posts to the loop's deferred-call queue (:meth:`EventLoop.call_soon`
         takes no lock and wakes the poll); all drain work runs on the loop
         thread.
-        The event loop exits — and :meth:`run_forever` returns — once
-        every in-flight response completes or ``drain_timeout`` expires,
+        The event loop exits — and :meth:`drain` returns — once every
+        in-flight response completes or ``drain_timeout`` expires,
         whichever comes first.
         """
         self.loop.call_soon(self._begin_drain)
@@ -362,17 +418,16 @@ class BaseEventDrivenServer(ListeningServer):
             if self.draining or self._closed:
                 return
             self.draining = True
-            # Closing the listener (not merely unregistering it) removes
-            # this process from the kernel's SO_REUSEPORT hash, so in a
-            # shard fleet new arrivals immediately redistribute to the
-            # surviving shards.
+            # Shutting the listener down (not merely unregistering it)
+            # removes this process from the kernel's SO_REUSEPORT hash, so
+            # in a shard fleet new arrivals immediately redistribute to the
+            # surviving shards; it also ends run_forever's wait.
             if self._listen_sock is not None:
                 self.loop.unregister(self._listen_sock)
                 try:
-                    self._listen_sock.close()
+                    self._listen_sock.shutdown(socket.SHUT_RD)
                 except OSError:
                     pass
-                self._listen_sock = None
             # End every SSE subscription: subscribers flush their queued
             # backlog (plus the chunked terminator) and close gracefully,
             # ahead of the force-close backstop below.
@@ -409,24 +464,15 @@ class BaseEventDrivenServer(ListeningServer):
             self._absorb_callback_crash("_drain_expired")
 
     def _finish_drain(self) -> None:
-        """All connections drained: stop the loop so run_forever returns."""
+        """All connections drained: stop the loop so the drain returns."""
         if not self.draining:
             return
         self._drain_generation += 1
         self._stop_event.set()
         self.loop.stop()
 
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Request a drain and wait for the event loop to wind down.
-
-        For servers running on a background thread (:meth:`start`): returns
-        True when the drain completed (all connections finished or were
-        force-closed at the deadline) within ``drain_timeout`` plus a small
-        grace.  The caller still owns :meth:`stop`/:meth:`close` for
-        resource release, exactly as after a normal run.
-        """
-        self.request_drain()
-        budget = self.config.drain_timeout if timeout is None else timeout
+    def _wind_down(self, budget: float) -> bool:
+        # The loop force-closes at drain_timeout; allow a small grace.
         finished = self._stop_event.wait(budget + 2.0)
         if self._thread is not None:
             self._thread.join(timeout=budget + 2.0)
@@ -436,23 +482,20 @@ class BaseEventDrivenServer(ListeningServer):
 
     # -- running --------------------------------------------------------------------
 
-    def run_forever(self) -> None:
-        """Bind (if needed) and run the event loop until :meth:`stop`."""
-        self.bind()
-        self.loop.run_forever(should_stop=self._stop_event.is_set, poll_interval=0.1)
-
     def start(self) -> "BaseEventDrivenServer":
-        """Run the server in a background thread; returns once it is bound.
+        """Run the event loop in a background thread; returns once bound.
 
-        This is the entry point tests and the load-generator examples use:
-        the caller's thread stays free to generate client load against
-        :attr:`address`.
+        The caller's thread stays free to generate client load against
+        :attr:`address`, or to wait in :meth:`run_forever`.
         """
         if self._thread is not None:
             return self
         self.bind()
         self._thread = threading.Thread(
-            target=self.run_forever, name=f"{self.architecture}-server", daemon=True
+            target=self.loop.run_forever,
+            kwargs={"should_stop": self._stop_event.is_set, "poll_interval": 0.1},
+            name=f"{self.architecture}-server",
+            daemon=True,
         )
         self._thread.start()
         return self
@@ -466,23 +509,11 @@ class BaseEventDrivenServer(ListeningServer):
             self._thread = None
         self.close()
 
-    def close(self) -> None:
-        """Close sockets, connections, caches and auxiliary workers."""
-        if self._closed:
-            return
-        self._closed = True
+    def _release(self) -> None:
         for connection in list(self._connections):
             connection.close()
-        if self._listen_sock is not None:
-            self.loop.unregister(self._listen_sock)
-            self._listen_sock.close()
-            self._listen_sock = None
-        self.admission.close()
-        if self.sse_hub is not None:
-            self.sse_hub.close()
-            self.sse_hub = None
-        self.cgi_runner.shutdown()
-        self.store.close()
+        self.loop.unregister(self._listen_sock)
+        super()._release()
         self.loop.close()
 
 
@@ -684,11 +715,10 @@ class FlashServer(BaseEventDrivenServer):
 
     # -- lifecycle ---------------------------------------------------------------------
 
-    def close(self) -> None:
-        if not self._closed:
-            self.helpers.unregister(self.loop)
-            self.helpers.shutdown()
-        super().close()
+    def _release(self) -> None:
+        self.helpers.unregister(self.loop)
+        self.helpers.shutdown()
+        super()._release()
 
 
 def _reply_to_error(reply) -> Exception:

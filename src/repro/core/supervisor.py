@@ -45,6 +45,7 @@ from typing import Optional
 
 from repro.core.config import ServerConfig
 from repro.core.pipeline import ServerStats
+from repro.core.server import drain_signals_blocked, unblock_drain_signals
 
 __all__ = ["ShardSupervisor", "SLOT_RUNNING", "SLOT_BACKOFF", "SLOT_BROKEN", "SLOT_DONE"]
 
@@ -312,7 +313,11 @@ class ShardSupervisor:
             name=f"shard-{slot.index}",
             daemon=True,
         )
-        process.start()
+        # A SIGTERM that reaches the shard before it installs its own
+        # handler waits for it, instead of setting this object's drain
+        # flag in the child's copy and being lost.
+        with drain_signals_blocked():
+            process.start()
         # The child owns its end now; closing the parent's copy is what
         # makes EOF detection work (otherwise the pipe never closes).
         child_conn.close()
@@ -513,16 +518,9 @@ def _shard_main(architecture, config, conn, shard_index, kill_after) -> None:
     server = create_server(architecture, config)
     signal.signal(signal.SIGTERM, lambda *_: server.request_drain())
     signal.signal(signal.SIGINT, lambda *_: server.request_drain())
+    unblock_drain_signals()
     try:
-        if hasattr(server, "run_forever"):
-            # Event-driven builds: the loop returns once a drain completes.
-            server.run_forever()
-        else:
-            # MT/MP shards: start the workers and wait for the drain flag.
-            server.start()
-            while not server.draining:
-                time.sleep(0.05)
-            server.drain()
+        server.run_forever()
         snapshot = server.stats.snapshot()
         try:
             conn.send(snapshot)

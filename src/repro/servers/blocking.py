@@ -1,4 +1,4 @@
-"""Blocking per-connection handler shared by the MP and MT builds.
+"""Blocking per-connection handler and worker pool shared by the MP and MT builds.
 
 In the MP and MT architectures a worker (process or thread) executes the
 basic request-processing steps *sequentially* for one connection at a time:
@@ -18,12 +18,14 @@ the queue is driven out once: a pipelined burst of buffered answers leaves
 in one vectored write, as it does from the event-driven builds.
 
 :func:`serve_connections` is the accept loop around the handler, shared by
-the MT worker threads and the MP worker processes.
+the MT worker threads and the MP worker processes, and :class:`WorkerPool`
+is the server lifecycle around those workers — start, ``run_forever``,
+drain, stop and close, written once; ``servers/mt.py`` and
+``servers/mp.py`` supply only what differs between threads and processes.
 """
 
 from __future__ import annotations
 
-import errno
 import select
 import socket
 import time
@@ -34,25 +36,33 @@ from repro.core import exchange
 from repro.core.admission import (
     ACCEPT_BACKOFF_INITIAL,
     ACCEPT_BACKOFF_MAX,
+    ACCEPT_FATAL,
     ACCEPT_RESOURCE,
-    ACCEPT_TRANSIENT,
+    ACCEPTED,
     AdmissionController,
-    classify_accept_error,
+    accept_connection,
 )
 from repro.core.config import ServerConfig
 from repro.core.pipeline import ContentStore, StaticContent
 from repro.core.send_path import peek_peer, reset_on_close
+from repro.core.server import ListeningServer, wait_for_shutdown
 from repro.core.session import ANSWER_408, CLOSE, NEXT, Session
 from repro.core.sse import SSEHub
 from repro.core.streaming import IterableSource
 from repro.http.errors import HTTPError
-from repro.testing.faults import faults
 
 #: While a ``drain_check`` is supplied, waits that no peer progress ends (an
 #: idle keep-alive connection, an event stream with nothing to say) poll in
 #: quanta of this many seconds so a blocking worker notices a drain
 #: promptly instead of after a full idle budget.
 DRAIN_POLL_INTERVAL = 0.2
+
+#: How long :meth:`WorkerPool.stop` lets workers wind down by themselves
+#: before forcing the stragglers: a worker blocked in ``accept`` exits within
+#: milliseconds (an MP worker reports its counters on the way out), and a
+#: response in mid-write may finish.  An idle keep-alive connection, which
+#: would take up to ``DRAIN_POLL_INTERVAL``, is forced.
+STOP_GRACE = 0.1
 
 
 def handle_client(
@@ -76,8 +86,6 @@ def handle_client(
     still complete first), and an idle keep-alive wait returns immediately
     instead of sitting out its idle budget.
     """
-    with store.stats_lock():
-        store.stats.connections_accepted += 1
     session = Session(config, time.monotonic())
     queue = None
     try:
@@ -294,53 +302,39 @@ def serve_connections(
     sse_hub: Optional[SSEHub],
     admission: AdmissionController,
     open_connections,
-    stop_event,
-    drain_event,
+    drain_flag,
 ) -> None:
-    """Accept and serve connections one at a time until shutdown or drain.
+    """Accept and serve connections one at a time until the drain.
 
     The body of an MT worker thread and of an MP worker process.  The two
     differ in what ``open_connections`` counts with — ``count()``,
     ``enter(sock)`` and ``leave(sock)`` over a locked set of sockets (MT)
     or a cross-process shared integer (MP) — which backs the admission
-    bound either way.  The listener carries a short accept timeout so the
-    loop notices ``stop_event``/``drain_event`` without needing signals.
+    bound either way.  ``drain_flag.value`` turns true when a drain or a
+    stop begins; the same request shuts the listener down, which fails a
+    blocked ``accept`` (``ACCEPT_FATAL``) and ends a backoff early.
     """
+
+    def drain_check() -> bool:
+        return drain_flag.value
+
     backoff = ACCEPT_BACKOFF_INITIAL
-    while not stop_event.is_set() and not drain_event.is_set():
-        try:
-            if faults.take("accept_emfile"):
-                raise OSError(errno.EMFILE, "injected fd exhaustion")
-            client_sock, _address = listen_sock.accept()
-        except socket.timeout:
-            continue
-        except OSError as exc:
-            kind = classify_accept_error(exc)
-            if kind == ACCEPT_TRANSIENT:
-                # The arrival aborted (or a signal landed): the next one
-                # may be fine, retry immediately.
-                continue
-            if kind == ACCEPT_RESOURCE:
-                # Out of descriptors (or buffers): retrying immediately
-                # cannot succeed and used to busy-spin the worker (or end
-                # it).  Shed one backlogged arrival through the sentinel
-                # reserve, then back off exponentially (woken early by
-                # shutdown) until something drains.
-                with store.stats_lock():
-                    store.stats.fd_exhaustion_events += 1
-                admission.shed_one_pending(listen_sock)
-                stop_event.wait(backoff)
-                backoff = min(backoff * 2, ACCEPT_BACKOFF_MAX)
-                continue
-            # Fatal (EBADF and friends): the listener is gone, which is
-            # the normal shutdown race — this worker is done.
+    while not drain_flag.value:
+        outcome, client_sock, _address = accept_connection(
+            listen_sock, store, admission, open_connections.count
+        )
+        if outcome is ACCEPT_FATAL:
+            # The listener is shut down or gone: this worker is done.
             return
+        if outcome is ACCEPT_RESOURCE:
+            # Out of descriptors (the step shed one backlogged arrival):
+            # retrying at once cannot succeed and used to busy-spin the
+            # worker.  Back off exponentially until something drains.
+            wait_for_shutdown(listen_sock, backoff)
+            backoff = min(backoff * 2, ACCEPT_BACKOFF_MAX)
+            continue
         backoff = ACCEPT_BACKOFF_INITIAL
-        if not admission.admit(open_connections.count()):
-            with store.stats_lock():
-                store.stats.connections_accepted += 1
-                store.stats.connections_shed += 1
-            admission.shed(client_sock)
+        if outcome is not ACCEPTED:
             continue
         open_connections.enter(client_sock)
         try:
@@ -349,8 +343,74 @@ def serve_connections(
                 store,
                 config,
                 cgi_runner,
-                drain_check=drain_event.is_set,
+                drain_check=drain_check,
                 sse_hub=sse_hub,
             )
         finally:
             open_connections.leave(client_sock)
+
+
+class WorkerPool(ListeningServer):
+    """The MT and MP builds: ``num_workers`` blocking workers, one listener.
+
+    Every worker runs :func:`serve_connections` on the listener bound
+    before the workers start (Apache's pre-forking model, §3.1).  A drain
+    is a store to ``drain_flag`` (lock-free, so signal-safe) plus
+    ``shutdown(SHUT_RD)`` of the listener: the one wakeup that reaches
+    workers blocked in ``accept``, a worker's backoff and
+    ``run_forever``'s wait.  Subclasses supply what differs between
+    threads and processes: ``drain_flag`` (any object whose ``value`` the
+    workers can read), ``_spawn(index)`` (a started worker with ``join``
+    and ``is_alive``), ``_force(stragglers)`` and ``_release()``.
+    """
+
+    def __init__(self, config: ServerConfig, drain_flag) -> None:
+        self.config = config
+        self._drain_flag = drain_flag
+        self._workers: list = []
+
+    def start(self) -> "WorkerPool":
+        """Bind and launch the workers; returns immediately."""
+        if self._workers:
+            return self
+        self.bind()
+        self._workers = [self._spawn(index) for index in range(self.config.num_workers)]
+        return self
+
+    @property
+    def draining(self) -> bool:
+        """Whether the server is in drain mode (stopping gracefully)."""
+        return bool(self._drain_flag.value)
+
+    def request_drain(self) -> None:
+        """Enter drain mode (signal-safe): workers stop accepting, finish
+        their in-flight exchanges with ``Connection: close``, and exit."""
+        if self._drain_flag.value:
+            return
+        self._drain_flag.value = True
+        if self._listen_sock is not None:
+            try:
+                self._listen_sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+
+    def stop(self, timeout: float = 5.0) -> None:
+        """A drain with a ``STOP_GRACE`` deadline, then :meth:`close`."""
+        self.request_drain()
+        self._wind_down(min(timeout, STOP_GRACE), settle=timeout)
+        self.close()
+
+    def _wind_down(self, grace: float, settle: float = 1.0) -> bool:
+        """Join the workers until ``grace`` runs out, force the stragglers
+        (their connections are closed by force), then give each ``settle``
+        seconds to exit; True when no worker is left."""
+        deadline = time.monotonic() + grace
+        for worker in self._workers:
+            worker.join(timeout=max(0.0, deadline - time.monotonic()))
+        stragglers = [worker for worker in self._workers if worker.is_alive()]
+        if stragglers:
+            self._force(stragglers)
+            for worker in stragglers:
+                worker.join(timeout=settle)
+        self._workers = [worker for worker in self._workers if worker.is_alive()]
+        return not self._workers

@@ -1,7 +1,8 @@
 """Unit tests for the command-line interface."""
 
+import os
+import signal
 import threading
-import time
 
 import pytest
 
@@ -263,29 +264,17 @@ class TestExperimentCommand:
 
 
 class TestServeCommand:
-    def test_serve_starts_and_stops(self, tmp_path, monkeypatch, capsys):
-        """The serve command runs until interrupted; interrupt it immediately."""
+    def test_serve_starts_and_stops(self, tmp_path, capsys):
+        """The serve command runs until interrupted; a real SIGINT drains it."""
         (tmp_path / "index.html").write_bytes(b"<html>cli-serve</html>")
-
-        import repro.cli as cli_module
-
-        # Make the serve loop exit on its first sleep by raising KeyboardInterrupt.
-        class _InterruptingTime:
-            @staticmethod
-            def sleep(_seconds):
-                raise KeyboardInterrupt
-
-        real_import = __import__
-
-        def fake_sleep_import(name, *args, **kwargs):
-            module = real_import(name, *args, **kwargs)
-            if name == "time":
-                return _InterruptingTime
-            return module
-
-        monkeypatch.setattr("builtins.__import__", fake_sleep_import)
-        code = main(["serve", "--root", str(tmp_path), "--port", "0"])
-        monkeypatch.undo()
+        # cmd_serve installs its drain handler on this (the main) thread
+        # before the banner; the timer's SIGINT lands once it waits.
+        timer = threading.Timer(0.5, os.kill, args=(os.getpid(), signal.SIGINT))
+        timer.start()
+        try:
+            code = main(["serve", "--root", str(tmp_path), "--port", "0"])
+        finally:
+            timer.cancel()
         assert code == 0
         output = capsys.readouterr().out
         assert "serving" in output

@@ -9,6 +9,7 @@ clean exit.
 
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -242,15 +243,49 @@ class TestServeSignalHandling:
                 proc.kill()
                 proc.communicate()
 
-    def test_fleet_sigterm_drains_and_exits_zero(self, docroot):
-        proc = self._spawn_serve(docroot, "--shards", "2", "--drain-timeout", "3")
+    @pytest.mark.parametrize("arch", ["amped", "mt"])
+    def test_fleet_sigterm_drains_and_exits_zero(self, docroot, arch):
+        """A SIGTERM right after the banner races the shards' startup: a
+        shard holds it pending until its own handler is in, so the fleet
+        drains at once instead of waiting out ``drain_timeout + 2 s``."""
+        proc = self._spawn_serve(
+            docroot, "--architecture", arch, "--shards", "2", "--drain-timeout", "3"
+        )
         try:
             self._wait_for_line(proc, "serving")
             proc.send_signal(signal.SIGTERM)
+            sent = time.monotonic()
             out, _ = proc.communicate(timeout=40)
+            assert time.monotonic() - sent < 2.0
             assert proc.returncode == 0
             assert "fleet stopped" in out
         finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+
+    def test_mp_drain_deadline_ends_straggler_workers(self, docroot):
+        """MP workers take no drain signal of their own: the parent's
+        deadline ``terminate()`` ends a straggler instead of starting a
+        second drain inside it that waits out the header budget."""
+        flags = ["--architecture", "mp", "--workers", "2", "--drain-timeout", "1"]
+        proc = self._spawn_serve(docroot, *flags, "--header-timeout", "8")
+        client = None
+        try:
+            banner = self._wait_for_line(proc, "serving")[-1]
+            port = int(banner.rsplit(":", 1)[1].strip().rstrip("/"))
+            client = socket.create_connection(("127.0.0.1", port), timeout=5)
+            client.sendall(b"GET /index.html HTTP/1.1\r\n")  # head never completes
+            time.sleep(0.3)
+            proc.send_signal(signal.SIGTERM)
+            sent = time.monotonic()
+            out, _ = proc.communicate(timeout=40)
+            assert time.monotonic() - sent < 2.5
+            assert proc.returncode == 0
+            assert out.count("draining") == 1
+        finally:
+            if client is not None:
+                client.close()
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate()

@@ -8,6 +8,7 @@ idle keep-alive connections immediately, and force-closes stragglers when
 """
 
 import socket
+import threading
 import time
 
 import pytest
@@ -225,4 +226,34 @@ def test_slow_path_response_under_drain_says_close(arch, docroot):
     finally:
         if sock is not None:
             sock.close()
+        server.stop()
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_stop_with_idle_keepalive_client(arch, docroot):
+    """``stop()`` ends a connection left open after an answered GET at
+    once, on every build: nothing is served after it returns, and no MT
+    worker outlives it."""
+    server = _make_server(arch, docroot, idle_timeout=30.0)
+    sock = socket.create_connection(server.address, timeout=5)
+    try:
+        request = b"GET /small.txt HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\n\r\n"
+        sock.sendall(request)
+        data = bytearray()
+        while b"drain-me" not in data:
+            chunk = sock.recv(65536)
+            assert chunk, "server closed before stop"
+            data.extend(chunk)
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 0.3
+        try:
+            sock.sendall(request)
+            leftover = _read_until_closed(sock, timeout=2.0)
+        except OSError:
+            leftover = b""
+        assert leftover == b""
+        assert not [t for t in threading.enumerate() if t.name.startswith("mt-worker")]
+    finally:
+        sock.close()
         server.stop()

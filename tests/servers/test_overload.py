@@ -152,12 +152,15 @@ class TestFdExhaustionGuard:
             server.stop()
 
     def test_mt_worker_backs_off_and_recovers(self, docroot):
-        """MT workers check the fault each accept iteration, so an idle
-        worker consumes it immediately: assert the classification/backoff
-        bookkeeping and that service continues."""
+        """MT workers take the fault at the top of each accept iteration;
+        an idle worker is already blocked in ``accept``, so one served
+        fetch starts the next iteration and the worker consumes both
+        faults in a row: assert the classification/backoff bookkeeping
+        and that service continues."""
         server = _make_server("mt", docroot)
         try:
             faults.arm("accept_emfile", count=2)
+            assert _fetch_with_retry(server.address).status == 200
             deadline = time.monotonic() + 8.0
             while (
                 server.stats.fd_exhaustion_events < 2
