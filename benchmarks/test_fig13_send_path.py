@@ -41,7 +41,7 @@ import tempfile
 
 from conftest import RESULTS_DIR
 
-from repro.core.backends import available_backends
+from repro.core.event_loop import available_backends
 from repro.core.config import ServerConfig
 from repro.servers import create_server
 

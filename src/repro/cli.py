@@ -37,8 +37,8 @@ from typing import Optional, Sequence
 from repro._version import __version__
 from repro.client.coordinator import LoadCoordinator
 from repro.client.loadgen import LoadGenerator
-from repro.core.backends import available_backends
 from repro.core.config import ServerConfig
+from repro.core.event_loop import available_backends
 from repro.servers import ARCHITECTURES, create_server
 
 

@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.core.backends import KNOWN_BACKENDS
+from repro.core.event_loop import KNOWN_BACKENDS
 from repro.http.response import DEFAULT_ALIGNMENT
 
 

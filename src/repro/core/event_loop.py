@@ -1,4 +1,4 @@
-"""Event loop used by the SPED and AMPED builds, over a pluggable backend.
+"""Event loop used by the SPED and AMPED builds, over a choice of selector.
 
 A SPED server is a state machine that performs one basic step of a request
 at a time: in each iteration it waits for completed I/O events (new
@@ -11,11 +11,15 @@ finishes on another thread (thread-mode helpers, CGI workers, SSE
 publishers) by posting a callback with :meth:`EventLoop.call_soon`, whose
 wakeup socketpair the loop watches like any other descriptor.
 
-The *notification mechanism* behind the wait is pluggable: the loop drives
-one of the :mod:`repro.core.backends` implementations (``select``, ``poll``
-or ``epoll``), chosen per server through ``ServerConfig.io_backend``, so
-the cost of the mechanism itself — a first-order term in the paper's
-performance discussion — can be measured rather than assumed.
+The *notification mechanism* behind the wait is a choice: the loop drives
+one of the standard library's level-triggered selectors
+(``selectors.EpollSelector``, ``PollSelector`` or ``SelectSelector``),
+named per server through ``ServerConfig.io_backend``, so the cost of the
+mechanism itself — a first-order term in the paper's performance
+discussion (§3.3, §6.4 and the Figure 12 WAN sweep) — can be measured
+rather than assumed.  A hangup or error is reported as readiness within
+the registered interest set, so the owner's next ``recv`` or ``send``
+observes the EOF or the error.
 
 The loop is intentionally small: readiness callbacks keyed by file
 descriptor, deferred calls, and simple monotonic timers for connection
@@ -26,28 +30,49 @@ from __future__ import annotations
 
 import heapq
 import logging
+import selectors
 import socket
 import time
 from collections import deque
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
-from repro.core.backends import (
-    EVENT_READ,
-    EVENT_WRITE,
-    IOBackend,
-    create_backend,
-)
 from repro.core.timer_wheel import TimerWheel
 
 __all__ = [
     "EVENT_READ",
     "EVENT_WRITE",
+    "KNOWN_BACKENDS",
     "EventLoop",
     "add_dispatch_observer",
+    "available_backends",
     "remove_dispatch_observer",
 ]
 
 logger = logging.getLogger(__name__)
+
+EVENT_READ = selectors.EVENT_READ
+EVENT_WRITE = selectors.EVENT_WRITE
+
+#: Every notification mechanism the loop knows, best first: ``"auto"``
+#: picks the first one the platform provides.
+KNOWN_BACKENDS = ("epoll", "poll", "select")
+
+#: Mechanism name -> standard-library selector, for those this platform has.
+_SELECTORS = {
+    name: getattr(selectors, class_name)
+    for name, class_name in (
+        ("epoll", "EpollSelector"),
+        ("poll", "PollSelector"),
+        ("select", "SelectSelector"),
+    )
+    if hasattr(selectors, class_name)
+}
+
+
+def available_backends() -> tuple[str, ...]:
+    """Mechanism names usable on this platform, best (for ``auto``) first."""
+    return tuple(name for name in KNOWN_BACKENDS if name in _SELECTORS)
+
 
 #: Observers called as ``observer(callback, elapsed_seconds)`` after every
 #: readiness-callback dispatch.  Empty in production; the runtime sanitizer
@@ -82,15 +107,25 @@ class EventLoop:
     Parameters
     ----------
     backend:
-        Which event-notification mechanism to use: a backend name
-        (``"auto"``, ``"select"``, ``"poll"``, ``"epoll"``) or an already
-        constructed :class:`~repro.core.backends.IOBackend` instance.
+        Which event-notification mechanism to use: ``"auto"`` (the first
+        of :func:`available_backends`), ``"epoll"``, ``"poll"`` or
+        ``"select"``.  Unknown names raise ``ValueError``; a known name
+        the platform lacks raises ``RuntimeError``.
     """
 
-    def __init__(self, backend: Union[str, IOBackend] = "auto") -> None:
-        if isinstance(backend, str):
-            backend = create_backend(backend)
-        self._backend = backend
+    def __init__(self, backend: str = "auto") -> None:
+        name = backend.lower()
+        if name == "auto":
+            name = available_backends()[0]
+        if name not in KNOWN_BACKENDS:
+            raise ValueError(
+                f"unknown io backend {backend!r}; "
+                f"expected 'auto' or one of {sorted(KNOWN_BACKENDS)}"
+            )
+        if name not in _SELECTORS:
+            raise RuntimeError(f"io backend {backend!r} is not available on this platform")
+        self._selector: selectors.BaseSelector = _SELECTORS[name]()
+        self._backend_name = name
         #: Deferred calls, appended by any thread and popped by the loop.
         #: ``deque.append``/``popleft`` are atomic, so posting takes no lock
         #: (it must not: ``request_drain`` posts from a signal handler that
@@ -98,14 +133,16 @@ class EventLoop:
         self._pending: deque = deque()
         self._closed = False
         #: One byte per post wakes a blocked poll.  The read end is always
-        #: registered, so the backend never polls an empty set.
+        #: registered, so the selector never polls an empty set.
         self._wake_recv, self._wake_send = socket.socketpair()
         self._wake_recv.setblocking(False)
         self._wake_send.setblocking(False)
-        self._backend.register(self._wake_recv, EVENT_READ, self._run_pending)
+        self._selector.register(self._wake_recv, EVENT_READ, self._run_pending)
         self._timers: list[tuple[float, int, Callable[[], None]]] = []
         self._timer_seq = 0
-        self._running = False
+        #: Latched by :meth:`stop`: a stop that lands before
+        #: :meth:`run_forever` starts is not lost.
+        self._stopped = False
         self.iterations = 0
         #: Hashed timer wheel for the high-churn per-connection deadlines:
         #: O(1) schedule *and* cancel, where the heap above would retain a
@@ -114,38 +151,33 @@ class EventLoop:
         self.wheel = TimerWheel()
 
     @property
-    def backend(self) -> IOBackend:
-        """The event-notification backend driving this loop."""
-        return self._backend
-
-    @property
     def backend_name(self) -> str:
         """Name of the active notification mechanism (e.g. ``"epoll"``)."""
-        return self._backend.name
+        return self._backend_name
 
     # -- registration -------------------------------------------------------
 
     def register(self, fileobj, events: int, callback: Callable) -> None:
         """Start watching ``fileobj`` for ``events``."""
-        self._backend.register(fileobj, events, callback)
+        self._selector.register(fileobj, events, callback)
 
     def modify(self, fileobj, events: int, callback: Optional[Callable] = None) -> None:
         """Change the interest set (and optionally the callback) of ``fileobj``."""
         if callback is None:
-            callback = self._backend.get_key(fileobj).data
-        self._backend.modify(fileobj, events, callback)
+            callback = self._selector.get_key(fileobj).data
+        self._selector.modify(fileobj, events, callback)
 
     def unregister(self, fileobj) -> None:
         """Stop watching ``fileobj``.  Unknown file objects are ignored."""
         try:
-            self._backend.unregister(fileobj)
+            self._selector.unregister(fileobj)
         except (KeyError, ValueError):
             pass
 
     def is_registered(self, fileobj) -> bool:
         """Whether ``fileobj`` is currently being watched."""
         try:
-            self._backend.get_key(fileobj)
+            self._selector.get_key(fileobj)
             return True
         except (KeyError, ValueError):
             return False
@@ -225,7 +257,7 @@ class EventLoop:
             # fire within a tick of their nominal time.
             timeout = self.wheel.tick
 
-        events = self._backend.poll(timeout)
+        events = self._selector.select(timeout)
         if _dispatch_observers:
             for key, mask in events:
                 callback = key.data
@@ -240,25 +272,22 @@ class EventLoop:
                 callback(key.fileobj, mask)
         return len(events)
 
-    def run_forever(self, should_stop: Optional[Callable[[], bool]] = None,
-                    poll_interval: float = 0.5) -> None:
-        """Run until ``should_stop()`` returns True (or :meth:`stop` is called)."""
-        self._running = True
-        try:
-            while self._running:
-                if should_stop is not None and should_stop():
-                    break
-                self.run_once(poll_interval)
-        finally:
-            self._running = False
+    def run_forever(self) -> None:
+        """Run until :meth:`stop` is called; returns at once if it already was.
+
+        Between events the poll blocks: it wakes only for posts, I/O,
+        :meth:`call_later` timers and (one tick) armed wheel deadlines.
+        """
+        while not self._stopped:
+            self.run_once()
 
     def stop(self) -> None:
-        """Ask :meth:`run_forever` to return; wakes a blocked poll."""
-        self._running = False
+        """Make :meth:`run_forever` return, now or whenever it starts."""
+        self._stopped = True
         self._wake()
 
     def close(self) -> None:
-        """Release the wakeup socketpair and the notification backend."""
+        """Release the wakeup socketpair and the selector."""
         if self._closed:
             return
         self._closed = True
@@ -266,4 +295,4 @@ class EventLoop:
         self.unregister(self._wake_recv)
         self._wake_recv.close()
         self._wake_send.close()
-        self._backend.close()
+        self._selector.close()

@@ -265,7 +265,7 @@ class BaseEventDrivenServer(ListeningServer):
         self._stop_event = threading.Event()
         self._thread: Optional[threading.Thread] = None
         #: Accept-pause state for the fd-exhaustion guard: while paused the
-        #: listener is unregistered from the loop (a level-triggered backend
+        #: listener is unregistered from the loop (a level-triggered selector
         #: would otherwise spin on the forever-readable listener) and it is
         #: re-registered once connections drain below the pause-time count.
         self._accept_paused = False
@@ -332,7 +332,7 @@ class BaseEventDrivenServer(ListeningServer):
     def _pause_accepting(self) -> None:
         """Drop accept interest until established connections drain.
 
-        Level-triggered backends re-report a readable listener every poll;
+        Level-triggered selectors re-report a readable listener every poll;
         without the pause an EMFILE storm becomes a 100% CPU spin of
         failing accepts.
         """
@@ -493,7 +493,6 @@ class BaseEventDrivenServer(ListeningServer):
         self.bind()
         self._thread = threading.Thread(
             target=self.loop.run_forever,
-            kwargs={"should_stop": self._stop_event.is_set, "poll_interval": 0.1},
             name=f"{self.architecture}-server",
             daemon=True,
         )

@@ -62,6 +62,11 @@ DEFAULT_MAX_HEADER_BYTES = 16 * 1024
 #: scan; the ``\r`` ending the last header line is trimmed separately.
 _HEAD_END = re.compile(rb"\n\r?\n")
 
+#: List-valued fields whose repeated lines are joined into one
+#: comma-separated value (RFC 7230 §3.2.2); any other repeated field keeps
+#: its last line (``Content-Length`` is refused outright).
+_LIST_FIELDS = frozenset(("if-match", "if-none-match"))
+
 #: Largest header block the fast probe will examine; bigger requests are
 #: unusual enough that the full parser should look at them anyway.
 FAST_PROBE_LIMIT = 4096
@@ -663,7 +668,11 @@ class RequestParser:
                 raise BadRequestError(f"empty header name: {raw!r}")
             if name == "content-length" and name in headers:
                 raise BadRequestError("repeated Content-Length")
-            headers[name] = value.strip()
+            value = value.strip()
+            if name in _LIST_FIELDS and name in headers:
+                headers[name] += ", " + value
+            else:
+                headers[name] = value
             last_name = name
 
         raw_path, query = split_query(uri)

@@ -1,11 +1,11 @@
-"""Conformance suite for the pluggable event-notification backends.
+"""Conformance suite for the event loop's notification mechanisms.
 
-Every backend (select / poll / epoll, the latter two skipped where the
+Every mechanism (select / poll / epoll, the latter two skipped where the
 platform lacks them) must drive the :class:`EventLoop` identically:
-readiness callbacks, interest modification, timers and deferred calls.  The
-suite is parametrized over every backend available on this host so a new
-backend only has to appear in ``available_backends()`` to be held to the
-same contract.
+registration, readiness callbacks, interest modification, timers and
+deferred calls.  The suite is parametrized over every name in
+``available_backends()`` so a mechanism only has to appear there to be
+held to the same contract.
 """
 
 import select as select_module
@@ -14,13 +14,13 @@ import time
 
 import pytest
 
-from repro.core.backends import (
+from repro.core.event_loop import (
+    EVENT_READ,
+    EVENT_WRITE,
     KNOWN_BACKENDS,
-    BackendKey,
+    EventLoop,
     available_backends,
-    create_backend,
 )
-from repro.core.event_loop import EVENT_READ, EVENT_WRITE, EventLoop
 
 BACKENDS = available_backends()
 
@@ -61,80 +61,71 @@ class TestRegistry:
         assert ("poll" in BACKENDS) == hasattr(select_module, "poll")
 
     def test_auto_picks_best_available(self):
-        backend = create_backend("auto")
+        loop = EventLoop(backend="auto")
         try:
-            assert backend.name == BACKENDS[0]
+            assert loop.backend_name == BACKENDS[0]
         finally:
-            backend.close()
+            loop.close()
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
-            create_backend("kqueue-but-misspelled")
+            EventLoop(backend="kqueue-but-misspelled")
 
     def test_loop_exposes_backend_name(self, backend_name, loop):
         assert loop.backend_name == backend_name
-        assert loop.backend.name == backend_name
 
 
 class TestRegistration:
-    def test_register_and_get_key(self, backend_name, pair):
-        backend = create_backend(backend_name)
+    def test_register_and_is_registered(self, loop, pair):
         left, _ = pair
-        marker = object()
-        key = backend.register(left, EVENT_READ, marker)
-        assert isinstance(key, BackendKey)
-        assert key.fileobj is left
-        assert key.fd == left.fileno()
-        assert key.events == EVENT_READ
-        assert key.data is marker
-        assert backend.get_key(left) == key
-        assert len(backend) == 1
-        backend.close()
+        assert not loop.is_registered(left)
+        loop.register(left, EVENT_READ, lambda sock, mask: None)
+        assert loop.is_registered(left)
 
-    def test_double_register_rejected(self, backend_name, pair):
-        backend = create_backend(backend_name)
+    def test_double_register_rejected(self, loop, pair):
         left, _ = pair
-        backend.register(left, EVENT_READ)
+        loop.register(left, EVENT_READ, lambda sock, mask: None)
         with pytest.raises(KeyError):
-            backend.register(left, EVENT_WRITE)
-        backend.close()
+            loop.register(left, EVENT_WRITE, lambda sock, mask: None)
 
-    def test_invalid_events_rejected(self, backend_name, pair):
-        backend = create_backend(backend_name)
+    def test_invalid_events_rejected(self, loop, pair):
         left, _ = pair
         with pytest.raises(ValueError):
-            backend.register(left, 0)
+            loop.register(left, 0, lambda sock, mask: None)
         with pytest.raises(ValueError):
-            backend.register(left, 0x40)
-        backend.close()
+            loop.register(left, 0x40, lambda sock, mask: None)
 
-    def test_modify_unregistered_rejected(self, backend_name, pair):
-        backend = create_backend(backend_name)
+    def test_modify_unregistered_rejected(self, loop, pair):
         left, _ = pair
         with pytest.raises(KeyError):
-            backend.modify(left, EVENT_READ)
-        backend.close()
+            loop.modify(left, EVENT_READ)
+        with pytest.raises(KeyError):
+            loop.modify(left, EVENT_READ, lambda sock, mask: None)
 
-    def test_unregister_returns_key(self, backend_name, pair):
-        backend = create_backend(backend_name)
+    def test_unregister_forgets_the_socket(self, loop, pair):
         left, _ = pair
-        backend.register(left, EVENT_READ, "data")
-        key = backend.unregister(left)
-        assert key.data == "data"
-        assert len(backend) == 0
-        backend.close()
+        loop.register(left, EVENT_READ, lambda sock, mask: None)
+        loop.unregister(left)
+        assert not loop.is_registered(left)
+        loop.unregister(left)  # a second unregister is a no-op
 
-    def test_unregister_after_close_finds_by_identity(self, backend_name):
+    def test_unregister_after_close_finds_by_identity(self, loop):
         """A socket closed before unregistration must still be removable."""
-        backend = create_backend(backend_name)
         left, right = socket.socketpair()
-        backend.register(left, EVENT_READ)
+        loop.register(left, EVENT_READ, lambda sock, mask: None)
         left.close()
         right.close()
-        key = backend.unregister(left)
-        assert key.fileobj is left
-        assert len(backend) == 0
-        backend.close()
+        loop.unregister(left)
+        assert not loop.is_registered(left)
+        # The slot is free again: a new socket may reuse the descriptor.
+        fresh, peer = socket.socketpair()
+        try:
+            loop.register(fresh, EVENT_READ, lambda sock, mask: None)
+            assert loop.is_registered(fresh)
+            loop.unregister(fresh)
+        finally:
+            fresh.close()
+            peer.close()
 
 
 class TestReadiness:

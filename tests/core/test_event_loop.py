@@ -108,19 +108,22 @@ class TestDeferredWork:
 
 
 class TestRunForever:
-    def test_stop_condition(self):
-        loop = EventLoop()
-        stop = threading.Event()
-        loop.call_later(0.02, stop.set)
-        start = time.monotonic()
-        loop.run_forever(should_stop=stop.is_set, poll_interval=0.01)
-        assert time.monotonic() - start < 2.0
-        loop.close()
-
     def test_explicit_stop(self):
         loop = EventLoop()
         loop.call_later(0.01, loop.stop)
-        loop.run_forever(poll_interval=0.01)
+        loop.run_forever()
+        loop.close()
+
+    def test_stop_before_run_forever_is_not_lost(self):
+        """A stop that lands before the loop thread starts still ends it."""
+        loop = EventLoop()
+        loop.stop()
+        runner = threading.Thread(target=loop.run_forever, daemon=True)
+        start = time.monotonic()
+        runner.start()
+        runner.join(timeout=0.5)
+        assert not runner.is_alive()
+        assert time.monotonic() - start < 0.5
         loop.close()
 
     def test_iteration_counter(self):
@@ -180,7 +183,7 @@ class TestCrossThreadPosts:
         loop = EventLoop()
         left, right = socket.socketpair()
         loop.register(left, EVENT_READ, lambda sock, mask: None)  # idle: never readable
-        runner = threading.Thread(target=loop.run_forever, kwargs={"poll_interval": 5.0})
+        runner = threading.Thread(target=loop.run_forever)
         runner.start()
         time.sleep(0.05)
         start = time.monotonic()

@@ -209,6 +209,17 @@ class TestErrors:
         with pytest.raises(BadRequestError):
             parse(b"POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc")
 
+    @pytest.mark.parametrize("name", ["If-Match", "If-None-Match"])
+    def test_repeated_list_field_lines_are_joined(self, name):
+        request = parse(
+            f'GET / HTTP/1.1\r\n{name}: "a"\r\nHost: h\r\n{name}: "b", "c"\r\n\r\n'.encode()
+        )
+        assert request.headers[name.lower()] == '"a", "b", "c"'
+
+    def test_other_repeated_fields_keep_the_last_line(self):
+        request = parse(b"GET / HTTP/1.1\r\nX-Tag: a\r\nX-Tag: b\r\n\r\n")
+        assert request.headers["x-tag"] == "b"
+
     def test_transfer_encoding_not_implemented(self):
         with pytest.raises(NotImplementedError_) as info:
             parse(b"POST /cgi-bin/x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n")

@@ -8,11 +8,13 @@ translate, build, transmit (zero-copy by default) — works on each
 mechanism.
 """
 
+import time
+
 import pytest
 
 from repro.client.simple import fetch
-from repro.core.backends import available_backends
 from repro.core.config import ServerConfig
+from repro.core.event_loop import available_backends
 from repro.servers import create_server
 
 BACKENDS = available_backends()
@@ -40,6 +42,21 @@ def test_event_driven_serves_on_each_backend(architecture, backend, docroot):
         response = fetch(*server.address, "/index.html")
         assert response.status == 200
         assert response.body == b"<html>backend test</html>"
+    finally:
+        server.stop()
+
+
+@pytest.mark.parametrize("architecture", EVENT_DRIVEN)
+def test_idle_event_driven_server_sleeps(architecture, docroot):
+    """With no client and no timer armed, the loop blocks in its poll."""
+    config = ServerConfig(document_root=docroot, port=0, num_helpers=2)
+    server = create_server(architecture, config)
+    try:
+        server.start()
+        time.sleep(0.1)  # let the loop thread reach its first poll
+        before = server.loop.iterations
+        time.sleep(0.5)
+        assert server.loop.iterations - before <= 1
     finally:
         server.stop()
 

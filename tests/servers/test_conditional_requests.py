@@ -27,6 +27,7 @@ import pytest
 from repro.client.simple import fetch
 from repro.core.config import ServerConfig
 from repro.core.server import FlashServer
+from repro.servers import create_server
 from repro.servers.sped import SPEDServer
 
 BIG = b"".join(b"%07d|" % i for i in range(25_000))
@@ -233,6 +234,27 @@ class TestPreconditions:
             server.stop()
         assert inm.status == 304   # weak comparison matches
         assert im.status == 412    # strong comparison does not
+
+    @pytest.mark.parametrize("architecture", ["sped", "mt"])
+    def test_list_split_over_repeated_lines(self, docroot, architecture):
+        """RFC 7230 §3.2.2: repeated lines of a list field are one list, so
+        the current tag still counts when a later line names another."""
+        server = create_server(architecture, config_for(docroot))
+        server.start()
+        try:
+            etag = fetch(*server.address, "/small.html").headers["etag"]
+            split = {
+                name: raw_exchange(server.address, request_lines(
+                    "/small.html", close=True,
+                    headers=(f"{name}: {etag}", f'{name}: "zzz"'),
+                ))
+                for name in ("If-None-Match", "If-Match")
+            }
+        finally:
+            server.stop()
+        assert split["If-None-Match"].startswith(b"HTTP/1.1 304 ")
+        assert split["If-Match"].startswith(b"HTTP/1.1 200 ")
+        assert split["If-Match"].endswith(SMALL)
 
     def test_post_ignores_conditionals(self, docroot):
         server = SPEDServer(config_for(docroot))
