@@ -4,8 +4,8 @@ The paper's Figure 11 shows that Flash's performance on cached workloads
 comes from aggressive caching of every per-request artifact: the pathname
 translation (Section 5.2), the response header (Section 5.3) and the mapped
 file (Section 5.4).  This reproduction implements all three — but a fully
-cached GET still pays three separate LRU probes, a revalidating ``stat``,
-a descriptor-cache acquisition and a freshly allocated request object.
+cached GET still pays three separate LRU probes, a descriptor-cache
+acquisition and a freshly allocated request object.
 
 :class:`HotResponseCache` collapses that chain.  It is keyed on the **raw
 request-target bytes** exactly as they appear on the wire (the key the
@@ -39,22 +39,21 @@ Consistency rules
   :class:`~repro.cache.mapped_file.MappedFileCache`, wired by
   :class:`~repro.core.pipeline.ContentStore`), which drops the entry and
   releases its pins.
-* **Staleness is bounded by ``revalidate_interval``.**  A hit whose last
-  validation is older than the interval re-``stat``\\ s the file; a changed
-  (or vanished) file invalidates the entry and the request falls through
-  to the full path, which re-translates and re-caches.  The interval
-  amortizes the ``stat`` the pathname cache would otherwise pay per
-  request; ``0`` revalidates on every hit (used by tests).
+* **Freshness follows the pathname cache's rule.**  An entry is born with
+  its translation's ``validated_at`` stamp, so a stale translation cannot
+  mint a fresh-looking entry.  A hit past ``revalidate_interval`` runs
+  :func:`repro.cache.pathname.unchanged`; a changed file drops the entry
+  and ``on_change`` fans out to every tier.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.cache.lru import LRUList
+from repro.cache.pathname import unchanged
 
 #: Default entry limit.  Entries pin one descriptor and the chunks of one
 #: file each, so the bound also caps how much of the fd/mmap caches the hot
@@ -98,7 +97,8 @@ class HotEntry:
         The full body as the response's one ``(head, offset, length)``
         part, precomputed so a plain hit allocates nothing for it.
     validated_at:
-        ``time.monotonic()`` of the last successful freshness check.
+        ``time.monotonic()`` of the ``stat`` that produced or last
+        confirmed this file state (the translation's stamp).
     hits:
         Number of requests served from this entry.
     """
@@ -116,7 +116,7 @@ class HotEntry:
     file_handle: Optional[object] = None
     chunks: Sequence = ()
     segments: Sequence = ()
-    validated_at: float = 0.0
+    validated_at: float = field(default_factory=time.monotonic)
     hits: int = field(default=0, repr=False)
     parts: Sequence = field(init=False, repr=False)
 
@@ -163,12 +163,14 @@ class HotResponseCache:
         far past ``mmap_cache_bytes``.  Oversized single responses are
         simply not cached.
     revalidate_interval:
-        Seconds a freshness verdict is trusted before the next hit pays a
-        ``stat``.  ``0`` re-validates every hit.
+        Seconds an entry is trusted after its stamp; ``0`` re-checks
+        every hit.
     release_fd, release_chunk:
         Callables that return a pinned descriptor / mapped chunk to its
         owning cache.  Supplied by :class:`~repro.core.pipeline.ContentStore`
         so this module needs no knowledge of the pipeline layer.
+    on_change:
+        Called with the path of a file a hit found changed.
     """
 
     def __init__(
@@ -178,6 +180,7 @@ class HotResponseCache:
         revalidate_interval: float = DEFAULT_REVALIDATE_INTERVAL,
         release_fd: Optional[Callable] = None,
         release_chunk: Optional[Callable] = None,
+        on_change: Optional[Callable[[str], None]] = None,
     ):
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
@@ -190,6 +193,7 @@ class HotResponseCache:
         self.revalidate_interval = revalidate_interval
         self._release_fd = release_fd
         self._release_chunk = release_chunk
+        self._on_change = on_change
         self._entries: dict[bytes, HotEntry] = {}
         self._lru: LRUList[bytes] = LRUList()
         self._by_path: dict[str, set[bytes]] = {}
@@ -230,7 +234,7 @@ class HotResponseCache:
             self.misses += 1
             return None
         now = time.monotonic()
-        if now - entry.validated_at > self.revalidate_interval:
+        if now - entry.validated_at >= self.revalidate_interval:
             if not self._revalidate(entry, now):
                 self.misses += 1
                 return None
@@ -240,18 +244,15 @@ class HotResponseCache:
         return entry
 
     def _revalidate(self, entry: HotEntry, now: float) -> bool:
-        """Re-``stat`` the entry's file; drop the entry when it changed."""
+        """Re-check the entry's file; drop and report it when it changed."""
         self.revalidations += 1
-        try:
-            stat = os.stat(entry.path)
-        except OSError:
-            self._drop(entry.target)
-            return False
-        if stat.st_size != entry.size or stat.st_mtime != entry.mtime:
-            self._drop(entry.target)
-            return False
-        entry.validated_at = now
-        return True
+        if unchanged(entry.path, entry.size, entry.mtime):
+            entry.validated_at = now
+            return True
+        self._drop(entry.target)
+        if self._on_change is not None:
+            self._on_change(entry.path)
+        return False
 
     # -- population ------------------------------------------------------------
 
@@ -274,7 +275,6 @@ class HotResponseCache:
         existing = self._entries.get(entry.target)
         if existing is not None:
             self._drop(entry.target)
-        entry.validated_at = time.monotonic()
         self._entries[entry.target] = entry
         self._lru.touch(entry.target)
         self._by_path.setdefault(entry.path, set()).add(entry.target)
@@ -296,8 +296,8 @@ class HotResponseCache:
         """Drop every entry serving ``path``; return how many were dropped.
 
         Wired to the descriptor and mapped-chunk caches' ``on_invalidate``
-        hooks (and to pathname-cache revalidation), so an entry can never
-        keep serving a file whose backing resources were invalidated.
+        hooks (and to the owner's changed-file fan-out), so an entry can
+        never keep serving a file whose backing resources were invalidated.
         """
         targets = self._by_path.get(path)
         if not targets:
@@ -307,13 +307,6 @@ class HotResponseCache:
             self._drop(target)
             dropped += 1
         return dropped
-
-    def invalidate_target(self, target: bytes) -> bool:
-        """Drop the entry for one raw target, if present."""
-        if target not in self._entries:
-            return False
-        self._drop(target)
-        return True
 
     def clear(self) -> None:
         """Release every entry (server shutdown, cache disable)."""

@@ -11,15 +11,17 @@ processes.
 Entries record the translated path along with the file's size and
 modification time (obtained during the "Find file" step), because the
 response header cache and the mapped-file cache key off the same metadata.
-An entry is revalidated lazily: when the underlying file's mtime or size
-changes, the entry is refreshed and dependent caches are notified via the
-``on_invalidate`` callback (this is how the response-header cache avoids
-needing its own invalidation mechanism, Section 5.3).
+Every tier shares one freshness rule: an entry is trusted for
+``revalidate_interval`` seconds after its ``validated_at`` stamp, then
+re-checked with :func:`unchanged`; a change drops it and ``on_invalidate``
+fans out to the other tiers.  The response-header cache needs no hook
+(Section 5.3): its key carries the size and mtime.
 """
 
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -31,7 +33,17 @@ from repro.http.response import make_etag
 DEFAULT_MAX_ENTRIES = 6000
 
 
-@dataclass(frozen=True, slots=True)
+def unchanged(path: str, size: int, mtime: float) -> bool:
+    """Whether ``path`` still has ``size`` and ``mtime``: every tier's one
+    freshness check.  A vanished file has changed."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return False
+    return stat.st_size == size and stat.st_mtime == mtime
+
+
+@dataclass(slots=True)
 class PathnameEntry:
     """A cached URL-to-file translation.
 
@@ -58,6 +70,9 @@ class PathnameEntry:
         architecture (or helper) performed the translation; the
         float-derived fallback only serves tests that construct entries
         by hand.
+    validated_at:
+        ``time.monotonic()`` of the ``stat`` that produced or last
+        confirmed this state; ``0.0`` (built by hand) is re-checked on use.
     """
 
     uri: str
@@ -66,10 +81,10 @@ class PathnameEntry:
     mtime: float
     mtime_ns: int = 0
     etag: str = field(init=False, compare=False)
+    validated_at: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
-        mtime_ns = self.mtime_ns or int(self.mtime * 1_000_000_000)
-        object.__setattr__(self, "etag", make_etag(self.size, mtime_ns))
+        self.etag = make_etag(self.size, self.mtime_ns or int(self.mtime * 1_000_000_000))
 
     @classmethod
     def from_stat(cls, uri: str, path: str, stat: os.stat_result) -> "PathnameEntry":
@@ -80,6 +95,7 @@ class PathnameEntry:
             size=stat.st_size,
             mtime=stat.st_mtime,
             mtime_ns=stat.st_mtime_ns,
+            validated_at=time.monotonic(),
         )
 
 
@@ -96,9 +112,12 @@ class PathnameCache:
     max_entries:
         Capacity of the cache.
     on_invalidate:
-        Callback invoked with the URI whenever a cached translation is found
-        to be stale; the Flash server wires this to the response-header and
-        mapped-file caches.
+        Callback invoked with the URI and entry whenever a translation is
+        found stale or dropped explicitly; the content store wires it to
+        the fan-out that invalidates the file in every tier.
+    revalidate_interval:
+        Seconds a translation is trusted after its stamp; ``0`` re-checks
+        every use.
     """
 
     def __init__(
@@ -106,10 +125,12 @@ class PathnameCache:
         translate: Callable[[str], tuple[str, os.stat_result]],
         max_entries: int = DEFAULT_MAX_ENTRIES,
         on_invalidate: Optional[Callable[[str, PathnameEntry], None]] = None,
+        revalidate_interval: float = 0.0,
     ):
         self._translate = translate
         self._cache: LRUCache[str, PathnameEntry] = LRUCache(max_entries=max_entries)
         self._on_invalidate = on_invalidate
+        self.revalidate_interval = revalidate_interval
         self.revalidations = 0
 
     def __len__(self) -> int:
@@ -133,49 +154,40 @@ class PathnameCache:
         """Fraction of lookups that hit the cache."""
         return self._cache.hit_rate
 
-    def lookup(self, uri: str, *, revalidate: bool = True) -> PathnameEntry:
-        """Return the translation for ``uri``, translating on a miss.
-
-        When ``revalidate`` is true (the default), a hit is checked against
-        the filesystem with a cheap ``stat`` and refreshed if the file
-        changed; this mirrors Flash's mapping-cache-driven invalidation of
-        dependent caches.
+    def lookup(self, uri: str) -> PathnameEntry:
+        """Return the fresh translation for ``uri``, translating on a miss
+        or a stale hit (see :meth:`lookup_cached`).
 
         Any exception raised by the translation function (``NotFoundError``
         and friends) propagates to the caller; negative results are not
         cached, matching the original server (a cache of valid URLs only).
         """
-        entry = self._cache.get(uri)
-        if entry is not None:
-            if not revalidate:
-                return entry
-            stat = self._safe_stat(entry.filesystem_path)
-            if (
-                stat is not None
-                and stat.st_size == entry.size
-                and stat.st_mtime == entry.mtime
-            ):
-                return entry
-            # The underlying file changed or vanished: invalidate dependents
-            # and fall through to a fresh translation.
-            self.revalidations += 1
-            self._cache.remove(uri)
-            if self._on_invalidate is not None:
-                self._on_invalidate(uri, entry)
-
-        entry = PathnameEntry.from_stat(uri, *self._translate(uri))
-        self._cache.put(uri, entry)
+        entry = self.lookup_cached(uri)
+        if entry is None:
+            entry = PathnameEntry.from_stat(uri, *self._translate(uri))
+            self._cache.put(uri, entry)
         return entry
 
     def lookup_cached(self, uri: str) -> Optional[PathnameEntry]:
-        """Return the cached translation for ``uri``, or ``None`` on a miss.
+        """Return the fresh cached translation for ``uri``, or ``None``.
 
-        The non-loading lookup of the AMPED main loop: it never translates
-        and never calls ``stat`` (a miss goes to a helper instead), but it
-        records the hit or miss like :meth:`lookup` does, so the hit rate
-        means the same thing on every architecture.
+        The AMPED loop's lookup (a miss goes to a helper).  An expired hit
+        pays one inline :func:`unchanged`; a changed file is invalidated
+        and answers ``None``.  Hits and misses count like :meth:`lookup`'s,
+        so the hit rate means the same thing on every architecture.
         """
-        return self._cache.get(uri)
+        entry = self._cache.get(uri)
+        if entry is None:
+            return None
+        now = time.monotonic()
+        if now - entry.validated_at < self.revalidate_interval:
+            return entry
+        if unchanged(entry.filesystem_path, entry.size, entry.mtime):
+            entry.validated_at = now
+            return entry
+        self.revalidations += 1
+        self.invalidate(uri)
+        return None
 
     def insert(self, entry: PathnameEntry) -> None:
         """Insert a translation produced elsewhere (e.g. by a helper process).
@@ -192,13 +204,13 @@ class PathnameCache:
         if entry is not None and self._on_invalidate is not None:
             self._on_invalidate(uri, entry)
 
+    def invalidate_path(self, path: str) -> None:
+        """Drop every translation to ``path`` without notifying (a scan,
+        run by the owner's fan-out on the rare changed file)."""
+        for uri in self._cache.keys():
+            if self._cache.peek(uri).filesystem_path == path:
+                self._cache.remove(uri)
+
     def clear(self) -> None:
         """Drop every translation."""
         self._cache.clear()
-
-    @staticmethod
-    def _safe_stat(path: str):
-        try:
-            return os.stat(path)
-        except OSError:
-            return None

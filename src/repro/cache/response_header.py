@@ -8,8 +8,8 @@ reused when the same file is repeatedly requested.
 The cache deliberately has no invalidation mechanism of its own: the
 pathname-translation (mapping) cache detects when a cached file has changed
 and the corresponding header is simply regenerated, exactly as Section 5.3
-describes.  :class:`repro.cache.pathname.PathnameCache` calls
-:meth:`ResponseHeaderCache.invalidate` through its ``on_invalidate`` hook.
+describes: the key carries the file's size and mtime, so a fresh
+translation misses and old headers age out of the LRU.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class ResponseHeaderCache:
     any of those change
     the lookup naturally misses and a fresh header is built, so staleness can
     only arise through the pathname cache holding a stale size/mtime — which
-    is exactly the condition the pathname cache revalidates.
+    is exactly the condition the shared freshness rule re-checks.
     """
 
     def __init__(
@@ -97,13 +97,6 @@ class ResponseHeaderCache:
         )
         self._cache.put(key, header)
         return header
-
-    def invalidate(self, path: str) -> int:
-        """Drop every cached header for ``path``; return how many were dropped."""
-        victims = [key for key in self._cache.keys() if key[0] == path]
-        for key in victims:
-            self._cache.remove(key)
-        return len(victims)
 
     def clear(self) -> None:
         """Drop every cached header."""

@@ -97,8 +97,9 @@ class ServerConfig:
     #: bounded by ``fd_cache_entries``; the bytes they pin through mapped
     #: chunks share ``mmap_cache_bytes``.
     hot_cache: bool = True
-    #: Seconds a hot entry's freshness verdict is trusted before the next
-    #: hit re-``stat``\s the file; 0 revalidates on every hit.
+    #: Seconds every cache tier trusts a file's ``stat`` on every
+    #: architecture before re-checking it (a change found invalidates the
+    #: file in every tier); 0 re-checks on every use.
     hot_cache_revalidate: float = 1.0
     #: Recognize plain ``GET <target> HTTP/1.x`` requests on the receive
     #: buffer without building an HTTPRequest or splitting header lines

@@ -47,6 +47,7 @@ import multiprocessing
 import os
 import queue
 import threading
+import time
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -297,7 +298,8 @@ def _death_reply(seq: int) -> HelperReply:
 
 
 def translation_entry_from_reply(uri: str, reply: HelperReply) -> PathnameEntry:
-    """Convert a successful translation reply into a pathname-cache entry."""
+    """Convert a successful translation reply into a pathname-cache entry,
+    stamped when the completion arrives on the loop."""
     if not reply.ok:
         raise ValueError("cannot build a PathnameEntry from a failed reply")
     return PathnameEntry(
@@ -306,6 +308,7 @@ def translation_entry_from_reply(uri: str, reply: HelperReply) -> PathnameEntry:
         size=reply.size,
         mtime=reply.mtime,
         mtime_ns=reply.mtime_ns,
+        validated_at=time.monotonic(),
     )
 
 

@@ -193,11 +193,6 @@ class StaticContent:
     trailer: bytes = b""
     keep_alive: bool = False
 
-    @property
-    def total_length(self) -> int:
-        """Header plus body length."""
-        return len(self.header) + self.content_length
-
     def warm_window(self) -> tuple[int, int]:
         """The single file-byte span covering every transmitted window.
 
@@ -301,9 +296,9 @@ class ContentStore:
             config.cache_max_age if config.cache_max_age > 0 else None
         )
         self.residency_tester = residency_tester or MincoreResidencyTester()
-        # Reentrant: cache-invalidation hooks (pathname revalidation ->
-        # fd/mmap invalidate -> hot-cache release) run inside locked
-        # sections and re-enter through the public release methods.
+        # Reentrant: cache-invalidation hooks (invalidate_file -> hot-cache
+        # release) run inside locked sections and re-enter through the
+        # public release methods.
         self._lock = threading.RLock() if thread_safe else None
 
         self._translate_uncached = functools.partial(
@@ -317,7 +312,8 @@ class ContentStore:
             self.pathname_cache = PathnameCache(
                 self._translate_uncached,
                 max_entries=config.pathname_cache_entries,
-                on_invalidate=self._on_pathname_invalidated,
+                on_invalidate=lambda _, entry: self.invalidate_file(entry.filesystem_path),
+                revalidate_interval=config.hot_cache_revalidate,
             )
 
         self.header_cache: Optional[ResponseHeaderCache] = None
@@ -365,6 +361,7 @@ class ContentStore:
                 revalidate_interval=config.hot_cache_revalidate,
                 release_fd=self.release_fd,
                 release_chunk=self.release_chunk,
+                on_change=self.invalidate_file,
             )
             # Entries must never outlive their pinned resources: when the
             # descriptor or chunk caches invalidate a file, the hot entry
@@ -390,11 +387,12 @@ class ContentStore:
         return self._translate_direct(uri)
 
     def translate_cached_only(self, uri: str) -> Optional[PathnameEntry]:
-        """Return the cached translation for ``uri`` without touching disk.
+        """Return the fresh cached translation for ``uri``, never translating.
 
-        Returns ``None`` on a cache miss (or when the pathname cache is
-        disabled); the AMPED server then dispatches the translation to a
-        helper process so the main event loop never blocks.
+        Returns ``None`` on a cache miss or a changed file (or when the
+        pathname cache is disabled); the AMPED server then dispatches the
+        translation to a helper.  An expired hit pays one inline ``stat``,
+        as the hot cache does, not a helper round trip.
         """
         if self.pathname_cache is None:
             return None
@@ -938,6 +936,7 @@ class ContentStore:
                 file_handle=handle,
                 chunks=tuple(content.chunks),
                 segments=tuple(content.segments),
+                validated_at=entry.validated_at,
             )
             hot_entry.file_header(200, content.keep_alive, content.header)
             admitted = self.hot_cache.insert(hot_entry)
@@ -1050,14 +1049,7 @@ class ContentStore:
     # The paper's documented disk-blocking step: helpers call this off-loop
     # (OP_READ); SPED calls it inline, which is exactly the architectural
     # cost under measurement.
-    # repro-lint: allow[RL001] -- intentional blocking read: helper-side in AMPED, inline by design in SPED
-    @staticmethod
-    def read_file(path: str) -> bytes:
-        """Plain blocking file read, used when the mmap cache is disabled."""
-        with open(path, "rb") as handle:
-            return handle.read()
-
-    # repro-lint: allow[RL001] -- same contract as read_file: helper-side in AMPED, inline by design in SPED/fallbacks
+    # repro-lint: allow[RL001] -- intentional blocking read: helper-side in AMPED, inline by design in SPED/fallbacks
     @staticmethod
     def read_file_range(path: str, offset: int, length: int) -> bytes:
         """Blocking read of a ``(offset, length)`` window of ``path``.
@@ -1098,18 +1090,21 @@ class ContentStore:
 
     # -- invalidation ----------------------------------------------------------
 
-    def _on_pathname_invalidated(self, uri: str, entry: PathnameEntry) -> None:
-        # The hot cache goes first so its pins are released before the
-        # descriptor/chunk caches decide what they can close.  (The fd and
-        # mmap hooks below would drop it too; this direct call also covers
-        # configurations where those caches are disabled.)
+    def invalidate_file(self, path: str) -> None:
+        """The one fan-out for a changed (or explicitly dropped) file.
+
+        Translations, hot entries, chunks and the descriptor go, so the
+        next request re-translates and reopens a replaced inode; header
+        keys carry size and mtime.  Hot first, so its pins are released
+        before the fd/chunk caches decide what they can close.
+        """
+        if self.pathname_cache is not None:
+            self.pathname_cache.invalidate_path(path)
         if self.hot_cache is not None:
-            self.hot_cache.invalidate_path(entry.filesystem_path)
-        if self.header_cache is not None:
-            self.header_cache.invalidate(entry.filesystem_path)
+            self.hot_cache.invalidate_path(path)
         if self.mmap_cache is not None:
-            self.mmap_cache.invalidate(entry.filesystem_path)
-        self.fd_cache.invalidate(entry.filesystem_path)
+            self.mmap_cache.invalidate(path)
+        self.fd_cache.invalidate(path)
 
     # -- misc -------------------------------------------------------------------
 

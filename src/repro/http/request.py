@@ -653,7 +653,9 @@ class RequestParser:
         for raw in lines[1:]:
             if not raw.strip():
                 continue
-            if raw[0] in (" ", "\t") and last_name is not None:
+            if raw[0] in (" ", "\t"):
+                if last_name is None:  # RFC 7230 §3: folds into no field
+                    raise BadRequestError(f"whitespace before first header: {raw!r}")
                 # Obsolete header folding: continuation of the previous field.
                 headers[last_name] += " " + raw.strip()
                 continue

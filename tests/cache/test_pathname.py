@@ -101,12 +101,12 @@ class TestRevalidation:
             cache.lookup("/a.txt")
         assert "/a.txt" not in cache
 
-    def test_no_revalidation_when_disabled(self, docroot):
-        cache = make_cache(docroot)
+    def test_no_revalidation_inside_interval(self, docroot):
+        cache = make_cache(docroot, revalidate_interval=1000.0)
         entry = cache.lookup("/a.txt")
         os.unlink(os.path.join(docroot, "a.txt"))
-        # revalidate=False returns the (stale) cached entry without stat-ing.
-        assert cache.lookup("/a.txt", revalidate=False) == entry
+        # Inside the interval a hit trusts the entry without stat-ing.
+        assert cache.lookup("/a.txt") == entry
 
 
 class TestExplicitInvalidation:

@@ -41,15 +41,6 @@ class TestResponseHeaderCache:
         header = cache.get("/images/logo.gif", 10, 1.0)
         assert b"Content-Type: image/gif" in header.raw
 
-    def test_invalidate_by_path(self):
-        cache = ResponseHeaderCache()
-        cache.get("/f.html", 10, 1.0)
-        cache.get("/f.html", 10, 1.0, keep_alive=True)
-        cache.get("/other.html", 10, 1.0)
-        dropped = cache.invalidate("/f.html")
-        assert dropped == 2
-        assert len(cache) == 1
-
     def test_capacity_bound(self):
         cache = ResponseHeaderCache(max_entries=2)
         for i in range(5):

@@ -205,7 +205,7 @@ class TestResidencyIntegration:
 
 class TestInvalidationPropagation:
     def test_file_change_invalidates_dependent_caches(self, docroot):
-        store = ContentStore(ServerConfig(document_root=docroot))
+        store = ContentStore(ServerConfig(document_root=docroot, hot_cache_revalidate=0.0))
         request = parse(b"GET /index.html HTTP/1.0\r\n\r\n")
         entry = store.translate("/index.html")
         store.build_response(request, entry).release(store)

@@ -146,6 +146,16 @@ class TestErrors:
             parser.feed(b"GET / HTTP/1.1\r\n" + line + b"\r\n\r\n")
         assert parser.fast_request is None
 
+    @pytest.mark.parametrize("line", [b" Content-Length: 5", b"\tHost: x"])
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_whitespace_led_first_header_rejected(self, line, fast):
+        """RFC 7230 §3: a whitespace-led line before the first field folds
+        into nothing — 400, not a field a front end would have ignored."""
+        parser = RequestParser(fast=fast)
+        with pytest.raises(BadRequestError, match="whitespace before first header"):
+            parser.feed(b"GET / HTTP/1.1\r\n" + line + b"\r\nHost: x\r\n\r\nhello")
+        assert parser.fast_request is None
+
     def test_negative_content_length(self):
         with pytest.raises(BadRequestError):
             parse(b"POST / HTTP/1.0\r\nContent-Length: -5\r\n\r\n")

@@ -3,8 +3,8 @@
 A body is framed by ``Content-Length`` on every method, so bytes that
 spell a request inside a GET's body are never answered as one; a request
 carrying ``Transfer-Encoding`` is answered 501 (400 beside a
-``Content-Length``) and the connection closes, since its boundary is
-unknown.  SPED drives the event-loop transport, MT the blocking one.
+``Content-Length``), and one whose first header line is whitespace-led
+400, and the connection closes, since its boundary is unknown.  SPED drives the event-loop transport, MT the blocking one.
 """
 
 import re
@@ -78,6 +78,21 @@ def test_transfer_encoding_beside_content_length_is_400_and_close(server):
     payload = (
         b"POST /index.html HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n"
         b"Content-Length: 5\r\n\r\n0\r\n\r\n"
+        + SMUGGLED
+    )
+    stream = converse(server.address, payload)
+    assert statuses(stream) == [b"400"]
+    assert b"Connection: close" in stream
+    assert SECRET not in stream
+
+
+def test_whitespace_led_first_header_is_400_and_close(server):
+    """A folded ``Content-Length`` before the first field frames no body: a
+    front end that ignores the line would read the "body" as the next
+    request, so the server refuses the head and closes."""
+    payload = (
+        b"GET /index.html HTTP/1.1\r\n Content-Length: %d\r\nHost: x\r\n\r\n"
+        % len(SMUGGLED)
         + SMUGGLED
     )
     stream = converse(server.address, payload)

@@ -95,6 +95,36 @@ class TestSPEDServer:
         assert server.stats.helper_dispatches == 0
         assert server.stats.blocking_translations >= 1
 
+    def test_callback_crash_closes_only_its_connection(self, docroot):
+        """The loop's crash barrier: a response step that raises closes that
+        one connection and counts ``loop_callback_errors``; the next client
+        is still served."""
+        # hot_cache off: the repeat request must reach respond_async too.
+        server = SPEDServer(ServerConfig(document_root=docroot, port=0, hot_cache=False))
+        respond_async = server.respond_async
+        crashes = []
+
+        def crash_once(request, keep_alive, callback):
+            if not crashes:
+                crashes.append(request.path)
+                raise RuntimeError("injected handler bug")
+            respond_async(request, keep_alive, callback)
+
+        server.respond_async = crash_once
+        server.start()
+        try:
+            with socket.create_connection(server.address, timeout=5.0) as sock:
+                sock.sendall(b"GET /index.html HTTP/1.1\r\nHost: x\r\n\r\n")
+                crashed = sock.recv(65536)
+            errors = server.stats.loop_callback_errors
+            after = fetch(*server.address, "/index.html")
+        finally:
+            server.stop()
+        assert crashes == ["/index.html"]
+        assert crashed == b""  # closed, not answered
+        assert errors == 1
+        assert after.status == 200 and after.body == b"<html>x</html>"
+
     def test_architecture_label(self, docroot):
         server = SPEDServer(ServerConfig(document_root=docroot))
         try:
