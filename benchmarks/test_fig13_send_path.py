@@ -7,14 +7,12 @@ with each event-notification backend the platform provides — on the
 paper's single-file cached workload (the workload of Figures 6/7, where
 send-path efficiency dominates).
 
-Three send paths are measured per backend:
+Two send paths are measured per backend, both from the same cached open
+descriptor:
 
 ``buffered``
-    Classic copying path: the body is read into user-space ``bytes`` and
-    pushed through ``socket.send`` (caches: mmap disabled, zero-copy off).
-``mapped``
-    The paper's own copy-avoidance: memoryviews over cached ``mmap``
-    chunks, coalesced with vectored writes (zero-copy off).
+    Classic copying path: the body is read into user space by bounded
+    positional reads and pushed through ``socket.sendmsg`` (zero-copy off).
 ``zerocopy``
     ``os.sendfile`` from the cached open descriptor; the body never enters
     user space at all.
@@ -59,8 +57,7 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 #: send-path label -> ServerConfig overrides.
 SEND_PATHS = {
-    "buffered": {"zero_copy": False, "enable_mmap_cache": False},
-    "mapped": {"zero_copy": False},
+    "buffered": {"zero_copy": False},
     "zerocopy": {"zero_copy": True},
 }
 
@@ -170,14 +167,12 @@ def test_fig13_send_path_comparison(run_once):
     by_key = {(row["backend"], row["send_path"]): row for row in rows}
     for backend in available_backends():
         buffered = by_key[(backend, "buffered")]
-        mapped = by_key[(backend, "mapped")]
         zerocopy = by_key[(backend, "zerocopy")]
         # Correctness guards: clean runs, and the zero-copy path really
         # went through sendfile rather than silently degrading.
-        for row in (buffered, mapped, zerocopy):
+        for row in (buffered, zerocopy):
             assert row["errors"] == 0, row
         assert buffered["sendfile_responses"] == 0
-        assert mapped["sendfile_responses"] == 0
         assert zerocopy["sendfile_responses"] > 0
         assert zerocopy["sendfile_fallbacks"] == 0
         # The paper's copy-avoidance claim, per backend: zero-copy does

@@ -1,11 +1,11 @@
 """RL002 — fd lifecycle balance: every descriptor acquired is released.
 
 The reproduction's whole performance story rides on descriptors: cached
-fds pinned by in-flight sendfile responses, mmap chunks pinned by buffered
-sends, listen/epoll/pipe descriptors owned by servers and helpers.  A
-leaked fd is invisible until the process hits ``EMFILE`` under load —
-precisely the overload regime PR 8 hardened — so leak discipline must be
-enforced where the leak is written, not where it finally bites.
+fds pinned by in-flight responses, listen/epoll/pipe descriptors owned by
+servers and helpers.  A leaked fd is invisible until the process hits
+``EMFILE`` under load — precisely the overload regime admission control
+hardens — so leak discipline must be enforced where the leak is written,
+not where it finally bites.
 
 Per function, the rule tracks names bound to an acquiring call
 (``os.open``, ``os.dup``, ``os.pipe``, ``socket.socket()``,

@@ -4,9 +4,10 @@ The paper uses LRU in two places with slightly different shapes:
 
 * an *LRU cache* with a hard entry or byte limit (pathname translation cache,
   response header cache, the simulator's OS buffer cache), and
-* an *LRU free list* of inactive mapped-file chunks (Section 5.4): chunks in
-  use are pinned and only inactive chunks are eligible for eviction, which is
-  how Flash approximates the kernel's clock replacement.
+* an *LRU free list* of inactive pinned resources (Section 5.4's mapped-file
+  chunks; here the descriptor cache's open files): resources in use are
+  pinned and only inactive ones are eligible for eviction, which is how
+  Flash approximates the kernel's clock replacement.
 
 Both are built here on ordered dictionaries so the rest of the code base
 never reimplements eviction logic.
@@ -144,11 +145,12 @@ class LRUCache(Generic[K, V]):
 
 
 class LRUList(Generic[K]):
-    """An LRU-ordered free list of keys, as used by the mapped-file cache.
+    """An LRU-ordered free list of keys, as used by the descriptor cache.
 
-    Unlike :class:`LRUCache`, this structure stores only keys: the mapped-file
-    cache keeps the chunk objects itself, moving chunk keys onto this list
-    when a chunk becomes inactive and removing them when the chunk is reused.
+    Unlike :class:`LRUCache`, this structure stores only keys: the
+    descriptor cache keeps the descriptor objects itself, moving keys onto
+    this list when a descriptor becomes inactive and removing them when it
+    is reused.
     ``pop_coldest`` yields eviction victims in least-recently-used order.
     """
 

@@ -1,99 +1,28 @@
-"""Mapped-file chunk cache (paper Section 5.4).
+"""The descriptor cache: the live server's mapped-file tier (paper Section 5.4).
 
-Flash retains a cache of memory-mapped files to reduce the number of
-map/unmap operations needed for request processing.  The cache operates on
-*chunks* of files: small files occupy one chunk each while large files are
-split into multiple chunks.  Inactive chunks are kept on an LRU free list
-and unmapped lazily when too much data has been mapped; LRU approximates the
-clock page-replacement algorithm used by the kernel, with the goal of
-keeping mapped only what is likely to be resident in memory.  All mapped
-pages are tested for memory residency (``mincore``) before use.
+Flash keeps a cache of memory-mapped file chunks so a request pays no
+map/unmap and no copy.  This server sends file bytes with ``sendfile``
+from a cached open descriptor instead, which does the same job: the body
+never enters user space, and a cache-hot request performs no name lookup,
+no open and no copy.  Every static body with bytes leaves from a pinned
+:class:`CachedFD` — by ``sendfile``, or by bounded positional reads when
+zero-copy is off.  The paper's chunk cache itself, with its lazy unmap and
+byte budget, is reproduced in the simulator (:mod:`repro.sim`), where the
+Figure 11 ablation turns it off.
 
-This module implements exactly that structure with real ``mmap`` objects.
-Chunks are reference counted: a chunk being transmitted on a connection is
-*active* (pinned, never unmapped); when its reference count drops to zero it
-moves to the LRU free list and becomes an eviction candidate.
+The module keeps its historical name: the regression benchmark reports
+its descriptor probes as ``cache.mapped_file.*``.
 """
 
 from __future__ import annotations
 
-import mmap
+import errno
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.cache.lru import LRUList
-from repro.cache.residency import MincoreResidencyTester, ResidencyTester
-
-#: Chunk size used to split large files.  The paper does not give the exact
-#: figure; 64 KB keeps per-chunk bookkeeping small while letting the largest
-#: files in the evaluation (a few hundred KB) span a handful of chunks.
-DEFAULT_CHUNK_SIZE = 64 * 1024
-
-#: Default total bytes of mapped data, matching the paper's evaluation
-#: configuration ("a memory mapped file cache with a 32 MB limit").
-DEFAULT_MAX_MAPPED_BYTES = 32 * 1024 * 1024
-
-
-@dataclass(frozen=True)
-class ChunkKey:
-    """Identity of one mapped chunk: the file plus the chunk index."""
-
-    path: str
-    index: int
-
-
-@dataclass
-class MappedChunk:
-    """One mapped region of a file.
-
-    Attributes
-    ----------
-    key:
-        The file path and chunk index this mapping covers.
-    offset:
-        Byte offset of the chunk within the file.
-    length:
-        Number of bytes mapped (the final chunk of a file may be short).
-    data:
-        The ``mmap`` object (or ``bytes`` for empty files, which cannot be
-        mapped on all platforms).
-    refcount:
-        Number of in-flight responses currently transmitting from this chunk.
-    """
-
-    key: ChunkKey
-    offset: int
-    length: int
-    data: "mmap.mmap | bytes"
-    refcount: int = 0
-    _closed: bool = field(default=False, repr=False)
-
-    def view(self) -> memoryview:
-        """A zero-copy view of the mapped bytes."""
-        return memoryview(self.data)[: self.length]
-
-    def close(self) -> None:
-        """Unmap the chunk.  Idempotent.
-
-        If a memoryview exported from the mapping is still alive the unmap is
-        deferred: the mapping stays open (and ``closed`` stays False) until
-        the view holder releases it and ``close`` is called again — closing
-        underneath an in-flight response would be a use-after-unmap.
-        """
-        if self._closed:
-            return
-        if isinstance(self.data, mmap.mmap):
-            try:
-                self.data.close()
-            except BufferError:
-                return
-        self._closed = True
-
-    @property
-    def closed(self) -> bool:
-        """True once the underlying mapping has been released."""
-        return self._closed
+from repro.testing.faults import faults
 
 
 @dataclass
@@ -128,18 +57,16 @@ class CachedFD:
 
 
 class FileDescriptorCache:
-    """Cache of open file descriptors for the zero-copy (sendfile) path.
+    """Cache of open file descriptors, the one source of static bodies.
 
-    The paper's copy-avoidance argument extends naturally past ``mmap``:
-    with ``sendfile`` the response body never enters user space, but a
-    naive implementation pays an ``open``/``close`` pair per request.  This
+    A naive server pays an ``open``/``close`` pair per request.  This
     cache keeps descriptors of recently served files open — the
     filesystem-level analogue of the mapped-file cache — so a cache-hot
     request performs *no* name lookup, no open and no copy.
 
-    Descriptors are reference counted exactly like mapped chunks: while a
-    response is transmitting from a descriptor it cannot be closed; idle
-    descriptors park on an LRU list bounded by ``max_entries``.
+    Descriptors are reference counted: while a response is transmitting
+    from a descriptor it cannot be closed; idle descriptors park on an LRU
+    list bounded by ``max_entries``.
     """
 
     def __init__(self, max_entries: int = 128):
@@ -171,8 +98,8 @@ class FileDescriptorCache:
     def acquire(self, path: str) -> CachedFD:
         """Pin and return an open descriptor for ``path``, opening if needed.
 
-        Propagates ``OSError`` when the file cannot be opened; the caller
-        is expected to fall back to the buffered path in that case.
+        Propagates ``OSError`` when the file cannot be opened; the
+        response is then answered with an error.
         """
         entry = self._entries.get(path)
         if entry is not None:
@@ -182,6 +109,10 @@ class FileDescriptorCache:
             entry.refcount += 1
             return entry
         self.misses += 1
+        if faults.take("disk_read"):
+            # Injected media failure at the open, the response build's one
+            # disk access: exercises the 500 path on every architecture.
+            raise OSError(errno.EIO, f"injected disk failure opening {path}")
         fd = os.open(path, os.O_RDONLY)
         self.open_operations += 1
         entry = CachedFD(path=path, fd=fd, refcount=1)
@@ -257,187 +188,3 @@ class FileDescriptorCache:
                 continue
             del self._entries[path]
             self._close(entry)
-
-
-class MappedFileCache:
-    """Reference-counted cache of memory-mapped file chunks with lazy unmap.
-
-    Parameters
-    ----------
-    chunk_size:
-        Size of each mapping chunk; files larger than this are split.
-    max_mapped_bytes:
-        Soft limit on the total bytes mapped by *inactive* chunks.  Active
-        (pinned) chunks never count toward eviction decisions because they
-        cannot be unmapped while a response is using them.
-    residency_tester:
-        The ``mincore`` substitute used to test whether a chunk's pages are
-        resident before use (Section 5.7).  The default answers from the real
-        ``mincore`` where available.
-    """
-
-    def __init__(
-        self,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        max_mapped_bytes: int = DEFAULT_MAX_MAPPED_BYTES,
-        residency_tester: Optional[ResidencyTester] = None,
-    ):
-        if chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
-        if max_mapped_bytes < 0:
-            raise ValueError("max_mapped_bytes must be non-negative")
-        self.chunk_size = chunk_size
-        self.max_mapped_bytes = max_mapped_bytes
-        self.residency_tester = residency_tester or MincoreResidencyTester()
-        #: Optional hook called with the path whenever chunks of a file are
-        #: invalidated (see :attr:`FileDescriptorCache.on_invalidate`).
-        self.on_invalidate: Optional[Callable[[str], None]] = None
-        self._chunks: dict[ChunkKey, MappedChunk] = {}
-        self._free_list: LRUList[ChunkKey] = LRUList()
-        self._inactive_bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.map_operations = 0
-        self.unmap_operations = 0
-
-    def __len__(self) -> int:
-        return len(self._chunks)
-
-    @property
-    def mapped_bytes(self) -> int:
-        """Total bytes currently mapped (active and inactive chunks)."""
-        return sum(chunk.length for chunk in self._chunks.values())
-
-    @property
-    def inactive_bytes(self) -> int:
-        """Bytes mapped by chunks on the LRU free list."""
-        return self._inactive_bytes
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of chunk acquisitions that reused an existing mapping."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def chunk_count(self, size: int) -> int:
-        """Number of chunks a file of ``size`` bytes occupies (at least 1)."""
-        if size <= 0:
-            return 1
-        return (size + self.chunk_size - 1) // self.chunk_size
-
-    def acquire(self, path: str, index: int = 0) -> MappedChunk:
-        """Pin and return chunk ``index`` of ``path``, mapping it if needed.
-
-        The caller must :meth:`release` the chunk when the response that uses
-        it completes; until then the chunk is excluded from eviction.
-        """
-        key = ChunkKey(path=path, index=index)
-        chunk = self._chunks.get(key)
-        if chunk is not None:
-            self.hits += 1
-            if chunk.refcount == 0 and self._free_list.discard(key):
-                self._inactive_bytes -= chunk.length
-            chunk.refcount += 1
-            return chunk
-
-        self.misses += 1
-        chunk = self._map_chunk(key)
-        chunk.refcount = 1
-        self._chunks[key] = chunk
-        self._evict_to_limit()
-        return chunk
-
-    def acquire_file(self, path: str) -> list[MappedChunk]:
-        """Pin and return every chunk of ``path`` in order."""
-        size = os.path.getsize(path)
-        return [self.acquire(path, index) for index in range(self.chunk_count(size))]
-
-    def release(self, chunk: MappedChunk) -> None:
-        """Unpin ``chunk``; when its refcount reaches zero it joins the LRU list."""
-        if chunk.refcount <= 0:
-            raise ValueError(f"release of unpinned chunk {chunk.key}")
-        chunk.refcount -= 1
-        if chunk.refcount == 0 and chunk.key in self._chunks:
-            self._free_list.touch(chunk.key)
-            self._inactive_bytes += chunk.length
-            self._evict_to_limit()
-
-    def is_resident(self, chunk: MappedChunk) -> bool:
-        """Test whether the chunk's pages are memory resident (``mincore``)."""
-        return self.residency_tester.is_resident(chunk)
-
-    def invalidate(self, path: str) -> int:
-        """Drop every *inactive* chunk of ``path``; return how many were unmapped.
-
-        Active chunks are left alone (a response is still transmitting from
-        them) but are forgotten by the cache so future requests re-map the
-        changed file.
-        """
-        dropped = 0
-        for key in [k for k in self._chunks if k.path == path]:
-            chunk = self._chunks[key]
-            if chunk.refcount == 0:
-                self._unmap(key)
-                dropped += 1
-            else:
-                # Orphan the active chunk: remove it from the index so a new
-                # mapping is created next time, but leave the mmap alive for
-                # the in-flight response, which will close it on release.
-                del self._chunks[key]
-        if self.on_invalidate is not None:
-            self.on_invalidate(path)
-        return dropped
-
-    def clear(self) -> None:
-        """Unmap every inactive chunk and forget active ones."""
-        for key in list(self._chunks):
-            chunk = self._chunks[key]
-            if chunk.refcount == 0:
-                self._unmap(key)
-            else:
-                del self._chunks[key]
-
-    # -- internals ---------------------------------------------------------
-
-    def _map_chunk(self, key: ChunkKey) -> MappedChunk:
-        size = os.path.getsize(key.path)
-        offset = key.index * self.chunk_size
-        if key.index and offset >= size:
-            raise ValueError(
-                f"chunk index {key.index} out of range for {key.path} ({size} bytes)"
-            )
-        length = max(0, min(self.chunk_size, size - offset))
-        self.map_operations += 1
-        if length == 0:
-            return MappedChunk(key=key, offset=offset, length=0, data=b"")
-        # mmap offsets must be multiples of the allocation granularity; the
-        # chunk size is a multiple of the page size so plain offsets work.
-        # ACCESS_COPY (private, copy-on-write) rather than ACCESS_READ: the
-        # mapping reads identical data but is considered writable by Python,
-        # which lets the mincore residency tester obtain its address through
-        # ctypes.  The server never writes through the mapping.
-        with open(key.path, "rb") as handle:
-            data = mmap.mmap(
-                handle.fileno(), length, offset=offset, access=mmap.ACCESS_COPY
-            )
-        return MappedChunk(key=key, offset=offset, length=length, data=data)
-
-    def _unmap(self, key: ChunkKey) -> None:
-        chunk = self._chunks.pop(key)
-        if self._free_list.discard(key):
-            self._inactive_bytes -= chunk.length
-        chunk.close()
-        self.unmap_operations += 1
-
-    def _evict_to_limit(self) -> None:
-        while self._inactive_bytes > self.max_mapped_bytes and len(self._free_list):
-            key = self._free_list.coldest()
-            if key is None:
-                break
-            self._free_list.discard(key)
-            chunk = self._chunks.pop(key, None)
-            if chunk is None:
-                continue
-            self._inactive_bytes -= chunk.length
-            chunk.close()
-            self.unmap_operations += 1

@@ -10,7 +10,7 @@ processes.
 
 Entries record the translated path along with the file's size and
 modification time (obtained during the "Find file" step), because the
-response header cache and the mapped-file cache key off the same metadata.
+response header cache and the descriptor cache key off the same metadata.
 Every tier shares one freshness rule: an entry is trusted for
 ``revalidate_interval`` seconds after its ``validated_at`` stamp, then
 re-checked with :func:`unchanged`; a change drops it and ``on_invalidate``

@@ -2,26 +2,22 @@
 
 Flash uses the ``mincore()`` system call to determine whether mapped file
 pages are memory resident before sending them; if they are not, the request
-is handed to a read helper so the main process never blocks on a page fault.
+is handed to a helper so the main process never blocks on a page fault.
 
-Each way a body leaves gets one residency question:
-
-* :meth:`MincoreResidencyTester.is_resident` — a mapped chunk (the
-  buffered send path) is asked with the paper's ``mincore`` over the
-  mapping itself.
-* :meth:`MincoreResidencyTester.file_resident` — a ``sendfile`` response
-  never maps the file, so its descriptor window is read with
-  ``preadv(RWF_NOWAIT)`` into a scratch buffer: the kernel copies only
-  pages that are cached and up to date and never waits for I/O, so a
-  full-length read *is* residency.  Kernels or filesystems that refuse
-  ``RWF_NOWAIT`` get ``mincore`` over a *transient* private mapping of the
-  descriptor instead (``mmap`` itself faults no pages in), unmapped
-  immediately.
+This server never maps a body: every static body leaves from a pinned
+descriptor.  So the residency question is asked of a descriptor window,
+by :meth:`MincoreResidencyTester.file_resident`: the window is read with
+``preadv(RWF_NOWAIT)`` into a scratch buffer — the kernel copies only
+pages that are cached and up to date and never waits for I/O, so a
+full-length read *is* residency.  Kernels or filesystems that refuse
+``RWF_NOWAIT`` get the paper's ``mincore`` over a *transient* private
+mapping of the descriptor instead (``mmap`` itself faults no pages in),
+unmapped immediately.
 
 Where no probe can answer, the content counts as resident (counted in
 ``fallback_answers``) — the graceful degradation the paper notes for
 operating systems lacking the call.  :class:`SimulatedResidencyOracle`
-scripts both answers for tests and the simulation layer.
+scripts the answers for tests and the simulation layer.
 """
 
 from __future__ import annotations
@@ -30,18 +26,11 @@ import ctypes
 import ctypes.util
 import mmap
 import os
-from typing import Optional, Protocol, TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.cache.mapped_file import MappedChunk
+from typing import Optional, Protocol
 
 
 class ResidencyTester(Protocol):
     """Interface shared by every residency tester."""
-
-    def is_resident(self, chunk: "MappedChunk") -> bool:
-        """Return True when all of ``chunk``'s pages are memory resident."""
-        ...
 
     def file_resident(self, fd: int, length: int, path: str = "", offset: int = 0) -> bool:
         """Residency of an fd-backed (non-mmapped) byte range.
@@ -144,9 +133,8 @@ def _mapped_resident(fd: int, length: int, offset: int) -> Optional[bool]:
     aligned = offset - (offset % mmap.ALLOCATIONGRANULARITY)
     span = length + (offset - aligned)
     try:
-        # ACCESS_COPY (private, copy-on-write) for the same reason the
-        # mapped-file cache uses it: Python treats the mapping as
-        # writable, which lets ctypes take its address for mincore.
+        # ACCESS_COPY (private, copy-on-write): Python treats the mapping
+        # as writable, which lets ctypes take its address for mincore.
         probe = mmap.mmap(fd, span, access=mmap.ACCESS_COPY, offset=aligned)
     except (OSError, ValueError, OverflowError):
         return None
@@ -170,17 +158,6 @@ class MincoreResidencyTester:
     def __init__(self):
         self.calls = 0
         self.fallback_answers = 0
-
-    def is_resident(self, chunk: "MappedChunk") -> bool:
-        self.calls += 1
-        data = chunk.data
-        if not isinstance(data, mmap.mmap) or chunk.length == 0:
-            return True
-        verdict = _mincore_over_buffer(data, chunk.length)
-        if verdict is None:
-            self.fallback_answers += 1
-            return True
-        return verdict
 
     def file_resident(self, fd: int, length: int, path: str = "", offset: int = 0) -> bool:
         """Probe residency of an fd-backed window of the file itself.
@@ -210,7 +187,7 @@ class SimulatedResidencyOracle:
     """Residency tester driven by an explicit set of resident files.
 
     Tests and the simulation layer use this to script exactly which content
-    is "in memory": a chunk is resident iff its path is in
+    is "in memory": a window is resident iff its file's path is in
     :attr:`resident_paths` (or everything, when ``default_resident`` is set).
     """
 
@@ -219,14 +196,8 @@ class SimulatedResidencyOracle:
         self.default_resident = default_resident
         self.queries = 0
 
-    def is_resident(self, chunk: "MappedChunk") -> bool:
-        self.queries += 1
-        if chunk.key.path in self.resident_paths:
-            return True
-        return self.default_resident
-
     def file_resident(self, fd: int, length: int, path: str = "", offset: int = 0) -> bool:
-        """Scripted answer for fd-backed queries: same rule as chunks."""
+        """Scripted answer: resident iff the path is marked (or the default)."""
         self.queries += 1
         if path in self.resident_paths:
             return True

@@ -4,13 +4,14 @@ The evaluation in the paper (Section 6) fixes a particular configuration:
 Flash and Flash-MT use a 32 MB mapped-file cache and a 6000-entry pathname
 cache; each Flash-MP process gets a 4 MB mapped-file cache and 600 pathname
 entries because the caches are replicated per process; Flash-MP and Apache
-use 32 server processes and Flash-MT uses 32 threads.  Those numbers are the
-defaults here, and :meth:`ServerConfig.per_process_scaled` derives the MP
-per-process variant exactly as the paper describes.
-
-The three ``enable_*_cache`` switches exist for the Figure 11 breakdown
-experiment, which measures Flash with every combination of the pathname
-translation, mapped-file and response-header caches.
+use 32 server processes and Flash-MT uses 32 threads.  The pathname and
+concurrency numbers are the defaults here, and
+:meth:`ServerConfig.per_process_scaled` derives the MP per-process variant
+exactly as the paper describes.  The live server sends file bytes from a
+cache of open descriptors instead of mapped chunks (see
+:mod:`repro.cache.mapped_file`); the paper's mapped-file cache, and the
+Figure 11 breakdown that turns it off, live in the simulator
+(:mod:`repro.sim`).
 """
 
 from __future__ import annotations
@@ -61,14 +62,8 @@ class ServerConfig:
     enable_pathname_cache: bool = True
     #: Enable the response header cache.
     enable_header_cache: bool = True
-    #: Enable the mapped-file chunk cache.
-    enable_mmap_cache: bool = True
     #: Pathname cache capacity (entries).
     pathname_cache_entries: int = 6000
-    #: Mapped-file cache limit (bytes of inactive mappings).
-    mmap_cache_bytes: int = 32 * 1024 * 1024
-    #: Chunk size for the mapped-file cache.
-    mmap_chunk_size: int = 64 * 1024
     #: Response header cache capacity (entries).
     header_cache_entries: int = 6000
 
@@ -76,26 +71,25 @@ class ServerConfig:
     #: Event-notification mechanism behind the SPED/AMPED event loop:
     #: ``"select"``, ``"poll"``, ``"epoll"`` or ``"auto"`` (best available).
     io_backend: str = "auto"
-    #: Serve static bodies zero-copy with ``os.sendfile`` from the cached
-    #: open file descriptor (header still coalesced via vectored writes).
-    #: Dynamic (CGI) responses and platforms without ``sendfile`` always use
-    #: the buffered path, as does any response whose file cannot be opened.
+    #: How a static body's windows leave the cached open file descriptor
+    #: every body is sent from: zero-copy with ``os.sendfile`` (header
+    #: still coalesced via vectored writes), or — when off, or on
+    #: platforms without ``sendfile`` — by bounded positional reads
+    #: written with ``sendmsg``.  The bytes on the wire are the same.
     zero_copy: bool = True
-    #: Open-descriptor cache capacity for the zero-copy send path.  Also
-    #: the hot-response cache's entry bound under zero-copy: there each
-    #: entry pins a descriptor, and pinned descriptors are exempt from
-    #: this cache's eviction.
+    #: Open-descriptor cache capacity.  Also the hot-response cache's entry
+    #: bound: each entry pins a descriptor, and pinned descriptors are
+    #: exempt from this cache's eviction.
     fd_cache_entries: int = 128
 
     # -- single-lookup hot path ----------------------------------------------
     #: Serve repeated static GETs from the unified hot-response cache: one
     #: dict probe keyed on the raw request-target bytes returns the
-    #: validated path, precomposed headers and pinned body resources,
+    #: validated path, precomposed headers and the pinned descriptor,
     #: retiring the pathname/header/fd triple-lookup chain from the hot
     #: path.  Never changes response bytes; misses and ineligible requests
-    #: take the full pipeline exactly as before.  Under zero-copy, entries are
-    #: bounded by ``fd_cache_entries``; the bytes they pin through mapped
-    #: chunks share ``mmap_cache_bytes``.
+    #: take the full pipeline exactly as before.  Entries are bounded by
+    #: ``fd_cache_entries``.
     hot_cache: bool = True
     #: Seconds every cache tier trusts a file's ``stat`` on every
     #: architecture before re-checking it (a change found invalidates the
@@ -111,8 +105,8 @@ class ServerConfig:
     #: Byte-position alignment of response headers (Section 5.5); 0 disables.
     header_alignment: int = DEFAULT_ALIGNMENT
     #: Perform memory-residency tests before sending file data (Section 5.7):
-    #: ``mincore`` over mapped chunks, ``preadv(RWF_NOWAIT)`` over descriptor
-    #: windows (see :mod:`repro.cache.residency`).
+    #: ``preadv(RWF_NOWAIT)`` over the body's descriptor windows, else
+    #: ``mincore`` over a transient mapping (see :mod:`repro.cache.residency`).
     enable_residency_test: bool = True
     #: Maximum request-header size accepted.
     max_header_bytes: int = 16 * 1024
@@ -204,8 +198,6 @@ class ServerConfig:
             raise ValueError("num_workers must be at least 1")
         if self.helper_mode not in ("thread", "process"):
             raise ValueError("helper_mode must be 'thread' or 'process'")
-        if self.mmap_chunk_size <= 0:
-            raise ValueError("mmap_chunk_size must be positive")
         if self.io_backend != "auto" and self.io_backend not in KNOWN_BACKENDS:
             raise ValueError(
                 f"io_backend must be 'auto' or one of {sorted(KNOWN_BACKENDS)}"
@@ -241,23 +233,21 @@ class ServerConfig:
         """Return the per-process configuration used by the MP build.
 
         The caches in an MP server are replicated in every process, so the
-        paper configures them smaller: each Flash-MP process has a 4 MB
-        mapped-file cache and a 600-entry pathname cache (Section 6).  This
-        helper divides the shared limits by the process count with the same
-        ratios the paper uses for its defaults.
+        paper configures them smaller: each Flash-MP process has a
+        600-entry pathname cache (Section 6).  This helper divides the
+        shared entry limits by the process count with the same ratio the
+        paper uses for its defaults.
         """
         processes = self.num_workers if num_processes is None else num_processes
         if processes < 1:
             raise ValueError("num_processes must be at least 1")
-        # At the paper's 32 processes, the shared 32 MB / 6000-entry caches
-        # shrink to 4 MB / 600 entries per process: an 8x byte reduction and
-        # a 10x entry reduction.  Scale those ratios linearly with the
-        # process count so other configurations stay proportionate.
-        byte_scale = max(1, processes // 4)
+        # At the paper's 32 processes, the shared 6000-entry caches shrink
+        # to 600 entries per process, a 10x reduction.  Scale that ratio
+        # linearly with the process count so other configurations stay
+        # proportionate.
         entry_scale = max(1, round(processes / 3.2))
         return replace(
             self,
-            mmap_cache_bytes=max(self.mmap_chunk_size, self.mmap_cache_bytes // byte_scale),
             pathname_cache_entries=max(16, self.pathname_cache_entries // entry_scale),
             header_cache_entries=max(16, self.header_cache_entries // entry_scale),
         )
@@ -265,9 +255,8 @@ class ServerConfig:
     def without_caches(self) -> "ServerConfig":
         """Return a copy with every application-level cache disabled.
 
-        Zero-copy is switched off too: the descriptor cache behind it is
-        itself an application-level cache, and leaving it on would skew the
-        no-caches baseline this configuration exists to measure.  The
+        Zero-copy is switched off too, so bodies leave by buffered reads.
+        The descriptor cache stays: it is the one body source.  The
         hot-response cache is the aggregation of all of the above, so it is
         disabled as well.
         """
@@ -275,22 +264,6 @@ class ServerConfig:
             self,
             enable_pathname_cache=False,
             enable_header_cache=False,
-            enable_mmap_cache=False,
             zero_copy=False,
             hot_cache=False,
-        )
-
-    def with_optimizations(
-        self,
-        *,
-        pathname: bool = True,
-        mmap: bool = True,
-        header: bool = True,
-    ) -> "ServerConfig":
-        """Return a copy with the given cache combination (Figure 11)."""
-        return replace(
-            self,
-            enable_pathname_cache=pathname,
-            enable_mmap_cache=mmap,
-            enable_header_cache=header,
         )

@@ -5,22 +5,21 @@ HTTP request by default.  When a step may block on disk — a pathname
 translation that misses the cache, or transmitting a file whose pages are
 not memory resident — the main process instructs a *helper* over an IPC
 channel to perform the potentially blocking operation.  The helper performs
-the operation (touching all pages of its mapping of the file so the data
-lands in the OS buffer cache), then returns a completion notification over
-the IPC channel; the main process learns of this like any other I/O
-completion event through ``select``.
+the operation (reading the file's pages so the data lands in the OS buffer
+cache), then returns a completion notification over the IPC channel; the
+main process learns of this like any other I/O completion event through
+``select``.
 
 Helpers handle one request at a time and are kept in reserve when idle.  To
 minimize IPC, helpers return only a completion notification, never file
-content (the main process transmits from its own mapping of the same file).
+content (the main process transmits from its own descriptor of the same
+file).
 
-Three operations are supported: pathname translation (``OP_TRANSLATE``),
-page-warming through a file mapping (``OP_READ``, the paper's read helper),
-and ``OP_WARM`` — the zero-copy variant of the read helper, which makes an
-fd-backed (``sendfile``) response memory resident via
-``posix_fadvise(WILLNEED)`` plus a bounded positional read-touch, so the
-main process can transmit straight from the descriptor without mapping the
-file at all.
+Two operations are supported: pathname translation (``OP_TRANSLATE``) and
+``OP_WARM``, the paper's read helper: it makes a body window memory
+resident via ``posix_fadvise(WILLNEED)`` plus a bounded positional
+read-touch, so the main process can transmit straight from the descriptor
+— by ``sendfile`` or by buffered reads — without blocking.
 
 Two realizations are provided, selected by ``ServerConfig.helper_mode``:
 
@@ -60,7 +59,6 @@ logger = logging.getLogger(__name__)
 
 #: Helper operation codes.
 OP_TRANSLATE = "translate"
-OP_READ = "read"
 OP_WARM = "warm"
 OP_SHUTDOWN = "shutdown"
 
@@ -98,14 +96,13 @@ class HelperRequest:
     seq:
         Sequence number used to match the completion to its callback.
     op:
-        ``OP_TRANSLATE`` (pathname translation + stat), ``OP_READ`` (touch
-        all pages of a file range so it becomes memory resident) or
-        ``OP_WARM`` (``posix_fadvise(WILLNEED)`` + bounded read-touch on an
-        already open descriptor, for fd-backed ``sendfile`` responses).
+        ``OP_TRANSLATE`` (pathname translation + stat) or ``OP_WARM``
+        (``posix_fadvise(WILLNEED)`` + bounded read-touch of a file range,
+        so it becomes memory resident).
     uri:
         Request path, for translations.
     path:
-        Filesystem path, for reads and warms.
+        Filesystem path, for warms.
     fd:
         Open file descriptor to warm (``OP_WARM`` only).  Valid only for
         thread-mode helpers, which share the server's descriptor table; the
@@ -113,7 +110,7 @@ class HelperRequest:
         (warming populates the shared OS buffer cache either way).  The
         caller must keep the descriptor pinned until the reply arrives.
     offset, length:
-        Byte range to touch for reads/warms (0, 0 means the whole file).
+        Byte range to warm (0, 0 means the whole file).
     document_root, user_dirs:
         Translation parameters (helpers in process mode cannot see the
         server's config object, so the request carries what it needs).
@@ -172,15 +169,6 @@ def perform_helper_operation(request: HelperRequest) -> HelperReply:
                 mtime=stat.st_mtime,
                 mtime_ns=stat.st_mtime_ns,
             )
-        if request.op == OP_READ:
-            touched = _touch_file_range(request.path, request.offset, request.length)
-            return HelperReply(
-                seq=request.seq,
-                op=request.op,
-                ok=True,
-                path=request.path,
-                bytes_touched=touched,
-            )
         if request.op == OP_WARM:
             touched = _warm_file_range(
                 request.path, request.fd, request.offset, request.length
@@ -203,38 +191,14 @@ def perform_helper_operation(request: HelperRequest) -> HelperReply:
         )
 
 
-def _touch_file_range(path: str, offset: int, length: int) -> int:
-    """Read ``length`` bytes of ``path`` starting at ``offset`` to warm the cache.
-
-    The helper in the paper mmaps the file and touches all pages of its
-    mapping; reading the range through the buffer cache has the same effect
-    (the pages end up resident) without requiring the helper and the server
-    to coordinate mapping addresses.
-    """
-    size = os.path.getsize(path)
-    if length <= 0:
-        length = size - offset
-    length = max(0, min(length, size - offset))
-    touched = 0
-    with open(path, "rb") as handle:
-        handle.seek(offset)
-        remaining = length
-        while remaining > 0:
-            data = handle.read(min(1 << 20, remaining))
-            if not data:
-                break
-            touched += len(data)
-            remaining -= len(data)
-    return touched
-
-
 def _warm_file_range(path: str, fd: int, offset: int, length: int) -> int:
-    """Make a byte range of an fd-backed response memory resident.
+    """Make a byte range of a response body memory resident.
 
-    This is the zero-copy analogue of :func:`_touch_file_range`: the main
-    process will transmit with ``os.sendfile`` straight from the descriptor,
-    so the helper's only job is to get the pages into the OS buffer cache —
-    no mapping coordination, no data crosses the IPC channel.
+    The main process will transmit straight from its descriptor, so the
+    helper's only job is to get the pages into the OS buffer cache — no
+    mapping coordination, no data crosses the IPC channel.  (The paper's
+    helper touches every page of its mapping of the file; reading the
+    range through the buffer cache has the same effect.)
 
     Two steps:
 
@@ -361,13 +325,6 @@ class HelperPool:
     def outstanding(self) -> int:
         """Number of submitted operations whose completion has not yet run."""
         return len(self._callbacks)
-
-    @property
-    def idle_helpers(self) -> int:
-        """Helpers currently waiting for work (approximate in thread mode)."""
-        if self.mode == "thread":
-            return max(0, self.num_helpers - min(self.outstanding, self.num_helpers))
-        return len(self._idle_processes)
 
     def submit(self, request: HelperRequest, callback: Callable[[HelperReply], None]) -> int:
         """Queue ``request``; ``callback(reply)`` runs when the helper finishes."""
@@ -536,7 +493,7 @@ class HelperPool:
         EOFed pipe reports readable forever) and closed, its process
         reaped, and the operation it owned — if any — completed with a
         synthesized failure so the requester's degradation path runs (the
-        AMPED server falls back to a buffered read, exactly as for an
+        AMPED server falls back to buffered reads, exactly as for an
         in-band helper error).  Surviving helpers keep serving the
         backlog; if none survive, queued and future operations fail fast.
 

@@ -12,25 +12,19 @@ or a worker thread), which is decided by the server front ends in
 
 from __future__ import annotations
 
-import errno
 import functools
+import os
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
-from repro.cache.hot_response import DEFAULT_MAX_ENTRIES, HotEntry, HotResponseCache
-from repro.cache.mapped_file import (
-    CachedFD,
-    FileDescriptorCache,
-    MappedChunk,
-    MappedFileCache,
-)
+from repro.cache.hot_response import HotEntry, HotResponseCache
+from repro.cache.mapped_file import CachedFD, FileDescriptorCache
 from repro.cache.pathname import PathnameCache, PathnameEntry
 from repro.cache.residency import MincoreResidencyTester, ResidencyTester
 from repro.cache.response_header import ResponseHeaderCache
 from repro.core.config import ServerConfig
-from repro.core.send_path import sendfile_available, window_views
 from repro.http.mime import guess_mime_type
 from repro.http.planner import plan_response
 from repro.http.request import HTTPRequest
@@ -76,6 +70,8 @@ class ServerStats:
     cgi_requests: int = 0
     sendfile_responses: int = 0
     sendfile_fallbacks: int = 0
+    #: ``OP_WARM`` dispatches: every cold body AMPED warms through a helper,
+    #: whether it then leaves by ``sendfile`` or by buffered reads.
     sendfile_warms: int = 0
     sendfile_warm_degradations: int = 0
     hot_hits: int = 0
@@ -145,30 +141,21 @@ class StaticContent:
     A body is always an ordered list of *parts* plus a trailer; the plain
     200/206 is the one-part case with an empty head and an empty trailer,
     a ``multipart/byteranges`` 206 has one part per window, and a bodyless
-    answer (HEAD, 304, 412, 416) has none.
+    answer (HEAD, 304, 412, 416) has none.  Every file window leaves from
+    the one pinned descriptor, ``file_handle``.
 
     Attributes
     ----------
     header:
         The encoded response header (already aligned per Section 5.5).
-    segments:
-        The complete wire body as buffers in transmission order — part
-        heads, file bytes (``bytes`` or zero-copy ``memoryview`` slices of
-        mapped chunks), trailer.  Empty when the body exists only as file
-        windows over ``file_handle`` (pure zero-copy).
-    chunks:
-        Mapped chunks pinned for this response; the connection releases them
-        when transmission finishes or the connection dies.
     content_length:
         Total body length in bytes (part heads + file windows + trailer).
     status:
         HTTP status code of the response.
     file_handle:
-        A pinned open descriptor for the served file, present when the
-        zero-copy (``sendfile``) send path may be used.  ``segments`` stays
-        populated as the buffered fallback (and, in AMPED, as the substrate
-        for the memory-residency test); a sender picks exactly one of
-        the two mechanisms per response.
+        The pinned open descriptor of the served file, present whenever the
+        body has file bytes; the connection releases it when transmission
+        finishes or the connection dies.
     parts:
         The ordered ``(head, offset, length)`` triples: ``head`` is the
         framing transmitted verbatim before the file window
@@ -181,17 +168,21 @@ class StaticContent:
         The connection disposition ``header`` announces, recorded where
         the header is composed; :meth:`ContentStore.hot_insert` files the
         header under it.
+    buffered:
+        Whether the windows leave by bounded positional reads
+        (:meth:`window_buffers`) instead of ``sendfile``: zero-copy is off
+        or unavailable, AMPED's warm failed, or ``sendfile`` refused this
+        descriptor mid-transfer.
     """
 
     header: bytes
-    segments: Sequence
-    chunks: Sequence[MappedChunk] = field(default_factory=tuple)
     content_length: int = 0
     status: int = 200
     file_handle: Optional[CachedFD] = None
     parts: Sequence[tuple[bytes, int, int]] = ()
     trailer: bytes = b""
     keep_alive: bool = False
+    buffered: bool = False
 
     def warm_window(self) -> tuple[int, int]:
         """The single file-byte span covering every transmitted window.
@@ -209,61 +200,19 @@ class StaticContent:
     def window_buffers(self, offset: int, length: int) -> list:
         """The file window ``(offset, length)`` as byte buffers.
 
-        The one "window to bytes" route of the degraded paths (a
-        ``sendfile`` fallback mid-transfer, a failed warm): views over the
-        response's pinned chunks when it has them — AMPED already made
-        those resident — else one positional read through
-        :meth:`ContentStore.read_file_range`, which may come up short when
-        the file shrank.
+        The one "window to bytes" route, used by every buffered send (see
+        ``buffered``): a positional read from the pinned descriptor, so
+        the bytes are those of the inode the header describes even when
+        the path now names another file.  Comes up short when the file
+        shrank.
         """
-        if self.chunks:
-            covering = _covering_chunks(self.chunks, offset, length)
-            return _chunk_views(covering, offset, length)
-        return [ContentStore.read_file_range(self.file_handle.path, offset, length)]
+        return [ContentStore.read_file_range(self.file_handle.fd, offset, length)]
 
     def release(self, store: "ContentStore") -> None:
-        """Return pinned chunks to the mapped-file cache.  Idempotent.
-
-        The body segments are dropped first: they are memoryviews over the
-        mappings, and holding them would prevent the cache from ever
-        unmapping the chunks.
-        """
-        self.segments = ()
-        chunks, self.chunks = self.chunks, ()
-        for chunk in chunks:
-            store.release_chunk(chunk)
+        """Return the pinned descriptor to the descriptor cache.  Idempotent."""
         handle, self.file_handle = self.file_handle, None
         if handle is not None:
             store.release_fd(handle)
-
-
-def _covering_chunks(
-    chunks: Sequence[MappedChunk], offset: int, length: int
-) -> list[MappedChunk]:
-    """The chunks of ``chunks`` the window ``(offset, length)`` intersects.
-
-    In file order, each once: a hot entry pins the whole file, and a
-    multipart response lists a chunk once per window that touches it.
-    """
-    end = offset + length
-    covering = {
-        chunk.offset: chunk
-        for chunk in chunks
-        if chunk.offset < end and chunk.offset + chunk.length > offset
-    }
-    return [covering[start] for start in sorted(covering)]
-
-
-def _chunk_views(covering: Sequence[MappedChunk], offset: int, length: int) -> list:
-    """Zero-copy views of the window ``(offset, length)`` over ``covering``.
-
-    ``covering`` are the (contiguous) chunks intersecting the window; the
-    first and last views are trimmed to the window's edges.
-    """
-    if not covering:
-        return []
-    views = [chunk.view() for chunk in covering]
-    return window_views(views, offset - covering[0].offset, length)
 
 
 class ContentStore:
@@ -274,9 +223,10 @@ class ContentStore:
     instance per worker process with the scaled-down configuration from
     :meth:`repro.core.config.ServerConfig.per_process_scaled`.
 
-    The three caches can be individually disabled through the configuration,
-    which is how the Figure 11 optimization-breakdown experiment constructs
-    its eight Flash variants.
+    The pathname and header caches can be disabled through the
+    configuration; the descriptor cache is the one body source and is
+    always on.  (The Figure 11 breakdown, which also turns the paper's
+    mapped-file cache off, is reproduced in :mod:`repro.sim`.)
     """
 
     def __init__(
@@ -323,52 +273,29 @@ class ContentStore:
                 max_entries=config.header_cache_entries,
             )
 
-        self.mmap_cache: Optional[MappedFileCache] = None
-        if config.enable_mmap_cache:
-            self.mmap_cache = MappedFileCache(
-                chunk_size=config.mmap_chunk_size,
-                max_mapped_bytes=config.mmap_cache_bytes,
-                residency_tester=self.residency_tester,
-            )
-
-        #: Open-descriptor cache for the zero-copy send path.  Always built
-        #: (it is a dict and an LRU list) but only populated when the
-        #: configuration enables ``zero_copy``, so the Figure 11-style
-        #: breakdowns can toggle it like any other optimization.
+        #: Open-descriptor cache: every static body with bytes leaves from
+        #: a descriptor pinned here, by ``sendfile`` or by positional reads.
         self.fd_cache = FileDescriptorCache(max_entries=config.fd_cache_entries)
 
         #: Unified hot-response cache: one probe on the raw request-target
         #: bytes returns a fully precomposed response (validated path,
-        #: header variants, pinned descriptor/chunks), retiring the
+        #: header variants, pinned descriptor), retiring the
         #: pathname/header/fd triple-lookup chain from the hot path.
         self.hot_cache: Optional[HotResponseCache] = None
         if config.hot_cache:
-            # Hot entries pin the resources they precompose, and pinned
-            # resources are exempt from their owning caches' eviction — so
-            # the hot cache must respect those caches' budgets itself: under
-            # zero-copy, one entry per descriptor the fd cache may hold (each
-            # entry pins an fd); buffered entries pin no descriptor and keep
-            # the cache's own entry bound.  Chunk-pinning entries share the
-            # mapped-file byte budget.
-            pins_fd = config.zero_copy and sendfile_available()
+            # Each entry pins a descriptor, and pinned descriptors are
+            # exempt from the fd cache's eviction — so the hot cache holds
+            # at most one entry per descriptor the fd cache may hold.
             self.hot_cache = HotResponseCache(
-                max_entries=(
-                    max(1, config.fd_cache_entries) if pins_fd else DEFAULT_MAX_ENTRIES
-                ),
-                max_pinned_bytes=(
-                    config.mmap_cache_bytes if self.mmap_cache is not None else 0
-                ),
+                max_entries=max(1, config.fd_cache_entries),
                 revalidate_interval=config.hot_cache_revalidate,
                 release_fd=self.release_fd,
-                release_chunk=self.release_chunk,
                 on_change=self.invalidate_file,
             )
-            # Entries must never outlive their pinned resources: when the
-            # descriptor or chunk caches invalidate a file, the hot entry
-            # is dropped in the same call.
+            # Entries must never outlive their pinned descriptor: when the
+            # descriptor cache invalidates a file, the hot entry is dropped
+            # in the same call.
             self.fd_cache.on_invalidate = self.hot_cache.invalidate_path
-            if self.mmap_cache is not None:
-                self.mmap_cache.on_invalidate = self.hot_cache.invalidate_path
 
         self.stats = ServerStats()
 
@@ -425,19 +352,15 @@ class ContentStore:
     ) -> StaticContent:
         """Build the full static response for ``entry``.
 
-        The response header comes from the header cache when enabled; the
-        body comes from the mapped-file cache (zero-copy memoryviews over the
-        mappings) or, with the mmap cache disabled, from a plain read.  HEAD
+        The response header comes from the header cache when enabled; a
+        body with bytes is a list of windows over a descriptor pinned from
+        the descriptor cache — the build reads no body byte.  An open
+        failure propagates as ``OSError`` and is answered 500.  HEAD
         requests get the header only.
 
-        When zero-copy is enabled a pinned open descriptor rides along for
-        the ``sendfile`` send path.  ``map_body`` defaults to mapping the
-        body only when ``sendfile`` will not send it (zero-copy off, or no
-        ``sendfile``): a zero-copy response pins no mapped chunks, so the
-        request performs no map, no touch and no user-space body work at
-        all.  Its residency is asked of the descriptor (:meth:`fd_resident`)
-        and warmed with ``OP_WARM``; a mapped body keeps the paper's chunk
-        ``mincore`` and ``OP_READ``.
+        ``map_body`` is accepted and ignored: ``bench/layers.py`` still
+        passes it, and ROADMAP item 2 removes it with the next benchmark
+        change.
 
         What to answer — 200, 206 (plain or ``multipart/byteranges``),
         304, 412 or 416 — is decided by
@@ -448,8 +371,6 @@ class ContentStore:
         """
         if keep_alive is None:
             keep_alive = request.keep_alive and self.config.keep_alive
-        if map_body is None:
-            map_body = not (self.config.zero_copy and sendfile_available())
         status, windows = 200, None
         # The conditional and range headers apply to GET and HEAD only;
         # other methods (a POST to a static path) must ignore them.
@@ -474,7 +395,6 @@ class ContentStore:
             entry.etag,
             keep_alive,
             request.is_head,
-            pin_windows=lambda parts: self._pin_windows(entry, parts, map_body),
         )
 
     def _assemble(
@@ -487,23 +407,17 @@ class ContentStore:
         etag: str,
         keep_alive: bool,
         head: bool,
-        *,
         hot: Optional[HotEntry] = None,
-        pin_windows: Callable[[Sequence[tuple[bytes, int, int]]], tuple],
     ) -> StaticContent:
         """Turn a ``plan_response`` verdict into a transmittable response.
 
         Shared by the slow path and the hot-cache read-side hit; the two
-        differ only in what they inject.  ``hot`` is the hit entry, whose
-        200/304 header variants answer before anything is composed (see
-        :meth:`_variant_header`).  ``pin_windows(parts)`` pins what the
-        parts' file windows need and returns ``(file_handle, chunks,
-        bodies)`` — ``bodies`` holds one buffer list per window, or is
-        ``None`` when the windows exist only on the descriptor (acquire
-        from the fd/mmap caches vs slice the entry's already-pinned
-        resources).  The validator-only headers (412/416) and the
-        client-shaped ones (206) are built fresh with the shared builder,
-        and every status counter is bumped here.
+        differ only in ``hot``, the hit entry: its 200/304 header variants
+        answer before anything is composed (see :meth:`_variant_header`),
+        and its descriptor is the one the body windows pin, where the slow
+        path acquires one from the descriptor cache.  The validator-only
+        headers (412/416) and the client-shaped ones (206) are built fresh
+        with the shared builder, and every status counter is bumped here.
         """
         parts: Sequence[tuple[bytes, int, int]] = ()
         trailer = b""
@@ -542,25 +456,18 @@ class ContentStore:
         if head or not parts:
             return StaticContent(
                 header=header,
-                segments=(),
                 content_length=0,
                 status=status,
                 keep_alive=keep_alive,
             )
-        handle, chunks, bodies = pin_windows(parts)
-        segments: Sequence = ()
-        if bodies is not None:
-            segments = []
-            for (part_head, _, _), body in zip(parts, bodies):
-                if part_head:
-                    segments.append(part_head)
-                segments.extend(body)
-            if trailer:
-                segments.append(trailer)
+        if hot is None:
+            handle = self._acquire_fd(path, size)
+        else:
+            handle = hot.file_handle
+            if handle is not None:
+                handle.refcount += 1
         return StaticContent(
             header=header,
-            segments=segments,
-            chunks=chunks,
             content_length=total,
             status=status,
             file_handle=handle,
@@ -623,62 +530,16 @@ class ContentStore:
         ).raw
         return header, parts, trailer, total
 
-    def _pin_windows(
-        self, entry: PathnameEntry, parts: Sequence[tuple[bytes, int, int]], map_body: bool
-    ) -> tuple:
-        """The slow path's body source: the descriptor and chunk caches.
+    def _acquire_fd(self, path: str, size: int) -> Optional[CachedFD]:
+        """Pin the cached open descriptor every window of a body leaves from.
 
-        Pinned mapped chunks per window (the buffered/vectored path — a
-        window pins only the chunks it intersects, so a small range over a
-        large file maps, warms and residency-tests just that slice), a
-        pinned descriptor alone (pure zero-copy: no user-space body
-        buffering at all; a degraded send reads the window lazily), or
-        positional buffered reads when neither cache applies.
+        ``None`` for an empty file, which has no window.  An open failure
+        raises ``OSError``: there is no other route to the bytes.
         """
-        handle = self._acquire_fd(entry)
-        if self.mmap_cache is not None and (map_body or handle is None):
-            chunks: list[MappedChunk] = []
-            bodies = []
-            try:
-                for _, offset, length in parts:
-                    covering = self._acquire_chunks(entry, offset, length)
-                    chunks.extend(covering)
-                    bodies.append(_chunk_views(covering, offset, length))
-            except BaseException:
-                bodies.clear()  # views first: they keep the mappings exported
-                for chunk in chunks:
-                    self.release_chunk(chunk)
-                if handle is not None:
-                    self.release_fd(handle)
-                raise
-            return handle, chunks, bodies
-        if handle is not None:
-            return handle, (), None
-        return (
-            None,
-            (),
-            [
-                [self.read_file_range(entry.filesystem_path, offset, length)]
-                for _, offset, length in parts
-            ],
-        )
-
-    def _acquire_fd(self, entry: PathnameEntry) -> Optional[CachedFD]:
-        """Pin a cached open descriptor for ``entry`` when zero-copy is on.
-
-        Open failures are swallowed: the response simply proceeds on the
-        buffered path (the translation step already established the file
-        exists, so failures here are transient descriptor pressure).
-        Platforms without ``sendfile`` never acquire descriptors — an fd
-        nobody can transmit from would only cost open/close per request.
-        """
-        if not self.config.zero_copy or entry.size <= 0 or not sendfile_available():
+        if size <= 0:
             return None
-        try:
-            with self._maybe_lock():
-                return self.fd_cache.acquire(entry.filesystem_path)
-        except OSError:
-            return None
+        with self._maybe_lock():
+            return self.fd_cache.acquire(path)
 
     def release_fd(self, handle: CachedFD) -> None:
         """Return a pinned descriptor to the descriptor cache."""
@@ -789,23 +650,23 @@ class ContentStore:
         """Serve ``target`` from the hot-response cache, if it can be.
 
         One dict probe.  On a hit the returned :class:`StaticContent`
-        carries freshly pinned references to the entry's descriptor and
-        chunks, so the caller releases it exactly like a slow-path
-        response.  Returns ``None`` on a miss (or stale entry) — the caller
-        then runs the full pipeline, whose successful result re-populates
-        the cache via :meth:`hot_insert`.
+        carries a freshly pinned reference to the entry's descriptor, so
+        the caller releases it exactly like a slow-path response.  Returns
+        ``None`` on a miss (or stale entry) — the caller then runs the full
+        pipeline, whose successful result re-populates the cache via
+        :meth:`hot_insert`.
 
         A plain GET (no conditional, no ``Range``, not HEAD) is answered
-        straight from the entry: its own pins guarantee the descriptor and
-        chunks are alive and off their caches' free lists, so the
-        per-request pin is a bare refcount increment — no cache probe, no
+        straight from the entry: its own pin guarantees the descriptor is
+        alive and off its cache's free list, so the per-request pin is a
+        bare refcount increment — no cache probe, no
         allocation beyond the response container itself.  Anything else is
         planned against the entry's cached validators by the same
         :func:`~repro.http.planner.plan_response` the slow path calls and
         assembled by the same :meth:`_assemble`: the entry's bodyless
-        304, a fresh 206/412/416 header, and body windows sliced over the
-        entry's already-pinned descriptor/chunks — no translation, no
-        descriptor-cache probe, no re-``stat``.
+        304, a fresh 206/412/416 header, and body windows over the entry's
+        already-pinned descriptor — no translation, no descriptor-cache
+        probe, no re-``stat``.
         """
         if self.hot_cache is None:
             return None
@@ -826,8 +687,6 @@ class ContentStore:
                 handle = entry.file_handle
                 if handle is not None:
                     handle.refcount += 1
-                for chunk in entry.chunks:
-                    chunk.refcount += 1
                 header = entry.header_keep if keep_alive else entry.header_close
                 if header is None:
                     header = self._variant_header(
@@ -835,8 +694,6 @@ class ContentStore:
                     )
                 return StaticContent(
                     header=header,
-                    segments=entry.segments,
-                    chunks=entry.chunks,
                     content_length=entry.content_length,
                     file_handle=handle,
                     parts=entry.parts,
@@ -863,32 +720,7 @@ class ContentStore:
                 keep_alive,
                 head,
                 hot=entry,
-                pin_windows=lambda parts: self._pin_hot_windows(entry, parts),
             )
-
-    @staticmethod
-    def _pin_hot_windows(entry: HotEntry, parts: Sequence[tuple[bytes, int, int]]) -> tuple:
-        """The hot path's body source: the entry's own pinned resources.
-
-        Chunk-backed bodies pin (and residency-test, and release) only the
-        chunks each window intersects — exactly like the slow path's
-        windowed acquisition — while fd-backed bodies carry the windows as
-        ``sendfile`` offsets over the entry's descriptor.
-        """
-        handle = entry.file_handle
-        if handle is not None:
-            handle.refcount += 1
-        if not entry.chunks:
-            return handle, (), None
-        chunks: list[MappedChunk] = []
-        bodies = []
-        for _, offset, length in parts:
-            covering = _covering_chunks(entry.chunks, offset, length)
-            for chunk in covering:
-                chunk.refcount += 1
-            chunks.extend(covering)
-            bodies.append(_chunk_views(covering, offset, length))
-        return handle, chunks, bodies
 
     def hot_insert(
         self, request: HTTPRequest, entry: PathnameEntry, content: StaticContent
@@ -897,8 +729,7 @@ class ContentStore:
 
         Called after a successful slow-path build.  Only the common
         cacheable shape is admitted: a plain static ``GET`` whose response
-        has pinned transmission resources (a descriptor and/or mapped
-        chunks) to reuse.  Everything else simply keeps taking the full
+        has a pinned descriptor to reuse.  Everything else simply keeps taking the full
         pipeline.  The entry starts with the one header ``content`` was
         answered with; most entries are evicted before a second hit, so
         the other variants wait for the hit that wants them
@@ -915,17 +746,14 @@ class ContentStore:
             or request.version not in ("HTTP/1.0", "HTTP/1.1")
         ):
             return False
-        if content.file_handle is None and not content.chunks:
+        handle = content.file_handle
+        if handle is None:
             return False
         target = request.uri.encode("latin-1")
         with self._maybe_lock():
-            # Pin on the cache's behalf: these references are what ties the
-            # entry's lifetime to its resources (insert takes ownership).
-            handle = content.file_handle
-            if handle is not None:
-                handle.refcount += 1
-            for chunk in content.chunks:
-                chunk.refcount += 1
+            # Pin on the cache's behalf: this reference is what ties the
+            # entry's lifetime to its descriptor (insert takes ownership).
+            handle.refcount += 1
             hot_entry = HotEntry(
                 target=target,
                 path=entry.filesystem_path,
@@ -934,78 +762,33 @@ class ContentStore:
                 etag=entry.etag,
                 content_length=content.content_length,
                 file_handle=handle,
-                chunks=tuple(content.chunks),
-                segments=tuple(content.segments),
                 validated_at=entry.validated_at,
             )
             hot_entry.file_header(200, content.keep_alive, content.header)
-            admitted = self.hot_cache.insert(hot_entry)
-        if admitted:
-            self.stats.hot_insertions += 1
-        return admitted
-
-    def _acquire_chunks(
-        self,
-        entry: PathnameEntry,
-        offset: int = 0,
-        length: Optional[int] = None,
-    ) -> list[MappedChunk]:
-        """Pin the mapped chunks covering ``(offset, length)`` of ``entry``.
-
-        A full response pins every chunk; a Range window pins only the
-        chunks it intersects, so a small range over a large file maps (and
-        warms, and residency-tests) just that slice of it.
-        """
-        assert self.mmap_cache is not None
-        with self._maybe_lock():
-            if length is None:
-                length = entry.size
-            if length <= 0:
-                return []
-            chunk_size = self.mmap_cache.chunk_size
-            first = offset // chunk_size
-            last = (offset + length - 1) // chunk_size
-            return [
-                self.mmap_cache.acquire(entry.filesystem_path, i)
-                for i in range(first, last + 1)
-            ]
-
-    def release_chunk(self, chunk: MappedChunk) -> None:
-        """Return a pinned chunk to the mapped-file cache (or unmap it)."""
-        if self.mmap_cache is None or chunk.key not in self.mmap_cache._chunks:
-            chunk.refcount = max(0, chunk.refcount - 1)
-            if chunk.refcount == 0:
-                chunk.close()
-            return
-        with self._maybe_lock():
-            self.mmap_cache.release(chunk)
+            self.hot_cache.insert(hot_entry)
+        self.stats.hot_insertions += 1
+        return True
 
     # -- residency and blocking I/O ------------------------------------------
 
     def content_resident(self, content: StaticContent) -> bool:
         """Whether ``content``'s body is memory resident (Section 5.7).
 
-        Mapped bodies are tested chunk by chunk with ``mincore``.  Fd-backed
-        (pure zero-copy) bodies have no mapping to test, so the query goes
-        through :meth:`fd_resident` — a probe of the descriptor itself.
-        Either stops at the first cold chunk or window.  When the residency
-        test is disabled the content is treated as resident, which is
-        exactly the behaviour of the Flash-SPED build.
+        Each window is asked of the pinned descriptor (:meth:`fd_resident`),
+        stopping at the first cold one.  When the residency test is
+        disabled the content is treated as resident, which is exactly the
+        behaviour of the Flash-SPED build.
         """
-        if not self.config.enable_residency_test:
+        handle = content.file_handle
+        if not self.config.enable_residency_test or handle is None:
             return True
-        if content.chunks:
-            for chunk in content.chunks:
-                if not self.mmap_cache.is_resident(chunk):
-                    return False
-        elif content.file_handle is not None:
-            # Probe exactly the transmitted windows: a range far into the
-            # file must not pass because the head is warm, and a tail
-            # range must not fail (and re-warm forever) because of a cold
-            # head it will never transmit.
-            for _, offset, length in content.parts:
-                if length > 0 and not self.fd_resident(content.file_handle, length, offset):
-                    return False
+        # Probe exactly the transmitted windows: a range far into the file
+        # must not pass because the head is warm, and a tail range must not
+        # fail (and re-warm forever) because of a cold head it will never
+        # transmit.
+        for _, offset, length in content.parts:
+            if length > 0 and not self.fd_resident(handle, length, offset):
+                return False
         return True
 
     def fd_resident(self, handle: CachedFD, length: int, offset: int = 0) -> bool:
@@ -1046,64 +829,35 @@ class ContentStore:
             handle.resident_probe_expiry = now + FD_RESIDENT_PROBE_TTL
         return resident
 
-    # The paper's documented disk-blocking step: helpers call this off-loop
-    # (OP_READ); SPED calls it inline, which is exactly the architectural
-    # cost under measurement.
-    # repro-lint: allow[RL001] -- intentional blocking read: helper-side in AMPED, inline by design in SPED/fallbacks
+    # The buffered send's disk step: AMPED reads only windows its residency
+    # probe found resident or a helper warmed (or whose warm failed, the
+    # deliberate last resort); SPED reads inline, which is exactly the
+    # architectural cost under measurement.
+    # repro-lint: allow[RL001] -- intentional blocking read: of a warmed window in AMPED, inline by design in SPED/fallbacks
     @staticmethod
-    def read_file_range(path: str, offset: int, length: int) -> bytes:
-        """Blocking read of a ``(offset, length)`` window of ``path``.
+    def read_file_range(fd: int, offset: int, length: int) -> bytes:
+        """Blocking positional read of ``length`` bytes at ``offset`` of ``fd``.
 
-        The buffered body source for Range responses (and the sendfile
-        fallback's window read); ``(0, size)`` degenerates to a full read.
+        Short only at end of file.  ``pread`` leaves the descriptor's file
+        offset alone, so a shared cached descriptor may be read by several
+        senders at once.
         """
-        from repro.testing.faults import faults
-
-        if faults.take("disk_read"):
-            # Injected media failure: the read errors like a dying disk
-            # would, exercising the 404/500 conversion on every
-            # architecture's buffered read route.
-            raise OSError(errno.EIO, f"injected disk read failure: {path}")
-        with open(path, "rb") as handle:
-            if offset:
-                handle.seek(offset)
-            return handle.read(length)
-
-    @staticmethod
-    def touch_chunks(chunks: Iterable[MappedChunk]) -> int:
-        """Touch every page of ``chunks``, forcing them into memory.
-
-        This is the read helper's job in the AMPED architecture: the helper
-        touches all pages of its mapping so that the main process can later
-        transmit the file without risk of blocking.  Returns the number of
-        bytes touched.
-        """
-        page = 4096
-        touched = 0
-        for chunk in chunks:
-            view = chunk.view()
-            for offset in range(0, chunk.length, page):
-                # Reading one byte per page faults the page in.
-                _ = view[offset]
-            touched += chunk.length
-        return touched
+        return os.pread(fd, length, offset)
 
     # -- invalidation ----------------------------------------------------------
 
     def invalidate_file(self, path: str) -> None:
         """The one fan-out for a changed (or explicitly dropped) file.
 
-        Translations, hot entries, chunks and the descriptor go, so the
-        next request re-translates and reopens a replaced inode; header
-        keys carry size and mtime.  Hot first, so its pins are released
-        before the fd/chunk caches decide what they can close.
+        Translations, hot entries and the descriptor go, so the next
+        request re-translates and reopens a replaced inode; header keys
+        carry size and mtime.  Hot first, so its pins are released before
+        the fd cache decides what it can close.
         """
         if self.pathname_cache is not None:
             self.pathname_cache.invalidate_path(path)
         if self.hot_cache is not None:
             self.hot_cache.invalidate_path(path)
-        if self.mmap_cache is not None:
-            self.mmap_cache.invalidate(path)
         self.fd_cache.invalidate(path)
 
     # -- misc -------------------------------------------------------------------
@@ -1125,7 +879,7 @@ class ContentStore:
         return self._maybe_lock()
 
     def cache_stats(self) -> dict:
-        """Hit-rate statistics for all three caches (for tests and reporting)."""
+        """Hit-rate statistics for every cache (for tests and reporting)."""
         stats = {}
         if self.pathname_cache is not None:
             stats["pathname"] = {
@@ -1139,13 +893,6 @@ class ContentStore:
                 "misses": self.header_cache.misses,
                 "hit_rate": self.header_cache.hit_rate,
             }
-        if self.mmap_cache is not None:
-            stats["mmap"] = {
-                "hits": self.mmap_cache.hits,
-                "misses": self.mmap_cache.misses,
-                "hit_rate": self.mmap_cache.hit_rate,
-                "mapped_bytes": self.mmap_cache.mapped_bytes,
-            }
         if self.fd_cache.hits or self.fd_cache.misses:
             stats["fd"] = {
                 "hits": self.fd_cache.hits,
@@ -1158,16 +905,13 @@ class ContentStore:
         return stats
 
     def close(self) -> None:
-        """Release every mapping and descriptor held by the caches.
+        """Release every descriptor held by the caches.
 
         The hot cache unpins first — its entries hold references into the
-        descriptor and chunk caches, which could otherwise not release
-        everything.
+        descriptor cache, which could otherwise not release everything.
         """
         if self.hot_cache is not None:
             self.hot_cache.clear()
-        if self.mmap_cache is not None:
-            self.mmap_cache.clear()
         self.fd_cache.clear()
 
     def __del__(self):  # pragma: no cover - depends on GC timing

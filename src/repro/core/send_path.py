@@ -4,14 +4,15 @@ The Flash paper attributes a large share of SPED/AMPED throughput to
 eliminating data copies on the response path.  This module implements that
 layer as a single sender, :class:`SendPath`, which every architecture
 drives one non-blocking step at a time over an ordered *segment list*:
-byte buffers (headers, multipart framing, mapped-chunk views) leave through
+byte buffers (headers, multipart framing, CGI output) leave through
 ``socket.sendmsg`` — a writev-style vectored write that coalesces header
 and body into one system call — and file windows leave through
 ``os.sendfile`` directly from the cached open descriptor, so file data
-never crosses into user space at all.  ``sendfile`` failures that mean
-"not supported here" degrade gracefully mid-transfer: the rest of that one
-window is replaced by buffered bytes, resuming at the exact byte offset
-already reached.
+never crosses into user space at all.  A *buffered* response (zero-copy
+off, or a ``sendfile`` that means "not supported here" mid-transfer)
+turns the windows at the cursor into bytes just before it writes, by
+bounded positional reads from the same descriptor, resuming at the exact
+byte offset already reached.
 
 Send-state contract
 -------------------
@@ -35,9 +36,9 @@ contract over a producer):
     — another response on the same connection would desynchronize
     keep-alive framing.
 ``release()``
-    Drop all buffer views so pinned mapped chunks can be unmapped; the
-    descriptor behind a file window is *not* closed here (its refcount is
-    owned by the FileDescriptorCache).
+    Drop all segments and release the pinned responses; the descriptor
+    behind a file window is *not* closed here (its refcount is owned by
+    the FileDescriptorCache).
 ``waiting_on_source -> bool``
     True while a streamed response has flushed everything and its
     producer has nothing yet: the owner parks instead of waiting for
@@ -68,7 +69,7 @@ import struct
 from typing import Sequence
 
 #: Cap on buffers per vectored write; IOV_MAX is at least 16 everywhere and
-#: 1024 on Linux — 64 covers a header plus every chunk of the largest files.
+#: 1024 on Linux — 64 covers a pipelined burst of small answers.
 _MAX_IOV = 64
 
 #: Cap on bytes per sendfile call (the largest count Linux accepts).
@@ -98,43 +99,14 @@ _MSG_MORE = getattr(socket, "MSG_MORE", 0)
 
 #: The output queue's bound: pipelined answers stop joining a queue once
 #: this many of its bytes are unsent (file windows count by length), so a
-#: burst pins at most this much plus one response.
+#: burst pins at most this much plus one response.  Also the most file
+#: bytes a buffered send reads ahead of the socket.
 QUEUE_BYTES = 256 * 1024
 
 
 def sendfile_available() -> bool:
     """Whether this platform offers ``os.sendfile`` at all."""
     return hasattr(os, "sendfile")
-
-
-def window_views(buffers: Sequence, offset: int, length: int) -> list:
-    """Slice a ``(offset, length)`` window out of a buffer sequence.
-
-    The buffers are treated as one contiguous byte stream (the way the
-    mapped-chunk views of a file body are); the result is a list of
-    zero-copy ``memoryview`` slices covering exactly the window.  Used by
-    the Range send paths: a 206 body is an arbitrary window over the same
-    pinned chunks a 200 transmits in full.
-    """
-    views: list[memoryview] = []
-    skip = offset
-    remaining = length
-    for buf in buffers:
-        if remaining <= 0:
-            break
-        view = memoryview(buf)
-        if skip >= len(view):
-            skip -= len(view)
-            continue
-        if skip:
-            view = view[skip:]
-            skip = 0
-        if len(view) > remaining:
-            view = view[:remaining]
-        if len(view):
-            views.append(view)
-        remaining -= len(view)
-    return views
 
 
 def reset_on_close(sock: socket.socket) -> None:
@@ -173,19 +145,21 @@ class SendPath:
     A segment is one of two kinds, told apart by type:
 
     * a byte buffer (``bytes``, ``bytearray`` or ``memoryview``) — response
-      headers, multipart framing, mapped-chunk views, CGI output;
+      headers, multipart framing, CGI output;
     * a file window, the tuple ``(content, offset, length)`` — ``length``
       bytes at ``offset`` of the descriptor ``content.file_handle`` pins,
-      transmitted zero-copy with ``os.sendfile``.
+      transmitted zero-copy with ``os.sendfile`` unless ``content.buffered``.
 
     Consecutive buffers leave in one ``sendmsg`` (at most ``_MAX_IOV`` per
     call, with ``MSG_MORE`` when a file window follows so header and body
     still travel as one segment stream); each window is an iterated
     ``sendfile`` of at most ``_MAX_SENDFILE`` bytes per call.  A plain
     200/206 is ``[header, window]``; a ``multipart/byteranges`` 206 is
-    ``[header, head, window, head, window, ..., trailer]``; a buffered
-    response is all buffers.  One cursor (segment index plus bytes into
-    that segment) remembers progress across ``EAGAIN`` and short writes.
+    ``[header, head, window, head, window, ..., trailer]``.  A buffered
+    window is read into bytes when the cursor's run of buffers reaches it
+    (see :meth:`_read_ahead`), so it joins that run's ``sendmsg``.  One
+    cursor (segment index plus bytes into that segment) remembers progress
+    across ``EAGAIN`` and short writes.
 
     Parameters
     ----------
@@ -198,9 +172,7 @@ class SendPath:
         window (error pages, CGI output) may omit it.
     """
 
-    __slots__ = (
-        "_segments", "_index", "_offset", "_store", "_degraded", "under_delivered", "unsent", "pins"
-    )
+    __slots__ = ("_segments", "_index", "_offset", "_store", "under_delivered", "unsent", "pins")
 
     #: A fixed segment list never waits on a producer (send-state contract).
     waiting_on_source = False
@@ -210,11 +182,8 @@ class SendPath:
         self._index = 0
         self._offset = 0
         self._store = store
-        #: The response whose window last degraded: the latch that makes a
-        #: response degrading several windows count as one fallback.
-        self._degraded = None
         #: True when a window ended short of its promised length (the file
-        #: shrank mid-transfer and the fallback could not cover the rest).
+        #: shrank mid-transfer and the read could not cover the rest).
         #: The header already promised those bytes, so the owner must close
         #: the connection rather than reuse it.
         self.under_delivered = False
@@ -257,8 +226,9 @@ class SendPath:
     def _send_step(self, sock: socket.socket) -> int:
         """One system call of progress from the cursor; 0 = nothing moved."""
         segments = self._segments
-        segment = segments[self._index]
-        if type(segment) is tuple:
+        index = self._index
+        segment = segments[index]
+        if type(segment) is tuple and not segment[0].buffered:
             content, start, length = segment
             done = self._offset
             try:
@@ -280,21 +250,27 @@ class SendPath:
                     self._offset = done + sent
                 return sent
             # Unsupported fd/socket pair, or EOF before the promised count
-            # (file truncated underneath us): finish this window buffered —
-            # or fail deterministically — instead of spinning on sendfile.
-            self._degrade(content, start + done, length - done)
-            if self._index >= len(segments):
-                return 0
-        index = self._index
-        head = segments[index]
-        if self._offset:
-            head = memoryview(head)[self._offset :]
+            # (file truncated underneath us): the rest of this response
+            # leaves buffered — or fails deterministically — instead of
+            # spinning on sendfile.  Counted once per response.
+            content.buffered = True
+            with self._store.stats_lock():
+                self._store.stats.sendfile_fallbacks += 1
+            segments[index] = (content, start + done, length - done)
+            self._offset = 0
         # Coalesce the run of buffers up to the next file window into one
-        # writev-style call.
-        end = index + 1
+        # writev-style call; a buffered window in the way is read first.
+        end = index
         limit = min(len(segments), index + _MAX_IOV)
         while end < limit and type(segments[end]) is not tuple:
             end += 1
+        if end < limit and segments[end][0].buffered:
+            end = self._read_ahead()
+            if index >= len(segments):
+                return 0
+        head = segments[index]
+        if self._offset:
+            head = memoryview(head)[self._offset :]
         flags = _MSG_MORE if end < len(segments) and type(segments[end]) is tuple else 0
         if end - index > 1 and _HAS_SENDMSG:
             sent = sock.sendmsg([head, *segments[index + 1 : end]], (), flags)
@@ -302,6 +278,46 @@ class SendPath:
             sent = sock.send(head, flags)
         self._advance(sent)
         return sent
+
+    def _read_ahead(self) -> int:
+        """The end of the run of buffers at the cursor, one ``sendmsg``'s worth.
+
+        The run stops at a ``sendfile`` window or after ``_MAX_IOV``
+        segments.  A buffered window inside it is read into bytes here
+        (:meth:`StaticContent.window_buffers`), so header and body — or a
+        pipelined burst — still leave in one call; the reads stop once the
+        run holds ``QUEUE_BYTES``, and the rest of that window stays a
+        window for the next step.  A read that comes up short (the file
+        shrank) ends the segment list there: the promised framing is
+        already broken, and anything past the truncation point would only
+        desynchronize further.
+        """
+        segments = self._segments
+        end = self._index
+        limit = min(len(segments), end + _MAX_IOV)
+        held = 0
+        while end < limit:
+            segment = segments[end]
+            if type(segment) is not tuple:
+                held += len(segment)
+                end += 1
+                continue
+            content, start, length = segment
+            if not content.buffered or held >= QUEUE_BYTES:
+                break
+            want = min(length, QUEUE_BYTES - held)
+            # A 0-byte write reads as EAGAIN: drop empty reads.
+            buffers = [buf for buf in content.window_buffers(start, want) if len(buf)]
+            got = sum(len(buf) for buf in buffers)
+            if got < want:
+                self.under_delivered = True
+                segments[end:] = buffers
+                return len(segments)
+            if got < length:
+                buffers.append((content, start + got, length - got))
+            segments[end : end + 1] = buffers
+            limit = min(len(segments), self._index + _MAX_IOV)
+        return end
 
     def _advance(self, sent: int) -> None:
         segments = self._segments
@@ -314,28 +330,6 @@ class SendPath:
             else:
                 self._offset += sent
                 sent = 0
-
-    def _degrade(self, content, offset: int, remaining: int) -> None:
-        """Replace the rest of the current window with buffered bytes.
-
-        ``offset`` is the exact file byte ``sendfile`` reached, so bytes
-        are never duplicated or skipped across the degradation.  The
-        replacement comes from :meth:`StaticContent.window_buffers` — the
-        response's pinned chunk views, else one positional read.
-        """
-        if content is not self._degraded:
-            self._degraded = content
-            with self._store.stats_lock():
-                self._store.stats.sendfile_fallbacks += 1
-        buffers = _live(content.window_buffers(offset, remaining))
-        if sum(len(buf) for buf in buffers) < remaining:
-            # The promised framing is already broken; transmitting anything
-            # past the truncation point would only desynchronize further.
-            self.under_delivered = True
-            self._segments[self._index :] = buffers
-        else:
-            self._segments[self._index : self._index + 1] = buffers
-        self._offset = 0
 
     def extend(self, segments) -> None:
         """Append segments (of either kind), or a fresh SendPath's answer.
@@ -373,9 +367,7 @@ class SendPath:
     def release(self) -> None:
         """Drop all segments, then release every pinned response.
 
-        In that order: the buffered path holds memoryviews over mapped
-        chunks, which must be dropped before the cache may unmap them.  A
-        descriptor is never closed here: its refcount belongs to the
+        A descriptor is never closed here: its refcount belongs to the
         FileDescriptorCache.
         """
         self._segments = []
@@ -387,28 +379,23 @@ class SendPath:
             content.release(self._store)
 
 
-def _live(segments: Sequence) -> list:
-    """``segments`` without the empty ones (a 0-byte write reads as EAGAIN)."""
-    return [
-        segment
-        for segment in segments
-        if (segment[2] if type(segment) is tuple else len(segment))
-    ]
-
-
 def wire_segments(content, *, config, stats) -> list:
     """The :class:`SendPath` segments of one static response.
 
-    Responses with a pinned open descriptor go out as file windows (one
-    per body part, its framing buffered before it) when zero-copy is
-    enabled and the platform has ``sendfile`` — counted here as
-    ``sendfile_responses``; everything else (HEAD, 304,
-    errors, descriptor-cache misses) is the header plus the response's
-    buffered body segments.  Both shapes carry exactly the same bytes.
+    A body with bytes goes out as file windows over its pinned descriptor
+    (one per body part, its framing buffered before it); a bodyless answer
+    (HEAD, 304, 412, 416, an empty file) is the header alone.  The windows
+    leave by ``sendfile`` — counted here as ``sendfile_responses`` — when
+    zero-copy is enabled and the platform has it; otherwise the response
+    is marked ``buffered`` and they leave by bounded positional reads.
+    Both carry exactly the same bytes.
     """
-    if content.file_handle is None or not config.zero_copy or not sendfile_available():
-        return [content.header, *content.segments]
-    stats.sendfile_responses += 1
+    if content.file_handle is None:
+        return [content.header]
+    if not (config.zero_copy and sendfile_available()):
+        content.buffered = True
+    elif not content.buffered:
+        stats.sendfile_responses += 1
     segments = [content.header]
     for head, offset, length in content.parts:
         segments.append(head)

@@ -9,9 +9,9 @@ The two builds differ only in the driver hooks that decide where potentially
 blocking work runs:
 
 * :class:`FlashServer` (AMPED) consults the pathname cache and, on a miss,
-  ships the translation to a helper; before transmitting mapped file data it
-  tests memory residency and, when pages are missing, ships a read
-  (page-warming) operation to a helper.  The main loop never performs
+  ships the translation to a helper; before transmitting file data it
+  tests memory residency and, when pages are missing, ships a warm
+  operation to a helper.  The main loop never performs
   blocking disk work itself.
 * :class:`repro.servers.sped.SPEDServer` implements the same hook by running
   the operations inline — faithful to SPED, including its weakness: a disk
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import logging
+import os
 import select
 import signal
 import socket
@@ -45,7 +46,6 @@ from repro.core.config import ServerConfig
 from repro.core.connection import Connection
 from repro.core.event_loop import EVENT_READ, EventLoop
 from repro.core.helpers import (
-    OP_READ,
     OP_TRANSLATE,
     OP_WARM,
     HelperPool,
@@ -578,123 +578,77 @@ class FlashServer(BaseEventDrivenServer):
     def _prepare_content(self, request: HTTPRequest, entry, keep_alive: bool, callback) -> None:
         """Build the response; warm non-resident content through a helper.
 
-        The warming route follows from how the body will be transmitted:
-
-        * mapped bodies keep the paper's original path — chunk-level
-          ``mincore`` then an ``OP_READ`` helper that touches the pages;
-        * fd-backed (``sendfile``) bodies are never mapped: residency is
-          probed on the bare descriptor and cold windows go to an
-          ``OP_WARM`` helper (``posix_fadvise(WILLNEED)`` + bounded
-          read-touch), so the zero-copy path never pays map/touch/unmap
-          work at all.
+        Residency is probed on the pinned descriptor, and a cold body goes
+        to an ``OP_WARM`` helper (``posix_fadvise(WILLNEED)`` + bounded
+        read-touch) before it leaves — by ``sendfile`` or by buffered
+        reads, so the main loop never pays a page fault either way.
+        Thread-mode helpers share the server's descriptor table and warm
+        the pinned descriptor in place; process-mode helpers get ``fd=-1``
+        and re-open by path (the OS buffer cache they fill is shared
+        between processes either way).  The descriptor stays pinned by
+        ``content`` until the completion runs, so it cannot be evicted or
+        closed while the helper reads from it.
 
         A response that is ready to transmit is filed in the hot cache on
         its way to ``callback`` (refused shapes are a no-op).
         """
-
-        def done(content: Optional[StaticContent], error) -> None:
-            if error is None:
-                self.store.hot_insert(request, entry, content)
-            callback(content, error)
-
         try:
             content = self.store.build_response(request, entry, keep_alive=keep_alive)
         except (HTTPError, OSError) as exc:
             callback(None, exc)
             return
-        if self.store.content_resident(content):
-            done(content, None)
+        if not self.store.content_resident(content):
+            # The requested file is (partly) not in memory: instruct a
+            # helper to bring it in, then transmit without risk of blocking
+            # (paper §3.4).  Only the transmitted window is touched — a
+            # Range response must not pay (or wait for) a whole-file read.
+            stats = self.store.stats
+            stats.helper_dispatches += 1
+            stats.blocking_reads += 1
+            stats.sendfile_warms += 1
+            fd = content.file_handle.fd if self.helpers.mode == "thread" else -1
+            warm_offset, warm_length = content.warm_window()
+            helper_request = HelperRequest(
+                seq=0,
+                op=OP_WARM,
+                path=entry.filesystem_path,
+                fd=fd,
+                offset=warm_offset,
+                length=warm_length,
+            )
+            self.helpers.submit(
+                helper_request,
+                lambda reply: self._on_warmed(request, entry, content, reply, callback),
+            )
             return
-        # The requested file is (partly) not in memory: instruct a helper to
-        # bring it in, then transmit without risk of blocking (paper §3.4).
-        # Only the transmitted window is touched — a Range response must
-        # not pay (or wait for) a whole-file read.
-        self.store.stats.helper_dispatches += 1
-        self.store.stats.blocking_reads += 1
-        if not content.chunks:
-            self._warm_fd_async(entry, content, done)
-            return
-        warm_offset, warm_length = content.warm_window()
-        helper_request = HelperRequest(
-            seq=0,
-            op=OP_READ,
-            path=entry.filesystem_path,
-            offset=warm_offset,
-            length=warm_length,
-        )
+        self.store.hot_insert(request, entry, content)
+        callback(content, None)
 
-        def on_reply(reply) -> None:
-            if not reply.ok:
-                content.release(self.store)
-                callback(None, _reply_to_error(reply))
-                return
-            done(content, None)
+    def _on_warmed(
+        self, request: HTTPRequest, entry, content: StaticContent, reply, callback
+    ) -> None:
+        """Transmit a warmed body; degrade to buffered reads if the warm failed.
 
-        self.helpers.submit(helper_request, on_reply)
-
-    def _warm_fd_async(self, entry, content: StaticContent, callback) -> None:
-        """Ship a cold fd-backed response to an ``OP_WARM`` helper.
-
-        Thread-mode helpers share the server's descriptor table, so they
-        warm the pinned cached descriptor in place; process-mode helpers
-        get ``fd=-1`` and re-open by path (the OS buffer cache they fill is
-        shared between processes either way).  The descriptor stays pinned
-        by ``content`` until the completion callback runs, so it cannot be
-        evicted or closed while the helper reads from it.
+        A helper that failed (or died) mid-warm does not fail a servable
+        request: the body leaves by positional reads from its pinned
+        descriptor on the main loop — a deliberate last resort, trading
+        the non-blocking invariant for availability on the rare
+        helper-failure path.
         """
-        self.store.stats.sendfile_warms += 1
-        fd = content.file_handle.fd if self.helpers.mode == "thread" else -1
-        warm_offset, warm_length = content.warm_window()
-        helper_request = HelperRequest(
-            seq=0,
-            op=OP_WARM,
-            path=entry.filesystem_path,
-            fd=fd,
-            offset=warm_offset,
-            length=warm_length,
-        )
-
-        def on_reply(reply) -> None:
-            if not reply.ok:
-                # The helper failed (or died) mid-warm.  Degrade to the
-                # buffered path rather than fail a servable request: read
-                # the body into user space and serve that.  The read is a
-                # deliberate last resort — it blocks the main loop on a
-                # known-cold file, trading the non-blocking invariant for
-                # availability on the (helper-failure) rare path.
-                self.store.stats.sendfile_warm_degradations += 1
-                segments = []
-                try:
-                    for head, offset, length in content.parts:
-                        segments.append(head)
-                        segments.extend(content.window_buffers(offset, length))
-                    segments.append(content.trailer)
-                except OSError as exc:
-                    callback(None, exc)
-                    return
-                finally:
-                    content.release(self.store)
-                if sum(len(segment) for segment in segments) != content.content_length:
-                    # The file changed size since the header promised
-                    # ``content_length`` bytes; serving the mismatched body
-                    # would desynchronize keep-alive framing (a buffered
-                    # body has no under_delivered escape hatch).  Fail this
-                    # request; pathname revalidation repairs the next one.
-                    callback(None, HTTPError("file changed during warming", status=500))
-                    return
-                degraded = StaticContent(
-                    header=content.header,
-                    segments=segments,
-                    content_length=content.content_length,
-                    status=content.status,
-                    parts=content.parts,
-                    trailer=content.trailer,
-                )
-                callback(degraded, None)
+        if not reply.ok:
+            self.store.stats.sendfile_warm_degradations += 1
+            start, length = content.warm_window()
+            if os.fstat(content.file_handle.fd).st_size < start + length:
+                # The file shrank since the header promised
+                # ``content_length`` bytes; serving it would break
+                # keep-alive framing.  Fail this request; pathname
+                # revalidation repairs the next one.
+                content.release(self.store)
+                callback(None, HTTPError("file changed during warming", status=500))
                 return
-            callback(content, None)
-
-        self.helpers.submit(helper_request, on_reply)
+            content.buffered = True
+        self.store.hot_insert(request, entry, content)
+        callback(content, None)
 
     def hot_content_ready(self, content: StaticContent) -> bool:
         """Gate hot-cache hits on memory residency (AMPED invariant).
@@ -702,11 +656,10 @@ class FlashServer(BaseEventDrivenServer):
         The single-lookup fast path must not let the main loop block on a
         page fault: a hit whose body went cold since it was cached is
         rejected, the connection releases the pinned response and retakes
-        the full pipeline — which dispatches the usual ``OP_WARM``/
-        ``OP_READ`` helper before transmitting.  ``content_resident``
-        answers from the chunk ``mincore`` test or the fd-probe TTL cache,
-        so the fully-resident hot path pays at most one probe per TTL
-        window, not one per request.
+        the full pipeline — which dispatches the usual ``OP_WARM`` helper
+        before transmitting.  ``content_resident`` answers from the
+        fd-probe TTL cache, so the fully-resident hot path pays at most one
+        probe per TTL window, not one per request.
         """
         if not self.config.enable_residency_test:
             return True

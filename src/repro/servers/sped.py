@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from repro.core import exchange
 from repro.core.helpers import advise_willneed
-from repro.core.pipeline import ContentStore
 from repro.core.server import BaseEventDrivenServer
 from repro.http.errors import HTTPError
 from repro.http.request import HTTPRequest
@@ -23,7 +22,7 @@ class SPEDServer(BaseEventDrivenServer):
     """Flash-SPED: the shared code base with inline (blocking) disk operations.
 
     This class fixes the architecture label and answers a hot-cache miss
-    inline, with no memory-residency test (SPED transmits mapped data
+    inline, with no memory-residency test (SPED transmits file data
     directly; the paper attributes Flash's small deficit on fully cached
     workloads to the residency test AMPED must do).
 
@@ -37,24 +36,20 @@ class SPEDServer(BaseEventDrivenServer):
     architecture = "sped"
 
     def respond_async(self, request: HTTPRequest, keep_alive: bool, callback) -> None:
-        """Translate, build and touch inline (may block the whole server)."""
+        """Translate and build inline (may block the whole server)."""
         try:
             content = exchange.static_miss(self.store, request, keep_alive)
         except (HTTPError, OSError) as exc:
             callback(None, exc)
             return
-        # SPED never checks residency: it simply touches the data inline.
-        # If it is not in memory, this blocks the whole server while the
-        # disk read completes — SPED's defining cost.  A sendfile body has
-        # no chunks: the kernel pages the file in during transmission
-        # (still blocking this process on a miss, which is faithful SPED
-        # behaviour).
-        if content.chunks:
-            ContentStore.touch_chunks(content.chunks)
-        elif content.file_handle is not None:
+        # SPED never checks residency: the kernel pages the file in while
+        # it is transmitted, blocking the whole server on a miss — SPED's
+        # defining cost.
+        handle = content.file_handle
+        if handle is not None:
             # SPED has no helpers, but posix_fadvise(WILLNEED) returns
             # immediately after queueing readahead, so the hint is safe on
-            # the main loop: a cold sendfile that follows overlaps with the
+            # the main loop: a cold send that follows overlaps with the
             # readahead already in flight instead of paying the full
             # synchronous read.  Faithful SPED still blocks on a miss.
             # Advised once per cached-descriptor lifetime: SPED does no
@@ -63,7 +58,6 @@ class SPEDServer(BaseEventDrivenServer):
             # transmitted window is hinted; a Range (206) response's
             # partial advise does not consume the descriptor's one
             # full-body advise.
-            handle = content.file_handle
             if not handle.advised:
                 # Only the transmitted span is hinted (a multipart 206
                 # advises the window-covering span in one call).

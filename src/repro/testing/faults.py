@@ -14,9 +14,10 @@ Failure points wired into the code base:
     (fd exhaustion) — exercises the fd-reserve sentinel guard and the
     accept-pause machinery in :mod:`repro.core.admission`.
 ``disk_read``
-    :meth:`repro.core.pipeline.ContentStore.read_file_range` raises
-    ``OSError(EIO)`` — exercises the disk-failure error path on every
-    architecture's buffered read route.
+    :meth:`repro.cache.mapped_file.FileDescriptorCache.acquire` raises
+    ``OSError(EIO)`` instead of opening the file, the response build's one
+    disk access — exercises the disk-failure error path on every
+    architecture.
 ``helper_death``
     An AMPED process helper calls ``os._exit(1)`` on its next operation —
     exercises the PR 3 helper-death detection (pipe EOF, reply synthesis,

@@ -3,17 +3,16 @@
 Two layers are covered: the cache structure itself (LRU, revalidation,
 path-indexed invalidation, pin release ordering) and its integration with
 :class:`ContentStore` (resource pinning across insert/lookup/release, the
-invalidation hooks from the descriptor and chunk caches, 304 variants).
+invalidation hook from the descriptor cache, 304 variants).
 """
 
 import os
 
 import pytest
 
-from repro.cache.hot_response import DEFAULT_MAX_ENTRIES, HotEntry, HotResponseCache
+from repro.cache.hot_response import HotEntry, HotResponseCache
 from repro.core.config import ServerConfig
 from repro.core.pipeline import ContentStore
-from repro.core.send_path import sendfile_available
 from repro.http.request import HTTPRequest
 from repro.http.response import http_date
 
@@ -59,6 +58,29 @@ class TestCacheStructure:
         assert cache.lookup(b"/a") is None
         assert cache.evictions == 1
 
+    def test_replacing_an_entry_releases_the_old_pin(self):
+        released = []
+        cache = HotResponseCache(revalidate_interval=1000.0, release_fd=released.append)
+        for handle in ("fd-old", "fd-new"):
+            entry = make_entry(b"/a")
+            entry.file_handle = handle
+            cache.insert(entry)
+        assert released == ["fd-old"]
+        assert len(cache) == 1 and cache.lookup(b"/a").file_handle == "fd-new"
+        assert cache.evictions == 0 and cache.insertions == 2
+
+    def test_clear_releases_every_pin_once(self):
+        released = []
+        cache = HotResponseCache(revalidate_interval=1000.0, release_fd=released.append)
+        for index, target in enumerate((b"/a", b"/b", b"/c")):
+            entry = make_entry(target, path=f"/tmp/{index}")
+            entry.file_handle = f"fd-{index}"
+            cache.insert(entry)
+        cache.clear()
+        cache.clear()
+        assert sorted(released) == ["fd-0", "fd-1", "fd-2"]
+        assert len(cache) == 0 and cache.lookup(b"/a") is None
+
     def test_invalidate_path_drops_all_spellings(self):
         cache = HotResponseCache(revalidate_interval=1000.0)
         cache.insert(make_entry(b"/a", path="/tmp/f"))
@@ -90,84 +112,11 @@ class TestCacheStructure:
         victim.unlink()
         assert cache.lookup(b"/gone") is None
 
-    def test_release_order_segments_before_chunks(self):
-        """Views must be dropped before the chunks they point into."""
-        order = []
-
-        class FakeChunk:
-            refcount = 1
-
-        chunk = FakeChunk()
-        cache = HotResponseCache(
-            revalidate_interval=1000.0,
-            release_chunk=lambda c: order.append(("chunk", c)),
-        )
-        entry = make_entry(b"/a")
-        entry.chunks = (chunk,)
-        entry.segments = (memoryview(b"data"),)
-        cache.insert(entry)
-        cache.clear()
-        assert entry.segments == ()
-        assert order == [("chunk", chunk)]
-
     def test_validation_knobs_rejected(self):
         with pytest.raises(ValueError):
             HotResponseCache(max_entries=0)
         with pytest.raises(ValueError):
             HotResponseCache(revalidate_interval=-1.0)
-        with pytest.raises(ValueError):
-            HotResponseCache(max_pinned_bytes=-1)
-
-    def test_pinned_byte_budget_evicts_coldest(self):
-        """Chunk-pinning entries share a byte budget: pinned chunks are
-        exempt from the mapped-file cache's own eviction, so the hot cache
-        enforces the bound itself."""
-
-        class FakeChunk:
-            refcount = 1
-
-        released = []
-        cache = HotResponseCache(
-            max_pinned_bytes=100,
-            revalidate_interval=1000.0,
-            release_chunk=released.append,
-        )
-        for index, target in enumerate((b"/a", b"/b")):
-            entry = make_entry(target, path=f"/tmp/{index}", size=60)
-            entry.content_length = 60
-            entry.chunks = (FakeChunk(),)
-            assert cache.insert(entry)
-        # 120 pinned bytes > 100: the coldest entry was evicted.
-        assert cache.pinned_bytes == 60
-        assert cache.lookup(b"/a") is None
-        assert cache.lookup(b"/b") is not None
-        assert len(released) == 1
-
-    def test_oversized_entry_refused_and_released(self):
-        class FakeChunk:
-            refcount = 1
-
-        released = []
-        cache = HotResponseCache(
-            max_pinned_bytes=100,
-            revalidate_interval=1000.0,
-            release_chunk=released.append,
-        )
-        entry = make_entry(b"/huge", size=500)
-        entry.content_length = 500
-        entry.chunks = (FakeChunk(),)
-        assert not cache.insert(entry)
-        assert len(cache) == 0
-        assert cache.pinned_bytes == 0
-        assert len(released) == 1          # the caller's pin was returned
-
-    def test_fd_only_entries_ignore_byte_budget(self):
-        cache = HotResponseCache(max_pinned_bytes=10, revalidate_interval=1000.0)
-        entry = make_entry(b"/big-fd", size=10_000)
-        entry.content_length = 10_000
-        entry.file_handle = "fd"           # no chunks: nothing maps bytes
-        assert cache.insert(entry)
-        assert cache.pinned_bytes == 0
 
 
 def get_request(uri, version="HTTP/1.1", headers=None):
@@ -230,7 +179,6 @@ class TestContentStoreIntegration:
         entry = build_and_insert(store)
         content = store.hot_lookup(b"/page.html", True, head=True)
         assert content.content_length == 0
-        assert content.segments == ()
         assert content.file_handle is None
         built = store.build_response(get_request("/page.html"), entry)
         assert content.header == built.header
@@ -263,12 +211,14 @@ class TestContentStoreIntegration:
         assert handle.closed
         assert len(store.hot_cache) == 0
 
-    def test_mmap_invalidation_drops_entry(self, tmp_path):
+    def test_buffered_entry_pins_the_descriptor_too(self, tmp_path):
+        """With zero-copy off the entry still pins the descriptor its body
+        is read from, so descriptor invalidation drops it."""
         (tmp_path / "page.html").write_bytes(b"<html>hot</html>")
         config = ServerConfig(
             document_root=str(tmp_path),
             port=0,
-            zero_copy=False,                   # mapped-chunk route
+            zero_copy=False,
             hot_cache_revalidate=1000.0,
         )
         store = ContentStore(config)
@@ -276,7 +226,8 @@ class TestContentStoreIntegration:
             build_and_insert(store)
             path = os.path.join(store.config.document_root, "page.html")
             assert len(store.hot_cache) == 1
-            store.mmap_cache.invalidate(path)
+            assert store.fd_cache._entries[path].refcount == 1
+            store.fd_cache.invalidate(path)
             assert len(store.hot_cache) == 0
             assert store.hot_lookup(b"/page.html", True) is None
         finally:
@@ -321,34 +272,20 @@ class TestContentStoreIntegration:
 
 
 class TestBudgetClamping:
-    @pytest.mark.skipif(not sendfile_available(), reason="needs os.sendfile")
-    def test_hot_entries_clamped_to_fd_budget_under_zero_copy(self, tmp_path):
-        """Under zero-copy each entry pins a descriptor: one entry per
-        descriptor the fd cache may hold."""
-        store = ContentStore(
-            ServerConfig(document_root=str(tmp_path), port=0, fd_cache_entries=4)
-        )
-        try:
-            assert store.hot_cache.max_entries == 4
-            assert store.hot_cache.max_pinned_bytes == store.config.mmap_cache_bytes
-        finally:
-            store.close()
-
-    def test_no_clamp_without_zero_copy(self, tmp_path):
-        """Buffered entries pin chunks, not descriptors: the fd budget does
-        not bound them; the bytes they pin share the mapped-file budget."""
+    @pytest.mark.parametrize("zero_copy", [True, False])
+    def test_hot_entries_clamped_to_fd_budget(self, tmp_path, zero_copy):
+        """Each entry pins a descriptor, whatever ``zero_copy`` says: one
+        entry per descriptor the fd cache may hold."""
         store = ContentStore(
             ServerConfig(
-                document_root=str(tmp_path), port=0, zero_copy=False, fd_cache_entries=4
+                document_root=str(tmp_path), port=0, zero_copy=zero_copy, fd_cache_entries=4
             )
         )
         try:
-            assert store.hot_cache.max_entries == DEFAULT_MAX_ENTRIES
-            assert store.hot_cache.max_pinned_bytes == store.config.mmap_cache_bytes
+            assert store.hot_cache.max_entries == 4
         finally:
             store.close()
 
-    @pytest.mark.skipif(not sendfile_available(), reason="needs os.sendfile")
     def test_empty_fd_budget_keeps_one_entry(self, tmp_path):
         store = ContentStore(
             ServerConfig(document_root=str(tmp_path), port=0, fd_cache_entries=0)
@@ -369,9 +306,6 @@ class TestWindowScopedResidency:
         def __init__(self, warm_end):
             self.warm_end = warm_end
             self.probes = []
-
-        def is_resident(self, chunk):
-            return True
 
         def file_resident(self, fd, length, path="", offset=0):
             self.probes.append((offset, length))
@@ -435,15 +369,15 @@ class TestWindowScopedResidency:
         finally:
             store.close()
 
-    def test_hot_range_hit_pins_only_intersecting_chunks(self, tmp_path):
-        """A hot-cache range hit pins (and later releases) only the chunks
-        its window touches, like the slow path's windowed acquisition."""
-        size = 200_000                         # 4 chunks at 64 KB
+    def test_hot_range_hit_repins_the_entry_descriptor(self, tmp_path):
+        """A hot-cache range hit is a window over the entry's own
+        descriptor: one more pin while it is in flight, released after."""
+        size = 200_000
         (tmp_path / "file.bin").write_bytes(bytes(i % 251 for i in range(size)))
         config = ServerConfig(
             document_root=str(tmp_path),
             port=0,
-            zero_copy=False,                   # chunk-backed entries
+            zero_copy=False,
             hot_cache_revalidate=1000.0,
         )
         store = ContentStore(config)
@@ -453,25 +387,21 @@ class TestWindowScopedResidency:
             full = store.build_response(request, entry)
             assert store.hot_insert(request, entry, full)
             full.release(store)
-            total_chunks = len(store.hot_cache.lookup(b"/file.bin").chunks)
-            assert total_chunks == 4
+            handle = store.hot_cache.lookup(b"/file.bin").file_handle
+            assert handle.refcount == 1
             content = store.hot_lookup(
                 b"/file.bin", True, range_header="bytes=70000-70999"
             )
             try:
                 assert content is not None and content.status == 206
-                assert len(content.chunks) == 1          # window inside chunk 1
-                assert content.chunks[0].offset == 65536
-                assert b"".join(
-                    bytes(view) for view in content.segments
-                ) == bytes(i % 251 for i in range(70_000, 71_000))
-                # Only the pinned chunk's refcount rose.
-                hot_entry = store.hot_cache.lookup(b"/file.bin")
-                refcounts = [chunk.refcount for chunk in hot_entry.chunks]
-                assert refcounts == [1, 2, 1, 1]
+                assert content.file_handle is handle
+                assert handle.refcount == 2
+                assert list(content.parts) == [(b"", 70_000, 1000)]
+                assert content.window_buffers(70_000, 1000) == [
+                    bytes(i % 251 for i in range(70_000, 71_000))
+                ]
             finally:
                 content.release(store)
-            hot_entry = store.hot_cache.lookup(b"/file.bin")
-            assert [chunk.refcount for chunk in hot_entry.chunks] == [1, 1, 1, 1]
+            assert handle.refcount == 1
         finally:
             store.close()

@@ -7,45 +7,7 @@ import time
 
 import pytest
 
-from repro.cache.mapped_file import MappedFileCache
 from repro.cache.residency import MincoreResidencyTester, SimulatedResidencyOracle
-
-
-@pytest.fixture
-def chunk(tmp_path):
-    path = tmp_path / "file.bin"
-    path.write_bytes(b"z" * 8192)
-    cache = MappedFileCache()
-    chunk = cache.acquire(str(path))
-    yield chunk
-    cache.release(chunk)
-    cache.clear()
-
-
-class TestMincoreResidencyTester:
-    def test_freshly_written_file_is_resident(self, chunk):
-        # The file was just written, so its pages are in the page cache; the
-        # mapping was touched by the test fixture reading it is not needed —
-        # mincore on just-written data returns resident on any realistic box.
-        tester = MincoreResidencyTester()
-        assert tester.is_resident(chunk) in (True, False)  # must not raise
-        assert tester.calls == 1
-
-    def test_empty_chunk_is_resident(self, tmp_path):
-        path = tmp_path / "empty.bin"
-        path.write_bytes(b"")
-        cache = MappedFileCache()
-        chunk = cache.acquire(str(path))
-        assert MincoreResidencyTester().is_resident(chunk)
-        cache.release(chunk)
-
-    def test_unreachable_mincore_counts_as_resident(self, chunk, monkeypatch):
-        import repro.cache.residency as residency_module
-
-        monkeypatch.setattr(residency_module, "_LIBC_MINCORE", None)
-        tester = MincoreResidencyTester()
-        assert tester.is_resident(chunk) is True
-        assert tester.fallback_answers == 1
 
 
 @pytest.fixture
@@ -200,10 +162,61 @@ class TestFileResident:
         assert tester.file_resident(synced_fd, 2048) is True
         assert len(created) == 1
         # With mincore unreachable too, no probe can answer: the window
-        # counts as resident, the same rule chunks follow.
+        # counts as resident.
         monkeypatch.setattr(residency_module, "_LIBC_MINCORE", None)
         assert tester.file_resident(synced_fd, 2048) is True
         assert tester.fallback_answers == 1
+
+    def test_freshly_written_file_is_resident(self, tmp_path):
+        """Dirty pages not yet written back are in memory too."""
+        path = tmp_path / "fresh.bin"
+        path.write_bytes(os.urandom(128 * 1024))
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            tester = MincoreResidencyTester()
+            assert tester.file_resident(fd, 128 * 1024) is True
+            assert tester.file_resident(fd, 4096, offset=64 * 1024) is True
+            assert tester.fallback_answers == 0
+        finally:
+            os.close(fd)
+
+    def test_mincore_route_calls_an_evicted_window_cold(self, tmp_path, monkeypatch):
+        """Where the file refuses ``RWF_NOWAIT`` the mapping probe answers,
+        and it starts no I/O: an evicted window stays cold however often
+        it is asked, until a read brings it in."""
+        import repro.cache.residency as residency_module
+
+        if residency_module._LIBC_MINCORE is None:
+            pytest.skip("mincore unreachable on this platform")
+        path = tmp_path / "evict.bin"
+        path.write_bytes(os.urandom(64 * 1024))
+        fd = os.open(path, os.O_RDWR)
+        try:
+            os.fsync(fd)
+            for _ in range(50):
+                os.posix_fadvise(fd, 0, 0, os.POSIX_FADV_DONTNEED)
+                if residency_module._mapped_resident(fd, 64 * 1024, 0) is False:
+                    break
+                time.sleep(0.02)
+            else:
+                pytest.skip("POSIX_FADV_DONTNEED does not evict on this filesystem")
+
+            def refuse(*_args):
+                raise OSError(errno.EOPNOTSUPP, "injected: RWF_NOWAIT unsupported here")
+
+            monkeypatch.setattr(os, "preadv", refuse)
+            tester = MincoreResidencyTester()
+            assert [tester.file_resident(fd, 64 * 1024) for _ in range(3)] == [False] * 3
+            os.pread(fd, 64 * 1024, 0)
+            assert tester.file_resident(fd, 64 * 1024) is True
+            assert tester.fallback_answers == 0
+        finally:
+            os.close(fd)
+
+    def test_empty_window_is_resident(self, synced_fd):
+        tester = MincoreResidencyTester()
+        assert tester.file_resident(synced_fd, 0) is True
+        assert tester.calls == 1 and tester.fallback_answers == 0
 
     def test_short_window_is_not_resident(self, tmp_path):
         path = tmp_path / "short.bin"
@@ -226,15 +239,17 @@ class TestFileResident:
 
 
 class TestSimulatedResidencyOracle:
-    def test_scripted_residency(self, chunk):
-        oracle = SimulatedResidencyOracle(resident_paths={chunk.key.path})
-        assert oracle.is_resident(chunk) is True
-        oracle.mark_evicted(chunk.key.path)
-        assert oracle.is_resident(chunk) is False
-        oracle.mark_resident(chunk.key.path)
-        assert oracle.is_resident(chunk) is True
+    def test_scripted_residency(self):
+        oracle = SimulatedResidencyOracle(resident_paths={"/f"})
+        assert oracle.file_resident(3, 10, path="/f") is True
+        oracle.mark_evicted("/f")
+        assert oracle.file_resident(3, 10, path="/f") is False
+        oracle.mark_resident("/f")
+        assert oracle.file_resident(3, 10, path="/f") is True
         assert oracle.queries == 3
 
-    def test_default_answer(self, chunk):
-        assert SimulatedResidencyOracle(default_resident=True).is_resident(chunk)
-        assert not SimulatedResidencyOracle(default_resident=False).is_resident(chunk)
+    def test_default_answer(self):
+        assert SimulatedResidencyOracle(default_resident=True).file_resident(3, 10, path="/f")
+        assert not SimulatedResidencyOracle(default_resident=False).file_resident(
+            3, 10, path="/f"
+        )

@@ -18,7 +18,6 @@ class TestValidation:
         config = ServerConfig()
         assert config.num_workers == 32            # Flash-MP / Apache processes
         assert config.pathname_cache_entries == 6000
-        assert config.mmap_cache_bytes == 32 * 1024 * 1024
         assert config.header_alignment == 32
 
     def test_document_root_made_absolute(self, tmp_path, monkeypatch):
@@ -32,7 +31,15 @@ class TestValidation:
             {"num_helpers": 0},
             {"num_workers": 0},
             {"helper_mode": "fiber"},
-            {"mmap_chunk_size": 0},
+            {"fd_cache_entries": -1},
+            {"hot_cache_revalidate": -0.5},
+            {"max_connections": -1},
+            {"admission_resume": 0.0},
+            {"admission_resume": 1.5},
+            {"retry_after": -1},
+            {"cgi_stream_depth": 0},
+            {"sse_queue_limit": 0},
+            {"sse_policy": "block"},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -45,9 +52,8 @@ class TestValidation:
 CONFIG_FIELDS = {
     "document_root", "host", "port", "listen_backlog",
     "num_helpers", "num_workers", "helper_mode",
-    "enable_pathname_cache", "enable_header_cache", "enable_mmap_cache",
-    "pathname_cache_entries", "mmap_cache_bytes", "mmap_chunk_size",
-    "header_cache_entries",
+    "enable_pathname_cache", "enable_header_cache",
+    "pathname_cache_entries", "header_cache_entries",
     "io_backend", "zero_copy", "fd_cache_entries",
     "hot_cache", "hot_cache_revalidate", "fast_parse",
     "header_alignment", "enable_residency_test", "max_header_bytes",
@@ -230,23 +236,20 @@ class TestTimeoutKnobs:
 
 class TestPerProcessScaling:
     def test_paper_configuration(self):
-        """At 32 processes the caches shrink to ~4 MB / ~600 entries."""
+        """At 32 processes the caches shrink to ~600 entries."""
         config = ServerConfig()
         scaled = config.per_process_scaled(32)
-        assert scaled.mmap_cache_bytes == 4 * 1024 * 1024
         assert scaled.pathname_cache_entries == 600
         assert scaled.header_cache_entries == 600
 
     def test_small_process_count_keeps_caches(self):
         config = ServerConfig()
         scaled = config.per_process_scaled(2)
-        assert scaled.mmap_cache_bytes == config.mmap_cache_bytes
         assert scaled.pathname_cache_entries >= config.pathname_cache_entries // 2
 
     def test_never_below_floor(self):
-        config = ServerConfig(mmap_cache_bytes=128 * 1024, pathname_cache_entries=32)
+        config = ServerConfig(pathname_cache_entries=32)
         scaled = config.per_process_scaled(64)
-        assert scaled.mmap_cache_bytes >= config.mmap_chunk_size
         assert scaled.pathname_cache_entries >= 16
 
     def test_invalid_process_count(self):
@@ -259,15 +262,10 @@ class TestOptimizationVariants:
         config = ServerConfig().without_caches()
         assert not config.enable_pathname_cache
         assert not config.enable_header_cache
-        assert not config.enable_mmap_cache
-
-    def test_with_optimizations_combination(self):
-        config = ServerConfig().with_optimizations(pathname=True, mmap=False, header=True)
-        assert config.enable_pathname_cache
-        assert not config.enable_mmap_cache
-        assert config.enable_header_cache
+        assert not config.zero_copy
+        assert not config.hot_cache
 
     def test_original_config_unchanged(self):
         config = ServerConfig()
-        config.with_optimizations(pathname=False, mmap=False, header=False)
+        config.without_caches()
         assert config.enable_pathname_cache

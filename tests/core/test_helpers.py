@@ -7,8 +7,8 @@ import pytest
 
 from repro.core.event_loop import EventLoop
 from repro.core.helpers import (
-    OP_READ,
     OP_TRANSLATE,
+    OP_WARM,
     HelperPool,
     HelperRequest,
     perform_helper_operation,
@@ -60,17 +60,22 @@ class TestPerformHelperOperation:
         with pytest.raises(ValueError):
             translation_entry_from_reply("/nope.html", reply)
 
-    def test_read_touches_whole_file(self, docroot):
-        request = HelperRequest(seq=3, op=OP_READ, path=os.path.join(docroot, "big.bin"))
+    def test_warm_touches_whole_file(self, docroot):
+        request = HelperRequest(seq=3, op=OP_WARM, path=os.path.join(docroot, "big.bin"))
         reply = perform_helper_operation(request)
         assert reply.ok
         assert reply.bytes_touched == 100_000
 
-    def test_read_range(self, docroot):
-        request = HelperRequest(
-            seq=4, op=OP_READ, path=os.path.join(docroot, "big.bin"), offset=50_000, length=10_000
-        )
-        reply = perform_helper_operation(request)
+    def test_warm_range_on_an_open_descriptor(self, docroot):
+        path = os.path.join(docroot, "big.bin")
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            request = HelperRequest(
+                seq=4, op=OP_WARM, path=path, fd=fd, offset=50_000, length=10_000
+            )
+            reply = perform_helper_operation(request)
+        finally:
+            os.close(fd)
         assert reply.bytes_touched == 10_000
 
     def test_unknown_operation_reported_as_failure(self):
@@ -129,7 +134,7 @@ class TestHelperPoolThreads:
         replies = []
         for _ in range(10):
             pool.submit(
-                HelperRequest(seq=0, op=OP_READ, path=os.path.join(docroot, "big.bin")),
+                HelperRequest(seq=0, op=OP_WARM, path=os.path.join(docroot, "big.bin")),
                 replies.append,
             )
         settle(pool, loop)
@@ -145,7 +150,7 @@ class TestHelperPoolThreads:
         pool = HelperPool(num_helpers=1, mode="thread")
         pool.shutdown()
         with pytest.raises(RuntimeError):
-            pool.submit(HelperRequest(seq=0, op=OP_READ, path="x"), lambda r: None)
+            pool.submit(HelperRequest(seq=0, op=OP_WARM, path="x"), lambda r: None)
 
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
@@ -181,7 +186,7 @@ class TestHelperPoolProcesses:
         try:
             for _ in range(5):
                 pool.submit(
-                    HelperRequest(seq=0, op=OP_READ, path=os.path.join(docroot, "big.bin")),
+                    HelperRequest(seq=0, op=OP_WARM, path=os.path.join(docroot, "big.bin")),
                     replies.append,
                 )
             settle(pool, loop, timeout=15.0)
@@ -197,14 +202,14 @@ class TestProcessHelperDeath:
 
     @staticmethod
     def crash_pool(num_helpers, monkeypatch, loop):
-        """A process pool, bound to ``loop``, whose helpers exit hard inside OP_READ."""
+        """A process pool, bound to ``loop``, whose helpers exit hard inside OP_WARM."""
         import repro.core.helpers as helpers_module
 
-        def die(path, offset, length):
+        def die(path, fd, offset, length):
             os._exit(17)
 
         # Patched before fork: the helper children inherit the crash.
-        monkeypatch.setattr(helpers_module, "_touch_file_range", die)
+        monkeypatch.setattr(helpers_module, "_warm_file_range", die)
         pool = HelperPool(num_helpers=num_helpers, mode="process")
         pool.register(loop)
         return pool
@@ -214,7 +219,7 @@ class TestProcessHelperDeath:
         replies = []
         try:
             pool.submit(
-                HelperRequest(seq=0, op=OP_READ, path=os.path.join(docroot, "big.bin")),
+                HelperRequest(seq=0, op=OP_WARM, path=os.path.join(docroot, "big.bin")),
                 replies.append,
             )
             settle(pool, loop)
@@ -230,7 +235,7 @@ class TestProcessHelperDeath:
         replies = []
         try:
             pool.submit(
-                HelperRequest(seq=0, op=OP_READ, path=os.path.join(docroot, "big.bin")),
+                HelperRequest(seq=0, op=OP_WARM, path=os.path.join(docroot, "big.bin")),
                 replies.append,
             )
             settle(pool, loop)
@@ -254,14 +259,14 @@ class TestProcessHelperDeath:
         replies = []
         try:
             pool.submit(
-                HelperRequest(seq=0, op=OP_READ, path=os.path.join(docroot, "big.bin")),
+                HelperRequest(seq=0, op=OP_WARM, path=os.path.join(docroot, "big.bin")),
                 replies.append,
             )
             settle(pool, loop)
             # No helpers remain: a new submission fails immediately instead
             # of waiting forever.
             pool.submit(
-                HelperRequest(seq=0, op=OP_READ, path=os.path.join(docroot, "big.bin")),
+                HelperRequest(seq=0, op=OP_WARM, path=os.path.join(docroot, "big.bin")),
                 replies.append,
             )
         finally:
@@ -277,7 +282,7 @@ class TestProcessHelperDeath:
         replies = []
         try:
             pool.submit(
-                HelperRequest(seq=0, op=OP_READ, path=os.path.join(docroot, "big.bin")),
+                HelperRequest(seq=0, op=OP_WARM, path=os.path.join(docroot, "big.bin")),
                 replies.append,
             )
             deadline = time.monotonic() + 10.0

@@ -76,47 +76,44 @@ class TestTranslation:
 
 
 class TestBuildResponse:
-    def test_mmap_backed_response(self, docroot):
+    def test_body_is_one_window_over_a_pinned_descriptor(self, docroot):
         store = ContentStore(ServerConfig(document_root=docroot))
         request = parse(b"GET /big.bin HTTP/1.0\r\n\r\n")
         entry = store.translate("/big.bin")
-        content = store.build_response(request, entry, map_body=True)
+        content = store.build_response(request, entry)
         assert content.content_length == 200_000
-        assert sum(len(seg) for seg in content.segments) == 200_000
-        assert len(content.chunks) == store.mmap_cache.chunk_count(200_000)
+        assert content.parts == ((b"", 0, 200_000),)
         assert b"Content-Length: 200000" in content.header
+        handle = content.file_handle
+        assert handle.refcount == 1
         content.release(store)
-        assert all(chunk.refcount == 0 for chunk in content.chunks) or not content.chunks
+        assert handle.refcount == 0 and not handle.closed   # parked, still cached
         store.close()
 
-    def test_read_backed_response_without_mmap_cache(self, docroot):
-        config = ServerConfig(
-            document_root=docroot, enable_mmap_cache=False, zero_copy=False
-        )
-        store = ContentStore(config)
+    @pytest.mark.parametrize("zero_copy", [True, False])
+    def test_descriptor_pinned_whatever_zero_copy_says(self, docroot, zero_copy):
+        """``zero_copy`` decides only how a window leaves, not where from."""
+        store = ContentStore(ServerConfig(document_root=docroot, zero_copy=zero_copy))
         request = parse(b"GET /index.html HTTP/1.0\r\n\r\n")
         entry = store.translate("/index.html")
         content = store.build_response(request, entry)
-        assert content.chunks == ()
-        assert content.file_handle is None
-        assert bytes(content.segments[0]) == b"<html>home</html>"
-        store.close()
-
-    def test_fd_backed_response_without_mmap_cache(self, docroot):
-        """Zero-copy with the mmap cache off: body stays out of user space."""
-        import os
-
-        config = ServerConfig(document_root=docroot, enable_mmap_cache=False)
-        store = ContentStore(config)
-        request = parse(b"GET /index.html HTTP/1.0\r\n\r\n")
-        entry = store.translate("/index.html")
-        content = store.build_response(request, entry)
-        assert content.chunks == ()
-        assert content.segments == ()
         assert content.file_handle is not None
         assert content.content_length == len(b"<html>home</html>")
-        assert os.pread(content.file_handle.fd, 6, 0) == b"<html>"
+        assert content.window_buffers(0, 17) == [b"<html>home</html>"]
+        assert content.window_buffers(6, 4) == [b"home"]
         content.release(store)
+        store.close()
+
+    def test_open_failure_raises(self, docroot):
+        """No other route to the bytes: a file that cannot be opened fails
+        the build (answered 500) instead of falling back by path."""
+        store = ContentStore(ServerConfig(document_root=docroot))
+        request = parse(b"GET /index.html HTTP/1.0\r\n\r\n")
+        entry = store.translate("/index.html")
+        os.unlink(os.path.join(docroot, "index.html"))
+        with pytest.raises(OSError):
+            store.build_response(request, entry)
+        assert len(store.fd_cache) == 0
         store.close()
 
     def test_head_request_has_no_body(self, docroot):
@@ -125,7 +122,7 @@ class TestBuildResponse:
         entry = store.translate("/index.html")
         content = store.build_response(request, entry)
         assert content.content_length == 0
-        assert content.segments == ()
+        assert content.file_handle is None and content.parts == ()
         assert b"Content-Length: 17" in content.header
         store.close()
 
@@ -193,15 +190,6 @@ class TestResidencyIntegration:
         content.release(store)
         store.close()
 
-    def test_touch_chunks_returns_bytes(self, docroot):
-        store = ContentStore(ServerConfig(document_root=docroot))
-        entry = store.translate("/big.bin")
-        request = parse(b"GET /big.bin HTTP/1.0\r\n\r\n")
-        content = store.build_response(request, entry, map_body=True)
-        assert ContentStore.touch_chunks(content.chunks) == 200_000
-        content.release(store)
-        store.close()
-
 
 class TestInvalidationPropagation:
     def test_file_change_invalidates_dependent_caches(self, docroot):
@@ -227,7 +215,7 @@ class TestInvalidationPropagation:
         store = ContentStore(ServerConfig(document_root=docroot))
         store.translate("/index.html")
         stats = store.cache_stats()
-        assert set(stats) == {"pathname", "header", "mmap", "hot"}
+        assert set(stats) == {"pathname", "header", "hot"}
         assert stats["pathname"]["misses"] == 1
         store.close()
 

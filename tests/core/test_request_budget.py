@@ -54,10 +54,9 @@ class Budget:
         if fd is None:
             self._wrap(monkeypatch, mmap, "mmap", "mmaps")
         else:
-            # Bursts of buffered answers keep their mappings, which AMPED's
-            # residency test tells by ``isinstance(..., mmap.mmap)``: the
-            # class stays real.  Sockets take no attributes, so their
-            # methods are wrapped on the class, counted for ``fd`` only.
+            # Only the server socket's writes are counted.  Sockets take
+            # no attributes, so their methods are wrapped on the class,
+            # counted for ``fd`` only.
             ours = lambda sock, *_: sock.fileno() == fd  # noqa: E731
             for name in ("send", "sendmsg", "setsockopt"):
                 self._wrap(monkeypatch, socket.socket, name, name, ours)

@@ -1,8 +1,8 @@
 """The residency tester a store and a Flash server use (paper Section 5.7).
 
-Flash uses ``mincore`` over mapped chunks and ``preadv(RWF_NOWAIT)`` over
-descriptor windows — one tester, no configuration; tests and the
-simulator substitute a scripted oracle.
+Flash asks ``preadv(RWF_NOWAIT)`` (else ``mincore`` over a transient
+mapping) about descriptor windows — one tester, no configuration; tests
+and the simulator substitute a scripted oracle.
 """
 
 import pytest
@@ -25,7 +25,6 @@ class TestTesterSelection:
     def test_default_is_mincore(self, docroot):
         store = ContentStore(ServerConfig(document_root=docroot))
         assert isinstance(store.residency_tester, MincoreResidencyTester)
-        assert store.mmap_cache.residency_tester is store.residency_tester
 
     def test_explicit_tester_overrides_default(self, docroot):
         oracle = SimulatedResidencyOracle(default_resident=True)

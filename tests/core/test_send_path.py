@@ -3,9 +3,10 @@
 Covers the contract the connection state machine relies on: short writes
 and ``EAGAIN`` preserve progress, a mid-transfer client disconnect
 surfaces as ``ConnectionError`` and leaves the machine consistent, the
-buffered fallback resumes at the exact byte offset ``sendfile`` reached,
-and — end to end over real sockets — both send paths produce
-byte-identical responses.  The keep-alive regression drives several
+buffered fallback resumes at the exact byte offset ``sendfile`` reached
+and reads the descriptor the header describes, buffered sends read in
+bounded slices, and — end to end over real sockets — both send paths
+produce byte-identical responses.  The keep-alive regression drives several
 sequential requests through the zero-copy path on one connection,
 exercising the per-response offset bookkeeping.
 """
@@ -22,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.mapped_file import CachedFD
-
+from repro.client.simple import fetch
 from repro.core import exchange
 from repro.core.config import ServerConfig
 from repro.core.connection import (
@@ -33,7 +34,15 @@ from repro.core.connection import (
 )
 from repro.core.event_loop import EventLoop
 from repro.core.pipeline import ContentStore, ServerStats, StaticContent
-from repro.core.send_path import SendPath, choose_send_path, sendfile_available
+from repro.core.send_path import (
+    _MAX_IOV,
+    QUEUE_BYTES,
+    SendPath,
+    choose_send_path,
+    sendfile_available,
+)
+from repro.http.request import RequestParser
+from repro.servers import create_server
 from repro.servers.blocking import _send_static
 
 requires_sendfile = pytest.mark.skipif(
@@ -89,11 +98,10 @@ class Store:
 
 
 def file_content(fd, path, parts=(), header=b"", trailer=b""):
-    """A fd-backed response transmitting from ``fd``; a degraded window
-    re-reads ``path`` (usually, but not always, the same file)."""
+    """A response transmitting from ``fd`` (opened on ``path``); a degraded
+    window re-reads the same descriptor."""
     return StaticContent(
         header=header,
-        segments=(),
         file_handle=CachedFD(path=str(path), fd=fd),
         parts=parts,
         trailer=trailer,
@@ -109,6 +117,17 @@ def window_sender(fd, path, offset, length, header=b""):
 def fallbacks(sender):
     """How many degraded responses ``sender`` has reported to its store."""
     return sender._store.stats.sendfile_fallbacks
+
+
+@pytest.fixture
+def refusing_sendfile(monkeypatch):
+    """``os.sendfile`` refuses every descriptor, as on a filesystem that
+    cannot splice: the send must finish by positional reads."""
+
+    def refuse(out_fd, in_fd, offset, count):
+        raise OSError(errno.EINVAL, "sendfile refused")
+
+    monkeypatch.setattr(os, "sendfile", refuse)
 
 
 def pump(sender, left, right, expected_length, deadline=10.0):
@@ -248,58 +267,54 @@ class TestFileWindowSegments:
         finally:
             os.close(fd)
 
-    def test_unsupported_in_fd_falls_back_buffered(self, pair, tmp_path):
-        """sendfile from a non-mmappable fd degrades to the buffered path."""
+    def test_unsupported_in_fd_falls_back_buffered(self, pair, tmp_path, refusing_sendfile):
+        """A descriptor sendfile refuses degrades to the buffered path."""
         left, right = pair
         body = b"fallback body " * 512
         path = tmp_path / "body.bin"
         path.write_bytes(body)
-        # A socket as in_fd makes sendfile fail with EINVAL/ENOTSOCK.
-        bad_in, bad_peer = socket.socketpair()
+        fd = os.open(path, os.O_RDONLY)
         try:
-            sender = window_sender(bad_in.fileno(), path, 0, len(body), header=b"HDR:")
+            sender = window_sender(fd, path, 0, len(body), header=b"HDR:")
             assert pump(sender, left, right, 4 + len(body)) == b"HDR:" + body
             assert fallbacks(sender) == 1
             assert not sender.under_delivered
         finally:
-            bad_in.close()
-            bad_peer.close()
+            os.close(fd)
 
-    def test_window_fallback_resumes_inside_window(self, pair, tmp_path):
+    def test_window_fallback_resumes_inside_window(self, pair, tmp_path, refusing_sendfile):
         """Degrading an offset window reads exactly that window."""
         left, right = pair
         payload = bytes(range(256)) * 64
         path = tmp_path / "w.bin"
         path.write_bytes(payload)
-        # An fd sendfile cannot serve: a pipe in place of the file.
-        read_end, write_end = os.pipe()
+        fd = os.open(path, os.O_RDONLY)
         try:
-            sender = window_sender(read_end, path, 500, 1000, header=b"HDR")
+            sender = window_sender(fd, path, 500, 1000, header=b"HDR")
             assert pump(sender, left, right, 1003) == b"HDR" + payload[500:1500]
             assert fallbacks(sender) == 1
             assert not sender.under_delivered
         finally:
-            os.close(read_end)
-            os.close(write_end)
+            os.close(fd)
 
-    def test_fallback_resumes_at_exact_offset(self, tiny_buffer_pair, tmp_path):
+    def test_fallback_resumes_at_exact_offset(self, tiny_buffer_pair, tmp_path, monkeypatch):
         """Degrading mid-transfer must not resend or skip body bytes."""
         left, right = tiny_buffer_pair
         body = os.urandom(256 * 1024)
-        shrinking = tmp_path / "shrink.bin"
-        shrinking.write_bytes(body)
-        intact = tmp_path / "intact.bin"
-        intact.write_bytes(body)
-        fd = os.open(shrinking, os.O_RDONLY)
+        path = tmp_path / "body.bin"
+        path.write_bytes(body)
+        fd = os.open(path, os.O_RDONLY)
         try:
-            # Transmit from the file about to shrink; re-read the intact copy.
-            sender = window_sender(fd, intact, 0, len(body))
+            sender = window_sender(fd, path, 0, len(body))
             sent = sender.send(left)          # partial transfer, then EAGAIN
             assert 0 < sent < len(body)
-            # Truncate the file under the transfer: sendfile now reports EOF
-            # (returns 0) and the sender must finish from the fallback
-            # read, resuming exactly at the byte reached.
-            os.truncate(shrinking, sent)
+            # sendfile stops working under the transfer: the sender must
+            # finish from positional reads, resuming exactly at the byte
+            # reached.
+            def refuse(out_fd, in_fd, offset, count):
+                raise OSError(errno.EINVAL, "sendfile refused")
+
+            monkeypatch.setattr(os, "sendfile", refuse)
             received = drain(right, sent)
             assert received + pump(sender, left, right, len(body) - sent) == body
             assert fallbacks(sender) == 1
@@ -317,8 +332,8 @@ class TestFileWindowSegments:
         path.write_bytes(body)
         fd = os.open(path, os.O_RDONLY)
         try:
-            # The fallback can only re-read the (now truncated) file, so
-            # the promised count is impossible to honour.
+            # The fallback can only re-read the (now truncated) descriptor,
+            # so the promised count is impossible to honour.
             content = file_content(fd, path)
             sender = SendPath([(content, 0, len(body)), b"after"], Store())
             sent = sender.send(left)
@@ -334,22 +349,191 @@ class TestFileWindowSegments:
         finally:
             os.close(fd)
 
-    def test_several_degraded_windows_count_one_fallback(self, pair, tmp_path):
+    def test_several_degraded_windows_count_one_fallback(
+        self, pair, tmp_path, refusing_sendfile
+    ):
         left, right = pair
         payload = bytes(range(256)) * 8
         path = tmp_path / "w.bin"
         path.write_bytes(payload)
-        read_end, write_end = os.pipe()
+        fd = os.open(path, os.O_RDONLY)
         try:
-            content = file_content(read_end, path)
+            content = file_content(fd, path)
             store = Store()
             sender = SendPath([b"H", (content, 0, 10), b"-", (content, 100, 10)], store)
             expected = b"H" + payload[:10] + b"-" + payload[100:110]
             assert pump(sender, left, right, len(expected)) == expected
             assert store.stats.sendfile_fallbacks == 1
         finally:
-            os.close(read_end)
-            os.close(write_end)
+            os.close(fd)
+
+    def test_fallback_sends_the_inode_the_header_describes(
+        self, pair, tmp_path, refusing_sendfile
+    ):
+        """A file renamed over the path after the build does not leak into
+        a degraded send: its bytes come from the pinned descriptor, so they
+        match the header's ETag and Last-Modified."""
+        left, right = pair
+        (tmp_path / "a.html").write_bytes(b"A" * 5000)
+        store = ContentStore(ServerConfig(document_root=str(tmp_path)))
+        try:
+            parser = RequestParser()
+            parser.feed(b"GET /a.html HTTP/1.0\r\n\r\n")
+            request = parser.request
+            entry = store.translate("/a.html")
+            content = store.build_response(request, entry)
+            (tmp_path / "b.html").write_bytes(b"B" * 5000)
+            os.replace(tmp_path / "b.html", tmp_path / "a.html")
+            sender = choose_send_path(content, store=store, config=store.config, stats=store.stats)
+            raw = pump(sender, left, right, len(content.header) + 5000)
+            sender.release()
+            content.release(store)
+            assert raw == content.header + b"A" * 5000
+            assert store.stats.sendfile_fallbacks == 1
+        finally:
+            store.close()
+
+
+class TestWindowBuffers:
+    """The one "window to bytes" route: positional reads of the pinned
+    descriptor."""
+
+    @pytest.fixture
+    def pinned(self, tmp_path):
+        body = os.urandom(10_000)
+        path = tmp_path / "window.bin"
+        path.write_bytes(body)
+        fd = os.open(path, os.O_RDONLY)
+        yield file_content(fd, path), body, path
+        os.close(fd)
+
+    def test_reads_exactly_the_window(self, pinned):
+        content, body, _ = pinned
+        assert b"".join(content.window_buffers(1234, 4321)) == body[1234 : 1234 + 4321]
+        assert b"".join(content.window_buffers(0, len(body))) == body
+
+    def test_comes_up_short_at_end_of_file(self, pinned):
+        content, body, _ = pinned
+        assert b"".join(content.window_buffers(9_000, 5_000)) == body[9_000:]
+        assert b"".join(content.window_buffers(20_000, 10)) == b""
+
+    def test_leaves_the_descriptor_offset_alone(self, pinned):
+        """A cached descriptor is shared by every sender of the file."""
+        content, _, _ = pinned
+        fd = content.file_handle.fd
+        os.lseek(fd, 17, os.SEEK_SET)
+        content.window_buffers(100, 200)
+        assert os.lseek(fd, 0, os.SEEK_CUR) == 17
+
+    def test_reads_the_pinned_inode_after_rename(self, pinned, tmp_path):
+        content, body, path = pinned
+        (tmp_path / "other.bin").write_bytes(b"B" * len(body))
+        os.replace(tmp_path / "other.bin", path)
+        assert b"".join(content.window_buffers(0, len(body))) == body
+
+
+class RecordingSocket:
+    """Forwards to a real socket; records the buffers of each write."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.writes = []
+
+    def fileno(self):
+        return self.sock.fileno()
+
+    def sendmsg(self, buffers, ancdata=(), flags=0):
+        buffers = list(buffers)
+        self.writes.append(len(buffers))
+        return self.sock.sendmsg(buffers, ancdata, flags)
+
+    def send(self, data, flags=0):
+        self.writes.append(1)
+        return self.sock.send(data, flags)
+
+
+class TestBufferedReadAhead:
+    """A buffered window joins the run of buffers before it: the run holds
+    at most ``_MAX_IOV`` segments and ``QUEUE_BYTES`` of file bytes."""
+
+    @pytest.fixture
+    def source(self, tmp_path):
+        body = os.urandom(3 * QUEUE_BYTES)
+        path = tmp_path / "source.bin"
+        path.write_bytes(body)
+        fd = os.open(path, os.O_RDONLY)
+        yield fd, path, body
+        os.close(fd)
+
+    def test_burst_of_small_windows_is_split_at_max_iov(self, pair, source):
+        fd, path, body = source
+        left, right = pair
+        content = file_content(fd, path)
+        content.buffered = True
+        segments, expected = [], bytearray()
+        for index in range(_MAX_IOV):
+            head = b"H%03d" % index
+            segments += [head, (content, index * 10, 10)]
+            expected += head + body[index * 10 : index * 10 + 10]
+        sender = SendPath(segments, Store())
+        recording = RecordingSocket(left)
+        raw = pump(sender, recording, right, len(expected))
+        assert raw == bytes(expected)
+        assert max(recording.writes) <= _MAX_IOV
+        assert len(recording.writes) == 2  # 2 * _MAX_IOV segments, one run each
+        assert fallbacks(sender) == 0
+
+    def test_multipart_windows_are_read_in_bounded_slices(self, pair, source, monkeypatch):
+        fd, path, body = source
+        left, right = pair
+        reads = []
+        real_window_buffers = StaticContent.window_buffers
+
+        def recording(content, offset, length):
+            buffers = real_window_buffers(content, offset, length)
+            reads.append(sum(len(buf) for buf in buffers))
+            return buffers
+
+        monkeypatch.setattr(StaticContent, "window_buffers", recording)
+        first, second = (100, QUEUE_BYTES + 5), (2 * QUEUE_BYTES, QUEUE_BYTES - 7)
+        content = file_content(
+            fd, path, parts=[(b"--one\r\n", *first), (b"--two\r\n", *second)],
+            header=b"HEADER\r\n", trailer=b"--end\r\n",
+        )
+        content.buffered = True
+        segments = [content.header]
+        for head, offset, length in content.parts:
+            segments += [head, (content, offset, length)]
+        segments.append(content.trailer)
+        expected = (
+            b"HEADER\r\n--one\r\n" + body[first[0] : first[0] + first[1]]
+            + b"--two\r\n" + body[second[0] : second[0] + second[1]] + b"--end\r\n"
+        )
+        sender = SendPath(segments, Store())
+        raw = pump(sender, left, right, len(expected))
+        assert raw == expected
+        assert sum(reads) == first[1] + second[1]
+        assert max(reads) <= QUEUE_BYTES
+        assert not sender.under_delivered
+
+    @requires_sendfile
+    def test_run_stops_at_a_sendfile_window(self, pair, source):
+        """A buffered response queued before a zero-copy one leaves in one
+        ``sendmsg`` with the next header; the zero-copy body still goes
+        out by ``sendfile``."""
+        fd, path, body = source
+        left, right = pair
+        buffered = file_content(fd, path)
+        buffered.buffered = True
+        zero_copy = file_content(fd, path)
+        segments = [b"first\r\n", (buffered, 0, 1000), b"second\r\n", (zero_copy, 1000, 3000)]
+        sender = SendPath(segments, Store())
+        recording = RecordingSocket(left)
+        raw = pump(sender, recording, right, 4000 + 15)
+        assert raw == b"first\r\n" + body[:1000] + b"second\r\n" + body[1000:4000]
+        assert recording.writes == [3]  # the rest left by sendfile
+        assert not zero_copy.buffered
+        assert fallbacks(sender) == 0
 
 
 # -- connection-level coverage ---------------------------------------------------
@@ -466,20 +650,14 @@ class TestConnectionZeroCopy:
             right.close()
             run_until(driver, lambda: connection.state == STATE_CLOSED, deadline=10.0)
             assert driver.closed == [connection]
-            # Pinned chunks and the cached descriptor were all released.
+            # The response's pin on the cached descriptor was released.
             assert content.file_handle is None
-            assert content.chunks == ()
-            # The connection's pins are gone; the only remaining references
-            # are the hot-response cache's own (at most one per chunk).
-            assert all(
-                chunk.refcount <= 1
-                for chunk in driver.store.mmap_cache._chunks.values()
-            )
+            # The only remaining reference is the hot-response cache's own.
+            handle = driver.store.fd_cache.acquire(str(docroot / "big.bin"))
+            assert handle.refcount == 2
+            driver.store.fd_cache.release(handle)
             driver.store.hot_cache.clear()
-            assert all(
-                chunk.refcount == 0
-                for chunk in driver.store.mmap_cache._chunks.values()
-            )
+            assert handle.refcount == 0
         finally:
             driver.shutdown()
             left.close()
@@ -584,48 +762,11 @@ class TestSendPathsByteIdentical:
 
     def test_sendfile_unavailable_falls_back(self, docroot, monkeypatch):
         """With sendfile reported missing the zero-copy config still works."""
-        import repro.core.pipeline as pipeline_module
         import repro.core.send_path as send_path_module
 
         monkeypatch.setattr(send_path_module, "sendfile_available", lambda: False)
-        # ... to whoever decides whether the body must be mapped, too.
-        monkeypatch.setattr(pipeline_module, "sendfile_available", lambda: False)
         raw = self.fetch_raw(docroot, b"/small.txt", zero_copy=True)
         assert parse_http(raw)[1] == b"tiny body"
-
-
-class TestWindowViews:
-    def test_slices_across_buffer_boundaries(self):
-        from repro.core.send_path import window_views
-
-        buffers = [b"aaaa", b"bbbb", b"cccc"]
-        views = window_views(buffers, 2, 8)
-        assert b"".join(views) == b"aabbbbcc"
-
-    def test_whole_stream(self):
-        from repro.core.send_path import window_views
-
-        buffers = [b"aaaa", b"bbbb"]
-        assert b"".join(window_views(buffers, 0, 8)) == b"aaaabbbb"
-
-    def test_window_inside_one_buffer(self):
-        from repro.core.send_path import window_views
-
-        assert b"".join(window_views([b"abcdef"], 2, 3)) == b"cde"
-
-    def test_empty_window(self):
-        from repro.core.send_path import window_views
-
-        assert window_views([b"abcdef"], 2, 0) == []
-
-    def test_zero_copy_views(self):
-        from repro.core.send_path import window_views
-
-        backing = bytearray(b"0123456789")
-        (view,) = window_views([backing], 3, 4)
-        assert bytes(view) == b"3456"
-        backing[3] = ord(b"X")
-        assert bytes(view) == b"X456"  # a view, not a copy
 
 
 class TestExtend:
@@ -690,7 +831,7 @@ response_shape = st.fixed_dictionaries(
         # sendfile stops working, and how it fails there.
         "fail_at": st.none() | st.integers(0, 40 * 1024),
         "fail_mode": st.sampled_from(["einval", "eof"]),
-        # How much of the file the fallback read can still see.
+        # How much of the file the fallback read can still see (it shrank).
         "readable": st.none() | st.integers(0, len(FILE_BYTES)),
     }
 )
@@ -723,23 +864,13 @@ class TestGeneratedSchedules:
     working at a generated byte: the wire carries exactly the reference
     bytes, or ends at the truncation point with ``under_delivered`` set."""
 
-    @pytest.fixture
-    def files(self, tmp_path):
-        source = tmp_path / "source.bin"
+    def transmit(self, shape, directory, monkeypatch, blocking):
+        source = directory / "source.bin"
         source.write_bytes(FILE_BYTES)
         fd = os.open(source, os.O_RDONLY)
-        yield fd, tmp_path
-        os.close(fd)
-
-    def transmit(self, shape, files, monkeypatch, blocking):
-        fd, directory = files
-        readable = directory / "readable.bin"
-        readable.write_bytes(
-            FILE_BYTES if shape["readable"] is None else FILE_BYTES[: shape["readable"]]
-        )
         content = file_content(
             fd,
-            readable,
+            source,
             parts=[(head, offset, length) for head, (offset, length) in shape["parts"]],
             header=shape["header"],
             trailer=shape["trailer"],
@@ -760,7 +891,18 @@ class TestGeneratedSchedules:
             moved += sent
             return sent
 
+        real_read = ContentStore.read_file_range
+
+        def shrunk_read(fd, offset, length):
+            # The file seen shorter, without truncating it: bytes sendfile
+            # already moved may still sit in the socket buffer as references
+            # to the file's pages, which a truncation would zero.
+            if shape["readable"] is not None:
+                length = max(0, min(length, shape["readable"] - offset))
+            return real_read(fd, offset, length)
+
         monkeypatch.setattr(os, "sendfile", flaky_sendfile)
+        monkeypatch.setattr(ContentStore, "read_file_range", staticmethod(shrunk_read))
         store = Store()
         config = ServerConfig(document_root=str(directory), port=0)
         left, right = socket.socketpair()
@@ -795,6 +937,7 @@ class TestGeneratedSchedules:
             monkeypatch.undo()
             left.close()
             right.close()
+            os.close(fd)
         return bytes(received), under_delivered, store.stats.sendfile_fallbacks
 
     @pytest.mark.parametrize("blocking", [False, True], ids=["event", "blocking"])
@@ -804,10 +947,10 @@ class TestGeneratedSchedules:
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_wire_matches_reference(self, files, monkeypatch, blocking, shape):
+    def test_wire_matches_reference(self, tmp_path, monkeypatch, blocking, shape):
         expected, short = expected_wire(shape)
         received, under_delivered, fallbacks = self.transmit(
-            shape, files, monkeypatch, blocking
+            shape, tmp_path, monkeypatch, blocking
         )
         assert received == expected
         assert under_delivered == short
@@ -822,3 +965,35 @@ def recv_until_eof(sock, deadline=5.0):
         if not data:
             return bytes(received)
         received.extend(data)
+
+
+class TestBufferedSlices:
+    """With zero-copy off a body is read from its descriptor in slices of
+    at most ``QUEUE_BYTES``, never copied whole."""
+
+    @pytest.mark.parametrize("arch", ["sped", "mt"])
+    def test_large_buffered_body_is_read_in_bounded_slices(self, tmp_path, monkeypatch, arch):
+        body = os.urandom(4 * 1024 * 1024)
+        (tmp_path / "large.bin").write_bytes(body)
+        reads = []
+        real_window_buffers = StaticContent.window_buffers
+
+        def recording(content, offset, length):
+            buffers = real_window_buffers(content, offset, length)
+            reads.append(sum(len(buf) for buf in buffers))
+            return buffers
+
+        monkeypatch.setattr(StaticContent, "window_buffers", recording)
+        config = ServerConfig(document_root=str(tmp_path), port=0, num_workers=2, zero_copy=False)
+        server = create_server(arch, config)
+        server.start()
+        try:
+            response = fetch(*server.address, "/large.bin", timeout=30.0)
+        finally:
+            server.stop()
+        assert response.status == 200
+        assert response.body == body
+        assert sum(reads) == len(body)
+        assert max(reads) <= QUEUE_BYTES
+        assert server.stats.sendfile_responses == 0
+        assert server.stats.sendfile_fallbacks == 0

@@ -79,7 +79,8 @@ class TestTraceServedByFlash:
         finally:
             server.stop()
         assert server.store.pathname_cache is None
-        assert server.store.mmap_cache is None
+        assert server.store.header_cache is None
+        assert server.store.hot_cache is None
 
 
 class TestArchitecturesServeIdenticalContent:

@@ -62,7 +62,7 @@ def test_disk_error_during_build_is_a_500_everywhere(arch, docroot, monkeypatch)
     # workers fork, so they inherit the plan.
     monkeypatch.setenv(ENV_VAR, "disk_read=1")
     faults.load_env()
-    server = start(arch, docroot, zero_copy=False, enable_mmap_cache=False)
+    server = start(arch, docroot, zero_copy=False)
     try:
         first = fetch(*server.address, "/file.bin")
         second = fetch(*server.address, "/file.bin")

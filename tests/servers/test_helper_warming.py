@@ -1,8 +1,5 @@
-"""AMPED helper warming for fd-backed (sendfile) responses.
-
-The warming route follows from the send mechanism — ``OP_WARM`` on the
-descriptor for a ``sendfile`` body, ``OP_READ`` over the chunks for a
-mapped one:
+"""AMPED helper warming: every body leaves from a pinned descriptor, and
+a cold one is warmed with ``OP_WARM`` whichever way it then leaves:
 
 * a cold-file request is dispatched to a warm helper before transmission,
   whether the oracle says so or the file was really evicted;
@@ -23,7 +20,7 @@ import time
 import pytest
 
 import repro.cache.residency as residency_module
-from repro.cache.residency import SimulatedResidencyOracle
+from repro.cache.residency import MincoreResidencyTester, SimulatedResidencyOracle
 from repro.client.simple import fetch
 from repro.core.config import ServerConfig
 from repro.core.pipeline import FD_RESIDENT_PROBE_TTL
@@ -71,9 +68,7 @@ class TestWarmDispatch:
         assert stats.sendfile_warms >= 1
         assert stats.sendfile_responses >= 1
         assert stats.sendfile_warm_degradations == 0
-        # The fd route replaces the mapped-chunk route: the response was
-        # built without pinning chunks, so the oracle was asked about the
-        # bare file, and no OP_READ page-touch was dispatched for it.
+        # The oracle was asked about the descriptor's window.
         assert oracle.queries >= 1
 
     def test_warm_request_bypasses_helpers(self, docroot):
@@ -114,6 +109,35 @@ class TestWarmDispatch:
         assert server.stats.sendfile_warms >= 1
         assert server.stats.sendfile_warm_degradations >= 1
 
+    def test_degradation_reads_the_pinned_descriptor(self, docroot, monkeypatch):
+        """A file renamed over the path while the warm was failing does not
+        leak into the degraded body: it is read from the descriptor the
+        header describes."""
+        import repro.core.helpers as helpers_module
+
+        cold = os.path.join(docroot, "cold.bin")
+        with open(cold, "rb") as handle:
+            original = handle.read()
+        replacement = os.path.join(docroot, "replacement.bin")
+
+        def crash_after_rename(path, fd, offset, length):
+            with open(replacement, "wb") as handle:
+                handle.write(b"R" * BODY_SIZE)
+            os.replace(replacement, cold)
+            raise RuntimeError("helper crashed; file replaced meanwhile")
+
+        monkeypatch.setattr(helpers_module, "_warm_file_range", crash_after_rename)
+        oracle = SimulatedResidencyOracle(default_resident=False)
+        server = flash(docroot, oracle)
+        server.start()
+        try:
+            response = fetch(*server.address, "/cold.bin")
+        finally:
+            server.stop()
+        assert response.status == 200
+        assert response.body == original
+        assert server.stats.sendfile_warm_degradations == 1
+
     def test_degradation_refuses_mismatched_body(self, docroot, monkeypatch):
         """If the file changed size between header build and the degraded
         read, serving it would break keep-alive framing: the request must
@@ -137,25 +161,10 @@ class TestWarmDispatch:
         assert response.status == 500
         assert server.stats.sendfile_warm_degradations >= 1
 
-    def test_mmap_cache_off_still_warms_the_descriptor(self, docroot):
-        """With the mmap cache disabled the response is fd-backed either
-        way: a cold one is warmed with OP_WARM like any sendfile body."""
-        oracle = SimulatedResidencyOracle(default_resident=False)
-        server = flash(docroot, oracle, enable_mmap_cache=False)
-        server.start()
-        try:
-            response = fetch(*server.address, "/cold.bin")
-        finally:
-            server.stop()
-        assert response.status == 200
-        assert len(response.body) == BODY_SIZE
-        assert server.stats.sendfile_warms == 1
-        assert server.stats.blocking_reads == 1
-        assert server.stats.sendfile_responses >= 1
-
-    def test_buffered_body_uses_mapped_route(self, docroot):
-        """Without zero-copy the body is mapped chunks: residency is tested
-        on the mapping and an OP_READ helper touches the pages."""
+    def test_cold_buffered_body_goes_through_op_warm(self, docroot):
+        """Without zero-copy the body still leaves from its descriptor: a
+        cold one is probed there and warmed with OP_WARM before the main
+        loop reads it, so AMPED's invariant holds on this build too."""
         oracle = SimulatedResidencyOracle(default_resident=False)
         server = flash(docroot, oracle, zero_copy=False)
         server.start()
@@ -165,8 +174,10 @@ class TestWarmDispatch:
             server.stop()
         assert response.status == 200
         assert len(response.body) == BODY_SIZE
-        assert server.stats.sendfile_warms == 0
-        assert server.stats.blocking_reads >= 1
+        assert server.stats.sendfile_warms == 1
+        assert server.stats.blocking_reads == 1
+        assert server.stats.sendfile_responses == 0
+        assert server.stats.sendfile_warm_degradations == 0
 
 
 def evict(path, attempts=50):
@@ -188,6 +199,35 @@ def evict(path, attempts=50):
         os.close(fd)
 
 
+class WitnessedTester(MincoreResidencyTester):
+    """The default tester, with each verdict recorded and a resident one
+    checked against ``mincore`` (which starts no I/O) right after it.
+
+    The NOWAIT probe starts readahead of a cold window, and a fast device
+    may complete it before the probe looks: the window then really is
+    resident, and the server rightly sends it without a helper.  The
+    witness tells that true answer apart from a wrong one."""
+
+    def __init__(self):
+        super().__init__()
+        self.verdicts = []
+
+    def file_resident(self, fd, length, path="", offset=0):
+        verdict = super().file_resident(fd, length, path=path, offset=offset)
+        if verdict:
+            assert residency_module._mapped_resident(fd, length, offset) is True, (
+                "a window with absent pages was called resident"
+            )
+        self.verdicts.append(verdict)
+        return verdict
+
+
+#: Independent rounds an eviction test may take to see the probe call an
+#: evicted window cold; every round that does not is checked to be a
+#: window the probe's own readahead made resident.
+EVICTION_ROUNDS = 50
+
+
 @requires_sendfile
 @requires_nowait
 class TestRealEviction:
@@ -195,55 +235,85 @@ class TestRealEviction:
 
     SIZE = 256 * 1024
 
-    @pytest.fixture
-    def evictable(self, tmp_path):
+    def fresh_file(self, docroot, round_number):
+        name = f"evict{round_number}.bin"
         body = os.urandom(self.SIZE)
-        (tmp_path / "evict.bin").write_bytes(body)
-        return str(tmp_path), str(tmp_path / "evict.bin"), body
+        path = os.path.join(docroot, name)
+        with open(path, "wb") as handle:
+            handle.write(body)
+        return "/" + name, path, body
 
-    def test_evicted_file_is_warmed_through_op_warm(self, evictable):
-        docroot, path, body = evictable
-        server = FlashServer(ServerConfig(document_root=docroot, port=0, num_helpers=2))
+    def test_evicted_file_is_warmed_through_op_warm(self, tmp_path):
+        """Each round serves a fresh file right after evicting it: no cached
+        descriptor, verdict or hot entry can answer for it."""
+        docroot = str(tmp_path)
+        tester = WitnessedTester()
+        server = FlashServer(
+            ServerConfig(document_root=docroot, port=0, num_helpers=2),
+            residency_tester=tester,
+        )
         server.start()
         try:
-            if not evict(path):
-                pytest.skip("POSIX_FADV_DONTNEED does not evict on this filesystem")
-            response = fetch(*server.address, "/evict.bin")
+            for round_number in range(EVICTION_ROUNDS):
+                target, path, body = self.fresh_file(docroot, round_number)
+                if not evict(path):
+                    pytest.skip("POSIX_FADV_DONTNEED does not evict on this filesystem")
+                warms = server.stats.sendfile_warms
+                del tester.verdicts[:]
+                response = fetch(*server.address, target)
+                assert response.status == 200
+                assert response.body == body
+                if tester.verdicts[0] is False:
+                    assert server.stats.sendfile_warms == warms + 1
+                    break
+                assert server.stats.sendfile_warms == warms
+            else:
+                pytest.fail(f"the probe never saw an evicted window cold in {EVICTION_ROUNDS} rounds")
         finally:
             server.stop()
-        assert response.status == 200
-        assert response.body == body
-        assert server.stats.sendfile_warms == 1
         assert server.stats.sendfile_warm_degradations == 0
 
-    def test_evicted_hot_entry_is_rejected(self, evictable):
+    def test_evicted_hot_entry_is_rejected(self, tmp_path):
         """A hot entry whose file is evicted after its descriptor's
         resident verdict expired is rejected and re-warmed.  The entry is
         filed before the server starts: a file that went out through
         ``sendfile`` keeps its pages referenced (DONTNEED cannot drop them)
-        for as long as the kernel holds the transmitted buffers."""
-        docroot, path, body = evictable
-        server = FlashServer(ServerConfig(document_root=docroot, port=0, num_helpers=2))
-        store = server.store
-        parser = RequestParser()
-        parser.feed(b"GET /evict.bin HTTP/1.1\r\nHost: x\r\n\r\n")
-        entry = store.translate("/evict.bin")
-        content = store.build_response(parser.request, entry)
-        assert store.hot_insert(parser.request, entry, content)
-        assert store.content_resident(content)  # a verdict cached for the TTL
-        content.release(store)
-        time.sleep(FD_RESIDENT_PROBE_TTL * 1.5)
-        if not evict(path):
-            server.close()
-            pytest.skip("POSIX_FADV_DONTNEED does not evict on this filesystem")
-        server.start()
-        try:
-            response = fetch(*server.address, "/evict.bin")
-        finally:
-            server.stop()
-        assert response.body == body
-        assert server.stats.hot_hits == 1
-        assert server.stats.hot_cold_fallbacks == 1
+        for as long as the kernel holds the transmitted buffers.  So each
+        round is a fresh server and a fresh file."""
+        docroot = str(tmp_path)
+        for round_number in range(EVICTION_ROUNDS):
+            target, path, body = self.fresh_file(docroot, round_number)
+            tester = WitnessedTester()
+            server = FlashServer(
+                ServerConfig(document_root=docroot, port=0, num_helpers=2),
+                residency_tester=tester,
+            )
+            store = server.store
+            parser = RequestParser()
+            parser.feed(f"GET {target} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+            entry = store.translate(target)
+            content = store.build_response(parser.request, entry)
+            assert store.hot_insert(parser.request, entry, content)
+            assert store.content_resident(content)  # a verdict cached for the TTL
+            content.release(store)
+            time.sleep(FD_RESIDENT_PROBE_TTL * 1.5)
+            if not evict(path):
+                server.close()
+                pytest.skip("POSIX_FADV_DONTNEED does not evict on this filesystem")
+            del tester.verdicts[:]
+            server.start()
+            try:
+                response = fetch(*server.address, target)
+            finally:
+                server.stop()
+            assert response.body == body
+            assert server.stats.hot_hits == 1
+            if tester.verdicts[0] is False:
+                assert server.stats.hot_cold_fallbacks == 1
+                break
+            assert server.stats.hot_cold_fallbacks == 0
+        else:
+            pytest.fail(f"the probe never saw an evicted window cold in {EVICTION_ROUNDS} rounds")
 
 
 PIPELINE = (
@@ -273,8 +343,8 @@ def pipelined_bytes(address):
 
 class TestTogglesAreByteIdentical:
     def test_zero_copy_on_and_off(self, docroot):
-        """Both warming routes — OP_WARM before sendfile, OP_READ before a
-        buffered send — produce identical pipelined bytes."""
+        """OP_WARM before sendfile and OP_WARM before a buffered send
+        produce identical pipelined bytes."""
         streams = {}
         for zero_copy in (True, False):
             oracle = SimulatedResidencyOracle(default_resident=False)
@@ -316,9 +386,9 @@ class TestProcessHelperDeathDuringWarm:
     ):
         """Regression (ROADMAP follow-up): a helper *process* that dies
         mid-OP_WARM EOFs its pipe.  The pool must synthesize a failed
-        reply — so the in-flight request degrades to the buffered path and
-        is still served — and the server must keep serving afterwards with
-        the surviving helpers."""
+        reply — so the in-flight request degrades to buffered reads from
+        its descriptor and is still served — and the server must keep
+        serving afterwards with the surviving helpers."""
         import repro.core.helpers as helpers_module
 
         def die(path, fd, offset, length):

@@ -259,9 +259,8 @@ PIPELINE = (
 class TestTogglesAreByteIdentical:
     def test_hot_zero_copy_grid(self, docroot):
         """All hot-cache x zero-copy combinations (plus fast-parse off for
-        the extremes) produce byte-identical response streams.  Zero-copy
-        also picks the warming route: OP_WARM on the descriptor, or OP_READ
-        over the mapped chunks."""
+        the extremes) produce byte-identical response streams.  Both
+        zero-copy settings warm the descriptor with OP_WARM."""
         streams = {}
         combos = [
             (hot, zero_copy, True) for hot in (True, False) for zero_copy in (True, False)

@@ -303,6 +303,40 @@ class TestSSE:
         finally:
             sock.close()
 
+    @pytest.mark.parametrize("arch", ["sped", "mt"])
+    def test_stalled_subscriber_drops_are_counted(self, docroot, arch):
+        """Under ``sse_policy="drop"`` a subscriber that stops reading sheds
+        its oldest events, and each drop reaches the server's
+        ``sse_dropped_events`` through ``build_services``."""
+        config = ServerConfig(
+            document_root=docroot,
+            port=0,
+            num_workers=2,
+            sse_path="/sse",
+            sse_policy="drop",
+            sse_queue_limit=2,
+        )
+        server = create_server(arch, config)
+        server.start()
+        sock = connect(server, rcvbuf=4096)
+        try:
+            sock.sendall(b"GET /sse HTTP/1.1\r\nHost: t\r\n"
+                         b"Accept: text/event-stream\r\n\r\n")
+            status, _, _ = read_headers(sock)
+            assert status == 200
+            deadline = time.monotonic() + 10.0
+            while server.sse_hub.subscriber_count < 1:
+                assert time.monotonic() < deadline, "subscription never registered"
+                time.sleep(0.01)
+            # Never read again: the socket fills, then the bounded queue.
+            while server.stats.sse_dropped_events < 1:
+                assert time.monotonic() < deadline, "no dropped event recorded"
+                server.sse_hub.publish("x" * 16384)
+            assert server.stats.sse_dropped_events >= 1
+        finally:
+            sock.close()
+            server.stop()
+
     def test_non_get_is_rejected(self, running_server):
         _, server = running_server
         response = fetch(*server.address, "/sse", method="POST")
@@ -361,6 +395,7 @@ class TestLiveBackpressure:
             while server.stats.backpressure_pauses < 1:
                 assert time.monotonic() < deadline, "no pause edge recorded"
                 time.sleep(0.05)
+            assert server.stats.backpressure_pauses >= 1
             time.sleep(0.5)                # let a runaway producer run away
             stalled_growth = rss_bytes() - baseline
             total = BIG_CHUNKS * BIG_CHUNK_SIZE
