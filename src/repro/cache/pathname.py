@@ -190,11 +190,11 @@ class PathnameCache:
         return None
 
     def insert(self, entry: PathnameEntry) -> None:
-        """Insert a translation produced elsewhere (e.g. by a helper process).
+        """Insert a translation produced elsewhere (by an AMPED helper).
 
-        The AMPED server's translation helpers return completed
-        :class:`PathnameEntry` objects over IPC; the main process records
-        them here so subsequent requests for the same URI hit the cache.
+        The AMPED server's translation helpers reply with completed
+        :class:`PathnameEntry` objects; the main loop records them here so
+        subsequent requests for the same URI hit the cache.
         """
         self._cache.put(entry.uri, entry)
 

@@ -11,8 +11,8 @@ The core package contains the pieces that Section 5 of the paper describes:
   (parsing, deadlines, keep-alive) every build shares;
 * :mod:`repro.core.connection` — its adapter onto the event loop, used by
   the event-driven (SPED and AMPED) builds;
-* :mod:`repro.core.helpers` — the helper pool and IPC protocol that makes
-  the architecture *asymmetric*: potentially blocking disk operations are
+* :mod:`repro.core.helpers` — the helper thread pool that makes the
+  architecture *asymmetric*: potentially blocking disk operations are
   shipped to helpers and their completion is observed through the same
   ``select`` loop as network events;
 * :mod:`repro.core.event_loop` — the ``selectors``-based event loop;

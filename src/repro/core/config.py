@@ -11,14 +11,17 @@ exactly as the paper describes.  The live server sends file bytes from a
 cache of open descriptors instead of mapped chunks (see
 :mod:`repro.cache.mapped_file`); the paper's mapped-file cache, and the
 Figure 11 breakdown that turns it off, live in the simulator
-(:mod:`repro.sim`).
+(:mod:`repro.sim`).  AMPED's helpers are threads in the server process —
+the paper allows them to be "kernel threads within the main server
+process or ... separate processes" (§3.4) — so ``num_helpers`` counts
+threads, and how they are realized is not configurable.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 from repro.core.event_loop import KNOWN_BACKENDS
 from repro.http.response import DEFAULT_ALIGNMENT
@@ -42,20 +45,19 @@ class ServerConfig:
     listen_backlog: int = 1024
 
     # -- concurrency -------------------------------------------------------
-    #: Helper processes/threads for the AMPED build (per the paper, only
-    #: enough to keep the disk busy are needed, not one per connection).
+    #: Helper threads for the AMPED build (per the paper, only enough to
+    #: keep the disk busy are needed, not one per connection).
     num_helpers: int = 4
     #: Worker processes for the MP build / worker threads for the MT build
     #: ("the Flash-MP and Apache servers use 32 server processes and
     #: Flash-MT uses 32 threads").
     num_workers: int = 32
-    #: How AMPED helpers are realized: ``"thread"`` or ``"process"``.  The
-    #: paper uses separate processes for portability to systems without
-    #: kernel threads; in this reproduction threads are the default because
-    #: CPython releases the GIL during disk reads, so helper threads provide
-    #: the same non-blocking behaviour with far less IPC overhead, and
-    #: process helpers remain available for fidelity.
-    helper_mode: str = "thread"
+    #: Not a knob: AMPED helpers are threads in the server process (see
+    #: :mod:`repro.core.helpers`).  Kept as a constant only because the
+    #: benchmark's helper probe (``bench/layers.py:486``) still passes it
+    #: to ``HelperPool``; ROADMAP item 2 removes it with the next
+    #: benchmark change.
+    helper_mode: ClassVar[str] = "thread"
 
     # -- caches (Sections 5.2-5.4) ------------------------------------------
     #: Enable the pathname translation cache.
@@ -196,8 +198,6 @@ class ServerConfig:
             raise ValueError("num_helpers must be at least 1")
         if self.num_workers < 1:
             raise ValueError("num_workers must be at least 1")
-        if self.helper_mode not in ("thread", "process"):
-            raise ValueError("helper_mode must be 'thread' or 'process'")
         if self.io_backend != "auto" and self.io_backend not in KNOWN_BACKENDS:
             raise ValueError(
                 f"io_backend must be 'auto' or one of {sorted(KNOWN_BACKENDS)}"

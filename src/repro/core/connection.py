@@ -240,6 +240,16 @@ class Connection:
         except Exception:
             self._absorb_callback_crash("_on_source_ready")
 
+    def _on_completion(self, step, *args) -> None:
+        """A ``respond_async`` or CGI completion: run inline by SPED (or a
+        cached AMPED translation), else posted to the loop by a helper or
+        a CGI worker.  Barriered like every other callback, so a crash
+        closes this connection instead of leaving it waiting forever."""
+        try:
+            self._run(step, *args)
+        except Exception:
+            self._absorb_callback_crash(step.__name__)
+
     def _run(self, step, *args) -> None:
         """Run one callback's ``step``; the outermost callback then settles.
 
@@ -406,7 +416,7 @@ class Connection:
         # resident file), and the state has then moved on.
         if route is exchange.ROUTE_CGI:
             self.state = STATE_WAIT_DISK
-            driver.handle_cgi_async(request, partial(self._run, self._on_cgi_done))
+            driver.handle_cgi_async(request, partial(self._on_completion, self._on_cgi_done))
         else:
             if not hot_consulted:
                 content = exchange.hot_consult(store, config, request, session.keep_alive)
@@ -415,7 +425,7 @@ class Connection:
                     return
             self.state = STATE_WAIT_DISK
             driver.respond_async(
-                request, session.keep_alive, partial(self._run, self._on_content_ready)
+                request, session.keep_alive, partial(self._on_completion, self._on_content_ready)
             )
         if self.state == STATE_WAIT_DISK:
             # Genuinely parked: no interest, no deadline.  What is queued

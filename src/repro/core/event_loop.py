@@ -6,9 +6,8 @@ connection arrivals, completed file operations, client sockets with data or
 send-buffer space) and runs the corresponding step.  The AMPED build uses
 the same loop, and helper completions are observed exactly like any other
 I/O completion — which is the crux of the architecture (paper Section 3.4):
-process-mode helpers through their registered pipes, and everything that
-finishes on another thread (thread-mode helpers, CGI workers, SSE
-publishers) by posting a callback with :meth:`EventLoop.call_soon`, whose
+everything that finishes on another thread (helpers, CGI workers, SSE
+publishers) posts a callback with :meth:`EventLoop.call_soon`, whose
 wakeup socketpair the loop watches like any other descriptor.
 
 The *notification mechanism* behind the wait is a choice: the loop drives

@@ -66,13 +66,12 @@ class ServerStats:
     connections_closed: int = 0
     helper_dispatches: int = 0
     blocking_translations: int = 0
+    #: ``OP_WARM`` dispatches: every cold body AMPED warms through a helper,
+    #: whether it then leaves by ``sendfile`` or by buffered reads.
     blocking_reads: int = 0
     cgi_requests: int = 0
     sendfile_responses: int = 0
     sendfile_fallbacks: int = 0
-    #: ``OP_WARM`` dispatches: every cold body AMPED warms through a helper,
-    #: whether it then leaves by ``sendfile`` or by buffered reads.
-    sendfile_warms: int = 0
     sendfile_warm_degradations: int = 0
     hot_hits: int = 0
     hot_misses: int = 0
@@ -98,9 +97,10 @@ class ServerStats:
     fd_exhaustion_events: int = 0
     accept_pauses: int = 0
     drain_forced_closes: int = 0
-    #: Exceptions caught by the crash barriers around event-loop callbacks
-    #: (readiness handlers, timers, drain steps).  Anything non-zero means
-    #: a bug was absorbed instead of killing every connection on the loop.
+    #: Exceptions caught by the crash barriers (event-loop readiness
+    #: handlers, timers, completions and drain steps; the MT/MP workers'
+    #: per-connection handler).  Anything non-zero means a bug was absorbed
+    #: instead of killing every connection on the loop, or the worker.
     loop_callback_errors: int = 0
     #: Responses produced through the streaming ResponseSource path
     #: (chunked generators, streaming CGI, SSE) rather than a fixed-length

@@ -45,16 +45,10 @@ from repro.core.admission import (
 from repro.core.config import ServerConfig
 from repro.core.connection import Connection
 from repro.core.event_loop import EVENT_READ, EventLoop
-from repro.core.helpers import (
-    OP_TRANSLATE,
-    OP_WARM,
-    HelperPool,
-    HelperRequest,
-    translation_entry_from_reply,
-)
+from repro.core.helpers import OP_TRANSLATE, OP_WARM, HelperPool, HelperRequest
 from repro.core.pipeline import ContentStore, ServerStats, StaticContent
 from repro.core.sse import SSEHub
-from repro.http.errors import HTTPError, NotFoundError
+from repro.http.errors import HTTPError
 from repro.http.request import HTTPRequest
 
 logger = logging.getLogger(__name__)
@@ -542,9 +536,7 @@ class FlashServer(BaseEventDrivenServer):
         residency_tester: Optional[ResidencyTester] = None,
     ):
         super().__init__(config, residency_tester=residency_tester)
-        self.helpers = HelperPool(
-            num_helpers=config.num_helpers, mode=config.helper_mode
-        )
+        self.helpers = HelperPool(num_helpers=config.num_helpers)
         self.helpers.register(self.loop)
 
     # -- AMPED driver hooks ----------------------------------------------------------
@@ -567,11 +559,10 @@ class FlashServer(BaseEventDrivenServer):
 
         def on_reply(reply) -> None:
             if not reply.ok:
-                callback(None, _reply_to_error(reply))
+                callback(None, reply.error)
                 return
-            entry = translation_entry_from_reply(uri, reply)
-            self.store.store_translation(entry)
-            self._prepare_content(request, entry, keep_alive, callback)
+            self.store.store_translation(reply.entry)
+            self._prepare_content(request, reply.entry, keep_alive, callback)
 
         self.helpers.submit(helper_request, on_reply)
 
@@ -582,12 +573,9 @@ class FlashServer(BaseEventDrivenServer):
         to an ``OP_WARM`` helper (``posix_fadvise(WILLNEED)`` + bounded
         read-touch) before it leaves — by ``sendfile`` or by buffered
         reads, so the main loop never pays a page fault either way.
-        Thread-mode helpers share the server's descriptor table and warm
-        the pinned descriptor in place; process-mode helpers get ``fd=-1``
-        and re-open by path (the OS buffer cache they fill is shared
-        between processes either way).  The descriptor stays pinned by
-        ``content`` until the completion runs, so it cannot be evicted or
-        closed while the helper reads from it.
+        The helper warms the pinned descriptor in place; it stays pinned
+        by ``content`` until the completion runs, so it cannot be evicted
+        or closed while the helper reads from it.
 
         A response that is ready to transmit is filed in the hot cache on
         its way to ``callback`` (refused shapes are a no-op).
@@ -605,14 +593,11 @@ class FlashServer(BaseEventDrivenServer):
             stats = self.store.stats
             stats.helper_dispatches += 1
             stats.blocking_reads += 1
-            stats.sendfile_warms += 1
-            fd = content.file_handle.fd if self.helpers.mode == "thread" else -1
             warm_offset, warm_length = content.warm_window()
             helper_request = HelperRequest(
                 seq=0,
                 op=OP_WARM,
-                path=entry.filesystem_path,
-                fd=fd,
+                fd=content.file_handle.fd,
                 offset=warm_offset,
                 length=warm_length,
             )
@@ -629,11 +614,10 @@ class FlashServer(BaseEventDrivenServer):
     ) -> None:
         """Transmit a warmed body; degrade to buffered reads if the warm failed.
 
-        A helper that failed (or died) mid-warm does not fail a servable
-        request: the body leaves by positional reads from its pinned
-        descriptor on the main loop — a deliberate last resort, trading
-        the non-blocking invariant for availability on the rare
-        helper-failure path.
+        A failed warm does not fail a servable request: the body leaves by
+        positional reads from its pinned descriptor on the main loop — a
+        deliberate last resort, trading the non-blocking invariant for
+        availability on the rare helper-failure path.
         """
         if not reply.ok:
             self.store.stats.sendfile_warm_degradations += 1
@@ -671,15 +655,3 @@ class FlashServer(BaseEventDrivenServer):
         self.helpers.unregister(self.loop)
         self.helpers.shutdown()
         super()._release()
-
-
-def _reply_to_error(reply) -> Exception:
-    """Convert a failed helper reply back into the exception it represents."""
-    from repro.http import errors as http_errors
-
-    cls = getattr(http_errors, reply.error_type, None)
-    if isinstance(cls, type) and issubclass(cls, HTTPError):
-        return cls(reply.error_message)
-    if reply.error_type in ("FileNotFoundError", "IsADirectoryError"):
-        return NotFoundError(reply.error_message)
-    return HTTPError(reply.error_message or "helper operation failed", status=500)

@@ -5,10 +5,9 @@ the accept path, and the paper's AMPED argument composes naturally: run
 one event-driven shard per core, let the kernel's ``SO_REUSEPORT`` hash
 spread connections across them, and put a tiny supervisor in front whose
 only jobs are (a) noticing dead shards and restarting them, and (b)
-fanning a drain signal out to the whole fleet.  This generalizes the PR 3
-helper-death machinery one level up: shard death is detected by **pipe
-EOF plus waitpid**, exactly like helper death, because a SIGKILL'd
-process closes its lifeline pipe no matter how it died.
+fanning a drain signal out to the whole fleet.  Shard death is detected
+by **pipe EOF plus waitpid**, because a SIGKILL'd process closes its
+lifeline pipe no matter how it died.
 
 Supervisor state machine (per shard slot)::
 

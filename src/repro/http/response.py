@@ -506,6 +506,12 @@ class ResponseHeaderBuilder:
         )
 
 
+#: ``html.escape(text, quote=False)`` as a translation table: importing
+#: :mod:`html` loads its entity tables, about half a megabyte in every
+#: server process, for three replacements.
+_ESCAPE_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
+
 def build_error_response(
     status: int,
     message: str = "",
@@ -518,13 +524,18 @@ def build_error_response(
     All four server architectures use this helper so error handling is
     byte-for-byte identical across them, as required by the paper's
     "same code base" methodology (Section 6).
+
+    ``message`` often quotes the decoded request path, which the client
+    chose: it is HTML-escaped, and every non-ASCII character becomes a
+    character reference, so no target can inject markup or fail to encode.
     """
     builder = builder or ResponseHeaderBuilder()
     reason = reason_phrase(status)
+    message = (message or reason).translate(_ESCAPE_TEXT)
     body = (
         "<html><head><title>{code} {reason}</title></head>"
         "<body><h1>{code} {reason}</h1><p>{message}</p></body></html>\n"
-    ).format(code=status, reason=reason, message=message or reason).encode("latin-1")
+    ).format(code=status, reason=reason, message=message).encode("ascii", "xmlcharrefreplace")
     header = builder.build(
         status,
         content_length=len(body),

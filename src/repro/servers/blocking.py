@@ -26,6 +26,7 @@ drain, stop and close, written once; ``servers/mt.py`` and
 
 from __future__ import annotations
 
+import logging
 import select
 import socket
 import time
@@ -50,6 +51,8 @@ from repro.core.session import ANSWER_408, CLOSE, NEXT, Session
 from repro.core.sse import SSEHub
 from repro.core.streaming import IterableSource
 from repro.http.errors import HTTPError
+
+logger = logging.getLogger(__name__)
 
 #: While a ``drain_check`` is supplied, waits that no peer progress ends (an
 #: idle keep-alive connection, an event stream with nothing to say) poll in
@@ -346,6 +349,13 @@ def serve_connections(
                 drain_check=drain_check,
                 sse_hub=sse_hub,
             )
+        except Exception:
+            # Crash barrier: ``handle_client`` has closed the socket on its
+            # way out; a bug in one exchange must not end the worker, and
+            # with it every later connection it would have accepted.
+            with store.stats_lock():
+                store.stats.loop_callback_errors += 1
+            logger.exception("unhandled error serving a connection (absorbed; worker continues)")
         finally:
             open_connections.leave(client_sock)
 

@@ -3,10 +3,10 @@
 The SPED server uses the same event loop, connection state machine, caches
 and optimizations as Flash, but performs every potentially blocking disk
 operation inline in the single server process.  On cached workloads this is
-the fastest architecture — there is no helper IPC and no memory-residency
-testing — but whenever a request requires disk activity *all* user-level
-processing stops, which is exactly the weakness the evaluation exposes on
-disk-bound workloads (Figures 9 and 10).
+the fastest architecture — there is no helper round trip and no
+memory-residency testing — but whenever a request requires disk activity
+*all* user-level processing stops, which is exactly the weakness the
+evaluation exposes on disk-bound workloads (Figures 9 and 10).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Fault-injection harness for the robustness tests and chaos benchmarks.
 
 A production front-end's failure handling is only trustworthy if it is
-*exercised*: fd exhaustion, helper death and disk errors are rare enough in
+*exercised*: fd exhaustion, disk errors and shard deaths are rare enough in
 a test environment that the recovery paths would otherwise ship untested.
 This module compiles named **failure points** into the server code; each is
 a zero-cost no-op until a :class:`FaultPlan` arms it, after which it fires
@@ -18,10 +18,6 @@ Failure points wired into the code base:
     ``OSError(EIO)`` instead of opening the file, the response build's one
     disk access — exercises the disk-failure error path on every
     architecture.
-``helper_death``
-    An AMPED process helper calls ``os._exit(1)`` on its next operation —
-    exercises the PR 3 helper-death detection (pipe EOF, reply synthesis,
-    degradation to surviving helpers).
 ``shard_kill_after`` *(value = seconds, float)*
     A supervised shard SIGKILLs itself that many seconds after starting —
     lets a single-command chaos run exercise the supervisor's restart
@@ -39,12 +35,12 @@ Programmatic (in-process tests)::
 
 Environment (spawned shard/worker processes)::
 
-    REPRO_FAULTS="accept_emfile=2,helper_death=1,shard_kill_after=0.5"
+    REPRO_FAULTS="accept_emfile=2,disk_read=1,shard_kill_after=0.5"
 
 The plan is read from ``REPRO_FAULTS`` once at import; spawned processes
 inherit the environment, so exporting the variable before starting a shard
-fleet arms every shard.  Counts are consumed under a lock, so thread-mode
-helpers and MT workers can share one plan safely.
+fleet arms every shard.  Counts are consumed under a lock, so helper
+threads and MT workers can share one plan safely.
 """
 
 from __future__ import annotations
@@ -61,9 +57,7 @@ ENV_VAR = "REPRO_FAULTS"
 #: The failure points compiled into the code base.  ``arm`` rejects unknown
 #: names so a typo in a chaos script fails loudly instead of silently
 #: injecting nothing.
-KNOWN_POINTS = frozenset(
-    {"accept_emfile", "disk_read", "helper_death", "shard_kill_after"}
-)
+KNOWN_POINTS = frozenset({"accept_emfile", "disk_read", "shard_kill_after"})
 
 
 class FaultPlan:
@@ -151,6 +145,6 @@ class FaultPlan:
 
 #: The process-wide plan every compiled-in failure point consults.  Spawned
 #: processes re-read ``REPRO_FAULTS`` at import, so arming via environment
-#: reaches shard fleets and process-mode helpers.
+#: reaches shard fleets and MP worker processes.
 faults = FaultPlan()
 faults.load_env()

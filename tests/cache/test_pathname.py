@@ -50,7 +50,7 @@ class TestLookup:
         assert len(cache) == 3
 
     def test_insert_external_entry(self, docroot):
-        """Entries produced by helper processes can be inserted directly."""
+        """Entries produced by helpers can be inserted directly."""
         cache = make_cache(docroot)
         entry = PathnameEntry(
             uri="/a.txt",

@@ -30,7 +30,6 @@ class TestValidation:
         [
             {"num_helpers": 0},
             {"num_workers": 0},
-            {"helper_mode": "fiber"},
             {"fd_cache_entries": -1},
             {"hot_cache_revalidate": -0.5},
             {"max_connections": -1},
@@ -46,12 +45,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             ServerConfig(**kwargs)
 
+    def test_helper_mode_is_a_constant_not_a_knob(self):
+        """AMPED helpers are threads; the constant only remains for the
+        benchmark's helper probe."""
+        assert ServerConfig.helper_mode == ServerConfig().helper_mode == "thread"
+        with pytest.raises(TypeError):
+            ServerConfig(helper_mode="process")
+
 
 #: Every ``ServerConfig`` field.  Adding or removing a knob is a one-line
 #: diff here, so it shows up in review.
 CONFIG_FIELDS = {
     "document_root", "host", "port", "listen_backlog",
-    "num_helpers", "num_workers", "helper_mode",
+    "num_helpers", "num_workers",
     "enable_pathname_cache", "enable_header_cache",
     "pathname_cache_entries", "header_cache_entries",
     "io_backend", "zero_copy", "fd_cache_entries",

@@ -55,9 +55,9 @@ class TestArming:
 
 class TestEnvParsing:
     def test_parses_counts_values_and_bare_points(self, plan):
-        plan.load_env("accept_emfile=2, helper_death ,shard_kill_after=0.25")
+        plan.load_env("accept_emfile=2, disk_read ,shard_kill_after=0.25")
         snap = plan.snapshot()
-        assert snap["counts"] == {"accept_emfile": 2, "helper_death": 1}
+        assert snap["counts"] == {"accept_emfile": 2, "disk_read": 1}
         assert snap["values"] == {"shard_kill_after": 0.25}
 
     def test_empty_string_is_noop(self, plan):

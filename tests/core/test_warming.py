@@ -32,62 +32,56 @@ def datafile(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def datafd(datafile):
+    fd = os.open(datafile, os.O_RDONLY)
+    yield fd
+    os.close(fd)
+
+
 class TestWarmOperation:
-    def test_warm_by_path_touches_whole_file(self, datafile):
-        reply = perform_helper_operation(
-            HelperRequest(seq=1, op=OP_WARM, path=datafile)
-        )
+    def test_warm_touches_whole_file(self, datafile, datafd):
+        reply = perform_helper_operation(HelperRequest(seq=1, op=OP_WARM, fd=datafd))
         assert reply.ok
         assert reply.bytes_touched == os.path.getsize(datafile)
 
-    def test_warm_on_open_descriptor(self, datafile):
-        fd = os.open(datafile, os.O_RDONLY)
-        try:
-            reply = perform_helper_operation(
-                HelperRequest(seq=1, op=OP_WARM, path=datafile, fd=fd)
-            )
-            assert reply.ok
-            assert reply.bytes_touched == os.path.getsize(datafile)
-            # The helper used positional reads: the shared descriptor's
-            # file offset is untouched (a concurrent sendfile relies on
-            # nothing moving it).
-            assert os.lseek(fd, 0, os.SEEK_CUR) == 0
-            # And the descriptor was not closed (it is cache-owned).
-            os.fstat(fd)
-        finally:
-            os.close(fd)
+    def test_warm_leaves_the_descriptor_as_it_found_it(self, datafd):
+        reply = perform_helper_operation(HelperRequest(seq=1, op=OP_WARM, fd=datafd))
+        assert reply.ok
+        # The helper used positional reads: the shared descriptor's file
+        # offset is untouched (a concurrent sendfile relies on nothing
+        # moving it).
+        assert os.lseek(datafd, 0, os.SEEK_CUR) == 0
+        # And the descriptor was not closed (it is cache-owned).
+        os.fstat(datafd)
 
-    def test_warm_byte_range(self, datafile):
+    def test_warm_byte_range(self, datafd):
         reply = perform_helper_operation(
-            HelperRequest(seq=1, op=OP_WARM, path=datafile, offset=4096, length=8192)
+            HelperRequest(seq=1, op=OP_WARM, fd=datafd, offset=4096, length=8192)
         )
         assert reply.ok
         assert reply.bytes_touched == 8192
 
-    def test_warm_range_clamped_to_file_size(self, datafile):
+    def test_warm_range_clamped_to_file_size(self, datafile, datafd):
         size = os.path.getsize(datafile)
         reply = perform_helper_operation(
-            HelperRequest(seq=1, op=OP_WARM, path=datafile, offset=size - 100, length=10_000)
+            HelperRequest(seq=1, op=OP_WARM, fd=datafd, offset=size - 100, length=10_000)
         )
         assert reply.ok
         assert reply.bytes_touched == 100
 
-    def test_warm_missing_file_fails_cleanly(self, tmp_path):
-        reply = perform_helper_operation(
-            HelperRequest(seq=1, op=OP_WARM, path=str(tmp_path / "gone"))
-        )
+    def test_warm_bad_descriptor_fails_cleanly(self):
+        reply = perform_helper_operation(HelperRequest(seq=1, op=OP_WARM, fd=-1))
         assert not reply.ok
-        assert reply.error_type == "FileNotFoundError"
+        assert isinstance(reply.error, OSError)
 
-    def test_warm_through_helper_pool(self, datafile):
+    def test_warm_through_helper_pool(self, datafile, datafd):
         loop = EventLoop()
         pool = HelperPool(num_helpers=2, mode="thread")
         pool.register(loop)
         replies = []
         try:
-            pool.submit(
-                HelperRequest(seq=0, op=OP_WARM, path=datafile), replies.append
-            )
+            pool.submit(HelperRequest(seq=0, op=OP_WARM, fd=datafd), replies.append)
             deadline = time.monotonic() + 10.0
             while not replies and time.monotonic() < deadline:
                 loop.run_once(timeout=0.05)

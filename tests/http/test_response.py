@@ -1,6 +1,7 @@
 """Unit tests for response-header generation and byte-position alignment."""
 
 import email.utils
+import html
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,6 +135,34 @@ class TestErrorResponse:
             if line.lower().startswith(b"content-length:"):
                 declared = int(line.split(b":", 1)[1])
         assert declared == len(body)
+
+    def test_plain_message_keeps_its_exact_bytes(self):
+        _, body = build_error_response(404, "file not found: /a b.html").split(b"\r\n\r\n", 1)
+        assert body == (
+            b"<html><head><title>404 Not Found</title></head>"
+            b"<body><h1>404 Not Found</h1><p>file not found: /a b.html</p></body></html>\n"
+        )
+
+    def test_markup_in_the_message_is_escaped(self):
+        payload = build_error_response(404, "file not found: /<script>alert(1)</script>&")
+        assert b"<script>" not in payload
+        assert b"/&lt;script&gt;alert(1)&lt;/script&gt;&amp;</p>" in payload
+
+    def test_non_ascii_message_becomes_character_references(self):
+        # U+20AC is outside Latin-1: this used to raise UnicodeEncodeError.
+        payload = build_error_response(404, "file not found: /\u20ac-missing.html")
+        assert b"/&#8364;-missing.html</p>" in payload
+        header_block, body = payload.split(b"\r\n\r\n", 1)
+        assert f"Content-Length: {len(body)}\r\n".encode() in header_block + b"\r\n"
+
+    @given(message=st.text(alphabet=st.one_of(st.characters(), st.sampled_from("<>&\"'"))))
+    def test_any_message_is_escaped_text(self, message):
+        _, body = build_error_response(400, message).split(b"\r\n\r\n", 1)
+        paragraph = body.split(b"<p>", 1)[1].rsplit(b"</p>", 1)[0]
+        # The reference: the standard library's escaping, as ASCII.
+        expected = html.escape(message or "Bad Request", quote=False)
+        assert paragraph == expected.encode("ascii", "xmlcharrefreplace")
+        assert b"<" not in paragraph and b">" not in paragraph
 
 
 class TestIfModifiedSinceTruncation:

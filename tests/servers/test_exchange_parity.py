@@ -3,19 +3,23 @@
 The cases here are the ones where the transports had drifted apart (or
 could not be told apart by a default configuration) before the per-request
 decisions were written once: a disk error during the build, a CGI program
-that crashes, and a docroot file that shares its name with the SSE
-endpoint's old default path.  The last test is a differential: a generated
-pipelined sequence must come back as the same bytes from all four builds.
+that crashes, a bug while answering, and a docroot file that shares its
+name with the SSE endpoint's old default path.  The last tests are
+differentials: a generated pipelined sequence, and error pages for
+generated missing targets, must come back as the same bytes from all four
+builds.
 """
 
 import re
 import socket
+from urllib.parse import quote
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.client.simple import fetch
+from repro.core import exchange
 from repro.core.config import ServerConfig
 from repro.servers import create_server
 from repro.testing.faults import ENV_VAR, faults
@@ -88,6 +92,37 @@ def test_crashing_cgi_program_is_a_500_everywhere(arch, docroot):
     assert crashed.headers["connection"] == "close"
     assert after.status == 200 and after.body == b"tiny"
     assert server.stats.responses_error == 1
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_a_crash_while_answering_spares_the_next_connection(arch, docroot, monkeypatch):
+    """The crash barriers: a bug while answering one request (here the 404
+    of a missing file; AMPED answers it from a helper completion) closes
+    that connection and is counted, and the next connection is served —
+    on MT and MP by the same, single worker."""
+    failure_sender = exchange.failure_sender
+    crashes = []
+
+    def crash_once(*args, **kwargs):
+        if not crashes:
+            crashes.append(True)
+            raise RuntimeError("injected bug while answering a failure")
+        return failure_sender(*args, **kwargs)
+
+    # Patched before the MP worker forks, so it inherits the bug.
+    monkeypatch.setattr(exchange, "failure_sender", crash_once)
+    server = start(arch, docroot)
+    try:
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            sock.sendall(b"GET /ghost.bin HTTP/1.1\r\nHost: t\r\n\r\n")
+            crashed = sock.recv(65536)
+        after = fetch(*server.address, "/small.txt", timeout=5.0)
+    finally:
+        server.stop()
+    assert crashed == b""  # closed, not answered, and not left hanging
+    assert after.status == 200 and after.body == b"tiny"
+    # MP consolidates its workers' counters when they exit, hence after stop().
+    assert server.stats.loop_callback_errors == 1
 
 
 @pytest.mark.parametrize("arch", ARCHS)
@@ -201,5 +236,42 @@ def test_pipelined_sequence_is_byte_identical_on_every_architecture(transports, 
     }
     reference = streams["sped"]
     assert len(re.findall(rb"HTTP/1\.1 \d{3} ", reference)) == closes.index(True) + 1
+    for arch, stream in streams.items():
+        assert stream == reference, f"{arch} differs from sped"
+
+
+# -- differential: error pages for generated missing targets -----------------
+
+#: Names no docroot file has: any character but ``/`` (so no ``..`` segment
+#: forms), with the HTML metacharacters drawn often.
+MISSING_NAMES = st.text(
+    st.one_of(st.characters(exclude_characters="/"), st.sampled_from('<>&"')),
+    min_size=1,
+    max_size=16,
+)
+
+
+@given(name=MISSING_NAMES)
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_error_page_for_a_missing_target_is_escaped_text_everywhere(transports, name):
+    """The 404 page quotes the decoded request path, which the client
+    chose: every build answers it, with the same bytes, and no markup from
+    the target reaches the page."""
+    servers, _ = transports
+    target = "/ghost-" + quote(name, safe="")
+    payload = f"GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n".encode("ascii")
+    streams = {
+        arch: strip_dates(exchange_bytes(server.address, payload))
+        for arch, server in servers.items()
+    }
+    reference = streams["sped"]
+    status = re.match(rb"HTTP/1\.1 (\d{3}) ", reference)
+    assert status is not None and status.group(1) in (b"404", b"400")
+    (paragraph,) = re.findall(rb"<p>(.*)</p>", reference, re.DOTALL)
+    assert b"<" not in paragraph and b">" not in paragraph
     for arch, stream in streams.items():
         assert stream == reference, f"{arch} differs from sped"

@@ -5,7 +5,7 @@ a cold one is warmed with ``OP_WARM`` whichever way it then leaves:
   whether the oracle says so or the file was really evicted;
 * a warm-file request bypasses the helpers entirely;
 * a hot entry whose file was evicted is rejected and re-warmed;
-* a helper failure mid-warm degrades to the buffered path (the client
+* a failed warm degrades to the buffered path (the client
   still receives the complete response);
 * the route never changes response bytes — pipelined responses are
   byte-identical with zero-copy on or off.
@@ -65,7 +65,7 @@ class TestWarmDispatch:
         assert response.status == 200
         assert len(response.body) == BODY_SIZE
         stats = server.stats
-        assert stats.sendfile_warms >= 1
+        assert stats.blocking_reads >= 1
         assert stats.sendfile_responses >= 1
         assert stats.sendfile_warm_degradations == 0
         # The oracle was asked about the descriptor's window.
@@ -82,18 +82,17 @@ class TestWarmDispatch:
         finally:
             server.stop()
         assert first.status == second.status == 200
-        assert server.stats.sendfile_warms == 0
         assert server.stats.blocking_reads == 0
         # Helpers ran only for the pathname-translation miss, never reads.
         assert server.stats.sendfile_responses >= 2
 
     def test_helper_failure_mid_warm_degrades_to_buffered(self, docroot, monkeypatch):
-        """A helper that dies mid-warm must not kill the request: the
+        """A helper whose warm fails must not kill the request: the
         server falls back to the buffered path and still serves the full
         body."""
         import repro.core.helpers as helpers_module
 
-        def crash(path, fd, offset, length):
+        def crash(fd, offset, length):
             raise RuntimeError("helper crashed mid-warm")
 
         monkeypatch.setattr(helpers_module, "_warm_file_range", crash)
@@ -106,7 +105,7 @@ class TestWarmDispatch:
             server.stop()
         assert response.status == 200
         assert len(response.body) == BODY_SIZE
-        assert server.stats.sendfile_warms >= 1
+        assert server.stats.blocking_reads >= 1
         assert server.stats.sendfile_warm_degradations >= 1
 
     def test_degradation_reads_the_pinned_descriptor(self, docroot, monkeypatch):
@@ -120,7 +119,7 @@ class TestWarmDispatch:
             original = handle.read()
         replacement = os.path.join(docroot, "replacement.bin")
 
-        def crash_after_rename(path, fd, offset, length):
+        def crash_after_rename(fd, offset, length):
             with open(replacement, "wb") as handle:
                 handle.write(b"R" * BODY_SIZE)
             os.replace(replacement, cold)
@@ -146,7 +145,7 @@ class TestWarmDispatch:
 
         cold = os.path.join(docroot, "cold.bin")
 
-        def crash_and_truncate(path, fd, offset, length):
+        def crash_and_truncate(fd, offset, length):
             os.truncate(cold, BODY_SIZE // 2)
             raise RuntimeError("helper crashed; file truncated meanwhile")
 
@@ -174,7 +173,6 @@ class TestWarmDispatch:
             server.stop()
         assert response.status == 200
         assert len(response.body) == BODY_SIZE
-        assert server.stats.sendfile_warms == 1
         assert server.stats.blocking_reads == 1
         assert server.stats.sendfile_responses == 0
         assert server.stats.sendfile_warm_degradations == 0
@@ -258,15 +256,15 @@ class TestRealEviction:
                 target, path, body = self.fresh_file(docroot, round_number)
                 if not evict(path):
                     pytest.skip("POSIX_FADV_DONTNEED does not evict on this filesystem")
-                warms = server.stats.sendfile_warms
+                warms = server.stats.blocking_reads
                 del tester.verdicts[:]
                 response = fetch(*server.address, target)
                 assert response.status == 200
                 assert response.body == body
                 if tester.verdicts[0] is False:
-                    assert server.stats.sendfile_warms == warms + 1
+                    assert server.stats.blocking_reads == warms + 1
                     break
-                assert server.stats.sendfile_warms == warms
+                assert server.stats.blocking_reads == warms
             else:
                 pytest.fail(f"the probe never saw an evicted window cold in {EVICTION_ROUNDS} rounds")
         finally:
@@ -377,39 +375,3 @@ class TestClientAbortResilience:
             assert response.status == 200
         finally:
             server.stop()
-
-
-@requires_sendfile
-class TestProcessHelperDeathDuringWarm:
-    def test_helper_killed_mid_warm_degrades_and_server_survives(
-        self, docroot, monkeypatch
-    ):
-        """Regression (ROADMAP follow-up): a helper *process* that dies
-        mid-OP_WARM EOFs its pipe.  The pool must synthesize a failed
-        reply — so the in-flight request degrades to buffered reads from
-        its descriptor and is still served — and the server must keep
-        serving afterwards with the surviving helpers."""
-        import repro.core.helpers as helpers_module
-
-        def die(path, fd, offset, length):
-            os._exit(23)
-
-        # Patched before the server forks its helpers, so the children
-        # inherit the crash while the parent (which only degrades and
-        # re-reads) is unaffected.
-        monkeypatch.setattr(helpers_module, "_warm_file_range", die)
-        oracle = SimulatedResidencyOracle(default_resident=False)
-        server = flash(docroot, oracle, helper_mode="process")
-        server.start()
-        try:
-            response = fetch(*server.address, "/cold.bin")
-            follow_up = fetch(*server.address, "/index.html")
-        finally:
-            server.stop()
-        assert response.status == 200
-        assert len(response.body) == BODY_SIZE
-        assert follow_up.status == 200
-        stats = server.stats
-        assert stats.sendfile_warms >= 1
-        assert stats.sendfile_warm_degradations >= 1
-        assert server.helpers.helpers_died >= 1

@@ -214,7 +214,7 @@ class TestAmpedColdFallback:
         stats = server.stats
         # Both requests found cold content; the second one found it via the
         # hot cache, rejected it, and re-warmed.
-        assert stats.sendfile_warms >= 2
+        assert stats.blocking_reads >= 2
         assert stats.hot_cold_fallbacks >= 1
         assert stats.sendfile_warm_degradations == 0
 

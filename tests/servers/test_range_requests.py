@@ -302,7 +302,7 @@ class TestHotReadSideHit:
         assert response.body == BIG[65536:131072]
         stats = server.stats
         assert stats.hot_cold_fallbacks >= 1
-        assert stats.sendfile_warms >= 2
+        assert stats.blocking_reads >= 2
         assert stats.sendfile_warm_degradations == 0
 
 

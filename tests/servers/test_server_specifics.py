@@ -64,20 +64,6 @@ class TestFlashServerAMPED:
         assert server.stats.blocking_reads >= 1
         assert oracle.queries >= 1
 
-    def test_process_mode_helpers(self, docroot):
-        if not hasattr(os, "fork"):
-            pytest.skip("process helpers require fork")
-        config = ServerConfig(
-            document_root=docroot, port=0, num_helpers=2, helper_mode="process"
-        )
-        server = FlashServer(config)
-        server.start()
-        try:
-            response = fetch(*server.address, "/cold.bin")
-        finally:
-            server.stop()
-        assert response.status == 200
-
     def test_context_manager(self, docroot):
         with FlashServer(ServerConfig(document_root=docroot, port=0)) as server:
             assert fetch(*server.address, "/index.html").status == 200
