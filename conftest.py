@@ -14,6 +14,10 @@ When ``REPRO_SANITIZE=1`` is set, the runtime sanitizers from
   too long and reports them at session end;
 * lock acquisitions are recorded per thread and lock-order inversions
   (latent deadlocks) fail the session.
+
+Tests marked ``cachestat`` judge the real residency probe against really
+evicted files; they skip only where the probe answers by fallback (no
+``cachestat(2)``: a kernel before Linux 6.5, another OS, a seccomp filter).
 """
 
 import os
@@ -26,6 +30,7 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.analysis import sanitize  # noqa: E402
+from repro.cache.residency import MincoreResidencyTester  # noqa: E402
 
 _SANITIZE = sanitize.enabled()
 _fd_tracker = None
@@ -33,8 +38,31 @@ _watchdog = None
 _lock_recorder = None
 
 
+def _probe_answers() -> bool:
+    """Whether the residency probe answers here rather than falling back."""
+    tester = MincoreResidencyTester()
+    fd = os.open(__file__, os.O_RDONLY)
+    try:
+        tester.file_resident(fd, 1)
+    finally:
+        os.close(fd)
+    return tester.fallback_answers == 0
+
+
+_cachestat = False
+
+
+def pytest_runtest_setup(item):
+    if not _cachestat and item.get_closest_marker("cachestat") is not None:
+        pytest.skip("the residency probe answers by fallback: no cachestat(2) here")
+
+
 def pytest_configure(config):
-    global _fd_tracker, _watchdog, _lock_recorder
+    global _fd_tracker, _watchdog, _lock_recorder, _cachestat
+    config.addinivalue_line(
+        "markers", "cachestat: needs the real residency probe (skips on its fallback)"
+    )
+    _cachestat = _probe_answers()
     if not _SANITIZE:
         return
     _fd_tracker = sanitize.FdTracker()

@@ -21,8 +21,8 @@ the pinned descriptor — the single-lookup fast path for repeated static
 GETs.
 
 :mod:`repro.cache.residency` provides the Section 5.7 memory-residency test
-over descriptor windows: ``preadv(RWF_NOWAIT)``, else ``mincore`` over a
-transient mapping.
+over descriptor windows: one ``cachestat(2)`` per window, which counts its
+cached pages and reads nothing.
 :mod:`repro.cache.lru` provides the generic LRU machinery shared by all of
 the above and by the simulator's OS buffer cache.
 """

@@ -44,16 +44,10 @@ class CachedFD:
     #: been issued for this descriptor — lets hot-path callers advise once
     #: per descriptor lifetime instead of paying a syscall per request.
     advised: bool = field(default=False, repr=False)
-    #: Monotonic deadline until which a *resident* residency-probe verdict
-    #: for this descriptor may be reused without re-probing (see
-    #: ``ContentStore.fd_resident``); 0 means never probed resident.
-    resident_probe_expiry: float = field(default=0.0, repr=False)
-    #: Byte interval ``[start, end)`` the cached verdict actually covers.
-    #: Probes are window-scoped (Range responses probe only their own
-    #: window), so a reused verdict must cover the new window — a warm
-    #: 1 KB head must not vouch for a cold 2 GB file.
-    resident_probe_start: int = field(default=0, repr=False)
-    resident_probe_end: int = field(default=0, repr=False)
+    #: ``OP_WARM`` helpers in flight on this descriptor.  While non-zero
+    #: its windows read cold without a probe: pages still being read in
+    #: already count as cached (see ``ContentStore.fd_resident``).
+    warming: int = field(default=0, repr=False)
 
 
 class FileDescriptorCache:

@@ -6,26 +6,26 @@ is handed to a helper so the main process never blocks on a page fault.
 
 This server never maps a body: every static body leaves from a pinned
 descriptor.  So the residency question is asked of a descriptor window,
-by :meth:`MincoreResidencyTester.file_resident`: the window is read with
-``preadv(RWF_NOWAIT)`` into a scratch buffer — the kernel copies only
-pages that are cached and up to date and never waits for I/O, so a
-full-length read *is* residency.  Kernels or filesystems that refuse
-``RWF_NOWAIT`` get the paper's ``mincore`` over a *transient* private
-mapping of the descriptor instead (``mmap`` itself faults no pages in),
-unmapped immediately.
+by :meth:`MincoreResidencyTester.file_resident`, with one ``cachestat(2)``
+call (Linux 6.5 and later): the kernel counts the window's pages in the
+page cache without a mapping, without a copy and without starting any
+I/O, so an evicted window stays cold until someone reads it.  Like
+``mincore``, the answer is page-granular, and a page whose read is still
+in flight already counts as cached — the server answers "cold" for a
+descriptor a helper is warming before it asks (``CachedFD.warming``).
 
-Where no probe can answer, the content counts as resident (counted in
-``fallback_answers``) — the graceful degradation the paper notes for
-operating systems lacking the call.  :class:`SimulatedResidencyOracle`
-scripts the answers for tests and the simulation layer.
+Where the call cannot answer (an older kernel, another OS, a seccomp
+filter), the content counts as resident (counted in ``fallback_answers``)
+— the graceful degradation the paper notes for operating systems lacking
+the call.  :class:`SimulatedResidencyOracle` scripts the answers for tests
+and the simulation layer.
 """
 
 from __future__ import annotations
 
 import ctypes
-import ctypes.util
-import mmap
 import os
+import sys
 from typing import Optional, Protocol
 
 
@@ -41,144 +41,90 @@ class ResidencyTester(Protocol):
         ...
 
 
-def _load_libc_mincore():
-    """Locate the C library's ``mincore`` symbol, or None when unavailable."""
-    try:
-        libc_name = ctypes.util.find_library("c")
-        if not libc_name:
-            return None
-        libc = ctypes.CDLL(libc_name, use_errno=True)
-        return getattr(libc, "mincore", None)
-    except OSError:  # pragma: no cover - depends on platform
-        return None
+class _CachestatRange(ctypes.Structure):
+    _fields_ = [("off", ctypes.c_uint64), ("len", ctypes.c_uint64)]
 
 
-_LIBC_MINCORE = _load_libc_mincore()
-_PAGE_SIZE = mmap.PAGESIZE
-
-#: Size of the scratch buffer the ``RWF_NOWAIT`` probe reads into.  A
-#: larger window is read as that many slices of the one buffer, passed to
-#: the kernel as one ``preadv`` vector.
-NOWAIT_PROBE_BYTES = 64 * 1024
-
-#: Slices per ``preadv`` call: far below ``IOV_MAX`` (1024 on Linux), so a
-#: window of up to 16 MiB is one system call.
-_NOWAIT_SLICES_PER_CALL = 256
-
-#: Where the probe's bytes land.  Never read, so every caller (MT workers
-#: included) may scribble over it at once.
-_NOWAIT_SCRATCH = memoryview(bytearray(NOWAIT_PROBE_BYTES))
-_RWF_NOWAIT = getattr(os, "RWF_NOWAIT", None) if hasattr(os, "preadv") else None
+class _Cachestat(ctypes.Structure):
+    _fields_ = [
+        ("nr_cache", ctypes.c_uint64),
+        ("nr_dirty", ctypes.c_uint64),
+        ("nr_writeback", ctypes.c_uint64),
+        ("nr_evicted", ctypes.c_uint64),
+        ("nr_recently_evicted", ctypes.c_uint64),
+    ]
 
 
-def _mincore_over_buffer(data, length: int) -> Optional[bool]:
-    """Run ``mincore`` over ``length`` bytes of a writable buffer.
+#: ``cachestat``'s number in Linux's unified syscall table (x86-64, arm64
+#: and every other architecture but alpha), as the C ``long`` that
+#: ``syscall`` takes first.
+_NR_CACHESTAT = ctypes.c_long(451)
 
-    Returns True when every page is resident, False when any is missing,
-    and ``None`` when the system call cannot be reached (no libc symbol, a
-    read-only buffer that ctypes cannot address, or a failing call).
+
+def _load_syscall():
+    """libc's ``syscall(number, ...)``, or None off Linux.
+
+    It returns 0, or -1 with ``errno`` set.  Loaded through ``PyDLL``, so
+    the call keeps the interpreter lock: ``cachestat`` never waits, and
+    releasing the lock on AMPED's loop thread could hand it to a helper
+    thread and leave the loop waiting to get it back.  No ``argtypes``:
+    converting through them doubles the probe's cost (about 1 µs to 2 µs
+    per call).  So every argument is passed in its C type: the number as
+    a prebuilt ``c_long``, the descriptor and the flags as C ints
+    (``cachestat`` takes ``unsigned int`` for both), the structs by
+    reference.
     """
-    if _LIBC_MINCORE is None or length <= 0:
-        return None
-    pages = (length + _PAGE_SIZE - 1) // _PAGE_SIZE
-    vec = (ctypes.c_ubyte * pages)()
-    try:
-        address = ctypes.addressof(ctypes.c_char.from_buffer(data))
-    except (TypeError, ValueError):
-        return None
-    result = _LIBC_MINCORE(ctypes.c_void_p(address), ctypes.c_size_t(length), vec)
-    if result != 0:
-        return None
-    return all(byte & 1 for byte in vec)
-
-
-def _nowait_resident(fd: int, length: int, offset: int) -> Optional[bool]:
-    """Read the window with ``RWF_NOWAIT``; ``None`` when the file refuses it.
-
-    ``EAGAIN`` (nothing cached at the start) or a short count (a missing
-    page further on, or end of file) means not resident — stricter than
-    ``mincore``, which also counts pages still being read in.
-    """
-    try:
-        position, end = offset, offset + length
-        while position < end:
-            span = min(end - position, _NOWAIT_SLICES_PER_CALL * NOWAIT_PROBE_BYTES)
-            full, tail = divmod(span, NOWAIT_PROBE_BYTES)
-            slices = [_NOWAIT_SCRATCH] * full
-            if tail:
-                slices.append(_NOWAIT_SCRATCH[:tail])
-            if os.preadv(fd, slices, position, _RWF_NOWAIT) != span:
-                return False
-            position += span
-    except BlockingIOError:
-        return False
-    except OSError:
-        return None  # EOPNOTSUPP and kin: this file cannot answer that way
-    return True
-
-
-def _mapped_resident(fd: int, length: int, offset: int) -> Optional[bool]:
-    """``mincore`` over a transient private mapping of the window.
-
-    Creating the mapping faults no pages in (``ACCESS_COPY`` only reserves
-    address space), so ``mincore`` over it reflects the OS buffer cache
-    state of the file itself; the mapping is dropped before returning.  It
-    starts at ``offset`` rounded down to the allocation granularity
-    (``mmap`` requires it), so a range probe inspects only its own window
-    plus at most one page of lead-in.  ``None`` when the descriptor cannot
-    be mapped or ``mincore`` cannot be reached.
-    """
-    if _LIBC_MINCORE is None:
-        return None
-    aligned = offset - (offset % mmap.ALLOCATIONGRANULARITY)
-    span = length + (offset - aligned)
-    try:
-        # ACCESS_COPY (private, copy-on-write): Python treats the mapping
-        # as writable, which lets ctypes take its address for mincore.
-        probe = mmap.mmap(fd, span, access=mmap.ACCESS_COPY, offset=aligned)
-    except (OSError, ValueError, OverflowError):
+    if not sys.platform.startswith("linux"):
         return None
     try:
-        return _mincore_over_buffer(probe, span)
-    finally:
-        probe.close()
+        syscall = ctypes.PyDLL(None).syscall
+    except (OSError, AttributeError):  # pragma: no cover - depends on platform
+        return None
+    syscall.restype = ctypes.c_long
+    return syscall
+
+
+_syscall = _load_syscall()
+_PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
 
 
 class MincoreResidencyTester:
-    """Tests page residency with the real system calls.
+    """Tests page residency with the real system call (``cachestat``).
 
-    Where a question cannot be answered — ``mincore`` unreachable through
-    ``ctypes``, a descriptor that can neither be read with ``RWF_NOWAIT``
-    nor mapped — the tester reports resident, which corresponds to running
-    Flash in its SPED-like fast path; the paper notes the same graceful
-    degradation for operating systems lacking the call.  Every such answer
-    is counted in :attr:`fallback_answers`.
+    The class keeps the paper's name for the role: ``cachestat`` asks the
+    ``mincore`` question of a file instead of a mapping.  Its structs live
+    on the instance, so one tester belongs to one thread (AMPED's loop is
+    the only caller).  Where the call fails — ``ENOSYS``, a seccomp
+    ``EPERM``, ``EBADF`` for a negative descriptor, ``EOPNOTSUPP`` — the
+    tester reports resident, which corresponds to running Flash in its
+    SPED-like fast path; every such answer is counted in
+    :attr:`fallback_answers`.
     """
 
     def __init__(self):
         self.calls = 0
         self.fallback_answers = 0
+        self._range = _CachestatRange()
+        self._stat = _Cachestat()
+        self._range_ref = ctypes.byref(self._range)
+        self._stat_ref = ctypes.byref(self._stat)
 
     def file_resident(self, fd: int, length: int, path: str = "", offset: int = 0) -> bool:
-        """Probe residency of an fd-backed window of the file itself.
+        """Whether every page of the window ``[offset, offset+length)`` is cached.
 
-        ``preadv(RWF_NOWAIT)`` answers; the transient-mapping ``mincore``
-        runs only where the kernel or filesystem refuses ``RWF_NOWAIT``.
-        A negative descriptor is never mapped: ``mmap`` would silently
-        turn it into an *anonymous* mapping (probing freshly allocated
-        memory, not the file's cache state).
+        Page-granular: a window ending past end of file inside the file's
+        last page reads resident (its send comes up short), one reaching a
+        page beyond it reads cold.
         """
         self.calls += 1
         if length <= 0:
             return True
-        if fd >= 0:
-            if _RWF_NOWAIT is not None:
-                verdict = _nowait_resident(fd, length, offset)
-                if verdict is not None:
-                    return verdict
-            verdict = _mapped_resident(fd, length, offset)
-            if verdict is not None:
-                return verdict
+        if _syscall is not None:
+            self._range.off = offset
+            self._range.len = length
+            if _syscall(_NR_CACHESTAT, fd, self._range_ref, self._stat_ref, 0) == 0:
+                pages = (offset + length - 1) // _PAGE_SIZE - offset // _PAGE_SIZE + 1
+                return self._stat.nr_cache == pages
         self.fallback_answers += 1
         return True
 

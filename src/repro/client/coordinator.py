@@ -1,4 +1,4 @@
-"""Multi-process load-generation coordinator (ROADMAP item 5).
+"""Multi-process load-generation coordinator.
 
 One :class:`~repro.client.loadgen.LoadGenerator` is a single event loop on
 a single core — enough to saturate one server process on small responses,

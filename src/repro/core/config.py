@@ -14,7 +14,10 @@ Figure 11 breakdown that turns it off, live in the simulator
 (:mod:`repro.sim`).  AMPED's helpers are threads in the server process —
 the paper allows them to be "kernel threads within the main server
 process or ... separate processes" (§3.4) — so ``num_helpers`` counts
-threads, and how they are realized is not configurable.
+threads, and how they are realized is not configurable.  Nor is the
+memory-residency test (§5.7): AMPED always asks it of every body window
+before sending (:mod:`repro.cache.residency`), and the build without it
+is Flash-SPED (``--architecture sped``).
 """
 
 from __future__ import annotations
@@ -106,10 +109,6 @@ class ServerConfig:
     # -- protocol / optimization details ------------------------------------
     #: Byte-position alignment of response headers (Section 5.5); 0 disables.
     header_alignment: int = DEFAULT_ALIGNMENT
-    #: Perform memory-residency tests before sending file data (Section 5.7):
-    #: ``preadv(RWF_NOWAIT)`` over the body's descriptor windows, else
-    #: ``mincore`` over a transient mapping (see :mod:`repro.cache.residency`).
-    enable_residency_test: bool = True
     #: Maximum request-header size accepted.
     max_header_bytes: int = 16 * 1024
     #: Socket send/receive chunk used by the event-driven writers.

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import os
 import threading
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -37,16 +36,6 @@ from repro.http.response import (
     multipart_trailer,
 )
 from repro.http.uri import resolve_path
-
-#: How long (seconds) a *resident* fd-probe verdict may be reused for the
-#: same cached descriptor before re-probing.  The probe was always
-#: advisory — pages can be evicted between probe and sendfile regardless —
-#: so a short reuse window widens that pre-existing race only marginally
-#: while removing the probe's system call (and its copy of the window)
-#: per request from the hot fully-cached path.
-#: Cold verdicts are never cached: every cold request must trigger warming.
-FD_RESIDENT_PROBE_TTL = 0.1
-
 
 @dataclass
 class ServerStats:
@@ -775,12 +764,11 @@ class ContentStore:
         """Whether ``content``'s body is memory resident (Section 5.7).
 
         Each window is asked of the pinned descriptor (:meth:`fd_resident`),
-        stopping at the first cold one.  When the residency test is
-        disabled the content is treated as resident, which is exactly the
-        behaviour of the Flash-SPED build.
+        stopping at the first cold one.  Content without a descriptor has
+        no body to fault in.
         """
         handle = content.file_handle
-        if not self.config.enable_residency_test or handle is None:
+        if handle is None:
             return True
         # Probe exactly the transmitted windows: a range far into the file
         # must not pass because the head is warm, and a tail range must not
@@ -794,40 +782,17 @@ class ContentStore:
     def fd_resident(self, handle: CachedFD, length: int, offset: int = 0) -> bool:
         """Residency of an fd-backed response-body window (no mapping).
 
-        Asks the residency tester's ``file_resident``.  Resident verdicts
-        are remembered on the descriptor for ``FD_RESIDENT_PROBE_TTL``
-        seconds, so a hot file served in a burst pays one probe per window
-        instead of one per request.  The cached verdict records the byte
-        interval it covered: probes are window-scoped, and a warm range
-        must not vouch for bytes it never inspected (nor the other way
-        around).
+        Cold while a helper warms the descriptor: the probe counts pages
+        whose read is still in flight as cached, so a second request for a
+        file being warmed would pass it and block the loop in ``sendfile``;
+        it goes to its own ``OP_WARM`` instead, which waits in a helper.
+        Otherwise one ``file_resident`` probe answers, every time.
         """
-        now = time.monotonic()
-        end = offset + length
-        if (
-            handle.resident_probe_expiry > now
-            and offset >= handle.resident_probe_start
-            and end <= handle.resident_probe_end
-        ):
-            return True
-        resident = self.residency_tester.file_resident(
+        if handle.warming:
+            return False
+        return self.residency_tester.file_resident(
             handle.fd, length, path=handle.path, offset=offset
         )
-        if resident:
-            start = offset
-            if (
-                handle.resident_probe_expiry > now
-                and handle.resident_probe_start <= end
-                and offset <= handle.resident_probe_end
-            ):
-                # The fresh verdict overlaps (or abuts) a still-valid one:
-                # the union is covered by probes within the TTL window.
-                start = min(start, handle.resident_probe_start)
-                end = max(end, handle.resident_probe_end)
-            handle.resident_probe_start = start
-            handle.resident_probe_end = end
-            handle.resident_probe_expiry = now + FD_RESIDENT_PROBE_TTL
-        return resident
 
     # The buffered send's disk step: AMPED reads only windows its residency
     # probe found resident or a helper warmed (or whose warm failed, the

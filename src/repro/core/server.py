@@ -593,6 +593,9 @@ class FlashServer(BaseEventDrivenServer):
             stats = self.store.stats
             stats.helper_dispatches += 1
             stats.blocking_reads += 1
+            # Until the helper replies, the descriptor reads cold to every
+            # other request without a probe (``ContentStore.fd_resident``).
+            content.file_handle.warming += 1
             warm_offset, warm_length = content.warm_window()
             helper_request = HelperRequest(
                 seq=0,
@@ -619,6 +622,7 @@ class FlashServer(BaseEventDrivenServer):
         deliberate last resort, trading the non-blocking invariant for
         availability on the rare helper-failure path.
         """
+        content.file_handle.warming -= 1
         if not reply.ok:
             self.store.stats.sendfile_warm_degradations += 1
             start, length = content.warm_window()
@@ -641,12 +645,10 @@ class FlashServer(BaseEventDrivenServer):
         page fault: a hit whose body went cold since it was cached is
         rejected, the connection releases the pinned response and retakes
         the full pipeline — which dispatches the usual ``OP_WARM`` helper
-        before transmitting.  ``content_resident`` answers from the
-        fd-probe TTL cache, so the fully-resident hot path pays at most one
-        probe per TTL window, not one per request.
+        before transmitting.  A fully resident hit pays one ``cachestat``
+        per window; a hit on a file a helper is still warming reads cold
+        without one.
         """
-        if not self.config.enable_residency_test:
-            return True
         return self.store.content_resident(content)
 
     # -- lifecycle ---------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Supervised SO_REUSEPORT shard fleet: N server processes, one port.
 
-The ROADMAP's "millions of users" target needs more than one process on
-the accept path, and the paper's AMPED argument composes naturally: run
-one event-driven shard per core, let the kernel's ``SO_REUSEPORT`` hash
-spread connections across them, and put a tiny supervisor in front whose
-only jobs are (a) noticing dead shards and restarting them, and (b)
-fanning a drain signal out to the whole fleet.  Shard death is detected
-by **pipe EOF plus waitpid**, because a SIGKILL'd process closes its
-lifeline pipe no matter how it died.
+One event-driven process accepts on one core.  To use more, the paper's
+AMPED argument composes naturally: run one event-driven shard per core,
+let the kernel's ``SO_REUSEPORT`` hash spread connections across them,
+and put a tiny supervisor in front whose only jobs are (a) noticing dead
+shards and restarting them, and (b) fanning a drain signal out to the
+whole fleet.  Shard death is detected by **pipe EOF plus waitpid**,
+because a SIGKILL'd process closes its lifeline pipe no matter how it
+died.
 
 Supervisor state machine (per shard slot)::
 

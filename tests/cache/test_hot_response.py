@@ -297,8 +297,7 @@ class TestBudgetClamping:
 
 
 class TestWindowScopedResidency:
-    """Regressions from review: residency verdicts and hot-range pins are
-    window-scoped."""
+    """Residency probes and hot-range pins are window-scoped."""
 
     class _WindowTester:
         """Scripted per-window fd residency: warm only below ``warm_end``."""
@@ -322,9 +321,9 @@ class TestWindowScopedResidency:
         try:
             handle = store.fd_cache.acquire(str(tmp_path / "file.bin"))
             try:
-                # The warm 1 KB head passes and is cached...
+                # The warm 1 KB head passes...
                 assert store.fd_resident(handle, 1024, offset=0) is True
-                # ...but must not vouch for the cold full file within the TTL.
+                # ...but must not vouch for the cold full file.
                 assert store.fd_resident(handle, 200_000, offset=0) is False
                 assert tester.probes == [(0, 1024), (0, 200_000)]
             finally:
@@ -332,16 +331,21 @@ class TestWindowScopedResidency:
         finally:
             store.close()
 
-    def test_covered_window_reuses_cached_verdict(self, tmp_path):
-        tester = self._WindowTester(warm_end=10_000)
+    def test_descriptor_being_warmed_reads_cold_without_a_probe(self, tmp_path):
+        """The probe counts pages still being read in as cached, so while
+        a helper warms the descriptor its windows read cold unasked."""
+        tester = self._WindowTester(warm_end=200_000)
         store = self._fd_store(tmp_path, tester)
         try:
             handle = store.fd_cache.acquire(str(tmp_path / "file.bin"))
             try:
+                handle.warming += 1
+                assert store.fd_resident(handle, 8192, offset=0) is False
+                assert tester.probes == []
+                handle.warming -= 1
                 assert store.fd_resident(handle, 8192, offset=0) is True
-                # A sub-window of the cached interval pays no new probe.
-                assert store.fd_resident(handle, 1024, offset=2048) is True
-                assert len(tester.probes) == 1
+                assert store.fd_resident(handle, 8192, offset=0) is True
+                assert tester.probes == [(0, 8192)] * 2  # no verdict is reused
             finally:
                 store.release_fd(handle)
         finally:

@@ -1,13 +1,14 @@
 """Unit tests for memory-residency testing (paper Section 5.7)."""
 
-import errno
-import mmap
 import os
 import time
 
 import pytest
 
+import repro.cache.residency as residency_module
 from repro.cache.residency import MincoreResidencyTester, SimulatedResidencyOracle
+
+PAGE = residency_module._PAGE_SIZE
 
 
 @pytest.fixture
@@ -21,116 +22,60 @@ def synced_fd(tmp_path):
     os.close(fd)
 
 
-def probes_cold(tester, fd, length, offset=0, attempts=50):
-    """Evict ``fd``'s pages, then probe the window: True once the probe
-    reports it cold, False if it ever calls a cold window resident.
+def assert_stays_cold_until_read(tester, fd, length, offset=0, attempts=50):
+    """Evict ``fd``'s pages until the probe reads the window cold, then
+    check that asking again starts no I/O: the window stays cold across
+    20 probes, and one ``pread`` of it makes it resident.
 
-    Eviction is judged page by page with ``mincore`` over a mapping, which
-    starts no I/O; the test skips when DONTNEED never empties the window
-    (it can miss pages the kernel still holds in per-CPU batches, hence
-    the retries).  The NOWAIT probe itself starts readahead, and a fast
-    device may complete a one-page read before the probe looks: a true
-    answer, told apart from a wrong one by the pages now being present.
-    When every round ends that way, that is the outcome.
+    The test skips when DONTNEED never empties the window (it can miss
+    pages the kernel still holds in per-CPU batches, hence the retries).
     """
-    import repro.cache.residency as residency_module
-
-    pages = range(offset - offset % mmap.PAGESIZE, offset + length, mmap.PAGESIZE)
-    evicted = refilled = False
     for _ in range(attempts):
         os.posix_fadvise(fd, 0, 0, os.POSIX_FADV_DONTNEED)
-        if any(residency_module._mapped_resident(fd, 1, page) is not False for page in pages):
-            time.sleep(0.02)
-            continue
-        evicted = True
         if tester.file_resident(fd, length, offset=offset) is False:
-            return True
-        if residency_module._mapped_resident(fd, length, offset) is not True:
-            return False  # resident by the probe's word only
-        refilled = True
-    if not evicted:
+            break
+        time.sleep(0.02)
+    else:
         pytest.skip("POSIX_FADV_DONTNEED does not evict on this filesystem")
-    return refilled
+    assert [tester.file_resident(fd, length, offset=offset) for _ in range(20)] == [False] * 20
+    os.pread(fd, length, offset)
+    assert tester.file_resident(fd, length, offset=offset) is True
 
 
-def count_preadv(monkeypatch):
-    """Record the offset of every ``os.preadv`` call from here on."""
-    offsets = []
-    real = os.preadv
+def count_probes(monkeypatch):
+    """Record the window of every ``cachestat`` call from here on."""
+    windows = []
+    real = residency_module._syscall
 
-    def counting(fd, buffers, offset, *flags):
-        offsets.append(offset)
-        return real(fd, buffers, offset, *flags)
+    def counting(number, fd, window, stat, flags):
+        windows.append((window._obj.off, window._obj.len))
+        return real(number, fd, window, stat, flags)
 
-    monkeypatch.setattr(os, "preadv", counting)
-    return offsets
-
-
-def count_mmaps(monkeypatch):
-    """Count the mapping objects the residency module creates from here on."""
-    created = []
-    real = mmap.mmap
-
-    def counting(*args, **kwargs):
-        created.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(mmap, "mmap", counting)
-    return created
+    monkeypatch.setattr(residency_module, "_syscall", counting)
+    return windows
 
 
 class TestFileResident:
-    """The fd-backed probe: ``preadv(RWF_NOWAIT)`` for every window, a
-    transient mapping plus ``mincore`` only where the file refuses it."""
+    """The fd-backed probe: one ``cachestat`` per window, which counts the
+    window's cached pages and reads nothing."""
 
-    def test_small_window_creates_no_mapping(self, synced_fd, monkeypatch):
-        import repro.cache.residency as residency_module
-
-        if residency_module._RWF_NOWAIT is None:
-            pytest.skip("no preadv(RWF_NOWAIT) on this platform")
-        created = count_mmaps(monkeypatch)
-        tester = MincoreResidencyTester()
-        limit = residency_module.NOWAIT_PROBE_BYTES
-        assert tester.file_resident(synced_fd, limit) is True
-        assert tester.file_resident(synced_fd, 100, offset=limit + 7) is True
-        assert created == []
-        assert tester.fallback_answers == 0
-
-    def test_window_past_the_scratch_buffer_creates_no_mapping(self, synced_fd, monkeypatch):
-        import repro.cache.residency as residency_module
-
-        if residency_module._RWF_NOWAIT is None:
-            pytest.skip("no preadv(RWF_NOWAIT) on this platform")
-        created = count_mmaps(monkeypatch)
-        calls = count_preadv(monkeypatch)
+    @pytest.mark.cachestat
+    def test_one_call_per_window_whatever_its_size(self, synced_fd, monkeypatch):
+        windows = count_probes(monkeypatch)
         tester = MincoreResidencyTester()
         size = os.fstat(synced_fd).st_size
-        assert tester.file_resident(synced_fd, residency_module.NOWAIT_PROBE_BYTES + 1) is True
+        assert tester.file_resident(synced_fd, 2048) is True
         assert tester.file_resident(synced_fd, size) is True
         assert tester.file_resident(synced_fd, 100_000, offset=size - 100_000) is True
-        assert calls == [0, 0, size - 100_000]  # one system call per window
-        assert created == []
+        assert windows == [(0, 2048), (0, size), (size - 100_000, 100_000)]
         assert tester.fallback_answers == 0
 
-    def test_window_spanning_several_calls(self, synced_fd, monkeypatch):
-        import repro.cache.residency as residency_module
-
-        if residency_module._RWF_NOWAIT is None:
-            pytest.skip("no preadv(RWF_NOWAIT) on this platform")
-        monkeypatch.setattr(residency_module, "_NOWAIT_SLICES_PER_CALL", 1)
-        calls = count_preadv(monkeypatch)
-        tester = MincoreResidencyTester()
-        size = os.fstat(synced_fd).st_size
-        step = residency_module.NOWAIT_PROBE_BYTES
-        assert tester.file_resident(synced_fd, size) is True
-        assert calls == list(range(0, size, step))
-        # The last call comes up short: past the end of the file.
-        assert tester.file_resident(synced_fd, size + 1) is False
-
+    @pytest.mark.cachestat
     @pytest.mark.parametrize("size", [4096, 256 * 1024, 1024 * 1024])
     def test_evicted_file_is_not_resident_until_read(self, tmp_path, size):
         """Real eviction, no oracle: ``DONTNEED`` on a clean file turns
-        every window cold; one read of a window warms that window."""
+        every window cold, probing it keeps it cold, and one read of a
+        window warms that window."""
         path = tmp_path / "evict.bin"
         path.write_bytes(os.urandom(size))
         fd = os.open(path, os.O_RDWR)
@@ -138,35 +83,13 @@ class TestFileResident:
         try:
             os.fsync(fd)
             tester = MincoreResidencyTester()
-            assert probes_cold(tester, fd, size)
-            assert probes_cold(tester, fd, size - half, offset=half)
-            os.pread(fd, size, 0)
-            assert tester.file_resident(fd, size) is True
-            assert tester.file_resident(fd, size - half, offset=half) is True
+            assert_stays_cold_until_read(tester, fd, size)
+            assert_stays_cold_until_read(tester, fd, size - half, offset=half)
             assert tester.fallback_answers == 0
         finally:
             os.close(fd)
 
-    def test_unsupported_nowait_falls_back_to_mincore(self, synced_fd, monkeypatch):
-        import repro.cache.residency as residency_module
-
-        if residency_module._RWF_NOWAIT is None:
-            pytest.skip("no preadv(RWF_NOWAIT) on this platform")
-
-        def refuse(*_args):
-            raise OSError(errno.EOPNOTSUPP, "injected: RWF_NOWAIT unsupported here")
-
-        monkeypatch.setattr(os, "preadv", refuse)
-        created = count_mmaps(monkeypatch)
-        tester = MincoreResidencyTester()
-        assert tester.file_resident(synced_fd, 2048) is True
-        assert len(created) == 1
-        # With mincore unreachable too, no probe can answer: the window
-        # counts as resident.
-        monkeypatch.setattr(residency_module, "_LIBC_MINCORE", None)
-        assert tester.file_resident(synced_fd, 2048) is True
-        assert tester.fallback_answers == 1
-
+    @pytest.mark.cachestat
     def test_freshly_written_file_is_resident(self, tmp_path):
         """Dirty pages not yet written back are in memory too."""
         path = tmp_path / "fresh.bin"
@@ -180,35 +103,19 @@ class TestFileResident:
         finally:
             os.close(fd)
 
-    def test_mincore_route_calls_an_evicted_window_cold(self, tmp_path, monkeypatch):
-        """Where the file refuses ``RWF_NOWAIT`` the mapping probe answers,
-        and it starts no I/O: an evicted window stays cold however often
-        it is asked, until a read brings it in."""
-        import repro.cache.residency as residency_module
-
-        if residency_module._LIBC_MINCORE is None:
-            pytest.skip("mincore unreachable on this platform")
-        path = tmp_path / "evict.bin"
-        path.write_bytes(os.urandom(64 * 1024))
-        fd = os.open(path, os.O_RDWR)
+    @pytest.mark.cachestat
+    def test_short_window_is_not_resident(self, tmp_path):
+        """Residency is page-granular, as ``mincore``'s always was: a
+        window reaching a page past the end of a 100-byte file reads cold,
+        one ending inside its only page reads resident (its send comes up
+        short)."""
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"x" * 100)
+        fd = os.open(path, os.O_RDONLY)
         try:
-            os.fsync(fd)
-            for _ in range(50):
-                os.posix_fadvise(fd, 0, 0, os.POSIX_FADV_DONTNEED)
-                if residency_module._mapped_resident(fd, 64 * 1024, 0) is False:
-                    break
-                time.sleep(0.02)
-            else:
-                pytest.skip("POSIX_FADV_DONTNEED does not evict on this filesystem")
-
-            def refuse(*_args):
-                raise OSError(errno.EOPNOTSUPP, "injected: RWF_NOWAIT unsupported here")
-
-            monkeypatch.setattr(os, "preadv", refuse)
             tester = MincoreResidencyTester()
-            assert [tester.file_resident(fd, 64 * 1024) for _ in range(3)] == [False] * 3
-            os.pread(fd, 64 * 1024, 0)
-            assert tester.file_resident(fd, 64 * 1024) is True
+            assert tester.file_resident(fd, 2 * PAGE) is False
+            assert tester.file_resident(fd, PAGE) is True
             assert tester.fallback_answers == 0
         finally:
             os.close(fd)
@@ -218,24 +125,23 @@ class TestFileResident:
         assert tester.file_resident(synced_fd, 0) is True
         assert tester.calls == 1 and tester.fallback_answers == 0
 
-    def test_short_window_is_not_resident(self, tmp_path):
-        path = tmp_path / "short.bin"
-        path.write_bytes(b"x" * 100)
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            # Asked about bytes the file does not have: never "resident".
-            assert MincoreResidencyTester().file_resident(fd, 4096) is False
-        finally:
-            os.close(fd)
-
-    def test_negative_descriptor_is_never_mapped(self, monkeypatch):
-        # mmap would turn fd -1 into an anonymous mapping: no probe runs,
-        # and the window counts as resident.
-        created = count_mmaps(monkeypatch)
+    def test_negative_descriptor_is_never_mapped(self):
+        # Nothing is mapped, and EBADF (or no cachestat at all) answers by
+        # fallback: the window counts as resident.
         tester = MincoreResidencyTester()
         assert tester.file_resident(-1, 4096) is True
-        assert created == []
         assert tester.fallback_answers == 1
+
+    def test_failing_or_missing_call_answers_resident(self, synced_fd, monkeypatch):
+        """``ENOSYS`` before Linux 6.5, ``EPERM`` from a seccomp filter, or
+        no ``syscall`` at all: no probe can answer, so the window counts as
+        resident — the paper's graceful degradation."""
+        tester = MincoreResidencyTester()
+        monkeypatch.setattr(residency_module, "_syscall", lambda *_args: -1)
+        assert tester.file_resident(synced_fd, 2048) is True
+        monkeypatch.setattr(residency_module, "_syscall", None)
+        assert tester.file_resident(synced_fd, 2048) is True
+        assert tester.fallback_answers == 2
 
 
 class TestSimulatedResidencyOracle:

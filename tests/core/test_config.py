@@ -62,7 +62,7 @@ CONFIG_FIELDS = {
     "pathname_cache_entries", "header_cache_entries",
     "io_backend", "zero_copy", "fd_cache_entries",
     "hot_cache", "hot_cache_revalidate", "fast_parse",
-    "header_alignment", "enable_residency_test", "max_header_bytes",
+    "header_alignment", "max_header_bytes",
     "socket_io_size", "keep_alive",
     "header_timeout", "idle_timeout", "write_stall_timeout", "cache_max_age",
     "max_connections", "admission_resume", "retry_after", "drain_timeout",

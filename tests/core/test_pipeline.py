@@ -5,10 +5,12 @@ import os
 import pytest
 
 from repro.cache.residency import SimulatedResidencyOracle
+from repro.client.simple import fetch
 from repro.core.config import ServerConfig
-from repro.core.pipeline import ContentStore, ServerStats, StaticContent
+from repro.core.pipeline import ContentStore, ServerStats
 from repro.http.errors import NotFoundError
 from repro.http.request import RequestParser
+from repro.servers.sped import SPEDServer
 
 
 def parse(raw: bytes):
@@ -180,15 +182,20 @@ class TestResidencyIntegration:
         store.close()
 
     def test_residency_test_disabled(self, docroot):
+        """The build without the residency test is SPED: with every file
+        scripted cold it still serves the miss and the hot hit at once,
+        and never asks the tester."""
         oracle = SimulatedResidencyOracle(default_resident=False)
-        config = ServerConfig(document_root=docroot, enable_residency_test=False)
-        store = ContentStore(config, residency_tester=oracle)
-        request = parse(b"GET /big.bin HTTP/1.0\r\n\r\n")
-        entry = store.translate("/big.bin")
-        content = store.build_response(request, entry)
-        assert store.content_resident(content)        # SPED behaviour
-        content.release(store)
-        store.close()
+        server = SPEDServer(ServerConfig(document_root=docroot, port=0), residency_tester=oracle)
+        server.start()
+        try:
+            responses = [fetch(*server.address, "/big.bin") for _ in range(2)]
+        finally:
+            server.stop()
+        assert [r.status for r in responses] == [200, 200]
+        assert all(r.body == b"B" * 200_000 for r in responses)
+        assert server.stats.hot_hits == 1
+        assert oracle.queries == 0
 
 
 class TestInvalidationPropagation:

@@ -4,12 +4,14 @@ Wall-clock numbers on a shared host move by tens of percent with no code
 change; these do not move at all.  An un-started server is driven over a
 loopback socket from this thread (every ``run_once`` is ours), with the
 expensive callees wrapped on the server's own objects: header builds, date
-formatting, mapping objects, selector calls and timer-wheel arms.  The
-budgets are the cold path's contract — a miss composes the one header it
-sends, probes residency without building a mapping, and touches the
-selector only when a write would block or a helper was dispatched — and
-the lifecycle's: interest and deadline are applied once per callback, so
-a pipelined burst answered within one tick costs what one request does.
+formatting, mapping objects, loop-thread ``preadv`` copies, ``cachestat``
+probes, selector calls and timer-wheel arms.  The budgets are the cold
+path's contract — a miss composes the one header it sends, probes
+residency with one ``cachestat`` per window and neither a mapping nor a
+copy, and touches the selector only when a write would block or a helper
+was dispatched — and the lifecycle's: interest and deadline are applied
+once per callback, so a pipelined burst answered within one tick costs
+what one request does.
 
 The ledger at the end counts the server socket's writes (``send``,
 ``sendmsg``, ``os.sendfile``) and options (``setsockopt``) for pipelined
@@ -38,14 +40,24 @@ from repro.servers.blocking import handle_client
 
 BODY = b"b" * 2048
 
+#: Whether the residency probe reaches ``cachestat`` here (Linux only).
+CACHESTAT = residency._syscall is not None
+
 
 class Budget:
     """Call counts of the wrapped callees since the last :meth:`reset`."""
 
     def __init__(self, server, monkeypatch, fd=None):
-        self.counts = {}
+        self.counts = {"cachestat": 0}
         self._wrap(monkeypatch, server.store.header_builder, "build", "header_builds")
         self._wrap(monkeypatch, email.utils, "formatdate", "formatdate")
+        # Copies on the loop (this thread), not in a helper's warm.
+        here = threading.current_thread()
+        self._wrap(
+            monkeypatch, os, "preadv", "preadv", lambda *_: threading.current_thread() is here
+        )
+        if CACHESTAT:
+            self._wrap(monkeypatch, residency, "_syscall", "cachestat")
         loop = getattr(server, "loop", None)  # the blocking transport has none
         if loop is not None:
             for name in ("register", "modify", "unregister"):
@@ -178,6 +190,9 @@ def test_hot_hit_and_synchronous_miss_leave_the_selector_alone(server, monkeypat
             assert budget.selector == 0
             assert budget.header_builds == 0
             assert budget.formatdate == 0
+            # AMPED's residency gate: one probe of the one window, no copy.
+            assert budget.preadv == 0
+            assert budget.cachestat == (CACHESTAT and server.architecture == "amped")
             # The header budget starts on the first byte and the idle
             # budget replaces it within the same tick: only the idle one
             # reaches the wheel.
@@ -194,6 +209,8 @@ def test_hot_hit_and_synchronous_miss_leave_the_selector_alone(server, monkeypat
         assert server.stats.helper_dispatches == dispatches
         assert budget.selector == 0
         assert budget.mmaps == 0
+        assert budget.preadv == 0
+        assert budget.cachestat == (CACHESTAT and server.architecture == "amped")
         assert budget.schedules == 1
     finally:
         client.close()
@@ -272,13 +289,11 @@ def test_pipelined_conditional_burst_applies_interest_and_deadline_once(server, 
         client.close()
 
 
-@pytest.mark.skipif(
-    residency._RWF_NOWAIT is None or not sendfile_available(),
-    reason="needs sendfile and preadv(RWF_NOWAIT)",
-)
+@pytest.mark.cachestat
+@pytest.mark.skipif(not sendfile_available(), reason="needs sendfile")
 def test_amped_cold_large_get_maps_nothing(tmp_path, monkeypatch):
-    """A 256 KiB window is four times the probe's scratch buffer: residency
-    is still one ``preadv(RWF_NOWAIT)``, not a transient mapping."""
+    """A 256 KiB window is one ``cachestat``: no transient mapping, and no
+    copy of the window on the loop."""
     body = os.urandom(256 * 1024)
     (tmp_path / "large.bin").write_bytes(body)
     config = ServerConfig(document_root=str(tmp_path), port=0, num_helpers=1)
@@ -291,6 +306,8 @@ def test_amped_cold_large_get_maps_nothing(tmp_path, monkeypatch):
             response = exchange(server, client, get("/large.bin"))
             assert response.startswith(b"HTTP/1.1 200") and response.endswith(body)
             assert budget.mmaps == 0
+            assert budget.preadv == 0
+            assert budget.cachestat == 1
             assert budget.header_builds == 1
             assert server.stats.sendfile_responses == 1
         finally:

@@ -1,8 +1,7 @@
 """The residency tester a store and a Flash server use (paper Section 5.7).
 
-Flash asks ``preadv(RWF_NOWAIT)`` (else ``mincore`` over a transient
-mapping) about descriptor windows — one tester, no configuration; tests
-and the simulator substitute a scripted oracle.
+Flash asks ``cachestat(2)`` about descriptor windows — one tester, no
+configuration; tests and the simulator substitute a scripted oracle.
 """
 
 import pytest

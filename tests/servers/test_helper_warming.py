@@ -3,6 +3,8 @@ a cold one is warmed with ``OP_WARM`` whichever way it then leaves:
 
 * a cold-file request is dispatched to a warm helper before transmission,
   whether the oracle says so or the file was really evicted;
+* a request for a file a helper is still warming waits for its own warm,
+  even though the pages in flight already count as cached;
 * a warm-file request bypasses the helpers entirely;
 * a hot entry whose file was evicted is rejected and re-warmed;
 * a failed warm degrades to the buffered path (the client
@@ -11,28 +13,24 @@ a cold one is warmed with ``OP_WARM`` whichever way it then leaves:
   byte-identical with zero-copy on or off.
 """
 
-import mmap
 import os
 import re
+import select
 import socket
+import threading
 import time
 
 import pytest
 
-import repro.cache.residency as residency_module
 from repro.cache.residency import MincoreResidencyTester, SimulatedResidencyOracle
 from repro.client.simple import fetch
 from repro.core.config import ServerConfig
-from repro.core.pipeline import FD_RESIDENT_PROBE_TTL
 from repro.core.send_path import sendfile_available
 from repro.core.server import FlashServer
 from repro.http.request import RequestParser
 
 requires_sendfile = pytest.mark.skipif(
     not sendfile_available(), reason="os.sendfile not available"
-)
-requires_nowait = pytest.mark.skipif(
-    residency_module._RWF_NOWAIT is None, reason="no preadv(RWF_NOWAIT)"
 )
 
 BODY_SIZE = 200 * 1024
@@ -179,17 +177,18 @@ class TestWarmDispatch:
 
 
 def evict(path, attempts=50):
-    """Drop ``path``'s pages from the page cache until ``mincore`` (which
-    starts no I/O) shows none of them; False when the filesystem keeps
-    them.  DONTNEED can miss pages still held in per-CPU batches, hence
-    the retries."""
+    """Drop ``path``'s pages from the page cache until the residency probe
+    (which reads nothing) calls the file cold; False when the filesystem
+    keeps them.  DONTNEED can miss pages still held in per-CPU batches,
+    hence the retries."""
     fd = os.open(path, os.O_RDWR)
     try:
         os.fsync(fd)
-        pages = range(0, os.fstat(fd).st_size, mmap.PAGESIZE)
+        size = os.fstat(fd).st_size
+        tester = MincoreResidencyTester()
         for _ in range(attempts):
             os.posix_fadvise(fd, 0, 0, os.POSIX_FADV_DONTNEED)
-            if all(residency_module._mapped_resident(fd, 1, page) is False for page in pages):
+            if not tester.file_resident(fd, size):
                 return True
             time.sleep(0.02)
         return False
@@ -197,121 +196,168 @@ def evict(path, attempts=50):
         os.close(fd)
 
 
-class WitnessedTester(MincoreResidencyTester):
-    """The default tester, with each verdict recorded and a resident one
-    checked against ``mincore`` (which starts no I/O) right after it.
-
-    The NOWAIT probe starts readahead of a cold window, and a fast device
-    may complete it before the probe looks: the window then really is
-    resident, and the server rightly sends it without a helper.  The
-    witness tells that true answer apart from a wrong one."""
-
-    def __init__(self):
-        super().__init__()
-        self.verdicts = []
-
-    def file_resident(self, fd, length, path="", offset=0):
-        verdict = super().file_resident(fd, length, path=path, offset=offset)
-        if verdict:
-            assert residency_module._mapped_resident(fd, length, offset) is True, (
-                "a window with absent pages was called resident"
-            )
-        self.verdicts.append(verdict)
-        return verdict
-
-
-#: Independent rounds an eviction test may take to see the probe call an
-#: evicted window cold; every round that does not is checked to be a
-#: window the probe's own readahead made resident.
-EVICTION_ROUNDS = 50
-
-
 @requires_sendfile
-@requires_nowait
+@pytest.mark.cachestat
 class TestRealEviction:
-    """The default tester against a really evicted file: no oracle."""
+    """The default tester against a really evicted file: no oracle.  The
+    probe starts no read, so the first request after an eviction is the
+    one that goes through a helper."""
 
     SIZE = 256 * 1024
 
-    def fresh_file(self, docroot, round_number):
-        name = f"evict{round_number}.bin"
+    def fresh_file(self, docroot):
         body = os.urandom(self.SIZE)
-        path = os.path.join(docroot, name)
+        path = os.path.join(docroot, "evict.bin")
         with open(path, "wb") as handle:
             handle.write(body)
-        return "/" + name, path, body
+        return "/evict.bin", path, body
 
     def test_evicted_file_is_warmed_through_op_warm(self, tmp_path):
-        """Each round serves a fresh file right after evicting it: no cached
-        descriptor, verdict or hot entry can answer for it."""
+        """A fresh file served right after its eviction: no cached
+        descriptor or hot entry can answer for it."""
         docroot = str(tmp_path)
-        tester = WitnessedTester()
-        server = FlashServer(
-            ServerConfig(document_root=docroot, port=0, num_helpers=2),
-            residency_tester=tester,
-        )
+        target, path, body = self.fresh_file(docroot)
+        if not evict(path):
+            pytest.skip("POSIX_FADV_DONTNEED does not evict on this filesystem")
+        server = FlashServer(ServerConfig(document_root=docroot, port=0, num_helpers=2))
         server.start()
         try:
-            for round_number in range(EVICTION_ROUNDS):
-                target, path, body = self.fresh_file(docroot, round_number)
-                if not evict(path):
-                    pytest.skip("POSIX_FADV_DONTNEED does not evict on this filesystem")
-                warms = server.stats.blocking_reads
-                del tester.verdicts[:]
-                response = fetch(*server.address, target)
-                assert response.status == 200
-                assert response.body == body
-                if tester.verdicts[0] is False:
-                    assert server.stats.blocking_reads == warms + 1
-                    break
-                assert server.stats.blocking_reads == warms
-            else:
-                pytest.fail(f"the probe never saw an evicted window cold in {EVICTION_ROUNDS} rounds")
+            response = fetch(*server.address, target)
         finally:
             server.stop()
+        assert response.status == 200
+        assert response.body == body
+        assert server.stats.blocking_reads == 1
         assert server.stats.sendfile_warm_degradations == 0
 
     def test_evicted_hot_entry_is_rejected(self, tmp_path):
-        """A hot entry whose file is evicted after its descriptor's
-        resident verdict expired is rejected and re-warmed.  The entry is
-        filed before the server starts: a file that went out through
-        ``sendfile`` keeps its pages referenced (DONTNEED cannot drop them)
-        for as long as the kernel holds the transmitted buffers.  So each
-        round is a fresh server and a fresh file."""
+        """A hot entry whose file is evicted is rejected and re-warmed.
+        The entry is filed before the server starts: a file that went out
+        through ``sendfile`` keeps its pages referenced (DONTNEED cannot
+        drop them) for as long as the kernel holds the transmitted
+        buffers."""
         docroot = str(tmp_path)
-        for round_number in range(EVICTION_ROUNDS):
-            target, path, body = self.fresh_file(docroot, round_number)
-            tester = WitnessedTester()
-            server = FlashServer(
-                ServerConfig(document_root=docroot, port=0, num_helpers=2),
-                residency_tester=tester,
-            )
-            store = server.store
+        target, path, body = self.fresh_file(docroot)
+        server = FlashServer(ServerConfig(document_root=docroot, port=0, num_helpers=2))
+        store = server.store
+        parser = RequestParser()
+        parser.feed(f"GET {target} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+        entry = store.translate(target)
+        content = store.build_response(parser.request, entry)
+        assert store.hot_insert(parser.request, entry, content)
+        assert store.content_resident(content)  # resident when it was filed
+        content.release(store)
+        if not evict(path):
+            server.close()
+            pytest.skip("POSIX_FADV_DONTNEED does not evict on this filesystem")
+        server.start()
+        try:
+            response = fetch(*server.address, target)
+        finally:
+            server.stop()
+        assert response.body == body
+        assert server.stats.hot_hits == 1
+        assert server.stats.hot_cold_fallbacks == 1
+        assert server.stats.blocking_reads == 1
+
+
+def read_until_closed(sock):
+    received = bytearray()
+    while True:
+        data = sock.recv(65536)
+        if not data:
+            return bytes(received)
+        received += data
+
+
+@requires_sendfile
+class TestWarmInFlight:
+    @pytest.mark.parametrize("hot", [False, True], ids=["miss", "hot-hit"])
+    def test_request_for_a_file_being_warmed_waits_for_its_own_warm(
+        self, docroot, monkeypatch, hot
+    ):
+        """``cachestat`` counts pages whose read is still in flight, so
+        right after a helper's ``WILLNEED`` the probe calls the file
+        resident while a read of it would still wait on the disk.  A second
+        request for a file a helper is warming must therefore go to its own
+        ``OP_WARM`` (which waits in a helper), not straight to ``sendfile``
+        on the loop."""
+        import repro.core.helpers as helpers_module
+
+        real_warm = helpers_module._warm_file_range
+        release = threading.Event()
+        warms = threading.Semaphore(0)
+
+        def blocking_warm(fd, offset, length):
+            warms.release()
+            assert release.wait(10.0)
+            return real_warm(fd, offset, length)
+
+        monkeypatch.setattr(helpers_module, "_warm_file_range", blocking_warm)
+        oracle = SimulatedResidencyOracle(default_resident=False)
+        server = flash(docroot, oracle)
+        store = server.store
+        # Translated up front: every helper dispatch below is a warm.
+        entry = store.translate("/cold.bin")
+        path = entry.filesystem_path
+        request = b"GET /cold.bin HTTP/1.0\r\n\r\n"
+        if hot:
+            # Both requests hit this entry, and the hot-hit gate sends
+            # each down the full path.
             parser = RequestParser()
-            parser.feed(f"GET {target} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
-            entry = store.translate(target)
+            parser.feed(request)
             content = store.build_response(parser.request, entry)
             assert store.hot_insert(parser.request, entry, content)
-            assert store.content_resident(content)  # a verdict cached for the TTL
             content.release(store)
-            time.sleep(FD_RESIDENT_PROBE_TTL * 1.5)
-            if not evict(path):
-                server.close()
-                pytest.skip("POSIX_FADV_DONTNEED does not evict on this filesystem")
-            del tester.verdicts[:]
-            server.start()
-            try:
-                response = fetch(*server.address, target)
-            finally:
-                server.stop()
-            assert response.body == body
-            assert server.stats.hot_hits == 1
-            if tester.verdicts[0] is False:
-                assert server.stats.hot_cold_fallbacks == 1
-                break
-            assert server.stats.hot_cold_fallbacks == 0
-        else:
-            pytest.fail(f"the probe never saw an evicted window cold in {EVICTION_ROUNDS} rounds")
+        server.start()
+        first = socket.create_connection(server.address, timeout=10.0)
+        second = socket.create_connection(server.address, timeout=10.0)
+        try:
+            first.sendall(request)
+            assert warms.acquire(timeout=10.0), "the cold request never reached OP_WARM"
+            oracle.mark_resident(path)  # what the probe reports after WILLNEED
+            second.sendall(request)
+            readable, _, _ = select.select([second], [], [], 0.3)
+            assert readable == [], "the second response left while the file was being warmed"
+            assert warms.acquire(timeout=10.0), "the second request never reached OP_WARM"
+            release.set()
+            responses = [read_until_closed(first), read_until_closed(second)]
+        finally:
+            release.set()
+            first.close()
+            second.close()
+            server.stop()
+        with open(path, "rb") as handle:
+            body = handle.read()
+        assert [response.split(b"\r\n\r\n", 1)[1] for response in responses] == [body, body]
+        assert server.stats.helper_dispatches == 2
+        assert server.stats.blocking_reads == 2
+        assert server.stats.hot_cold_fallbacks == (2 if hot else 0)
+        assert server.stats.sendfile_warm_degradations == 0
+
+
+class TestShrunkFile:
+    def test_file_shrunk_after_translation_ends_short(self, tmp_path):
+        """Residency is page-granular: a 3,000-byte header over a file
+        shrunk to 1,000 bytes probes its one page resident.  The send then
+        comes up short, and the connection ends there: the client gets the
+        1,000 bytes and EOF, never a full-length body."""
+        path = tmp_path / "shrink.bin"
+        body = os.urandom(3000)
+        path.write_bytes(body)
+        server = FlashServer(ServerConfig(document_root=str(tmp_path), port=0, num_helpers=2))
+        assert server.store.translate("/shrink.bin").size == 3000
+        os.truncate(path, 1000)
+        server.start()
+        sock = socket.create_connection(server.address, timeout=10.0)
+        try:
+            sock.sendall(b"GET /shrink.bin HTTP/1.1\r\nHost: x\r\n\r\n")
+            head, _, received = read_until_closed(sock).partition(b"\r\n\r\n")
+        finally:
+            sock.close()
+            server.stop()
+        assert b"Content-Length: 3000" in head
+        assert received == body[:1000]
 
 
 PIPELINE = (
