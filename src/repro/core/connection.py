@@ -31,8 +31,11 @@ Parsing, deadlines and keep-alive are the connection's
 its event-loop adapter.  Every callback (readiness, the deadline on the
 loop's timer wheel, a source becoming ready, a helper or CGI completion)
 does its work, transmits, and only then applies the selector interest and
-the session's deadline once: a hot hit, or a pipelined burst answered
-within the tick, costs no selector call and one wheel schedule.
+the session's deadline once, and a deadline that only moved later keeps
+the armed wheel handle, which re-checks the session when it fires.  A
+plain hot GET on an idle connection is answered in one pass — probe, hot
+entry, residency gate, header and ``sendfile`` straight to the socket,
+``Session.finish`` — and costs no selector call and no wheel schedule.
 
 The connection's one output queue is ``_sender``: while the session's hold
 rule says so, the next pipelined request is answered into it before
@@ -54,6 +57,7 @@ from repro.core import exchange
 from repro.core.event_loop import EVENT_READ, EVENT_WRITE
 from repro.core.pipeline import StaticContent
 from repro.core.send_path import SendPath, choose_send_path, peek_peer, reset_on_close
+from repro.core.send_path import sendfile_available
 from repro.core.session import ANSWER_408, CLOSE, NEXT, RESET, Session
 from repro.core.streaming import ResponseSource
 from repro.http.errors import HTTPError
@@ -106,8 +110,8 @@ class ConnectionDriver(Protocol):
         """Run the CGI program for ``request``; callback(body_bytes, error)."""
         ...
 
-    def hot_content_ready(self, content: "StaticContent") -> bool:
-        """Whether a hot-cache hit may be transmitted right now.
+    def hot_content_ready(self, content) -> bool:
+        """Whether a hot hit (``StaticContent`` or ``HotEntry``) may be sent now.
 
         The AMPED build uses this to keep its non-blocking invariant on the
         fast path: cold content is rejected and the request retakes the
@@ -205,10 +209,17 @@ class Connection:
                 self._want = 0
 
     def _on_deadline(self) -> None:
-        """Wheel callback: the session's deadline ran out without progress."""
+        """Wheel callback: expire the session's deadline if due, else
+        re-arm for the time left (it moved later since; see :meth:`_apply`)."""
         try:
-            if self.state != STATE_CLOSED:
+            if self.state == STATE_CLOSED:
+                return
+            armed, self._armed, self._deadline_handle = self._armed, None, None
+            deadline = self.session.deadline
+            if deadline is armed or (deadline is not None and deadline[1] <= time.monotonic()):
                 self._run(self._expire)
+            else:
+                self._apply()
         except Exception:
             self._absorb_callback_crash("_on_deadline")
 
@@ -358,24 +369,53 @@ class Connection:
 
         One probe of the hot-response cache on the raw target bytes; a hit
         goes straight to transmission — no HTTPRequest, no translation, no
-        header build, no descriptor-cache probe.  Returns False (and leaves
-        all state untouched) when the request must take the full pipeline.
+        header build, no descriptor-cache probe.  With the output queue
+        empty, nothing pipelined and zero-copy on, it goes in one pass:
+        header and body straight to the socket
+        (:meth:`SendPath.write_through`), with no response object, no
+        sender and no pin — the entry's own pin holds the descriptor
+        through the synchronous write, since SPED and AMPED touch the hot
+        cache only on the loop thread.  A short write, or a hit that must
+        queue, pins the descriptor and queues an ordinary sender, from the
+        exact cursor.  Returns False (and leaves all state untouched) when
+        the request must take the full pipeline.
         """
         driver = self.driver
-        if not driver.config.hot_cache:
+        config, store, session = driver.config, driver.store, self.session
+        entry = store.hot_entry(fast.target) if config.hot_cache else None
+        if entry is None:
             return False
-        keep_alive = self.session.disposition(fast.keep_alive, driver.draining)
-        content = driver.store.hot_lookup(fast.target, keep_alive)
-        if content is None:
+        stats = store.stats
+        if not driver.hot_content_ready(entry):
+            stats.hot_cold_fallbacks += 1
             return False
-        if not self._hot_ready(content):
-            return False
-        stats = driver.store.stats
         stats.requests += 1
         stats.responses_ok += 1
         self.request = None
-        self.session.keep_alive = keep_alive
-        sender = choose_send_path(content, store=driver.store, config=driver.config, stats=stats)
+        keep_alive = session.keep_alive = session.disposition(fast.keep_alive, driver.draining)
+        header = store.hot_header(entry, keep_alive)
+        handle, length = entry.file_handle, entry.content_length
+        one_pass = self._sender is None and not session.parser.remainder
+        one_pass = one_pass and config.zero_copy and sendfile_available()
+        if one_pass:
+            stats.sendfile_responses += 1
+            sent = SendPath.write_through(self.sock, header, handle, 0, length)
+            stats.bytes_sent += sent
+            done = sent - len(header)
+            if done == length:
+                if session.finish(False, driver.draining, time.monotonic()) is CLOSE:
+                    self.close()
+                return True
+        handle.refcount += 1
+        content = StaticContent(
+            header, length, file_handle=handle, parts=entry.parts, keep_alive=keep_alive
+        )
+        if not one_pass:
+            sender = choose_send_path(content, store=store, config=config, stats=stats)
+        elif done < 0:
+            sender = SendPath([header[sent:], (content, 0, length)], store)
+        else:
+            sender = SendPath([(content, done, length - done)], store)
         self._start_send(sender.pin(content))
         return True
 
@@ -627,8 +667,9 @@ class Connection:
     def _apply(self) -> None:
         """Carry the wanted interest and the session's deadline out.
 
-        Once per callback (see :meth:`_run`); the selector and the wheel
-        are touched only when what is wanted changed since the last time.
+        Once per callback (see :meth:`_run`); the selector is touched only
+        when the interest changed, and the wheel only when the deadline
+        went away or came earlier than the armed handle's.
         """
         if self.state == STATE_CLOSED:
             return
@@ -642,8 +683,12 @@ class Connection:
             else:
                 loop.modify(self.sock, events, self.on_ready)
             self._interest = events
-        deadline = self.session.deadline
-        if deadline is not self._armed:
+        deadline, armed = self.session.deadline, self._armed
+        if deadline is not armed and (
+            deadline is None or armed is None or deadline[1] < armed[1]
+        ):
+            # Gone, or earlier than the armed handle: move it.  A later one
+            # keeps the handle, which re-checks when it fires.
             self._armed = deadline
             wheel = self.driver.loop.wheel
             wheel.cancel(self._deadline_handle)

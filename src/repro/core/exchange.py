@@ -18,7 +18,7 @@ everywhere else — so every architecture counts an exchange the same way.
 
 The raw-target hit of the fast probe (``Connection._try_hot_fast``) does
 not come through here: it has no parsed request to decide anything about,
-and calls ``store.hot_lookup(target, keep_alive)`` directly.
+and answers from ``store.hot_entry(target)`` directly.
 """
 
 from __future__ import annotations

@@ -623,6 +623,32 @@ class ContentStore:
 
     # -- the single-lookup hot path --------------------------------------------
 
+    def hot_entry(self, target: bytes) -> Optional[HotEntry]:
+        """The fresh hot entry for ``target``, or ``None``: one dict probe.
+
+        The one place a hot lookup is made, revalidated and counted in
+        ``hot_hits``/``hot_misses``.  A caller that keeps the entry's
+        descriptor past the current loop step pins it.
+        """
+        if self.hot_cache is None:
+            return None
+        with self._maybe_lock():
+            entry = self.hot_cache.lookup(target)
+            if entry is None:
+                self.stats.hot_misses += 1
+            else:
+                self.stats.hot_hits += 1
+            return entry
+
+    def hot_header(self, entry: HotEntry, keep_alive: bool) -> bytes:
+        """The entry's 200 header for the disposition (see :meth:`_variant_header`)."""
+        header = entry.header_keep if keep_alive else entry.header_close
+        if header is None:
+            header = self._variant_header(
+                200, entry.path, entry.size, entry.mtime, entry.etag, keep_alive, entry
+            )
+        return header
+
     def hot_lookup(
         self,
         target: bytes,
@@ -638,18 +664,17 @@ class ContentStore:
     ) -> Optional[StaticContent]:
         """Serve ``target`` from the hot-response cache, if it can be.
 
-        One dict probe.  On a hit the returned :class:`StaticContent`
-        carries a freshly pinned reference to the entry's descriptor, so
-        the caller releases it exactly like a slow-path response.  Returns
-        ``None`` on a miss (or stale entry) — the caller then runs the full
-        pipeline, whose successful result re-populates the cache via
-        :meth:`hot_insert`.
+        :meth:`hot_entry`, wrapped as a response.  On a hit the returned
+        :class:`StaticContent` carries a freshly pinned reference to the
+        entry's descriptor, so the caller releases it exactly like a
+        slow-path response.  Returns ``None`` on a miss (or stale entry) —
+        the caller then runs the full pipeline, whose successful result
+        re-populates the cache via :meth:`hot_insert`.
 
         A plain GET (no conditional, no ``Range``, not HEAD) is answered
         straight from the entry: its own pin guarantees the descriptor is
         alive and off its cache's free list, so the per-request pin is a
-        bare refcount increment — no cache probe, no
-        allocation beyond the response container itself.  Anything else is
+        bare refcount increment.  Anything else is
         planned against the entry's cached validators by the same
         :func:`~repro.http.planner.plan_response` the slow path calls and
         assembled by the same :meth:`_assemble`: the entry's bodyless
@@ -657,14 +682,10 @@ class ContentStore:
         already-pinned descriptor — no translation, no descriptor-cache
         probe, no re-``stat``.
         """
-        if self.hot_cache is None:
-            return None
         with self._maybe_lock():
-            entry = self.hot_cache.lookup(target)
+            entry = self.hot_entry(target)
             if entry is None:
-                self.stats.hot_misses += 1
                 return None
-            self.stats.hot_hits += 1
             if not (
                 head
                 or range_header
@@ -676,13 +697,8 @@ class ContentStore:
                 handle = entry.file_handle
                 if handle is not None:
                     handle.refcount += 1
-                header = entry.header_keep if keep_alive else entry.header_close
-                if header is None:
-                    header = self._variant_header(
-                        200, entry.path, entry.size, entry.mtime, entry.etag, keep_alive, entry
-                    )
                 return StaticContent(
-                    header=header,
+                    header=self.hot_header(entry, keep_alive),
                     content_length=entry.content_length,
                     file_handle=handle,
                     parts=entry.parts,

@@ -56,7 +56,10 @@ Every connection, on every architecture, has one output queue: a
 :class:`SendPath` to which pipelined answers are appended while
 :meth:`~repro.core.session.Session.hold` says so, so a burst of buffered
 answers leaves in one vectored write.  Queuing changes the syscall count,
-never the bytes.
+never the bytes.  A plain hot hit on an event-driven connection with an
+empty queue and nothing pipelined skips the queue:
+:meth:`SendPath.write_through` sends it straight from the hot entry, and
+the queue is entered only on a short write, from the exact cursor.
 """
 
 from __future__ import annotations
@@ -139,6 +142,11 @@ def peek_peer(sock: socket.socket):
         return None
 
 
+# The sendfile in_fd is a regular file: the call copies from the page
+# cache and returns EAGAIN on a full socket; a cold page blocks the
+# process exactly as the paper describes, which is why AMPED gates
+# transmission on the residency test first.
+# repro-lint: allow[RL001] -- sock is the connection's socket, already O_NONBLOCK (accept path; MT/MP: socket timeout): send returns EAGAIN instead of blocking
 class SendPath:
     """Transmit an ordered segment list with non-blocking writes.
 
@@ -218,11 +226,28 @@ class SendPath:
         self.unsent -= total
         return total
 
-    # The sendfile in_fd is a regular file: the call copies from the page
-    # cache and returns EAGAIN on a full socket; a cold page blocks the
-    # process exactly as the paper describes, which is why AMPED gates
-    # transmission on the residency test first.
-    # repro-lint: allow[RL001] -- sock is the connection's socket, already O_NONBLOCK (accept path; MT/MP: socket timeout): send returns EAGAIN instead of blocking
+    @staticmethod
+    def write_through(sock: socket.socket, header: bytes, handle, offset: int, length: int) -> int:
+        """Send ``header`` (``MSG_MORE``), then ``sendfile`` ``length`` bytes
+        at ``offset`` of ``handle``; stop at the first short write and
+        return the bytes moved.
+
+        What did not move (a full socket, a descriptor ``sendfile`` refuses
+        here, a shrunken file) the caller queues from the returned cursor,
+        for :meth:`_send_step` to retry.  Disconnects propagate.
+        """
+        sent = 0
+        try:
+            sent = sock.send(header, _MSG_MORE)
+            if sent == len(header):
+                sent += os.sendfile(sock.fileno(), handle.fd, offset, min(length, _MAX_SENDFILE))
+        except (BlockingIOError, InterruptedError):
+            pass
+        except OSError as exc:
+            if exc.errno not in SENDFILE_FALLBACK_ERRNOS:
+                raise
+        return sent
+
     def _send_step(self, sock: socket.socket) -> int:
         """One system call of progress from the cursor; 0 = nothing moved."""
         segments = self._segments

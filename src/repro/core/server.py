@@ -638,13 +638,13 @@ class FlashServer(BaseEventDrivenServer):
         self.store.hot_insert(request, entry, content)
         callback(content, None)
 
-    def hot_content_ready(self, content: StaticContent) -> bool:
+    def hot_content_ready(self, content) -> bool:
         """Gate hot-cache hits on memory residency (AMPED invariant).
 
         The single-lookup fast path must not let the main loop block on a
-        page fault: a hit whose body went cold since it was cached is
-        rejected, the connection releases the pinned response and retakes
-        the full pipeline — which dispatches the usual ``OP_WARM`` helper
+        page fault: a hit (a ``StaticContent``, or the one pass's
+        ``HotEntry``) whose body went cold since it was cached is rejected
+        and retakes the full pipeline — which dispatches the usual ``OP_WARM`` helper
         before transmitting.  A fully resident hit pays one ``cachestat``
         per window; a hit on a file a helper is still warming reads cold
         without one.

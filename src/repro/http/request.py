@@ -21,12 +21,13 @@ a full :class:`HTTPRequest` for it — decoding the block, splitting header
 lines, populating a dict, normalizing the URI — is almost pure allocation
 overhead when the server's hot-response cache already knows the answer for
 the raw target bytes.  :func:`probe_fast_request` therefore recognizes that
-shape directly on the parse buffer: it extracts the raw target and the
-keep-alive disposition with a few C-level ``find`` calls and *no* header
-dict, request object or URI normalization.  Anything unusual — other
-methods, query strings, percent-escapes, dot segments, conditional or
-range headers, header folding, bare-LF line endings — makes the probe
-decline, and the request takes the existing full parser, byte-identically.
+shape directly on the parse buffer: one compiled pattern, matched at the
+start of the buffer, yields the raw target and the keep-alive disposition
+with *no* header dict, request object or URI normalization.  Anything
+unusual — other methods, query strings, percent-escapes, dot segments,
+non-token header names, conditional or range headers, header folding,
+bare CR or LF — makes the probe decline, and the request takes the
+existing full parser, byte-identically.
 
 A parser constructed with ``fast=True`` runs the probe first and exposes
 the result as :attr:`RequestParser.fast_request`; the full
@@ -75,31 +76,29 @@ FAST_PROBE_LIMIT = 4096
 #: raw target bytes, so unbounded targets would let a client balloon them).
 FAST_TARGET_LIMIT = 512
 
-#: Header names whose presence must force the full parser: they change how
-#: the request is interpreted (body framing, conditionals) in ways the fast
-#: path deliberately does not implement.  Conditional headers are matched
-#: by their ``if-`` prefix instead of appearing here.
-_SLOW_HEADER_NAMES = frozenset(
-    (
-        b"content-length",
-        b"transfer-encoding",
-        b"range",
-        b"expect",
-        b"upgrade",
-    )
-)
-
-#: Byte substrings that disqualify a target from the fast path: queries and
-#: escapes need decoding, ``/.`` covers ``.``/``..`` segments (and
-#: conservatively dotfiles), ``//`` needs slash collapsing, and spaces mean
-#: the request line had more than three words.  All of them simply fall
-#: back to the full parser, which handles them exactly as before.
-_SLOW_TARGET_MARKS = (b"?", b"%", b"#", b" ", b"\\", b"\x00", b"//", b"/.")
-
 #: Path prefix that routes to CGI-style applications — the one spelling
 #: :attr:`HTTPRequest.is_cgi`, the fast probe and ``CGIRunner`` all use.
 CGI_PREFIX = "/cgi-bin/"
-_CGI_PREFIX_BYTES = CGI_PREFIX.encode("latin-1")
+
+#: A path segment the fast probe accepts: printable ASCII without ``/`` and
+#: the marks that need decoding (``?``, ``%``, ``#``, ``\``), and not
+#: starting with ``.`` (``.``/``..`` segments, conservatively dotfiles).
+_SEGMENT = rb"[!\"$&-\-0-9:->@-\[\]-~][!\"$&-.0-9:->@-\[\]-~]*"
+
+#: The one shape the fast probe accepts: ``GET /<segments> HTTP/1.[01]``
+#: (no empty segment, nothing under the CGI prefix), then token-named
+#: header lines — none that changes how the request is read (body
+#: framing, conditionals, ranges, upgrades) — then the blank line, every
+#: line ending in CRLF.  Groups: the target, the minor version, and the
+#: value of the last ``Connection`` line.
+_FAST_HEAD = re.compile(
+    rb"GET (/(?!" + re.escape(CGI_PREFIX[1:].encode("latin-1")) + rb")(?:"
+    + _SEGMENT + rb"/)*(?:" + _SEGMENT + rb")?) HTTP/1\.([01])\r\n"
+    rb"(?:(?i:connection):([^\r\n]*)\r\n"
+    rb"|(?!(?i:connection:|if-|range:|content-length:|transfer-encoding:|upgrade:|expect:))"
+    rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+:[^\r\n]*\r\n)*"
+    rb"\r\n"
+)
 
 #: Sentinel returned by :func:`probe_fast_request` when the request shape is
 #: definitively unsupported (as opposed to "need more bytes", which is None).
@@ -300,68 +299,21 @@ def probe_fast_request(data):
     malformed header lines — returns :data:`FAST_MISS` so the full parser
     decides, keeping fast-on and fast-off behaviour byte-identical.
     """
-    end = data.find(b"\r\n\r\n", 0, FAST_PROBE_LIMIT)
-    if end < 0:
-        if len(data) >= FAST_PROBE_LIMIT:
+    match = _FAST_HEAD.match(data, 0, FAST_PROBE_LIMIT)
+    if match is None:
+        if len(data) >= FAST_PROBE_LIMIT or data.find(b"\r\n\r\n", 0, FAST_PROBE_LIMIT) >= 0:
             return FAST_MISS
         return None
-    if not data.startswith(b"GET /"):
+    target, minor, connection = match.groups()
+    if len(target) > FAST_TARGET_LIMIT:
         return FAST_MISS
-    # Every line break in the block must be a CRLF pair.  A bare LF inside
-    # a line is a line break to the full parser (which splits on both) but
-    # line *content* to the CRLF-delimited scan below — the probe would
-    # read a different header structure than the parser, so it declines.
-    if data.count(b"\n", 0, end) != data.count(b"\r\n", 0, end):
-        return FAST_MISS
-    eol = data.find(b"\r\n")
-    separator = data.rfind(b" ", 4, eol)
-    if separator <= 4:
-        return FAST_MISS
-    version = data[separator + 1 : eol]
-    if version == b"HTTP/1.1":
-        keep_alive = True
-    elif version == b"HTTP/1.0":
-        keep_alive = False
-    else:
-        return FAST_MISS
-    if separator - 4 > FAST_TARGET_LIMIT:
-        return FAST_MISS
-    target = bytes(data[4:separator])
-    for mark in _SLOW_TARGET_MARKS:
-        if mark in target:
-            return FAST_MISS
-    if target.startswith(_CGI_PREFIX_BYTES):
-        return FAST_MISS
-
-    # Walk the header lines with C-level finds.  Every line must be a
-    # well-formed ``Name: value`` (so a fast accept can never mask a 400
-    # the full parser would have produced), must not be a folded
-    # continuation, and must not name anything in the slow set.
-    position = eol + 2
-    connection_value = None
-    while position < end:
-        newline = data.find(b"\r\n", position, end)
-        line_end = end if newline < 0 else newline
-        first = data[position]
-        if first == 0x20 or first == 0x09:  # folded header: full parser's job
-            return FAST_MISS
-        colon = data.find(b":", position, line_end)
-        if colon <= position or data[colon - 1] in (0x20, 0x09):
-            # No name, or whitespace before the colon (the full parser's 400).
-            return FAST_MISS
-        name = bytes(data[position:colon]).strip().lower()
-        if not name or name in _SLOW_HEADER_NAMES or name.startswith(b"if-"):
-            return FAST_MISS
-        if name == b"connection":
-            connection_value = bytes(data[colon + 1 : line_end]).strip().lower()
-        position = line_end + 2
-
-    if connection_value is not None:
-        if keep_alive:  # HTTP/1.1: persistent unless an explicit close
-            keep_alive = connection_value != b"close"
-        else:  # HTTP/1.0: persistent only on an explicit keep-alive
-            keep_alive = connection_value == b"keep-alive"
-    return FastRequest(target, keep_alive), end + 4
+    keep_alive = minor == b"1"
+    if connection is not None:
+        # The last Connection line wins, stripped and lowered as the full
+        # parser's latin-1 header value is.
+        value = connection.decode("latin-1").strip().lower()
+        keep_alive = value != "close" if keep_alive else value == "keep-alive"
+    return FastRequest(target, keep_alive), match.end()
 
 
 @dataclass

@@ -537,3 +537,101 @@ class TestDeadlines:
         assert b" 408 " in received
         assert driver.store.stats.timeouts_header == 1
         client.close()
+
+
+class FakeClock:
+    """``time.monotonic`` under the test's control."""
+
+    def __init__(self, now):
+        self.now = now
+
+    def __call__(self):
+        return self.now
+
+
+class TestLazyRearm:
+    """The wheel handle is re-armed lazily, checked on a fake clock.
+
+    A deadline that moved later keeps the armed handle, which re-checks the
+    session when it fires; one that moved earlier moves the handle.  Every
+    turn holds at most the one handle of the one connection.
+    """
+
+    TICK_SLACK = 0.2  # one wheel tick plus one clock step
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        clock = FakeClock(1000.0)
+        monkeypatch.setattr(time, "monotonic", clock)
+        return clock
+
+    @staticmethod
+    def exchange(driver, connection, client, clock, at):
+        clock.now = at
+        client.sendall(b"GET /index.html HTTP/1.1\r\nHost: h\r\n\r\n")
+        response = pump(driver, connection, client)
+        assert response.startswith(b"HTTP/1.1 200 OK")
+        assert connection.state == STATE_READ_REQUEST
+        assert len(driver.loop.wheel) <= 1
+
+    @staticmethod
+    def run_until_closed(driver, connection, client, clock, until, step=0.05):
+        """Step the clock to ``until``; return when the connection closed."""
+        client.settimeout(0)
+        while clock.now < until:
+            clock.now += step
+            driver.loop.run_once(timeout=0)
+            assert len(driver.loop.wheel) <= 1
+            if connection.state == STATE_CLOSED:
+                return clock.now
+        return None
+
+    def test_idle_reap_counts_from_the_last_exchange(self, docroot, clock):
+        driver = ScriptedDriver(docroot, header_timeout=15.0, idle_timeout=30.0)
+        connection, client = make_connection(driver)
+        # The handle armed at accept (header budget, 1015) stays through
+        # all three exchanges; it must re-arm, not reap, when it fires.
+        for at in (1000.0, 1010.0, 1020.0):
+            self.exchange(driver, connection, client, clock, at)
+        closed_at = self.run_until_closed(driver, connection, client, clock, 1060.0)
+        assert closed_at is not None
+        assert 1050.0 <= closed_at <= 1050.0 + self.TICK_SLACK
+        assert driver.store.stats.timeouts_idle == 1
+        assert driver.store.stats.timeouts_header == 0
+        client.close()
+
+    def test_partial_head_after_idle_gets_its_408_on_time(self, docroot, clock):
+        driver = ScriptedDriver(docroot, header_timeout=5.0, idle_timeout=30.0)
+        connection, client = make_connection(driver)
+        self.exchange(driver, connection, client, clock, 1000.0)
+        # The accept-time handle (1005) fires and re-arms for the idle
+        # budget (1030).
+        assert self.run_until_closed(driver, connection, client, clock, 1010.0) is None
+        client.sendall(b"GET /ind")
+        # The header budget (1015) lies before the armed handle: it moves.
+        closed_at = self.run_until_closed(driver, connection, client, clock, 1040.0)
+        assert closed_at is not None
+        assert 1015.0 <= closed_at <= 1015.0 + self.TICK_SLACK
+        assert driver.store.stats.timeouts_header == 1
+        assert driver.store.stats.timeouts_idle == 0
+        client.settimeout(1.0)
+        assert b" 408 " in client.recv(65536)
+        client.close()
+
+    def test_write_stall_reset_is_unchanged(self, tmp_path, clock):
+        (tmp_path / "huge.bin").write_bytes(b"H" * (4 << 20))
+        driver = ScriptedDriver(
+            str(tmp_path), header_timeout=15.0, idle_timeout=30.0, write_stall_timeout=30.0
+        )
+        connection, client = make_connection(driver)
+        client.sendall(b"GET /huge.bin HTTP/1.1\r\nHost: h\r\n\r\n")  # and never read
+        for _ in range(5):
+            driver.loop.run_once(timeout=0)
+        assert connection.state == STATE_SEND_RESPONSE
+        assert connection.session.deadline == (WRITE, 1030.0)
+        closed_at = self.run_until_closed(driver, connection, client, clock, 1040.0)
+        assert closed_at is not None
+        assert 1030.0 <= closed_at <= 1030.0 + self.TICK_SLACK
+        assert driver.store.stats.timeouts_write_stall == 1
+        assert driver.store.stats.timeouts_header == 0
+        client.close()

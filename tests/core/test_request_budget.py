@@ -13,6 +13,10 @@ was dispatched — and the lifecycle's: interest and deadline are applied
 once per callback, so a pipelined burst answered within one tick costs
 what one request does.
 
+A plain hot hit is answered in one pass: one ``send`` of the header and
+one ``sendfile`` of the body, with no response object, no sender and no
+wheel call; only a short write builds a sender for the rest.
+
 The ledger at the end counts the server socket's writes (``send``,
 ``sendmsg``, ``os.sendfile``) and options (``setsockopt``) for pipelined
 bursts on both transports — the blocking one is ``handle_client`` on a TCP
@@ -33,7 +37,7 @@ import pytest
 
 import repro.cache.residency as residency
 from repro.core.config import ServerConfig
-from repro.core.pipeline import ContentStore
+from repro.core.pipeline import ContentStore, StaticContent
 from repro.core.send_path import QUEUE_BYTES, SendPath, sendfile_available
 from repro.servers import create_server
 from repro.servers.blocking import handle_client
@@ -63,9 +67,11 @@ class Budget:
             for name in ("register", "modify", "unregister"):
                 self._wrap(monkeypatch, loop, name, "selector")
             self._wrap(monkeypatch, loop.wheel, "schedule", "schedules")
-        if fd is None:
-            self._wrap(monkeypatch, mmap, "mmap", "mmaps")
-        else:
+        # Per-response objects: a static answer and the sender carrying it.
+        self._wrap(monkeypatch, StaticContent, "__init__", "contents")
+        self._wrap(monkeypatch, SendPath, "__init__", "senders")
+        self._wrap(monkeypatch, mmap, "mmap", "mmaps")
+        if fd is not None:
             # Only the server socket's writes are counted.  Sockets take
             # no attributes, so their methods are wrapped on the class,
             # counted for ``fd`` only.
@@ -178,11 +184,16 @@ def test_cold_get_builds_one_header_and_no_mapping(server, monkeypatch):
         client.close()
 
 
+def server_fd(server):
+    (connection,) = server._connections
+    return connection.sock.fileno()
+
+
 def test_hot_hit_and_synchronous_miss_leave_the_selector_alone(server, monkeypatch):
     client = connect(server)
     try:
         exchange(server, client, get("/a.txt"))  # translate, build, insert
-        budget = Budget(server, monkeypatch)
+        budget = Budget(server, monkeypatch, fd=server_fd(server))
         for _ in range(3):
             budget.reset()
             response = exchange(server, client, get("/a.txt"))
@@ -193,10 +204,14 @@ def test_hot_hit_and_synchronous_miss_leave_the_selector_alone(server, monkeypat
             # AMPED's residency gate: one probe of the one window, no copy.
             assert budget.preadv == 0
             assert budget.cachestat == (CACHESTAT and server.architecture == "amped")
+            # One pass: the header by one send, the body by one sendfile,
+            # and nothing built to carry them.
+            assert (budget.send, budget.sendmsg, budget.sendfile) == (1, 0, 1)
+            assert budget.contents == 0 and budget.senders == 0
             # The header budget starts on the first byte and the idle
-            # budget replaces it within the same tick: only the idle one
-            # reaches the wheel.
-            assert budget.schedules == 1
+            # budget replaces it within the same tick; both lie later than
+            # the armed handle, which stays: the wheel is not touched.
+            assert budget.schedules == 0
         assert server.stats.hot_hits == 3
         # A spelling the hot cache has not seen, of a path the pathname
         # cache has: a miss that completes without leaving the loop tick.
@@ -211,9 +226,61 @@ def test_hot_hit_and_synchronous_miss_leave_the_selector_alone(server, monkeypat
         assert budget.mmaps == 0
         assert budget.preadv == 0
         assert budget.cachestat == (CACHESTAT and server.architecture == "amped")
-        assert budget.schedules == 1
+        assert budget.contents == 1 and budget.senders == 1
+        assert budget.schedules == 0
     finally:
         client.close()
+
+
+@pytest.mark.parametrize(
+    "off", ["fast_parse", "zero_copy", "hot_cache"], ids=lambda name: f"no-{name}"
+)
+def test_each_hot_path_toggle_switches_the_one_pass_off(off, tmp_path, monkeypatch):
+    """With the fast probe, zero-copy or the hot cache off, the same GET is
+    answered through a built response and a sender, as before."""
+    (tmp_path / "a.txt").write_bytes(BODY)
+    config = ServerConfig(document_root=str(tmp_path), port=0, **{off: False})
+    server = create_server("sped", config)
+    server.bind()
+    try:
+        client = connect(server)
+        try:
+            exchange(server, client, get("/a.txt"))
+            budget = Budget(server, monkeypatch)
+            assert exchange(server, client, get("/a.txt")).endswith(BODY)
+            assert budget.contents == 1 and budget.senders == 1
+            assert server.stats.hot_hits == (off != "hot_cache")
+        finally:
+            client.close()
+    finally:
+        server.close()
+
+
+@pytest.mark.skipif(not sendfile_available(), reason="needs sendfile")
+def test_a_short_write_builds_one_sender(tmp_path, monkeypatch):
+    """A hot hit the socket will not take whole queues the rest in exactly
+    one sender, which then finishes it under write interest."""
+    body = os.urandom(256 * 1024)
+    (tmp_path / "large.bin").write_bytes(body)
+    config = ServerConfig(document_root=str(tmp_path), port=0)
+    server = create_server("sped", config)
+    server.bind()
+    try:
+        client = connect(server)
+        try:
+            exchange(server, client, get("/large.bin"))
+            (connection,) = server._connections
+            connection.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            budget = Budget(server, monkeypatch)
+            response = exchange(server, client, get("/large.bin"))
+            assert response.endswith(body)
+            assert server.stats.hot_hits == 1
+            assert budget.senders == 1 and budget.contents == 1
+            assert budget.header_builds == 0
+        finally:
+            client.close()
+    finally:
+        server.close()
 
 
 def test_other_variants_are_built_once_on_first_use(server, monkeypatch):
