@@ -16,8 +16,10 @@ A second benchmark in this file (``BENCH fig11-hotpath``) extends the
 breakdown to the *live* servers and to this reproduction's own
 optimizations: the unified hot-response cache and the allocation-free fast
 request parse are ablated (on/off × on/off) on a cached Zipf workload,
-measuring requests/second and latency percentiles under a multi-process
-:class:`~repro.client.coordinator.LoadCoordinator` and per-request
+measuring the server's CPU time per request (``getrusage`` of this
+process, which runs the server; the clients are subprocesses),
+requests/second and latency percentiles under a multi-process
+:class:`~repro.client.coordinator.LoadCoordinator`, and per-request
 allocation counts under ``tracemalloc``.  Every live ablation writes its
 ``.txt`` table plus a schema-valid ``BENCH_fig11_*.json`` payload with
 p50/p99/p999 and the latency CDF.
@@ -25,6 +27,7 @@ p50/p99/p999 and the latency CDF.
 
 import os
 import random
+import resource
 import tempfile
 import tracemalloc
 
@@ -235,6 +238,11 @@ def _allocations_per_request(*, hot_cache, fast_parse):
     return allocations / HOTPATH_ALLOC_REQUESTS
 
 
+def _cpu_seconds():
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+
 def _measure_hotpath(docroot, paths, *, hot_cache, fast_parse):
     config = ServerConfig(
         document_root=docroot,
@@ -248,7 +256,14 @@ def _measure_hotpath(docroot, paths, *, hot_cache, fast_parse):
     try:
         port = server.address[1]
         _hotpath_clients(port, HOTPATH_WARMUP, paths)
+        # The server runs in this process and the clients in subprocesses,
+        # so this process's CPU time over the run is the server's (plus a
+        # coordinator that waits): a per-request cost the generator's own
+        # speed does not bound, unlike requests/second.
+        requests_before, cpu_before = server.stats.requests, _cpu_seconds()
         clients = _hotpath_clients(port, HOTPATH_DURATION, paths)
+        cpu = _cpu_seconds() - cpu_before
+        served = server.stats.requests - requests_before
         stats = server.stats.snapshot()
     finally:
         server.stop()
@@ -256,6 +271,7 @@ def _measure_hotpath(docroot, paths, *, hot_cache, fast_parse):
     return {
         "hot": hot_cache,
         "fast": fast_parse,
+        "cpu_us_per_request": cpu * 1e6 / max(served, 1),
         "request_rate": clients["request_rate"],
         "requests": clients["requests"],
         "errors": clients["errors"],
@@ -271,9 +287,12 @@ def test_fig11_hotpath_ablation(run_once):
     """Live-server ablation: hot-response cache × fast parse (BENCH
     fig11-hotpath).
 
-    The acceptance shape: with both optimizations on, the cached Zipf
-    workload completes at least ``HOTPATH_GAIN_FLOOR``× the requests/sec of
-    both-off, at a strictly lower server-side allocation count per request.
+    The acceptance shape: with both optimizations on, the server spends at
+    most 1/``HOTPATH_GAIN_FLOOR`` of both-off's CPU time per request on the
+    cached Zipf workload, at a strictly lower server-side allocation count
+    per request.  Requests/second are reported beside it, not gated: the
+    closed-loop clients share the host's cores with the server, so that
+    ratio moves with the generator.
     """
     paths = _zipf_paths()
     with tempfile.TemporaryDirectory() as docroot:
@@ -290,7 +309,7 @@ def test_fig11_hotpath_ablation(run_once):
                     key = (hot, fast)
                     if (
                         key not in best
-                        or row["request_rate"] > best[key]["request_rate"]
+                        or row["cpu_us_per_request"] < best[key]["cpu_us_per_request"]
                     ):
                         best[key] = row
             return [best[key] for key in HOTPATH_GRID]
@@ -299,7 +318,7 @@ def test_fig11_hotpath_ablation(run_once):
 
     onoff = {True: "on", False: "off"}
     header = (
-        f"{'hot':<4} {'fast':<5} {'req/s':>9} {'requests':>9} "
+        f"{'hot':<4} {'fast':<5} {'cpu us/req':>10} {'req/s':>9} {'requests':>9} "
         f"{'allocs/req':>11} {_LATENCY_HEADER} {'errors':>6}"
     )
     lines = [
@@ -310,6 +329,7 @@ def test_fig11_hotpath_ablation(run_once):
     for row in rows:
         lines.append(
             f"{onoff[row['hot']]:<4} {onoff[row['fast']]:<5} "
+            f"{row['cpu_us_per_request']:>10.1f} "
             f"{row['request_rate']:>9.0f} {row['requests']:>9.0f} "
             f"{row['allocs_per_request']:>11.1f} {_latency_cells(row)} "
             f"{row['errors']:>6.0f}"
@@ -318,8 +338,10 @@ def test_fig11_hotpath_ablation(run_once):
     both_on = by_key[(True, True)]
     both_off = by_key[(False, False)]
     speedup = both_on["request_rate"] / max(both_off["request_rate"], 1e-9)
+    cpu_gain = both_off["cpu_us_per_request"] / max(both_on["cpu_us_per_request"], 1e-9)
     lines.append(
-        f"BENCH fig11-hotpath: hot+fast vs both-off: {speedup:.2f}x requests/s, "
+        f"BENCH fig11-hotpath: hot+fast vs both-off: {cpu_gain:.2f}x less server CPU "
+        f"per request ({speedup:.2f}x requests/s), "
         f"{both_off['allocs_per_request']:.1f} -> "
         f"{both_on['allocs_per_request']:.1f} allocs/request"
     )
@@ -334,7 +356,7 @@ def test_fig11_hotpath_ablation(run_once):
         x_of=lambda row: HOTPATH_GRID.index((row["hot"], row["fast"])),
         detail_keys=(
             "hot", "fast", "requests", "errors", "allocs_per_request",
-            "hot_hits", "fast_parses",
+            "cpu_us_per_request", "hot_hits", "fast_parses",
         ),
     )
 
@@ -345,11 +367,12 @@ def test_fig11_hotpath_ablation(run_once):
     assert both_off["hot_hits"] == 0 and both_off["fast_parses"] == 0
     assert by_key[(True, False)]["fast_parses"] == 0
     assert by_key[(False, True)]["hot_hits"] == 0
-    # The acceptance criteria: single-lookup + allocation-free parse is
-    # decisively faster and allocates less per request.
-    assert speedup >= HOTPATH_GAIN_FLOOR, (
-        f"hot+fast only {speedup:.2f}x of both-off "
-        f"({both_on['request_rate']:.0f} vs {both_off['request_rate']:.0f} req/s)"
+    # The acceptance criteria: single-lookup + allocation-free parse costs
+    # the server decisively less per request and allocates less.
+    assert cpu_gain >= HOTPATH_GAIN_FLOOR, (
+        f"hot+fast only {cpu_gain:.2f}x less CPU per request than both-off "
+        f"({both_on['cpu_us_per_request']:.1f} vs "
+        f"{both_off['cpu_us_per_request']:.1f} us)"
     )
     assert both_on["allocs_per_request"] < both_off["allocs_per_request"]
 

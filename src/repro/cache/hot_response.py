@@ -15,15 +15,16 @@ fast-path parser produces without any decoding), and each
 * the validated translated filesystem path with the size/mtime it was
   validated against;
 * response-header blocks — 200 and 304 variants, each in keep-alive and
-  close flavours.  An entry is born holding only the 200 header its
-  inserting request was answered with; the owner composes each other
-  variant the first time a hit asks for it, through the slow path's own
-  header code, so the bytes are identical and a response that is never
-  hit again costs no header it did not send;
+  close flavours, and one 206 slot (a new window replaces its header, so
+  client-chosen ranges cannot grow an entry).  An entry is born holding
+  only the 200 header its inserting request was answered with; the owner
+  composes each other variant the first time a hit asks for it, through
+  the slow path's own header code, so the bytes are identical and a
+  response that is never hit again costs no header it did not send;
 * the pinned cached descriptor every body window leaves from.
 
-A cache-hit GET therefore goes from bytes-on-socket to ``sendfile`` with
-one dict probe.
+A cache-hit GET, 304, HEAD or single-range 206 therefore goes from
+bytes-on-socket to ``send`` (and ``sendfile``) with one dict probe.
 
 Consistency rules
 -----------------
@@ -81,6 +82,9 @@ class HotEntry:
         ``None`` until composed.
     header_304_keep, header_304_close:
         The 304 (Not Modified) header blocks, likewise.
+    range_slot:
+        ``((offset, length, keep_alive), header)`` of the last
+        single-window 206 composed for this entry, or ``None``.
     file_handle:
         The pinned :class:`~repro.cache.mapped_file.CachedFD` the body
         leaves from.
@@ -108,6 +112,7 @@ class HotEntry:
     validated_at: float = field(default_factory=time.monotonic)
     hits: int = field(default=0, repr=False)
     parts: Sequence = field(init=False, repr=False)
+    range_slot: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.parts = ((b"", 0, self.content_length),)

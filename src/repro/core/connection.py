@@ -33,8 +33,9 @@ loop's timer wheel, a source becoming ready, a helper or CGI completion)
 does its work, transmits, and only then applies the selector interest and
 the session's deadline once, and a deadline that only moved later keeps
 the armed wheel handle, which re-checks the session when it fires.  A
-plain hot GET on an idle connection is answered in one pass — probe, hot
-entry, residency gate, header and ``sendfile`` straight to the socket,
+hot 200, 304, HEAD or single-range 206 on an idle connection is answered
+in one pass, whichever parser read it — hot entry, planner, residency
+gate on the window, header (and ``sendfile``) straight to the socket,
 ``Session.finish`` — and costs no selector call and no wheel schedule.
 
 The connection's one output queue is ``_sender``: while the session's hold
@@ -61,7 +62,7 @@ from repro.core.send_path import sendfile_available
 from repro.core.session import ANSWER_408, CLOSE, NEXT, RESET, Session
 from repro.core.streaming import ResponseSource
 from repro.http.errors import HTTPError
-from repro.http.request import FastRequest, HTTPRequest
+from repro.http.request import HTTPRequest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.config import ServerConfig
@@ -110,11 +111,12 @@ class ConnectionDriver(Protocol):
         """Run the CGI program for ``request``; callback(body_bytes, error)."""
         ...
 
-    def hot_content_ready(self, content) -> bool:
-        """Whether a hot hit (``StaticContent`` or ``HotEntry``) may be sent now.
+    def hot_content_ready(self, handle, parts) -> bool:
+        """Whether a hot hit's ``(head, offset, length)`` windows of the
+        pinned descriptor ``handle`` may be sent now.
 
         The AMPED build uses this to keep its non-blocking invariant on the
-        fast path: cold content is rejected and the request retakes the
+        fast path: a cold window is rejected and the request retakes the
         full pipeline (which warms it through a helper).  SPED transmits
         unconditionally.
         """
@@ -345,18 +347,21 @@ class Connection:
 
     def _dispatch_parsed(self) -> None:
         """Route a complete request: hot path first, full pipeline otherwise."""
-        parser = self.session.parser
-        fast = parser.fast_request
+        session = self.session
+        fast = session.parser.fast_request
         if fast is not None:
+            # The single-lookup hot path: the raw target bytes are the key,
+            # and no HTTPRequest is built.
             self.driver.store.stats.fast_parses += 1
-            if self._try_hot_fast(fast):
+            session.keep_alive = session.disposition(fast.keep_alive, self.driver.draining)
+            if self._answer_hot(fast.target, None):
                 return
         try:
             # Materializes the HTTPRequest lazily after a fast probe whose
             # hot lookup missed.  The probe only accepts shapes the full
             # parser accepts, but a parse failure here must still become an
             # error response, never an exception in the event loop.
-            request = parser.request
+            request = session.parser.request
         except HTTPError as exc:
             self._send_failure(exc)
             return
@@ -364,75 +369,80 @@ class Connection:
         # or was cold-rejected); _start_request must not probe it again.
         self._start_request(request, hot_consulted=fast is not None)
 
-    def _try_hot_fast(self, fast: FastRequest) -> bool:
-        """The single-lookup hot path for a fast-parsed request.
-
-        One probe of the hot-response cache on the raw target bytes; a hit
-        goes straight to transmission — no HTTPRequest, no translation, no
-        header build, no descriptor-cache probe.  With the output queue
-        empty, nothing pipelined and zero-copy on, it goes in one pass:
-        header and body straight to the socket
-        (:meth:`SendPath.write_through`), with no response object, no
-        sender and no pin — the entry's own pin holds the descriptor
-        through the synchronous write, since SPED and AMPED touch the hot
-        cache only on the loop thread.  A short write, or a hit that must
-        queue, pins the descriptor and queues an ordinary sender, from the
-        exact cursor.  Returns False (and leaves all state untouched) when
-        the request must take the full pipeline.
-        """
+    def _answer_hot(self, target: bytes, request: Optional[HTTPRequest]) -> bool:
+        """Answer from the hot entry for ``target`` (``request`` is ``None``
+        for the fast probe's plain GET): ``hot_answer`` plans it, AMPED's
+        residency gate asks exactly the windows to be sent, and only then
+        is it counted and sent — by :meth:`_transmit_hot`, or through a
+        sender for what ``hot_assemble`` builds.  False, with nothing
+        counted, on a miss or a cold window: the full pipeline follows."""
         driver = self.driver
-        config, store, session = driver.config, driver.store, self.session
-        entry = store.hot_entry(fast.target) if config.hot_cache else None
+        store = driver.store
+        entry = store.hot_entry(target) if driver.config.hot_cache else None
         if entry is None:
             return False
         stats = store.stats
-        if not driver.hot_content_ready(entry):
+        answer = store.hot_answer(entry, self.session.keep_alive, request)
+        if answer is None:
+            content = store.hot_assemble(entry, self.session.keep_alive, request)
+            status, handle, parts = content.status, content.file_handle, content.parts
+        else:
+            content = None
+            status, header, parts = answer
+            handle = entry.file_handle
+        if parts and not driver.hot_content_ready(handle, parts):
             stats.hot_cold_fallbacks += 1
+            if content is not None:
+                content.release(store)
             return False
-        stats.requests += 1
-        stats.responses_ok += 1
-        self.request = None
-        keep_alive = session.keep_alive = session.disposition(fast.keep_alive, driver.draining)
-        header = store.hot_header(entry, keep_alive)
-        handle, length = entry.file_handle, entry.content_length
+        if request is None:  # a parsed request was counted by exchange.route
+            stats.requests += 1
+        store.count_status(status, content is not None)
+        if content is not None:
+            self._start_send(exchange.static_sender(store, driver.config, content).pin(content))
+        else:
+            stats.responses_ok += 1
+            self._transmit_hot(entry, header, parts)
+        return True
+
+    def _transmit_hot(self, entry, header: bytes, parts) -> None:
+        """Send a header, and the entry's one window in ``parts`` if any.
+
+        With the queue empty, nothing pipelined and zero-copy on, in one
+        pass (:meth:`SendPath.write_through`) with no response object, no
+        sender and no pin: the entry's own pin holds the descriptor through
+        the synchronous write (SPED and AMPED touch the hot cache only on
+        the loop thread).  A short write, or an answer that must queue,
+        pins it and queues an ordinary sender from the exact cursor.
+        """
+        driver, session = self.driver, self.session
+        config, store = driver.config, driver.store
+        stats = store.stats
+        handle, offset, length = (entry.file_handle, *parts[0][1:]) if parts else (None, 0, 0)
         one_pass = self._sender is None and not session.parser.remainder
         one_pass = one_pass and config.zero_copy and sendfile_available()
         if one_pass:
-            stats.sendfile_responses += 1
-            sent = SendPath.write_through(self.sock, header, handle, 0, length)
+            if handle is not None:
+                stats.sendfile_responses += 1
+            sent = SendPath.write_through(self.sock, header, handle, offset, length)
             stats.bytes_sent += sent
             done = sent - len(header)
             if done == length:
+                self.request = None
                 if session.finish(False, driver.draining, time.monotonic()) is CLOSE:
                     self.close()
-                return True
-        handle.refcount += 1
+                return
+        if handle is not None:
+            handle.refcount += 1
         content = StaticContent(
-            header, length, file_handle=handle, parts=entry.parts, keep_alive=keep_alive
+            header, length, file_handle=handle, parts=parts, keep_alive=session.keep_alive
         )
         if not one_pass:
             sender = choose_send_path(content, store=store, config=config, stats=stats)
-        elif done < 0:
-            sender = SendPath([header[sent:], (content, 0, length)], store)
         else:
-            sender = SendPath([(content, done, length - done)], store)
+            skip = max(done, 0)
+            sender = SendPath([header[sent:], (content, offset + skip, length - skip)], store)
         self._start_send(sender.pin(content))
-        return True
-
-    def _hot_ready(self, content: StaticContent) -> bool:
-        """Ask the driver whether a hot hit may transmit; release if not.
-
-        AMPED rejects content that went cold since it was cached — the
-        request then retakes the full pipeline, which warms it through a
-        helper, preserving the non-blocking invariant on the fast path.
-        Both full (200) and range (206) bodies are gated; bodyless answers
-        (304, HEAD, 416) transmit unconditionally.
-        """
-        if content.content_length == 0 or self.driver.hot_content_ready(content):
-            return True
-        self.driver.store.stats.hot_cold_fallbacks += 1
-        content.release(self.driver.store)
-        return False
 
     def _start_request(self, request: HTTPRequest, hot_consulted: bool = False) -> None:
         driver = self.driver
@@ -458,11 +468,14 @@ class Connection:
             self.state = STATE_WAIT_DISK
             driver.handle_cgi_async(request, partial(self._on_completion, self._on_cgi_done))
         else:
-            if not hot_consulted:
-                content = exchange.hot_consult(store, config, request, session.keep_alive)
-                if content is not None and self._hot_ready(content):
-                    self._on_content_ready(content, None)
-                    return
+            # The raw URI is the key: a spelling the fast probe declines
+            # (escapes, dot segments) simply misses.
+            if (
+                not hot_consulted
+                and request.method in ("GET", "HEAD")
+                and self._answer_hot(request.uri.encode("latin-1"), request)
+            ):
+                return
             self.state = STATE_WAIT_DISK
             driver.respond_async(
                 request, session.keep_alive, partial(self._on_completion, self._on_content_ready)

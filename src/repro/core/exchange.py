@@ -16,9 +16,11 @@ timer wheel vs socket timeouts, selector vs ``select``.  Counters move under
 ``store.stats_lock()`` — the store lock in the MT build, the null context
 everywhere else — so every architecture counts an exchange the same way.
 
-The raw-target hit of the fast probe (``Connection._try_hot_fast``) does
-not come through here: it has no parsed request to decide anything about,
-and answers from ``store.hot_entry(target)`` directly.
+The event-driven connection's hot hits do not come through here: from the
+fast probe or the full parser alike, ``Connection._answer_hot`` asks
+``store.hot_entry`` and ``store.hot_answer`` itself, because AMPED's
+residency gate sits between the plan and the count, and a hit that needs
+no fresh framing leaves in one pass without a sender.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ def route(store: ContentStore, config: ServerConfig, request: HTTPRequest) -> st
 def hot_consult(
     store: ContentStore, config: ServerConfig, request: HTTPRequest, keep_alive: bool
 ) -> Optional[StaticContent]:
-    """Hot-cache consult for a fully parsed request (``ContentStore.hot_lookup``).
+    """Hot-cache consult for a request an MT/MP worker parsed
+    (``ContentStore.hot_lookup``: a pinned, counted response).
 
     GET and HEAD are eligible, conditionals and ``Range`` included.  The
     raw request URI is the key, so any spelling the fast probe declines

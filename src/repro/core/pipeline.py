@@ -37,6 +37,16 @@ from repro.http.response import (
 )
 from repro.http.uri import resolve_path
 
+#: Request headers that send a hot hit through the planner (``If-Range``
+#: matters only beside ``Range``), in ``hot_lookup``'s keyword order.
+_PLANNED_HEADERS = (
+    "if-match",
+    "if-unmodified-since",
+    "if-none-match",
+    "if-modified-since",
+    "range",
+)
+
 @dataclass
 class ServerStats:
     """Centralized request statistics ("information gathering", Section 4.2).
@@ -364,18 +374,8 @@ class ContentStore:
         # The conditional and range headers apply to GET and HEAD only;
         # other methods (a POST to a static path) must ignore them.
         if request.method in ("GET", "HEAD"):
-            status, windows = plan_response(
-                size=entry.size,
-                mtime=entry.mtime,
-                etag=entry.etag,
-                if_match=request.if_match,
-                if_unmodified_since=request.if_unmodified_since,
-                if_none_match=request.if_none_match,
-                if_modified_since=request.if_modified_since,
-                range_header=request.range_header,
-                if_range=request.if_range,
-            )
-        return self._assemble(
+            status, windows = self._plan(entry, request)
+        content = self._assemble(
             status,
             windows,
             entry.filesystem_path,
@@ -385,6 +385,8 @@ class ContentStore:
             keep_alive,
             request.is_head,
         )
+        self.count_status(status, windows is not None and len(windows) > 1)
+        return content
 
     def _assemble(
         self,
@@ -400,13 +402,13 @@ class ContentStore:
     ) -> StaticContent:
         """Turn a ``plan_response`` verdict into a transmittable response.
 
-        Shared by the slow path and the hot-cache read-side hit; the two
-        differ only in ``hot``, the hit entry: its 200/304 header variants
-        answer before anything is composed (see :meth:`_variant_header`),
-        and its descriptor is the one the body windows pin, where the slow
-        path acquires one from the descriptor cache.  The validator-only
-        headers (412/416) and the client-shaped ones (206) are built fresh
-        with the shared builder, and every status counter is bumped here.
+        Shared by the slow path and :meth:`hot_assemble`; the two differ
+        only in ``hot``, the hit entry: its 200/304 header variants answer
+        before anything is composed (see :meth:`_variant_header`), and its
+        descriptor is the one the body windows pin, where the slow path
+        acquires one from the descriptor cache.  The validator-only headers
+        (412/416) and the 206 are built fresh with the shared builder; the
+        caller counts what it commits (:meth:`count_status`).
         """
         parts: Sequence[tuple[bytes, int, int]] = ()
         trailer = b""
@@ -419,22 +421,18 @@ class ContentStore:
             # Under the store lock: MT workers reach this from both paths.
             with self._maybe_lock():
                 if status == 206:
-                    self.stats.range_responses += 1
                     header, parts, trailer, total = self._frame_ranges(
                         path, size, mtime, etag, windows, keep_alive
                     )
                 elif status == 304:
-                    self.stats.not_modified_responses += 1
                     header = self._variant_header(
                         304, path, size, mtime, etag, keep_alive, hot
                     )
                 elif status == 412:
-                    self.stats.precondition_failed += 1
                     header = self._validator_header(
                         412, path, mtime, keep_alive, etag=etag
                     )
                 else:
-                    self.stats.range_unsatisfiable += 1
                     header = self._validator_header(
                         416,
                         path,
@@ -481,9 +479,10 @@ class ContentStore:
         header, one part with no framing.  Several become
         ``multipart/byteranges``; the boundary is deterministic in the
         file's validator and the window list, so the same request is
-        byte-identical on every path and architecture.  Built fresh per
-        response (never cached): range shapes are client-chosen and
-        unbounded, so precomposing them would let a client balloon a cache.
+        byte-identical on every path and architecture.  Range shapes are
+        client-chosen and unbounded, so no cache keeps them: a hot entry
+        keeps the last single-window header it sent in its one 206 slot
+        (:meth:`hot_answer`), which bounds it at one per entry.
         """
         content_type = guess_mime_type(path)
         parts: list[tuple[bytes, int, int]] = []
@@ -496,7 +495,6 @@ class ContentStore:
             total = length
             extra_headers = {"Content-Range": content_range(offset, length, size)}
         else:
-            self.stats.range_multipart_responses += 1
             boundary = multipart_boundary(etag, windows)
             for index, (offset, length) in enumerate(windows):
                 part_head = multipart_part_head(
@@ -640,14 +638,88 @@ class ContentStore:
                 self.stats.hot_hits += 1
             return entry
 
-    def hot_header(self, entry: HotEntry, keep_alive: bool) -> bytes:
-        """The entry's 200 header for the disposition (see :meth:`_variant_header`)."""
-        header = entry.header_keep if keep_alive else entry.header_close
+    def hot_answer(
+        self, entry: HotEntry, keep_alive: bool, request: Optional[HTTPRequest] = None
+    ) -> Optional[tuple[int, bytes, Sequence[tuple[bytes, int, int]]]]:
+        """The hot answer that needs no fresh framing: ``(status, header, parts)``.
+
+        ``request`` is ``None`` for a plain GET; the planner runs only when
+        a conditional or ``Range`` header is present.  A 200 or 304 is the
+        entry's variant, a single-window 206 the header in its one 206
+        slot (framed by :meth:`_frame_ranges` on a miss), a HEAD the GET's
+        header with no parts.  A multipart 206, 412 or 416 is ``None``
+        (:meth:`hot_assemble`).  Nothing is pinned or counted.
+        """
+        status, windows = 200, None
+        if request is not None and not request.headers.keys().isdisjoint(_PLANNED_HEADERS):
+            status, windows = self._plan(entry, request)
+        if status == 200:
+            header = entry.header_keep if keep_alive else entry.header_close
+            parts = entry.parts
+        elif status == 304:
+            header = entry.header_304_keep if keep_alive else entry.header_304_close
+            parts = ()
+        elif status == 206 and len(windows) == 1:
+            key = (*windows[0], keep_alive)
+            slot = entry.range_slot
+            if slot is None or slot[0] != key:
+                header = self._frame_ranges(
+                    entry.path, entry.size, entry.mtime, entry.etag, windows, keep_alive
+                )[0]
+                slot = entry.range_slot = (key, header)
+            header, parts = slot[1], ((b"", key[0], key[1]),)
+        else:
+            return None
         if header is None:
             header = self._variant_header(
-                200, entry.path, entry.size, entry.mtime, entry.etag, keep_alive, entry
+                status, entry.path, entry.size, entry.mtime, entry.etag, keep_alive, entry
             )
-        return header
+        if request is not None and request.method == "HEAD":
+            parts = ()
+        return status, header, parts
+
+    def hot_assemble(self, entry: HotEntry, keep_alive: bool, request: HTTPRequest):
+        """The multipart 206, 412 or 416 :meth:`hot_answer` leaves alone, as
+        an uncounted :class:`StaticContent` over the entry's descriptor."""
+        plan, head = self._plan(entry, request), request.method == "HEAD"
+        return self._assemble(
+            *plan, entry.path, entry.size, entry.mtime, entry.etag, keep_alive, head, hot=entry
+        )
+
+    @staticmethod
+    def _plan(entry, request: HTTPRequest):
+        """``plan_response`` for ``request`` against a ``PathnameEntry``'s or
+        a ``HotEntry``'s validators."""
+        headers = request.headers
+        return plan_response(
+            size=entry.size,
+            mtime=entry.mtime,
+            etag=entry.etag,
+            if_match=headers.get("if-match"),
+            if_unmodified_since=headers.get("if-unmodified-since"),
+            if_none_match=headers.get("if-none-match"),
+            if_modified_since=headers.get("if-modified-since"),
+            range_header=headers.get("range"),
+            if_range=headers.get("if-range"),
+        )
+
+    def count_status(self, status: int, multipart: bool = False) -> None:
+        """Count a static answer's status once it is sure to leave — on AMPED
+        after a hot hit's residency gate, so a cold hit is counted once, by
+        the full pipeline it retakes."""
+        if status == 200:
+            return
+        with self._maybe_lock():
+            stats = self.stats
+            if status == 206:
+                stats.range_responses += 1
+                stats.range_multipart_responses += multipart
+            elif status == 304:
+                stats.not_modified_responses += 1
+            elif status == 412:
+                stats.precondition_failed += 1
+            else:
+                stats.range_unsatisfiable += 1
 
     def hot_lookup(
         self,
@@ -664,68 +736,34 @@ class ContentStore:
     ) -> Optional[StaticContent]:
         """Serve ``target`` from the hot-response cache, if it can be.
 
-        :meth:`hot_entry`, wrapped as a response.  On a hit the returned
-        :class:`StaticContent` carries a freshly pinned reference to the
-        entry's descriptor, so the caller releases it exactly like a
-        slow-path response.  Returns ``None`` on a miss (or stale entry) —
-        the caller then runs the full pipeline, whose successful result
-        re-populates the cache via :meth:`hot_insert`.
-
-        A plain GET (no conditional, no ``Range``, not HEAD) is answered
-        straight from the entry: its own pin guarantees the descriptor is
-        alive and off its cache's free list, so the per-request pin is a
-        bare refcount increment.  Anything else is
-        planned against the entry's cached validators by the same
-        :func:`~repro.http.planner.plan_response` the slow path calls and
-        assembled by the same :meth:`_assemble`: the entry's bodyless
-        304, a fresh 206/412/416 header, and body windows over the entry's
-        already-pinned descriptor — no translation, no descriptor-cache
-        probe, no re-``stat``.
+        :meth:`hot_entry`, then :meth:`hot_answer` (or :meth:`hot_assemble`)
+        as a counted response carrying a freshly pinned reference to the
+        entry's descriptor, released like a slow-path response.  ``None``
+        on a miss (or stale entry): the caller runs the full pipeline,
+        which re-populates the cache via :meth:`hot_insert`.  The MT/MP
+        workers and ``bench/`` answer through here; the event-driven
+        connection takes the same steps with AMPED's gate before the count.
         """
+        values = (if_match, if_unmodified_since, if_none_match, if_modified_since, range_header)
+        request = None
+        if head or any(values):
+            headers = dict(zip(_PLANNED_HEADERS, values), **{"if-range": if_range})
+            request = HTTPRequest("HEAD" if head else "GET", "", "", headers=headers)
         with self._maybe_lock():
             entry = self.hot_entry(target)
             if entry is None:
                 return None
-            if not (
-                head
-                or range_header
-                or if_none_match
-                or if_modified_since
-                or if_match
-                or if_unmodified_since
-            ):
-                handle = entry.file_handle
-                if handle is not None:
-                    handle.refcount += 1
-                return StaticContent(
-                    header=self.hot_header(entry, keep_alive),
-                    content_length=entry.content_length,
-                    file_handle=handle,
-                    parts=entry.parts,
-                    keep_alive=keep_alive,
-                )
-            status, windows = plan_response(
-                size=entry.size,
-                mtime=entry.mtime,
-                etag=entry.etag,
-                if_match=if_match,
-                if_unmodified_since=if_unmodified_since,
-                if_none_match=if_none_match,
-                if_modified_since=if_modified_since,
-                range_header=range_header,
-                if_range=if_range,
-            )
-            return self._assemble(
-                status,
-                windows,
-                entry.path,
-                entry.size,
-                entry.mtime,
-                entry.etag,
-                keep_alive,
-                head,
-                hot=entry,
-            )
+            answer = self.hot_answer(entry, keep_alive, request)
+            if answer is None:
+                content = self.hot_assemble(entry, keep_alive, request)
+                self.count_status(content.status, True)
+                return content
+            status, header, parts = answer
+            handle, length = (entry.file_handle, parts[0][2]) if parts else (None, 0)
+            if handle is not None:
+                handle.refcount += 1
+            self.count_status(status)
+            return StaticContent(header, length, status, handle, parts, keep_alive=keep_alive)
 
     def hot_insert(
         self, request: HTTPRequest, entry: PathnameEntry, content: StaticContent
@@ -777,20 +815,20 @@ class ContentStore:
     # -- residency and blocking I/O ------------------------------------------
 
     def content_resident(self, content: StaticContent) -> bool:
-        """Whether ``content``'s body is memory resident (Section 5.7).
+        """Whether ``content``'s body is memory resident (Section 5.7)."""
+        return self.windows_resident(content.file_handle, content.parts)
 
-        Each window is asked of the pinned descriptor (:meth:`fd_resident`),
-        stopping at the first cold one.  Content without a descriptor has
-        no body to fault in.
-        """
-        handle = content.file_handle
+    def windows_resident(self, handle: Optional[CachedFD], parts) -> bool:
+        """Whether the ``(head, offset, length)`` windows of ``handle`` are
+        resident, asked of the pinned descriptor (:meth:`fd_resident`) up
+        to the first cold one.  No descriptor: no body to fault in."""
         if handle is None:
             return True
         # Probe exactly the transmitted windows: a range far into the file
         # must not pass because the head is warm, and a tail range must not
         # fail (and re-warm forever) because of a cold head it will never
         # transmit.
-        for _, offset, length in content.parts:
+        for _, offset, length in parts:
             if length > 0 and not self.fd_resident(handle, length, offset):
                 return False
         return True

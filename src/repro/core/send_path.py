@@ -228,9 +228,10 @@ class SendPath:
 
     @staticmethod
     def write_through(sock: socket.socket, header: bytes, handle, offset: int, length: int) -> int:
-        """Send ``header`` (``MSG_MORE``), then ``sendfile`` ``length`` bytes
-        at ``offset`` of ``handle``; stop at the first short write and
-        return the bytes moved.
+        """Send ``header`` (``MSG_MORE`` when a window follows), then
+        ``sendfile`` ``length`` bytes at ``offset`` of ``handle``; stop at
+        the first short write and return the bytes moved.  A bodyless
+        answer (``length`` 0) is the one ``send``.
 
         What did not move (a full socket, a descriptor ``sendfile`` refuses
         here, a shrunken file) the caller queues from the returned cursor,
@@ -238,8 +239,8 @@ class SendPath:
         """
         sent = 0
         try:
-            sent = sock.send(header, _MSG_MORE)
-            if sent == len(header):
+            sent = sock.send(header, _MSG_MORE if length else 0)
+            if length and sent == len(header):
                 sent += os.sendfile(sock.fileno(), handle.fd, offset, min(length, _MAX_SENDFILE))
         except (BlockingIOError, InterruptedError):
             pass

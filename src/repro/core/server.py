@@ -370,7 +370,7 @@ class BaseEventDrivenServer(ListeningServer):
         """Forward a dynamic request to its persistent CGI application."""
         self.cgi_runner.submit(request, callback)
 
-    def hot_content_ready(self, content) -> bool:
+    def hot_content_ready(self, handle, parts) -> bool:
         """Transmit hot-cache hits unconditionally (SPED behaviour).
 
         SPED never tests residency — a cold page simply blocks the whole
@@ -638,18 +638,18 @@ class FlashServer(BaseEventDrivenServer):
         self.store.hot_insert(request, entry, content)
         callback(content, None)
 
-    def hot_content_ready(self, content) -> bool:
+    def hot_content_ready(self, handle, parts) -> bool:
         """Gate hot-cache hits on memory residency (AMPED invariant).
 
         The single-lookup fast path must not let the main loop block on a
-        page fault: a hit (a ``StaticContent``, or the one pass's
-        ``HotEntry``) whose body went cold since it was cached is rejected
-        and retakes the full pipeline — which dispatches the usual ``OP_WARM`` helper
-        before transmitting.  A fully resident hit pays one ``cachestat``
-        per window; a hit on a file a helper is still warming reads cold
+        page fault: a hit whose windows — exactly the ones it would send —
+        went cold since it was cached is rejected and retakes the full
+        pipeline, which dispatches the usual ``OP_WARM`` helper before
+        transmitting.  A fully resident hit pays one ``cachestat`` per
+        window; a hit on a file a helper is still warming reads cold
         without one.
         """
-        return self.store.content_resident(content)
+        return self.store.windows_resident(handle, parts)
 
     # -- lifecycle ---------------------------------------------------------------------
 

@@ -323,7 +323,7 @@ class CGIDriver:
     def respond_async(self, request, keep_alive, callback):  # pragma: no cover
         raise AssertionError("not a static request")
 
-    def hot_content_ready(self, _content):  # pragma: no cover
+    def hot_content_ready(self, _handle, _parts):  # pragma: no cover
         return True
 
     def on_connection_closed(self, _connection):

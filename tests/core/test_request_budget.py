@@ -13,9 +13,13 @@ was dispatched — and the lifecycle's: interest and deadline are applied
 once per callback, so a pipelined burst answered within one tick costs
 what one request does.
 
-A plain hot hit is answered in one pass: one ``send`` of the header and
-one ``sendfile`` of the body, with no response object, no sender and no
-wheel call; only a short write builds a sender for the rest.
+A hot hit that needs no fresh framing — a 200, a 304, a HEAD or a
+single-window 206, read by the fast probe or the full parser — is
+answered in one pass: one ``send`` of the header and, with a body, one
+``sendfile`` of the window, with no response object, no sender and no
+wheel call; only a short write builds a sender for the rest.  A
+multipart 206, a 412 and a 416 are built as responses and sent through
+a sender.
 
 The ledger at the end counts the server socket's writes (``send``,
 ``sendmsg``, ``os.sendfile``) and options (``setsockopt``) for pipelined
@@ -107,10 +111,10 @@ def get(target, *lines):
     return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
 
 
-def response_complete(received):
+def response_complete(received, head=False):
     head_end = received.find(b"\r\n\r\n")
-    if head_end < 0:
-        return False
+    if head_end < 0 or head:
+        return head_end >= 0
     length = 0
     for line in received[:head_end].split(b"\r\n")[1:]:
         if line.lower().startswith(b"content-length:"):
@@ -120,7 +124,9 @@ def response_complete(received):
 
 def exchange(server, client, raw, until_closed=False):
     """Send ``raw`` and turn the server's loop until the response is whole
-    (and, for a closing exchange, until the server has closed)."""
+    (and, for a closing exchange, until the server has closed); a HEAD's
+    answer is whole at the end of its header."""
+    head = raw.startswith(b"HEAD ")
     client.sendall(raw)
     received = bytearray()
     closed = False
@@ -134,7 +140,7 @@ def exchange(server, client, raw, until_closed=False):
             closed = True
         elif data:
             received += data
-        if response_complete(received) and (closed or not until_closed):
+        if response_complete(received, head) and (closed or not until_closed):
             return bytes(received)
     raise AssertionError(f"no complete response; got {bytes(received)!r}")
 
@@ -232,12 +238,96 @@ def test_hot_hit_and_synchronous_miss_leave_the_selector_alone(server, monkeypat
         client.close()
 
 
+def etag_of(response):
+    return re.search(rb"ETag: ([^\r]*)", response).group(1).decode("latin-1")
+
+
+@pytest.mark.parametrize("shape", ["304", "head"])
+def test_hot_bodyless_answer_is_one_send(server, shape, monkeypatch):
+    """A hot 304 or HEAD leaves the full parser for the same one pass: the
+    header by one ``send``, nothing built, no selector or wheel call."""
+    client = connect(server)
+    try:
+        etag = etag_of(exchange(server, client, get("/a.txt")))
+        if shape == "304":
+            request, status = get("/a.txt", f"If-None-Match: {etag}"), b"HTTP/1.1 304 "
+        else:
+            request, status = b"HEAD" + get("/a.txt")[3:], b"HTTP/1.1 200 "
+        exchange(server, client, request)  # compose the shape's variant
+        budget = Budget(server, monkeypatch, fd=server_fd(server))
+        for _ in range(3):
+            budget.reset()
+            response = exchange(server, client, request)
+            assert response.startswith(status) and response.endswith(b"\r\n\r\n")
+            assert b"Connection: keep-alive" in response
+            assert (budget.send, budget.sendmsg, budget.sendfile) == (1, 0, 0)
+            assert budget.contents == 0 and budget.senders == 0
+            assert budget.selector == 0 and budget.schedules == 0
+            assert budget.header_builds == 0 and budget.cachestat == 0
+        assert server.stats.hot_hits == 4
+    finally:
+        client.close()
+
+
+def test_hot_single_range_is_one_pass(server, monkeypatch):
+    """A hot single-window 206 is one ``send`` plus one ``sendfile`` of the
+    window, gated by one ``cachestat`` of it on AMPED; its header is built
+    by the first hit of the window and kept in the entry's 206 slot."""
+    client = connect(server)
+    try:
+        exchange(server, client, get("/a.txt"))
+        budget = Budget(server, monkeypatch, fd=server_fd(server))
+        for builds in (1, 0, 0):
+            budget.reset()
+            response = exchange(server, client, get("/a.txt", "Range: bytes=100-1099"))
+            assert response.startswith(b"HTTP/1.1 206 ")
+            assert response.endswith(b"\r\n\r\n" + BODY[100:1100])
+            assert (budget.send, budget.sendmsg, budget.sendfile) == (1, 0, 1)
+            assert budget.cachestat == (CACHESTAT and server.architecture == "amped")
+            assert budget.header_builds == builds
+            assert budget.contents == 0 and budget.senders == 0
+            assert budget.selector == 0 and budget.schedules == 0
+        # Another window replaces the slot's: built once more.
+        budget.reset()
+        exchange(server, client, get("/a.txt", "Range: bytes=0-9"))
+        assert budget.header_builds == 1
+        assert server.stats.range_responses == 4
+    finally:
+        client.close()
+
+
+@pytest.mark.parametrize(
+    "line, status",
+    [
+        ("Range: bytes=0-9,100-109", b"HTTP/1.1 206 "),
+        ('If-Match: "other"', b"HTTP/1.1 412 "),
+        ("Range: bytes=5000-", b"HTTP/1.1 416 "),
+    ],
+    ids=["multipart", "412", "416"],
+)
+def test_assembled_hot_answers_build_one_response(server, line, status, monkeypatch):
+    """The hot answers that need fresh framing keep the assembled route:
+    one built response and one sender each."""
+    client = connect(server)
+    try:
+        exchange(server, client, get("/a.txt"))
+        budget = Budget(server, monkeypatch)
+        response = exchange(server, client, get("/a.txt", line))
+        assert response.startswith(status)
+        assert budget.contents == 1 and budget.senders == 1
+        assert budget.selector == 0
+        assert server.stats.hot_hits == 1
+    finally:
+        client.close()
+
+
 @pytest.mark.parametrize(
     "off", ["fast_parse", "zero_copy", "hot_cache"], ids=lambda name: f"no-{name}"
 )
 def test_each_hot_path_toggle_switches_the_one_pass_off(off, tmp_path, monkeypatch):
-    """With the fast probe, zero-copy or the hot cache off, the same GET is
-    answered through a built response and a sender, as before."""
+    """With zero-copy or the hot cache off, the same GET is answered
+    through a built response and a sender.  With the fast probe off it is
+    still one pass: the full parser's hit leaves from the hot entry too."""
     (tmp_path / "a.txt").write_bytes(BODY)
     config = ServerConfig(document_root=str(tmp_path), port=0, **{off: False})
     server = create_server("sped", config)
@@ -248,7 +338,8 @@ def test_each_hot_path_toggle_switches_the_one_pass_off(off, tmp_path, monkeypat
             exchange(server, client, get("/a.txt"))
             budget = Budget(server, monkeypatch)
             assert exchange(server, client, get("/a.txt")).endswith(BODY)
-            assert budget.contents == 1 and budget.senders == 1
+            built = int(off != "fast_parse")
+            assert budget.contents == built and budget.senders == built
             assert server.stats.hot_hits == (off != "hot_cache")
         finally:
             client.close()

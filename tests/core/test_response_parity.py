@@ -10,10 +10,16 @@ keep-alive (of the request, and of the one that inserted the hot entry —
 the entry composes its other header variants on first use), ``map_body``
 and a ``sendfile`` that may refuse to work, sent the event-driven way (``choose_send_path`` stepped non-blocking) and the
 MT/MP way (the blocking driver), with zero-copy on and off.
+
+The second differential runs through the live connection: a SPED or
+AMPED server answers each generated request from its hot entry (in one
+pass where the answer needs no fresh framing), and a build of the same
+server with ``hot_cache=False`` answers it through the full pipeline.
 """
 
 import errno
 import os
+import re
 import socket
 import threading
 
@@ -26,6 +32,7 @@ from repro.core.pipeline import ContentStore
 from repro.core.send_path import choose_send_path
 from repro.http.request import HTTPRequest
 from repro.http.response import http_date
+from repro.servers import create_server
 from repro.servers.blocking import _send_static
 
 BODY = bytes((index * 37 + index // 211) % 256 for index in range(150_000))
@@ -210,3 +217,109 @@ def test_slow_and_hot_paths_agree(docroot, monkeypatch, zero_copy, blocking, dat
     finally:
         monkeypatch.undo()
         store.close()
+
+
+# -- the live differential: hot one pass against hot_cache=False ------------
+
+
+def live_answer(server, raw):
+    """Send ``raw`` on a fresh connection, turning ``server``'s loop from
+    this thread; return the answer once it is whole (or the server closed)."""
+    head = raw.startswith(b"HEAD ")
+    client = socket.create_connection(server.address)
+    client.setblocking(False)
+    received = bytearray()
+    try:
+        client.sendall(raw)
+        for _ in range(4000):
+            server.loop.run_once(0.002)
+            try:
+                data = client.recv(1 << 20)
+            except BlockingIOError:
+                continue
+            if not data:
+                break
+            received += data
+            head_end = received.find(b"\r\n\r\n")
+            if head_end >= 0:
+                match = re.search(rb"Content-Length: (\d+)", received[:head_end])
+                length = int(match.group(1)) if match and not head else 0
+                if len(received) >= head_end + 4 + length:
+                    break
+        else:
+            raise AssertionError(f"no answer; got {bytes(received)[:200]!r}")
+    finally:
+        client.close()
+    for _ in range(3):  # let the server notice the close
+        server.loop.run_once(0)
+    return bytes(received)
+
+
+@st.composite
+def live_requests(draw, etag, mtime):
+    dates = [http_date(mtime), http_date(mtime - 3600), http_date(mtime + 3600)]
+    headers = {
+        "If-None-Match": draw(
+            st.none() | st.sampled_from([etag, '"stale"', "*", f'"zzz", {etag}', "W/" + etag])
+        ),
+        "If-Modified-Since": draw(st.none() | st.sampled_from(dates)),
+        "Range": draw(
+            st.none()
+            | st.sampled_from(["bytes=0-99", "bytes=1000-", "bytes=-50", "bytes=149990-"])
+            | st.tuples(st.integers(0, len(BODY) - 1), st.integers(0, 5000)).map(
+                lambda pair: f"bytes={pair[0]}-{pair[0] + pair[1]}"
+            )
+            | st.sampled_from(["bytes=0-9,100-109", "bytes=-5,0-4,70000-70010"])
+            | st.sampled_from([f"bytes={len(BODY)}-", "bytes=999999-"])
+            | st.sampled_from(["lines=0-5", "bytes=5-3", "bytes=x"])
+        ),
+        "If-Range": draw(st.none() | st.sampled_from([etag, '"stale"', http_date(mtime)])),
+    }
+    lines = [f"{draw(st.sampled_from(['GET', 'HEAD']))} /file.bin HTTP/1.1", "Host: parity"]
+    lines += [f"{name}: {value}" for name, value in headers.items() if value is not None]
+    # The same request keep-alive and close, in a drawn order: the entry's
+    # header variants and its 206 slot are kept per disposition.
+    twins = [lines, [*lines, "Connection: close"]]
+    if draw(st.booleans()):
+        twins.reverse()
+    return [("\r\n".join(twin) + "\r\n\r\n").encode("latin-1") for twin in twins]
+
+
+@pytest.fixture(params=["sped", "amped"])
+def server_pair(request, docroot):
+    """The same build twice: hot cache on (warmed), and off."""
+    servers = []
+    for hot_cache in (True, False):
+        config = ServerConfig(
+            document_root=str(docroot), port=0, num_helpers=1, hot_cache=hot_cache
+        )
+        server = create_server(request.param, config)
+        server.bind()
+        servers.append(server)
+    hot, _ = servers
+    assert live_answer(hot, b"GET /file.bin HTTP/1.1\r\nHost: parity\r\n\r\n").endswith(BODY)
+    yield servers
+    for server in servers:
+        server.close()
+
+
+@given(data=st.data())
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_live_hot_answers_agree_with_the_full_pipeline(server_pair, data):
+    hot, full = server_pair
+    entry = hot.store.hot_cache.lookup(b"/file.bin")
+    for raw in data.draw(live_requests(entry.etag, entry.mtime)):
+        answers, deltas = [], []
+        for server in (hot, full):
+            before = counters(server.store)
+            hits = server.stats.hot_hits, server.stats.hot_cold_fallbacks
+            answers.append(strip_date(live_answer(server, raw)))
+            deltas.append(delta(before, counters(server.store)))
+            hits = (server.stats.hot_hits - hits[0], server.stats.hot_cold_fallbacks - hits[1])
+            assert hits == ((1, 0) if server is hot else (0, 0))
+        assert answers[0] == answers[1]
+        assert deltas[0] == deltas[1]

@@ -558,7 +558,7 @@ class InlineDriver:
             return
         callback(content, None)
 
-    def hot_content_ready(self, content):
+    def hot_content_ready(self, handle, parts):
         return True
 
     def handle_cgi_async(self, request, callback):

@@ -1,15 +1,16 @@
 """A hot hit the socket does not take whole: the one pass hands the rest on.
 
-A plain hot GET on an idle connection is written straight from its hot
-entry (``SendPath.write_through``).  Whatever the socket does not take
-becomes an ordinary pinned ``SendPath`` from the exact cursor, so every
-hard case stays the sender's.  Each case here runs twice, on a fresh SPED
-or AMPED server under the same fault: once through the one pass, and once
-through the queued path — the connection is told ``sendfile`` is not
-available to it, so the hit is queued as a sender whose window still
-leaves by ``sendfile``.  Both runs must give the same bytes (``Date``
-and the validators aside) and the same counters, and leave the
-descriptor's refcount at the hot entry's own pin.
+A hot 200, single-range 206, 304 or HEAD on an idle connection is written
+straight from its hot entry (``SendPath.write_through``).  Whatever the
+socket does not take becomes an ordinary pinned ``SendPath`` from the
+exact cursor — for a 206, from the window's file offset plus what moved —
+so every hard case stays the sender's.  Each case here runs twice, on a
+fresh SPED or AMPED server under the same fault: once through the one
+pass, and once through the queued path — the connection is told
+``sendfile`` is not available to it, so the hit is queued as a sender
+whose window still leaves by ``sendfile``.  Both runs must give the same
+bytes (``Date`` and the validators aside) and the same counters, and
+leave the descriptor's refcount at the hot entry's own pin.
 """
 
 import errno
@@ -27,6 +28,7 @@ from repro.servers import create_server
 pytestmark = pytest.mark.skipif(not sendfile_available(), reason="needs sendfile")
 
 SIZE = 64 * 1024
+PATTERN = bytes(range(256)) * (SIZE // 256)
 REQUEST = b"GET /a.bin HTTP/1.1\r\nHost: t\r\n\r\n"
 COUNTERS = (
     "requests",
@@ -34,16 +36,27 @@ COUNTERS = (
     "hot_hits",
     "sendfile_responses",
     "sendfile_fallbacks",
+    "range_responses",
+    "not_modified_responses",
     "bytes_sent",
 )
 
+#: The hot hit's request (``{etag}`` is the warm answer's) and the file
+#: offset its window starts at; ``None`` for a bodyless answer.
+SHAPES = {
+    "200": (REQUEST, 0),
+    "206": (b"GET /a.bin HTTP/1.1\r\nHost: t\r\nRange: bytes=1000-\r\n\r\n", 1000),
+    "304": (b"GET /a.bin HTTP/1.1\r\nHost: t\r\nIf-None-Match: {etag}\r\n\r\n", None),
+    "head": (b"HEAD /a.bin HTTP/1.1\r\nHost: t\r\n\r\n", None),
+}
 
-def answer_length(received):
+
+def answer_length(received, head=False):
     head_end = received.find(b"\r\n\r\n")
     if head_end < 0:
         return None
     match = re.search(rb"Content-Length: (\d+)", received[:head_end])
-    return head_end + 4 + int(match.group(1))
+    return head_end + 4 + (int(match.group(1)) if match and not head else 0)
 
 
 class Fault:
@@ -87,6 +100,25 @@ class StalledReader(Fault):
         sock.close()
 
 
+class ShortHeader(Fault):
+    """The socket takes the first 10 header bytes, then would block once."""
+
+    def install(self, patch, fd):
+        real = socket.socket.send
+        state = {"calls": 0}
+
+        def send(sock, data, *args):
+            if sock.fileno() == fd:
+                state["calls"] += 1
+                if state["calls"] == 1:
+                    return real(sock, data[:10], *args)
+                if state["calls"] == 2:
+                    raise BlockingIOError(errno.EAGAIN, "full")
+            return real(sock, data, *args)
+
+        patch.setattr(socket.socket, "send", send)
+
+
 class EinvalMidBody(Fault):
     """``sendfile`` moves 1,000 bytes, then refuses this pair."""
 
@@ -106,7 +138,11 @@ class EinvalMidBody(Fault):
 
 
 class TruncatedAfterHeaderQueued(Fault):
-    """Every write would block until the file has shrunk to 100 bytes."""
+    """Every write would block until the file has shrunk to 100 bytes past
+    the window's start."""
+
+    #: The window's file offset (set per shape).
+    offset = 0
 
     def install(self, patch, fd):
         real = socket.socket.send
@@ -121,22 +157,35 @@ class TruncatedAfterHeaderQueued(Fault):
 
     def tick(self, turn, root):
         if turn == 5:
-            os.truncate(root / "a.bin", 100)
+            os.truncate(root / "a.bin", self.offset + 100)
             self.blocked = False
 
 
 FAULTS = {
     "eagain-header": EagainOnHeader,
+    "short-header": ShortHeader,
     "stalled-reader": StalledReader,
     "einval-mid-body": EinvalMidBody,
     "truncated": TruncatedAfterHeaderQueued,
 }
 
+#: The faults a header alone can meet.
+HEADER_FAULTS = ("eagain-header", "short-header")
 
-def run(architecture, root, fault, queued, monkeypatch):
-    """Warm the hot cache, then make one hot hit under ``fault``."""
+CASES = [
+    (shape, fault)
+    for shape, (_, offset) in sorted(SHAPES.items())
+    for fault in sorted(FAULTS)
+    if offset is not None or fault in HEADER_FAULTS
+]
+
+
+def run(architecture, root, shape, fault, queued, monkeypatch):
+    """Warm the hot cache, then make one hot hit of ``shape`` under ``fault``."""
+    request, offset = SHAPES[shape]
+    fault.offset = offset
     root.mkdir()
-    (root / "a.bin").write_bytes(bytes(range(256)) * (SIZE // 256))
+    (root / "a.bin").write_bytes(PATTERN)
     config = ServerConfig(document_root=str(root), port=0, num_helpers=1)
     server = create_server(architecture, config)
     server.bind()
@@ -168,11 +217,13 @@ def run(architecture, root, fault, queued, monkeypatch):
             raise AssertionError(f"no answer; got {bytes(received)[:200]!r}")
 
         def whole(received, closed):
-            end = answer_length(received)
+            end = answer_length(received, request.startswith(b"HEAD"))
             return closed or (end is not None and len(received) >= end)
 
         client.sendall(REQUEST)
-        turn_until(whole)
+        warm, _ = turn_until(whole)
+        etag = re.search(rb"ETag: ([^\r]*)", warm).group(1)
+        request = request.replace(b"{etag}", etag)
         (connection,) = server._connections
         entry = server.store.hot_cache._entries[b"/a.bin"]
         handle = entry.file_handle
@@ -190,7 +241,7 @@ def run(architecture, root, fault, queued, monkeypatch):
 
             patch.setattr(SendPath, "write_through", staticmethod(write_through))
             fault.install(patch, connection.sock.fileno())
-            client.sendall(REQUEST)
+            client.sendall(request)
             response, closed = turn_until(
                 whole, lambda number: fault.tick(number, root), fault.stall
             )
@@ -209,11 +260,13 @@ def run(architecture, root, fault, queued, monkeypatch):
         server.close()
 
 
-@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("shape, fault", CASES, ids=["-".join(case) for case in CASES])
 @pytest.mark.parametrize("architecture", ["sped", "amped"])
-def test_the_rest_leaves_as_the_queued_path_sends_it(architecture, fault, tmp_path, monkeypatch):
-    one_pass = run(architecture, tmp_path / "one-pass", FAULTS[fault](), False, monkeypatch)
-    queued = run(architecture, tmp_path / "queued", FAULTS[fault](), True, monkeypatch)
+def test_the_rest_leaves_as_the_queued_path_sends_it(
+    architecture, shape, fault, tmp_path, monkeypatch
+):
+    one_pass = run(architecture, tmp_path / "one-pass", shape, FAULTS[fault](), False, monkeypatch)
+    queued = run(architecture, tmp_path / "queued", shape, FAULTS[fault](), True, monkeypatch)
     assert one_pass.pop("short") == [True]
     assert queued.pop("short") == []
     assert one_pass == queued
@@ -221,14 +274,19 @@ def test_the_rest_leaves_as_the_queued_path_sends_it(architecture, fault, tmp_pa
     assert one_pass["refcount"] == 1
     counters = one_pass["counters"]
     assert counters["hot_hits"] == counters["requests"] == counters["responses_ok"] == 1
-    assert counters["sendfile_responses"] == 1
+    offset = SHAPES[shape][1]
+    assert counters["sendfile_responses"] == (offset is not None)
+    assert counters["range_responses"] == (shape == "206")
+    assert counters["not_modified_responses"] == (shape == "304")
     body = one_pass["response"].partition(b"\r\n\r\n")[2]
-    if fault == "truncated":
-        # The header promised 64 KiB; 100 bytes exist.  Under-delivered:
-        # the connection closes instead of being reused.
-        assert one_pass["closed"] and body == bytes(range(100))
+    if offset is None:
+        assert body == b"" and not one_pass["closed"]
+    elif fault == "truncated":
+        # The header promised the window; 100 bytes of it exist.
+        # Under-delivered: the connection closes instead of being reused.
+        assert one_pass["closed"] and body == PATTERN[offset : offset + 100]
         assert counters["sendfile_fallbacks"] == 1
     else:
-        assert body == bytes(range(256)) * (SIZE // 256)
+        assert body == PATTERN[offset:]
         assert not one_pass["closed"]
         assert counters["sendfile_fallbacks"] == (fault == "einval-mid-body")

@@ -305,6 +305,28 @@ class TestHotReadSideHit:
         assert stats.blocking_reads >= 2
         assert stats.sendfile_warm_degradations == 0
 
+    @pytest.mark.parametrize(
+        "spec, multipart",
+        [("65536-131071", False), ("0-9,65536-131071", True)],
+        ids=["one-pass", "multipart"],
+    )
+    def test_amped_cold_range_hit_is_counted_once(self, docroot, spec, multipart):
+        """A hot range hit the residency gate rejects sends one 206, taken
+        by the full pipeline: its status counters move once, there."""
+        oracle = SimulatedResidencyOracle(default_resident=False)
+        server = FlashServer(config_for(docroot), residency_tester=oracle)
+        server.start()
+        try:
+            assert fetch(*server.address, "/big.bin").status == 200
+            response = get_range(server.address, "/big.bin", spec)
+        finally:
+            server.stop()
+        assert response.status == 206
+        stats = server.stats
+        assert stats.hot_hits == 1 and stats.hot_cold_fallbacks == 1
+        assert stats.range_responses == 1
+        assert stats.range_multipart_responses == multipart
+
 
 def raw_exchange(address, payload: bytes) -> bytes:
     sock = socket.create_connection(address, timeout=5.0)
